@@ -117,17 +117,19 @@ def _as_int(value, key, minimum=None):
     return value
 
 
-def _as_float(value, key):
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+def _as_float(value, key, positive=False, allow_inf=False):
+    number = np.nan
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
-        except ValueError:
+            number = float(value)
+        except (ValueError, OverflowError):
             pass
-    raise ConfigError(f"{key} must be a number, got {value!r}")
+    if np.isnan(number) or (np.isinf(number) and not allow_inf):
+        raise ConfigError(f"{key} must be a {'number' if allow_inf else 'finite number'}, "
+                          f"got {value!r}")
+    if positive and number <= 0.0:
+        raise ConfigError(f"{key} must be positive, got {number}")
+    return number
 
 
 def _as_bool(value, key):
@@ -144,9 +146,7 @@ def _parse_problem(raw) -> ProblemConfig:
             raise ConfigError(f"problem block is missing {key!r}")
     if raw["type"] != "bilinear_quadratic":
         raise ConfigError(f"unknown problem type {raw['type']!r}")
-    mu = _as_float(raw["mu"], "problem.mu")
-    if mu <= 0.0:
-        raise ConfigError(f"problem.mu must be positive, got {mu}")
+    mu = _as_float(raw["mu"], "problem.mu", positive=True)
     return ProblemConfig(type=raw["type"],
                          n=_as_int(raw["n"], "problem.n", minimum=1),
                          p=_as_int(raw["p"], "problem.p", minimum=1),
@@ -186,9 +186,7 @@ def _parse_algorithm(raw, block="algorithm") -> AlgorithmConfig:
         raise ConfigError(f"{block}.name must be one of {ALGORITHMS}, got {name!r}")
     gamma = raw.get("gamma")
     if gamma != "auto":
-        gamma = _as_float(gamma, f"{block}.gamma")
-        if gamma <= 0.0:
-            raise ConfigError(f"{block}.gamma must be positive or 'auto', got {gamma}")
+        gamma = _as_float(gamma, f"{block}.gamma", positive=True)
     T = raw.get("T")
     if name == "adogt":
         if T is None:
@@ -211,9 +209,7 @@ def _parse_init(raw) -> InitConfig:
     seed = raw.get("seed")
     if seed is not None:
         seed = _as_int(seed, "init.seed", minimum=0)
-    scale = _as_float(raw.get("scale", 1.0), "init.scale")
-    if scale <= 0.0:
-        raise ConfigError(f"init.scale must be positive, got {scale}")
+    scale = _as_float(raw.get("scale", 1.0), "init.scale", positive=True)
     return InitConfig(kind=kind, seed=seed, scale=scale)
 
 
@@ -222,9 +218,12 @@ def _parse_run(raw) -> RunConfig:
         raw = {}
     raw = _require_mapping(raw, "run")
     _known_keys(raw, ("max_iters", "tol", "record_every", "record_states", "out_dir"), "run")
-    tol = _as_float(raw.get("tol", 1e-10), "run.tol")
-    if tol < 0.0 or np.isnan(tol):
+    tol = _as_float(raw.get("tol", 1e-10), "run.tol", allow_inf=True)
+    if tol < 0.0:
         raise ConfigError(f"run.tol must be nonnegative, got {tol}")
+    out_dir = raw.get("out_dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"run.out_dir must be a string, got {out_dir!r}")
     record_states = raw.get("record_states")
     if record_states is not None:
         record_states = _as_bool(record_states, "run.record_states")
@@ -233,7 +232,7 @@ def _parse_run(raw) -> RunConfig:
                      record_every=_as_int(raw.get("record_every", 1),
                                           "run.record_every", minimum=1),
                      record_states=record_states,
-                     out_dir=str(raw.get("out_dir", "out")))
+                     out_dir=out_dir)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -1,4 +1,7 @@
-"""Convergence diagnostics: residual, consensus error, Lyapunov value, rates.
+"""Convergence diagnostics: the per-step terms, the record built from them, rates.
+
+Each per-step term (B, C, D, Xi, e, E, Lyapunov value V) is defined here once,
+for one state or a stack of states, and shared by the trace and ``verify``.
 
 Two norm conventions coexist on purpose and are spelled out per field:
 ``consensus_error`` is logged UNSQUARED, (1/n) ||z - 1 zbar||, which is the
@@ -45,13 +48,14 @@ class RateReport:
     r_squared: float
 
 
-def _sq(a: np.ndarray) -> float:
-    return float(np.sum(a * a))
+def _sq(a: np.ndarray, axis=(-2, -1)):
+    """Sum of squares over ``axis``; on a stack, one value per state."""
+    return np.sum(a * a, axis=axis)
 
 
 def residual(z: np.ndarray, z_star: np.ndarray) -> float:
     """(1/n) ||z - 1 z*||^2, squared distance of all rows to the saddle."""
-    return _sq(z - z_star[np.newaxis, :]) / z.shape[0]
+    return float(_sq(z - z_star[np.newaxis, :])) / z.shape[0]
 
 
 def consensus_error(z: np.ndarray) -> float:
@@ -59,9 +63,14 @@ def consensus_error(z: np.ndarray) -> float:
     return float(np.linalg.norm(z - z.mean(axis=0))) / z.shape[0]
 
 
+def deviation_sq(m: np.ndarray):
+    """||m - 1 mbar||^2: the consensus term C for m = z, the tracking term D for m = r."""
+    return _sq(m - m.mean(axis=-2, keepdims=True))
+
+
 def tracking_error(r: np.ndarray) -> float:
     """||r - 1 rbar||^2, squared deviation of the trackers from their average."""
-    return _sq(r - r.mean(axis=0))
+    return float(deviation_sq(r))
 
 
 def optimality_gap_xi(state, gamma: float, z_star: np.ndarray) -> np.ndarray:
@@ -72,13 +81,23 @@ def optimality_gap_xi(state, gamma: float, z_star: np.ndarray) -> np.ndarray:
     """
     if z_star is None:
         raise ValueError("optimality gap requires a known saddle point")
-    zbar = state.z.mean(axis=0)
-    correction = (state.grad - state.grad_prev).mean(axis=0)
+    zbar = state.z.mean(axis=-2)
+    correction = (state.grad - state.grad_prev).mean(axis=-2)
     return zbar - gamma * correction - np.asarray(z_star, dtype=np.float64)
+
+
+def field_at_average_sq(problem, zbar: np.ndarray):
+    """(e, E) = (||mean G(1 zbar)||^2, ||G(1 zbar)||^2) for zbar of shape (p+d,) or (K, p+d)."""
+    field = np.stack([problem.gradient_field(np.tile(row, (problem.n, 1)))
+                      for row in np.reshape(zbar, (-1, zbar.shape[-1]))])
+    field = field.reshape(zbar.shape[:-1] + field.shape[1:])
+    return _sq(field.mean(axis=-2), axis=-1), _sq(field)
 
 
 def lyapunov_coefficients(gamma: float, L: float, rho: float, n: int) -> tuple[float, float]:
     """Weights (c1, c2) of the consensus and tracking terms."""
+    if gamma <= 0.0 or L <= 0.0:
+        raise ValueError("gamma and L must be positive")
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     c1 = 72.0 * gamma * L / (n * (1.0 - rho))
@@ -86,23 +105,35 @@ def lyapunov_coefficients(gamma: float, L: float, rho: float, n: int) -> tuple[f
     return c1, c2
 
 
+def step_terms(state, gamma: float, L: float, rho: float, n: int,
+               z_star: np.ndarray | None) -> dict:
+    """The per-step terms of one state, or of each state of a stack.
+
+    B = ||z - z_prev||^2, C and D; with a known z* also xi_sq = ||Xi||^2 and,
+    for rho in [0, 1) where its weights are defined, the Lyapunov value
+    V = ||Xi||^2 + (gamma L / n) B + c1 C + c2 D.
+    """
+    t = {"B": _sq(state.z - state.z_prev), "C": deviation_sq(state.z),
+         "D": deviation_sq(state.tracker)}
+    if z_star is not None:
+        t["xi_sq"] = _sq(optimality_gap_xi(state, gamma, z_star), axis=-1)
+        if 0.0 <= rho < 1.0:
+            c1, c2 = lyapunov_coefficients(gamma, L, rho, n)
+            t["V"] = t["xi_sq"] + gamma * L / n * t["B"] + c1 * t["C"] + c2 * t["D"]
+    return t
+
+
 def lyapunov(state, gamma: float, L: float, rho: float, n: int,
-             z_star: np.ndarray) -> float:
+             z_star: np.ndarray):
     """Composite energy whose geometric decay certifies linear convergence.
 
-    ||Xi||^2 + (gamma L / n) ||z - z_prev||^2 + c1 ||z - 1 zbar||^2
-    + c2 ||r - 1 rbar||^2.
+    The value V of ``step_terms``: ||Xi||^2 + (gamma L / n) ||z - z_prev||^2
+    + c1 ||z - 1 zbar||^2 + c2 ||r - 1 rbar||^2.
     """
-    if gamma <= 0.0 or L <= 0.0:
-        raise ValueError("gamma and L must be positive")
-    c1, c2 = lyapunov_coefficients(gamma, L, rho, n)
-    xi = optimality_gap_xi(state, gamma, z_star)
-    zbar = state.z.mean(axis=0)
-    rbar = state.tracker.mean(axis=0)
-    return (_sq(xi)
-            + gamma * L / n * _sq(state.z - state.z_prev)
-            + c1 * _sq(state.z - zbar)
-            + c2 * _sq(state.tracker - rbar))
+    t = step_terms(state, gamma, L, rho, n, z_star)
+    if "V" not in t:
+        raise ValueError(f"Lyapunov value needs a saddle point and rho in [0, 1), got {rho}")
+    return t["V"]
 
 
 def theoretical_contraction(gamma: float, mu: float, rho: float) -> float:
@@ -150,20 +181,17 @@ def fit_linear_rate(series, skip_fraction: float = 0.1,
     The first ``skip_fraction`` of the iteration span is dropped to avoid
     transient contamination; remaining values must be strictly positive.
     """
-    pairs = [(int(k), float(v)) for k, v in series]
-    if not pairs:
+    ks, values = np.array([(int(k), float(v)) for k, v in series],
+                          dtype=np.float64).reshape(-1, 2).T
+    if ks.size == 0:
         raise ValueError("insufficient data: empty series")
-    k_min = pairs[0][0]
-    k_max = pairs[-1][0]
-    cutoff = k_min + skip_fraction * (k_max - k_min)
-    window = [(k, v) for k, v in pairs if k >= cutoff]
-    positive = [(k, v) for k, v in window if v > 0.0]
-    if len(positive) < 10:
-        if len(positive) < len(window):
+    window = ks >= ks[0] + skip_fraction * (ks[-1] - ks[0])
+    keep = window & (values > 0.0)
+    if keep.sum() < 10:
+        if keep.sum() < window.sum():
             raise ValueError("nonpositive values leave fewer than 10 usable points")
-        raise ValueError(f"insufficient data: {len(positive)} points in fit window, need 10")
-    ks = np.array([k for k, _ in positive], dtype=np.float64)
-    logs = np.log([v for _, v in positive])
+        raise ValueError(f"insufficient data: {keep.sum()} points in fit window, need 10")
+    ks, logs = ks[keep], np.log(values[keep])
     slope, intercept = np.polyfit(ks, logs, 1)
     fitted = logs - (slope * ks + intercept)
     ss_res = float(np.sum(fitted ** 2))
@@ -186,17 +214,11 @@ def metric_record(state, gamma: float, L: float, rho: float, n: int,
     None when rho >= 1 (an off-design accelerated matrix), where its weights
     are undefined.
     """
-    if z_star is None:
-        res = xi_sq = lyap = None
-    else:
-        res = residual(state.z, z_star)
-        xi_sq = _sq(optimality_gap_xi(state, gamma, z_star))
-        lyap = (lyapunov(state, gamma, L, rho, n, z_star)
-                if 0.0 <= rho < 1.0 else None)
+    t = step_terms(state, gamma, L, rho, n, z_star)
     return MetricRecord(iteration=state.iteration,
                         comm_rounds=state.comm_rounds,
-                        residual=res,
+                        residual=None if z_star is None else residual(state.z, z_star),
                         consensus_error=consensus_error(state.z),
-                        tracking_error=tracking_error(state.tracker),
-                        xi_norm_sq=xi_sq,
-                        lyapunov=lyap)
+                        tracking_error=float(t["D"]),
+                        xi_norm_sq=float(t["xi_sq"]) if "xi_sq" in t else None,
+                        lyapunov=float(t["V"]) if "V" in t else None)

@@ -1,11 +1,12 @@
 """Numerical checkers for the convergence theory along recorded trajectories.
 
-Each check evaluates both sides of one guaranteed inequality at every
-recorded step and reports the margins rhs - lhs.  Under their stepsize
-preconditions the inequalities are theorems, so a failing check flags an
-implementation bug, not a tuning problem.  Checks whose stepsize
-precondition does not hold are reported as precondition-violated, never as
-failed.
+Each check evaluates one guaranteed inequality over a whole trajectory, as
+array arithmetic on the ``metrics`` terms of the stacked recorded states (a
+term at steps 1..K against a bound from the terms at steps 0..K-1), and
+reports the margins rhs - lhs.  Under their stepsize preconditions the
+inequalities are theorems, so a failing check flags an implementation bug,
+not a tuning problem.  Checks whose stepsize precondition does not hold are
+reported as precondition-violated, never as failed.
 
 Check ids:
   L1_iterate_gap      one-step displacement bounded by lagged energy terms
@@ -20,17 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
+from . import metrics
 from .graph import MixingMatrix, accelerated_matrix, recommended_T
-from .metrics import (lyapunov, max_stepsize, optimality_gap_xi,
-                      theoretical_contraction)
+from .metrics import max_stepsize, theoretical_contraction
 
 LEMMA_IDS = ("L1_iterate_gap", "L2_consensus", "L3_tracking",
              "L4_optimality_gap", "T1_contraction", "T2_rho_M")
 
 MARGIN_RTOL = 1e-9
+
+_STACK_BYTES = 1 << 14  # per stacked array: small next to the recorded states
 
 
 @dataclass(frozen=True)
@@ -70,27 +74,23 @@ class LemmaCheckReport:
         return self.status == "passed"
 
     @classmethod
-    def from_sides(cls, lemma_id: str, sides, notes=()) -> "LemmaCheckReport":
-        """Derive pass/fail from (iteration, lhs, rhs[, gated]) entries.
+    def from_sides(cls, lemma_id: str, iterations, lhs, rhs, gated=True,
+                   notes=()) -> "LemmaCheckReport":
+        """Derive pass/fail from equal-length sequences of both sides.
 
-        Entries flagged gated=False are recorded as margins but do not
-        affect the status (used for diagnostic quantities with no guarantee
-        attached).
+        Entries whose ``gated`` flag is False are recorded as margins but do not
+        affect the status (diagnostic quantities with no guarantee attached).
         """
-        margins = []
-        ok = True
-        for entry in sides:
-            k, lhs, rhs = entry[:3]
-            gated = entry[3] if len(entry) > 3 else True
-            margin = rhs - lhs
-            scale = max(abs(lhs), abs(rhs))
-            if gated and margin < -MARGIN_RTOL * scale:
-                ok = False
-            margins.append((int(k), float(margin)))
-        min_margin = min((m for _, m in margins), default=math.nan)
-        return cls(lemma_id=lemma_id, margins=tuple(margins),
-                   min_margin=min_margin,
-                   status="passed" if ok else "failed", notes=tuple(notes))
+        lhs = np.asarray(lhs, dtype=np.float64)
+        rhs = np.asarray(rhs, dtype=np.float64)
+        margin = rhs - lhs
+        scale = np.maximum(np.abs(lhs), np.abs(rhs))
+        failed = np.asarray(gated) & (margin < -MARGIN_RTOL * scale)
+        return cls(lemma_id=lemma_id,
+                   margins=tuple(zip(map(int, iterations), margin.tolist())),
+                   min_margin=float(margin.min()) if margin.size else math.nan,
+                   status="failed" if failed.any() else "passed",
+                   notes=tuple(notes))
 
     @classmethod
     def precondition_violated(cls, lemma_id: str, note: str) -> "LemmaCheckReport":
@@ -114,22 +114,46 @@ def _stepsize_limit(lemma_id: str, c: TheoryConstants) -> float:
         if c.rho == 0.0:
             return g8
         return min(g8, (1.0 - c.rho) / (8.0 * c.L * c.rho))
-    if lemma_id == "T1_contraction":
-        return max_stepsize(c.L, c.rho)
-    raise ValueError(f"unknown lemma id {lemma_id!r}")
+    return max_stepsize(c.L, c.rho)  # T1_contraction
 
 
-def _sq(a: np.ndarray) -> float:
-    return float(np.sum(a * a))
+# lemma id: (term bounded at step k+1, whether its bound uses the field at
+# the averaged iterate, the bound from the terms t at step k)
+_STEP_INEQUALITIES = {
+    "L1_iterate_gap": ("B", True, lambda t, g, L, mu, rho, n: (
+        4.0 * g * g * L * L * t.B + (4.0 + 8.0 * g * g * L * L) * t.C
+        + 8.0 * g * g * t.D + 8.0 * n * g * g * t.e)),
+    "L2_consensus": ("C", False, lambda t, g, L, mu, rho, n: (
+        0.5 * (1.0 + rho) * t.C
+        + 2.0 * g * g * (1.0 + rho) * rho / (1.0 - rho) * t.D
+        + 2.0 * g * g * (1.0 + rho) * rho * L * L / (1.0 - rho) * t.B)),
+    "L3_tracking": ("D", True, lambda t, g, L, mu, rho, n: (
+        0.25 * (3.0 + rho) * t.D + 8.0 * g * g * L ** 4 * rho / (1.0 - rho) * t.B
+        + 9.0 * L * L * rho / (1.0 - rho) * t.C
+        + 16.0 * n * g * g * L * L * rho / (1.0 - rho) * t.e)),
+    "L4_optimality_gap": ("xi_sq", True, lambda t, g, L, mu, rho, n: (
+        (1.0 - 0.75 * g * mu) * t.xi_sq + 1.25 * g * g * L * L / n * t.B
+        + 4.0 * g * L / n * t.C + 9.0 * g ** 3 * L * rho / (n * (1.0 - rho)) * t.D
+        - g * g / (4.0 * n) * t.E)),
+    "T1_contraction": ("V", False, lambda t, g, L, mu, rho, n: (
+        theoretical_contraction(g, mu, rho) * t.V)),
+}
 
 
-def _consensus_sq(m: np.ndarray) -> float:
-    return _sq(m - m.mean(axis=0))
-
-
-def _field_at_average(problem, zbar: np.ndarray) -> np.ndarray:
-    """Stacked gradient field with every node placed at the averaged iterate."""
-    return problem.gradient_field(np.tile(zbar, (problem.n, 1)))
+def trajectory_terms(trace, c: TheoryConstants, field: bool = False) -> dict[str, np.ndarray]:
+    """``metrics.step_terms`` of every recorded state (with ``field`` also e, E)."""
+    states = trace.states
+    chunk = max(1, _STACK_BYTES // states[0].z.nbytes)
+    parts = []
+    for start in range(0, len(states), chunk):
+        s = SimpleNamespace(**{
+            name: np.stack([getattr(state, name) for state in states[start:start + chunk]])
+            for name in ("z", "z_prev", "grad", "grad_prev", "tracker")})
+        t = metrics.step_terms(s, c.gamma, c.L, c.rho, c.n, trace.z_star)
+        if field:
+            t["e"], t["E"] = metrics.field_at_average_sq(trace.problem, s.z.mean(axis=-2))
+        parts.append(t)
+    return {name: np.concatenate([t[name] for t in parts]) for name in parts[0]}
 
 
 def check_lemma(trace, lemma_id: str, constants: TheoryConstants | None = None) -> LemmaCheckReport:
@@ -158,54 +182,12 @@ def check_lemma(trace, lemma_id: str, constants: TheoryConstants | None = None) 
     if lemma_id in ("L4_optimality_gap", "T1_contraction") and trace.z_star is None:
         raise ValueError(f"{lemma_id} requires a known saddle point")
 
-    g, L, mu, rho, n = c.gamma, c.L, c.mu, c.rho, c.n
-    states = trace.states
-    problem = trace.problem
-    sides = []
-
-    for k in range(len(states) - 1):
-        s0, s1 = states[k], states[k + 1]
-        B = _sq(s0.z - s0.z_prev)           # ||z_k - z_{k-1}||^2
-        C = _consensus_sq(s0.z)             # ||z_k - 1 zbar_k||^2
-        D = _consensus_sq(s0.tracker)       # ||r_k - 1 rbar_k||^2
-
-        if lemma_id == "L1_iterate_gap":
-            field = _field_at_average(problem, s0.z.mean(axis=0))
-            e = _sq(field.mean(axis=0))     # ||grad f(zbar_k)||^2
-            lhs = _sq(s1.z - s0.z)
-            rhs = (4.0 * g * g * L * L * B
-                   + (4.0 + 8.0 * g * g * L * L) * C
-                   + 8.0 * g * g * D
-                   + 8.0 * n * g * g * e)
-        elif lemma_id == "L2_consensus":
-            lhs = _consensus_sq(s1.z)
-            rhs = (0.5 * (1.0 + rho) * C
-                   + 2.0 * g * g * (1.0 + rho) * rho / (1.0 - rho) * D
-                   + 2.0 * g * g * (1.0 + rho) * rho * L * L / (1.0 - rho) * B)
-        elif lemma_id == "L3_tracking":
-            field = _field_at_average(problem, s0.z.mean(axis=0))
-            e = _sq(field.mean(axis=0))
-            lhs = _consensus_sq(s1.tracker)
-            rhs = (0.25 * (3.0 + rho) * D
-                   + 8.0 * g * g * L ** 4 * rho / (1.0 - rho) * B
-                   + 9.0 * L * L * rho / (1.0 - rho) * C
-                   + 16.0 * n * g * g * L * L * rho / (1.0 - rho) * e)
-        elif lemma_id == "L4_optimality_gap":
-            field = _field_at_average(problem, s0.z.mean(axis=0))
-            E = _sq(field)                  # ||grad F(1 zbar_k)||^2
-            lhs = _sq(optimality_gap_xi(s1, g, trace.z_star))
-            rhs = ((1.0 - 0.75 * g * mu) * _sq(optimality_gap_xi(s0, g, trace.z_star))
-                   + 1.25 * g * g * L * L / n * B
-                   + 4.0 * g * L / n * C
-                   + 9.0 * g ** 3 * L * rho / (n * (1.0 - rho)) * D
-                   - g * g / (4.0 * n) * E)
-        else:  # T1_contraction
-            factor = theoretical_contraction(g, mu, rho)
-            lhs = lyapunov(s1, g, L, rho, n, trace.z_star)
-            rhs = factor * lyapunov(s0, g, L, rho, n, trace.z_star)
-        sides.append((s0.iteration, lhs, rhs))
-
-    return LemmaCheckReport.from_sides(lemma_id, sides)
+    bounded, field, bound = _STEP_INEQUALITIES[lemma_id]
+    terms = trajectory_terms(trace, c, field)
+    before = SimpleNamespace(**{name: x[:-1] for name, x in terms.items()})
+    rhs = bound(before, c.gamma, c.L, c.mu, c.rho, c.n)
+    iterations = [state.iteration for state in trace.states[:-1]]
+    return LemmaCheckReport.from_sides(lemma_id, iterations, terms[bounded][1:], rhs)
 
 
 def check_rho_M(W: MixingMatrix, T: int) -> LemmaCheckReport:
@@ -221,21 +203,18 @@ def check_rho_M(W: MixingMatrix, T: int) -> LemmaCheckReport:
     """
     rho_M = accelerated_matrix(W, T).rho
     bound = 2.0 * (1.0 - math.sqrt(1.0 - math.sqrt(W.rho))) ** (2 * T)
-    notes = []
-    sides = []
+    sides = [(0, rho_M, min(bound, 1.0), False)]  # (iteration, lhs, rhs, gated)
     if bound < 1.0:
-        sides.append((0, rho_M, bound, False))
-        notes.append(f"margin 0 is diagnostic: envelope {bound:.6g} vs "
-                     f"rho_M {rho_M:.6g} (no guarantee at arbitrary T)")
+        notes = [f"margin 0 is diagnostic: envelope {bound:.6g} vs "
+                 f"rho_M {rho_M:.6g} (no guarantee at arbitrary T)"]
     else:
-        sides.append((0, rho_M, 1.0, False))
-        notes.append(f"analytic envelope {bound:.6g} >= 1 is vacuous at T={T}; "
-                     "margin 0 records 1 - rho_M instead (diagnostic)")
+        notes = [f"analytic envelope {bound:.6g} >= 1 is vacuous at T={T}; "
+                 "margin 0 records 1 - rho_M instead (diagnostic)"]
     if T == recommended_T(W.rho):
-        sides.append((1, rho_M, 0.5))
+        sides.append((1, rho_M, 0.5, True))
         notes.append("T equals the recommended round count; "
                      "margin 1 gates on 1 - rho_M >= 1/2")
-    return LemmaCheckReport.from_sides("T2_rho_M", sides, notes=notes)
+    return LemmaCheckReport.from_sides("T2_rho_M", *zip(*sides), notes=notes)
 
 
 def finite_difference_gradient(problem, i: int, z_i, h: float = 1e-6) -> np.ndarray:
@@ -276,15 +255,11 @@ def summary_text(reports) -> str:
             verdict = "passed" if rep.passed else "FAILED"
             lines.append(f"{rep.lemma_id}: {verdict} "
                          f"(min margin {rep.min_margin:.6g} over {len(rep.margins)} steps)")
-        for note in rep.notes if rep.status != "precondition_violated" else ():
-            lines.append(f"  note: {note}")
+            lines.extend(f"  note: {note}" for note in rep.notes)
     return "\n".join(lines) + "\n"
 
 
 def margins_csv_rows(reports) -> list[str]:
     """Machine-readable rows: lemma_id,iteration,margin."""
-    rows = ["lemma_id,iteration,margin"]
-    for rep in reports:
-        for k, margin in rep.margins:
-            rows.append(f"{rep.lemma_id},{k},{margin:.17g}")
-    return rows
+    return ["lemma_id,iteration,margin", *(f"{rep.lemma_id},{k},{margin:.17g}"
+                                           for rep in reports for k, margin in rep.margins)]

@@ -44,6 +44,8 @@ def test_load_config_happy_path(tmp_path):
     assert config.problem.n == 16
     assert config.algorithms[0].name == "dogt"
     assert config.run.record_states is None
+    config = load_config(write_config(tmp_path, {"run": {"tol": float("inf")}}))
+    assert config.run.tol == float("inf")
 
 
 def test_node_count_mismatch_rejected(tmp_path):
@@ -81,10 +83,31 @@ def test_missing_config_file(tmp_path):
 
 
 def test_config_error_writes_no_files(tmp_path):
-    path = write_config(tmp_path, {"graph": {"n": 8}})
     out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-    assert not out.exists()
+    nan, inf = float("nan"), float("inf")
+    for overrides in ({"graph": {"n": 8}},
+                      {"problem": {"mu": nan}},
+                      {"problem": {"mu": inf}},
+                      {"algorithm": {"gamma": nan}},
+                      {"algorithm": {"gamma": inf}},
+                      {"algorithm": None, "algorithms": [{"name": "dogt", "gamma": inf}]},
+                      {"init": {"scale": nan}},
+                      {"init": {"scale": inf}}):
+        path = write_config(tmp_path, overrides)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG, overrides
+        assert not out.exists()
+
+
+def test_null_out_dir_rejected(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = yaml.safe_load(yaml.safe_dump(BASE))
+    cfg["run"]["out_dir"] = None
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    with pytest.raises(ConfigError, match="out_dir"):
+        load_config(path)
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "None").exists()
 
 
 def test_auto_resolution(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from netsaddle.algorithms import init_state, run
-from netsaddle.metrics import (consensus_error, fit_linear_rate,
-                               iteration_complexity, lyapunov,
+from netsaddle.metrics import (consensus_error, field_at_average_sq,
+                               fit_linear_rate, iteration_complexity, lyapunov,
                                lyapunov_coefficients, max_stepsize,
                                metric_record, optimality_gap_xi, residual,
-                               theoretical_contraction, tracking_error)
+                               step_terms, theoretical_contraction,
+                               tracking_error)
 from netsaddle.problem import BilinearQuadratic
 
 GAMMA = 0.1
@@ -130,6 +132,31 @@ def test_lyapunov_matches_literal_reimplementation(ring16_problem, ring16_W, z0_
 
     got = lyapunov(s, gamma, L, rho, n, np.zeros(4))
     assert got == pytest.approx(total, rel=1e-12)
+
+
+def test_terms_on_a_stack_equal_terms_per_state(ring16_problem, ring16_W, z0_16):
+    # Every per-step term gives, on a stack of states, exactly the values it
+    # gives state by state.
+    L = ring16_problem.smoothness_constant()
+    gamma = max_stepsize(L, ring16_W.rho)
+    trace = run("dogt", ring16_problem, ring16_W, gamma, z0_16,
+                max_iters=20, tol=0.0, record_states=True)
+    states = trace.states
+    stack = SimpleNamespace(**{
+        name: np.stack([getattr(s, name) for s in states])
+        for name in ("z", "z_prev", "grad", "grad_prev", "tracker")})
+    z_star = np.zeros(4)
+    stacked = step_terms(stack, gamma, L, ring16_W.rho, 16, z_star)
+    assert sorted(stacked) == ["B", "C", "D", "V", "xi_sq"]
+    stacked["xi"] = optimality_gap_xi(stack, gamma, z_star)
+    stacked["eE"] = np.stack(field_at_average_sq(ring16_problem, stack.z.mean(axis=-2)),
+                             axis=-1)
+    for k, s in enumerate(states):
+        one = step_terms(s, gamma, L, ring16_W.rho, 16, z_star)
+        one["xi"] = optimality_gap_xi(s, gamma, z_star)
+        one["eE"] = field_at_average_sq(ring16_problem, s.z.mean(axis=0))
+        for name, value in one.items():
+            assert (stacked[name][k] == np.asarray(value)).all(), (name, k)
 
 
 def test_lyapunov_validation(ring16_problem, z0_16):

@@ -9,7 +9,7 @@ from netsaddle.problem import BilinearQuadratic
 from netsaddle.verify import (LEMMA_IDS, LemmaCheckReport, TheoryConstants,
                               check_lemma, check_rho_M,
                               finite_difference_gradient, margins_csv_rows,
-                              run_all_checks, summary_text)
+                              run_all_checks, summary_text, trajectory_terms)
 
 GAMMA_EXPERIMENT = 0.1
 
@@ -158,6 +158,20 @@ def test_constants_override_triggers_precondition(compliant_trace):
     assert rep.status == "precondition_violated"
 
 
+def test_trajectory_terms_equal_trace_columns(ring16_problem, ring16_W, z0_16):
+    # The checks and the trace share one definition of every term, so the
+    # check's term arrays reproduce the recorded columns bit for bit.
+    gamma = max_stepsize(ring16_problem.smoothness_constant(), ring16_W.rho)
+    trace = run("dogt", ring16_problem, ring16_W, gamma, z0_16, max_iters=300,
+                tol=0.0, record_every=1, record_states=True)
+    terms = trajectory_terms(trace, TheoryConstants.from_trace(trace))
+    assert len(trace.records) == len(trace.states) == 301
+    for term, column in (("D", "tracking_error"), ("xi_sq", "xi_norm_sq"),
+                         ("V", "lyapunov")):
+        recorded = np.array([getattr(rec, column) for rec in trace.records])
+        assert (terms[term] == recorded).all(), term
+
+
 def test_checks_are_rerunnable(compliant_trace):
     first = check_lemma(compliant_trace, "L4_optimality_gap")
     second = check_lemma(compliant_trace, "L4_optimality_gap")
@@ -224,12 +238,12 @@ def test_margins_csv_rows_schema(compliant_trace):
 
 
 def test_report_from_sides_derives_failure():
-    rep = LemmaCheckReport.from_sides("L1_iterate_gap", [(0, 1.0, 2.0), (1, 3.0, 1.0)])
+    rep = LemmaCheckReport.from_sides("L1_iterate_gap", [0, 1], [1.0, 3.0], [2.0, 1.0])
     assert rep.status == "failed"
     assert rep.min_margin == -2.0
     assert not rep.passed
 
 
 def test_report_tolerates_rounding_noise():
-    rep = LemmaCheckReport.from_sides("L1_iterate_gap", [(0, 1.0 + 1e-12, 1.0)])
+    rep = LemmaCheckReport.from_sides("L1_iterate_gap", [0], [1.0 + 1e-12], [1.0])
     assert rep.passed
