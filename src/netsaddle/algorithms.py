@@ -1,13 +1,16 @@
-"""Iteration state machines for the four decentralized saddle-point methods.
+"""The four decentralized saddle-point methods as one update rule.
 
-All four share one state layout over stacked n x (p+d) arrays:
+Every step of every method is one call of the kernel ``_step`` on stacked
+n x (p+d) arrays; the methods differ only in the direction d and the mix:
 
-  dgda   z+ = W (z - gamma G(z))                        no memory, no tracking
-  dogda  z+ = W (z - gamma (2 G(z) - G(z_prev)))        optimistic, no tracking
-  dogt   z+ = W (z - gamma (r + G(z) - G(z_prev)))      optimistic + tracking
-         r+ = W (r + G(z+) - G(z))
-  adogt  dogt with each W-exchange replaced by T rounds of momentum gossip,
-         equivalent to dogt under the accelerated matrix M_T
+  z+ = mix(z - gamma d),   and for the tracking methods   r+ = mix(r + G(z+) - G(z))
+
+  method  direction d                 mix                          tracking
+  dgda    G(z)                        W @ m                        no
+  dogda   2 G(z) - G(z_prev)          W @ m                        no
+  dogt    r + G(z) - G(z_prev)        W @ m                        yes
+  adogt   r + G(z) - G(z_prev)        T rounds of momentum gossip  yes
+                                      (= M_T @ m, T exchanges)
 
 G is the sign-flipped stacked gradient field, so primal descent and dual
 ascent are the same subtraction.  Gradients are evaluated at the mixed
@@ -19,11 +22,13 @@ therefore keeps the exact column-average identity mean(r) = mean(G).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import metrics
-from .graph import MixingMatrix, _weights_array, acceleration_momentum, accelerated_matrix
+from .graph import (MixingMatrix, _weights_array, acceleration_momentum, accelerated_matrix,
+                    momentum_gossip)
 from .metrics import MetricRecord
 from .problem import SaddleProblem, stacked_array, stacked_gradient_field
 
@@ -47,8 +52,9 @@ class AlgoState:
     """Value-semantic snapshot of one algorithm at one iteration.
 
     Arrays are n x (p+d): current and previous iterates, current and
-    previous stacked gradients, and the tracker r = [p, -q].  Baselines
-    keep the tracker allocated but zero so every trace has one schema.
+    previous stacked gradients, and the tracker r = [p, -q].  Baseline
+    steps carry the tracker over unchanged; run() starts it at zero so
+    every trace has one schema.
     """
 
     z: np.ndarray
@@ -101,34 +107,45 @@ def _check_finite(z: np.ndarray, iteration: int) -> None:
         raise DivergenceError(iteration)
 
 
-def dgda_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> AlgoState:
-    """Plain distributed gradient descent ascent (adapt then combine)."""
+def _step(state: AlgoState, mix, rounds: int, direction, tracking: bool,
+          gamma: float, problem: SaddleProblem) -> AlgoState:
+    """The one update of the family, counting ``rounds`` exchanges.
+
+    z+ = mix(z - gamma direction(state)); tracking methods also update
+    r+ = mix(r + G(z+) - G(z)), the others carry r over unchanged.
+    """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    Wm = _weights_array(W)
+    if not isinstance(rounds, (int, np.integer)) or rounds < 1:
+        raise ValueError(f"T must be a positive integer, got {rounds!r}")
+    k = state.iteration + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        z_new = Wm @ (state.z - gamma * state.grad)
-    _check_finite(z_new, state.iteration + 1)
+        z_new = mix(state.z - gamma * direction(state))
+    _check_finite(z_new, k)
     g_new = stacked_gradient_field(problem, z_new)
+    r_new = state.tracker
+    if tracking:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_new = mix(state.tracker + g_new - state.grad)
+        _check_finite(r_new, k)
     return AlgoState(z=z_new, z_prev=state.z, grad=g_new, grad_prev=state.grad,
-                     tracker=np.zeros_like(state.tracker),
-                     iteration=state.iteration + 1,
-                     comm_rounds=state.comm_rounds + 1)
+                     tracker=r_new, iteration=k, comm_rounds=state.comm_rounds + rounds)
+
+
+def _tracked(s: AlgoState) -> np.ndarray:
+    return s.tracker + s.grad - s.grad_prev
+
+
+def dgda_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> AlgoState:
+    """Plain distributed gradient descent ascent (adapt then combine)."""
+    return _step(state, _weights_array(W).__matmul__, 1, lambda s: s.grad, False,
+                 gamma, problem)
 
 
 def dogda_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> AlgoState:
     """Distributed optimistic gradient descent ascent, no tracking."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    Wm = _weights_array(W)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z_new = Wm @ (state.z - gamma * (2.0 * state.grad - state.grad_prev))
-    _check_finite(z_new, state.iteration + 1)
-    g_new = stacked_gradient_field(problem, z_new)
-    return AlgoState(z=z_new, z_prev=state.z, grad=g_new, grad_prev=state.grad,
-                     tracker=np.zeros_like(state.tracker),
-                     iteration=state.iteration + 1,
-                     comm_rounds=state.comm_rounds + 1)
+    return _step(state, _weights_array(W).__matmul__, 1,
+                 lambda s: 2.0 * s.grad - s.grad_prev, False, gamma, problem)
 
 
 def dogt_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> AlgoState:
@@ -138,29 +155,7 @@ def dogt_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> Algo
     absorbs the new-minus-old gradient difference; mixing both through the
     doubly stochastic W preserves mean(r) = mean(G) exactly.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    Wm = _weights_array(W)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z_new = Wm @ (state.z - gamma * (state.tracker + state.grad - state.grad_prev))
-    _check_finite(z_new, state.iteration + 1)
-    g_new = stacked_gradient_field(problem, z_new)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_new = Wm @ (state.tracker + g_new - state.grad)
-    _check_finite(r_new, state.iteration + 1)
-    return AlgoState(z=z_new, z_prev=state.z, grad=g_new, grad_prev=state.grad,
-                     tracker=r_new,
-                     iteration=state.iteration + 1,
-                     comm_rounds=state.comm_rounds + 1)
-
-
-def _accelerated_mix(Wm: np.ndarray, eta: float, T: int, message: np.ndarray) -> np.ndarray:
-    """T rounds of momentum gossip on a message matrix; equals M_T @ message."""
-    prev = message
-    curr = message
-    for _ in range(T):
-        prev, curr = curr, (1.0 + eta) * (Wm @ curr) - eta * prev
-    return curr
+    return _step(state, _weights_array(W).__matmul__, 1, _tracked, True, gamma, problem)
 
 
 def adogt_step(state: AlgoState, W, eta: float, T: int, gamma: float,
@@ -170,24 +165,8 @@ def adogt_step(state: AlgoState, W, eta: float, T: int, gamma: float,
     Equivalent to dogt_step under accelerated_matrix(W, T); counts T
     communication rounds per iteration.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"T must be a positive integer, got {T!r}")
-    Wm = _weights_array(W)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z_new = _accelerated_mix(
-            Wm, eta, T,
-            state.z - gamma * (state.tracker + state.grad - state.grad_prev))
-    _check_finite(z_new, state.iteration + 1)
-    g_new = stacked_gradient_field(problem, z_new)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_new = _accelerated_mix(Wm, eta, T, state.tracker + g_new - state.grad)
-    _check_finite(r_new, state.iteration + 1)
-    return AlgoState(z=z_new, z_prev=state.z, grad=g_new, grad_prev=state.grad,
-                     tracker=r_new,
-                     iteration=state.iteration + 1,
-                     comm_rounds=state.comm_rounds + T)
+    return _step(state, partial(momentum_gossip, _weights_array(W), eta, T), T,
+                 _tracked, True, gamma, problem)
 
 
 def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
@@ -222,8 +201,6 @@ def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
     if kind == "adogt":
         if T is None:
             raise ValueError("adogt requires the gossip round count T")
-        if not isinstance(T, (int, np.integer)) or T < 1:
-            raise ValueError(f"T must be a positive integer, got {T!r}")
         eta = acceleration_momentum(W.rho)
         rho_eff = accelerated_matrix(W, T).rho
     else:
@@ -236,6 +213,11 @@ def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
     state = init_state(problem, z0)
     if kind not in TRACKING_ALGORITHMS:
         state = replace(state, tracker=np.zeros_like(state.tracker))
+    # Looked up on every call, so a step function swapped on the module is used.
+    step = {"dgda": lambda s: dgda_step(s, W, gamma, problem),
+            "dogda": lambda s: dogda_step(s, W, gamma, problem),
+            "dogt": lambda s: dogt_step(s, W, gamma, problem),
+            "adogt": lambda s: adogt_step(s, W, eta, T, gamma, problem)}[kind]
 
     def record(s):
         return metrics.metric_record(s, gamma, L, rho_eff, n, z_star)
@@ -246,37 +228,21 @@ def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
     def tol_reached(rec):
         return rec.residual is not None and rec.residual <= tol
 
-    reason = "max_iters"
-    if tol_reached(records[0]):
-        reason = "tol_reached"
-    else:
-        # Divergence is detected by explicit isfinite checks inside the step
-        # functions; float overflow on the way there is expected, not noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, max_iters + 1):
-                if kind == "dgda":
-                    state = dgda_step(state, W, gamma, problem)
-                elif kind == "dogda":
-                    state = dogda_step(state, W, gamma, problem)
-                elif kind == "dogt":
-                    state = dogt_step(state, W, gamma, problem)
-                else:
-                    state = adogt_step(state, W, eta, T, gamma, problem)
-                if record_states:
-                    states.append(state)
-                rec = None
-                if k % record_every == 0 or k == max_iters:
-                    rec = record(state)
-                    records.append(rec)
-                if z_star is not None:
-                    if rec is None:
-                        res = metrics.residual(state.z, z_star)
-                        if res <= tol:
-                            rec = record(state)
-                            records.append(rec)
-                    if rec is not None and rec.residual <= tol:
-                        reason = "tol_reached"
-                        break
+    reason = "tol_reached" if tol_reached(records[0]) else "max_iters"
+    # Divergence is detected by explicit isfinite checks inside the step
+    # functions; float overflow on the way there is expected, not noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while reason == "max_iters" and state.iteration < max_iters:
+            state = step(state)
+            if record_states:
+                states.append(state)
+            k = state.iteration
+            # Between scheduled records, the residual alone decides whether to stop.
+            if (k % record_every == 0 or k == max_iters
+                    or z_star is not None and metrics.residual(state.z, z_star) <= tol):
+                records.append(record(state))
+                if tol_reached(records[-1]):
+                    reason = "tol_reached"
 
     return Trace(kind=kind, gamma=gamma, mu=problem.mu, smoothness=L,
                  rho=rho_eff, n=n, problem=problem, mixing=W, z_star=z_star,

@@ -98,15 +98,25 @@ class ExperimentConfig:
 
 
 def _require_mapping(raw, name):
+    """The block as a dict; an absent (None) block is empty."""
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} block must be a mapping, got {type(raw).__name__}")
     return raw
 
 
-def _known_keys(raw: dict, allowed, block: str):
+def _known_keys(raw: dict, allowed, block: str, required=()):
     unknown = set(raw) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {block} block")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{block} block is missing {key!r}")
+
+
+def _optional(raw: dict, key: str, parse, name: str, **kwargs):
+    value = raw.get(key)
+    return None if value is None else parse(value, name, **kwargs)
 
 
 def _as_int(value, key, minimum=None):
@@ -140,10 +150,8 @@ def _as_bool(value, key):
 
 def _parse_problem(raw) -> ProblemConfig:
     raw = _require_mapping(raw, "problem")
-    _known_keys(raw, ("type", "n", "p", "d", "mu", "seed", "zero_sum_centers"), "problem")
-    for key in ("type", "n", "p", "d", "mu", "seed"):
-        if key not in raw:
-            raise ConfigError(f"problem block is missing {key!r}")
+    _known_keys(raw, ("type", "n", "p", "d", "mu", "seed", "zero_sum_centers"), "problem",
+                required=("type", "n", "p", "d", "mu", "seed"))
     if raw["type"] != "bilinear_quadratic":
         raise ConfigError(f"unknown problem type {raw['type']!r}")
     mu = _as_float(raw["mu"], "problem.mu", positive=True)
@@ -159,23 +167,18 @@ def _parse_problem(raw) -> ProblemConfig:
 
 def _parse_graph(raw) -> GraphConfig:
     raw = _require_mapping(raw, "graph")
-    _known_keys(raw, ("topology", "n", "weight_scheme", "edge_probability", "seed"), "graph")
-    for key in ("topology", "n"):
-        if key not in raw:
-            raise ConfigError(f"graph block is missing {key!r}")
+    _known_keys(raw, ("topology", "n", "weight_scheme", "edge_probability", "seed"), "graph",
+                required=("topology", "n"))
     scheme = raw.get("weight_scheme", "metropolis")
     if scheme not in WEIGHT_BUILDERS:
         raise ConfigError(f"unknown weight_scheme {scheme!r}, "
                           f"expected one of {sorted(WEIGHT_BUILDERS)}")
-    edge_p = raw.get("edge_probability")
-    if edge_p is not None:
-        edge_p = _as_float(edge_p, "graph.edge_probability")
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = _as_int(seed, "graph.seed", minimum=0)
     return GraphConfig(topology=raw["topology"],
                        n=_as_int(raw["n"], "graph.n", minimum=1),
-                       weight_scheme=scheme, edge_probability=edge_p, seed=seed)
+                       weight_scheme=scheme,
+                       edge_probability=_optional(raw, "edge_probability", _as_float,
+                                                  "graph.edge_probability"),
+                       seed=_optional(raw, "seed", _as_int, "graph.seed", minimum=0))
 
 
 def _parse_algorithm(raw, block="algorithm") -> AlgorithmConfig:
@@ -199,23 +202,16 @@ def _parse_algorithm(raw, block="algorithm") -> AlgorithmConfig:
 
 
 def _parse_init(raw) -> InitConfig:
-    if raw is None:
-        return InitConfig(kind="normal", seed=None, scale=1.0)
     raw = _require_mapping(raw, "init")
     _known_keys(raw, ("kind", "seed", "scale"), "init")
     kind = raw.get("kind", "normal")
     if kind not in INIT_KINDS:
         raise ConfigError(f"init.kind must be one of {INIT_KINDS}, got {kind!r}")
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = _as_int(seed, "init.seed", minimum=0)
-    scale = _as_float(raw.get("scale", 1.0), "init.scale", positive=True)
-    return InitConfig(kind=kind, seed=seed, scale=scale)
+    return InitConfig(kind=kind, seed=_optional(raw, "seed", _as_int, "init.seed", minimum=0),
+                      scale=_as_float(raw.get("scale", 1.0), "init.scale", positive=True))
 
 
 def _parse_run(raw) -> RunConfig:
-    if raw is None:
-        raw = {}
     raw = _require_mapping(raw, "run")
     _known_keys(raw, ("max_iters", "tol", "record_every", "record_states", "out_dir"), "run")
     tol = _as_float(raw.get("tol", 1e-10), "run.tol", allow_inf=True)
@@ -224,9 +220,7 @@ def _parse_run(raw) -> RunConfig:
     out_dir = raw.get("out_dir", "out")
     if not isinstance(out_dir, str):
         raise ConfigError(f"run.out_dir must be a string, got {out_dir!r}")
-    record_states = raw.get("record_states")
-    if record_states is not None:
-        record_states = _as_bool(record_states, "run.record_states")
+    record_states = _optional(raw, "record_states", _as_bool, "run.record_states")
     return RunConfig(max_iters=_as_int(raw.get("max_iters", 10_000), "run.max_iters", minimum=1),
                      tol=tol,
                      record_every=_as_int(raw.get("record_every", 1),
@@ -247,10 +241,8 @@ def load_config(path) -> ExperimentConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     raw = _require_mapping(raw, "config")
-    _known_keys(raw, ("problem", "graph", "algorithm", "algorithms", "run", "init"), "config")
-    for key in ("problem", "graph"):
-        if key not in raw:
-            raise ConfigError(f"config is missing the {key!r} block")
+    _known_keys(raw, ("problem", "graph", "algorithm", "algorithms", "run", "init"), "config",
+                required=("problem", "graph"))
     if "algorithm" in raw and "algorithms" in raw:
         raise ConfigError("config must use either 'algorithm' or 'algorithms', not both")
     if "algorithm" in raw:
@@ -389,8 +381,7 @@ def write_trace_csv(path: Path, trace: Trace) -> None:
             str(rec.iteration), str(rec.comm_rounds), _fmt(rec.residual),
             _fmt(rec.consensus_error), _fmt(rec.tracking_error),
             _fmt(rec.xi_norm_sq), _fmt(rec.lyapunov)]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
@@ -443,15 +434,24 @@ def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
 
 def write_manifest(path: Path, exp: ResolvedExperiment, algo: ResolvedAlgorithm,
                    trace: Trace) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(_manifest_lines(exp, algo, trace)) + "\n")
+    path.write_text("\n".join(_manifest_lines(exp, algo, trace)) + "\n", newline="\n")
 
 
-def _run_algorithm(exp: ResolvedExperiment, algo: ResolvedAlgorithm) -> Trace:
+def _run_and_write(exp: ResolvedExperiment, algo: ResolvedAlgorithm, out: Path) -> Trace:
+    """Run one algorithm, write its trace CSV and manifest, print its summary line."""
     rc = exp.config.run
-    return run(algo.name, exp.problem, exp.W, algo.gamma, exp.z0,
-               max_iters=rc.max_iters, tol=rc.tol, record_every=rc.record_every,
-               T=algo.T, record_states=exp.record_states)
+    trace = run(algo.name, exp.problem, exp.W, algo.gamma, exp.z0,
+                max_iters=rc.max_iters, tol=rc.tol, record_every=rc.record_every,
+                T=algo.T, record_states=exp.record_states)
+    out.mkdir(parents=True, exist_ok=True)
+    write_trace_csv(out / f"{algo.label}.csv", trace)
+    write_manifest(out / f"{algo.label}.manifest.txt", exp, algo, trace)
+    print(_summary_line(algo.label, trace))
+    return trace
+
+
+def _out_dir(config: ExperimentConfig, override) -> Path:
+    return Path(override if override is not None else config.run.out_dir)
 
 
 def _summary_line(label: str, trace: Trace) -> str:
@@ -471,13 +471,7 @@ def run_command(config_path, out_dir=None) -> int:
     if len(config.algorithms) != 1:
         raise ConfigError("'run' needs exactly one algorithm; use 'compare' for several")
     exp = resolve_experiment(config)
-    out = Path(out_dir) if out_dir is not None else Path(config.run.out_dir)
-    algo = exp.algorithms[0]
-    trace = _run_algorithm(exp, algo)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(out / f"{algo.label}.csv", trace)
-    write_manifest(out / f"{algo.label}.manifest.txt", exp, algo, trace)
-    print(_summary_line(algo.label, trace))
+    _run_and_write(exp, exp.algorithms[0], _out_dir(config, out_dir))
     return EXIT_OK
 
 
@@ -495,34 +489,30 @@ def compare_command(config_path, out_dir=None) -> int:
     """Run every algorithm in the config on the shared problem and graph."""
     config = load_config(config_path)
     exp = resolve_experiment(config)
-    out = Path(out_dir) if out_dir is not None else Path(config.run.out_dir)
+    out = _out_dir(config, out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = [("algorithm", "final_residual", "final_consensus_error",
              "iters_to_tol", "comm_rounds", "fitted_rate")]
     for algo in exp.algorithms:
         try:
-            trace = _run_algorithm(exp, algo)
+            trace = _run_and_write(exp, algo, out)
         except DivergenceError as exc:
             rows.append((algo.label, "diverged", "diverged",
                          f"diverged@{exc.iteration}", "n/a", "n/a"))
             print(f"{algo.label}: diverged at iteration {exc.iteration}")
             continue
-        write_trace_csv(out / f"{algo.label}.csv", trace)
-        write_manifest(out / f"{algo.label}.manifest.txt", exp, algo, trace)
         final = trace.records[-1]
         iters = (str(trace.iterations) if trace.reason == "tol_reached"
                  else "not_reached")
         rows.append((algo.label, _fmt(final.residual),
                      _fmt(final.consensus_error), iters,
                      str(trace.comm_rounds), _fitted_rate_cell(trace)))
-        print(_summary_line(algo.label, trace))
 
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     table = "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                       for row in rows)
-    with open(out / "comparison.txt", "w", newline="\n") as fh:
-        fh.write(table + "\n")
+    (out / "comparison.txt").write_text(table + "\n", newline="\n")
     print(table)
     return EXIT_OK
 
@@ -541,20 +531,14 @@ def verify_command(config_path, out_dir=None) -> int:
     if config.run.record_states is None:
         print("record_states: resolved to true (required for verification)")
 
-    out = Path(out_dir) if out_dir is not None else Path(config.run.out_dir)
-    algo = exp.algorithms[0]
-    trace = _run_algorithm(exp, algo)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(out / f"{algo.label}.csv", trace)
-    write_manifest(out / f"{algo.label}.manifest.txt", exp, algo, trace)
-    print(_summary_line(algo.label, trace))
+    out = _out_dir(config, out_dir)
+    trace = _run_and_write(exp, exp.algorithms[0], out)
 
     reports = verify_mod.run_all_checks(trace)
     summary = verify_mod.summary_text(reports)
-    with open(out / "checks.txt", "w", newline="\n") as fh:
-        fh.write(summary)
-    with open(out / "check_margins.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(verify_mod.margins_csv_rows(reports)) + "\n")
+    (out / "checks.txt").write_text(summary, newline="\n")
+    (out / "check_margins.csv").write_text(
+        "\n".join(verify_mod.margins_csv_rows(reports)) + "\n", newline="\n")
     print(summary, end="")
 
     if any(rep.status == "failed" for rep in reports):

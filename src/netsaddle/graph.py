@@ -180,16 +180,9 @@ def metropolis_weights(topology: Topology) -> MixingMatrix:
     Symmetric and doubly stochastic on any undirected graph; the diagonal
     absorbs the remaining mass.
     """
-    n = topology.n
     deg = topology.degrees
-    W = np.zeros((n, n))
-    for i in range(n):
-        for j in topology.neighbors(i):
-            if j > i:
-                w = 1.0 / (1.0 + max(deg[i], deg[j]))
-                W[i, j] = W[j, i] = w
-    for i in range(n):
-        W[i, i] = 1.0 - W[i].sum()
+    W = np.where(topology.adjacency, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+    W[np.diag_indices(topology.n)] = 1.0 - W.sum(axis=1)
     return MixingMatrix.from_weights(W)
 
 
@@ -280,6 +273,14 @@ def recommended_T(rho: float) -> int:
     return max(T, 1)
 
 
+def momentum_gossip(Wm: np.ndarray, eta: float, T: int, message: np.ndarray) -> np.ndarray:
+    """T rounds of momentum gossip on a message matrix; equals M_T @ message."""
+    prev = curr = message
+    for _ in range(T):
+        prev, curr = curr, (1.0 + eta) * (Wm @ curr) - eta * prev
+    return curr
+
+
 def accelerated_matrix(W: MixingMatrix, T: int) -> MixingMatrix:
     """Effective weight matrix of T momentum-gossip rounds.
 
@@ -290,13 +291,7 @@ def accelerated_matrix(W: MixingMatrix, T: int) -> MixingMatrix:
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
-    eta = acceleration_momentum(W.rho)
-    Wm = W.W
-    n = Wm.shape[0]
-    M_prev = np.eye(n)
-    M = np.eye(n)
-    for _ in range(T):
-        M_prev, M = M, (1.0 + eta) * (Wm @ M) - eta * M_prev
+    M = momentum_gossip(W.W, acceleration_momentum(W.rho), T, np.eye(W.n))
     # Momentum can push rho_M above 1 transiently at off-design T; that is
     # expected, so only stochasticity and symmetry are enforced here.
     return MixingMatrix.from_weights(M, tol=1e-10, require_contraction=False)

@@ -57,9 +57,10 @@ class TheoryConstants:
 class LemmaCheckReport:
     """Margins of one inequality along a trajectory.
 
-    ``margins`` holds (iteration, rhs - lhs); a step passes when its margin
-    is at least -MARGIN_RTOL times the local scale max(|lhs|, |rhs|), which
-    absorbs float noise when both sides are near zero.  ``status`` is one of
+    ``margins`` holds (iteration, rhs - lhs); a step passes when lhs is
+    finite and its margin is at least -MARGIN_RTOL times the local scale
+    max(|lhs|, |rhs|), which absorbs float noise when both sides are near
+    zero.  A NaN margin (an overflowed side) fails.  ``status`` is one of
     "passed", "failed", "precondition_violated".
     """
 
@@ -83,9 +84,10 @@ class LemmaCheckReport:
         """
         lhs = np.asarray(lhs, dtype=np.float64)
         rhs = np.asarray(rhs, dtype=np.float64)
-        margin = rhs - lhs
+        with np.errstate(invalid="ignore"):     # inf - inf is a NaN margin, which fails
+            margin = rhs - lhs
         scale = np.maximum(np.abs(lhs), np.abs(rhs))
-        failed = np.asarray(gated) & (margin < -MARGIN_RTOL * scale)
+        failed = np.asarray(gated) & ~(np.isfinite(lhs) & (margin >= -MARGIN_RTOL * scale))
         return cls(lemma_id=lemma_id,
                    margins=tuple(zip(map(int, iterations), margin.tolist())),
                    min_margin=float(margin.min()) if margin.size else math.nan,
@@ -156,12 +158,15 @@ def trajectory_terms(trace, c: TheoryConstants, field: bool = False) -> dict[str
     return {name: np.concatenate([t[name] for t in parts]) for name in parts[0]}
 
 
-def check_lemma(trace, lemma_id: str, constants: TheoryConstants | None = None) -> LemmaCheckReport:
+def check_lemma(trace, lemma_id: str, constants: TheoryConstants | None = None,
+                terms: dict[str, np.ndarray] | None = None) -> LemmaCheckReport:
     """Evaluate one inequality at every recorded step of a full-state trace.
 
     The trace must have been produced with record_states=True (except for
     T2_rho_M, which only needs the mixing matrix).  ``constants`` defaults
-    to the trace's own run constants.
+    to the trace's own run constants.  ``terms``, if given, must be
+    ``trajectory_terms(trace, constants, field=True)``; otherwise the check
+    builds the terms it needs.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}, expected one of {LEMMA_IDS}")
@@ -183,7 +188,8 @@ def check_lemma(trace, lemma_id: str, constants: TheoryConstants | None = None) 
         raise ValueError(f"{lemma_id} requires a known saddle point")
 
     bounded, field, bound = _STEP_INEQUALITIES[lemma_id]
-    terms = trajectory_terms(trace, c, field)
+    if terms is None:
+        terms = trajectory_terms(trace, c, field)
     before = SimpleNamespace(**{name: x[:-1] for name, x in terms.items()})
     rhs = bound(before, c.gamma, c.L, c.mu, c.rho, c.n)
     iterations = [state.iteration for state in trace.states[:-1]]
@@ -241,8 +247,14 @@ def finite_difference_gradient(problem, i: int, z_i, h: float = 1e-6) -> np.ndar
 
 
 def run_all_checks(trace, constants: TheoryConstants | None = None) -> list[LemmaCheckReport]:
-    """All six checks against one full-state trace, in LEMMA_IDS order."""
-    return [check_lemma(trace, lemma_id, constants) for lemma_id in LEMMA_IDS]
+    """All six checks against one full-state trace, in LEMMA_IDS order.
+
+    The trajectory terms are built once and shared by the five step checks.
+    """
+    c = constants if constants is not None else TheoryConstants.from_trace(trace)
+    # Without states check_lemma raises; it must not fail here first.
+    terms = trajectory_terms(trace, c, field=True) if trace.states else None
+    return [check_lemma(trace, lemma_id, c, terms) for lemma_id in LEMMA_IDS]
 
 
 def summary_text(reports) -> str:

@@ -202,6 +202,16 @@ def test_adogt_equals_dogt_under_accelerated_matrix(ring16_problem, ring16_W, z0
         state = inloop
 
 
+@pytest.mark.parametrize("step", [
+    dgda_step, dogda_step, dogt_step,
+    lambda s, W, g, p: adogt_step(s, W, acceleration_momentum(W.rho), 3, g, p)])
+@pytest.mark.parametrize("gamma", [0.0, -0.1])
+def test_steps_reject_nonpositive_gamma(step, gamma, ring16_problem, ring16_W, z0_16):
+    state = init_state(ring16_problem, z0_16)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        step(state, ring16_W, gamma, ring16_problem)
+
+
 def test_adogt_rejects_bad_T(ring16_problem, ring16_W, z0_16):
     state = init_state(ring16_problem, z0_16)
     with pytest.raises(ValueError):

@@ -61,6 +61,12 @@ def test_all_checks_pass_on_compliant_run(compliant_trace):
         assert rep.passed, f"{rep.lemma_id}: {rep.status} min={rep.min_margin}"
 
 
+def test_shared_terms_give_the_reports_of_each_check_alone(compliant_trace):
+    # run_all_checks builds the trajectory terms once; check_lemma alone builds its own
+    assert run_all_checks(compliant_trace) == [check_lemma(compliant_trace, lemma_id)
+                                               for lemma_id in LEMMA_IDS]
+
+
 def test_margins_cover_every_step(compliant_trace):
     rep = check_lemma(compliant_trace, "L2_consensus")
     assert len(rep.margins) == len(compliant_trace.states) - 1
@@ -242,6 +248,12 @@ def test_report_from_sides_derives_failure():
     assert rep.status == "failed"
     assert rep.min_margin == -2.0
     assert not rep.passed
+    # an overflowed side fails instead of slipping through as a NaN margin
+    nan, inf = float("nan"), float("inf")
+    assert LemmaCheckReport.from_sides("L1_iterate_gap", [0, 1], [nan, 1.0],
+                                       [1.0, 2.0]).status == "failed"
+    assert LemmaCheckReport.from_sides("L1_iterate_gap", [0], [inf], [inf]).status == "failed"
+    assert LemmaCheckReport.from_sides("L1_iterate_gap", [0], [inf], [1.0]).status == "failed"
 
 
 def test_report_tolerates_rounding_noise():
