@@ -9,10 +9,10 @@ Lyapunov diagnostics, and inequality checkers.
 from .algorithms import (ALGORITHMS, AlgoState, DivergenceError, Trace,
                          adogt_step, dgda_step, dogda_step, dogt_step,
                          init_state, run)
-from .graph import (DisconnectedGraphError, MixingMatrix, PowerIterationError,
-                    Topology, accelerated_matrix, acceleration_momentum,
-                    build_topology, lazy_max_degree_weights, metropolis_weights,
-                    recommended_T, spectral_gap)
+from .graph import (DisconnectedGraphError, MixingMatrix, Topology,
+                    accelerated_matrix, acceleration_momentum, build_topology,
+                    lazy_max_degree_weights, metropolis_weights, recommended_T,
+                    spectral_gap)
 from .metrics import (MetricRecord, RateReport, consensus_error, fit_linear_rate,
                       iteration_complexity, lyapunov, lyapunov_coefficients,
                       max_stepsize, metric_record, optimality_gap_xi, residual,

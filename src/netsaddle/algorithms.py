@@ -35,7 +35,7 @@ from .problem import SaddleProblem, stacked_array, stacked_gradient_field
 ALGORITHMS = ("dgda", "dogda", "dogt", "adogt")
 TRACKING_ALGORITHMS = ("dogt", "adogt")
 
-_MAX_RECORD_STATES_ITERS = 5000
+MAX_RECORD_STATES_ITERS = 5000
 
 
 class DivergenceError(RuntimeError):
@@ -192,9 +192,9 @@ def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
         raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
     if tol < 0.0 or np.isnan(tol):
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    if record_states and max_iters > _MAX_RECORD_STATES_ITERS:
+    if record_states and max_iters > MAX_RECORD_STATES_ITERS:
         raise ValueError(f"record_states is limited to max_iters <= "
-                         f"{_MAX_RECORD_STATES_ITERS} (memory guard), got {max_iters}")
+                         f"{MAX_RECORD_STATES_ITERS} (memory guard), got {max_iters}")
 
     eta = None
     rho_eff = W.rho

@@ -19,7 +19,8 @@ import numpy as np
 import yaml
 
 from . import verify as verify_mod
-from .algorithms import ALGORITHMS, DivergenceError, Trace, run
+from .algorithms import (ALGORITHMS, MAX_RECORD_STATES_ITERS, DivergenceError,
+                         Trace, run)
 from .graph import (WEIGHT_BUILDERS, MixingMatrix, Topology, accelerated_matrix,
                     acceleration_momentum, build_topology, recommended_T)
 from .metrics import fit_linear_rate, max_stepsize, theoretical_contraction
@@ -309,6 +310,12 @@ def _make_z0(init: InitConfig, problem, default_seed: int):
 def resolve_experiment(config: ExperimentConfig,
                        record_states: bool | None = None) -> ResolvedExperiment:
     """Build problem/graph objects and resolve every "auto" placeholder."""
+    if record_states is None:
+        record_states = bool(config.run.record_states)
+    if record_states and config.run.max_iters > MAX_RECORD_STATES_ITERS:
+        raise ConfigError(f"record_states is limited to run.max_iters <= "
+                          f"{MAX_RECORD_STATES_ITERS} (memory guard), "
+                          f"got {config.run.max_iters}")
     pc = config.problem
     problem = make_bilinear_quadratic(pc.n, pc.p, pc.d, pc.mu, pc.seed,
                                       zero_sum_centers=pc.zero_sum_centers)
@@ -349,8 +356,6 @@ def resolve_experiment(config: ExperimentConfig,
                                           T_source=T_source, eta=eta,
                                           rho_effective=rho_eff))
 
-    if record_states is None:
-        record_states = bool(config.run.record_states)
     z0, init_seed = _make_z0(config.init, problem, default_seed=pc.seed + 1)
     return ResolvedExperiment(config=config, problem=problem, topology=topology,
                               W=W, L=L, kappa=L / pc.mu, z0=z0, init_seed=init_seed,

@@ -19,16 +19,10 @@ TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "random")
 WEIGHT_SCHEMES = ("metropolis", "lazy_max_degree")
 
 _RANDOM_GRAPH_RETRIES = 100
-_POWER_ITERATION_CAP = 100_000
-_DENSE_EIG_MAX_N = 256
 
 
 class DisconnectedGraphError(ValueError):
     """Random topology stayed disconnected after the bounded retry budget."""
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to reach tolerance within its iteration cap."""
 
 
 def _is_connected(adjacency: np.ndarray) -> bool:
@@ -116,13 +110,13 @@ def build_topology(kind: str, n: int, seed: int | None = None,
         for _ in range(_RANDOM_GRAPH_RETRIES):
             upper = rng.random((n, n)) < edge_probability
             adj = np.triu(upper, k=1)
-            adj = adj | adj.T
-            if _is_connected(adj):
-                break
-        else:
-            raise DisconnectedGraphError(
-                f"no connected graph with edge_probability={edge_probability} "
-                f"after {_RANDOM_GRAPH_RETRIES} draws")
+            try:
+                return Topology(kind=kind, n=n, adjacency=adj | adj.T)
+            except DisconnectedGraphError:
+                pass
+        raise DisconnectedGraphError(
+            f"no connected graph with edge_probability={edge_probability} "
+            f"after {_RANDOM_GRAPH_RETRIES} draws")
     return Topology(kind=kind, n=n, adjacency=adj)
 
 
@@ -155,13 +149,16 @@ class MixingMatrix:
         W = np.asarray(W, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {W.shape}")
+        # min and max propagate NaN and reach any inf, with no n x n temporary.
+        if not (np.isfinite(W.min()) and np.isfinite(W.max())):
+            raise ValueError("weight matrix has non-finite entries")
         row_err = np.abs(W.sum(axis=1) - 1.0).max()
         col_err = np.abs(W.sum(axis=0) - 1.0).max()
         if row_err > tol or col_err > tol:
             raise ValueError(
                 f"weight matrix is not doubly stochastic: row error {row_err:.3e}, "
                 f"column error {col_err:.3e} (tol {tol:.1e})")
-        if not np.allclose(W, W.T, atol=tol, rtol=0.0):
+        if np.abs(W - W.T).max() > tol:
             raise ValueError("weight matrix must be symmetric")
         rho = spectral_gap(W)
         if require_contraction and rho >= 1.0:
@@ -213,43 +210,16 @@ def averaging_matrix(n: int) -> np.ndarray:
     return np.full((n, n), 1.0 / n)
 
 
-def spectral_gap(W, method: str = "auto", tol: float = 1e-12,
-                 max_iters: int = _POWER_ITERATION_CAP) -> float:
+def spectral_gap(W) -> float:
     """Squared spectral norm of W - J, i.e. rho = ||W - J||_2^2 in [0, 1).
 
     For symmetric W this is the square of the largest-magnitude eigenvalue
-    away from the all-ones direction.  ``method`` is "dense" (symmetric
-    eigendecomposition), "power" (power iteration on (W-J)^2 with relative
-    tolerance ``tol``), or "auto" (dense for small n).
+    away from the all-ones direction, read off one dense symmetric
+    eigendecomposition at every n.  Subtracting the scalar 1/n from every
+    entry is W - J without building J.
     """
     W = _weights_array(W)
-    n = W.shape[0]
-    B = W - averaging_matrix(n)
-    if method == "auto":
-        method = "dense" if n <= _DENSE_EIG_MAX_N else "power"
-    if method == "dense":
-        eigs = np.linalg.eigvalsh(B)
-        return float(np.abs(eigs).max() ** 2)
-    if method != "power":
-        raise ValueError(f"unknown method {method!r}")
-
-    # Power iteration on B @ B: its top eigenvalue is ||B||_2^2 directly.
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    lam = 0.0
-    for _ in range(max_iters):
-        w = B @ (B @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (B @ (B @ v)))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    raise PowerIterationError(
-        f"power iteration did not converge to relative tolerance {tol} "
-        f"within {max_iters} iterations")
+    return float(np.abs(np.linalg.eigvalsh(W - 1.0 / W.shape[0])).max() ** 2)
 
 
 def acceleration_momentum(rho: float) -> float:

@@ -92,10 +92,15 @@ def test_config_error_writes_no_files(tmp_path):
                       {"algorithm": {"gamma": inf}},
                       {"algorithm": None, "algorithms": [{"name": "dogt", "gamma": inf}]},
                       {"init": {"scale": nan}},
-                      {"init": {"scale": inf}}):
+                      {"init": {"scale": inf}},
+                      {"run": {"max_iters": 6000, "record_states": True}}):
         path = write_config(tmp_path, overrides)
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG, overrides
         assert not out.exists()
+    # verify turns record_states on, so its memory guard applies too.
+    path = write_config(tmp_path, verify_overrides(max_iters=6000))
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_null_out_dir_rejected(tmp_path, monkeypatch):

@@ -174,27 +174,14 @@ def test_spectral_gap_single_node():
     assert spectral_gap(np.array([[1.0]])) == 0.0
 
 
-def test_spectral_gap_ring16_matches_circulant_form(ring16_W):
-    lam = ring_metropolis_eigenvalue(16, 1)
-    assert ring16_W.rho == pytest.approx(lam ** 2, abs=1e-10)
+@pytest.mark.parametrize("n", [16, 300, 1024])
+def test_spectral_gap_ring_matches_circulant_form(n):
+    rho = metropolis_weights(build_topology("ring", n)).rho
+    assert rho == pytest.approx(ring_metropolis_eigenvalue(n, 1) ** 2, abs=1e-10)
+
+
+def test_spectral_gap_ring16_value(ring16_W):
     assert ring16_W.rho == pytest.approx(0.9011, abs=5e-5)
-
-
-@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
-def test_power_iteration_agrees_with_dense(n):
-    W = metropolis_weights(build_topology("ring", n)).W
-    dense = spectral_gap(W, method="dense")
-    power = spectral_gap(W, method="power")
-    assert power == pytest.approx(dense, rel=1e-10)
-
-
-def test_power_iteration_on_zero_gap():
-    assert spectral_gap(averaging_matrix(8), method="power") == 0.0
-
-
-def test_spectral_gap_unknown_method():
-    with pytest.raises(ValueError):
-        spectral_gap(averaging_matrix(4), method="magic")
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +276,19 @@ def test_accelerated_matrix_eigenvalues_match_scalar_recursion(ring16_W):
 
 
 def test_from_weights_rejects_non_stochastic():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not doubly stochastic"):
         MixingMatrix.from_weights(np.array([[0.5, 0.4], [0.4, 0.5]]))
+    # inf rows would fail the row-sum test; non-finite entries are named first.
+    with pytest.raises(ValueError, match="non-finite"):
+        MixingMatrix.from_weights(np.array([[np.inf, 0.5], [0.5, 0.5]]))
 
 
 def test_from_weights_rejects_asymmetric():
     W = np.array([[0.5, 0.5, 0.0],
                   [0.0, 0.5, 0.5],
                   [0.5, 0.0, 0.5]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         MixingMatrix.from_weights(W)
+    # NaN passes every comparison with a tolerance, so it is rejected up front.
+    with pytest.raises(ValueError, match="non-finite"):
+        MixingMatrix.from_weights(np.array([[0.5, np.nan], [np.nan, 0.5]]))
