@@ -6,9 +6,9 @@ n x (p+d) arrays; the methods differ only in the direction d and the mix:
   z+ = mix(z - gamma d),   and for the tracking methods   r+ = mix(r + G(z+) - G(z))
 
   method  direction d                 mix                          tracking
-  dgda    G(z)                        W @ m                        no
-  dogda   2 G(z) - G(z_prev)          W @ m                        no
-  dogt    r + G(z) - G(z_prev)        W @ m                        yes
+  dgda    G(z)                        W m                          no
+  dogda   2 G(z) - G(z_prev)          W m                          no
+  dogt    r + G(z) - G(z_prev)        W m                          yes
   adogt   r + G(z) - G(z_prev)        T rounds of momentum gossip  yes
                                       (= M_T @ m, T exchanges)
 
@@ -17,6 +17,9 @@ ascent are the same subtraction.  Gradients are evaluated at the mixed
 iterates (the states the averaged dynamics and the energy-decay guarantees
 are stated for); the tracker r is seeded with the initial gradients and
 therefore keeps the exact column-average identity mean(r) = mean(G).
+
+W m is ``MixingMatrix.mix``: the dense product, or a gather over the
+nonzeros of W on sparse graphs.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from . import metrics
-from .graph import (MixingMatrix, _weights_array, acceleration_momentum, accelerated_matrix,
+from .graph import (MixingMatrix, _mix_of, acceleration_momentum, accelerated_matrix,
                     momentum_gossip)
 from .metrics import MetricRecord
 from .problem import SaddleProblem, stacked_array, stacked_gradient_field
@@ -138,14 +141,13 @@ def _tracked(s: AlgoState) -> np.ndarray:
 
 def dgda_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> AlgoState:
     """Plain distributed gradient descent ascent (adapt then combine)."""
-    return _step(state, _weights_array(W).__matmul__, 1, lambda s: s.grad, False,
-                 gamma, problem)
+    return _step(state, _mix_of(W), 1, lambda s: s.grad, False, gamma, problem)
 
 
 def dogda_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> AlgoState:
     """Distributed optimistic gradient descent ascent, no tracking."""
-    return _step(state, _weights_array(W).__matmul__, 1,
-                 lambda s: 2.0 * s.grad - s.grad_prev, False, gamma, problem)
+    return _step(state, _mix_of(W), 1, lambda s: 2.0 * s.grad - s.grad_prev, False,
+                 gamma, problem)
 
 
 def dogt_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> AlgoState:
@@ -155,7 +157,7 @@ def dogt_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> Algo
     absorbs the new-minus-old gradient difference; mixing both through the
     doubly stochastic W preserves mean(r) = mean(G) exactly.
     """
-    return _step(state, _weights_array(W).__matmul__, 1, _tracked, True, gamma, problem)
+    return _step(state, _mix_of(W), 1, _tracked, True, gamma, problem)
 
 
 def adogt_step(state: AlgoState, W, eta: float, T: int, gamma: float,
@@ -165,7 +167,7 @@ def adogt_step(state: AlgoState, W, eta: float, T: int, gamma: float,
     Equivalent to dogt_step under accelerated_matrix(W, T); counts T
     communication rounds per iteration.
     """
-    return _step(state, partial(momentum_gossip, _weights_array(W), eta, T), T,
+    return _step(state, partial(momentum_gossip, _mix_of(W), eta, T), T,
                  _tracked, True, gamma, problem)
 
 

@@ -5,13 +5,18 @@ measured by the spectral gap rho = ||W - J||_2^2 (squared spectral norm off
 the consensus direction, J = averaging matrix): smaller rho means faster
 mixing.  The accelerated matrix M_T turns T momentum-boosted gossip rounds
 into a single effective mixing matrix with a much smaller gap.
+
+One round of mixing, m -> W m, costs O(n^2) as a dense product and
+O(nnz) as a gather over the nonzeros of W; ``MixingMatrix.mix`` is
+whichever of the two a measured cost rule picks for that W.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -120,17 +125,69 @@ def build_topology(kind: str, n: int, seed: int | None = None,
     return Topology(kind=kind, n=n, adjacency=adj)
 
 
+class CSRMix:
+    """m -> W m as a gather over the nonzeros of W, stored row by row (CSR).
+
+    ``indptr``, ``cols`` and ``weights`` are the row pointer, column indices
+    and values of the nonzeros.  A mix takes the neighbours' rows of m,
+    scales them and sums each row's segment: O(nnz) work where W @ m is
+    O(n^2).  Each row is summed in column order, so the result can differ
+    from W @ m in the last bits.  Every row of W must hold a nonzero, as
+    every row of a stochastic W does.
+    """
+
+    def __init__(self, W: np.ndarray):
+        # np.nonzero(W) gives the same indices; on a boolean mask it is 7x faster.
+        rows, self.cols = np.divmod(np.flatnonzero(W != 0), W.shape[1])
+        self.weights = W[rows, self.cols]
+        self.indptr = np.searchsorted(rows, np.arange(W.shape[0] + 1))
+        self._expanded = {}   # message shape past axis 0 -> weights repeated to it
+
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        width = m.shape[1:]
+        w = self._expanded.get(width)
+        if w is None:
+            w = np.repeat(self.weights, math.prod(width)).reshape(self.weights.shape + width)
+            self._expanded[width] = w
+        gathered = np.take(m, self.cols, axis=0)
+        # In place: one nnz-row temporary fewer per mix, which took the peak
+        # RSS of the benchmark's random1024-dogt runs from 87.4 to 86.8 MB.
+        gathered *= w
+        return np.add.reduceat(gathered, self.indptr[:-1], axis=0)
+
+
+def _gathers(W: np.ndarray) -> bool:
+    """The cost rule for one mix: gather (CSRMix) iff 8 nnz + 2**17 < n**2.
+
+    Fitted to the time of one mix of an n x 4 message with one BLAS thread
+    (``scripts/bench_mixing.py``, README): W @ m costs about n**2, with a
+    jump once W outgrows the cache, and the gather about nnz plus a cost per
+    row and per call, which makes it lose below a few hundred nodes.  Every
+    graph with n < 367, rings up to n = 374 and every complete graph stay
+    dense.  A W with an empty row, which no stochastic matrix has, keeps the
+    dense product.
+    """
+    row_nnz = np.count_nonzero(W, axis=1)
+    return bool(row_nnz.all()) and 8 * int(row_nnz.sum()) + 2 ** 17 < W.shape[0] ** 2
+
+
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Doubly stochastic weight matrix with its cached spectral gap."""
+    """Doubly stochastic weight matrix with its cached spectral gap.
+
+    ``mix`` is one round of mixing, m -> W m: a CSRMix where ``_gathers``
+    finds the gather cheaper, and the dense W @ m otherwise.
+    """
 
     W: np.ndarray
     rho: float
+    mix: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
+        object.__setattr__(self, "mix", CSRMix(W) if _gathers(W) else W.__matmul__)
 
     @property
     def n(self) -> int:
@@ -171,14 +228,22 @@ def _weights_array(W) -> np.ndarray:
     return W.W if isinstance(W, MixingMatrix) else np.asarray(W, dtype=np.float64)
 
 
+def _mix_of(W) -> Callable[[np.ndarray], np.ndarray]:
+    """m -> W m: a MixingMatrix's own mix, or the product with a plain array."""
+    return W.mix if isinstance(W, MixingMatrix) else _weights_array(W).__matmul__
+
+
 def metropolis_weights(topology: Topology) -> MixingMatrix:
     """Metropolis-Hastings weights: w_ij = 1/(1 + max(deg_i, deg_j)) on edges.
 
     Symmetric and doubly stochastic on any undirected graph; the diagonal
-    absorbs the remaining mass.
+    absorbs the remaining mass.  Only the edges are computed; the one n x n
+    array is W itself.
     """
     deg = topology.degrees
-    W = np.where(topology.adjacency, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+    i, j = np.nonzero(topology.adjacency)
+    W = np.zeros((topology.n, topology.n))
+    W[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     W[np.diag_indices(topology.n)] = 1.0 - W.sum(axis=1)
     return MixingMatrix.from_weights(W)
 
@@ -194,8 +259,9 @@ def lazy_max_degree_weights(topology: Topology) -> MixingMatrix:
     d_max = int(deg.max()) if n > 1 else 0
     if d_max == 0:
         return MixingMatrix.from_weights(np.eye(n))
-    W = topology.adjacency.astype(np.float64) / (2.0 * d_max)
-    W[np.arange(n), np.arange(n)] = 1.0 - deg / (2.0 * d_max)
+    W = np.zeros((n, n))
+    W[np.nonzero(topology.adjacency)] = 1.0 / (2.0 * d_max)
+    W[np.diag_indices(n)] = 1.0 - deg / (2.0 * d_max)
     return MixingMatrix.from_weights(W)
 
 
@@ -233,9 +299,11 @@ def acceleration_momentum(rho: float) -> float:
 def recommended_T(rho: float) -> int:
     """Gossip rounds per iteration, ceil(ln 2 / sqrt(1 - sqrt(rho))), at least 1.
 
-    With this choice the accelerated matrix satisfies 1 - rho_M >= 1/2, so a
-    single accelerated exchange mixes at least as well as a constant-gap
-    network regardless of how poorly connected the underlying graph is.
+    This T aims at 1 - rho_M >= 1/2, so that one accelerated exchange mixes
+    about as well as a constant-gap network however poorly connected the
+    graph is.  The bound is not guaranteed: on Metropolis rings it holds up
+    to n = 64, but rho_M at this T is 0.5314 at n = 68 and 0.5498 at
+    n = 1024.  Making ``T: auto`` meet it is item 3 of ROADMAP.md.
     """
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
@@ -243,11 +311,14 @@ def recommended_T(rho: float) -> int:
     return max(T, 1)
 
 
-def momentum_gossip(Wm: np.ndarray, eta: float, T: int, message: np.ndarray) -> np.ndarray:
-    """T rounds of momentum gossip on a message matrix; equals M_T @ message."""
+def momentum_gossip(mix, eta: float, T: int, message: np.ndarray) -> np.ndarray:
+    """T rounds of momentum gossip on a message matrix; equals M_T @ message.
+
+    ``mix`` is one round, m -> W m.
+    """
     prev = curr = message
     for _ in range(T):
-        prev, curr = curr, (1.0 + eta) * (Wm @ curr) - eta * prev
+        prev, curr = curr, (1.0 + eta) * mix(curr) - eta * prev
     return curr
 
 
@@ -261,7 +332,9 @@ def accelerated_matrix(W: MixingMatrix, T: int) -> MixingMatrix:
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
-    M = momentum_gossip(W.W, acceleration_momentum(W.rho), T, np.eye(W.n))
+    # Dense on every graph: gathering the n x n identity would build an
+    # nnz x n temporary.
+    M = momentum_gossip(W.W.__matmul__, acceleration_momentum(W.rho), T, np.eye(W.n))
     # Momentum can push rho_M above 1 transiently at off-design T; that is
     # expected, so only stochasticity and symmetry are enforced here.
     return MixingMatrix.from_weights(M, tol=1e-10, require_contraction=False)

@@ -36,6 +36,24 @@ def ring_metropolis(n):
     return W
 
 
+def metropolis_dense(adjacency):
+    """Metropolis weights over the whole n x n grid with np.where and an
+    outer maximum of the degrees, not over the edge list."""
+    deg = adjacency.sum(axis=1)
+    W = np.where(adjacency, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+    W[np.diag_indices(len(W))] = 1.0 - W.sum(axis=1)
+    return W
+
+
+def lazy_max_degree_dense(adjacency):
+    """Lazy max-degree weights as a scaled copy of the whole adjacency."""
+    deg = adjacency.sum(axis=1)
+    d_max = int(deg.max())
+    W = adjacency.astype(np.float64) / (2.0 * d_max)
+    W[np.diag_indices(len(W))] = 1.0 - deg / (2.0 * d_max)
+    return W
+
+
 def initial_point(n=16, p=2, d=2, seed=8, scale=1.0):
     z0 = scale * np.random.default_rng(seed).standard_normal((n, p + d))
     return z0[:, :p].copy(), z0[:, p:].copy()

@@ -4,7 +4,7 @@ import pytest
 import reference_impl as ref
 from netsaddle.algorithms import (DivergenceError, adogt_step, dgda_step,
                                   dogda_step, dogt_step, init_state, run)
-from netsaddle.graph import (MixingMatrix, accelerated_matrix,
+from netsaddle.graph import (CSRMix, MixingMatrix, accelerated_matrix,
                              acceleration_momentum, build_topology,
                              metropolis_weights)
 from netsaddle.problem import (BilinearQuadratic, StackedIterate,
@@ -117,6 +117,22 @@ def test_baselines_match_block_form_oracle(kind, runner, ring16_problem, ring16_
     trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16,
                 max_iters=200, tol=0.0, record_states=True)
     for k in (1, 100, 200):
+        assert np.abs(np.hstack(traj[k]) - trace.states[k].z).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind,T", [("dogt", None), ("adogt", 3)])
+def test_gathered_mixing_matches_dense_oracle(kind, T):
+    n = 512
+    W = metropolis_weights(build_topology("random", n, seed=1000, edge_probability=0.02))
+    assert isinstance(W.mix, CSRMix)
+    prob = make_bilinear_quadratic(n, 2, 2, 0.1, seed=7, zero_sum_centers=True)
+    z0 = np.random.default_rng(8).standard_normal((n, 4))
+    a, b, mu = ref.make_instance(n=n)
+    x, y = z0[:, :2].copy(), z0[:, 2:].copy()
+    traj = (ref.dogt_run(a, b, mu, W.W, GAMMA, x, y, 100) if T is None
+            else ref.adogt_run(a, b, mu, W.W, GAMMA, x, y, 100, T))
+    trace = run(kind, prob, W, GAMMA, z0, max_iters=100, tol=0.0, T=T, record_states=True)
+    for k in (1, 2, 50, 100):
         assert np.abs(np.hstack(traj[k]) - trace.states[k].z).max() <= 1e-12
 
 

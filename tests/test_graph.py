@@ -1,15 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsaddle.graph import (DisconnectedGraphError, MixingMatrix, Topology,
+import reference_impl as ref
+from netsaddle.cli import load_config, resolve_experiment
+from netsaddle.graph import (CSRMix, DisconnectedGraphError, MixingMatrix, Topology,
                              accelerated_matrix, acceleration_momentum,
                              averaging_matrix, build_topology,
                              lazy_max_degree_weights, metropolis_weights,
                              recommended_T, spectral_gap)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def ring_metropolis_eigenvalue(n, k):
@@ -132,6 +137,19 @@ def test_support_matches_adjacency():
         assert ((W != 0.0) & off == topo.adjacency).all()
 
 
+@pytest.mark.parametrize("kind,n,p,seed", [
+    ("ring", 1, None, None), ("ring", 2, None, None), ("ring", 3, None, None),
+    ("ring", 16, None, None), ("ring", 320, None, None), ("path", 9, None, None),
+    ("star", 9, None, None), ("complete", 9, None, None)]
+    + [("random", 1024, 0.01, seed) for seed in range(1000, 1004)])
+def test_edge_list_weights_equal_dense_construction(kind, n, p, seed):
+    topo = build_topology(kind, n, seed=seed, edge_probability=p)
+    assert np.array_equal(metropolis_weights(topo).W, ref.metropolis_dense(topo.adjacency))
+    if n > 1:
+        assert np.array_equal(lazy_max_degree_weights(topo).W,
+                              ref.lazy_max_degree_dense(topo.adjacency))
+
+
 @given(kind=st.sampled_from(["ring", "path", "star", "complete"]),
        n=st.integers(min_value=1, max_value=24),
        scheme=st.sampled_from(["metropolis", "lazy_max_degree"]))
@@ -159,6 +177,38 @@ def test_spectral_gap_of_matrix_power(n, k):
 def test_recommended_T_monotone_in_rho(r1, r2):
     lo, hi = sorted((r1, r2))
     assert recommended_T(lo) <= recommended_T(hi)
+
+
+# ---------------------------------------------------------------------------
+# mixing paths
+
+
+_EDGE_PROBABILITY = {16: 0.5, 300: 0.05, 1024: 0.01}
+
+
+@pytest.mark.parametrize("n", [16, 300, 1024])
+@pytest.mark.parametrize("kind", ["ring", "path", "star", "complete", "random"])
+def test_csr_mix_equals_dense_product(kind, n):
+    W = metropolis_weights(build_topology(kind, n, seed=1000,
+                                          edge_probability=_EDGE_PROBABILITY[n])).W
+    csr = CSRMix(W)
+    assert csr.indptr[-1] == csr.cols.size == np.count_nonzero(W)
+    rng = np.random.default_rng(n)
+    for width in (1, 4):
+        m = rng.standard_normal((n, width))
+        assert np.abs(csr(m) - W @ m).max() <= 1e-15
+        assert np.abs(csr(m) - W @ m).max() <= 1e-15   # with the cached weights
+
+
+def test_cost_rule_picks_the_mixing_path():
+    for path in sorted(CONFIGS.glob("ring16_*.yaml")):
+        W = resolve_experiment(load_config(path)).W
+        assert not isinstance(W.mix, CSRMix), path.name
+    assert not isinstance(metropolis_weights(build_topology("complete", 64)).mix, CSRMix)
+    random1024 = build_topology("random", 1024, seed=1000, edge_probability=0.01)
+    assert isinstance(metropolis_weights(random1024).mix, CSRMix)
+    # A row without a nonzero would break the segmented sum.
+    assert not isinstance(MixingMatrix(W=np.zeros((1024, 1024)), rho=0.0).mix, CSRMix)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +280,13 @@ def test_accelerated_matrix_T1_closed_form(ring16_W):
     M1 = accelerated_matrix(ring16_W, 1)
     expected = (1.0 + eta) * ring16_W.W - eta * np.eye(16)
     assert np.allclose(M1.W, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("T", [1, 4, 7])
+def test_accelerated_matrix_is_the_dense_recursion_bitwise(ring16_W, T):
+    eta = acceleration_momentum(ring16_W.rho)
+    assert np.array_equal(accelerated_matrix(ring16_W, T).W,
+                          ref.chebyshev_matrix(ring16_W.W, T, eta))
 
 
 def test_accelerated_matrix_zero_momentum_is_power():
