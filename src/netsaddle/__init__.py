@@ -8,7 +8,7 @@ Lyapunov diagnostics, and inequality checkers.
 
 from .algorithms import (ALGORITHMS, AlgoState, DivergenceError, Trace,
                          adogt_step, dgda_step, dogda_step, dogt_step,
-                         init_state, run)
+                         init_state, iterate, run)
 from .graph import (DisconnectedGraphError, MixingMatrix, Topology,
                     accelerated_matrix, acceleration_momentum, build_topology,
                     lazy_max_degree_weights, metropolis_weights, recommended_T,
@@ -21,7 +21,7 @@ from .problem import (BilinearQuadratic, SaddleProblem, StackedIterate,
                       estimate_smoothness, local_gradient, local_value,
                       make_bilinear_quadratic, saddle_point,
                       smoothness_constant, stacked_gradient_field)
-from .verify import (LEMMA_IDS, LemmaCheckReport, TheoryConstants, check_lemma,
-                     check_rho_M, finite_difference_gradient, run_all_checks)
+from .verify import (LEMMA_IDS, LemmaCheckReport, check_lemma, check_rho_M,
+                     finite_difference_gradient, run_all_checks)
 
 __version__ = "0.1.0"

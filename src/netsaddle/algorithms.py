@@ -20,6 +20,10 @@ therefore keeps the exact column-average identity mean(r) = mean(G).
 
 W m is ``MixingMatrix.mix``: the dense product, or a gather over the
 nonzeros of W on sparse graphs.
+
+``iterate`` yields the states of one method, one step at a time; ``run``
+drives it, records the metric rows (and, with ``record_states``, every
+step's terms for the theory checks) and applies the stop rule.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ from .problem import SaddleProblem, stacked_array, stacked_gradient_field
 ALGORITHMS = ("dgda", "dogda", "dogt", "adogt")
 TRACKING_ALGORITHMS = ("dogt", "adogt")
 
-MAX_RECORD_STATES_ITERS = 5000
-
 
 class DivergenceError(RuntimeError):
     """An iterate became NaN/Inf; carries the iteration where it happened."""
@@ -50,14 +52,14 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgoState:
     """Value-semantic snapshot of one algorithm at one iteration.
 
     Arrays are n x (p+d): current and previous iterates, current and
     previous stacked gradients, and the tracker r = [p, -q].  Baseline
-    steps carry the tracker over unchanged; run() starts it at zero so
-    every trace has one schema.
+    steps carry the tracker over unchanged; iterate() starts it at zero so
+    every state has one schema.
     """
 
     z: np.ndarray
@@ -75,9 +77,14 @@ class AlgoState:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """Recorded run: metric rows, optional full states, and run constants."""
+    """Recorded run: metric rows, optional per-step terms, and run constants.
+
+    ``terms`` (with ``record_states``) is a ``metrics.term_table`` whose row
+    k holds iteration k's B, C, D, ||Xi||^2, V and zbar, computed with the
+    run's own gamma, L and rho; None otherwise.
+    """
 
     kind: str
     gamma: float
@@ -89,7 +96,7 @@ class Trace:
     mixing: MixingMatrix
     z_star: np.ndarray | None
     records: tuple[MetricRecord, ...]
-    states: tuple[AlgoState, ...] | None
+    terms: np.ndarray | None
     reason: str             # "tol_reached" or "max_iters"
     iterations: int
     comm_rounds: int
@@ -171,21 +178,41 @@ def adogt_step(state: AlgoState, W, eta: float, T: int, gamma: float,
                  _tracked, True, gamma, problem)
 
 
+def iterate(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
+            T: int | None = None):
+    """Yield the states of one method from iteration 0 on, without end.
+
+    Raises DivergenceError if an iterate becomes non-finite.
+    """
+    if kind not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {kind!r}, expected one of {ALGORITHMS}")
+    state = init_state(problem, z0)
+    if kind not in TRACKING_ALGORITHMS:
+        state = replace(state, tracker=np.zeros_like(state.tracker))
+    eta = acceleration_momentum(W.rho) if kind == "adogt" else None
+    # Looked up on every call, so a step function swapped on the module is used.
+    step = {"dgda": lambda s: dgda_step(s, W, gamma, problem),
+            "dogda": lambda s: dogda_step(s, W, gamma, problem),
+            "dogt": lambda s: dogt_step(s, W, gamma, problem),
+            "adogt": lambda s: adogt_step(s, W, eta, T, gamma, problem)}[kind]
+    while True:
+        yield state
+        state = step(state)
+
+
 def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
         max_iters: int, tol: float, record_every: int = 1,
         T: int | None = None, record_states: bool = False) -> Trace:
     """Drive one algorithm until the residual drops to tol or iterations run out.
 
     Metrics are recorded at iteration 0, every ``record_every`` iterations,
-    and at the final iterate.  ``record_states`` keeps a full state snapshot
-    per iteration for the theory checkers (bounded to short runs).  Without
-    a known saddle point the residual is unavailable and the run always goes
-    the full ``max_iters``.
+    and at the final iterate.  ``record_states`` keeps every step's terms in
+    ``Trace.terms`` for the theory checks: a few floats per step, O(max_iters)
+    memory whatever n is.  Without a known saddle point the residual is
+    unavailable and the run always goes the full ``max_iters``.
 
     Raises DivergenceError if an iterate becomes non-finite.
     """
-    if kind not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {kind!r}, expected one of {ALGORITHMS}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
@@ -194,9 +221,6 @@ def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
         raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
     if tol < 0.0 or np.isnan(tol):
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    if record_states and max_iters > MAX_RECORD_STATES_ITERS:
-        raise ValueError(f"record_states is limited to max_iters <= "
-                         f"{MAX_RECORD_STATES_ITERS} (memory guard), got {max_iters}")
 
     eta = None
     rho_eff = W.rho
@@ -211,44 +235,32 @@ def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
     L = problem.smoothness_constant()
     z_star = problem.saddle_point()
     n = problem.n
-
-    state = init_state(problem, z0)
-    if kind not in TRACKING_ALGORITHMS:
-        state = replace(state, tracker=np.zeros_like(state.tracker))
-    # Looked up on every call, so a step function swapped on the module is used.
-    step = {"dgda": lambda s: dgda_step(s, W, gamma, problem),
-            "dogda": lambda s: dogda_step(s, W, gamma, problem),
-            "dogt": lambda s: dogt_step(s, W, gamma, problem),
-            "adogt": lambda s: adogt_step(s, W, eta, T, gamma, problem)}[kind]
-
-    def record(s):
-        return metrics.metric_record(s, gamma, L, rho_eff, n, z_star)
-
-    records = [record(state)]
-    states = [state] if record_states else None
-
-    def tol_reached(rec):
-        return rec.residual is not None and rec.residual <= tol
-
-    reason = "tol_reached" if tol_reached(records[0]) else "max_iters"
+    table = metrics.term_table(max_iters + 1, problem.p + problem.d) if record_states else None
+    records = []
+    reason = "max_iters"
     # Divergence is detected by explicit isfinite checks inside the step
     # functions; float overflow on the way there is expected, not noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        while reason == "max_iters" and state.iteration < max_iters:
-            state = step(state)
-            if record_states:
-                states.append(state)
+        for state in iterate(kind, problem, W, gamma, z0, T):
             k = state.iteration
             # Between scheduled records, the residual alone decides whether to stop.
-            if (k % record_every == 0 or k == max_iters
-                    or z_star is not None and metrics.residual(state.z, z_star) <= tol):
-                records.append(record(state))
-                if tol_reached(records[-1]):
+            recorded = (k % record_every == 0 or k == max_iters
+                        or z_star is not None and metrics.residual(state.z, z_star) <= tol)
+            if recorded or record_states:
+                terms = metrics.step_terms(state, gamma, L, rho_eff, n, z_star)
+            if record_states:
+                table[k] = metrics.term_row(state, terms)
+            if recorded:
+                records.append(metrics.metric_record(state, terms, z_star))
+                if records[-1].residual is not None and records[-1].residual <= tol:
                     reason = "tol_reached"
+                    break
+            if k == max_iters:
+                break
 
     return Trace(kind=kind, gamma=gamma, mu=problem.mu, smoothness=L,
                  rho=rho_eff, n=n, problem=problem, mixing=W, z_star=z_star,
                  records=tuple(records),
-                 states=tuple(states) if record_states else None,
+                 terms=None if table is None else table[:state.iteration + 1],
                  reason=reason, iterations=state.iteration,
                  comm_rounds=state.comm_rounds, T=T, eta=eta)

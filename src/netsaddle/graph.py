@@ -46,7 +46,7 @@ def _is_connected(adjacency: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Undirected connected communication graph.
 
@@ -171,7 +171,7 @@ def _gathers(W: np.ndarray) -> bool:
     return bool(row_nnz.all()) and 8 * int(row_nnz.sum()) + 2 ** 17 < W.shape[0] ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Doubly stochastic weight matrix with its cached spectral gap.
 
@@ -181,7 +181,7 @@ class MixingMatrix:
 
     W: np.ndarray
     rho: float
-    mix: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
+    mix: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)

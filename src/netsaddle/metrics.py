@@ -1,7 +1,9 @@
 """Convergence diagnostics: the per-step terms, the record built from them, rates.
 
 Each per-step term (B, C, D, Xi, e, E, Lyapunov value V) is defined here once,
-for one state or a stack of states, and shared by the trace and ``verify``.
+for one state or a stack of states.  A run computes the terms of a step
+once and builds its logged record from them; with ``record_states`` it also
+keeps them in a term table (``term_table``), which ``verify`` checks.
 
 Two norm conventions coexist on purpose and are spelled out per field:
 ``consensus_error`` is logged UNSQUARED, (1/n) ||z - 1 zbar||, which is the
@@ -15,6 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+TERMS = ("B", "C", "D", "xi_sq", "V")   # the columns of a term table before zbar
+
+_FIELD_BYTES = 1 << 20  # of field per call in field_at_average_sq
 
 
 @dataclass(frozen=True)
@@ -87,11 +93,20 @@ def optimality_gap_xi(state, gamma: float, z_star: np.ndarray) -> np.ndarray:
 
 
 def field_at_average_sq(problem, zbar: np.ndarray):
-    """(e, E) = (||mean G(1 zbar)||^2, ||G(1 zbar)||^2) for zbar of shape (p+d,) or (K, p+d)."""
-    field = np.stack([problem.gradient_field(np.tile(row, (problem.n, 1)))
-                      for row in np.reshape(zbar, (-1, zbar.shape[-1]))])
-    field = field.reshape(zbar.shape[:-1] + field.shape[1:])
-    return _sq(field.mean(axis=-2), axis=-1), _sq(field)
+    """(e, E) = (||mean G(1 zbar)||^2, ||G(1 zbar)||^2) for zbar of shape (p+d,) or (K, p+d).
+
+    The field is evaluated on the broadcast stack 1 zbar, (K, n, p+d), about
+    _FIELD_BYTES at a time: in one call for the 2001 steps of ring-16, and in
+    1 MB calls instead of one of 164 MB for 5001 steps at n = 1024.
+    """
+    rows = np.reshape(zbar, (-1, 1, zbar.shape[-1]))
+    parts = []
+    for block in np.array_split(rows, max(1, -(-rows.nbytes * problem.n // _FIELD_BYTES))):
+        stack = np.broadcast_to(block, (len(block), problem.n, rows.shape[-1]))
+        field = problem.gradient_field(stack)
+        parts.append((_sq(field.mean(axis=-2), axis=-1), _sq(field)))
+    e, E = (np.concatenate(part).reshape(zbar.shape[:-1]) for part in zip(*parts))
+    return e, E
 
 
 def lyapunov_coefficients(gamma: float, L: float, rho: float, n: int) -> tuple[float, float]:
@@ -134,6 +149,17 @@ def lyapunov(state, gamma: float, L: float, rho: float, n: int,
     if "V" not in t:
         raise ValueError(f"Lyapunov value needs a saddle point and rho in [0, 1), got {rho}")
     return t["V"]
+
+
+def term_table(rows: int, width: int) -> np.ndarray:
+    """An unfilled table of ``rows`` steps: a column per name in TERMS and zbar."""
+    return np.empty(rows, dtype=[*((name, np.float64) for name in TERMS),
+                                 ("zbar", np.float64, (width,))])
+
+
+def term_row(state, terms: dict) -> tuple:
+    """A state's row of a term table: its ``step_terms`` (NaN where undefined), zbar."""
+    return (*(terms.get(name, math.nan) for name in TERMS), state.z.mean(axis=-2))
 
 
 def theoretical_contraction(gamma: float, mu: float, rho: float) -> float:
@@ -206,19 +232,17 @@ def fit_linear_rate(series, skip_fraction: float = 0.1,
                       r_squared=r_squared)
 
 
-def metric_record(state, gamma: float, L: float, rho: float, n: int,
-                  z_star: np.ndarray | None) -> MetricRecord:
-    """Assemble the per-iteration record.
+def metric_record(state, terms: dict, z_star: np.ndarray | None) -> MetricRecord:
+    """Assemble the per-iteration record from a state and its ``step_terms``.
 
     Saddle-dependent fields are None without z*; the Lyapunov value is also
     None when rho >= 1 (an off-design accelerated matrix), where its weights
     are undefined.
     """
-    t = step_terms(state, gamma, L, rho, n, z_star)
     return MetricRecord(iteration=state.iteration,
                         comm_rounds=state.comm_rounds,
                         residual=None if z_star is None else residual(state.z, z_star),
                         consensus_error=consensus_error(state.z),
-                        tracking_error=float(t["D"]),
-                        xi_norm_sq=float(t["xi_sq"]) if "xi_sq" in t else None,
-                        lyapunov=float(t["V"]) if "V" in t else None)
+                        tracking_error=float(terms["D"]),
+                        xi_norm_sq=float(terms["xi_sq"]) if "xi_sq" in terms else None,
+                        lyapunov=float(terms["V"]) if "V" in terms else None)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StackedIterate:
     """Per-node primal/dual copies, one row per node."""
 
@@ -101,18 +101,21 @@ class SaddleProblem(abc.ABC):
         return self.smoothness_constant() / self.mu
 
 
-def stacked_array(problem: SaddleProblem, z) -> np.ndarray:
-    """Coerce a StackedIterate or array to a validated n x (p+d) float array."""
+def stacked_array(problem: SaddleProblem, z, batched: bool = False) -> np.ndarray:
+    """Coerce a StackedIterate or array to a validated n x (p+d) float array.
+
+    With ``batched``, a stack of them shaped (..., n, p+d) is accepted too.
+    """
     if isinstance(z, StackedIterate):
         z = z.stacked
     z = np.asarray(z, dtype=np.float64)
     expected = (problem.n, problem.p + problem.d)
-    if z.shape != expected:
+    if (z.shape[-2:] if batched else z.shape) != expected:
         raise ValueError(f"iterate shape {z.shape} does not match problem {expected}")
     return z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearQuadratic(SaddleProblem):
     """Per-node objective x.y + mu/2 ||x - a_i||^2 - mu/2 ||y - b_i||^2.
 
@@ -181,12 +184,13 @@ class BilinearQuadratic(SaddleProblem):
         return gx, gy
 
     def gradient_field(self, z):
-        z = stacked_array(self, z)
-        x = z[:, :self.p]
-        y = z[:, self.p:]
+        """The stacked field, also on a stack of iterates shaped (..., n, p+d)."""
+        z = stacked_array(self, z, batched=True)
+        x = z[..., :self.p]
+        y = z[..., self.p:]
         gx = y + self.mu * (x - self.centers_a)
         gy = x - self.mu * (y - self.centers_b)
-        return np.hstack([gx, -gy])
+        return np.concatenate([gx, -gy], axis=-1)
 
     def saddle_point(self):
         if self.zero_sum:

@@ -1,12 +1,14 @@
 """Numerical checkers for the convergence theory along recorded trajectories.
 
 Each check evaluates one guaranteed inequality over a whole trajectory, as
-array arithmetic on the ``metrics`` terms of the stacked recorded states (a
+array arithmetic on the run's own table of per-step ``metrics`` terms (a
 term at steps 1..K against a bound from the terms at steps 0..K-1), and
-reports the margins rhs - lhs.  Under their stepsize preconditions the
-inequalities are theorems, so a failing check flags an implementation bug,
-not a tuning problem.  Checks whose stepsize precondition does not hold are
-reported as precondition-violated, never as failed.
+reports the margins rhs - lhs.  Only e and E, the field at the averaged
+iterates, are computed here, from the table's zbar column.  Under their
+stepsize preconditions the inequalities are theorems, so a failing check
+flags an implementation bug, not a tuning problem.  Checks whose stepsize
+precondition does not hold are reported as precondition-violated, never as
+failed.
 
 Check ids:
   L1_iterate_gap      one-step displacement bounded by lagged energy terms
@@ -33,24 +35,6 @@ LEMMA_IDS = ("L1_iterate_gap", "L2_consensus", "L3_tracking",
              "L4_optimality_gap", "T1_contraction", "T2_rho_M")
 
 MARGIN_RTOL = 1e-9
-
-_STACK_BYTES = 1 << 14  # per stacked array: small next to the recorded states
-
-
-@dataclass(frozen=True)
-class TheoryConstants:
-    """The constants every inequality is stated in."""
-
-    gamma: float
-    L: float
-    mu: float
-    rho: float
-    n: int
-
-    @classmethod
-    def from_trace(cls, trace) -> "TheoryConstants":
-        return cls(gamma=trace.gamma, L=trace.smoothness, mu=trace.mu,
-                   rho=trace.rho, n=trace.n)
 
 
 @dataclass(frozen=True)
@@ -100,23 +84,23 @@ class LemmaCheckReport:
                    status="precondition_violated", notes=(note,))
 
 
-def _stepsize_limit(lemma_id: str, c: TheoryConstants) -> float:
+def _stepsize_limit(lemma_id: str, L: float, rho: float) -> float:
     """Largest stepsize under which the inequality is guaranteed."""
-    g4 = 1.0 / (4.0 * c.L)
+    g4 = 1.0 / (4.0 * L)
     if lemma_id == "L1_iterate_gap":
         return math.inf
     if lemma_id == "L2_consensus":
         return g4
     if lemma_id == "L3_tracking":
-        if c.rho == 0.0:
+        if rho == 0.0:
             return g4
-        return min(g4, (1.0 - c.rho) / (8.0 * c.L * math.sqrt(c.rho)))
+        return min(g4, (1.0 - rho) / (8.0 * L * math.sqrt(rho)))
     if lemma_id == "L4_optimality_gap":
-        g8 = 1.0 / (8.0 * c.L)
-        if c.rho == 0.0:
+        g8 = 1.0 / (8.0 * L)
+        if rho == 0.0:
             return g8
-        return min(g8, (1.0 - c.rho) / (8.0 * c.L * c.rho))
-    return max_stepsize(c.L, c.rho)  # T1_contraction
+        return min(g8, (1.0 - rho) / (8.0 * L * rho))
+    return max_stepsize(L, rho)  # T1_contraction
 
 
 # lemma id: (term bounded at step k+1, whether its bound uses the field at
@@ -142,58 +126,43 @@ _STEP_INEQUALITIES = {
 }
 
 
-def trajectory_terms(trace, c: TheoryConstants, field: bool = False) -> dict[str, np.ndarray]:
-    """``metrics.step_terms`` of every recorded state (with ``field`` also e, E)."""
-    states = trace.states
-    chunk = max(1, _STACK_BYTES // states[0].z.nbytes)
-    parts = []
-    for start in range(0, len(states), chunk):
-        s = SimpleNamespace(**{
-            name: np.stack([getattr(state, name) for state in states[start:start + chunk]])
-            for name in ("z", "z_prev", "grad", "grad_prev", "tracker")})
-        t = metrics.step_terms(s, c.gamma, c.L, c.rho, c.n, trace.z_star)
-        if field:
-            t["e"], t["E"] = metrics.field_at_average_sq(trace.problem, s.z.mean(axis=-2))
-        parts.append(t)
-    return {name: np.concatenate([t[name] for t in parts]) for name in parts[0]}
+def trajectory_terms(trace, field: bool = False) -> dict[str, np.ndarray]:
+    """The run's per-step terms by name, from ``trace.terms`` (with ``field`` also e, E)."""
+    terms = {name: trace.terms[name] for name in metrics.TERMS}
+    if field:
+        terms["e"], terms["E"] = metrics.field_at_average_sq(trace.problem,
+                                                             trace.terms["zbar"])
+    return terms
 
 
-def check_lemma(trace, lemma_id: str, constants: TheoryConstants | None = None,
-                terms: dict[str, np.ndarray] | None = None) -> LemmaCheckReport:
-    """Evaluate one inequality at every recorded step of a full-state trace.
+def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
+    """Evaluate one inequality at every step of a trace recorded with record_states.
 
-    The trace must have been produced with record_states=True (except for
-    T2_rho_M, which only needs the mixing matrix).  ``constants`` defaults
-    to the trace's own run constants.  ``terms``, if given, must be
-    ``trajectory_terms(trace, constants, field=True)``; otherwise the check
-    builds the terms it needs.
+    The terms, and the constants the inequality is stated in, are the run's
+    own (``Trace.terms``); T2_rho_M only needs the mixing matrix.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}, expected one of {LEMMA_IDS}")
-    c = constants if constants is not None else TheoryConstants.from_trace(trace)
-
     if lemma_id == "T2_rho_M":
         T = trace.T if trace.T is not None else recommended_T(trace.mixing.rho)
         return check_rho_M(trace.mixing, T)
 
-    if trace.states is None or len(trace.states) < 2:
+    if trace.terms is None or len(trace.terms) < 2:
         raise ValueError("lemma checks need a trace recorded with record_states=True "
                          "and at least one step")
-    limit = _stepsize_limit(lemma_id, c)
-    if c.gamma > limit * (1.0 + 1e-12):
+    gamma, L, rho = trace.gamma, trace.smoothness, trace.rho
+    limit = _stepsize_limit(lemma_id, L, rho)
+    if gamma > limit * (1.0 + 1e-12):
         return LemmaCheckReport.precondition_violated(
-            lemma_id,
-            f"stepsize {c.gamma:.6g} exceeds this inequality's limit {limit:.6g}")
+            lemma_id, f"stepsize {gamma:.6g} exceeds this inequality's limit {limit:.6g}")
     if lemma_id in ("L4_optimality_gap", "T1_contraction") and trace.z_star is None:
         raise ValueError(f"{lemma_id} requires a known saddle point")
 
     bounded, field, bound = _STEP_INEQUALITIES[lemma_id]
-    if terms is None:
-        terms = trajectory_terms(trace, c, field)
+    terms = trajectory_terms(trace, field)
     before = SimpleNamespace(**{name: x[:-1] for name, x in terms.items()})
-    rhs = bound(before, c.gamma, c.L, c.mu, c.rho, c.n)
-    iterations = [state.iteration for state in trace.states[:-1]]
-    return LemmaCheckReport.from_sides(lemma_id, iterations, terms[bounded][1:], rhs)
+    rhs = bound(before, gamma, L, trace.mu, rho, trace.n)
+    return LemmaCheckReport.from_sides(lemma_id, range(len(rhs)), terms[bounded][1:], rhs)
 
 
 def check_rho_M(W: MixingMatrix, T: int) -> LemmaCheckReport:
@@ -246,15 +215,9 @@ def finite_difference_gradient(problem, i: int, z_i, h: float = 1e-6) -> np.ndar
     return out
 
 
-def run_all_checks(trace, constants: TheoryConstants | None = None) -> list[LemmaCheckReport]:
-    """All six checks against one full-state trace, in LEMMA_IDS order.
-
-    The trajectory terms are built once and shared by the five step checks.
-    """
-    c = constants if constants is not None else TheoryConstants.from_trace(trace)
-    # Without states check_lemma raises; it must not fail here first.
-    terms = trajectory_terms(trace, c, field=True) if trace.states else None
-    return [check_lemma(trace, lemma_id, c, terms) for lemma_id in LEMMA_IDS]
+def run_all_checks(trace) -> list[LemmaCheckReport]:
+    """All six checks against one trace recorded with record_states, in LEMMA_IDS order."""
+    return [check_lemma(trace, lemma_id) for lemma_id in LEMMA_IDS]
 
 
 def summary_text(reports) -> str:

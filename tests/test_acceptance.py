@@ -8,12 +8,13 @@ reference_impl.py.
 
 import math
 from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 import pytest
 
 import reference_impl as ref
-from netsaddle.algorithms import adogt_step, dogt_step, init_state, run
+from netsaddle.algorithms import adogt_step, dogt_step, init_state, iterate, run
 from netsaddle.graph import (accelerated_matrix, acceleration_momentum,
                              averaging_matrix, build_topology,
                              metropolis_weights, recommended_T, spectral_gap)
@@ -80,15 +81,16 @@ def test_criterion_1_benchmark_reproduction(benchmark_traces):
             assert benchmark_traces[kind].records[-1].consensus_error < 1e-10
 
 
-def test_criterion_2_per_step_contraction(compliant_trace, ring16_problem, ring16_W):
+def test_criterion_2_per_step_contraction(compliant_trace, ring16_problem, ring16_W,
+                                          z0_16):
     with criterion(2, "per-step Lyapunov contraction at the guaranteed stepsize"):
         gamma = compliant_trace.gamma
         factor = theoretical_contraction(gamma, ring16_problem.mu, ring16_W.rho)
         L, rho, n = (compliant_trace.smoothness, compliant_trace.rho,
                      compliant_trace.n)
         z_star = compliant_trace.z_star
-        psis = [lyapunov(s, gamma, L, rho, n, z_star)
-                for s in compliant_trace.states]
+        psis = [lyapunov(s, gamma, L, rho, n, z_star) for s in
+                islice(iterate("dogt", ring16_problem, ring16_W, gamma, z0_16), 2001)]
         assert len(psis) == 2001
         for k in range(2000):
             assert psis[k + 1] <= factor * psis[k] + 1e-9 * psis[k]
@@ -116,14 +118,14 @@ def test_criterion_4_accelerated_consensus_bound():
 def test_criterion_5_tracker_and_averaged_dynamics(ring16_problem, ring16_W, z0_16):
     with criterion(5, "tracker average identity and averaged optimistic dynamics"):
         for kind, T in (("dogt", None), ("adogt", 4)):
-            trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16,
-                        max_iters=500, tol=0.0, T=T, record_states=True)
-            for state in trace.states:
+            states = list(islice(iterate(kind, ring16_problem, ring16_W, GAMMA, z0_16, T),
+                                 501))
+            for state in states:
                 gap = np.linalg.norm(state.tracker.mean(axis=0)
                                      - state.grad.mean(axis=0))
                 assert gap <= 1e-12 * max(1.0, np.linalg.norm(state.grad))
-            for k in range(len(trace.states) - 1):
-                s0, s1 = trace.states[k], trace.states[k + 1]
+            for k in range(len(states) - 1):
+                s0, s1 = states[k], states[k + 1]
                 expected = (s0.z.mean(axis=0)
                             - GAMMA * (2.0 * s0.grad - s0.grad_prev).mean(axis=0))
                 err = np.linalg.norm(s1.z.mean(axis=0) - expected)
@@ -139,11 +141,10 @@ def test_criterion_6_oracle_equivalences(ring16_problem, ring16_W, z0_16):
         oracle = ref.ogda_centralized(prob1.centers_a[0], prob1.centers_b[0],
                                       prob1.mu, x0, y0, GAMMA, 500)
         from netsaddle.graph import MixingMatrix
-        trace = run("dogt", prob1, MixingMatrix.from_weights(np.eye(1)), GAMMA,
-                    np.concatenate([x0, y0])[np.newaxis, :], max_iters=500,
-                    tol=0.0, record_states=True)
+        states = list(islice(iterate("dogt", prob1, MixingMatrix.from_weights(np.eye(1)),
+                                     GAMMA, np.concatenate([x0, y0])[np.newaxis, :]), 501))
         for k in range(501):
-            assert np.abs(trace.states[k].z[0] - oracle[k]).max() <= 1e-12
+            assert np.abs(states[k].z[0] - oracle[k]).max() <= 1e-12
 
         # (b) in-loop accelerated gossip equals the fused matrix step.
         eta = acceleration_momentum(ring16_W.rho)

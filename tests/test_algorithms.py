@@ -1,9 +1,13 @@
+from itertools import islice
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import reference_impl as ref
 from netsaddle.algorithms import (DivergenceError, adogt_step, dgda_step,
-                                  dogda_step, dogt_step, init_state, run)
+                                  dogda_step, dogt_step, init_state, iterate, run)
+from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (CSRMix, MixingMatrix, accelerated_matrix,
                              acceleration_momentum, build_topology,
                              metropolis_weights)
@@ -29,6 +33,11 @@ def single_node_problem(seed=21):
 
 
 W1 = MixingMatrix.from_weights(np.array([[1.0]]))
+
+
+def states_to(K, kind, problem, W, z0, T=None):
+    """The states of iterations 0..K."""
+    return list(islice(iterate(kind, problem, W, GAMMA, z0, T), K + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +112,9 @@ def test_dogt_trajectory_matches_block_form_oracle(ring16_problem, ring16_W, z0_
     a, b, mu = ref.make_instance()
     traj = ref.dogt_run(a, b, mu, ring16_W.W, GAMMA,
                         z0_16[:, :2].copy(), z0_16[:, 2:].copy(), 200)
-    trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16,
-                max_iters=200, tol=0.0, record_states=True)
+    states = states_to(200, "dogt", ring16_problem, ring16_W, z0_16)
     for k in (0, 1, 2, 50, 200):
-        assert np.abs(np.hstack(traj[k]) - trace.states[k].z).max() <= 1e-12
+        assert np.abs(np.hstack(traj[k]) - states[k].z).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind,runner", [("dgda", ref.dgda_run), ("dogda", ref.dogda_run)])
@@ -114,10 +122,9 @@ def test_baselines_match_block_form_oracle(kind, runner, ring16_problem, ring16_
     a, b, mu = ref.make_instance()
     traj = runner(a, b, mu, ring16_W.W, GAMMA,
                   z0_16[:, :2].copy(), z0_16[:, 2:].copy(), 200)
-    trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16,
-                max_iters=200, tol=0.0, record_states=True)
+    states = states_to(200, kind, ring16_problem, ring16_W, z0_16)
     for k in (1, 100, 200):
-        assert np.abs(np.hstack(traj[k]) - trace.states[k].z).max() <= 1e-12
+        assert np.abs(np.hstack(traj[k]) - states[k].z).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind,T", [("dogt", None), ("adogt", 3)])
@@ -131,9 +138,9 @@ def test_gathered_mixing_matches_dense_oracle(kind, T):
     x, y = z0[:, :2].copy(), z0[:, 2:].copy()
     traj = (ref.dogt_run(a, b, mu, W.W, GAMMA, x, y, 100) if T is None
             else ref.adogt_run(a, b, mu, W.W, GAMMA, x, y, 100, T))
-    trace = run(kind, prob, W, GAMMA, z0, max_iters=100, tol=0.0, T=T, record_states=True)
+    states = states_to(100, kind, prob, W, z0, T)
     for k in (1, 2, 50, 100):
-        assert np.abs(np.hstack(traj[k]) - trace.states[k].z).max() <= 1e-12
+        assert np.abs(np.hstack(traj[k]) - states[k].z).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +153,9 @@ def test_single_node_dogt_is_centralized_ogda():
     oracle = ref.ogda_centralized(a, b, prob.mu, np.array([0.7, -0.3]),
                                   np.array([0.2, 0.9]), GAMMA, 500)
     z0 = np.array([[0.7, -0.3, 0.2, 0.9]])
-    trace = run("dogt", prob, W1, GAMMA, z0, max_iters=500, tol=0.0,
-                record_states=True)
+    states = states_to(500, "dogt", prob, W1, z0)
     for k in (0, 1, 250, 500):
-        assert np.abs(trace.states[k].z[0] - oracle[k]).max() <= 1e-12
+        assert np.abs(states[k].z[0] - oracle[k]).max() <= 1e-12
 
 
 def test_single_node_dogda_is_centralized_ogda():
@@ -158,18 +164,17 @@ def test_single_node_dogda_is_centralized_ogda():
     oracle = ref.ogda_centralized(a, b, prob.mu, np.array([1.0, 0.0]),
                                   np.array([0.0, 1.0]), GAMMA, 300)
     z0 = np.array([[1.0, 0.0, 0.0, 1.0]])
-    trace = run("dogda", prob, W1, GAMMA, z0, max_iters=300, tol=0.0,
-                record_states=True)
+    states = states_to(300, "dogda", prob, W1, z0)
     for k in (1, 150, 300):
-        assert np.abs(trace.states[k].z[0] - oracle[k]).max() <= 1e-12
+        assert np.abs(states[k].z[0] - oracle[k]).max() <= 1e-12
 
 
 def test_single_node_dogt_and_dogda_agree():
     prob = single_node_problem()
     z0 = np.array([[0.5, 0.5, -0.5, 0.5]])
-    t1 = run("dogt", prob, W1, GAMMA, z0, max_iters=200, tol=0.0, record_states=True)
-    t2 = run("dogda", prob, W1, GAMMA, z0, max_iters=200, tol=0.0, record_states=True)
-    assert np.abs(t1.states[-1].z - t2.states[-1].z).max() <= 1e-12
+    s1 = states_to(200, "dogt", prob, W1, z0)
+    s2 = states_to(200, "dogda", prob, W1, z0)
+    assert np.abs(s1[-1].z - s2[-1].z).max() <= 1e-12
 
 
 def test_single_node_dgda_is_centralized_gda():
@@ -178,10 +183,9 @@ def test_single_node_dgda_is_centralized_gda():
     oracle = ref.gda_centralized(a, b, prob.mu, np.array([1.0, -1.0]),
                                  np.array([0.5, 0.5]), GAMMA, 300)
     z0 = np.array([[1.0, -1.0, 0.5, 0.5]])
-    trace = run("dgda", prob, W1, GAMMA, z0, max_iters=300, tol=0.0,
-                record_states=True)
+    states = states_to(300, "dgda", prob, W1, z0)
     for k in (1, 300):
-        assert np.abs(trace.states[k].z[0] - oracle[k]).max() <= 1e-12
+        assert np.abs(states[k].z[0] - oracle[k]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +260,17 @@ def tracker_gap(state):
 
 @pytest.mark.parametrize("kind,T", [("dogt", None), ("adogt", 4)])
 def test_tracker_average_identity(kind, T, ring16_problem, ring16_W, z0_16):
-    trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16,
-                max_iters=300, tol=0.0, T=T, record_states=True)
-    assert max(tracker_gap(s) for s in trace.states) <= 1e-12
+    states = states_to(300, kind, ring16_problem, ring16_W, z0_16, T)
+    assert max(tracker_gap(s) for s in states) <= 1e-12
 
 
 @pytest.mark.parametrize("kind,T", [("dogt", None), ("adogt", 4)])
 def test_averaged_dynamics_identity(kind, T, ring16_problem, ring16_W, z0_16):
     # zbar_{k+1} = zbar_k - gamma mean(2 G_k - G_{k-1}): the network average
     # follows the centralized optimistic update exactly.
-    trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16,
-                max_iters=300, tol=0.0, T=T, record_states=True)
-    for k in range(len(trace.states) - 1):
-        s0, s1 = trace.states[k], trace.states[k + 1]
+    states = states_to(300, kind, ring16_problem, ring16_W, z0_16, T)
+    for k in range(len(states) - 1):
+        s0, s1 = states[k], states[k + 1]
         expected = (s0.z.mean(axis=0)
                     - GAMMA * (2.0 * s0.grad - s0.grad_prev).mean(axis=0))
         actual = s1.z.mean(axis=0)
@@ -278,9 +280,9 @@ def test_averaged_dynamics_identity(kind, T, ring16_problem, ring16_W, z0_16):
 
 def test_baseline_trackers_stay_zero(ring16_problem, ring16_W, z0_16):
     for kind in ("dgda", "dogda"):
-        trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16,
-                    max_iters=50, tol=0.0, record_states=True)
-        assert all((s.tracker == 0.0).all() for s in trace.states)
+        states = states_to(50, kind, ring16_problem, ring16_W, z0_16)
+        assert all((s.tracker == 0.0).all() for s in states)
+        trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16, max_iters=50, tol=0.0)
         assert all(rec.tracking_error == 0.0 for rec in trace.records)
 
 
@@ -343,15 +345,34 @@ def test_run_validation_errors(ring16_problem, ring16_W, z0_16):
         run("adogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=10, tol=0.0)
     with pytest.raises(ValueError):
         run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=10, tol=-1.0)
-    with pytest.raises(ValueError):
-        run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=6000,
-            tol=0.0, record_states=True)
 
 
 def test_divergence_raises_with_iteration(ring16_problem, ring16_W, z0_16):
     with pytest.raises(DivergenceError) as err:
         run("dgda", ring16_problem, ring16_W, 10.0, z0_16, max_iters=2000, tol=0.0)
     assert 0 < err.value.iteration <= 2000
+
+
+RING16_DOGT = Path(__file__).resolve().parents[1] / "configs" / "ring16_dogt.yaml"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_topology("ring", 16),
+    lambda: metropolis_weights(build_topology("ring", 16)),
+    lambda: make_bilinear_quadratic(16, 2, 2, 0.1, seed=7),
+    lambda: StackedIterate(primal=np.ones((4, 2)), dual=np.zeros((4, 2))),
+    lambda: init_state(homogeneous_problem(), np.ones((4, 4))),
+    lambda: run("dogt", homogeneous_problem(), metropolis_weights(build_topology("ring", 4)),
+                GAMMA, np.ones((4, 4)), max_iters=3, tol=0.0, record_states=True),
+    lambda: resolve_experiment(load_config(RING16_DOGT)),
+], ids=["Topology", "MixingMatrix", "BilinearQuadratic", "StackedIterate", "AlgoState",
+        "Trace", "ResolvedExperiment"])
+def test_array_dataclasses_compare_and_hash(build):
+    # Objects holding arrays compare by identity: == gives a bool, not an
+    # error about an ambiguous array truth value, and they hash.
+    first, second = build(), build()
+    assert (first == second) is False and (first == first) is True
+    assert hash(first) == hash(first) and isinstance(hash(second), int)
 
 
 def test_states_are_immutable(ring16_problem, z0_16):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import yaml
@@ -92,15 +94,10 @@ def test_config_error_writes_no_files(tmp_path):
                       {"algorithm": {"gamma": inf}},
                       {"algorithm": None, "algorithms": [{"name": "dogt", "gamma": inf}]},
                       {"init": {"scale": nan}},
-                      {"init": {"scale": inf}},
-                      {"run": {"max_iters": 6000, "record_states": True}}):
+                      {"init": {"scale": inf}}):
         path = write_config(tmp_path, overrides)
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG, overrides
         assert not out.exists()
-    # verify turns record_states on, so its memory guard applies too.
-    path = write_config(tmp_path, verify_overrides(max_iters=6000))
-    assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-    assert not out.exists()
 
 
 def test_null_out_dir_rejected(tmp_path, monkeypatch):
@@ -359,6 +356,18 @@ def test_verify_command_all_checks_pass(tmp_path, capsys):
     margins = (out / "check_margins.csv").read_text().splitlines()
     assert margins[0] == "lemma_id,iteration,margin"
     assert len(margins) > 4 * 400  # four per-step checks plus T2 rows
+
+
+def test_verify_command_checks_every_step_of_a_long_run(tmp_path, capsys):
+    # Only a few floats per step are kept, so runs past 5000 steps are checked too.
+    path = write_config(tmp_path, verify_overrides(max_iters=6000))
+    out = tmp_path / "ver"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    rows = (out / "check_margins.csv").read_text().splitlines()[1:]
+    per_check = Counter(row.split(",")[0] for row in rows)
+    for lemma_id in ("L1_iterate_gap", "L2_consensus", "L3_tracking",
+                     "L4_optimality_gap", "T1_contraction"):
+        assert per_check[lemma_id] == 6000, lemma_id
 
 
 def test_verify_command_noncompliant_gamma_exit(tmp_path, capsys):

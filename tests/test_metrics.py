@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netsaddle.algorithms import init_state, run
+from netsaddle.algorithms import init_state, iterate, run
 from netsaddle.metrics import (consensus_error, field_at_average_sq,
                                fit_linear_rate, iteration_complexity, lyapunov,
                                lyapunov_coefficients, max_stepsize,
@@ -63,9 +64,7 @@ def test_xi_zero_at_homogeneous_fixed_point():
 
 
 def test_xi_after_one_step_matches_dense_replay(ring16_problem, ring16_W, z0_16):
-    trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16,
-                max_iters=1, tol=0.0, record_states=True)
-    s1 = trace.states[1]
+    _, s1 = islice(iterate("dogt", ring16_problem, ring16_W, GAMMA, z0_16), 2)
     # Dense replay of the update from raw pieces, then the gap formula.
     g0 = ring16_problem.gradient_field(z0_16)
     z1 = ring16_W.W @ (z0_16 - GAMMA * g0)   # tracker = g0 and grad diff = 0 at k=0
@@ -110,9 +109,7 @@ def test_lyapunov_matches_literal_reimplementation(ring16_problem, ring16_W, z0_
     # compliant-stepsize run.
     L = ring16_problem.smoothness_constant()
     gamma = max_stepsize(L, ring16_W.rho)
-    trace = run("dogt", ring16_problem, ring16_W, gamma, z0_16,
-                max_iters=5, tol=0.0, record_states=True)
-    s = trace.states[5]
+    *_, s = islice(iterate("dogt", ring16_problem, ring16_W, gamma, z0_16), 6)
     rho, n = ring16_W.rho, 16
 
     xi = s.z.mean(axis=0) - gamma * (s.grad - s.grad_prev).mean(axis=0)
@@ -139,9 +136,7 @@ def test_terms_on_a_stack_equal_terms_per_state(ring16_problem, ring16_W, z0_16)
     # gives state by state.
     L = ring16_problem.smoothness_constant()
     gamma = max_stepsize(L, ring16_W.rho)
-    trace = run("dogt", ring16_problem, ring16_W, gamma, z0_16,
-                max_iters=20, tol=0.0, record_states=True)
-    states = trace.states
+    states = list(islice(iterate("dogt", ring16_problem, ring16_W, gamma, z0_16), 21))
     stack = SimpleNamespace(**{
         name: np.stack([getattr(s, name) for s in states])
         for name in ("z", "z_prev", "grad", "grad_prev", "tracker")})
@@ -281,14 +276,35 @@ def test_fitted_lyapunov_rate_below_guarantee(ring16_problem, ring16_W, z0_16):
 def test_records_recomputable_from_states(ring16_problem, ring16_W, z0_16):
     trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16,
                 max_iters=100, tol=0.0, record_states=True)
+    states = list(islice(iterate("dogt", ring16_problem, ring16_W, GAMMA, z0_16), 101))
     for rec in trace.records:
-        again = metric_record(trace.states[rec.iteration], GAMMA,
-                              trace.smoothness, trace.rho, 16, trace.z_star)
-        assert again == rec
+        state = states[rec.iteration]
+        terms = step_terms(state, GAMMA, trace.smoothness, trace.rho, 16, trace.z_star)
+        assert metric_record(state, terms, trace.z_star) == rec
+
+
+def test_term_table_rows_are_the_terms_of_each_state(ring16_problem, ring16_W, z0_16):
+    # Row k of a record_states run's table is iteration k: its step_terms and zbar.
+    trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16,
+                max_iters=100, tol=0.0, record_every=7, record_states=True)
+    states = islice(iterate("dogt", ring16_problem, ring16_W, GAMMA, z0_16), 101)
+    assert len(trace.terms) == 101
+    for row, state in zip(trace.terms, states):
+        terms = step_terms(state, GAMMA, trace.smoothness, trace.rho, 16, trace.z_star)
+        assert [row[name] for name in terms] == list(terms.values())
+        assert (row["zbar"] == state.z.mean(axis=0)).all()
+
+
+def test_term_table_is_trimmed_at_tol(ring16_problem, ring16_W, z0_16):
+    trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16,
+                max_iters=5000, tol=1e-10, record_every=100, record_states=True)
+    assert trace.reason == "tol_reached"
+    assert len(trace.terms) == trace.iterations + 1
+    assert trace.terms["V"][-1] == trace.records[-1].lyapunov
 
 
 def test_record_without_saddle_point(ring16_problem, z0_16):
     state = init_state(ring16_problem, z0_16)
-    rec = metric_record(state, GAMMA, 1.0, 0.5, 16, None)
+    rec = metric_record(state, step_terms(state, GAMMA, 1.0, 0.5, 16, None), None)
     assert rec.residual is None and rec.xi_norm_sq is None and rec.lyapunov is None
     assert rec.consensus_error > 0.0

@@ -1,13 +1,14 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from netsaddle.algorithms import Trace, dogt_step, init_state, run
+from netsaddle.algorithms import Trace, iterate, run
 from netsaddle.graph import (accelerated_matrix, build_topology,
                              metropolis_weights, recommended_T)
-from netsaddle.metrics import max_stepsize
+from netsaddle.metrics import max_stepsize, step_terms, term_row, term_table
 from netsaddle.problem import BilinearQuadratic
-from netsaddle.verify import (LEMMA_IDS, LemmaCheckReport, TheoryConstants,
-                              check_lemma, check_rho_M,
+from netsaddle.verify import (LEMMA_IDS, LemmaCheckReport, check_lemma, check_rho_M,
                               finite_difference_gradient, margins_csv_rows,
                               run_all_checks, summary_text, trajectory_terms)
 
@@ -62,14 +63,13 @@ def test_all_checks_pass_on_compliant_run(compliant_trace):
 
 
 def test_shared_terms_give_the_reports_of_each_check_alone(compliant_trace):
-    # run_all_checks builds the trajectory terms once; check_lemma alone builds its own
     assert run_all_checks(compliant_trace) == [check_lemma(compliant_trace, lemma_id)
                                                for lemma_id in LEMMA_IDS]
 
 
 def test_margins_cover_every_step(compliant_trace):
     rep = check_lemma(compliant_trace, "L2_consensus")
-    assert len(rep.margins) == len(compliant_trace.states) - 1
+    assert len(rep.margins) == len(compliant_trace.terms) - 1
     assert [k for k, _ in rep.margins] == list(range(500))
 
 
@@ -80,14 +80,13 @@ def test_homogeneous_fixed_point_all_margins_zero():
                              mu=0.1, zero_sum=True)
     W = metropolis_weights(build_topology("ring", 4))
     gamma = max_stepsize(prob.smoothness_constant(), W.rho)
-    states = [init_state(prob, np.zeros((4, 4)))]
-    for _ in range(20):
-        states.append(dogt_step(states[-1], W, gamma, prob))
-    trace = Trace(kind="dogt", gamma=gamma, mu=prob.mu,
-                  smoothness=prob.smoothness_constant(), rho=W.rho, n=4,
+    L = prob.smoothness_constant()
+    table = term_table(21, 4)
+    for k, state in enumerate(islice(iterate("dogt", prob, W, gamma, np.zeros((4, 4))), 21)):
+        table[k] = term_row(state, step_terms(state, gamma, L, W.rho, 4, np.zeros(4)))
+    trace = Trace(kind="dogt", gamma=gamma, mu=prob.mu, smoothness=L, rho=W.rho, n=4,
                   problem=prob, mixing=W, z_star=np.zeros(4), records=(),
-                  states=tuple(states), reason="max_iters", iterations=20,
-                  comm_rounds=20)
+                  terms=table, reason="max_iters", iterations=20, comm_rounds=20)
     for lemma_id in ("L1_iterate_gap", "L2_consensus", "L3_tracking",
                      "L4_optimality_gap", "T1_contraction"):
         rep = check_lemma(trace, lemma_id)
@@ -157,21 +156,14 @@ def test_check_lemma_unknown_id(compliant_trace):
         check_lemma(compliant_trace, "L5_everything")
 
 
-def test_constants_override_triggers_precondition(compliant_trace):
-    c = TheoryConstants.from_trace(compliant_trace)
-    bad = TheoryConstants(gamma=1.0, L=c.L, mu=c.mu, rho=c.rho, n=c.n)
-    rep = check_lemma(compliant_trace, "L3_tracking", constants=bad)
-    assert rep.status == "precondition_violated"
-
-
 def test_trajectory_terms_equal_trace_columns(ring16_problem, ring16_W, z0_16):
     # The checks and the trace share one definition of every term, so the
     # check's term arrays reproduce the recorded columns bit for bit.
     gamma = max_stepsize(ring16_problem.smoothness_constant(), ring16_W.rho)
     trace = run("dogt", ring16_problem, ring16_W, gamma, z0_16, max_iters=300,
                 tol=0.0, record_every=1, record_states=True)
-    terms = trajectory_terms(trace, TheoryConstants.from_trace(trace))
-    assert len(trace.records) == len(trace.states) == 301
+    terms = trajectory_terms(trace)
+    assert len(trace.records) == len(trace.terms) == 301
     for term, column in (("D", "tracking_error"), ("xi_sq", "xi_norm_sq"),
                          ("V", "lyapunov")):
         recorded = np.array([getattr(rec, column) for rec in trace.records])
