@@ -14,14 +14,10 @@ from .graph import (DisconnectedGraphError, MixingMatrix, Topology,
                     lazy_max_degree_weights, metropolis_weights, recommended_T,
                     spectral_gap)
 from .metrics import (MetricRecord, RateReport, consensus_error, fit_linear_rate,
-                      iteration_complexity, lyapunov, lyapunov_coefficients,
-                      max_stepsize, metric_record, optimality_gap_xi, residual,
-                      theoretical_contraction, tracking_error)
-from .problem import (BilinearQuadratic, SaddleProblem, StackedIterate,
-                      estimate_smoothness, local_gradient, local_value,
-                      make_bilinear_quadratic, saddle_point,
-                      smoothness_constant, stacked_gradient_field)
-from .verify import (LEMMA_IDS, LemmaCheckReport, check_lemma, check_rho_M,
-                     finite_difference_gradient, run_all_checks)
+                      iteration_complexity, lyapunov_coefficients, max_stepsize,
+                      metric_record, optimality_gap_xi, residual,
+                      theoretical_contraction)
+from .problem import BilinearQuadratic, make_bilinear_quadratic, stacked_gradient_field
+from .verify import LEMMA_IDS, LemmaCheckReport, check_lemma, check_rho_M, run_all_checks
 
 __version__ = "0.1.0"

@@ -34,10 +34,9 @@ from functools import partial
 import numpy as np
 
 from . import metrics
-from .graph import (MixingMatrix, _mix_of, acceleration_momentum, accelerated_matrix,
-                    momentum_gossip)
+from .graph import MixingMatrix, acceleration_momentum, accelerated_matrix, momentum_gossip
 from .metrics import MetricRecord
-from .problem import SaddleProblem, stacked_array, stacked_gradient_field
+from .problem import BilinearQuadratic, stacked_array, stacked_gradient_field
 
 ALGORITHMS = ("dgda", "dogda", "dogt", "adogt")
 TRACKING_ALGORITHMS = ("dogt", "adogt")
@@ -82,8 +81,8 @@ class Trace:
     """Recorded run: metric rows, optional per-step terms, and run constants.
 
     ``terms`` (with ``record_states``) is a ``metrics.term_table`` whose row
-    k holds iteration k's B, C, D, ||Xi||^2, V and zbar, computed with the
-    run's own gamma, L and rho; None otherwise.
+    k holds iteration k's B, C, D, ||Xi||^2, V, e, E and zbar, computed with
+    the run's own gamma, L and rho; None otherwise.
     """
 
     kind: str
@@ -92,7 +91,7 @@ class Trace:
     smoothness: float
     rho: float              # spectral gap of the effective mixing matrix
     n: int
-    problem: SaddleProblem
+    problem: BilinearQuadratic
     mixing: MixingMatrix
     z_star: np.ndarray | None
     records: tuple[MetricRecord, ...]
@@ -104,7 +103,7 @@ class Trace:
     eta: float | None = None
 
 
-def init_state(problem: SaddleProblem, z0) -> AlgoState:
+def init_state(problem: BilinearQuadratic, z0) -> AlgoState:
     """Start state: both gradient slots and the tracker hold G(z0)."""
     z = stacked_array(problem, z0).copy()
     g = stacked_gradient_field(problem, z)
@@ -118,7 +117,7 @@ def _check_finite(z: np.ndarray, iteration: int) -> None:
 
 
 def _step(state: AlgoState, mix, rounds: int, direction, tracking: bool,
-          gamma: float, problem: SaddleProblem) -> AlgoState:
+          gamma: float, problem: BilinearQuadratic) -> AlgoState:
     """The one update of the family, counting ``rounds`` exchanges.
 
     z+ = mix(z - gamma direction(state)); tracking methods also update
@@ -146,39 +145,42 @@ def _tracked(s: AlgoState) -> np.ndarray:
     return s.tracker + s.grad - s.grad_prev
 
 
-def dgda_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> AlgoState:
+def dgda_step(state: AlgoState, W: MixingMatrix, gamma: float,
+              problem: BilinearQuadratic) -> AlgoState:
     """Plain distributed gradient descent ascent (adapt then combine)."""
-    return _step(state, _mix_of(W), 1, lambda s: s.grad, False, gamma, problem)
+    return _step(state, W.mix, 1, lambda s: s.grad, False, gamma, problem)
 
 
-def dogda_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> AlgoState:
+def dogda_step(state: AlgoState, W: MixingMatrix, gamma: float,
+               problem: BilinearQuadratic) -> AlgoState:
     """Distributed optimistic gradient descent ascent, no tracking."""
-    return _step(state, _mix_of(W), 1, lambda s: 2.0 * s.grad - s.grad_prev, False,
+    return _step(state, W.mix, 1, lambda s: 2.0 * s.grad - s.grad_prev, False,
                  gamma, problem)
 
 
-def dogt_step(state: AlgoState, W, gamma: float, problem: SaddleProblem) -> AlgoState:
+def dogt_step(state: AlgoState, W: MixingMatrix, gamma: float,
+              problem: BilinearQuadratic) -> AlgoState:
     """One optimistic gradient-tracking update.
 
     The tracker replaces the raw local gradient in the z update, then
     absorbs the new-minus-old gradient difference; mixing both through the
     doubly stochastic W preserves mean(r) = mean(G) exactly.
     """
-    return _step(state, _mix_of(W), 1, _tracked, True, gamma, problem)
+    return _step(state, W.mix, 1, _tracked, True, gamma, problem)
 
 
-def adogt_step(state: AlgoState, W, eta: float, T: int, gamma: float,
-               problem: SaddleProblem) -> AlgoState:
+def adogt_step(state: AlgoState, W: MixingMatrix, eta: float, T: int, gamma: float,
+               problem: BilinearQuadratic) -> AlgoState:
     """dogt_step with every exchange run through T momentum-gossip rounds.
 
     Equivalent to dogt_step under accelerated_matrix(W, T); counts T
     communication rounds per iteration.
     """
-    return _step(state, partial(momentum_gossip, _mix_of(W), eta, T), T,
+    return _step(state, partial(momentum_gossip, W.mix, eta, T), T,
                  _tracked, True, gamma, problem)
 
 
-def iterate(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
+def iterate(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
             T: int | None = None):
     """Yield the states of one method from iteration 0 on, without end.
 
@@ -200,16 +202,17 @@ def iterate(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0
         state = step(state)
 
 
-def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
+def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
         max_iters: int, tol: float, record_every: int = 1,
         T: int | None = None, record_states: bool = False) -> Trace:
     """Drive one algorithm until the residual drops to tol or iterations run out.
 
     Metrics are recorded at iteration 0, every ``record_every`` iterations,
     and at the final iterate.  ``record_states`` keeps every step's terms in
-    ``Trace.terms`` for the theory checks: a few floats per step, O(max_iters)
-    memory whatever n is.  Without a known saddle point the residual is
-    unavailable and the run always goes the full ``max_iters``.
+    ``Trace.terms`` for the theory checks: a few floats per step whatever n
+    is, in a table that doubles as steps arrive, so its size follows the
+    steps run, not ``max_iters``.  Without a known saddle point the residual
+    is unavailable and the run always goes the full ``max_iters``.
 
     Raises DivergenceError if an iterate becomes non-finite.
     """
@@ -235,7 +238,7 @@ def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
     L = problem.smoothness_constant()
     z_star = problem.saddle_point()
     n = problem.n
-    table = metrics.term_table(max_iters + 1, problem.p + problem.d) if record_states else None
+    table = metrics.term_table(1, problem.p + problem.d) if record_states else None
     records = []
     reason = "max_iters"
     # Divergence is detected by explicit isfinite checks inside the step
@@ -249,6 +252,8 @@ def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
             if recorded or record_states:
                 terms = metrics.step_terms(state, gamma, L, rho_eff, n, z_star)
             if record_states:
+                if k == len(table):     # full: double it
+                    table = np.concatenate([table, np.empty_like(table)])
                 table[k] = metrics.term_row(state, terms)
             if recorded:
                 records.append(metrics.metric_record(state, terms, z_star))
@@ -258,9 +263,11 @@ def run(kind: str, problem: SaddleProblem, W: MixingMatrix, gamma: float, z0,
             if k == max_iters:
                 break
 
+    if record_states:
+        table = table[:state.iteration + 1]
+        table["e"], table["E"] = metrics.field_at_average_sq(problem, table["zbar"])
     return Trace(kind=kind, gamma=gamma, mu=problem.mu, smoothness=L,
                  rho=rho_eff, n=n, problem=problem, mixing=W, z_star=z_star,
-                 records=tuple(records),
-                 terms=None if table is None else table[:state.iteration + 1],
+                 records=tuple(records), terms=table,
                  reason=reason, iterations=state.iteration,
                  comm_rounds=state.comm_rounds, T=T, eta=eta)

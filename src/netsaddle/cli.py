@@ -525,9 +525,6 @@ def verify_command(config_path, out_dir=None) -> int:
     if config.run.record_states is False:
         raise ConfigError("'verify' needs record_states: true (or leave it unset)")
     exp = resolve_experiment(config, record_states=True)
-    if not exp.problem.smoothness_certified:
-        raise ConfigError("verification requires a certified smoothness constant; "
-                          "this problem only has a sampled estimate")
     if config.run.record_states is None:
         print("record_states: resolved to true (required for verification)")
 

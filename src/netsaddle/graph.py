@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "random")
-WEIGHT_SCHEMES = ("metropolis", "lazy_max_degree")
 
 _RANDOM_GRAPH_RETRIES = 100
 
@@ -70,9 +69,6 @@ class Topology:
             raise DisconnectedGraphError(f"{self.kind} graph on {self.n} nodes is not connected")
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[i])
 
     @property
     def degrees(self) -> np.ndarray:
@@ -224,15 +220,6 @@ class MixingMatrix:
         return cls(W=W, rho=rho)
 
 
-def _weights_array(W) -> np.ndarray:
-    return W.W if isinstance(W, MixingMatrix) else np.asarray(W, dtype=np.float64)
-
-
-def _mix_of(W) -> Callable[[np.ndarray], np.ndarray]:
-    """m -> W m: a MixingMatrix's own mix, or the product with a plain array."""
-    return W.mix if isinstance(W, MixingMatrix) else _weights_array(W).__matmul__
-
-
 def metropolis_weights(topology: Topology) -> MixingMatrix:
     """Metropolis-Hastings weights: w_ij = 1/(1 + max(deg_i, deg_j)) on edges.
 
@@ -271,12 +258,7 @@ WEIGHT_BUILDERS = {
 }
 
 
-def averaging_matrix(n: int) -> np.ndarray:
-    """The rank-one averaging matrix J with all entries 1/n."""
-    return np.full((n, n), 1.0 / n)
-
-
-def spectral_gap(W) -> float:
+def spectral_gap(W: np.ndarray) -> float:
     """Squared spectral norm of W - J, i.e. rho = ||W - J||_2^2 in [0, 1).
 
     For symmetric W this is the square of the largest-magnitude eigenvalue
@@ -284,7 +266,6 @@ def spectral_gap(W) -> float:
     eigendecomposition at every n.  Subtracting the scalar 1/n from every
     entry is W - J without building J.
     """
-    W = _weights_array(W)
     return float(np.abs(np.linalg.eigvalsh(W - 1.0 / W.shape[0])).max() ** 2)
 
 

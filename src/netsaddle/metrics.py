@@ -3,7 +3,9 @@
 Each per-step term (B, C, D, Xi, e, E, Lyapunov value V) is defined here once,
 for one state or a stack of states.  A run computes the terms of a step
 once and builds its logged record from them; with ``record_states`` it also
-keeps them in a term table (``term_table``), which ``verify`` checks.
+keeps them in a term table (``term_table``), which ``verify`` checks.  The
+field at the averaged iterate (e, E) enters that table in one evaluation
+over all steps at the end of the run.
 
 Two norm conventions coexist on purpose and are spelled out per field:
 ``consensus_error`` is logged UNSQUARED, (1/n) ||z - 1 zbar||, which is the
@@ -18,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TERMS = ("B", "C", "D", "xi_sq", "V")   # the columns of a term table before zbar
+# The columns of a term table before zbar: the step_terms of each state, then
+# e and E, which field_at_average_sq fills for all rows at once.
+TERMS = ("B", "C", "D", "xi_sq", "V", "e", "E")
 
 _FIELD_BYTES = 1 << 20  # of field per call in field_at_average_sq
 
@@ -49,7 +53,6 @@ class RateReport:
     """Log-linear fit of a positive metric series against iteration count."""
 
     fitted_rate: float
-    theoretical_rate: float | None
     window: tuple[int, int]
     r_squared: float
 
@@ -72,11 +75,6 @@ def consensus_error(z: np.ndarray) -> float:
 def deviation_sq(m: np.ndarray):
     """||m - 1 mbar||^2: the consensus term C for m = z, the tracking term D for m = r."""
     return _sq(m - m.mean(axis=-2, keepdims=True))
-
-
-def tracking_error(r: np.ndarray) -> float:
-    """||r - 1 rbar||^2, squared deviation of the trackers from their average."""
-    return float(deviation_sq(r))
 
 
 def optimality_gap_xi(state, gamma: float, z_star: np.ndarray) -> np.ndarray:
@@ -138,19 +136,6 @@ def step_terms(state, gamma: float, L: float, rho: float, n: int,
     return t
 
 
-def lyapunov(state, gamma: float, L: float, rho: float, n: int,
-             z_star: np.ndarray):
-    """Composite energy whose geometric decay certifies linear convergence.
-
-    The value V of ``step_terms``: ||Xi||^2 + (gamma L / n) ||z - z_prev||^2
-    + c1 ||z - 1 zbar||^2 + c2 ||r - 1 rbar||^2.
-    """
-    t = step_terms(state, gamma, L, rho, n, z_star)
-    if "V" not in t:
-        raise ValueError(f"Lyapunov value needs a saddle point and rho in [0, 1), got {rho}")
-    return t["V"]
-
-
 def term_table(rows: int, width: int) -> np.ndarray:
     """An unfilled table of ``rows`` steps: a column per name in TERMS and zbar."""
     return np.empty(rows, dtype=[*((name, np.float64) for name in TERMS),
@@ -158,7 +143,8 @@ def term_table(rows: int, width: int) -> np.ndarray:
 
 
 def term_row(state, terms: dict) -> tuple:
-    """A state's row of a term table: its ``step_terms`` (NaN where undefined), zbar."""
+    """A state's row of a term table: its ``step_terms``, NaN where undefined or
+    not yet filled (e, E), and zbar."""
     return (*(terms.get(name, math.nan) for name in TERMS), state.z.mean(axis=-2))
 
 
@@ -200,8 +186,7 @@ def iteration_complexity(kappa: float, rho: float) -> float:
     return kappa * (1.0 + math.sqrt(rho) / (1.0 - rho) ** 2) + 1.0 / (1.0 - rho)
 
 
-def fit_linear_rate(series, skip_fraction: float = 0.1,
-                    theoretical_rate: float | None = None) -> RateReport:
+def fit_linear_rate(series, skip_fraction: float = 0.1) -> RateReport:
     """Least-squares geometric rate of an (iteration, value) series.
 
     The first ``skip_fraction`` of the iteration span is dropped to avoid
@@ -227,7 +212,6 @@ def fit_linear_rate(series, skip_fraction: float = 0.1,
     noise_floor = (1e-14 * max(1.0, abs(float(logs.mean())))) ** 2 * len(logs)
     r_squared = 1.0 if ss_tot <= noise_floor else 1.0 - ss_res / ss_tot
     return RateReport(fitted_rate=float(np.exp(slope)),
-                      theoretical_rate=theoretical_rate,
                       window=(int(ks[0]), int(ks[-1])),
                       r_squared=r_squared)
 

@@ -3,10 +3,10 @@
 Each check evaluates one guaranteed inequality over a whole trajectory, as
 array arithmetic on the run's own table of per-step ``metrics`` terms (a
 term at steps 1..K against a bound from the terms at steps 0..K-1), and
-reports the margins rhs - lhs.  Only e and E, the field at the averaged
-iterates, are computed here, from the table's zbar column.  Under their
-stepsize preconditions the inequalities are theorems, so a failing check
-flags an implementation bug, not a tuning problem.  Checks whose stepsize
+reports the margins rhs - lhs.  Every term, e and E included, is read from
+that table; nothing is recomputed here.  Under their stepsize
+preconditions the inequalities are theorems, so a failing check flags an
+implementation bug, not a tuning problem.  Checks whose stepsize
 precondition does not hold are reported as precondition-violated, never as
 failed.
 
@@ -103,36 +103,26 @@ def _stepsize_limit(lemma_id: str, L: float, rho: float) -> float:
     return max_stepsize(L, rho)  # T1_contraction
 
 
-# lemma id: (term bounded at step k+1, whether its bound uses the field at
-# the averaged iterate, the bound from the terms t at step k)
+# lemma id: (term bounded at step k+1, the bound from the terms t at step k)
 _STEP_INEQUALITIES = {
-    "L1_iterate_gap": ("B", True, lambda t, g, L, mu, rho, n: (
+    "L1_iterate_gap": ("B", lambda t, g, L, mu, rho, n: (
         4.0 * g * g * L * L * t.B + (4.0 + 8.0 * g * g * L * L) * t.C
         + 8.0 * g * g * t.D + 8.0 * n * g * g * t.e)),
-    "L2_consensus": ("C", False, lambda t, g, L, mu, rho, n: (
+    "L2_consensus": ("C", lambda t, g, L, mu, rho, n: (
         0.5 * (1.0 + rho) * t.C
         + 2.0 * g * g * (1.0 + rho) * rho / (1.0 - rho) * t.D
         + 2.0 * g * g * (1.0 + rho) * rho * L * L / (1.0 - rho) * t.B)),
-    "L3_tracking": ("D", True, lambda t, g, L, mu, rho, n: (
+    "L3_tracking": ("D", lambda t, g, L, mu, rho, n: (
         0.25 * (3.0 + rho) * t.D + 8.0 * g * g * L ** 4 * rho / (1.0 - rho) * t.B
         + 9.0 * L * L * rho / (1.0 - rho) * t.C
         + 16.0 * n * g * g * L * L * rho / (1.0 - rho) * t.e)),
-    "L4_optimality_gap": ("xi_sq", True, lambda t, g, L, mu, rho, n: (
+    "L4_optimality_gap": ("xi_sq", lambda t, g, L, mu, rho, n: (
         (1.0 - 0.75 * g * mu) * t.xi_sq + 1.25 * g * g * L * L / n * t.B
         + 4.0 * g * L / n * t.C + 9.0 * g ** 3 * L * rho / (n * (1.0 - rho)) * t.D
         - g * g / (4.0 * n) * t.E)),
-    "T1_contraction": ("V", False, lambda t, g, L, mu, rho, n: (
+    "T1_contraction": ("V", lambda t, g, L, mu, rho, n: (
         theoretical_contraction(g, mu, rho) * t.V)),
 }
-
-
-def trajectory_terms(trace, field: bool = False) -> dict[str, np.ndarray]:
-    """The run's per-step terms by name, from ``trace.terms`` (with ``field`` also e, E)."""
-    terms = {name: trace.terms[name] for name in metrics.TERMS}
-    if field:
-        terms["e"], terms["E"] = metrics.field_at_average_sq(trace.problem,
-                                                             trace.terms["zbar"])
-    return terms
 
 
 def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
@@ -158,11 +148,11 @@ def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
     if lemma_id in ("L4_optimality_gap", "T1_contraction") and trace.z_star is None:
         raise ValueError(f"{lemma_id} requires a known saddle point")
 
-    bounded, field, bound = _STEP_INEQUALITIES[lemma_id]
-    terms = trajectory_terms(trace, field)
-    before = SimpleNamespace(**{name: x[:-1] for name, x in terms.items()})
+    bounded, bound = _STEP_INEQUALITIES[lemma_id]
+    before = SimpleNamespace(**{name: trace.terms[name][:-1] for name in metrics.TERMS})
     rhs = bound(before, gamma, L, trace.mu, rho, trace.n)
-    return LemmaCheckReport.from_sides(lemma_id, range(len(rhs)), terms[bounded][1:], rhs)
+    return LemmaCheckReport.from_sides(lemma_id, range(len(rhs)), trace.terms[bounded][1:],
+                                       rhs)
 
 
 def check_rho_M(W: MixingMatrix, T: int) -> LemmaCheckReport:
@@ -190,29 +180,6 @@ def check_rho_M(W: MixingMatrix, T: int) -> LemmaCheckReport:
         notes.append("T equals the recommended round count; "
                      "margin 1 gates on 1 - rho_M >= 1/2")
     return LemmaCheckReport.from_sides("T2_rho_M", *zip(*sides), notes=notes)
-
-
-def finite_difference_gradient(problem, i: int, z_i, h: float = 1e-6) -> np.ndarray:
-    """Central-difference stacked gradient at node i (dual block sign-flipped).
-
-    Test oracle for the analytic gradients; exact for quadratics up to
-    rounding.
-    """
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h}")
-    z_i = np.asarray(z_i, dtype=np.float64)
-    p = problem.p
-    out = np.empty_like(z_i)
-    for j in range(z_i.size):
-        z_hi = z_i.copy()
-        z_lo = z_i.copy()
-        z_hi[j] += h
-        z_lo[j] -= h
-        f_hi = problem.local_value(i, z_hi[:p], z_hi[p:])
-        f_lo = problem.local_value(i, z_lo[:p], z_lo[p:])
-        out[j] = (f_hi - f_lo) / (2.0 * h)
-    out[p:] *= -1.0
-    return out
 
 
 def run_all_checks(trace) -> list[LemmaCheckReport]:

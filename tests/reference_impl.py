@@ -16,6 +16,34 @@ def gradients(a, b, mu, x, y):
     return gx, gy
 
 
+def local_value(a, b, mu, x, y):
+    """x.y + mu/2 ||x-a||^2 - mu/2 ||y-b||^2 at one node's point."""
+    dx, dy = x - a, y - b
+    return float(x @ y + 0.5 * mu * (dx @ dx) - 0.5 * mu * (dy @ dy))
+
+
+def finite_difference_gradient(problem, i, z_i, h=1e-6):
+    """Central-difference stacked gradient of node i's objective, dual block sign-flipped.
+
+    f_i is evaluated from ``local_value`` above with the problem's centers,
+    not through the library, so the difference quotient checks the library's
+    field independently; exact for quadratics up to rounding.
+    """
+    if h <= 0.0:
+        raise ValueError(f"h must be positive, got {h}")
+    z_i = np.asarray(z_i, dtype=np.float64)
+    a, b, p = problem.centers_a[i], problem.centers_b[i], problem.p
+    out = np.empty_like(z_i)
+    for j in range(z_i.size):
+        step = np.zeros_like(z_i)
+        step[j] = h
+        hi, lo = z_i + step, z_i - step
+        out[j] = (local_value(a, b, problem.mu, hi[:p], hi[p:])
+                  - local_value(a, b, problem.mu, lo[:p], lo[p:])) / (2.0 * h)
+    out[p:] *= -1.0
+    return out
+
+
 def make_instance(n=16, p=2, d=2, mu=0.1, seed=7):
     """Zero-sum centers drawn exactly like the library's factory."""
     rng = np.random.default_rng(seed)

@@ -16,11 +16,11 @@ import pytest
 import reference_impl as ref
 from netsaddle.algorithms import adogt_step, dogt_step, init_state, iterate, run
 from netsaddle.graph import (accelerated_matrix, acceleration_momentum,
-                             averaging_matrix, build_topology,
-                             metropolis_weights, recommended_T, spectral_gap)
-from netsaddle.metrics import (lyapunov, max_stepsize, theoretical_contraction)
+                             build_topology, metropolis_weights, recommended_T,
+                             spectral_gap)
+from netsaddle.metrics import max_stepsize, step_terms, theoretical_contraction
 from netsaddle.problem import make_bilinear_quadratic
-from netsaddle.verify import check_lemma, finite_difference_gradient
+from netsaddle.verify import check_lemma
 
 GAMMA = 0.1
 MAX_ITERS = 10_000
@@ -89,7 +89,7 @@ def test_criterion_2_per_step_contraction(compliant_trace, ring16_problem, ring1
         L, rho, n = (compliant_trace.smoothness, compliant_trace.rho,
                      compliant_trace.n)
         z_star = compliant_trace.z_star
-        psis = [lyapunov(s, gamma, L, rho, n, z_star) for s in
+        psis = [step_terms(s, gamma, L, rho, n, z_star)["V"] for s in
                 islice(iterate("dogt", ring16_problem, ring16_W, gamma, z0_16), 2001)]
         assert len(psis) == 2001
         for k in range(2000):
@@ -163,7 +163,7 @@ def test_criterion_6_oracle_equivalences(ring16_problem, ring16_W, z0_16):
             i = int(rng.integers(16))
             z = 2.0 * rng.standard_normal(4)
             exact = ring16_problem.gradient_field(np.tile(z, (16, 1)))[i]
-            approx = finite_difference_gradient(ring16_problem, i, z, h=1e-6)
+            approx = ref.finite_difference_gradient(ring16_problem, i, z, h=1e-6)
             err = np.abs(approx - exact).max() / max(1.0, np.abs(exact).max())
             assert err <= 1e-6
 
@@ -173,7 +173,7 @@ def test_criterion_7_spectral_correctness(ring16_W):
         lam = (1.0 + 2.0 * math.cos(math.pi / 8.0)) / 3.0
         assert abs(ring16_W.rho - lam ** 2) <= 1e-10
         assert abs(ring16_W.rho - 0.9011) <= 5e-5
-        assert spectral_gap(averaging_matrix(16)) <= 1e-14
+        assert spectral_gap(np.full((16, 16), 1.0 / 16)) <= 1e-14
 
 
 def test_criterion_8_compare_determinism(tmp_path):

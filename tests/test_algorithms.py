@@ -11,8 +11,7 @@ from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (CSRMix, MixingMatrix, accelerated_matrix,
                              acceleration_momentum, build_topology,
                              metropolis_weights)
-from netsaddle.problem import (BilinearQuadratic, StackedIterate,
-                               make_bilinear_quadratic)
+from netsaddle.problem import BilinearQuadratic, make_bilinear_quadratic
 
 # Pinned by the straight-line oracle in reference_impl.py on the shared
 # benchmark setup (problem seed 7, init seed 8, ring-16, gamma 0.1).
@@ -69,12 +68,6 @@ def test_init_state_homogeneous_fixed_point():
 def test_init_state_dimension_error(ring16_problem):
     with pytest.raises(ValueError):
         init_state(ring16_problem, np.zeros((8, 4)))
-
-
-def test_init_state_accepts_stacked_iterate(ring16_problem, z0_16):
-    it = StackedIterate(primal=z0_16[:, :2], dual=z0_16[:, 2:])
-    state = init_state(ring16_problem, it)
-    assert np.array_equal(state.z, z0_16)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +353,12 @@ RING16_DOGT = Path(__file__).resolve().parents[1] / "configs" / "ring16_dogt.yam
     lambda: build_topology("ring", 16),
     lambda: metropolis_weights(build_topology("ring", 16)),
     lambda: make_bilinear_quadratic(16, 2, 2, 0.1, seed=7),
-    lambda: StackedIterate(primal=np.ones((4, 2)), dual=np.zeros((4, 2))),
     lambda: init_state(homogeneous_problem(), np.ones((4, 4))),
     lambda: run("dogt", homogeneous_problem(), metropolis_weights(build_topology("ring", 4)),
                 GAMMA, np.ones((4, 4)), max_iters=3, tol=0.0, record_states=True),
     lambda: resolve_experiment(load_config(RING16_DOGT)),
-], ids=["Topology", "MixingMatrix", "BilinearQuadratic", "StackedIterate", "AlgoState",
-        "Trace", "ResolvedExperiment"])
+], ids=["Topology", "MixingMatrix", "BilinearQuadratic", "AlgoState", "Trace",
+        "ResolvedExperiment"])
 def test_array_dataclasses_compare_and_hash(build):
     # Objects holding arrays compare by identity: == gives a bool, not an
     # error about an ambiguous array truth value, and they hash.

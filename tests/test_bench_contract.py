@@ -20,6 +20,7 @@ import workloads  # noqa: E402
 from netsaddle import cli  # noqa: E402
 from netsaddle.algorithms import run  # noqa: E402
 from netsaddle.graph import build_topology, metropolis_weights  # noqa: E402
+from netsaddle.verify import LEMMA_IDS  # noqa: E402
 
 
 def test_traced_adogt_run_records_steps_and_accelerated_matrix(ring16_problem, ring16_W,
@@ -52,3 +53,41 @@ def test_workload_configs_load_and_resolve(name, tmp_path):
         path.write_text(yaml.safe_dump(config, sort_keys=False))
         exp = cli.resolve_experiment(cli.load_config(path))
         assert exp.record_states == config["run"].get("record_states", False)
+
+
+class _RegisteringTracer(tracing.Tracer):
+    """A Tracer that also keeps the name of every wrapper it hands out."""
+
+    def __init__(self):
+        super().__init__()
+        self.registered = set()
+
+    def wrap(self, name, fn, on_result=None):
+        self.registered.add(name)
+        return super().wrap(name, fn, on_result)
+
+
+def test_every_wrap_point_records_a_span(tmp_path):
+    # A wrap point whose function is no longer called would read 0 in the
+    # per-layer report; compare with all four methods and then verify must
+    # reach every one of them.
+    common = {"problem": {"type": "bilinear_quadratic", "n": 8, "p": 2, "d": 2, "mu": 0.1,
+                          "seed": 7},
+              "graph": {"topology": "ring", "n": 8},
+              "run": {"max_iters": 30, "tol": 0.0}}
+    compare = {**common, "algorithms": [{"name": "dgda", "gamma": 0.1},
+                                        {"name": "dogda", "gamma": 0.1},
+                                        {"name": "dogt", "gamma": 0.1},
+                                        {"name": "adogt", "gamma": 0.1, "T": "auto"}]}
+    verify = {**common, "algorithm": {"name": "dogt", "gamma": "auto"}}
+    tracer = _RegisteringTracer()
+    with tracing.traced(tracer):
+        for command, config in (("compare", compare), ("verify", verify)):
+            path = tmp_path / f"{command}.yaml"
+            path.write_text(yaml.safe_dump(config, sort_keys=False))
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == cli.EXIT_OK
+    emitted = {span[0] for span in tracer.spans}
+    expected = tracer.registered | {f"verify.check.{i}" for i in LEMMA_IDS}
+    assert {"graph.weights", "algorithms.step", "problem.gradient_field"} <= expected
+    assert expected - emitted == set()

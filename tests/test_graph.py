@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import reference_impl as ref
 from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (CSRMix, DisconnectedGraphError, MixingMatrix, Topology,
-                             accelerated_matrix, acceleration_momentum,
-                             averaging_matrix, build_topology,
+                             accelerated_matrix, acceleration_momentum, build_topology,
                              lazy_max_degree_weights, metropolis_weights,
                              recommended_T, spectral_gap)
 
@@ -103,14 +102,14 @@ def test_metropolis_ring16_all_thirds():
     topo = build_topology("ring", 16)
     for i in range(16):
         assert W[i, i] == pytest.approx(1.0 / 3.0, abs=1e-14)
-        for j in topo.neighbors(i):
+        for j in np.flatnonzero(topo.adjacency[i]):
             assert W[i, j] == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert np.count_nonzero(W) == 16 * 3
 
 
 def test_metropolis_complete4_is_averaging_matrix():
     W = metropolis_weights(build_topology("complete", 4)).W
-    assert np.allclose(W, averaging_matrix(4), atol=1e-14)
+    assert np.allclose(W, np.full((4, 4), 1.0 / 4), atol=1e-14)
 
 
 def test_metropolis_star3_by_hand():
@@ -216,8 +215,8 @@ def test_cost_rule_picks_the_mixing_path():
 
 
 def test_spectral_gap_of_averaging_matrix_is_zero():
-    assert spectral_gap(averaging_matrix(16)) <= 1e-14
-    assert spectral_gap(averaging_matrix(2)) <= 1e-14
+    assert spectral_gap(np.full((16, 16), 1.0 / 16)) <= 1e-14
+    assert spectral_gap(np.full((2, 2), 1.0 / 2)) <= 1e-14
 
 
 def test_spectral_gap_single_node():

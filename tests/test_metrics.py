@@ -8,12 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from netsaddle.algorithms import init_state, iterate, run
-from netsaddle.metrics import (consensus_error, field_at_average_sq,
-                               fit_linear_rate, iteration_complexity, lyapunov,
+from netsaddle.metrics import (consensus_error, deviation_sq, field_at_average_sq,
+                               fit_linear_rate, iteration_complexity,
                                lyapunov_coefficients, max_stepsize,
                                metric_record, optimality_gap_xi, residual,
-                               step_terms, theoretical_contraction,
-                               tracking_error)
+                               step_terms, theoretical_contraction)
 from netsaddle.problem import BilinearQuadratic
 
 GAMMA = 0.1
@@ -43,7 +42,7 @@ def test_consensus_error_zero_property(n, seed):
 def test_consensus_error_is_unsquared():
     z = np.array([[1.0, 0.0], [-1.0, 0.0]])  # zbar = 0, ||z|| = sqrt(2)
     assert consensus_error(z) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
-    assert tracking_error(z) == pytest.approx(2.0, rel=1e-15)  # squared
+    assert deviation_sq(z) == pytest.approx(2.0, rel=1e-15)  # squared
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +87,7 @@ def test_lyapunov_zero_at_rest_on_saddle():
     prob = BilinearQuadratic(centers_a=np.zeros((4, 2)), centers_b=np.zeros((4, 2)),
                              mu=0.1, zero_sum=True)
     state = init_state(prob, np.zeros((4, 4)))
-    assert lyapunov(state, GAMMA, 1.0, 0.5, 4, np.zeros(4)) == 0.0
+    assert step_terms(state, GAMMA, 1.0, 0.5, 4, np.zeros(4))["V"] == 0.0
 
 
 def test_lyapunov_consensus_start_reduces_to_two_terms(ring16_problem, ring16_W):
@@ -99,8 +98,8 @@ def test_lyapunov_consensus_start_reduces_to_two_terms(ring16_problem, ring16_W)
     rho = ring16_W.rho
     L = ring16_problem.smoothness_constant()
     _, c2 = lyapunov_coefficients(GAMMA, L, rho, 16)
-    expected = float(v @ v) + c2 * tracking_error(state.tracker)
-    got = lyapunov(state, GAMMA, L, rho, 16, np.zeros(4))
+    expected = float(v @ v) + c2 * deviation_sq(state.tracker)
+    got = step_terms(state, GAMMA, L, rho, 16, np.zeros(4))["V"]
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -127,7 +126,7 @@ def test_lyapunov_matches_literal_reimplementation(ring16_problem, ring16_W, z0_
     acc_r = sum((s.tracker[i, j] - rbar[j]) ** 2 for i in range(n) for j in range(4))
     total += c1 * acc_c + c2 * acc_r
 
-    got = lyapunov(s, gamma, L, rho, n, np.zeros(4))
+    got = step_terms(s, gamma, L, rho, n, np.zeros(4))["V"]
     assert got == pytest.approx(total, rel=1e-12)
 
 
@@ -157,9 +156,11 @@ def test_terms_on_a_stack_equal_terms_per_state(ring16_problem, ring16_W, z0_16)
 def test_lyapunov_validation(ring16_problem, z0_16):
     state = init_state(ring16_problem, z0_16)
     with pytest.raises(ValueError):
-        lyapunov(state, -0.1, 1.0, 0.5, 16, np.zeros(4))
+        step_terms(state, -0.1, 1.0, 0.5, 16, np.zeros(4))
     with pytest.raises(ValueError):
-        lyapunov(state, 0.1, 1.0, 1.0, 16, np.zeros(4))
+        lyapunov_coefficients(0.1, 1.0, 1.0, 16)
+    # At rho >= 1 the weights are undefined, so there is no Lyapunov value.
+    assert "V" not in step_terms(state, 0.1, 1.0, 1.0, 16, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +264,8 @@ def test_fitted_lyapunov_rate_below_guarantee(ring16_problem, ring16_W, z0_16):
     trace = run("dogt", ring16_problem, ring16_W, gamma, z0_16,
                 max_iters=2000, tol=0.0)
     factor = theoretical_contraction(gamma, 0.1, ring16_W.rho)
-    report = fit_linear_rate([(r.iteration, r.lyapunov) for r in trace.records],
-                             theoretical_rate=factor)
+    report = fit_linear_rate([(r.iteration, r.lyapunov) for r in trace.records])
     assert 0.0 < report.fitted_rate <= factor
-    assert report.theoretical_rate == factor
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +292,7 @@ def test_term_table_rows_are_the_terms_of_each_state(ring16_problem, ring16_W, z
         terms = step_terms(state, GAMMA, trace.smoothness, trace.rho, 16, trace.z_star)
         assert [row[name] for name in terms] == list(terms.values())
         assert (row["zbar"] == state.z.mean(axis=0)).all()
+        assert (row["e"], row["E"]) == field_at_average_sq(ring16_problem, row["zbar"])
 
 
 def test_term_table_is_trimmed_at_tol(ring16_problem, ring16_W, z0_16):
@@ -301,6 +301,17 @@ def test_term_table_is_trimmed_at_tol(ring16_problem, ring16_W, z0_16):
     assert trace.reason == "tol_reached"
     assert len(trace.terms) == trace.iterations + 1
     assert trace.terms["V"][-1] == trace.records[-1].lyapunov
+
+
+def test_term_table_follows_the_steps_run_not_max_iters(ring16_problem, ring16_W, z0_16):
+    # max_iters = 10**13 would be a 655 TiB table allocated up front; this run
+    # reaches tol at iteration 838 and keeps only the rows it ran.
+    huge = run("dogt", ring16_problem, ring16_W, 0.1, z0_16, max_iters=10**13, tol=1e-10,
+               record_states=True)
+    plain = run("dogt", ring16_problem, ring16_W, 0.1, z0_16, max_iters=20000, tol=1e-10,
+                record_states=True)
+    assert huge.reason == "tol_reached" and len(huge.terms) == 839
+    assert huge.terms.tobytes() == plain.terms.tobytes()
 
 
 def test_record_without_saddle_point(ring16_problem, z0_16):

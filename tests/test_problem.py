@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsaddle.problem import (BilinearQuadratic, StackedIterate,
-                               estimate_smoothness, local_gradient, local_value,
-                               make_bilinear_quadratic, saddle_point,
-                               smoothness_constant, stacked_gradient_field)
-from netsaddle.verify import finite_difference_gradient
+import reference_impl as ref
+from netsaddle.problem import (BilinearQuadratic, make_bilinear_quadratic,
+                               stacked_gradient_field)
 
 
 def test_same_seed_gives_bit_identical_instances():
@@ -43,26 +41,37 @@ def test_factory_validation():
 # gradients
 
 
+def reference_row(prob, i, z_i):
+    """Row i of the stacked field from reference_impl's per-block gradients."""
+    gx, gy = ref.gradients(prob.centers_a[i], prob.centers_b[i], prob.mu,
+                           z_i[:prob.p], z_i[prob.p:])
+    return np.concatenate([gx, -gy])
+
+
 def test_gradient_at_own_center():
     prob = make_bilinear_quadratic(4, 2, 2, 0.3, seed=5, zero_sum_centers=False)
     a0 = prob.centers_a[0]
-    gx, gy = local_gradient(prob, 0, a0, np.zeros(2))
-    assert np.allclose(gx, 0.0, atol=1e-15)
-    assert np.allclose(gy, a0 + 0.3 * prob.centers_b[0], atol=1e-15)
+    z = np.zeros((4, 4))
+    z[0, :2] = a0
+    row = prob.gradient_field(z)[0]
+    assert np.array_equal(row, reference_row(prob, 0, z[0]))
+    assert np.allclose(row[:2], 0.0, atol=1e-15)
+    assert np.allclose(-row[2:], a0 + 0.3 * prob.centers_b[0], atol=1e-15)
 
 
 def test_gradient_zero_at_homogeneous_saddle():
     prob = BilinearQuadratic(centers_a=np.zeros((3, 2)), centers_b=np.zeros((3, 2)),
                              mu=0.1, zero_sum=True)
-    gx, gy = local_gradient(prob, 1, np.zeros(2), np.zeros(2))
-    assert (gx == 0.0).all() and (gy == 0.0).all()
+    row = prob.gradient_field(np.zeros((3, 4)))[1]
+    assert np.array_equal(row, reference_row(prob, 1, np.zeros(4)))
+    assert (row == 0.0).all()
 
 
 def test_gradient_index_and_shape_errors(ring16_problem):
-    with pytest.raises(IndexError):
-        local_gradient(ring16_problem, 16, np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        local_gradient(ring16_problem, 0, np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError):     # a row per node: 17 rows for 16 nodes
+        ring16_problem.gradient_field(np.zeros((17, 4)))
+    with pytest.raises(ValueError):     # p + d = 4 columns
+        ring16_problem.gradient_field(np.zeros((16, 5)))
 
 
 def test_gradients_match_finite_differences(ring16_problem):
@@ -72,7 +81,7 @@ def test_gradients_match_finite_differences(ring16_problem):
         i = int(rng.integers(16))
         z = 3.0 * rng.standard_normal(4)
         exact = stacked_gradient_field(ring16_problem, np.tile(z, (16, 1)))[i]
-        approx = finite_difference_gradient(ring16_problem, i, z, h=1e-6)
+        approx = ref.finite_difference_gradient(ring16_problem, i, z, h=1e-6)
         worst = max(worst, np.abs(approx - exact).max() / max(1.0, np.abs(exact).max()))
     assert worst <= 1e-6
 
@@ -86,7 +95,7 @@ def test_stacked_field_sign_convention(ring16_problem):
 
 
 def test_stacked_field_average_vanishes_at_saddle(ring16_problem):
-    z_star = saddle_point(ring16_problem)
+    z_star = ring16_problem.saddle_point()
     field = stacked_gradient_field(ring16_problem, np.tile(z_star, (16, 1)))
     assert np.abs(field.mean(axis=0)).max() <= 1e-12
 
@@ -94,18 +103,14 @@ def test_stacked_field_average_vanishes_at_saddle(ring16_problem):
 def test_stacked_field_single_node_matches_local():
     prob = make_bilinear_quadratic(1, 2, 2, 0.4, seed=9, zero_sum_centers=False)
     z = np.array([[0.3, -1.2, 0.7, 0.1]])
-    gx, gy = local_gradient(prob, 0, z[0, :2], z[0, 2:])
     row = stacked_gradient_field(prob, z)[0]
-    assert np.array_equal(row, np.concatenate([gx, -gy]))
+    assert np.array_equal(row, reference_row(prob, 0, z[0]))
 
 
 def test_vectorized_field_matches_per_node_loop(ring16_problem):
     z = np.random.default_rng(4).standard_normal((16, 4))
     vectorized = ring16_problem.gradient_field(z)
-    looped = np.empty_like(z)
-    for i in range(16):
-        gx, gy = ring16_problem.local_gradient(i, z[i, :2], z[i, 2:])
-        looped[i] = np.concatenate([gx, -gy])
+    looped = np.array([reference_row(ring16_problem, i, z[i]) for i in range(16)])
     assert np.allclose(vectorized, looped, atol=1e-15)
 
 
@@ -136,14 +141,14 @@ def test_strong_monotonicity_and_lipschitz(seed):
 
 
 def test_zero_sum_saddle_is_origin(ring16_problem):
-    assert (saddle_point(ring16_problem) == 0.0).all()
+    assert (ring16_problem.saddle_point() == 0.0).all()
 
 
 def test_zero_center_means_give_origin_without_zero_sum_flag():
     a = np.array([[1.0, 0.0], [-1.0, 0.0]])
     b = np.array([[0.0, 2.0], [0.0, -2.0]])
     prob = BilinearQuadratic(centers_a=a, centers_b=b, mu=0.1)
-    assert np.allclose(saddle_point(prob), 0.0, atol=1e-15)
+    assert np.allclose(prob.saddle_point(), 0.0, atol=1e-15)
 
 
 def test_saddle_point_solves_block_system():
@@ -153,7 +158,7 @@ def test_saddle_point_solves_block_system():
     a = np.tile([1.0, 0.0], (4, 1))
     b = np.zeros((4, 2))
     prob = BilinearQuadratic(centers_a=a, centers_b=b, mu=mu)
-    z_star = saddle_point(prob)
+    z_star = prob.saddle_point()
     x_expected = (mu**2 * np.array([1.0, 0.0])) / (1 + mu**2)
     y_expected = (mu * np.array([1.0, 0.0])) / (1 + mu**2)
     assert np.allclose(z_star, np.concatenate([x_expected, y_expected]), atol=1e-15)
@@ -171,67 +176,47 @@ def test_saddle_point_solves_block_system():
 ])
 def test_smoothness_constant_formula(mu, expected):
     prob = make_bilinear_quadratic(4, 2, 2, mu, seed=0)
-    assert smoothness_constant(prob) == pytest.approx(expected, rel=1e-15)
+    assert prob.smoothness_constant() == pytest.approx(expected, rel=1e-15)
 
 
 def test_smoothness_pure_bilinear():
     prob = BilinearQuadratic(centers_a=np.zeros((2, 2)), centers_b=np.zeros((2, 2)),
                              mu=0.0)
-    assert smoothness_constant(prob) == 1.0
+    assert prob.smoothness_constant() == 1.0
 
 
 def test_sampled_ratios_never_exceed_certified_L(ring16_problem):
-    L = smoothness_constant(ring16_problem)
-    sampled = estimate_smoothness(ring16_problem, n_pairs=10_000, seed=77)
+    # Largest per-block gradient-difference ratio over 10000 sampled pairs of
+    # points at one node each, from reference_impl's gradients.
+    L = ring16_problem.smoothness_constant()
+    rng = np.random.default_rng(77)
+    sampled = 0.0
+    for _ in range(10_000):
+        i = int(rng.integers(16))
+        u, v = 10.0 * rng.standard_normal(4), 10.0 * rng.standard_normal(4)
+        args = (ring16_problem.centers_a[i], ring16_problem.centers_b[i], ring16_problem.mu)
+        gux, guy = ref.gradients(*args, u[:2], u[2:])
+        gvx, gvy = ref.gradients(*args, v[:2], v[2:])
+        ratio = max(np.linalg.norm(gux - gvx), np.linalg.norm(guy - gvy)) / np.linalg.norm(u - v)
+        sampled = max(sampled, float(ratio))
     assert sampled <= L * (1 + 1e-12)
     assert sampled == pytest.approx(L, rel=1e-2)  # the bound is tight for this field
-    assert ring16_problem.smoothness_certified
 
 
-def test_local_value_closed_form(ring16_problem):
+def test_local_value_closed_form():
+    # The objective the finite-difference oracle differentiates, by hand:
+    # x.y = 0.25, ||x - a||^2 = 0.3125, ||y - b||^2 = 3.25, mu = 0.1.
     x = np.array([0.5, -0.25])
     y = np.array([1.5, 2.0])
-    i = 3
-    a, b = ring16_problem.centers_a[i], ring16_problem.centers_b[i]
-    expected = (x @ y + 0.05 * ((x - a) @ (x - a)) - 0.05 * ((y - b) @ (y - b)))
-    assert local_value(ring16_problem, i, x, y) == pytest.approx(expected, rel=1e-15)
+    a = np.array([1.0, 0.0])
+    b = np.array([0.0, 1.0])
+    assert ref.local_value(a, b, 0.1, x, y) == pytest.approx(0.103125, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# stacked iterate and serialization
-
-
-def test_stacked_iterate_round_trip():
-    rng = np.random.default_rng(0)
-    it = StackedIterate(primal=rng.standard_normal((5, 2)),
-                        dual=rng.standard_normal((5, 3)))
-    again = StackedIterate.from_stacked(it.stacked, p=2)
-    assert np.array_equal(again.primal, it.primal)
-    assert np.array_equal(again.dual, it.dual)
-
-
-def test_stacked_iterate_validation():
-    with pytest.raises(ValueError):
-        StackedIterate(primal=np.zeros((3, 2)), dual=np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        StackedIterate(primal=np.zeros(3), dual=np.zeros(3))
+# immutability
 
 
 def test_instance_is_immutable(ring16_problem):
     with pytest.raises(ValueError):
         ring16_problem.centers_a[0, 0] = 5.0
-
-
-def test_text_serialization_round_trip(ring16_problem):
-    text = ring16_problem.to_text()
-    again = BilinearQuadratic.from_text(text)
-    assert np.array_equal(again.centers_a, ring16_problem.centers_a)
-    assert np.array_equal(again.centers_b, ring16_problem.centers_b)
-    assert again.mu == ring16_problem.mu
-    assert again.seed == ring16_problem.seed
-    assert again.zero_sum == ring16_problem.zero_sum
-
-
-def test_text_serialization_rejects_garbage():
-    with pytest.raises(ValueError):
-        BilinearQuadratic.from_text("quadratic_game\nn 2\n")

@@ -3,14 +3,15 @@ from itertools import islice
 import numpy as np
 import pytest
 
+import reference_impl as ref
 from netsaddle.algorithms import Trace, iterate, run
 from netsaddle.graph import (accelerated_matrix, build_topology,
                              metropolis_weights, recommended_T)
-from netsaddle.metrics import max_stepsize, step_terms, term_row, term_table
+from netsaddle.metrics import (field_at_average_sq, max_stepsize, step_terms, term_row,
+                               term_table)
 from netsaddle.problem import BilinearQuadratic
 from netsaddle.verify import (LEMMA_IDS, LemmaCheckReport, check_lemma, check_rho_M,
-                              finite_difference_gradient, margins_csv_rows,
-                              run_all_checks, summary_text, trajectory_terms)
+                              margins_csv_rows, run_all_checks, summary_text)
 
 GAMMA_EXPERIMENT = 0.1
 
@@ -29,26 +30,26 @@ def experiment_trace(ring16_problem, ring16_W, z0_16):
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# finite differences (the oracle lives in reference_impl)
 
 
 def test_finite_difference_matches_closed_form(ring16_problem):
     z = np.array([0.4, -1.1, 0.9, 0.2])
     exact = ring16_problem.gradient_field(np.tile(z, (16, 1)))[5]
-    approx = finite_difference_gradient(ring16_problem, 5, z, h=1e-6)
+    approx = ref.finite_difference_gradient(ring16_problem, 5, z, h=1e-6)
     assert np.abs(approx - exact).max() <= 1e-6 * max(1.0, np.abs(exact).max())
 
 
 def test_finite_difference_near_zero_at_own_stationary_point():
     prob = BilinearQuadratic(centers_a=np.zeros((2, 2)), centers_b=np.zeros((2, 2)),
                              mu=0.5, zero_sum=True)
-    approx = finite_difference_gradient(prob, 0, np.zeros(4), h=1e-6)
+    approx = ref.finite_difference_gradient(prob, 0, np.zeros(4), h=1e-6)
     assert np.abs(approx).max() <= 1e-9
 
 
 def test_finite_difference_rejects_bad_h(ring16_problem):
     with pytest.raises(ValueError):
-        finite_difference_gradient(ring16_problem, 0, np.zeros(4), h=0.0)
+        ref.finite_difference_gradient(ring16_problem, 0, np.zeros(4), h=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,7 @@ def test_homogeneous_fixed_point_all_margins_zero():
     table = term_table(21, 4)
     for k, state in enumerate(islice(iterate("dogt", prob, W, gamma, np.zeros((4, 4))), 21)):
         table[k] = term_row(state, step_terms(state, gamma, L, W.rho, 4, np.zeros(4)))
+    table["e"], table["E"] = field_at_average_sq(prob, table["zbar"])
     trace = Trace(kind="dogt", gamma=gamma, mu=prob.mu, smoothness=L, rho=W.rho, n=4,
                   problem=prob, mixing=W, z_star=np.zeros(4), records=(),
                   terms=table, reason="max_iters", iterations=20, comm_rounds=20)
@@ -157,17 +159,16 @@ def test_check_lemma_unknown_id(compliant_trace):
 
 
 def test_trajectory_terms_equal_trace_columns(ring16_problem, ring16_W, z0_16):
-    # The checks and the trace share one definition of every term, so the
-    # check's term arrays reproduce the recorded columns bit for bit.
+    # The checks read the trace's term table, and the table and the records
+    # share one definition of every term, so they agree bit for bit.
     gamma = max_stepsize(ring16_problem.smoothness_constant(), ring16_W.rho)
     trace = run("dogt", ring16_problem, ring16_W, gamma, z0_16, max_iters=300,
                 tol=0.0, record_every=1, record_states=True)
-    terms = trajectory_terms(trace)
     assert len(trace.records) == len(trace.terms) == 301
     for term, column in (("D", "tracking_error"), ("xi_sq", "xi_norm_sq"),
                          ("V", "lyapunov")):
         recorded = np.array([getattr(rec, column) for rec in trace.records])
-        assert (terms[term] == recorded).all(), term
+        assert (trace.terms[term] == recorded).all(), term
 
 
 def test_checks_are_rerunnable(compliant_trace):
