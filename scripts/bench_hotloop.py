@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Time the per-step cost of the four methods at n = 16 and write BENCH_hotloop.json.
+
+    python scripts/bench_hotloop.py BASELINE_CHECKOUT
+
+On the ring-16 comparison config (``configs/ring16_compare.yaml``: ring-16,
+p = d = 2, gamma 0.1, adogt at T = 4) it records the microseconds per
+iteration of each method inside ``algorithms.run``, over ITERS iterations
+at tol 0, in two settings: record_every 10, as ``compare`` runs the
+methods, and record_every 1 with record_states, as ``verify`` runs dogt.
+Beside them it records a bare numpy dogt loop (the same arithmetic with no
+library code in it), each method's ratio to that loop, and the time of one
+call of ``gradient_field``, ``W.mix`` and ``metrics.residual`` at the
+config's starting iterate.  The bare loop's final residual must equal the
+library dogt's to 1e-9 relative, or no numbers are written.
+
+BASELINE_CHECKOUT is another checkout of this repository, such as a clone
+at an earlier commit.  The two are timed in fresh processes, one per
+checkout in each of ROUNDS alternating rounds, and the file gets both sets
+of numbers and the baseline-over-this speedups.  A number is the median
+over rounds of each process's median.  BLAS is pinned to one thread, as in
+perfbench.  The file goes to the root of this checkout.
+"""
+
+from __future__ import annotations
+
+import os
+
+PINNED_THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+os.environ.update(PINNED_THREADS)   # before numpy is imported
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import timeit  # noqa: E402
+from functools import partial  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "ring16_compare.yaml"
+METHODS = ("dgda", "dogda", "dogt", "adogt")
+# name -> keyword arguments of algorithms.run besides max_iters and tol
+SETTINGS = {"record_every_10": {"record_every": 10},
+            "record_every_1_record_states": {"record_every": 1, "record_states": True}}
+ITERS = 2000
+REPEATS = 7
+ROUNDS = 5
+
+
+def call_us(fn) -> float:
+    """Median time of one call in microseconds, over REPEATS timed batches."""
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return statistics.median(timer.repeat(REPEATS, number)) / number * 1e6
+
+
+def bare_dogt(problem, W: np.ndarray, gamma: float, z0: np.ndarray, iters: int):
+    """dogt in plain numpy: the floor a library step can approach."""
+    p, a, b, mu = problem.p, problem.centers_a, problem.centers_b, problem.mu
+
+    def field(z):
+        x, y = z[:, :p], z[:, p:]
+        return np.concatenate([y + mu * (x - a), -(x - mu * (y - b))], axis=1)
+
+    z = z0.copy()
+    g = g_prev = field(z)
+    r = g.copy()
+    for _ in range(iters):
+        z = W @ (z - gamma * (r + g - g_prev))
+        g_prev, g = g, field(z)
+        r = W @ (r + g - g_prev)
+    return z
+
+
+def measure(src: Path) -> dict:
+    """The numbers of the netsaddle in ``src``, timed in this process."""
+    sys.path.insert(0, str(src))
+    from netsaddle import algorithms, cli, metrics
+
+    exp = cli.resolve_experiment(cli.load_config(CONFIG))
+    algos = {a.name: a for a in exp.algorithms}
+    problem, W, z0 = exp.problem, exp.W, exp.z0
+
+    jobs = {(setting, kind): partial(algorithms.run, kind, problem, W, algos[kind].gamma, z0,
+                                     max_iters=ITERS, tol=0.0, T=algos[kind].T, **kwargs)
+            for setting, kwargs in SETTINGS.items() for kind in METHODS}
+    jobs["bare"] = partial(bare_dogt, problem, np.array(W.W), algos["dogt"].gamma, z0, ITERS)
+    z_star = problem.saddle_point()
+    bare = metrics.residual(jobs["bare"](), z_star)
+    library = jobs["record_every_10", "dogt"]().records[-1].residual
+    if abs(bare - library) > 1e-9 * library:
+        raise SystemExit(f"bare dogt loop residual {bare!r} != library {library!r}")
+    # Repeats outermost, so a drift in core speed reaches every job alike.
+    times = {key: [] for key in jobs}
+    for _ in range(REPEATS):
+        for key, job in jobs.items():
+            start = time.perf_counter()
+            job()
+            times[key].append(time.perf_counter() - start)
+    us = {key: statistics.median(t) / ITERS * 1e6 for key, t in times.items()}
+    bare = us.pop("bare")
+    per_iter = {setting: {kind: us[setting, kind] for kind in METHODS} for setting in SETTINGS}
+    return {
+        "us_per_iteration_in_run": per_iter,
+        "bare_dogt_us_per_iteration": bare,
+        "ratio_to_bare_dogt": {setting: {kind: us / bare for kind, us in row.items()}
+                               for setting, row in per_iter.items()},
+        "us_per_call": {"gradient_field": call_us(lambda: problem.gradient_field(z0)),
+                        "W.mix": call_us(lambda: W.mix(z0)),
+                        "metrics.residual": call_us(lambda: metrics.residual(z0, z_star))},
+    }
+
+
+def commit(checkout: Path) -> str | None:
+    """The checkout's commit, with "-dirty" when its tracked files differ from it."""
+    result = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
+                            capture_output=True, text=True)
+    return result.stdout.strip() if result.returncode == 0 else None
+
+
+def measured_in_fresh_process(checkout: Path) -> dict:
+    out = subprocess.run([sys.executable, __file__, "--measure", str(checkout / "src")],
+                         stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def medians(samples: list[dict]):
+    """The median over rounds of every number in a nest of dicts."""
+    if isinstance(samples[0], dict):
+        return {key: medians([s[key] for s in samples]) for key in samples[0]}
+    return statistics.median(samples)
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["--measure"]:   # one timed process, started below
+        print(json.dumps(measure(Path(argv[1]))))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("baseline", type=Path, help="another checkout to time against this one")
+    args = parser.parse_args(argv)
+
+    checkouts = {"baseline": args.baseline.resolve(), "this": ROOT}
+    samples = {name: [] for name in checkouts}
+    for round_ in range(ROUNDS):
+        for name, checkout in checkouts.items():
+            samples[name].append(measured_in_fresh_process(checkout))
+            print(f"round {round_ + 1}/{ROUNDS}: {name} timed", flush=True)
+    result = {
+        "environment": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "blas_threads": PINNED_THREADS,
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+        },
+        "config": "configs/ring16_compare.yaml, every method run at tol 0",
+        "iterations_per_run": ITERS,
+        "rounds": ROUNDS,
+        "checkouts": {name: {"commit": commit(checkouts[name]), **medians(rows)}
+                      for name, rows in samples.items()},
+    }
+    base, this = (result["checkouts"][name]["us_per_iteration_in_run"]
+                  for name in ("baseline", "this"))
+    result["speedup_over_baseline"] = {
+        setting: {kind: base[setting][kind] / this[setting][kind] for kind in METHODS}
+        for setting in SETTINGS}
+    (ROOT / "BENCH_hotloop.json").write_text(json.dumps(result, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -59,6 +59,12 @@ class AlgoState:
     previous stacked gradients, and the tracker r = [p, -q].  Baseline
     steps carry the tracker over unchanged; iterate() starts it at zero so
     every state has one schema.
+
+    Successive states share arrays: a step's z_prev and grad_prev are the
+    previous state's z and grad, and a baseline step's tracker is the
+    previous one.  Every array is float64 and read-only, frozen in place by
+    whoever makes it (``init_state``, ``iterate``, ``_step``), so sharing is
+    safe and no state copies or re-checks its inputs.
     """
 
     z: np.ndarray
@@ -68,12 +74,6 @@ class AlgoState:
     tracker: np.ndarray
     iteration: int
     comm_rounds: int
-
-    def __post_init__(self):
-        for name in ("z", "z_prev", "grad", "grad_prev", "tracker"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,12 +103,17 @@ class Trace:
     eta: float | None = None
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def init_state(problem: BilinearQuadratic, z0) -> AlgoState:
-    """Start state: both gradient slots and the tracker hold G(z0)."""
-    z = stacked_array(problem, z0).copy()
-    g = stacked_gradient_field(problem, z)
-    return AlgoState(z=z, z_prev=z.copy(), grad=g, grad_prev=g.copy(),
-                     tracker=g.copy(), iteration=0, comm_rounds=0)
+    """Start state: both iterate slots hold z0; both gradient slots and the tracker G(z0)."""
+    z = _frozen(stacked_array(problem, z0).copy())
+    g = _frozen(stacked_gradient_field(problem, z))
+    return AlgoState(z=z, z_prev=z, grad=g, grad_prev=g, tracker=g,
+                     iteration=0, comm_rounds=0)
 
 
 def _check_finite(z: np.ndarray, iteration: int) -> None:
@@ -129,14 +134,13 @@ def _step(state: AlgoState, mix, rounds: int, direction, tracking: bool,
         raise ValueError(f"T must be a positive integer, got {rounds!r}")
     k = state.iteration + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        z_new = mix(state.z - gamma * direction(state))
-    _check_finite(z_new, k)
-    g_new = stacked_gradient_field(problem, z_new)
-    r_new = state.tracker
-    if tracking:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_new = mix(state.tracker + g_new - state.grad)
-        _check_finite(r_new, k)
+        z_new = _frozen(mix(state.z - gamma * direction(state)))
+        _check_finite(z_new, k)
+        g_new = _frozen(stacked_gradient_field(problem, z_new))
+        r_new = state.tracker
+        if tracking:
+            r_new = _frozen(mix(state.tracker + g_new - state.grad))
+            _check_finite(r_new, k)
     return AlgoState(z=z_new, z_prev=state.z, grad=g_new, grad_prev=state.grad,
                      tracker=r_new, iteration=k, comm_rounds=state.comm_rounds + rounds)
 
@@ -190,7 +194,7 @@ def iterate(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float
         raise ValueError(f"unknown algorithm {kind!r}, expected one of {ALGORITHMS}")
     state = init_state(problem, z0)
     if kind not in TRACKING_ALGORITHMS:
-        state = replace(state, tracker=np.zeros_like(state.tracker))
+        state = replace(state, tracker=_frozen(np.zeros_like(state.tracker)))
     eta = acceleration_momentum(W.rho) if kind == "adogt" else None
     # Looked up on every call, so a step function swapped on the module is used.
     step = {"dgda": lambda s: dgda_step(s, W, gamma, problem),

@@ -294,7 +294,7 @@ class ResolvedExperiment:
     z0: np.ndarray
     init_seed: int | None
     algorithms: tuple[ResolvedAlgorithm, ...]
-    record_states: bool
+    record_states: bool     # the manifest's echo; only verify's run keeps the terms
 
 
 def _make_z0(init: InitConfig, problem, default_seed: int):
@@ -437,12 +437,18 @@ def write_manifest(path: Path, exp: ResolvedExperiment, algo: ResolvedAlgorithm,
     path.write_text("\n".join(_manifest_lines(exp, algo, trace)) + "\n", newline="\n")
 
 
-def _run_and_write(exp: ResolvedExperiment, algo: ResolvedAlgorithm, out: Path) -> Trace:
-    """Run one algorithm, write its trace CSV and manifest, print its summary line."""
+def _run_and_write(exp: ResolvedExperiment, algo: ResolvedAlgorithm, out: Path,
+                   record_states: bool = False) -> Trace:
+    """Run one algorithm, write its trace CSV and manifest, print its summary line.
+
+    The per-step term table is built only with ``record_states``, which only
+    verify passes: no output of run or compare reads it, whatever the
+    manifest's echo of ``run.record_states`` says.
+    """
     rc = exp.config.run
     trace = run(algo.name, exp.problem, exp.W, algo.gamma, exp.z0,
                 max_iters=rc.max_iters, tol=rc.tol, record_every=rc.record_every,
-                T=algo.T, record_states=exp.record_states)
+                T=algo.T, record_states=record_states)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / f"{algo.label}.csv", trace)
     write_manifest(out / f"{algo.label}.manifest.txt", exp, algo, trace)
@@ -529,7 +535,7 @@ def verify_command(config_path, out_dir=None) -> int:
         print("record_states: resolved to true (required for verification)")
 
     out = _out_dir(config, out_dir)
-    trace = _run_and_write(exp, exp.algorithms[0], out)
+    trace = _run_and_write(exp, exp.algorithms[0], out, record_states=True)
 
     reports = verify_mod.run_all_checks(trace)
     summary = verify_mod.summary_text(reports)

@@ -11,7 +11,7 @@ descent and ascent updates become a single subtraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,12 @@ class BilinearQuadratic:
     mu: float
     seed: int | None = None
     zero_sum: bool = False
+    # gradient_field's row constants, built once: the centers [a b], the
+    # slopes [-mu, +mu], the signs [+1, -1] and the column order [y x].
+    _centers: np.ndarray = field(init=False, repr=False)
+    _slopes: np.ndarray = field(init=False, repr=False)
+    _signs: np.ndarray = field(init=False, repr=False)
+    _swap: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.centers_a, dtype=np.float64)
@@ -62,10 +68,17 @@ class BilinearQuadratic:
                 drift = np.abs(c.sum(axis=0)).max()
                 if drift > 1e-12:
                     raise ValueError(f"zero_sum instance has {name} column sum {drift:.3e}")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "centers_a", a)
-        object.__setattr__(self, "centers_b", b)
+        p = a.shape[1]
+        ones = np.ones(p)
+        mu = self.mu * ones     # float even for an integer mu, so -mu keeps -0.0
+        constants = {"centers_a": a, "centers_b": b,
+                     "_centers": np.concatenate([a, b], axis=1),
+                     "_slopes": np.concatenate([-mu, mu]),
+                     "_signs": np.concatenate([ones, -ones]),
+                     "_swap": np.concatenate([np.arange(p, 2 * p), np.arange(p)])}
+        for name, value in constants.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -80,13 +93,20 @@ class BilinearQuadratic:
         return self.centers_b.shape[1]
 
     def gradient_field(self, z):
-        """Stacked field, row i = [grad_x f_i, -grad_y f_i], also on a stack (..., n, p+d)."""
+        """Stacked field, row i = [grad_x f_i, -grad_y f_i], also on a stack (..., n, p+d).
+
+        On whole rows z = [x y]: ([y x] - (z - [a b]) [-mu, +mu]) [+1, -1], which
+        is [y + mu (x - a), -(x - mu (y - b))] bit for bit, signed zeros
+        included (only the sign of a NaN may differ): (x - a)(-mu) is exactly
+        -(mu (x - a)), y - (-t) is y + t in IEEE arithmetic, and a product
+        with -1 is exact negation.
+        """
         z = stacked_array(self, z, batched=True)
-        x = z[..., :self.p]
-        y = z[..., self.p:]
-        gx = y + self.mu * (x - self.centers_a)
-        gy = x - self.mu * (y - self.centers_b)
-        return np.concatenate([gx, -gy], axis=-1)
+        out = z - self._centers
+        out *= self._slopes
+        np.subtract(z.take(self._swap, axis=-1), out, out=out)
+        out *= self._signs
+        return out
 
     def saddle_point(self) -> np.ndarray:
         """The global saddle point as a (p+d,) vector."""

@@ -367,10 +367,17 @@ def test_array_dataclasses_compare_and_hash(build):
     assert hash(first) == hash(first) and isinstance(hash(second), int)
 
 
-def test_states_are_immutable(ring16_problem, z0_16):
-    state = init_state(ring16_problem, z0_16)
-    with pytest.raises(ValueError):
-        state.z[0, 0] = 1.0
+def test_states_are_immutable(ring16_problem, ring16_W, z0_16):
+    # States share arrays with their predecessors and are frozen where their
+    # arrays are made, not on construction; every one of them, init_state's
+    # included, must be read-only float64.
+    for kind, T in [("dgda", None), ("dogda", None), ("dogt", None), ("adogt", 3)]:
+        for state in states_to(4, kind, ring16_problem, ring16_W, z0_16, T):
+            for name in ("z", "z_prev", "grad", "grad_prev", "tracker"):
+                assert getattr(state, name).dtype == np.float64
+            for name in ("z", "grad", "tracker"):
+                with pytest.raises(ValueError):
+                    getattr(state, name)[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

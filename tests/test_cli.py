@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from netsaddle import algorithms, cli
 from netsaddle.cli import (CSV_HEADER, EXIT_CONFIG, EXIT_OK,
                            EXIT_PRECONDITION, ConfigError, compare_command,
                            load_config, main, resolve_experiment, run_command,
@@ -446,6 +447,33 @@ def test_shipped_configs_parse():
     for name in ("ring16_compare.yaml", "ring16_verify.yaml", "ring16_dogt.yaml"):
         config = load_config(root / name)
         assert config.problem.n == 16
+
+
+@pytest.mark.parametrize("command,record_states,overrides", [
+    (run_command, False, {}),
+    (compare_command, False, {"algorithm": None,
+                              "algorithms": [{"name": "dgda", "gamma": 0.1},
+                                             {"name": "dogt", "gamma": 0.1}]}),
+    (verify_command, True, verify_overrides()),
+])
+def test_only_verify_builds_the_term_table(command, record_states, overrides, tmp_path,
+                                           monkeypatch):
+    # run and compare read nothing from the term table, so they do not build
+    # it even with record_states: true; the manifest still echoes the key.
+    overrides = {**overrides, "run": {**overrides.get("run", {}), "record_states": True}}
+    seen = []
+
+    def recording_run(*args, record_states, **kwargs):
+        seen.append(record_states)
+        return algorithms.run(*args, record_states=record_states, **kwargs)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    command(write_config(tmp_path, overrides), tmp_path / "out")
+    assert seen and set(seen) == {record_states}
+    manifests = sorted((tmp_path / "out").glob("*.manifest.txt"))
+    assert manifests
+    for path in manifests:
+        assert "run.record_states = true" in path.read_text().splitlines()
 
 
 def test_main_dispatches_run(tmp_path, capsys):

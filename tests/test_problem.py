@@ -111,7 +111,36 @@ def test_vectorized_field_matches_per_node_loop(ring16_problem):
     z = np.random.default_rng(4).standard_normal((16, 4))
     vectorized = ring16_problem.gradient_field(z)
     looped = np.array([reference_row(ring16_problem, i, z[i]) for i in range(16)])
-    assert np.allclose(vectorized, looped, atol=1e-15)
+    assert np.array_equal(vectorized, looped)
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_whole_row_field_is_the_split_column_formula_bit_for_bit(p):
+    # gradient_field works on whole rows; reference_impl.gradients is the
+    # per-block formula [y + mu (x - a), -(x - mu (y - b))].  They must agree
+    # in every bit, the sign of zero included, on a (K, n, p+d) stack.
+    n, K, mu = 6, 4, 0.25
+    rng = np.random.default_rng(p)
+    values = np.array([-1.5, -0.5, -0.0, 0.0, 0.5, 2.0])
+    prob = BilinearQuadratic(centers_a=rng.choice(values, (n, p)),
+                             centers_b=rng.choice(values, (n, p)), mu=mu)
+    z = rng.choice(values, (K, n, 2 * p))
+    z[0] = 0.0
+    z[1] = -0.0
+    # Rows with x = mu (y - b) exactly: there -(x - t) is -0.0 where t - x is +0.0.
+    z[2, :, :p] = mu * (z[2, :, p:] - prob.centers_b)
+    x, y = z[..., :p], z[..., p:]
+    gx, gy = ref.gradients(prob.centers_a, prob.centers_b, mu, x, y)
+    expected = np.concatenate([gx, -gy], axis=-1)
+    assert np.signbit(expected[2, :, p:]).any()      # the trap is exercised
+    assert_same_bits(prob.gradient_field(z), expected)
+    for k in range(K):
+        assert_same_bits(prob.gradient_field(z[k]), expected[k])
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31))
