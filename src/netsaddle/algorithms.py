@@ -206,6 +206,22 @@ def iterate(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float
         state = step(state)
 
 
+def stack_states(states) -> AlgoState:
+    """Several states as one: each array gains a leading state axis (K x n x (p+d))
+    and iteration and comm_rounds become tuples.  The metrics take such a stack
+    wherever they take a state."""
+    return AlgoState(**{name: np.stack([getattr(s, name) for s in states])
+                        for name in ("z", "z_prev", "grad", "grad_prev", "tracker")},
+                     iteration=tuple(s.iteration for s in states),
+                     comm_rounds=tuple(s.comm_rounds for s in states))
+
+
+# run() evaluates the states it keeps once their stack would reach this many
+# bytes: few enough that the states held stay small, enough to spread each
+# call's fixed cost over many states.
+_BATCH_BYTES = 1 << 17
+
+
 def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
         max_iters: int, tol: float, record_every: int = 1,
         T: int | None = None, record_states: bool = False) -> Trace:
@@ -217,6 +233,13 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     is, in a table that doubles as steps arrive, so its size follows the
     steps run, not ``max_iters``.  Without a known saddle point the residual
     is unavailable and the run always goes the full ``max_iters``.
+
+    The stop rule takes the residual of every step.  The states to record
+    (with ``record_states``, every state) are kept as they come, sharing
+    their arrays, and evaluated in batches of about _BATCH_BYTES: one
+    ``step_terms`` and one ``metric_record`` call per batch on the stack of
+    its states, which gives the values state-by-state calls would, bit for
+    bit.
 
     Raises DivergenceError if an iterate becomes non-finite.
     """
@@ -241,35 +264,50 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
 
     L = problem.smoothness_constant()
     z_star = problem.saddle_point()
-    n = problem.n
-    table = metrics.term_table(1, problem.p + problem.d) if record_states else None
+    n, width = problem.n, problem.p + problem.d
+    batch = max(1, _BATCH_BYTES // (5 * 8 * n * width))     # five float64 arrays a state
+    table = metrics.term_table(1, width) if record_states else None
     records = []
+    kept = []       # (state, its residual, whether it is recorded), not yet evaluated
+
+    def evaluate():
+        nonlocal table
+        states, residuals, recorded = zip(*kept)
+        kept.clear()
+        stack = stack_states(states)
+        terms = metrics.step_terms(stack, gamma, L, rho_eff, n, z_star)
+        if record_states:       # the states of iterations first..last, every one
+            first, last = stack.iteration[0], stack.iteration[-1]
+            while last >= len(table):
+                table = np.concatenate([table, np.empty_like(table)])
+            metrics.fill_term_rows(table[first:last + 1], stack, terms)
+        records.extend(rec for rec, keep in zip(
+            metrics.metric_record(stack, terms, residuals), recorded) if keep)
+
     reason = "max_iters"
     # Divergence is detected by explicit isfinite checks inside the step
     # functions; float overflow on the way there is expected, not noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for state in iterate(kind, problem, W, gamma, z0, T):
             k = state.iteration
-            # Between scheduled records, the residual alone decides whether to stop.
-            recorded = (k % record_every == 0 or k == max_iters
-                        or z_star is not None and metrics.residual(state.z, z_star) <= tol)
+            res = None if z_star is None else metrics.residual(state.z, z_star)
+            stop = res is not None and res <= tol
+            recorded = stop or k % record_every == 0 or k == max_iters
             if recorded or record_states:
-                terms = metrics.step_terms(state, gamma, L, rho_eff, n, z_star)
-            if record_states:
-                if k == len(table):     # full: double it
-                    table = np.concatenate([table, np.empty_like(table)])
-                table[k] = metrics.term_row(state, terms)
-            if recorded:
-                records.append(metrics.metric_record(state, terms, z_star))
-                if records[-1].residual is not None and records[-1].residual <= tol:
-                    reason = "tol_reached"
-                    break
+                kept.append((state, res, recorded))
+                if len(kept) == batch:
+                    evaluate()
+            if stop:
+                reason = "tol_reached"
+                break
             if k == max_iters:
                 break
+        if kept:
+            evaluate()
+        if record_states:
+            table = table[:state.iteration + 1]
+            table["e"], table["E"] = metrics.field_at_average_sq(problem, table["zbar"])
 
-    if record_states:
-        table = table[:state.iteration + 1]
-        table["e"], table["E"] = metrics.field_at_average_sq(problem, table["zbar"])
     return Trace(kind=kind, gamma=gamma, mu=problem.mu, smoothness=L,
                  rho=rho_eff, n=n, problem=problem, mixing=W, z_star=z_star,
                  records=tuple(records), terms=table,

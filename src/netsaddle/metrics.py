@@ -1,11 +1,13 @@
 """Convergence diagnostics: the per-step terms, the record built from them, rates.
 
 Each per-step term (B, C, D, Xi, e, E, Lyapunov value V) is defined here once,
-for one state or a stack of states.  A run computes the terms of a step
-once and builds its logged record from them; with ``record_states`` it also
-keeps them in a term table (``term_table``), which ``verify`` checks.  The
-field at the averaged iterate (e, E) enters that table in one evaluation
-over all steps at the end of the run.
+for one state or a stack of states, and gives the same bits on both.  A run
+computes the terms of the states it keeps in batches, one stack at a time,
+and builds their logged records from them (``metric_record``, on a stack);
+with ``record_states`` it also keeps them in a term table (``term_table``,
+``fill_term_rows``), which ``verify`` checks.  The field at the averaged
+iterate (e, E) enters that table in one evaluation over all steps at the
+end of the run.
 
 Two norm conventions coexist on purpose and are spelled out per field:
 ``consensus_error`` is logged UNSQUARED, (1/n) ||z - 1 zbar||, which is the
@@ -152,10 +154,13 @@ def term_table(rows: int, width: int) -> np.ndarray:
                                  ("zbar", np.float64, (width,))])
 
 
-def term_row(state, terms: dict) -> tuple:
-    """A state's row of a term table: its ``step_terms``, NaN where undefined or
-    not yet filled (e, E), and zbar."""
-    return (*(terms.get(name, math.nan) for name in TERMS), _mean(state.z))
+def fill_term_rows(rows: np.ndarray, stack, terms: dict) -> None:
+    """Fill consecutive rows of a term table from a stack of states and its
+    ``step_terms``: NaN where a term is undefined, and zbar; e and E are left
+    for ``field_at_average_sq``."""
+    for name in TERMS[:5]:
+        rows[name] = terms.get(name, math.nan)
+    rows["zbar"] = _mean(stack.z)
 
 
 def theoretical_contraction(gamma: float, mu: float, rho: float) -> float:
@@ -226,17 +231,28 @@ def fit_linear_rate(series, skip_fraction: float = 0.1) -> RateReport:
                       r_squared=r_squared)
 
 
-def metric_record(state, terms: dict, z_star: np.ndarray | None) -> MetricRecord:
-    """Assemble the per-iteration record from a state and its ``step_terms``.
+def consensus_errors(z: np.ndarray) -> np.ndarray:
+    """``consensus_error`` of each state of a stack z (K x n x (p+d)), bit for bit.
 
+    np.linalg.norm squares a state's flattened deviation with one BLAS dot;
+    a matmul of the K flattened deviations with themselves makes the same K
+    dots in one call.
+    """
+    d = (z - _mean(z, keepdims=True)).reshape(len(z), 1, -1)
+    return np.sqrt(np.matmul(d, d.transpose(0, 2, 1)).ravel()) / z.shape[-2]
+
+
+def metric_record(stack, terms: dict, residuals) -> list[MetricRecord]:
+    """The records of a stack of states from its ``step_terms`` and residuals.
+
+    ``residuals`` holds each state's ``residual``, or None without z*.
     Saddle-dependent fields are None without z*; the Lyapunov value is also
     None when rho >= 1 (an off-design accelerated matrix), where its weights
     are undefined.
     """
-    return MetricRecord(iteration=state.iteration,
-                        comm_rounds=state.comm_rounds,
-                        residual=None if z_star is None else residual(state.z, z_star),
-                        consensus_error=consensus_error(state.z),
-                        tracking_error=float(terms["D"]),
-                        xi_norm_sq=float(terms["xi_sq"]) if "xi_sq" in terms else None,
-                        lyapunov=float(terms["V"]) if "V" in terms else None)
+    unknown = [None] * len(stack.iteration)
+    columns = (stack.iteration, stack.comm_rounds, residuals,
+               consensus_errors(stack.z).tolist(), terms["D"].tolist(),
+               terms["xi_sq"].tolist() if "xi_sq" in terms else unknown,
+               terms["V"].tolist() if "V" in terms else unknown)
+    return [MetricRecord(*row) for row in zip(*columns)]

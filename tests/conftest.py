@@ -28,3 +28,18 @@ def ring16_W():
 @pytest.fixture(scope="session")
 def z0_16():
     return np.random.default_rng(INIT_SEED).standard_normal((16, 4))
+
+
+@pytest.fixture()
+def batch_sizes(monkeypatch):
+    """The number of states in each batch that run() evaluates, filled as it runs."""
+    from netsaddle import metrics
+    sizes = []
+    record = metrics.metric_record
+
+    def counted(stack, terms, residuals):
+        sizes.append(len(stack.iteration))
+        return record(stack, terms, residuals)
+
+    monkeypatch.setattr(metrics, "metric_record", counted)
+    return sizes

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -341,9 +342,30 @@ def test_run_validation_errors(ring16_problem, ring16_W, z0_16):
 
 
 def test_divergence_raises_with_iteration(ring16_problem, ring16_W, z0_16):
+    state = replace(init_state(ring16_problem, z0_16), tracker=np.zeros((16, 4)))
+    with pytest.raises(DivergenceError) as by_hand:
+        while True:
+            state = dgda_step(state, ring16_W, 10.0, ring16_problem)
+    assert by_hand.value.iteration == state.iteration + 1
     with pytest.raises(DivergenceError) as err:
         run("dgda", ring16_problem, ring16_W, 10.0, z0_16, max_iters=2000, tol=0.0)
-    assert 0 < err.value.iteration <= 2000
+    assert err.value.iteration == by_hand.value.iteration
+
+
+def test_divergence_inside_a_batch_of_recorded_states(ring16_problem, ring16_W, z0_16,
+                                                      batch_sizes):
+    # With record_states every state waits in a batch for its terms; a
+    # divergence while some wait raises at its own iteration all the same.
+    with pytest.raises(DivergenceError) as by_hand:
+        for _ in iterate("dogt", ring16_problem, ring16_W, 10.0, z0_16):
+            pass
+    with pytest.raises(DivergenceError) as err:
+        run("dogt", ring16_problem, ring16_W, 10.0, z0_16, max_iters=2000, tol=0.0,
+            record_states=True)
+    assert err.value.iteration == by_hand.value.iteration
+    sizes = batch_sizes
+    assert len(sizes) > 1 and set(sizes) == {sizes[0]}
+    assert 0 < err.value.iteration - sum(sizes) < sizes[0]     # states left waiting
 
 
 RING16_DOGT = Path(__file__).resolve().parents[1] / "configs" / "ring16_dogt.yaml"

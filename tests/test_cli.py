@@ -210,6 +210,15 @@ def test_run_command_divergence_exit(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_verify_command_divergence_exit(tmp_path, capsys):
+    # dogt at gamma 10 diverges at iteration 238, while recorded states
+    # wait in a batch for their terms.
+    overrides = verify_overrides(gamma=10.0, max_iters=2000)
+    path = write_config(tmp_path, overrides)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v")]) == 3
+    assert "non-finite iterate at iteration 238" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # compare command
 

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netsaddle.algorithms import init_state, iterate, run
-from netsaddle.metrics import (consensus_error, deviation_sq, field_at_average_sq,
-                               fit_linear_rate, iteration_complexity,
-                               lyapunov_coefficients, max_stepsize,
-                               metric_record, optimality_gap_xi, residual,
-                               step_terms, theoretical_contraction)
-from netsaddle.problem import BilinearQuadratic
+from netsaddle import algorithms
+from netsaddle.algorithms import init_state, iterate, run, stack_states
+from netsaddle.graph import CSRMix, build_topology, metropolis_weights
+from netsaddle.metrics import (TERMS, MetricRecord, consensus_error, consensus_errors,
+                               deviation_sq, field_at_average_sq, fit_linear_rate,
+                               iteration_complexity, lyapunov_coefficients,
+                               max_stepsize, metric_record, optimality_gap_xi,
+                               residual, step_terms, term_table,
+                               theoretical_contraction)
+from netsaddle.problem import BilinearQuadratic, make_bilinear_quadratic
 
 GAMMA = 0.1
 
@@ -277,9 +280,131 @@ def test_records_recomputable_from_states(ring16_problem, ring16_W, z0_16):
                 max_iters=100, tol=0.0, record_states=True)
     states = list(islice(iterate("dogt", ring16_problem, ring16_W, GAMMA, z0_16), 101))
     for rec in trace.records:
-        state = states[rec.iteration]
+        state = stack_states([states[rec.iteration]])
         terms = step_terms(state, GAMMA, trace.smoothness, trace.rho, 16, trace.z_star)
-        assert metric_record(state, terms, trace.z_star) == rec
+        res = residual(state.z[0], trace.z_star)
+        assert metric_record(state, terms, [res]) == [rec]
+
+
+class _NoSaddle(BilinearQuadratic):
+    """Same dynamics, but pretends the saddle point is unknown."""
+
+    def saddle_point(self):
+        return None
+
+
+def _per_state(trace, states, record_every):
+    """The records and term table of a run, from each state on its own.
+
+    Every value comes from a per-state call: step_terms, residual and
+    consensus_error on one state's arrays, the row mean and e, E of one
+    state's zbar.
+    """
+    z_star, records = trace.z_star, []
+    table = term_table(len(states), trace.problem.p + trace.problem.d)
+    for s in states:
+        terms = step_terms(s, trace.gamma, trace.smoothness, trace.rho, trace.n, z_star)
+        zbar = s.z.mean(axis=0)
+        table[s.iteration] = (*(terms.get(name, math.nan) for name in TERMS[:5]),
+                              *field_at_average_sq(trace.problem, zbar), zbar)
+        if s.iteration % record_every == 0 or s.iteration == trace.iterations:
+            records.append(MetricRecord(
+                iteration=s.iteration, comm_rounds=s.comm_rounds,
+                residual=None if z_star is None else residual(s.z, z_star),
+                consensus_error=consensus_error(s.z),
+                tracking_error=float(terms["D"]),
+                xi_norm_sq=float(terms["xi_sq"]) if "xi_sq" in terms else None,
+                lyapunov=float(terms["V"]) if "V" in terms else None))
+    return records, table
+
+
+def _random512():
+    W = metropolis_weights(build_topology("random", 512, seed=1000, edge_probability=0.02))
+    assert isinstance(W.mix, CSRMix)
+    prob = make_bilinear_quadratic(512, 2, 2, 0.1, seed=7, zero_sum_centers=True)
+    return prob, W, np.random.default_rng(8).standard_normal((512, 4))
+
+
+def _no_saddle_ring16(ring16_problem, ring16_W, z0_16):
+    p = ring16_problem
+    return (_NoSaddle(centers_a=p.centers_a, centers_b=p.centers_b, mu=p.mu, seed=p.seed,
+                      zero_sum=p.zero_sum), ring16_W, z0_16)
+
+
+@pytest.mark.parametrize("setup,kind,T,run_args,batches", [
+    # several batches, every state recorded
+    ("ring16", "dogt", None, dict(max_iters=500, tol=0.0), "several"),
+    ("ring16", "dogt", None, dict(max_iters=500, tol=0.0, record_states=True), "several"),
+    # the tol stop (iteration 838) falls inside a batch
+    ("ring16", "dogt", None, dict(max_iters=5000, tol=1e-10, record_states=True), "cut"),
+    ("ring16", "dogt", None, dict(max_iters=5000, tol=1e-10), "cut"),
+    # record_every 7 and a last iteration off its grid
+    ("ring16", "dogt", None, dict(max_iters=250, tol=0.0, record_every=7), None),
+    ("ring16", "dogt", None,
+     dict(max_iters=250, tol=0.0, record_every=7, record_states=True), "several"),
+    # all four methods
+    ("ring16", "dgda", None, dict(max_iters=300, tol=0.0, record_states=True), None),
+    ("ring16", "dogda", None, dict(max_iters=300, tol=0.0, record_states=True), None),
+    ("ring16", "adogt", 3, dict(max_iters=300, tol=0.0, record_states=True), None),
+    ("ring16", "adogt", 4, dict(max_iters=300, tol=0.0, record_every=10), None),
+    # the gathered mixing of a random n = 512 graph: one state a batch, and
+    # four under a larger budget
+    ("random512", "adogt", 3, dict(max_iters=20, tol=0.0), "single"),
+    ("random512_wide", "dogt", None,
+     dict(max_iters=20, tol=0.0, record_every=3, record_states=True), "several"),
+    ("random512_wide", "adogt", 3, dict(max_iters=20, tol=0.0), "several"),
+    # no saddle point: no residual, xi_sq or V, and no tol stop
+    ("no_saddle", "dogt", None, dict(max_iters=300, tol=1e-10, record_states=True),
+     "several"),
+    ("no_saddle", "dgda", None, dict(max_iters=300, tol=1e-10, record_every=7), None),
+])
+def test_run_equals_per_state_evaluation(setup, kind, T, run_args, batches, ring16_problem,
+                                         ring16_W, z0_16, batch_sizes, monkeypatch):
+    # run() evaluates the states it keeps in batches, on their stack; its
+    # records and term table must be those of per-state calls, bit for bit.
+    if setup == "random512":
+        problem, W, z0 = _random512()
+    elif setup == "random512_wide":
+        problem, W, z0 = _random512()
+        monkeypatch.setattr(algorithms, "_BATCH_BYTES", 4 * 5 * z0.nbytes)
+    elif setup == "no_saddle":
+        problem, W, z0 = _no_saddle_ring16(ring16_problem, ring16_W, z0_16)
+    else:
+        problem, W, z0 = ring16_problem, ring16_W, z0_16
+    trace = run(kind, problem, W, GAMMA, z0, T=T, **run_args)
+    sizes = batch_sizes
+    if batches == "several":
+        assert len(sizes) > 2 and sizes[0] > 1
+    elif batches == "single":
+        assert set(sizes) == {1}
+    elif batches == "cut":
+        assert trace.reason == "tol_reached" and 1 < sizes[-1] < sizes[0] == max(sizes)
+        assert len(sizes) > 2
+    record_every = run_args.get("record_every", 1)
+    states = list(islice(iterate(kind, problem, W, GAMMA, z0, T), trace.iterations + 1))
+    records, table = _per_state(trace, states, record_every)
+    assert list(trace.records) == records
+    assert [r.iteration for r in records] == sorted(
+        {*range(0, trace.iterations + 1, record_every), trace.iterations})
+    if run_args.get("record_states"):
+        assert trace.terms.dtype == table.dtype
+        for name in trace.terms.dtype.names:
+            assert np.array_equal(trace.terms[name], table[name], equal_nan=True), name
+        assert trace.terms.tobytes() == table.tobytes()
+    else:
+        assert trace.terms is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 1024])
+def test_batched_consensus_is_the_per_state_norm(n):
+    # metric_record's consensus is one matmul of flattened deviations; it
+    # must stay np.linalg.norm's BLAS dot bit for bit, or trace CSVs move.
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((9, n, 4)) * np.logspace(-8, 8, 9)[:, None, None]
+    z[0] = 0.0
+    z[1] = rng.standard_normal(4)       # exact consensus
+    got = consensus_errors(z)
+    assert got.tobytes() == np.array([consensus_error(zk) for zk in z]).tobytes()
 
 
 def test_term_table_rows_are_the_terms_of_each_state(ring16_problem, ring16_W, z0_16):
@@ -315,7 +440,7 @@ def test_term_table_follows_the_steps_run_not_max_iters(ring16_problem, ring16_W
 
 
 def test_record_without_saddle_point(ring16_problem, z0_16):
-    state = init_state(ring16_problem, z0_16)
-    rec = metric_record(state, step_terms(state, GAMMA, 1.0, 0.5, 16, None), None)
+    state = stack_states([init_state(ring16_problem, z0_16)])
+    [rec] = metric_record(state, step_terms(state, GAMMA, 1.0, 0.5, 16, None), [None])
     assert rec.residual is None and rec.xi_norm_sq is None and rec.lyapunov is None
     assert rec.consensus_error > 0.0

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import reference_impl as ref
-from netsaddle.algorithms import Trace, iterate, run
+from netsaddle.algorithms import Trace, iterate, run, stack_states
 from netsaddle.graph import (accelerated_matrix, build_topology,
                              metropolis_weights, recommended_T)
-from netsaddle.metrics import (field_at_average_sq, max_stepsize, step_terms, term_row,
-                               term_table)
+from netsaddle.metrics import (field_at_average_sq, fill_term_rows, max_stepsize,
+                               step_terms, term_table)
 from netsaddle.problem import BilinearQuadratic
 from netsaddle.verify import (LEMMA_IDS, LemmaCheckReport, check_lemma, check_rho_M,
                               margins_csv_rows, run_all_checks, summary_text)
@@ -83,8 +83,8 @@ def test_homogeneous_fixed_point_all_margins_zero():
     gamma = max_stepsize(prob.smoothness_constant(), W.rho)
     L = prob.smoothness_constant()
     table = term_table(21, 4)
-    for k, state in enumerate(islice(iterate("dogt", prob, W, gamma, np.zeros((4, 4))), 21)):
-        table[k] = term_row(state, step_terms(state, gamma, L, W.rho, 4, np.zeros(4)))
+    stack = stack_states(list(islice(iterate("dogt", prob, W, gamma, np.zeros((4, 4))), 21)))
+    fill_term_rows(table, stack, step_terms(stack, gamma, L, W.rho, 4, np.zeros(4)))
     table["e"], table["E"] = field_at_average_sq(prob, table["zbar"])
     trace = Trace(kind="dogt", gamma=gamma, mu=prob.mu, smoothness=L, rho=W.rho, n=4,
                   problem=prob, mixing=W, z_star=np.zeros(4), records=(),
