@@ -11,8 +11,11 @@ methods, and record_every 1 with record_states, as ``verify`` runs dogt.
 Beside them it records a bare numpy dogt loop (the same arithmetic with no
 library code in it), each method's ratio to that loop, and the time of one
 call of ``gradient_field``, ``W.mix`` and ``metrics.residual`` at the
-config's starting iterate.  The bare loop's final residual must equal the
-library dogt's to 1e-9 relative, or no numbers are written.
+config's starting iterate.  Beside the one-state residual it records the
+residual's cost per state on a stack of STACK states, one ring-16 batch of
+``run()``, which is what the stop rule pays; a checkout whose residual
+takes no stack gets null there.  The bare loop's final residual must equal
+the library dogt's to 1e-9 relative, or no numbers are written.
 
 BASELINE_CHECKOUT is another checkout of this repository, such as a clone
 at an earlier commit.  The two are timed in fresh processes, one per
@@ -50,6 +53,7 @@ SETTINGS = {"record_every_10": {"record_every": 10},
 ITERS = 2000
 REPEATS = 7
 ROUNDS = 5
+STACK = 51      # states in one batch of run() at ring-16
 
 
 def call_us(fn) -> float:
@@ -105,6 +109,11 @@ def measure(src: Path) -> dict:
     us = {key: statistics.median(t) / ITERS * 1e6 for key, t in times.items()}
     bare = us.pop("bare")
     per_iter = {setting: {kind: us[setting, kind] for kind in METHODS} for setting in SETTINGS}
+    stack = np.repeat(z0[None], STACK, axis=0)
+    try:
+        stacked = np.shape(metrics.residual(stack, z_star)) == (STACK,)
+    except TypeError:       # a residual of one state only
+        stacked = False
     return {
         "us_per_iteration_in_run": per_iter,
         "bare_dogt_us_per_iteration": bare,
@@ -112,7 +121,9 @@ def measure(src: Path) -> dict:
                                for setting, row in per_iter.items()},
         "us_per_call": {"gradient_field": call_us(lambda: problem.gradient_field(z0)),
                         "W.mix": call_us(lambda: W.mix(z0)),
-                        "metrics.residual": call_us(lambda: metrics.residual(z0, z_star))},
+                        "metrics.residual": call_us(lambda: metrics.residual(z0, z_star)),
+                        f"metrics.residual_per_state_of_{STACK}": call_us(
+                            lambda: metrics.residual(stack, z_star)) / STACK if stacked else None},
     }
 
 
@@ -133,7 +144,7 @@ def medians(samples: list[dict]):
     """The median over rounds of every number in a nest of dicts."""
     if isinstance(samples[0], dict):
         return {key: medians([s[key] for s in samples]) for key in samples[0]}
-    return statistics.median(samples)
+    return None if samples[0] is None else statistics.median(samples)
 
 
 def main(argv=None) -> int:

@@ -21,9 +21,12 @@ therefore keeps the exact column-average identity mean(r) = mean(G).
 W m is ``MixingMatrix.mix``: the dense product, or a gather over the
 nonzeros of W on sparse graphs.
 
-``iterate`` yields the states of one method, one step at a time; ``run``
-drives it, records the metric rows (and, with ``record_states``, every
-step's terms for the theory checks) and applies the stop rule.
+A step is arithmetic only: it neither checks its result nor sets NumPy's
+error state, so a step from a non-finite state is an ordinary step.  The
+tests of a state (the stop rule and the divergence check) are made on
+stacks of states: ``iterate`` yields the states of one method and checks
+each, a one-state stack, as it goes; ``run`` steps a batch of states,
+then tests and records the whole batch at once.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class AlgoState:
-    """Value-semantic snapshot of one algorithm at one iteration.
+    """Snapshot of one algorithm at one iteration, compared by identity.
 
     Arrays are n x (p+d): current and previous iterates, current and
     previous stacked gradients, and the tracker r = [p, -q].  Baseline
@@ -63,8 +66,10 @@ class AlgoState:
     Successive states share arrays: a step's z_prev and grad_prev are the
     previous state's z and grad, and a baseline step's tracker is the
     previous one.  Every array is float64 and read-only, frozen in place by
-    whoever makes it (``init_state``, ``iterate``, ``_step``), so sharing is
-    safe and no state copies or re-checks its inputs.
+    whoever makes it (``init_state``, ``_states``, ``_step``), so sharing is
+    safe and no state copies or re-checks its inputs.  The class itself is
+    a plain slots dataclass, which is built several times faster than a
+    frozen one: nothing in the package assigns to a state's fields.
     """
 
     z: np.ndarray
@@ -116,33 +121,22 @@ def init_state(problem: BilinearQuadratic, z0) -> AlgoState:
                      iteration=0, comm_rounds=0)
 
 
-def _check_finite(z: np.ndarray, iteration: int) -> None:
-    if not np.isfinite(z).all():
-        raise DivergenceError(iteration)
-
-
 def _step(state: AlgoState, mix, rounds: int, direction, tracking: bool,
           gamma: float, problem: BilinearQuadratic) -> AlgoState:
     """The one update of the family, counting ``rounds`` exchanges.
 
     z+ = mix(z - gamma direction(state)); tracking methods also update
-    r+ = mix(r + G(z+) - G(z)), the others carry r over unchanged.
+    r+ = mix(r + G(z+) - G(z)), the others carry r over unchanged.  Pure
+    arithmetic: a non-finite result is returned like any other, and float
+    overflow warns unless the caller set ``np.errstate``.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if not isinstance(rounds, (int, np.integer)) or rounds < 1:
-        raise ValueError(f"T must be a positive integer, got {rounds!r}")
-    k = state.iteration + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        z_new = _frozen(mix(state.z - gamma * direction(state)))
-        _check_finite(z_new, k)
-        g_new = _frozen(stacked_gradient_field(problem, z_new))
-        r_new = state.tracker
-        if tracking:
-            r_new = _frozen(mix(state.tracker + g_new - state.grad))
-            _check_finite(r_new, k)
-    return AlgoState(z=z_new, z_prev=state.z, grad=g_new, grad_prev=state.grad,
-                     tracker=r_new, iteration=k, comm_rounds=state.comm_rounds + rounds)
+    z_new = _frozen(mix(state.z - gamma * direction(state)))
+    g_new = _frozen(stacked_gradient_field(problem, z_new))
+    r_new = _frozen(mix(state.tracker + g_new - state.grad)) if tracking else state.tracker
+    return AlgoState(z_new, state.z, g_new, state.grad, r_new,
+                     state.iteration + 1, state.comm_rounds + rounds)
 
 
 def _tracked(s: AlgoState) -> np.ndarray:
@@ -180,15 +174,18 @@ def adogt_step(state: AlgoState, W: MixingMatrix, eta: float, T: int, gamma: flo
     Equivalent to dogt_step under accelerated_matrix(W, T); counts T
     communication rounds per iteration.
     """
+    if not isinstance(T, (int, np.integer)) or T < 1:
+        raise ValueError(f"T must be a positive integer, got {T!r}")
     return _step(state, partial(momentum_gossip, W.mix, eta, T), T,
                  _tracked, True, gamma, problem)
 
 
-def iterate(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
-            T: int | None = None):
-    """Yield the states of one method from iteration 0 on, without end.
+def _states(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
+            T: int | None):
+    """Yield the states of one method from iteration 0 on, without end or checks.
 
-    Raises DivergenceError if an iterate becomes non-finite.
+    A step from a non-finite state is taken like any other; the caller sets
+    ``np.errstate`` and tests the states it gets (``_first_nonfinite``).
     """
     if kind not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {kind!r}, expected one of {ALGORITHMS}")
@@ -206,19 +203,56 @@ def iterate(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float
         state = step(state)
 
 
+def _first_nonfinite(z: np.ndarray, tracker: np.ndarray | None = None) -> int | None:
+    """Index of the first state of a stack (K x n x (p+d)) whose z, or tracker
+    when one is given, holds a NaN or an infinity; None if every state is finite."""
+    finite = np.isfinite(z)
+    if tracker is not None:
+        finite &= np.isfinite(tracker)
+    if np.logical_and.reduce(finite, axis=None):     # the common case, in one call
+        return None
+    return int(np.logical_and.reduce(finite, axis=(-2, -1)).argmin())
+
+
+def iterate(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
+            T: int | None = None):
+    """Yield the states of one method from iteration 0 on, without end.
+
+    Raises DivergenceError at the first iterate (or tracker) that is not
+    finite.  The initial state is not checked: a non-finite z0 raises at
+    iteration 1.
+    """
+    states = _states(kind, problem, W, gamma, z0, T)
+    tracking = kind in TRACKING_ALGORITHMS
+    yield next(states)
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = next(states)
+        if _first_nonfinite(state.z[None], state.tracker[None] if tracking else None) is not None:
+            raise DivergenceError(state.iteration)
+        yield state
+
+
+def _stacked(arrays) -> np.ndarray:
+    """Equal-shaped arrays on a new leading axis, in one copy; a lone array as a view."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
+
+
 def stack_states(states) -> AlgoState:
     """Several states as one: each array gains a leading state axis (K x n x (p+d))
     and iteration and comm_rounds become tuples.  The metrics take such a stack
     wherever they take a state."""
-    return AlgoState(**{name: np.stack([getattr(s, name) for s in states])
-                        for name in ("z", "z_prev", "grad", "grad_prev", "tracker")},
+    return AlgoState(*(_stacked([getattr(s, name) for s in states])
+                       for name in ("z", "z_prev", "grad", "grad_prev", "tracker")),
                      iteration=tuple(s.iteration for s in states),
                      comm_rounds=tuple(s.comm_rounds for s in states))
 
 
-# run() evaluates the states it keeps once their stack would reach this many
-# bytes: few enough that the states held stay small, enough to spread each
-# call's fixed cost over many states.
+# run() tests and records its states in batches whose stack of five arrays
+# comes to at most this many bytes: few enough that the states held stay
+# small, enough to spread each call's fixed cost over many states.
 _BATCH_BYTES = 1 << 17
 
 
@@ -234,14 +268,22 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     steps run, not ``max_iters``.  Without a known saddle point the residual
     is unavailable and the run always goes the full ``max_iters``.
 
-    The stop rule takes the residual of every step.  The states to record
-    (with ``record_states``, every state) are kept as they come, sharing
-    their arrays, and evaluated in batches of about _BATCH_BYTES: one
-    ``step_terms`` and one ``metric_record`` call per batch on the stack of
-    its states, which gives the values state-by-state calls would, bit for
-    bit.
+    The states are stepped in batches of about _BATCH_BYTES (51 at ring-16,
+    one at n = 1024), held by reference, since they share their arrays.  A
+    full batch, or one that reaches ``max_iters``, is tested at once: one
+    ``residual`` call on the stacked z for the stop rule, and one finiteness
+    test of the stacked z (and tracker) for divergence.  The first state
+    with residual <= tol ends the run, and the states stepped after it in
+    its batch, at most batch - 1, are dropped.  A non-finite state before
+    that raises.  Then the states to record are evaluated on their stack,
+    one ``step_terms`` and one ``metric_record`` call at a time: with
+    ``record_states`` every state of the batch gets its terms and the
+    recorded ones their records; otherwise the recorded states wait until
+    a batch of them is full, or the run ends.  All of it gives the values
+    state-by-state calls would, bit for bit.
 
-    Raises DivergenceError if an iterate becomes non-finite.
+    Raises DivergenceError at the first non-finite iterate (or tracker)
+    before the stop, as ``iterate`` does.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -264,46 +306,76 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
 
     L = problem.smoothness_constant()
     z_star = problem.saddle_point()
+    tracking = kind in TRACKING_ALGORITHMS
     n, width = problem.n, problem.p + problem.d
     batch = max(1, _BATCH_BYTES // (5 * 8 * n * width))     # five float64 arrays a state
     table = metrics.term_table(1, width) if record_states else None
     records = []
-    kept = []       # (state, its residual, whether it is recorded), not yet evaluated
+    pending = []    # (state, residual) of states to record, not yet evaluated
 
-    def evaluate():
+    def evaluate(kept) -> bool:
+        """Test a batch of consecutive states and record those it keeps; whether
+        one of them met the stop rule, after which ``kept`` ends with it."""
         nonlocal table
-        states, residuals, recorded = zip(*kept)
-        kept.clear()
-        stack = stack_states(states)
-        terms = metrics.step_terms(stack, gamma, L, rho_eff, n, z_star)
+        z = _stacked([s.z for s in kept])
+        residuals, stop = None, False
+        if z_star is not None:
+            residuals = metrics.residual(z, z_star)
+            hits = (residuals <= tol).nonzero()[0]
+            if len(hits):
+                stop = True
+                del kept[hits[0] + 1:]
+        first = 1 if kept[0].iteration == 0 else 0      # z0 itself is not checked
+        if len(kept) > first:
+            bad = _first_nonfinite(z[first:len(kept)], _stacked(
+                [s.tracker for s in kept[first:]]) if tracking else None)
+            if bad is not None:
+                raise DivergenceError(kept[first + bad].iteration)
+        # The record grid, and the final state: the stop or max_iters.
+        final = stop or kept[-1].iteration == max_iters
+        rows = list(range(-kept[0].iteration % record_every, len(kept), record_every))
+        if final and kept[-1].iteration % record_every:
+            rows.append(len(kept) - 1)
+        recorded = [None] * len(rows) if residuals is None else residuals[rows].tolist()
         if record_states:       # the states of iterations first..last, every one
-            first, last = stack.iteration[0], stack.iteration[-1]
+            stack = stack_states(kept)
+            terms = metrics.step_terms(stack, gamma, L, rho_eff, n, z_star)
+            start, last = kept[0].iteration, kept[-1].iteration
             while last >= len(table):
                 table = np.concatenate([table, np.empty_like(table)])
-            metrics.fill_term_rows(table[first:last + 1], stack, terms)
-        records.extend(rec for rec, keep in zip(
-            metrics.metric_record(stack, terms, residuals), recorded) if keep)
+            metrics.fill_term_rows(table[start:last + 1], stack, terms)
+            if 0 < len(rows) < len(kept):   # the recorded rows of the batch's terms
+                stack = stack_states([kept[i] for i in rows])
+                terms = {name: column[rows] for name, column in terms.items()}
+            if rows:
+                records.extend(metrics.metric_record(stack, terms, recorded))
+            return stop
+        # Without the table, the states to record wait across batches until
+        # a batch of them is full, so a sparse record grid costs few calls.
+        pending.extend(zip([kept[i] for i in rows], recorded))
+        if pending and (len(pending) >= batch or final):
+            states, recorded = zip(*pending)
+            pending.clear()
+            stack = stack_states(states)
+            terms = metrics.step_terms(stack, gamma, L, rho_eff, n, z_star)
+            records.extend(metrics.metric_record(stack, terms, list(recorded)))
+        return stop
 
     reason = "max_iters"
-    # Divergence is detected by explicit isfinite checks inside the step
-    # functions; float overflow on the way there is expected, not noise.
+    # States are tested after they are stepped, so float overflow on the way
+    # to a non-finite one is expected, not noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for state in iterate(kind, problem, W, gamma, z0, T):
-            k = state.iteration
-            res = None if z_star is None else metrics.residual(state.z, z_star)
-            stop = res is not None and res <= tol
-            recorded = stop or k % record_every == 0 or k == max_iters
-            if recorded or record_states:
-                kept.append((state, res, recorded))
-                if len(kept) == batch:
-                    evaluate()
-            if stop:
-                reason = "tol_reached"
-                break
-            if k == max_iters:
-                break
-        if kept:
-            evaluate()
+        kept = []
+        for state in _states(kind, problem, W, gamma, z0, T):
+            kept.append(state)
+            if len(kept) == batch or state.iteration == max_iters:
+                if evaluate(kept):
+                    reason = "tol_reached"
+                    break
+                if state.iteration == max_iters:
+                    break
+                kept = []
+        state = kept[-1]
         if record_states:
             table = table[:state.iteration + 1]
             table["e"], table["E"] = metrics.field_at_average_sq(problem, table["zbar"])

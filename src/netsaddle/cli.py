@@ -11,6 +11,7 @@ and LF line endings, so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -374,13 +375,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The float columns of a trace CSV, after iteration and comm_rounds.
+_TRACE_COLUMNS = ("residual", "consensus_error", "tracking_error", "xi_norm_sq", "lyapunov")
+
+
 def write_trace_csv(path: Path, trace: Trace) -> None:
-    lines = [CSV_HEADER]
-    for rec in trace.records:
-        lines.append(",".join([
-            str(rec.iteration), str(rec.comm_rounds), _fmt(rec.residual),
-            _fmt(rec.consensus_error), _fmt(rec.tracking_error),
-            _fmt(rec.xi_norm_sq), _fmt(rec.lyapunov)]))
+    """One row per record, each formatted by one %-format string.
+
+    A column is None in every record of a trace or in none (no saddle point,
+    or no Lyapunov weights at rho >= 1), so the first record decides which
+    columns stay empty.  '%.17g' % x is f"{x:.17g}", inf and nan included.
+    """
+    first = trace.records[0]
+    known = [name for name in _TRACE_COLUMNS if getattr(first, name) is not None]
+    row = ",".join(["%d", "%d", *("%.17g" if name in known else "" for name in _TRACE_COLUMNS)])
+    values = operator.attrgetter("iteration", "comm_rounds", *known)
+    lines = [CSV_HEADER, *(row % values(rec) for rec in trace.records)]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 

@@ -74,9 +74,10 @@ def _mean(a: np.ndarray, axis: int = -2, keepdims: bool = False):
     return np.add.reduce(a, axis=axis, keepdims=keepdims) / a.shape[axis]
 
 
-def residual(z: np.ndarray, z_star: np.ndarray) -> float:
-    """(1/n) ||z - 1 z*||^2, squared distance of all rows to the saddle."""
-    return float(_sq(z - z_star)) / z.shape[0]
+def residual(z: np.ndarray, z_star: np.ndarray):
+    """(1/n) ||z - 1 z*||^2, squared distance of all rows to the saddle; on a
+    stack of iterates (K x n x (p+d)), one value per state."""
+    return _sq(z - z_star) / z.shape[-2]
 
 
 def consensus_error(z: np.ndarray) -> float:

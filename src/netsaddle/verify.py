@@ -202,6 +202,9 @@ def summary_text(reports) -> str:
 
 
 def margins_csv_rows(reports) -> list[str]:
-    """Machine-readable rows: lemma_id,iteration,margin."""
-    return ["lemma_id,iteration,margin", *(f"{rep.lemma_id},{k},{margin:.17g}"
-                                           for rep in reports for k, margin in rep.margins)]
+    """Machine-readable rows: lemma_id,iteration,margin, one %-format per report."""
+    rows = ["lemma_id,iteration,margin"]
+    for rep in reports:
+        row = rep.lemma_id + ",%d,%.17g"
+        rows += [row % step for step in rep.margins]
+    return rows

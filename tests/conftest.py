@@ -32,7 +32,10 @@ def z0_16():
 
 @pytest.fixture()
 def batch_sizes(monkeypatch):
-    """The number of states in each batch that run() evaluates, filled as it runs."""
+    """The number of states in each ``metric_record`` call of run(), filled as
+    it runs.  A call gets recorded states only: with ``record_states``
+    those of one batch, otherwise up to a batch of them gathered across
+    batches."""
     from netsaddle import metrics
     sizes = []
     record = metrics.metric_record

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import reference_impl as ref
+from netsaddle import algorithms
 from netsaddle.algorithms import (DivergenceError, adogt_step, dgda_step,
                                   dogda_step, dogt_step, init_state, iterate, run)
 from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (CSRMix, MixingMatrix, accelerated_matrix,
                              acceleration_momentum, build_topology,
                              metropolis_weights)
+from netsaddle.metrics import residual
 from netsaddle.problem import BilinearQuadratic, make_bilinear_quadratic
 
 # Pinned by the straight-line oracle in reference_impl.py on the shared
@@ -342,14 +344,23 @@ def test_run_validation_errors(ring16_problem, ring16_W, z0_16):
 
 
 def test_divergence_raises_with_iteration(ring16_problem, ring16_W, z0_16):
+    # A step is arithmetic only and returns a non-finite state like any
+    # other; stepped by hand, the first non-finite state is where run() and
+    # iterate() raise.
     state = replace(init_state(ring16_problem, z0_16), tracker=np.zeros((16, 4)))
-    with pytest.raises(DivergenceError) as by_hand:
-        while True:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2000):
             state = dgda_step(state, ring16_W, 10.0, ring16_problem)
-    assert by_hand.value.iteration == state.iteration + 1
+            if not np.isfinite(state.z).all():
+                break
+    assert not np.isfinite(state.z).all() and state.iteration == 309
     with pytest.raises(DivergenceError) as err:
         run("dgda", ring16_problem, ring16_W, 10.0, z0_16, max_iters=2000, tol=0.0)
-    assert err.value.iteration == by_hand.value.iteration
+    assert err.value.iteration == 309
+    with pytest.raises(DivergenceError) as err:
+        for _ in islice(iterate("dgda", ring16_problem, ring16_W, 10.0, z0_16), 2001):
+            pass
+    assert err.value.iteration == 309
 
 
 def test_divergence_inside_a_batch_of_recorded_states(ring16_problem, ring16_W, z0_16,
@@ -366,6 +377,150 @@ def test_divergence_inside_a_batch_of_recorded_states(ring16_problem, ring16_W, 
     sizes = batch_sizes
     assert len(sizes) > 1 and set(sizes) == {sizes[0]}
     assert 0 < err.value.iteration - sum(sizes) < sizes[0]     # states left waiting
+
+
+# ---------------------------------------------------------------------------
+# run() tests a batch of states at once; each result is that of stepping one
+# state at a time
+
+
+def ring16_batch(z0):
+    """States a batch of run() holds at this size of state (51 at ring-16)."""
+    return max(1, algorithms._BATCH_BYTES // (5 * z0.nbytes))
+
+
+def stepwise_final(kind, problem, W, gamma, z0, max_iters, tol, T=None):
+    """The state a run driven one state at a time ends on: iterate() checks
+    each state as it is stepped, and the stop rule is applied to each."""
+    z_star = problem.saddle_point()
+    for state in iterate(kind, problem, W, gamma, z0, T):
+        if residual(state.z, z_star) <= tol or state.iteration == max_iters:
+            return state
+
+
+def poisoned(monkeypatch, name, at, field, value):
+    """Swap the step function ``name`` on the module for one whose state at
+    iteration ``at`` has ``field`` filled with ``value``; the states after
+    it are stepped from there as usual."""
+    original = getattr(algorithms, name)
+
+    def step(state, *args):
+        new = original(state, *args)
+        if new.iteration == at:
+            bad = np.full_like(getattr(new, field), value)
+            bad.setflags(write=False)
+            new = replace(new, **{field: bad})
+        return new
+
+    monkeypatch.setattr(algorithms, name, step)
+
+
+def counted_steps(monkeypatch, name):
+    """Count the calls of the step function ``name`` in the list returned."""
+    calls, original = [], getattr(algorithms, name)
+
+    def step(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(algorithms, name, step)
+    return calls
+
+
+def test_divergence_among_unrecorded_states(ring16_problem, ring16_W, z0_16):
+    # dgda at gamma 10 first goes non-finite at 309, inside the batch
+    # 306..356 and off the record grid.
+    with pytest.raises(DivergenceError) as by_iterate:
+        for _ in islice(iterate("dgda", ring16_problem, ring16_W, 10.0, z0_16), 2001):
+            pass
+    with pytest.raises(DivergenceError) as err:
+        run("dgda", ring16_problem, ring16_W, 10.0, z0_16, max_iters=2000, tol=0.0,
+            record_every=10)
+    batch = ring16_batch(z0_16)
+    assert err.value.iteration == by_iterate.value.iteration == 309
+    assert 309 % batch != 0 and 309 % 10 != 0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_divergence_of_the_tracker_alone(value, ring16_problem, ring16_W, z0_16,
+                                         monkeypatch):
+    # z of state 100 stays finite; its tracker does not, which is a divergence
+    # at 100 (z follows at 101).
+    poisoned(monkeypatch, "dogt_step", 100, "tracker", value)
+    with pytest.raises(DivergenceError) as by_iterate:
+        for state in islice(iterate("dogt", ring16_problem, ring16_W, GAMMA, z0_16), 201):
+            assert np.isfinite(state.z).all()
+    with pytest.raises(DivergenceError) as err:
+        run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=200, tol=0.0,
+            record_every=10)
+    assert err.value.iteration == by_iterate.value.iteration == 100
+
+
+@pytest.mark.parametrize("record_states", [False, True])
+def test_stop_wins_over_a_later_divergence_in_its_batch(record_states, ring16_problem,
+                                                        ring16_W, z0_16, monkeypatch):
+    # dogt reaches tol 1e-10 at 838, inside the batch 816..866; run() has
+    # stepped past it, and a non-finite state 839 must not raise.
+    args = dict(max_iters=5000, tol=1e-10, record_every=7, record_states=record_states)
+    clean = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, **args)
+    assert clean.iterations == 838
+    poisoned(monkeypatch, "dogt_step", 839, "z", np.nan)
+    trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, **args)
+    final = stepwise_final("dogt", ring16_problem, ring16_W, GAMMA, z0_16, 5000, 1e-10)
+    assert trace.reason == "tol_reached"
+    assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
+    assert trace.records == clean.records
+    if record_states:
+        assert trace.terms.tobytes() == clean.terms.tobytes()
+    # The same state poisoned at the stop itself is a divergence there.
+    poisoned(monkeypatch, "dogt_step", 838, "z", np.nan)
+    with pytest.raises(DivergenceError) as err:
+        run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, **args)
+    assert err.value.iteration == 838
+
+
+def test_a_nonfinite_start_raises_at_iteration_1(ring16_problem, ring16_W, z0_16):
+    z0 = z0_16.copy()
+    z0[3, 1] = np.inf
+    with pytest.raises(DivergenceError) as by_iterate:
+        for _ in islice(iterate("dogt", ring16_problem, ring16_W, GAMMA, z0), 10):
+            pass
+    with pytest.raises(DivergenceError) as err:
+        run("dogt", ring16_problem, ring16_W, GAMMA, z0, max_iters=100, tol=1e-10)
+    assert err.value.iteration == by_iterate.value.iteration == 1
+
+
+@pytest.mark.parametrize("kind,T,max_iters,tol", [
+    ("dogt", None, 5000, 1e-10),    # a tol stop at 838, inside a batch
+    ("dgda", None, 100, 0.0),       # max_iters inside the second batch
+    ("dogt", None, 102, 0.0),       # max_iters at the end of a batch
+    ("dogt", None, 100, np.inf),    # a tol stop at iteration 0
+    ("adogt", 4, 5000, 1e-10),
+])
+def test_steps_taken_past_a_stop_are_bounded(kind, T, max_iters, tol, ring16_problem,
+                                             ring16_W, z0_16, monkeypatch):
+    calls = counted_steps(monkeypatch, f"{kind}_step")
+    trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16, max_iters=max_iters,
+                tol=tol, record_every=10, T=T)
+    final = stepwise_final(kind, ring16_problem, ring16_W, GAMMA, z0_16, max_iters, tol, T)
+    assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
+    steps = len(calls) - final.iteration      # iterate() above stepped this many
+    assert trace.iterations <= steps <= max_iters
+    assert steps - trace.iterations < ring16_batch(z0_16)
+    if trace.reason == "max_iters":
+        assert steps == max_iters
+
+
+def test_one_state_batches_step_no_further_than_the_stop(monkeypatch):
+    # At a batch of one state (a budget below one state's arrays), run()
+    # steps exactly as far as it goes.
+    monkeypatch.setattr(algorithms, "_BATCH_BYTES", 1)
+    prob = make_bilinear_quadratic(16, 2, 2, 0.1, seed=7, zero_sum_centers=True)
+    W = metropolis_weights(build_topology("ring", 16))
+    z0 = np.random.default_rng(8).standard_normal((16, 4))
+    calls = counted_steps(monkeypatch, "dogt_step")
+    trace = run("dogt", prob, W, GAMMA, z0, max_iters=5000, tol=1e-10, record_every=10)
+    assert trace.reason == "tol_reached" and len(calls) == trace.iterations == 838
 
 
 RING16_DOGT = Path(__file__).resolve().parents[1] / "configs" / "ring16_dogt.yaml"

@@ -1,4 +1,6 @@
 from collections import Counter
+from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -444,6 +446,27 @@ def test_trace_csv_without_saddle_point(tmp_path):
         cells = ln.split(",")
         assert cells[2] == "" and cells[5] == "" and cells[6] == ""  # residual, xi, lyapunov
         assert cells[3] != "" and cells[4] != ""                     # consensus, tracking
+
+
+@pytest.mark.parametrize("saddle,lyapunov", [(True, True), (True, False), (False, False)])
+def test_trace_csv_rows_are_the_fields_formatted_one_by_one(saddle, lyapunov, tmp_path):
+    # Each row is one %-format string; it must write what formatting each
+    # field on its own writes, for every kind of float.
+    from netsaddle.cli import _fmt, write_trace_csv
+    from netsaddle.metrics import MetricRecord
+    values = [0.0, -0.0, 1.0, 1 / 3, 5e-324, 1.7976931348623157e308, 1e16, 1e-5,
+              float("inf"), float("-inf"), float("nan"), 2.5e-11]
+    records = [MetricRecord(iteration=10 * k, comm_rounds=40 * k,
+                            residual=v if saddle else None, consensus_error=-v,
+                            tracking_error=v * 3, xi_norm_sq=v / 7 if saddle else None,
+                            lyapunov=v if lyapunov else None)
+               for k, v in enumerate(values)]
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, SimpleNamespace(records=tuple(records)))
+    expected = [CSV_HEADER, *(",".join([str(r.iteration), str(r.comm_rounds),
+                                        *(_fmt(v) for v in astuple(r)[2:])])
+                              for r in records)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,25 @@ def test_residual_zero_at_consensus_on_saddle():
     assert residual(z, z_star) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 16, 100, 1024])
+def test_residual_of_a_stack_is_the_per_state_residual(n):
+    # The stop rule takes one residual per batch, on the stacked z; each
+    # value must be that of the state's own call, bit for bit, non-finite
+    # states included.
+    rng = np.random.default_rng(n)
+    z_star = rng.standard_normal(4)
+    z = rng.standard_normal((9, n, 4)) * np.logspace(-8, 8, 9)[:, None, None]
+    z[0] = z_star                       # on the saddle point
+    z[1, 0, 0] = np.inf
+    z[2, -1, 3] = np.nan
+    z[3] = 1e200                        # finite, but its square overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = residual(z, z_star)
+        each = np.array([residual(zk, z_star) for zk in z])
+    assert got.shape == (9,) and got.tobytes() == each.tobytes()
+    assert got[0] == 0.0 and got[1] == got[3] == np.inf and np.isnan(got[2])
+
+
 def test_consensus_error_zero_for_common_row():
     z = np.tile(np.array([3.0, 4.0]), (5, 1))
     assert consensus_error(z) == 0.0

@@ -1,3 +1,4 @@
+import math
 from itertools import islice
 
 import numpy as np
@@ -234,6 +235,18 @@ def test_margins_csv_rows_schema(compliant_trace):
     assert lemma_id in LEMMA_IDS
     int(iteration)
     float(margin)
+
+
+def test_margins_csv_rows_are_the_margins_formatted_one_by_one():
+    margins = [0.0, -0.0, 1 / 3, -2.5e-300, 5e-324, float("inf"), float("-inf"),
+               float("nan")]
+    reports = [LemmaCheckReport("L1_iterate_gap", tuple(enumerate(margins)), -math.inf,
+                                "failed"),
+               LemmaCheckReport("T1_lyapunov", ((7, 1e16),), 1e16, "passed")]
+    assert margins_csv_rows(reports) == [
+        "lemma_id,iteration,margin",
+        *(f"L1_iterate_gap,{k},{m:.17g}" for k, m in enumerate(margins)),
+        "T1_lyapunov,7,10000000000000000"]
 
 
 def test_report_from_sides_derives_failure():
