@@ -11,11 +11,19 @@ methods, and record_every 1 with record_states, as ``verify`` runs dogt.
 Beside them it records a bare numpy dogt loop (the same arithmetic with no
 library code in it), each method's ratio to that loop, and the time of one
 call of ``gradient_field``, ``W.mix`` and ``metrics.residual`` at the
-config's starting iterate.  Beside the one-state residual it records the
+config's starting iterate, and of ``stacked_gradient_field``, the field as a
+step calls it.  Beside the one-state residual it records the
 residual's cost per state on a stack of STACK states, one ring-16 batch of
 ``run()``, which is what the stop rule pays; a checkout whose residual
 takes no stack gets null there.  The bare loop's final residual must equal
 the library dogt's to 1e-9 relative, or no numbers are written.
+
+It also runs each method as ``compare`` runs it (COMPARE: tol 1e-10 and
+10000 iterations, record_every 10) and records the wall time of that
+``run`` call, its trace's iterations and the number of steps it actually
+took, counted by wrapping the step function on the module.  Those differ
+where ``run`` stops stepping at a fixed point (dgda and dogda) or steps
+past a tol stop within its last batch (dogt and adogt).
 
 BASELINE_CHECKOUT is another checkout of this repository, such as a clone
 at an earlier commit.  The two are timed in fresh processes, one per
@@ -51,6 +59,7 @@ METHODS = ("dgda", "dogda", "dogt", "adogt")
 SETTINGS = {"record_every_10": {"record_every": 10},
             "record_every_1_record_states": {"record_every": 1, "record_states": True}}
 ITERS = 2000
+COMPARE = {"max_iters": 10000, "tol": 1e-10, "record_every": 10}
 REPEATS = 7
 ROUNDS = 5
 STACK = 51      # states in one batch of run() at ring-16
@@ -81,6 +90,24 @@ def bare_dogt(problem, W: np.ndarray, gamma: float, z0: np.ndarray, iters: int):
     return z
 
 
+def steps_taken(algorithms, kind: str, job) -> int:
+    """The step calls one call of ``job`` makes, counted by wrapping ``kind``'s
+    step function on the module, where ``run`` looks it up."""
+    name, calls = f"{kind}_step", []
+    original = getattr(algorithms, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    setattr(algorithms, name, counted)
+    try:
+        job()
+    finally:
+        setattr(algorithms, name, original)
+    return len(calls)
+
+
 def measure(src: Path) -> dict:
     """The numbers of the netsaddle in ``src``, timed in this process."""
     sys.path.insert(0, str(src))
@@ -93,6 +120,9 @@ def measure(src: Path) -> dict:
     jobs = {(setting, kind): partial(algorithms.run, kind, problem, W, algos[kind].gamma, z0,
                                      max_iters=ITERS, tol=0.0, T=algos[kind].T, **kwargs)
             for setting, kwargs in SETTINGS.items() for kind in METHODS}
+    jobs.update({("compare", kind): partial(algorithms.run, kind, problem, W, algos[kind].gamma,
+                                            z0, T=algos[kind].T, **COMPARE)
+                 for kind in METHODS})
     jobs["bare"] = partial(bare_dogt, problem, np.array(W.W), algos["dogt"].gamma, z0, ITERS)
     z_star = problem.saddle_point()
     bare = metrics.residual(jobs["bare"](), z_star)
@@ -106,6 +136,10 @@ def measure(src: Path) -> dict:
             start = time.perf_counter()
             job()
             times[key].append(time.perf_counter() - start)
+    compare = {kind: {"ms_per_run": statistics.median(times.pop(("compare", kind))) * 1e3,
+                      "iterations": jobs["compare", kind]().iterations,
+                      "steps_taken": steps_taken(algorithms, kind, jobs["compare", kind])}
+               for kind in METHODS}
     us = {key: statistics.median(t) / ITERS * 1e6 for key, t in times.items()}
     bare = us.pop("bare")
     per_iter = {setting: {kind: us[setting, kind] for kind in METHODS} for setting in SETTINGS}
@@ -116,10 +150,13 @@ def measure(src: Path) -> dict:
         stacked = False
     return {
         "us_per_iteration_in_run": per_iter,
+        "compare_runs": compare,
         "bare_dogt_us_per_iteration": bare,
         "ratio_to_bare_dogt": {setting: {kind: us / bare for kind, us in row.items()}
                                for setting, row in per_iter.items()},
         "us_per_call": {"gradient_field": call_us(lambda: problem.gradient_field(z0)),
+                        "stacked_gradient_field": call_us(
+                            lambda: algorithms.stacked_gradient_field(problem, z0)),
                         "W.mix": call_us(lambda: W.mix(z0)),
                         "metrics.residual": call_us(lambda: metrics.residual(z0, z_star)),
                         f"metrics.residual_per_state_of_{STACK}": call_us(
@@ -170,7 +207,9 @@ def main(argv=None) -> int:
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },
-        "config": "configs/ring16_compare.yaml, every method run at tol 0",
+        "config": "configs/ring16_compare.yaml, every method run at tol 0, and in "
+                  "compare_runs as compare runs it",
+        "compare_run": COMPARE,
         "iterations_per_run": ITERS,
         "rounds": ROUNDS,
         "checkouts": {name: {"commit": commit(checkouts[name]), **medians(rows)}
@@ -181,6 +220,9 @@ def main(argv=None) -> int:
     result["speedup_over_baseline"] = {
         setting: {kind: base[setting][kind] / this[setting][kind] for kind in METHODS}
         for setting in SETTINGS}
+    result["compare_speedup_over_baseline"] = {
+        kind: result["checkouts"]["baseline"]["compare_runs"][kind]["ms_per_run"]
+        / result["checkouts"]["this"]["compare_runs"][kind]["ms_per_run"] for kind in METHODS}
     (ROOT / "BENCH_hotloop.json").write_text(json.dumps(result, indent=2) + "\n")
     return 0
 

@@ -26,12 +26,14 @@ error state, so a step from a non-finite state is an ordinary step.  The
 tests of a state (the stop rule and the divergence check) are made on
 stacks of states: ``iterate`` yields the states of one method and checks
 each, a one-state stack, as it goes; ``run`` steps a batch of states,
-then tests and records the whole batch at once.
+then tests and records the whole batch at once, and stops stepping at a
+fixed point of the step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -87,7 +89,10 @@ class Trace:
 
     ``terms`` (with ``record_states``) is a ``metrics.term_table`` whose row
     k holds iteration k's B, C, D, ||Xi||^2, V, e, E and zbar, computed with
-    the run's own gamma, L and rho; None otherwise.
+    the run's own gamma, L and rho; None otherwise.  ``fixed_point`` is the
+    first iteration whose state equals the state before it, bit for bit,
+    when ``run`` found one and stopped stepping there; None otherwise.  It
+    is not written to any output file.
     """
 
     kind: str
@@ -106,6 +111,7 @@ class Trace:
     comm_rounds: int
     T: int | None = None
     eta: float | None = None
+    fixed_point: int | None = None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -250,6 +256,24 @@ def stack_states(states) -> AlgoState:
                      comm_rounds=tuple(s.comm_rounds for s in states))
 
 
+def _same_arrays(a: AlgoState, b: AlgoState) -> bool:
+    """Whether two states hold the same five arrays bit for bit, compared as
+    int64 so that -0.0 and +0.0 differ."""
+    return all(np.array_equal(getattr(a, name).view(np.int64), getattr(b, name).view(np.int64))
+               for name in ("z", "z_prev", "grad", "grad_prev", "tracker"))
+
+
+def _fixed_point(states, residuals) -> int | None:
+    """The first iteration whose state equals the one before it, when the
+    last two of ``states`` (consecutive, each with its residual) are equal;
+    None otherwise.  Equal states have equal residuals, so a pair's arrays
+    are compared only where its residuals agree."""
+    k = len(states) - 1
+    while k > 0 and residuals[k] == residuals[k - 1] and _same_arrays(states[k], states[k - 1]):
+        k -= 1
+    return None if k == len(states) - 1 else states[k].iteration + 1
+
+
 # run() tests and records its states in batches whose stack of five arrays
 # comes to at most this many bytes: few enough that the states held stay
 # small, enough to spread each call's fixed cost over many states.
@@ -264,8 +288,8 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     Metrics are recorded at iteration 0, every ``record_every`` iterations,
     and at the final iterate.  ``record_states`` keeps every step's terms in
     ``Trace.terms`` for the theory checks: a few floats per step whatever n
-    is, in a table that doubles as steps arrive, so its size follows the
-    steps run, not ``max_iters``.  Without a known saddle point the residual
+    is, in a table that doubles as steps arrive, so a run that stops early
+    does not pay for ``max_iters``.  Without a known saddle point the residual
     is unavailable and the run always goes the full ``max_iters``.
 
     The states are stepped in batches of about _BATCH_BYTES (51 at ring-16,
@@ -281,6 +305,20 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     recorded ones their records; otherwise the recorded states wait until
     a batch of them is full, or the run ends.  All of it gives the values
     state-by-state calls would, bit for bit.
+
+    A step is a pure function of a state's five arrays (``iteration`` and
+    ``comm_rounds`` never enter it), so once a state equals the one before
+    it, bit for bit, every later state holds the same arrays.  After a
+    batch passes both tests, with z* known, ``run`` compares its last state
+    with the one before it: the five arrays as int64, and only when their
+    two residuals are equal, so a batch that moves costs one float
+    comparison.  At a fixed point it stops stepping and finishes the trace
+    from that state: one record and one term row, computed once and copied
+    to the record grid and the final row (and with ``record_states`` to
+    every row of the table), with ``comm_rounds`` growing by the method's
+    rounds per iteration.  ``reason`` stays "max_iters", and
+    ``Trace.fixed_point`` holds the first iteration equal to its
+    predecessor.  Limit cycles of a longer period are stepped through.
 
     Raises DivergenceError at the first non-finite iterate (or tracker)
     before the stop, as ``iterate`` does.
@@ -307,20 +345,34 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     L = problem.smoothness_constant()
     z_star = problem.saddle_point()
     tracking = kind in TRACKING_ALGORITHMS
+    rounds = T if kind == "adogt" else 1
     n, width = problem.n, problem.p + problem.d
+    # z* on every row, so the residual's subtraction is one contiguous loop.
+    z_star_rows = None if z_star is None else np.tile(z_star, (n, 1))
     batch = max(1, _BATCH_BYTES // (5 * 8 * n * width))     # five float64 arrays a state
     table = metrics.term_table(1, width) if record_states else None
     records = []
     pending = []    # (state, residual) of states to record, not yet evaluated
 
-    def evaluate(kept) -> bool:
-        """Test a batch of consecutive states and record those it keeps; whether
-        one of them met the stop rule, after which ``kept`` ends with it."""
+    def flush():
+        """Evaluate the pending states to record, in one stack."""
+        if pending:
+            states, recorded = zip(*pending)
+            pending.clear()
+            stack = stack_states(states)
+            terms = metrics.step_terms(stack, gamma, L, rho_eff, n, z_star)
+            records.extend(metrics.metric_record(stack, terms, list(recorded)))
+
+    def evaluate(kept):
+        """Test a batch of consecutive states and record those it keeps.
+
+        Returns whether one of them met the stop rule, after which ``kept``
+        ends with it, and their residuals (None without z*)."""
         nonlocal table
         z = _stacked([s.z for s in kept])
         residuals, stop = None, False
         if z_star is not None:
-            residuals = metrics.residual(z, z_star)
+            residuals = metrics.residual(z, z_star_rows)
             hits = (residuals <= tol).nonzero()[0]
             if len(hits):
                 stop = True
@@ -349,39 +401,67 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
                 terms = {name: column[rows] for name, column in terms.items()}
             if rows:
                 records.extend(metrics.metric_record(stack, terms, recorded))
-            return stop
+            return stop, residuals
         # Without the table, the states to record wait across batches until
         # a batch of them is full, so a sparse record grid costs few calls.
         pending.extend(zip([kept[i] for i in rows], recorded))
-        if pending and (len(pending) >= batch or final):
-            states, recorded = zip(*pending)
-            pending.clear()
-            stack = stack_states(states)
-            terms = metrics.step_terms(stack, gamma, L, rho_eff, n, z_star)
-            records.extend(metrics.metric_record(stack, terms, list(recorded)))
-        return stop
+        if len(pending) >= batch or final:
+            flush()
+        return stop, residuals
 
-    reason = "max_iters"
+    def fast_forward(state, res: float) -> None:
+        """Record iterations state.iteration + 1 .. max_iters, whose states all
+        hold the arrays of ``state``, from its one record."""
+        flush()
+        last = state.iteration
+        grid = list(range(last + record_every - last % record_every, max_iters + 1,
+                          record_every))
+        if not grid or grid[-1] != max_iters:
+            grid.append(max_iters)
+        stack = stack_states([state])
+        terms = metrics.step_terms(stack, gamma, L, rho_eff, n, z_star)
+        (record,) = metrics.metric_record(stack, terms, [res])
+        values = astuple(record)[2:]
+        records.extend(MetricRecord(i, state.comm_rounds + (i - last) * rounds, *values)
+                       for i in grid)
+
+    reason, fixed_point = "max_iters", None
     # States are tested after they are stepped, so float overflow on the way
     # to a non-finite one is expected, not noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        kept = []
+        # The last state tested before this batch, and its residual; before
+        # the first batch none, with a NaN residual, which equals nothing.
+        kept, before, before_residual = [], None, math.nan
         for state in _states(kind, problem, W, gamma, z0, T):
             kept.append(state)
             if len(kept) == batch or state.iteration == max_iters:
-                if evaluate(kept):
+                stop, residuals = evaluate(kept)
+                if stop:
                     reason = "tol_reached"
                     break
                 if state.iteration == max_iters:
                     break
+                if residuals is not None:
+                    if residuals[-1] == (residuals[-2] if len(kept) > 1 else before_residual):
+                        fixed_point = _fixed_point([before, *kept],
+                                                   [before_residual, *residuals.tolist()])
+                        if fixed_point is not None:
+                            fast_forward(state, float(residuals[-1]))
+                            break
+                    before, before_residual = state, residuals[-1]
                 kept = []
         state = kept[-1]
         if record_states:
             table = table[:state.iteration + 1]
             table["e"], table["E"] = metrics.field_at_average_sq(problem, table["zbar"])
+            if fixed_point is not None:     # every later row is the fixed point's
+                table = np.concatenate([table, np.repeat(table[-1:], max_iters - len(table) + 1)])
 
+    iterations, comm_rounds = state.iteration, state.comm_rounds
+    if fixed_point is not None:
+        iterations, comm_rounds = max_iters, comm_rounds + (max_iters - iterations) * rounds
     return Trace(kind=kind, gamma=gamma, mu=problem.mu, smoothness=L,
                  rho=rho_eff, n=n, problem=problem, mixing=W, z_star=z_star,
                  records=tuple(records), terms=table,
-                 reason=reason, iterations=state.iteration,
-                 comm_rounds=state.comm_rounds, T=T, eta=eta)
+                 reason=reason, iterations=iterations,
+                 comm_rounds=comm_rounds, T=T, eta=eta, fixed_point=fixed_point)

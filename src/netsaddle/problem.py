@@ -45,8 +45,10 @@ class BilinearQuadratic:
     mu: float
     seed: int | None = None
     zero_sum: bool = False
-    # gradient_field's row constants, built once: the centers [a b], the
-    # slopes [-mu, +mu], the signs [+1, -1] and the column order [y x].
+    # gradient_field's constants, built once at the full n x (p+d) width, so
+    # each elementwise operation is one contiguous loop: the centers [a b],
+    # the slopes [-mu, +mu], the signs [+1, -1] on every row, and the flat
+    # index of each entry's partner in the column order [y x].
     _centers: np.ndarray = field(init=False, repr=False)
     _slopes: np.ndarray = field(init=False, repr=False)
     _signs: np.ndarray = field(init=False, repr=False)
@@ -68,14 +70,15 @@ class BilinearQuadratic:
                 drift = np.abs(c.sum(axis=0)).max()
                 if drift > 1e-12:
                     raise ValueError(f"zero_sum instance has {name} column sum {drift:.3e}")
-        p = a.shape[1]
+        n, p = a.shape
         ones = np.ones(p)
         mu = self.mu * ones     # float even for an integer mu, so -mu keeps -0.0
+        swap = np.concatenate([np.arange(p, 2 * p), np.arange(p)])
         constants = {"centers_a": a, "centers_b": b,
                      "_centers": np.concatenate([a, b], axis=1),
-                     "_slopes": np.concatenate([-mu, mu]),
-                     "_signs": np.concatenate([ones, -ones]),
-                     "_swap": np.concatenate([np.arange(p, 2 * p), np.arange(p)])}
+                     "_slopes": np.tile(np.concatenate([-mu, mu]), (n, 1)),
+                     "_signs": np.tile(np.concatenate([ones, -ones]), (n, 1)),
+                     "_swap": np.arange(n)[:, None] * (2 * p) + swap}
         for name, value in constants.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -101,10 +104,16 @@ class BilinearQuadratic:
         -(mu (x - a)), y - (-t) is y + t in IEEE arithmetic, and a product
         with -1 is exact negation.
         """
-        z = stacked_array(self, z, batched=True)
+        return self._field(stacked_array(self, z, batched=True))
+
+    def _field(self, z: np.ndarray) -> np.ndarray:
+        """gradient_field of a float64 array of the problem's shape, unchecked."""
         out = z - self._centers
         out *= self._slopes
-        np.subtract(z.take(self._swap, axis=-1), out, out=out)
+        # [y x]: one flat gather over each state's n (p+d) entries.
+        swapped = (z.take(self._swap) if z.ndim == 2
+                   else z.reshape(z.shape[:-2] + (-1,)).take(self._swap, axis=-1))
+        np.subtract(swapped, out, out=out)
         out *= self._signs
         return out
 
@@ -151,5 +160,7 @@ def make_bilinear_quadratic(n: int, p: int, d: int, mu: float, seed: int,
                              zero_sum=zero_sum_centers)
 
 
-def stacked_gradient_field(problem: BilinearQuadratic, z) -> np.ndarray:
-    return problem.gradient_field(z)
+def stacked_gradient_field(problem: BilinearQuadratic, z: np.ndarray) -> np.ndarray:
+    """``problem.gradient_field`` without its shape check, for the float64
+    n x (p+d) arrays a step makes itself."""
+    return problem._field(z)

@@ -129,7 +129,9 @@ def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
     """Evaluate one inequality at every step of a trace recorded with record_states.
 
     The terms, and the constants the inequality is stated in, are the run's
-    own (``Trace.terms``); T2_rho_M only needs the mixing matrix.
+    own (``Trace.terms``); T2_rho_M only needs the mixing matrix.  A run
+    that stopped at iteration 0 has no step to check: its report is
+    precondition-violated.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}, expected one of {LEMMA_IDS}")
@@ -137,9 +139,10 @@ def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
         T = trace.T if trace.T is not None else recommended_T(trace.mixing.rho)
         return check_rho_M(trace.mixing, T)
 
-    if trace.terms is None or len(trace.terms) < 2:
-        raise ValueError("lemma checks need a trace recorded with record_states=True "
-                         "and at least one step")
+    if trace.terms is None:
+        raise ValueError("lemma checks need a trace recorded with record_states=True")
+    if len(trace.terms) < 2:
+        return LemmaCheckReport.precondition_violated(lemma_id, "no steps recorded")
     gamma, L, rho = trace.gamma, trace.smoothness, trace.rho
     limit = _stepsize_limit(lemma_id, L, rho)
     if gamma > limit * (1.0 + 1e-12):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import reference_impl as ref
-from netsaddle import algorithms
-from netsaddle.algorithms import (DivergenceError, adogt_step, dgda_step,
-                                  dogda_step, dogt_step, init_state, iterate, run)
+from netsaddle import algorithms, metrics
+from netsaddle.algorithms import (DivergenceError, adogt_step, dgda_step, dogda_step,
+                                  dogt_step, init_state, iterate, run, stack_states)
 from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (CSRMix, MixingMatrix, accelerated_matrix,
                              acceleration_momentum, build_topology,
@@ -521,6 +521,141 @@ def test_one_state_batches_step_no_further_than_the_stop(monkeypatch):
     calls = counted_steps(monkeypatch, "dogt_step")
     trace = run("dogt", prob, W, GAMMA, z0, max_iters=5000, tol=1e-10, record_every=10)
     assert trace.reason == "tol_reached" and len(calls) == trace.iterations == 838
+
+
+# ---------------------------------------------------------------------------
+# run() stops stepping at a fixed point; the rest of its trace is that of
+# stepping on, bit for bit
+
+
+def unforwarded(kind, problem, W, z0, max_iters, record_every, T=None, record_states=False):
+    """The records, final state and term table of a run to max_iters, from
+    iterate() and per-state step_terms and metric_record: no batch, no
+    fast-forward."""
+    z_star = problem.saddle_point()
+    L = problem.smoothness_constant()
+    rho = accelerated_matrix(W, T).rho if kind == "adogt" else W.rho
+    table = metrics.term_table(max_iters + 1, problem.p + problem.d) if record_states else None
+    records = []
+    for state in islice(iterate(kind, problem, W, GAMMA, z0, T), max_iters + 1):
+        on_grid = state.iteration % record_every == 0 or state.iteration == max_iters
+        if not (on_grid or record_states):
+            continue
+        stack = stack_states([state])
+        terms = metrics.step_terms(stack, GAMMA, L, rho, problem.n, z_star)
+        if record_states:
+            metrics.fill_term_rows(table[state.iteration:state.iteration + 1], stack, terms)
+        if on_grid:
+            records += metrics.metric_record(stack, terms, [float(residual(state.z, z_star))])
+    if record_states:
+        table["e"], table["E"] = metrics.field_at_average_sq(problem, table["zbar"])
+    return records, state, table
+
+
+@pytest.mark.parametrize("kind,T,max_iters,tol,record_every,record_states,fixed_point", [
+    ("dgda", None, 10000, 1e-10, 10, False, 7439),     # as compare runs the baselines
+    ("dogda", None, 10000, 1e-10, 10, False, 2466),
+    ("dogt", None, 6000, 0.0, 7, True, 4773),          # every term row past the fixed point
+    ("adogt", 4, 4000, 0.0, 10, False, 2922),          # T exchanges a step
+])
+def test_fast_forward_equals_stepping_on(kind, T, max_iters, tol, record_every, record_states,
+                                         fixed_point, ring16_problem, ring16_W, z0_16,
+                                         monkeypatch):
+    calls = counted_steps(monkeypatch, f"{kind}_step")
+    trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16, max_iters=max_iters, tol=tol,
+                record_every=record_every, T=T, record_states=record_states)
+    steps = len(calls)
+    assert trace.fixed_point == fixed_point
+    assert fixed_point <= steps < fixed_point + ring16_batch(z0_16)
+    records, final, table = unforwarded(kind, ring16_problem, ring16_W, z0_16, max_iters,
+                                        record_every, T, record_states)
+    assert trace.reason == "max_iters"
+    assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
+    assert trace.comm_rounds == max_iters * (T or 1)
+    assert trace.records == tuple(records)
+    assert repr(trace.records) == repr(tuple(records))     # -0.0 and 0.0 apart
+    if record_states:
+        assert trace.terms.tobytes() == table.tobytes()
+    else:
+        assert trace.terms is None
+
+
+def test_fast_forward_at_one_state_batches(ring16_problem, ring16_W, z0_16, monkeypatch):
+    # A batch of one state is compared with the last state of the batch
+    # before it: run() steps exactly to the fixed point, and the trace is
+    # the one of 51-state batches.
+    args = (ring16_problem, ring16_W, GAMMA, z0_16)
+    wide = run("dgda", *args, max_iters=8000, tol=1e-10, record_every=10)
+    monkeypatch.setattr(algorithms, "_BATCH_BYTES", 1)
+    calls = counted_steps(monkeypatch, "dgda_step")
+    trace = run("dgda", *args, max_iters=8000, tol=1e-10, record_every=10)
+    assert trace.fixed_point == wide.fixed_point == len(calls) == 7439
+    assert repr(trace.records) == repr(wide.records)
+    assert (trace.iterations, trace.comm_rounds) == (wide.iterations, wide.comm_rounds) == (8000,) * 2
+
+
+class _NoSaddle(BilinearQuadratic):
+    def saddle_point(self):
+        return None
+
+
+class _FarSaddle(BilinearQuadratic):
+    """Claims its saddle point at 1, so a run resting at 0 never meets tol 0."""
+
+    def saddle_point(self):
+        return np.ones(self.p + self.d)
+
+
+def resting_at_zero(cls):
+    """dgda from z0 = 0 with every centre at 0: each state is zero."""
+    prob = cls(centers_a=np.zeros((4, 2)), centers_b=np.zeros((4, 2)), mu=0.1)
+    return prob, metropolis_weights(build_topology("ring", 4)), GAMMA, np.zeros((4, 4))
+
+
+def test_a_state_differing_in_the_sign_of_a_zero_is_not_a_fixed_point(monkeypatch):
+    # run() finds the fixed point of the zero state at once.  With the sign
+    # of one zero of z flipped on every other step, successive states have
+    # the same residual but differ in that bit, and run() steps on.
+    calm = run("dgda", *resting_at_zero(_FarSaddle), max_iters=300, tol=0.0)
+    assert calm.fixed_point == 1
+    original = algorithms.dgda_step
+
+    def flipping(state, *args):
+        new = original(state, *args)
+        z = new.z.copy()
+        z[0, 0] = -0.0 if new.iteration % 2 else 0.0
+        z.setflags(write=False)
+        return replace(new, z=z)
+
+    monkeypatch.setattr(algorithms, "dgda_step", flipping)
+    calls = counted_steps(monkeypatch, "dgda_step")
+    trace = run("dgda", *resting_at_zero(_FarSaddle), max_iters=300, tol=0.0)
+    assert trace.fixed_point is None and len(calls) == 300
+    assert {r.residual for r in trace.records} == {4.0}    # (1/n) ||0 - 1||^2
+
+
+@pytest.mark.parametrize("batch_bytes", [algorithms._BATCH_BYTES, 1])
+def test_fast_forward_inside_the_first_batch(batch_bytes, monkeypatch):
+    # The zero state equals state 0 from iteration 1 on: the fixed point is
+    # found in the first batch, which has no state before it.
+    monkeypatch.setattr(algorithms, "_BATCH_BYTES", batch_bytes)
+    prob, W, gamma, z0 = resting_at_zero(_FarSaddle)
+    calls = counted_steps(monkeypatch, "dgda_step")
+    trace = run("dgda", prob, W, gamma, z0, max_iters=300, tol=0.0, record_every=7,
+                record_states=True)
+    batch = max(1, batch_bytes // (5 * z0.nbytes))     # 204 states, or 1
+    assert trace.fixed_point == 1
+    assert len(calls) == max(batch - 1, 1)      # the first batch's steps, or one
+    records, final, table = unforwarded("dgda", prob, W, z0, 300, 7, record_states=True)
+    assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
+    assert repr(trace.records) == repr(tuple(records))
+    assert trace.terms.tobytes() == table.tobytes()
+
+
+def test_no_fast_forward_without_a_saddle_point(monkeypatch):
+    calls = counted_steps(monkeypatch, "dgda_step")
+    trace = run("dgda", *resting_at_zero(_NoSaddle), max_iters=300, tol=0.0)
+    assert trace.fixed_point is None and len(calls) == trace.iterations == 300
 
 
 RING16_DOGT = Path(__file__).resolve().parents[1] / "configs" / "ring16_dogt.yaml"

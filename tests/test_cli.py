@@ -392,6 +392,24 @@ def test_verify_command_noncompliant_gamma_exit(tmp_path, capsys):
     assert "L2_consensus: passed" in checks
 
 
+def test_verify_command_run_with_no_steps(tmp_path, capsys):
+    # tol 1e9 stops the run at iteration 0: the per-step checks have no step
+    # to check, which is their precondition, not a crash.
+    overrides = verify_overrides(gamma=0.1)
+    overrides["run"]["tol"] = 1.0e9
+    path = write_config(tmp_path, overrides)
+    out = tmp_path / "ver"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_PRECONDITION
+    checks = (out / "checks.txt").read_text().splitlines()
+    for lemma_id in ("L1_iterate_gap", "L2_consensus", "L3_tracking",
+                     "L4_optimality_gap", "T1_contraction"):
+        assert f"{lemma_id}: PRECONDITION VIOLATED (no steps recorded)" in checks
+    assert checks[5].startswith("T2_rho_M: passed")
+    rows = (out / "check_margins.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"T2_rho_M"}
+    assert "tol_reached after 0 iterations" in capsys.readouterr().out
+
+
 def test_verify_command_requires_dogt(tmp_path):
     path = write_config(tmp_path, {
         "algorithm": {"name": "dgda", "gamma": "auto"},

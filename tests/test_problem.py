@@ -249,3 +249,30 @@ def test_local_value_closed_form():
 def test_instance_is_immutable(ring16_problem):
     with pytest.raises(ValueError):
         ring16_problem.centers_a[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("n,stack", [(1024, ()), (1024, (3,)), (16, (5,)), (16, (2, 3))])
+def test_full_width_field_is_the_reference_gradients_bit_for_bit(n, stack):
+    # The field's slopes, signs and [y x] gather span all n rows; on one
+    # state and on stacks, at n = 1024 too, it is reference_impl.gradients.
+    prob = make_bilinear_quadratic(n, 2, 2, 0.1, seed=3, zero_sum_centers=False)
+    z = np.random.default_rng(n).standard_normal((*stack, n, 4))
+    gx, gy = ref.gradients(prob.centers_a, prob.centers_b, prob.mu, z[..., :2], z[..., 2:])
+    expected = np.concatenate([gx, -gy], axis=-1)
+    assert_same_bits(prob.gradient_field(z), expected)
+    if stack:   # a broadcast stack, as field_at_average_sq passes it
+        rows = np.broadcast_to(z[(0,) * len(stack)], z.shape)
+        assert_same_bits(prob.gradient_field(rows),
+                         np.broadcast_to(expected[(0,) * len(stack)], z.shape))
+
+
+@pytest.mark.parametrize("n", [1, 16, 1024])
+def test_the_step_field_skips_only_the_shape_check(n):
+    # stacked_gradient_field is the step's field: gradient_field without
+    # the check of its input, which outside callers still get.
+    prob = make_bilinear_quadratic(n, 2, 2, 0.1, seed=5, zero_sum_centers=False)
+    z = np.random.default_rng(n).standard_normal((n, 4))
+    assert stacked_gradient_field(prob, z).tobytes() == prob.gradient_field(z).tobytes()
+    for shape in ((n + 1, 4), (n, 5), (4 * n,)):
+        with pytest.raises(ValueError, match="does not match"):
+            prob.gradient_field(np.zeros(shape))

@@ -154,6 +154,16 @@ def test_check_lemma_requires_states(ring16_problem, ring16_W, z0_16):
         check_lemma(trace, "L1_iterate_gap")
 
 
+def test_check_lemma_on_a_run_with_no_steps(ring16_problem, ring16_W, z0_16):
+    trace = run("dogt", ring16_problem, ring16_W, GAMMA_EXPERIMENT, z0_16,
+                max_iters=10, tol=np.inf, record_states=True)
+    assert trace.iterations == 0 and len(trace.terms) == 1
+    for lemma_id in LEMMA_IDS[:5]:
+        report = check_lemma(trace, lemma_id)
+        assert report.status == "precondition_violated", lemma_id
+        assert report.notes == ("no steps recorded",) and report.margins == ()
+
+
 def test_check_lemma_unknown_id(compliant_trace):
     with pytest.raises(ValueError):
         check_lemma(compliant_trace, "L5_everything")
