@@ -12,7 +12,8 @@ Beside them it records a bare numpy dogt loop (the same arithmetic with no
 library code in it), each method's ratio to that loop, and the time of one
 call of ``gradient_field``, ``W.mix`` and ``metrics.residual`` at the
 config's starting iterate, and of ``stacked_gradient_field``, the field as a
-step calls it.  Beside the one-state residual it records the
+step calls it; each per-call time is stored as its median over rounds with
+its interquartile range.  Beside the one-state residual it records the
 residual's cost per state on a stack of STACK states, one ring-16 batch of
 ``run()``, which is what the stop rule pays; a checkout whose residual
 takes no stack gets null there.  The bare loop's final residual must equal
@@ -66,8 +67,12 @@ STACK = 51      # states in one batch of run() at ring-16
 
 
 def call_us(fn) -> float:
-    """Median time of one call in microseconds, over REPEATS timed batches."""
+    """Median time of one call in microseconds, over REPEATS timed batches.
+
+    A first ``autorange`` only warms the call up (caches, lazily built
+    state) and is discarded; the second sizes the batches."""
     timer = timeit.Timer(fn)
+    timer.autorange()
     number, _ = timer.autorange()
     return statistics.median(timer.repeat(REPEATS, number)) / number * 1e6
 
@@ -184,6 +189,14 @@ def medians(samples: list[dict]):
     return None if samples[0] is None else statistics.median(samples)
 
 
+def spread(samples: list[float | None]) -> dict | None:
+    """The median over rounds of one number and its interquartile range."""
+    if samples[0] is None:
+        return None
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": statistics.median(samples), "iqr": q3 - q1}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -212,7 +225,9 @@ def main(argv=None) -> int:
         "compare_run": COMPARE,
         "iterations_per_run": ITERS,
         "rounds": ROUNDS,
-        "checkouts": {name: {"commit": commit(checkouts[name]), **medians(rows)}
+        "checkouts": {name: {"commit": commit(checkouts[name]), **medians(rows),
+                             "us_per_call": {key: spread([r["us_per_call"][key] for r in rows])
+                                             for key in rows[0]["us_per_call"]}}
                       for name, rows in samples.items()},
     }
     base, this = (result["checkouts"][name]["us_per_iteration_in_run"]

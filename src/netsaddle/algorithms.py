@@ -9,8 +9,10 @@ n x (p+d) arrays; the methods differ only in the direction d and the mix:
   dgda    G(z)                        W m                          no
   dogda   2 G(z) - G(z_prev)          W m                          no
   dogt    r + G(z) - G(z_prev)        W m                          yes
-  adogt   r + G(z) - G(z_prev)        T rounds of momentum gossip  yes
-                                      (= M_T @ m, T exchanges)
+  adogt   r + G(z) - G(z_prev)        M_T m, T exchanges:          yes
+                                      one product by M_T where W
+                                      mixes dense, T rounds of
+                                      momentum gossip where W gathers
 
 G is the sign-flipped stacked gradient field, so primal descent and dual
 ascent are the same subtraction.  Gradients are evaluated at the mixed
@@ -19,7 +21,10 @@ are stated for); the tracker r is seeded with the initial gradients and
 therefore keeps the exact column-average identity mean(r) = mean(G).
 
 W m is ``MixingMatrix.mix``: the dense product, or a gather over the
-nonzeros of W on sparse graphs.
+nonzeros of W on sparse graphs.  M_T m is ``graph.accelerated_mix``: where
+W mixes dense (below a few hundred nodes), the dense M_T that ``run`` builds
+for its rho is applied as one product; where W gathers, no n x n matrix
+enters a step.
 
 A step is arithmetic only: it neither checks its result nor sets NumPy's
 error state, so a step from a non-finite state is an ordinary step.  The
@@ -34,12 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from . import metrics
-from .graph import MixingMatrix, acceleration_momentum, accelerated_matrix, momentum_gossip
+from .graph import MixingMatrix, accelerated_matrix, accelerated_mix, acceleration_momentum
 from .metrics import MetricRecord
 from .problem import BilinearQuadratic, stacked_array, stacked_gradient_field
 
@@ -177,13 +181,15 @@ def adogt_step(state: AlgoState, W: MixingMatrix, eta: float, T: int, gamma: flo
                problem: BilinearQuadratic) -> AlgoState:
     """dogt_step with every exchange run through T momentum-gossip rounds.
 
-    Equivalent to dogt_step under accelerated_matrix(W, T); counts T
-    communication rounds per iteration.
+    Equals dogt_step under accelerated_matrix(W, T, eta) and counts T
+    communication rounds per iteration.  Where W mixes dense, the exchange
+    is one product by that M_T, built once per (W, eta, T) and kept with W,
+    so the two steps agree bit for bit; where W gathers, it is the T rounds
+    of W.mix, which agree with the product up to rounding.
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
-    return _step(state, partial(momentum_gossip, W.mix, eta, T), T,
-                 _tracked, True, gamma, problem)
+    return _step(state, accelerated_mix(W, eta, T), T, _tracked, True, gamma, problem)
 
 
 def _states(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
@@ -338,7 +344,9 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
         if T is None:
             raise ValueError("adogt requires the gossip round count T")
         eta = acceleration_momentum(W.rho)
-        rho_eff = accelerated_matrix(W, T).rho
+        # Where W mixes dense, this M_T stays with W and is the one every
+        # adogt_step of the run applies.
+        rho_eff = accelerated_matrix(W, T, eta).rho
     else:
         T = None
 

@@ -4,7 +4,8 @@ A mixing matrix W encodes one round of neighbor averaging.  Its quality is
 measured by the spectral gap rho = ||W - J||_2^2 (squared spectral norm off
 the consensus direction, J = averaging matrix): smaller rho means faster
 mixing.  The accelerated matrix M_T turns T momentum-boosted gossip rounds
-into a single effective mixing matrix with a much smaller gap.
+into a single effective mixing matrix with a much smaller gap;
+``accelerated_mix`` applies it as one product or as the T rounds.
 
 One round of mixing, m -> W m, costs O(n^2) as a dense product and
 O(nnz) as a gather over the nonzeros of W; ``MixingMatrix.mix`` is
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -172,18 +174,22 @@ class MixingMatrix:
     """Doubly stochastic weight matrix with its cached spectral gap.
 
     ``mix`` is one round of mixing, m -> W m: a CSRMix where ``_gathers``
-    finds the gather cheaper, and the dense W @ m otherwise.
+    finds the gather cheaper, and the dense W @ m otherwise.  Where W mixes
+    dense, ``accelerated_matrix`` keeps each M_T it builds from W here, keyed
+    by (eta, T), so a run and its steps share one.
     """
 
     W: np.ndarray
     rho: float
     mix: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    _accelerated: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "mix", CSRMix(W) if _gathers(W) else W.__matmul__)
+        object.__setattr__(self, "_accelerated", {})
 
     @property
     def n(self) -> int:
@@ -303,19 +309,44 @@ def momentum_gossip(mix, eta: float, T: int, message: np.ndarray) -> np.ndarray:
     return curr
 
 
-def accelerated_matrix(W: MixingMatrix, T: int) -> MixingMatrix:
+def accelerated_matrix(W: MixingMatrix, T: int, eta: float | None = None) -> MixingMatrix:
     """Effective weight matrix of T momentum-gossip rounds.
 
     Two-term recursion M_{t+1} = (1+eta) W M_t - eta M_{t-1} with
-    M_{-1} = M_0 = I and eta = acceleration_momentum(rho_W).  Row and column
-    sums are preserved because W 1 = 1 and the coefficients sum to 1; entries
-    may go negative, which is fine for mixing purposes.
+    M_{-1} = M_0 = I and eta = acceleration_momentum(rho_W) unless given.
+    Row and column sums are preserved because W 1 = 1 and the coefficients
+    sum to 1; entries may go negative, which is fine for mixing purposes.
+
+    Where W mixes dense, the result is kept with W and returned again by
+    later calls with the same eta and T; where W gathers (large n) nothing
+    is kept, so no n x n matrix outlives the call.
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
-    # Dense on every graph: gathering the n x n identity would build an
-    # nnz x n temporary.
-    M = momentum_gossip(W.W.__matmul__, acceleration_momentum(W.rho), T, np.eye(W.n))
-    # Momentum can push rho_M above 1 transiently at off-design T; that is
-    # expected, so only stochasticity and symmetry are enforced here.
-    return MixingMatrix.from_weights(M, tol=1e-10, require_contraction=False)
+    if eta is None:
+        eta = acceleration_momentum(W.rho)
+    M = W._accelerated.get((eta, T))
+    if M is None:
+        # Dense on every graph: gathering the n x n identity would build an
+        # nnz x n temporary.  Momentum can push rho_M above 1 transiently at
+        # off-design T; that is expected, so only stochasticity and symmetry
+        # are enforced here.
+        M = MixingMatrix.from_weights(momentum_gossip(W.W.__matmul__, eta, T, np.eye(W.n)),
+                                      tol=1e-10, require_contraction=False)
+        if not isinstance(W.mix, CSRMix):
+            W._accelerated[eta, T] = M
+    return M
+
+
+def accelerated_mix(W: MixingMatrix, eta: float, T: int) -> Callable[[np.ndarray], np.ndarray]:
+    """m -> M_T m: one exchange of T momentum-gossip rounds at momentum eta.
+
+    Where W mixes dense, this is the ``mix`` of ``accelerated_matrix(W, T,
+    eta)``, one product, with M_T built on the first call and kept with W.
+    Where W gathers, it is T rounds of ``W.mix`` (``momentum_gossip``), so
+    no n x n matrix is built or applied.  The two differ only in rounding:
+    one product sums in another order than T products do.
+    """
+    if isinstance(W.mix, CSRMix):
+        return partial(momentum_gossip, W.mix, eta, T)
+    return accelerated_matrix(W, T, eta).mix

@@ -218,6 +218,53 @@ def test_adogt_equals_dogt_under_accelerated_matrix(ring16_problem, ring16_W, z0
         state = inloop
 
 
+@pytest.mark.parametrize("T", [1, 4])
+@pytest.mark.parametrize("eta", [None, 0.0])
+def test_adogt_is_dogt_under_accelerated_matrix_bit_for_bit(T, eta, ring16_problem, ring16_W,
+                                                            z0_16):
+    # ring-16's W mixes dense, so an adogt exchange is one product by the
+    # very M_T that accelerated_matrix gives for the same eta and T.
+    assert not isinstance(ring16_W.mix, CSRMix)
+    eta_given = acceleration_momentum(ring16_W.rho) if eta is None else eta
+    MT = accelerated_matrix(ring16_W, T, eta)
+    fused = inloop = init_state(ring16_problem, z0_16)
+    for _ in range(10):
+        fused = dogt_step(fused, MT, GAMMA, ring16_problem)
+        inloop = adogt_step(inloop, ring16_W, eta_given, T, GAMMA, ring16_problem)
+        for name in ("z", "z_prev", "grad", "grad_prev", "tracker"):
+            assert np.array_equal(getattr(fused, name), getattr(inloop, name))
+    assert inloop.comm_rounds == T * inloop.iteration == 10 * T
+    trace = run("adogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=30, tol=0.0, T=T)
+    assert trace.comm_rounds == T * trace.iterations
+
+
+def test_gathered_adogt_exchanges_by_2T_rounds(monkeypatch):
+    # Where W gathers, a step's two exchanges are T rounds of W.mix each,
+    # and run() keeps no n x n M_T with W.
+    n, T = 512, 3
+    W = metropolis_weights(build_topology("random", n, seed=1000, edge_probability=0.02))
+    assert isinstance(W.mix, CSRMix)
+    prob = make_bilinear_quadratic(n, 2, 2, 0.1, seed=7, zero_sum_centers=True)
+    z0 = np.random.default_rng(8).standard_normal((n, 4))
+    state = init_state(prob, z0)
+    calls = []
+    gather = CSRMix.__call__
+
+    def counted(self, m):
+        calls.append(None)
+        return gather(self, m)
+
+    monkeypatch.setattr(CSRMix, "__call__", counted)
+    for k in range(1, 4):
+        state = adogt_step(state, W, acceleration_momentum(W.rho), T, GAMMA, prob)
+        assert len(calls) == 2 * T * k
+    assert state.comm_rounds == T * state.iteration
+    trace = run("adogt", prob, W, GAMMA, z0, max_iters=5, tol=0.0, T=T)
+    assert len(calls) == 2 * T * (3 + 5)
+    assert trace.comm_rounds == T * trace.iterations
+    assert W._accelerated == {}
+
+
 @pytest.mark.parametrize("step", [
     dgda_step, dogda_step, dogt_step,
     lambda s, W, g, p: adogt_step(s, W, acceleration_momentum(W.rho), 3, g, p)])
@@ -556,7 +603,7 @@ def unforwarded(kind, problem, W, z0, max_iters, record_every, T=None, record_st
     ("dgda", None, 10000, 1e-10, 10, False, 7439),     # as compare runs the baselines
     ("dogda", None, 10000, 1e-10, 10, False, 2466),
     ("dogt", None, 6000, 0.0, 7, True, 4773),          # every term row past the fixed point
-    ("adogt", 4, 4000, 0.0, 10, False, 2922),          # T exchanges a step
+    ("adogt", 4, 5000, 0.0, 10, False, 4379),          # T exchanges a step, one M_T product
 ])
 def test_fast_forward_equals_stepping_on(kind, T, max_iters, tol, record_every, record_states,
                                          fixed_point, ring16_problem, ring16_W, z0_16,

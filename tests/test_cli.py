@@ -87,6 +87,16 @@ def test_missing_config_file(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("text", ["problem: [1, 2", "graph: {n: 16\n", "a: b: c\n",
+                                  "\tproblem: 1\n"])
+def test_invalid_yaml_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "not valid YAML" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_error_writes_no_files(tmp_path):
     out = tmp_path / "out"
     nan, inf = float("nan"), float("inf")

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import reference_impl as ref
 from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (CSRMix, DisconnectedGraphError, MixingMatrix, Topology,
-                             accelerated_matrix, acceleration_momentum, build_topology,
-                             lazy_max_degree_weights, metropolis_weights,
+                             accelerated_matrix, accelerated_mix, acceleration_momentum,
+                             build_topology, lazy_max_degree_weights, metropolis_weights,
                              recommended_T, spectral_gap)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -294,6 +294,18 @@ def test_accelerated_matrix_zero_momentum_is_power():
     assert W.rho <= 1e-14
     M3 = accelerated_matrix(W, 3)
     assert np.allclose(M3.W, np.linalg.matrix_power(W.W, 3), atol=1e-13)
+
+
+def test_accelerated_matrix_is_kept_where_W_mixes_dense(ring16_W):
+    # One M_T per (eta, T) on a dense W, shared by later calls; a passed eta
+    # builds its own, here W^T at eta 0.
+    eta = acceleration_momentum(ring16_W.rho)
+    M = accelerated_matrix(ring16_W, 4)
+    assert accelerated_matrix(ring16_W, 4, eta) is M
+    assert accelerated_mix(ring16_W, eta, 4) == M.mix
+    W4 = accelerated_matrix(ring16_W, 4, 0.0)
+    assert W4 is not M
+    assert np.allclose(W4.W, np.linalg.matrix_power(ring16_W.W, 4), atol=1e-14)
 
 
 def test_accelerated_matrix_rejects_bad_T(ring16_W):
