@@ -7,13 +7,14 @@ On the ring-16 comparison config (``configs/ring16_compare.yaml``: ring-16,
 p = d = 2, gamma 0.1, adogt at T = 4) it records the microseconds per
 iteration of each method inside ``algorithms.run``, over ITERS iterations
 at tol 0, in two settings: record_every 10, as ``compare`` runs the
-methods, and record_every 1 with record_states, as ``verify`` runs dogt.
-Beside them it records a bare numpy dogt loop (the same arithmetic with no
-library code in it), each method's ratio to that loop, and the time of one
-call of ``gradient_field``, ``W.mix`` and ``metrics.residual`` at the
-config's starting iterate, and of ``stacked_gradient_field``, the field as a
-step calls it; each per-call time is stored as its median over rounds with
-its interquartile range.  Beside the one-state residual it records the
+methods, and record_every 1, as ``verify`` runs dogt (with record_states,
+where the checkout's ``run`` still takes it).  Beside them it records a
+bare numpy dogt loop (the same arithmetic with no library code in it),
+each method's ratio to that loop, and the time of one call of
+``gradient_field``, ``W.mix`` and ``metrics.residual`` at the config's
+starting iterate, and of ``stacked_gradient_field``, the field as a step
+calls it.  Each per-iteration and per-call time, and each ratio, is stored
+as its median over rounds with its interquartile range.  Beside the one-state residual it records the
 residual's cost per state on a stack of STACK states, one ring-16 batch of
 ``run()``, which is what the stop rule pays; a checkout whose residual
 takes no stack gets null there.  The bare loop's final residual must equal
@@ -42,6 +43,7 @@ PINNED_THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_
 os.environ.update(PINNED_THREADS)   # before numpy is imported
 
 import argparse  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -58,7 +60,7 @@ CONFIG = ROOT / "configs" / "ring16_compare.yaml"
 METHODS = ("dgda", "dogda", "dogt", "adogt")
 # name -> keyword arguments of algorithms.run besides max_iters and tol
 SETTINGS = {"record_every_10": {"record_every": 10},
-            "record_every_1_record_states": {"record_every": 1, "record_states": True}}
+            "record_every_1_as_verify": {"record_every": 1}}
 ITERS = 2000
 COMPARE = {"max_iters": 10000, "tol": 1e-10, "record_every": 10}
 REPEATS = 7
@@ -121,10 +123,14 @@ def measure(src: Path) -> dict:
     exp = cli.resolve_experiment(cli.load_config(CONFIG))
     algos = {a.name: a for a in exp.algorithms}
     problem, W, z0 = exp.problem, exp.W, exp.z0
+    # A checkout whose run() keeps verify's terms only with record_states.
+    settings = dict(SETTINGS)
+    if "record_states" in inspect.signature(algorithms.run).parameters:
+        settings["record_every_1_as_verify"] = {"record_every": 1, "record_states": True}
 
     jobs = {(setting, kind): partial(algorithms.run, kind, problem, W, algos[kind].gamma, z0,
                                      max_iters=ITERS, tol=0.0, T=algos[kind].T, **kwargs)
-            for setting, kwargs in SETTINGS.items() for kind in METHODS}
+            for setting, kwargs in settings.items() for kind in METHODS}
     jobs.update({("compare", kind): partial(algorithms.run, kind, problem, W, algos[kind].gamma,
                                             z0, T=algos[kind].T, **COMPARE)
                  for kind in METHODS})
@@ -182,11 +188,10 @@ def measured_in_fresh_process(checkout: Path) -> dict:
     return json.loads(out.stdout)
 
 
-def medians(samples: list[dict]):
-    """The median over rounds of every number in a nest of dicts."""
-    if isinstance(samples[0], dict):
-        return {key: medians([s[key] for s in samples]) for key in samples[0]}
-    return None if samples[0] is None else statistics.median(samples)
+# The numbers stored with their interquartile range over rounds; the others
+# (the compare runs, timed as whole runs) as medians.
+WITH_SPREAD = ("us_per_iteration_in_run", "bare_dogt_us_per_iteration", "ratio_to_bare_dogt",
+               "us_per_call")
 
 
 def spread(samples: list[float | None]) -> dict | None:
@@ -195,6 +200,20 @@ def spread(samples: list[float | None]) -> dict | None:
         return None
     q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": statistics.median(samples), "iqr": q3 - q1}
+
+
+def over_rounds(samples: list, leaf):
+    """``leaf`` of the values over rounds of every number in a nest of dicts."""
+    if isinstance(samples[0], dict):
+        return {key: over_rounds([s[key] for s in samples], leaf) for key in samples[0]}
+    return leaf(samples)
+
+
+def summary(rows: list[dict]) -> dict:
+    """One checkout's numbers over rounds: WITH_SPREAD ones as spreads, the rest as medians."""
+    return {key: over_rounds([r[key] for r in rows],
+                             spread if key in WITH_SPREAD else statistics.median)
+            for key in rows[0]}
 
 
 def main(argv=None) -> int:
@@ -225,15 +244,14 @@ def main(argv=None) -> int:
         "compare_run": COMPARE,
         "iterations_per_run": ITERS,
         "rounds": ROUNDS,
-        "checkouts": {name: {"commit": commit(checkouts[name]), **medians(rows),
-                             "us_per_call": {key: spread([r["us_per_call"][key] for r in rows])
-                                             for key in rows[0]["us_per_call"]}}
+        "checkouts": {name: {"commit": commit(checkouts[name]), **summary(rows)}
                       for name, rows in samples.items()},
     }
     base, this = (result["checkouts"][name]["us_per_iteration_in_run"]
                   for name in ("baseline", "this"))
     result["speedup_over_baseline"] = {
-        setting: {kind: base[setting][kind] / this[setting][kind] for kind in METHODS}
+        setting: {kind: base[setting][kind]["median"] / this[setting][kind]["median"]
+                  for kind in METHODS}
         for setting in SETTINGS}
     result["compare_speedup_over_baseline"] = {
         kind: result["checkouts"]["baseline"]["compare_runs"][kind]["ms_per_run"]

@@ -13,7 +13,7 @@ from .graph import (DisconnectedGraphError, MixingMatrix, Topology,
                     accelerated_matrix, acceleration_momentum, build_topology,
                     lazy_max_degree_weights, metropolis_weights, recommended_T,
                     spectral_gap)
-from .metrics import (MetricRecord, RateReport, consensus_error, fit_linear_rate,
+from .metrics import (RateReport, consensus_error, fit_linear_rate,
                       iteration_complexity, lyapunov_coefficients, max_stepsize,
                       metric_record, optimality_gap_xi, residual,
                       theoretical_contraction)

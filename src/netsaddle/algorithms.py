@@ -31,20 +31,20 @@ error state, so a step from a non-finite state is an ordinary step.  The
 tests of a state (the stop rule and the divergence check) are made on
 stacks of states: ``iterate`` yields the states of one method and checks
 each, a one-state stack, as it goes; ``run`` steps a batch of states,
-then tests and records the whole batch at once, and stops stepping at a
-fixed point of the step.
+tests the whole batch at once, fills the rows of the states it records
+into its one record table (``metrics.record_table``), and stops stepping at
+a fixed point of the step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import metrics
 from .graph import MixingMatrix, accelerated_matrix, accelerated_mix, acceleration_momentum
-from .metrics import MetricRecord
 from .problem import BilinearQuadratic, stacked_array, stacked_gradient_field
 
 ALGORITHMS = ("dgda", "dogda", "dogt", "adogt")
@@ -89,14 +89,13 @@ class AlgoState:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Recorded run: metric rows, optional per-step terms, and run constants.
+    """Recorded run: its record table and run constants.
 
-    ``terms`` (with ``record_states``) is a ``metrics.term_table`` whose row
-    k holds iteration k's B, C, D, ||Xi||^2, V, e, E and zbar, computed with
-    the run's own gamma, L and rho; None otherwise.  ``fixed_point`` is the
-    first iteration whose state equals the state before it, bit for bit,
-    when ``run`` found one and stopped stepping there; None otherwise.  It
-    is not written to any output file.
+    ``records`` is a ``metrics.record_table``, as a numpy record array: a
+    row per recorded state, computed with the run's own gamma, L and rho.
+    ``fixed_point`` is the first iteration whose state equals the state
+    before it, bit for bit, when ``run`` found one and stopped stepping
+    there; None otherwise.  It is not written to any output file.
     """
 
     kind: str
@@ -108,8 +107,7 @@ class Trace:
     problem: BilinearQuadratic
     mixing: MixingMatrix
     z_star: np.ndarray | None
-    records: tuple[MetricRecord, ...]
-    terms: np.ndarray | None
+    records: np.recarray
     reason: str             # "tol_reached" or "max_iters"
     iterations: int
     comm_rounds: int
@@ -288,15 +286,15 @@ _BATCH_BYTES = 1 << 17
 
 def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
         max_iters: int, tol: float, record_every: int = 1,
-        T: int | None = None, record_states: bool = False) -> Trace:
+        T: int | None = None) -> Trace:
     """Drive one algorithm until the residual drops to tol or iterations run out.
 
-    Metrics are recorded at iteration 0, every ``record_every`` iterations,
-    and at the final iterate.  ``record_states`` keeps every step's terms in
-    ``Trace.terms`` for the theory checks: a few floats per step whatever n
-    is, in a table that doubles as steps arrive, so a run that stops early
-    does not pay for ``max_iters``.  Without a known saddle point the residual
-    is unavailable and the run always goes the full ``max_iters``.
+    The record table gets a row for iteration 0, every ``record_every``
+    iterations, and the final iterate; at ``record_every`` 1, as ``verify``
+    runs, row k is iteration k.  It doubles as rows arrive, so a run that
+    stops early does not pay for ``max_iters``.  Without a known saddle
+    point the residual is unavailable and the run always goes the full
+    ``max_iters``.
 
     The states are stepped in batches of about _BATCH_BYTES (51 at ring-16,
     one at n = 1024), held by reference, since they share their arrays.  A
@@ -305,12 +303,10 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     test of the stacked z (and tracker) for divergence.  The first state
     with residual <= tol ends the run, and the states stepped after it in
     its batch, at most batch - 1, are dropped.  A non-finite state before
-    that raises.  Then the states to record are evaluated on their stack,
-    one ``step_terms`` and one ``metric_record`` call at a time: with
-    ``record_states`` every state of the batch gets its terms and the
-    recorded ones their records; otherwise the recorded states wait until
-    a batch of them is full, or the run ends.  All of it gives the values
-    state-by-state calls would, bit for bit.
+    that raises.  The states to record wait until a batch of them is full,
+    or the run ends, and are then evaluated on their stack in one
+    ``metric_record`` call, so a sparse record grid costs few calls.  All of
+    it gives the values state-by-state calls would, bit for bit.
 
     A step is a pure function of a state's five arrays (``iteration`` and
     ``comm_rounds`` never enter it), so once a state equals the one before
@@ -319,9 +315,9 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     with the one before it: the five arrays as int64, and only when their
     two residuals are equal, so a batch that moves costs one float
     comparison.  At a fixed point it stops stepping and finishes the trace
-    from that state: one record and one term row, computed once and copied
-    to the record grid and the final row (and with ``record_states`` to
-    every row of the table), with ``comm_rounds`` growing by the method's
+    from that state: the table is sized to its final length at once, and
+    the state's row, computed once, is copied to the rest of the record
+    grid and the final row, with ``comm_rounds`` growing by the method's
     rounds per iteration.  ``reason`` stays "max_iters", and
     ``Trace.fixed_point`` holds the first iteration equal to its
     predecessor.  Limit cycles of a longer period are stepped through.
@@ -358,25 +354,28 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     # z* on every row, so the residual's subtraction is one contiguous loop.
     z_star_rows = None if z_star is None else np.tile(z_star, (n, 1))
     batch = max(1, _BATCH_BYTES // (5 * 8 * n * width))     # five float64 arrays a state
-    table = metrics.term_table(1, width) if record_states else None
-    records = []
-    pending = []    # (state, residual) of states to record, not yet evaluated
+    table = metrics.record_table(batch, width)
+    filled = 0          # rows of the table filled so far
+    pending, pending_residuals = [], []     # states to record, not yet evaluated
 
     def flush():
-        """Evaluate the pending states to record, in one stack."""
+        """Evaluate the pending states into the next rows of the table, in one stack."""
+        nonlocal table, filled
         if pending:
-            states, recorded = zip(*pending)
+            end = filled + len(pending)
+            while end > len(table):
+                table = np.concatenate([table, np.empty_like(table)])
+            metrics.metric_record(table[filled:end], stack_states(pending), pending_residuals,
+                                  problem, gamma, L, rho_eff, z_star)
+            filled = end
             pending.clear()
-            stack = stack_states(states)
-            terms = metrics.step_terms(stack, gamma, L, rho_eff, n, z_star)
-            records.extend(metrics.metric_record(stack, terms, list(recorded)))
+            pending_residuals.clear()
 
     def evaluate(kept):
-        """Test a batch of consecutive states and record those it keeps.
+        """Test a batch of consecutive states and queue those it records.
 
         Returns whether one of them met the stop rule, after which ``kept``
         ends with it, and their residuals (None without z*)."""
-        nonlocal table
         z = _stacked([s.z for s in kept])
         residuals, stop = None, False
         if z_star is not None:
@@ -396,42 +395,34 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
         rows = list(range(-kept[0].iteration % record_every, len(kept), record_every))
         if final and kept[-1].iteration % record_every:
             rows.append(len(kept) - 1)
-        recorded = [None] * len(rows) if residuals is None else residuals[rows].tolist()
-        if record_states:       # the states of iterations first..last, every one
-            stack = stack_states(kept)
-            terms = metrics.step_terms(stack, gamma, L, rho_eff, n, z_star)
-            start, last = kept[0].iteration, kept[-1].iteration
-            while last >= len(table):
-                table = np.concatenate([table, np.empty_like(table)])
-            metrics.fill_term_rows(table[start:last + 1], stack, terms)
-            if 0 < len(rows) < len(kept):   # the recorded rows of the batch's terms
-                stack = stack_states([kept[i] for i in rows])
-                terms = {name: column[rows] for name, column in terms.items()}
-            if rows:
-                records.extend(metrics.metric_record(stack, terms, recorded))
-            return stop, residuals
-        # Without the table, the states to record wait across batches until
-        # a batch of them is full, so a sparse record grid costs few calls.
-        pending.extend(zip([kept[i] for i in rows], recorded))
+        pending.extend(kept[i] for i in rows)
+        if residuals is not None:
+            pending_residuals.extend(residuals[rows].tolist())
         if len(pending) >= batch or final:
             flush()
         return stop, residuals
 
     def fast_forward(state, res: float) -> None:
         """Record iterations state.iteration + 1 .. max_iters, whose states all
-        hold the arrays of ``state``, from its one record."""
+        hold the arrays of ``state``, from its one row."""
+        nonlocal table, filled
         flush()
         last = state.iteration
-        grid = list(range(last + record_every - last % record_every, max_iters + 1,
-                          record_every))
-        if not grid or grid[-1] != max_iters:
-            grid.append(max_iters)
-        stack = stack_states([state])
-        terms = metrics.step_terms(stack, gamma, L, rho_eff, n, z_star)
-        (record,) = metrics.metric_record(stack, terms, [res])
-        values = astuple(record)[2:]
-        records.extend(MetricRecord(i, state.comm_rounds + (i - last) * rounds, *values)
-                       for i in grid)
+        grid = np.arange(last + record_every - last % record_every, max_iters + 1,
+                         record_every)
+        if not len(grid) or grid[-1] != max_iters:
+            grid = np.append(grid, max_iters)
+        # The final length in one allocation: no doubling, no second copy.
+        sized = metrics.record_table(filled + len(grid), width)
+        sized[:filled] = table[:filled]
+        table = sized
+        rest = table[filled:]
+        metrics.metric_record(rest[:1], stack_states([state]), [res], problem, gamma, L,
+                              rho_eff, z_star)
+        rest[1:] = rest[0]
+        rest["iteration"] = grid
+        rest["comm_rounds"] = state.comm_rounds + (grid - last) * rounds
+        filled += len(grid)
 
     reason, fixed_point = "max_iters", None
     # States are tested after they are stepped, so float overflow on the way
@@ -458,18 +449,10 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
                             break
                     before, before_residual = state, residuals[-1]
                 kept = []
-        state = kept[-1]
-        if record_states:
-            table = table[:state.iteration + 1]
-            table["e"], table["E"] = metrics.field_at_average_sq(problem, table["zbar"])
-            if fixed_point is not None:     # every later row is the fixed point's
-                table = np.concatenate([table, np.repeat(table[-1:], max_iters - len(table) + 1)])
 
-    iterations, comm_rounds = state.iteration, state.comm_rounds
-    if fixed_point is not None:
-        iterations, comm_rounds = max_iters, comm_rounds + (max_iters - iterations) * rounds
+    final = table[filled - 1]       # the row of the stop or of max_iters
     return Trace(kind=kind, gamma=gamma, mu=problem.mu, smoothness=L,
                  rho=rho_eff, n=n, problem=problem, mixing=W, z_star=z_star,
-                 records=tuple(records), terms=table,
-                 reason=reason, iterations=iterations,
-                 comm_rounds=comm_rounds, T=T, eta=eta, fixed_point=fixed_point)
+                 records=table[:filled].view(np.recarray),
+                 reason=reason, iterations=int(final["iteration"]),
+                 comm_rounds=int(final["comm_rounds"]), T=T, eta=eta, fixed_point=fixed_point)

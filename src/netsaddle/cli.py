@@ -11,9 +11,8 @@ and LF line endings, so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import verify as verify_mod
 from .algorithms import ALGORITHMS, DivergenceError, Trace, run
 from .graph import (WEIGHT_BUILDERS, MixingMatrix, Topology, accelerated_matrix,
                     acceleration_momentum, build_topology, recommended_T)
-from .metrics import fit_linear_rate, max_stepsize, theoretical_contraction
+from .metrics import csv_chunks, fit_linear_rate, max_stepsize, theoretical_contraction
 from .problem import BilinearQuadratic, make_bilinear_quadratic
 
 EXIT_OK = 0
@@ -299,7 +298,6 @@ class ResolvedExperiment:
     z0: np.ndarray
     init_seed: int | None
     algorithms: tuple[ResolvedAlgorithm, ...]
-    record_states: bool     # the manifest's echo; only verify's run keeps the terms
 
 
 def _make_z0(init: InitConfig, problem, default_seed: int):
@@ -311,11 +309,8 @@ def _make_z0(init: InitConfig, problem, default_seed: int):
     return init.scale * rng.standard_normal(dims), seed
 
 
-def resolve_experiment(config: ExperimentConfig,
-                       record_states: bool | None = None) -> ResolvedExperiment:
+def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
     """Build problem/graph objects and resolve every "auto" placeholder."""
-    if record_states is None:
-        record_states = bool(config.run.record_states)
     pc = config.problem
     problem = make_bilinear_quadratic(pc.n, pc.p, pc.d, pc.mu, pc.seed,
                                       zero_sum_centers=pc.zero_sum_centers)
@@ -359,8 +354,7 @@ def resolve_experiment(config: ExperimentConfig,
     z0, init_seed = _make_z0(config.init, problem, default_seed=pc.seed + 1)
     return ResolvedExperiment(config=config, problem=problem, topology=topology,
                               W=W, L=L, kappa=L / pc.mu, z0=z0, init_seed=init_seed,
-                              algorithms=tuple(resolved),
-                              record_states=record_states)
+                              algorithms=tuple(resolved))
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +377,32 @@ def _fmt(value) -> str:
 _TRACE_COLUMNS = ("residual", "consensus_error", "tracking_error", "xi_norm_sq", "lyapunov")
 
 
-def write_trace_csv(path: Path, trace: Trace) -> None:
-    """One row per record, each formatted by one %-format string.
+def _defined(trace: Trace, column: str) -> bool:
+    """Whether a record column holds values, by the run's constants: as in
+    ``metrics.step_terms``, the Lyapunov weights also need rho in [0, 1)."""
+    if column in ("residual", "xi_norm_sq", "lyapunov") and trace.z_star is None:
+        return False
+    return column != "lyapunov" or 0.0 <= trace.rho < 1.0
 
-    A column is None in every record of a trace or in none (no saddle point,
-    or no Lyapunov weights at rho >= 1), so the first record decides which
-    columns stay empty.  '%.17g' % x is f"{x:.17g}", inf and nan included.
-    """
-    first = trace.records[0]
-    known = [name for name in _TRACE_COLUMNS if getattr(first, name) is not None]
+
+def _final_residual(trace: Trace):
+    return trace.records[-1].residual if _defined(trace, "residual") else None
+
+
+def write_trace_csv(path: Path, trace: Trace, record_every: int = 1) -> None:
+    """The trace's rows on the ``record_every`` grid and its last row, each
+    formatted by one %-format string, a chunk of rows at a time; the columns
+    that are not ``_defined`` stay empty."""
+    records = trace.records
+    keep = records["iteration"] % record_every == 0
+    keep[-1] = True
+    if not keep.all():
+        records = records[keep]
+    known = [name for name in _TRACE_COLUMNS if _defined(trace, name)]
     row = ",".join(["%d", "%d", *("%.17g" if name in known else "" for name in _TRACE_COLUMNS)])
-    values = operator.attrgetter("iteration", "comm_rounds", *known)
-    lines = [CSV_HEADER, *(row % values(rec) for rec in trace.records)]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        fh.writelines(csv_chunks(row + "\n", records, ("iteration", "comm_rounds", *known)))
 
 
 def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
@@ -430,11 +437,11 @@ def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
         ("derived.theoretical_contraction", contraction),
         ("run.max_iters", rc.max_iters), ("run.tol", rc.tol),
         ("run.record_every", rc.record_every),
-        ("run.record_states", exp.record_states),
+        ("run.record_states", bool(rc.record_states)),
         ("result.reason", trace.reason),
         ("result.iterations", trace.iterations),
         ("result.comm_rounds", trace.comm_rounds),
-        ("result.final_residual", final.residual),
+        ("result.final_residual", _final_residual(trace)),
         ("result.final_consensus_error", final.consensus_error),
     ]
     if trace.z_star is None:
@@ -452,19 +459,17 @@ def write_manifest(path: Path, exp: ResolvedExperiment, algo: ResolvedAlgorithm,
 
 
 def _run_and_write(exp: ResolvedExperiment, algo: ResolvedAlgorithm, out: Path,
-                   record_states: bool = False) -> Trace:
+                   record_every: int | None = None) -> Trace:
     """Run one algorithm, write its trace CSV and manifest, print its summary line.
 
-    The per-step term table is built only with ``record_states``, which only
-    verify passes: no output of run or compare reads it, whatever the
-    manifest's echo of ``run.record_states`` says.
-    """
+    The run records on a grid of ``record_every``, the config's by default;
+    the CSV holds the rows on the config's grid and the last one."""
     rc = exp.config.run
     trace = run(algo.name, exp.problem, exp.W, algo.gamma, exp.z0,
-                max_iters=rc.max_iters, tol=rc.tol, record_every=rc.record_every,
-                T=algo.T, record_states=record_states)
+                max_iters=rc.max_iters, tol=rc.tol,
+                record_every=record_every or rc.record_every, T=algo.T)
     out.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(out / f"{algo.label}.csv", trace)
+    write_trace_csv(out / f"{algo.label}.csv", trace, rc.record_every)
     write_manifest(out / f"{algo.label}.manifest.txt", exp, algo, trace)
     print(_summary_line(algo.label, trace))
     return trace
@@ -475,8 +480,8 @@ def _out_dir(config: ExperimentConfig, override) -> Path:
 
 
 def _summary_line(label: str, trace: Trace) -> str:
-    final = trace.records[-1]
-    res = "n/a" if final.residual is None else f"{final.residual:.6g}"
+    final = _final_residual(trace)
+    res = "n/a" if final is None else f"{final:.6g}"
     return (f"{label}: {trace.reason} after {trace.iterations} iterations "
             f"(comm_rounds={trace.comm_rounds}, final_residual={res})")
 
@@ -496,8 +501,9 @@ def run_command(config_path, out_dir=None) -> int:
 
 
 def _fitted_rate_cell(trace: Trace) -> str:
-    series = [(rec.iteration, rec.residual) for rec in trace.records
-              if rec.residual is not None]
+    records = trace.records
+    series = (zip(records["iteration"].tolist(), records["residual"].tolist())
+              if _defined(trace, "residual") else [])
     try:
         report = fit_linear_rate(series)
     except ValueError:
@@ -525,7 +531,7 @@ def compare_command(config_path, out_dir=None) -> int:
         final = trace.records[-1]
         iters = (str(trace.iterations) if trace.reason == "tol_reached"
                  else "not_reached")
-        rows.append((algo.label, _fmt(final.residual),
+        rows.append((algo.label, _fmt(_final_residual(trace)),
                      _fmt(final.consensus_error), iters,
                      str(trace.comm_rounds), _fitted_rate_cell(trace)))
 
@@ -538,24 +544,24 @@ def compare_command(config_path, out_dir=None) -> int:
 
 
 def verify_command(config_path, out_dir=None) -> int:
-    """Run dogt, keeping every step's terms, and evaluate all theory checks."""
+    """Run dogt, recording every step, and evaluate all theory checks."""
     config = load_config(config_path)
     if len(config.algorithms) != 1 or config.algorithms[0].name != "dogt":
         raise ConfigError("'verify' runs the dogt algorithm; set algorithm.name: dogt")
     if config.run.record_states is False:
         raise ConfigError("'verify' needs record_states: true (or leave it unset)")
-    exp = resolve_experiment(config, record_states=True)
+    exp = resolve_experiment(replace(config, run=replace(config.run, record_states=True)))
     if config.run.record_states is None:
         print("record_states: resolved to true (required for verification)")
 
     out = _out_dir(config, out_dir)
-    trace = _run_and_write(exp, exp.algorithms[0], out, record_states=True)
+    trace = _run_and_write(exp, exp.algorithms[0], out, record_every=1)
 
     reports = verify_mod.run_all_checks(trace)
     summary = verify_mod.summary_text(reports)
     (out / "checks.txt").write_text(summary, newline="\n")
-    (out / "check_margins.csv").write_text(
-        "\n".join(verify_mod.margins_csv_rows(reports)) + "\n", newline="\n")
+    with open(out / "check_margins.csv", "w", newline="\n") as fh:
+        fh.writelines(verify_mod.margins_csv_rows(reports))
     print(summary, end="")
 
     if any(rep.status == "failed" for rep in reports):

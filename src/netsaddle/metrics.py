@@ -1,13 +1,12 @@
-"""Convergence diagnostics: the per-step terms, the record built from them, rates.
+"""Convergence diagnostics: the per-step terms, the record table built from them, rates.
 
 Each per-step term (B, C, D, Xi, e, E, Lyapunov value V) is defined here once,
 for one state or a stack of states, and gives the same bits on both.  A run
-computes the terms of the states it keeps in batches, one stack at a time,
-and builds their logged records from them (``metric_record``, on a stack);
-with ``record_states`` it also keeps them in a term table (``term_table``,
-``fill_term_rows``), which ``verify`` checks.  The field at the averaged
-iterate (e, E) enters that table in one evaluation over all steps at the
-end of the run.
+records its states in one table (``record_table``): a row per recorded
+state, filled from a stack of states at a time by ``metric_record``, the
+field at the averaged iterate (e, E) included.  The trace CSV is written
+from its columns, and ``verify`` checks them on a run that records every
+step.
 
 Two norm conventions coexist on purpose and are spelled out per field:
 ``consensus_error`` is logged UNSQUARED, (1/n) ||z - 1 zbar||, which is the
@@ -22,32 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The columns of a term table before zbar: the step_terms of each state, then
-# e and E, which field_at_average_sq fills for all rows at once.
-TERMS = ("B", "C", "D", "xi_sq", "V", "e", "E")
+# The float columns of a record table, after iteration and comm_rounds and
+# before zbar: the residual (1/n) ||z - 1 z*||^2, the UNSQUARED consensus error,
+# and the terms D, ||Xi||^2, V, B, C, e and E (see step_terms).  residual,
+# xi_norm_sq and lyapunov are NaN without z*, and lyapunov at rho >= 1.
+RECORD_FLOATS = ("residual", "consensus_error", "tracking_error", "xi_norm_sq", "lyapunov",
+                 "B", "C", "e", "E")
 
-_FIELD_BYTES = 1 << 20  # of field per call in field_at_average_sq
+# The column of each term the checks read, by its name in step_terms (or e, E).
+TERM_COLUMNS = {"B": "B", "C": "C", "D": "tracking_error", "xi_sq": "xi_norm_sq",
+                "V": "lyapunov", "e": "e", "E": "E"}
 
-
-@dataclass(frozen=True)
-class MetricRecord:
-    """One logged iteration.
-
-    residual        (1/n) ||z - 1 z*||^2          (None when z* unknown)
-    consensus_error (1/n) ||z - 1 zbar||          (unsquared)
-    tracking_error  ||r - 1 rbar||^2
-    xi_norm_sq      squared norm of the averaged optimality gap (None w/o z*)
-    lyapunov        weighted sum of gap, iterate-difference, consensus and
-                    tracking terms (None when z* unknown)
-    """
-
-    iteration: int
-    comm_rounds: int
-    residual: float | None
-    consensus_error: float
-    tracking_error: float
-    xi_norm_sq: float | None
-    lyapunov: float | None
+_CSV_CHUNK_ROWS = 1 << 12   # rows formatted per string in csv_chunks
 
 
 @dataclass(frozen=True)
@@ -104,20 +89,12 @@ def optimality_gap_xi(state, gamma: float, z_star: np.ndarray) -> np.ndarray:
 
 
 def field_at_average_sq(problem, zbar: np.ndarray):
-    """(e, E) = (||mean G(1 zbar)||^2, ||G(1 zbar)||^2) for zbar of shape (p+d,) or (K, p+d).
-
-    The field is evaluated on the broadcast stack 1 zbar, (K, n, p+d), about
-    _FIELD_BYTES at a time: in one call for the 2001 steps of ring-16, and in
-    1 MB calls instead of one of 164 MB for 5001 steps at n = 1024.
-    """
+    """(e, E) = (||mean G(1 zbar)||^2, ||G(1 zbar)||^2) for zbar of shape (p+d,) or (K, p+d),
+    from the field on the broadcast stack 1 zbar, (K, n, p+d)."""
     rows = np.reshape(zbar, (-1, 1, zbar.shape[-1]))
-    parts = []
-    for block in np.array_split(rows, max(1, -(-rows.nbytes * problem.n // _FIELD_BYTES))):
-        stack = np.broadcast_to(block, (len(block), problem.n, rows.shape[-1]))
-        field = problem.gradient_field(stack)
-        parts.append((_sq(_mean(field), axis=-1), _sq(field)))
-    e, E = (np.concatenate(part).reshape(zbar.shape[:-1]) for part in zip(*parts))
-    return e, E
+    field = problem.gradient_field(np.broadcast_to(rows, (len(rows), problem.n, rows.shape[-1])))
+    return (_sq(_mean(field), axis=-1).reshape(zbar.shape[:-1]),
+            _sq(field).reshape(zbar.shape[:-1]))
 
 
 def lyapunov_coefficients(gamma: float, L: float, rho: float, n: int) -> tuple[float, float]:
@@ -149,19 +126,13 @@ def step_terms(state, gamma: float, L: float, rho: float, n: int,
     return t
 
 
-def term_table(rows: int, width: int) -> np.ndarray:
-    """An unfilled table of ``rows`` steps: a column per name in TERMS and zbar."""
-    return np.empty(rows, dtype=[*((name, np.float64) for name in TERMS),
+def record_table(rows: int, width: int) -> np.ndarray:
+    """An unfilled record table of ``rows`` rows for states of ``width`` = p+d
+    columns: iteration and comm_rounds, a column per name in RECORD_FLOATS,
+    and zbar."""
+    return np.empty(rows, dtype=[("iteration", np.int64), ("comm_rounds", np.int64),
+                                 *((name, np.float64) for name in RECORD_FLOATS),
                                  ("zbar", np.float64, (width,))])
-
-
-def fill_term_rows(rows: np.ndarray, stack, terms: dict) -> None:
-    """Fill consecutive rows of a term table from a stack of states and its
-    ``step_terms``: NaN where a term is undefined, and zbar; e and E are left
-    for ``field_at_average_sq``."""
-    for name in TERMS[:5]:
-        rows[name] = terms.get(name, math.nan)
-    rows["zbar"] = _mean(stack.z)
 
 
 def theoretical_contraction(gamma: float, mu: float, rho: float) -> float:
@@ -243,17 +214,25 @@ def consensus_errors(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(d, d.transpose(0, 2, 1)).ravel()) / z.shape[-2]
 
 
-def metric_record(stack, terms: dict, residuals) -> list[MetricRecord]:
-    """The records of a stack of states from its ``step_terms`` and residuals.
+def metric_record(rows: np.ndarray, stack, residuals, problem, gamma: float, L: float,
+                  rho: float, z_star: np.ndarray | None) -> None:
+    """Fill consecutive rows of a record table from a stack of states and their
+    ``residual`` (not read without z*), NaN where a term is undefined."""
+    terms = step_terms(stack, gamma, L, rho, problem.n, z_star)
+    rows["iteration"] = stack.iteration
+    rows["comm_rounds"] = stack.comm_rounds
+    rows["residual"] = math.nan if z_star is None else residuals
+    rows["consensus_error"] = consensus_errors(stack.z)
+    for term in ("B", "C", "D", "xi_sq", "V"):
+        rows[TERM_COLUMNS[term]] = terms.get(term, math.nan)
+    rows["zbar"] = _mean(stack.z)
+    rows["e"], rows["E"] = field_at_average_sq(problem, rows["zbar"])
 
-    ``residuals`` holds each state's ``residual``, or None without z*.
-    Saddle-dependent fields are None without z*; the Lyapunov value is also
-    None when rho >= 1 (an off-design accelerated matrix), where its weights
-    are undefined.
-    """
-    unknown = [None] * len(stack.iteration)
-    columns = (stack.iteration, stack.comm_rounds, residuals,
-               consensus_errors(stack.z).tolist(), terms["D"].tolist(),
-               terms["xi_sq"].tolist() if "xi_sq" in terms else unknown,
-               terms["V"].tolist() if "V" in terms else unknown)
-    return [MetricRecord(*row) for row in zip(*columns)]
+
+def csv_chunks(row: str, table: np.ndarray, names):
+    """``row % values`` for each row's values in the columns ``names``, joined
+    _CSV_CHUNK_ROWS rows at a time.  '%.17g' % x is f"{x:.17g}", inf and nan
+    included."""
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        part = table[start:start + _CSV_CHUNK_ROWS]
+        yield "".join([row % values for values in zip(*(part[name].tolist() for name in names))])

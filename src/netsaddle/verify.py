@@ -1,14 +1,13 @@
 """Numerical checkers for the convergence theory along recorded trajectories.
 
 Each check evaluates one guaranteed inequality over a whole trajectory, as
-array arithmetic on the run's own table of per-step ``metrics`` terms (a
-term at steps 1..K against a bound from the terms at steps 0..K-1), and
-reports the margins rhs - lhs.  Every term, e and E included, is read from
-that table; nothing is recomputed here.  Under their stepsize
-preconditions the inequalities are theorems, so a failing check flags an
-implementation bug, not a tuning problem.  Checks whose stepsize
-precondition does not hold are reported as precondition-violated, never as
-failed.
+array arithmetic on the run's own record table of every step (a term at
+steps 1..K against a bound from the terms at steps 0..K-1), and reports the
+margins rhs - lhs.  Every term, e and E included, is read from that table,
+which the trace CSV is written from.  Under their stepsize preconditions
+the inequalities are theorems, so a failing check flags an implementation
+bug, not a tuning problem.  Checks whose stepsize precondition does not
+hold are reported as precondition-violated, never as failed.
 
 Check ids:
   L1_iterate_gap      one-step displacement bounded by lagged energy terms
@@ -35,21 +34,23 @@ LEMMA_IDS = ("L1_iterate_gap", "L2_consensus", "L3_tracking",
              "L4_optimality_gap", "T1_contraction", "T2_rho_M")
 
 MARGIN_RTOL = 1e-9
+# One margin of a check: the step it bounds (or T2's index) and rhs - lhs.
+MARGIN_DTYPE = np.dtype([("iteration", np.int64), ("margin", np.float64)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LemmaCheckReport:
     """Margins of one inequality along a trajectory.
 
-    ``margins`` holds (iteration, rhs - lhs); a step passes when lhs is
-    finite and its margin is at least -MARGIN_RTOL times the local scale
-    max(|lhs|, |rhs|), which absorbs float noise when both sides are near
-    zero.  A NaN margin (an overflowed side) fails.  ``status`` is one of
-    "passed", "failed", "precondition_violated".
+    ``margins`` is a MARGIN_DTYPE array, so reports compare by identity; a
+    step passes when lhs is finite and its margin is at least -MARGIN_RTOL
+    times the local scale max(|lhs|, |rhs|), which absorbs float noise when
+    both sides are near zero.  A NaN margin (an overflowed side) fails.
+    ``status`` is one of "passed", "failed", "precondition_violated".
     """
 
     lemma_id: str
-    margins: tuple[tuple[int, float], ...]
+    margins: np.ndarray
     min_margin: float
     status: str
     notes: tuple[str, ...] = ()
@@ -72,15 +73,16 @@ class LemmaCheckReport:
             margin = rhs - lhs
         scale = np.maximum(np.abs(lhs), np.abs(rhs))
         failed = np.asarray(gated) & ~(np.isfinite(lhs) & (margin >= -MARGIN_RTOL * scale))
-        return cls(lemma_id=lemma_id,
-                   margins=tuple(zip(map(int, iterations), margin.tolist())),
+        margins = np.empty(len(margin), dtype=MARGIN_DTYPE)
+        margins["iteration"], margins["margin"] = iterations, margin
+        return cls(lemma_id=lemma_id, margins=margins,
                    min_margin=float(margin.min()) if margin.size else math.nan,
                    status="failed" if failed.any() else "passed",
                    notes=tuple(notes))
 
     @classmethod
     def precondition_violated(cls, lemma_id: str, note: str) -> "LemmaCheckReport":
-        return cls(lemma_id=lemma_id, margins=(), min_margin=math.nan,
+        return cls(lemma_id=lemma_id, margins=np.empty(0, MARGIN_DTYPE), min_margin=math.nan,
                    status="precondition_violated", notes=(note,))
 
 
@@ -126,12 +128,12 @@ _STEP_INEQUALITIES = {
 
 
 def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
-    """Evaluate one inequality at every step of a trace recorded with record_states.
+    """Evaluate one inequality at every step of a trace recorded at every step.
 
     The terms, and the constants the inequality is stated in, are the run's
-    own (``Trace.terms``); T2_rho_M only needs the mixing matrix.  A run
-    that stopped at iteration 0 has no step to check: its report is
-    precondition-violated.
+    own (``Trace.records``, whose iterations must run 0..K with no gap);
+    T2_rho_M only needs the mixing matrix.  A run that stopped at iteration
+    0 has no step to check: its report is precondition-violated.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}, expected one of {LEMMA_IDS}")
@@ -139,9 +141,10 @@ def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
         T = trace.T if trace.T is not None else recommended_T(trace.mixing.rho)
         return check_rho_M(trace.mixing, T)
 
-    if trace.terms is None:
-        raise ValueError("lemma checks need a trace recorded with record_states=True")
-    if len(trace.terms) < 2:
+    records = trace.records
+    if not np.array_equal(records["iteration"], np.arange(len(records))):
+        raise ValueError("lemma checks need a record of every step (record_every=1)")
+    if len(records) < 2:
         return LemmaCheckReport.precondition_violated(lemma_id, "no steps recorded")
     gamma, L, rho = trace.gamma, trace.smoothness, trace.rho
     limit = _stepsize_limit(lemma_id, L, rho)
@@ -152,10 +155,11 @@ def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
         raise ValueError(f"{lemma_id} requires a known saddle point")
 
     bounded, bound = _STEP_INEQUALITIES[lemma_id]
-    before = SimpleNamespace(**{name: trace.terms[name][:-1] for name in metrics.TERMS})
+    before = SimpleNamespace(**{term: records[column][:-1]
+                                for term, column in metrics.TERM_COLUMNS.items()})
     rhs = bound(before, gamma, L, trace.mu, rho, trace.n)
-    return LemmaCheckReport.from_sides(lemma_id, range(len(rhs)), trace.terms[bounded][1:],
-                                       rhs)
+    return LemmaCheckReport.from_sides(lemma_id, records["iteration"][:-1],
+                                       records[metrics.TERM_COLUMNS[bounded]][1:], rhs)
 
 
 def check_rho_M(W: MixingMatrix, T: int) -> LemmaCheckReport:
@@ -186,7 +190,7 @@ def check_rho_M(W: MixingMatrix, T: int) -> LemmaCheckReport:
 
 
 def run_all_checks(trace) -> list[LemmaCheckReport]:
-    """All six checks against one trace recorded with record_states, in LEMMA_IDS order."""
+    """All six checks against one trace recorded at every step, in LEMMA_IDS order."""
     return [check_lemma(trace, lemma_id) for lemma_id in LEMMA_IDS]
 
 
@@ -204,10 +208,10 @@ def summary_text(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def margins_csv_rows(reports) -> list[str]:
-    """Machine-readable rows: lemma_id,iteration,margin, one %-format per report."""
-    rows = ["lemma_id,iteration,margin"]
+def margins_csv_rows(reports):
+    """The text of check_margins.csv in chunks of rows: lemma_id,iteration,margin
+    rows, formatted by one %-format per report."""
+    yield "lemma_id,iteration,margin\n"
     for rep in reports:
-        row = rep.lemma_id + ",%d,%.17g"
-        rows += [row % step for step in rep.margins]
-    return rows
+        yield from metrics.csv_chunks(rep.lemma_id + ",%d,%.17g\n", rep.margins,
+                                      MARGIN_DTYPE.names)

@@ -33,16 +33,15 @@ def z0_16():
 @pytest.fixture()
 def batch_sizes(monkeypatch):
     """The number of states in each ``metric_record`` call of run(), filled as
-    it runs.  A call gets recorded states only: with ``record_states``
-    those of one batch, otherwise up to a batch of them gathered across
-    batches."""
+    it runs.  A call gets recorded states only, up to a batch of them
+    gathered across batches: at record_every 1, those of one batch."""
     from netsaddle import metrics
     sizes = []
     record = metrics.metric_record
 
-    def counted(stack, terms, residuals):
+    def counted(rows, stack, *args):
         sizes.append(len(stack.iteration))
-        return record(stack, terms, residuals)
+        return record(rows, stack, *args)
 
     monkeypatch.setattr(metrics, "metric_record", counted)
     return sizes

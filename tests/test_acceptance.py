@@ -55,7 +55,7 @@ def benchmark_traces(ring16_problem, ring16_W, z0_16):
 def compliant_trace(ring16_problem, ring16_W, z0_16):
     gamma = max_stepsize(ring16_problem.smoothness_constant(), ring16_W.rho)
     return run("dogt", ring16_problem, ring16_W, gamma, z0_16,
-               max_iters=2000, tol=0.0, record_states=True)
+               max_iters=2000, tol=0.0, record_every=1)
 
 
 def first_crossing(trace, level):

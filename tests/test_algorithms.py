@@ -287,9 +287,9 @@ def test_adogt_runs_at_offdesign_T(ring16_problem, ring16_W, z0_16):
     trace = run("adogt", ring16_problem, ring16_W, GAMMA, z0_16,
                 max_iters=20, tol=0.0, T=1)
     assert trace.rho >= 1.0
-    assert all(rec.lyapunov is None for rec in trace.records)
-    assert all(rec.residual is not None and rec.xi_norm_sq is not None
-               for rec in trace.records)
+    assert np.isnan(trace.records.lyapunov).all()
+    assert np.isfinite(trace.records.residual).all()
+    assert np.isfinite(trace.records.xi_norm_sq).all()
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,7 @@ def test_run_comm_round_accounting(ring16_problem, ring16_W, z0_16):
 def test_run_is_deterministic(ring16_problem, ring16_W, z0_16):
     t1 = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=100, tol=0.0)
     t2 = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=100, tol=0.0)
-    assert t1.records == t2.records
+    assert t1.records.tobytes() == t2.records.tobytes()
 
 
 def test_run_validation_errors(ring16_problem, ring16_W, z0_16):
@@ -412,14 +412,14 @@ def test_divergence_raises_with_iteration(ring16_problem, ring16_W, z0_16):
 
 def test_divergence_inside_a_batch_of_recorded_states(ring16_problem, ring16_W, z0_16,
                                                       batch_sizes):
-    # With record_states every state waits in a batch for its terms; a
+    # At record_every 1 every state waits in a batch for its row; a
     # divergence while some wait raises at its own iteration all the same.
     with pytest.raises(DivergenceError) as by_hand:
         for _ in iterate("dogt", ring16_problem, ring16_W, 10.0, z0_16):
             pass
     with pytest.raises(DivergenceError) as err:
         run("dogt", ring16_problem, ring16_W, 10.0, z0_16, max_iters=2000, tol=0.0,
-            record_states=True)
+            record_every=1)
     assert err.value.iteration == by_hand.value.iteration
     sizes = batch_sizes
     assert len(sizes) > 1 and set(sizes) == {sizes[0]}
@@ -503,12 +503,13 @@ def test_divergence_of_the_tracker_alone(value, ring16_problem, ring16_W, z0_16,
     assert err.value.iteration == by_iterate.value.iteration == 100
 
 
-@pytest.mark.parametrize("record_states", [False, True])
-def test_stop_wins_over_a_later_divergence_in_its_batch(record_states, ring16_problem,
+@pytest.mark.parametrize("every_step", [False, True])
+def test_stop_wins_over_a_later_divergence_in_its_batch(every_step, ring16_problem,
                                                         ring16_W, z0_16, monkeypatch):
     # dogt reaches tol 1e-10 at 838, inside the batch 816..866; run() has
-    # stepped past it, and a non-finite state 839 must not raise.
-    args = dict(max_iters=5000, tol=1e-10, record_every=7, record_states=record_states)
+    # stepped past it, and a non-finite state 839 must not raise.  With
+    # every_step the run records every state, as verify runs it.
+    args = dict(max_iters=5000, tol=1e-10, record_every=1 if every_step else 7)
     clean = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, **args)
     assert clean.iterations == 838
     poisoned(monkeypatch, "dogt_step", 839, "z", np.nan)
@@ -516,9 +517,7 @@ def test_stop_wins_over_a_later_divergence_in_its_batch(record_states, ring16_pr
     final = stepwise_final("dogt", ring16_problem, ring16_W, GAMMA, z0_16, 5000, 1e-10)
     assert trace.reason == "tol_reached"
     assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
-    assert trace.records == clean.records
-    if record_states:
-        assert trace.terms.tobytes() == clean.terms.tobytes()
+    assert trace.records.tobytes() == clean.records.tobytes()
     # The same state poisoned at the stop itself is a divergence there.
     poisoned(monkeypatch, "dogt_step", 838, "z", np.nan)
     with pytest.raises(DivergenceError) as err:
@@ -575,56 +574,52 @@ def test_one_state_batches_step_no_further_than_the_stop(monkeypatch):
 # stepping on, bit for bit
 
 
-def unforwarded(kind, problem, W, z0, max_iters, record_every, T=None, record_states=False):
-    """The records, final state and term table of a run to max_iters, from
-    iterate() and per-state step_terms and metric_record: no batch, no
-    fast-forward."""
+def unforwarded(kind, problem, W, z0, max_iters, record_every, T=None):
+    """The record table and final state of a run to max_iters, from iterate()
+    and one metric_record call per recorded state: no batch, no fast-forward."""
     z_star = problem.saddle_point()
     L = problem.smoothness_constant()
     rho = accelerated_matrix(W, T).rho if kind == "adogt" else W.rho
-    table = metrics.term_table(max_iters + 1, problem.p + problem.d) if record_states else None
-    records = []
+    table = metrics.record_table(max_iters + 1, problem.p + problem.d)
+    rows = 0
     for state in islice(iterate(kind, problem, W, GAMMA, z0, T), max_iters + 1):
-        on_grid = state.iteration % record_every == 0 or state.iteration == max_iters
-        if not (on_grid or record_states):
-            continue
-        stack = stack_states([state])
-        terms = metrics.step_terms(stack, GAMMA, L, rho, problem.n, z_star)
-        if record_states:
-            metrics.fill_term_rows(table[state.iteration:state.iteration + 1], stack, terms)
-        if on_grid:
-            records += metrics.metric_record(stack, terms, [float(residual(state.z, z_star))])
-    if record_states:
-        table["e"], table["E"] = metrics.field_at_average_sq(problem, table["zbar"])
-    return records, state, table
+        if state.iteration % record_every == 0 or state.iteration == max_iters:
+            metrics.metric_record(table[rows:rows + 1], stack_states([state]),
+                                  [float(residual(state.z, z_star))], problem, GAMMA, L, rho,
+                                  z_star)
+            rows += 1
+    return table[:rows], state
 
 
-@pytest.mark.parametrize("kind,T,max_iters,tol,record_every,record_states,fixed_point", [
+@pytest.mark.parametrize("kind,T,max_iters,tol,record_every,every_step,fixed_point", [
     ("dgda", None, 10000, 1e-10, 10, False, 7439),     # as compare runs the baselines
     ("dogda", None, 10000, 1e-10, 10, False, 2466),
-    ("dogt", None, 6000, 0.0, 7, True, 4773),          # every term row past the fixed point
+    ("dogt", None, 6000, 0.0, 7, True, 4773),          # every row past the fixed point
     ("adogt", 4, 5000, 0.0, 10, False, 4379),          # T exchanges a step, one M_T product
 ])
-def test_fast_forward_equals_stepping_on(kind, T, max_iters, tol, record_every, record_states,
+def test_fast_forward_equals_stepping_on(kind, T, max_iters, tol, record_every, every_step,
                                          fixed_point, ring16_problem, ring16_W, z0_16,
                                          monkeypatch):
+    # With every_step the run records every state, as verify runs it; the
+    # rows of its table on the record_every grid, and its last row, are then
+    # the table of the run at record_every, as the trace CSV needs.
     calls = counted_steps(monkeypatch, f"{kind}_step")
-    trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16, max_iters=max_iters, tol=tol,
-                record_every=record_every, T=T, record_states=record_states)
+    args = (kind, ring16_problem, ring16_W, GAMMA, z0_16)
+    every = 1 if every_step else record_every
+    trace = run(*args, max_iters=max_iters, tol=tol, record_every=every, T=T)
     steps = len(calls)
     assert trace.fixed_point == fixed_point
     assert fixed_point <= steps < fixed_point + ring16_batch(z0_16)
-    records, final, table = unforwarded(kind, ring16_problem, ring16_W, z0_16, max_iters,
-                                        record_every, T, record_states)
+    table, final = unforwarded(kind, ring16_problem, ring16_W, z0_16, max_iters, every, T)
     assert trace.reason == "max_iters"
     assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
     assert trace.comm_rounds == max_iters * (T or 1)
-    assert trace.records == tuple(records)
-    assert repr(trace.records) == repr(tuple(records))     # -0.0 and 0.0 apart
-    if record_states:
-        assert trace.terms.tobytes() == table.tobytes()
-    else:
-        assert trace.terms is None
+    assert trace.records.tobytes() == table.tobytes()     # -0.0 and +0.0 apart
+    if every_step:
+        on_grid = trace.records.iteration % record_every == 0
+        on_grid[-1] = True
+        sparse = run(*args, max_iters=max_iters, tol=tol, record_every=record_every, T=T)
+        assert trace.records[on_grid].tobytes() == sparse.records.tobytes()
 
 
 def test_fast_forward_at_one_state_batches(ring16_problem, ring16_W, z0_16, monkeypatch):
@@ -637,7 +632,7 @@ def test_fast_forward_at_one_state_batches(ring16_problem, ring16_W, z0_16, monk
     calls = counted_steps(monkeypatch, "dgda_step")
     trace = run("dgda", *args, max_iters=8000, tol=1e-10, record_every=10)
     assert trace.fixed_point == wide.fixed_point == len(calls) == 7439
-    assert repr(trace.records) == repr(wide.records)
+    assert trace.records.tobytes() == wide.records.tobytes()
     assert (trace.iterations, trace.comm_rounds) == (wide.iterations, wide.comm_rounds) == (8000,) * 2
 
 
@@ -688,15 +683,15 @@ def test_fast_forward_inside_the_first_batch(batch_bytes, monkeypatch):
     monkeypatch.setattr(algorithms, "_BATCH_BYTES", batch_bytes)
     prob, W, gamma, z0 = resting_at_zero(_FarSaddle)
     calls = counted_steps(monkeypatch, "dgda_step")
-    trace = run("dgda", prob, W, gamma, z0, max_iters=300, tol=0.0, record_every=7,
-                record_states=True)
+    trace = run("dgda", prob, W, gamma, z0, max_iters=300, tol=0.0, record_every=7)
     batch = max(1, batch_bytes // (5 * z0.nbytes))     # 204 states, or 1
     assert trace.fixed_point == 1
     assert len(calls) == max(batch - 1, 1)      # the first batch's steps, or one
-    records, final, table = unforwarded("dgda", prob, W, z0, 300, 7, record_states=True)
-    assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
-    assert repr(trace.records) == repr(tuple(records))
-    assert trace.terms.tobytes() == table.tobytes()
+    every_step = run("dgda", prob, W, gamma, z0, max_iters=300, tol=0.0, record_every=1)
+    for record_every, traced in ((7, trace), (1, every_step)):
+        table, final = unforwarded("dgda", prob, W, z0, 300, record_every)
+        assert (traced.iterations, traced.comm_rounds) == (final.iteration, final.comm_rounds)
+        assert traced.records.tobytes() == table.tobytes()
 
 
 def test_no_fast_forward_without_a_saddle_point(monkeypatch):
@@ -714,7 +709,7 @@ RING16_DOGT = Path(__file__).resolve().parents[1] / "configs" / "ring16_dogt.yam
     lambda: make_bilinear_quadratic(16, 2, 2, 0.1, seed=7),
     lambda: init_state(homogeneous_problem(), np.ones((4, 4))),
     lambda: run("dogt", homogeneous_problem(), metropolis_weights(build_topology("ring", 4)),
-                GAMMA, np.ones((4, 4)), max_iters=3, tol=0.0, record_states=True),
+                GAMMA, np.ones((4, 4)), max_iters=3, tol=0.0, record_every=1),
     lambda: resolve_experiment(load_config(RING16_DOGT)),
 ], ids=["Topology", "MixingMatrix", "BilinearQuadratic", "AlgoState", "Trace",
         "ResolvedExperiment"])

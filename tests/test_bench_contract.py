@@ -52,7 +52,7 @@ def test_workload_configs_load_and_resolve(name, tmp_path):
         config = workload.make_config(seed)
         path.write_text(yaml.safe_dump(config, sort_keys=False))
         exp = cli.resolve_experiment(cli.load_config(path))
-        assert exp.record_states == config["run"].get("record_states", False)
+        assert exp.config.run.record_states == config["run"].get("record_states")
 
 
 class _RegisteringTracer(tracing.Tracer):

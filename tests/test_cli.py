@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -479,22 +478,40 @@ def test_trace_csv_without_saddle_point(tmp_path):
 @pytest.mark.parametrize("saddle,lyapunov", [(True, True), (True, False), (False, False)])
 def test_trace_csv_rows_are_the_fields_formatted_one_by_one(saddle, lyapunov, tmp_path):
     # Each row is one %-format string; it must write what formatting each
-    # field on its own writes, for every kind of float.
+    # field on its own writes, for every kind of float.  The run's constants,
+    # not the cells, decide which columns stay empty: every cell holds a value.
     from netsaddle.cli import _fmt, write_trace_csv
-    from netsaddle.metrics import MetricRecord
+    from netsaddle.metrics import record_table
     values = [0.0, -0.0, 1.0, 1 / 3, 5e-324, 1.7976931348623157e308, 1e16, 1e-5,
               float("inf"), float("-inf"), float("nan"), 2.5e-11]
-    records = [MetricRecord(iteration=10 * k, comm_rounds=40 * k,
-                            residual=v if saddle else None, consensus_error=-v,
-                            tracking_error=v * 3, xi_norm_sq=v / 7 if saddle else None,
-                            lyapunov=v if lyapunov else None)
-               for k, v in enumerate(values)]
+    table = record_table(len(values), 4)
+    for k, v in enumerate(values):
+        table[k] = (10 * k, 40 * k, v, -v, v * 3, v / 7, v, 0.0, 0.0, 0.0, 0.0, 0.0)
+    trace = SimpleNamespace(records=table.view(np.recarray),
+                            z_star=np.zeros(4) if saddle else None,
+                            rho=0.5 if lyapunov else 1.0)
     path = tmp_path / "t.csv"
-    write_trace_csv(path, SimpleNamespace(records=tuple(records)))
-    expected = [CSV_HEADER, *(",".join([str(r.iteration), str(r.comm_rounds),
-                                        *(_fmt(v) for v in astuple(r)[2:])])
-                              for r in records)]
+    write_trace_csv(path, trace)
+    expected = [CSV_HEADER, *(",".join([str(10 * k), str(40 * k),
+                                        *(_fmt(cell) for cell in (
+                                            v if saddle else None, -v, v * 3,
+                                            v / 7 if saddle else None,
+                                            v if lyapunov else None))])
+                              for k, v in enumerate(values))]
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_trace_csv_is_written_in_chunks_of_rows(tmp_path, monkeypatch):
+    # A trace longer than a chunk of rows gives the bytes of one chunk.
+    from netsaddle import metrics
+    from netsaddle.cli import write_trace_csv
+    path = write_config(tmp_path, {"run": {"record_every": 1}})
+    exp = resolve_experiment(load_config(path))
+    trace = algorithms.run("dogt", exp.problem, exp.W, 0.1, exp.z0, max_iters=200, tol=0.0)
+    write_trace_csv(tmp_path / "one.csv", trace)
+    monkeypatch.setattr(metrics, "_CSV_CHUNK_ROWS", 7)
+    write_trace_csv(tmp_path / "chunked.csv", trace)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -509,31 +526,66 @@ def test_shipped_configs_parse():
         assert config.problem.n == 16
 
 
-@pytest.mark.parametrize("command,record_states,overrides", [
+@pytest.mark.parametrize("command,every_step,overrides", [
     (run_command, False, {}),
     (compare_command, False, {"algorithm": None,
                               "algorithms": [{"name": "dgda", "gamma": 0.1},
                                              {"name": "dogt", "gamma": 0.1}]}),
     (verify_command, True, verify_overrides()),
 ])
-def test_only_verify_builds_the_term_table(command, record_states, overrides, tmp_path,
+def test_only_verify_builds_the_term_table(command, every_step, overrides, tmp_path,
                                            monkeypatch):
-    # run and compare read nothing from the term table, so they do not build
-    # it even with record_states: true; the manifest still echoes the key.
-    overrides = {**overrides, "run": {**overrides.get("run", {}), "record_states": True}}
+    # Only verify's checks need a row for every step, so only verify runs at
+    # record_every 1; run and compare record on the config's grid, whatever
+    # record_states says, and the manifest still echoes the key.
+    overrides = {**overrides, "run": {**overrides.get("run", {}), "record_every": 5,
+                                      "record_states": True}}
     seen = []
 
-    def recording_run(*args, record_states, **kwargs):
-        seen.append(record_states)
-        return algorithms.run(*args, record_states=record_states, **kwargs)
+    def recording_run(*args, record_every, **kwargs):
+        seen.append(record_every)
+        return algorithms.run(*args, record_every=record_every, **kwargs)
 
     monkeypatch.setattr(cli, "run", recording_run)
     command(write_config(tmp_path, overrides), tmp_path / "out")
-    assert seen and set(seen) == {record_states}
+    assert seen and set(seen) == {1 if every_step else 5}
     manifests = sorted((tmp_path / "out").glob("*.manifest.txt"))
     assert manifests
     for path in manifests:
         assert "run.record_states = true" in path.read_text().splitlines()
+    for path in (tmp_path / "out").glob("*.csv"):
+        if path.name != "check_margins.csv":
+            assert {int(line.split(",")[0]) % 5 for line in
+                    path.read_text().splitlines()[1:-1]} == {0}
+
+
+def test_verify_writes_the_trace_csv_of_run(tmp_path, capsys):
+    # verify records every step and writes the CSV on the config's grid:
+    # record_every 7 and a tol stop at 838, off that grid, give the bytes of
+    # run, whose final row is the stop.
+    path = write_config(tmp_path, {"run": {"max_iters": 5000, "tol": 1e-10,
+                                           "record_every": 7}})
+    assert run_command(path, tmp_path / "run") == EXIT_OK
+    assert verify_command(path, tmp_path / "verify") == EXIT_PRECONDITION
+    csv = (tmp_path / "run" / "dogt.csv").read_bytes()
+    assert (tmp_path / "verify" / "dogt.csv").read_bytes() == csv
+    assert csv.splitlines()[-1].startswith(b"838,838,")
+
+
+def test_verify_memory_is_the_record_table(tmp_path, capsys):
+    # 20000 steps of ring-16 make a 2.4 MB record table.  Rows built as
+    # Python objects, or CSV text joined into one string, would cost several
+    # times that.
+    import tracemalloc
+    path = write_config(tmp_path, verify_overrides(max_iters=20000))
+    resolve_experiment(load_config(path))      # imports and caches outside the peak
+    tracemalloc.start()
+    try:
+        assert verify_command(path, tmp_path / "ver") == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_main_dispatches_run(tmp_path, capsys):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from netsaddle import algorithms
 from netsaddle.algorithms import init_state, iterate, run, stack_states
 from netsaddle.graph import CSRMix, build_topology, metropolis_weights
-from netsaddle.metrics import (TERMS, MetricRecord, consensus_error, consensus_errors,
+from netsaddle.metrics import (TERM_COLUMNS, consensus_error, consensus_errors,
                                deviation_sq, field_at_average_sq, fit_linear_rate,
                                iteration_complexity, lyapunov_coefficients,
                                max_stepsize, metric_record, optimality_gap_xi,
-                               residual, step_terms, term_table,
+                               record_table, residual, step_terms,
                                theoretical_contraction)
 from netsaddle.problem import BilinearQuadratic, make_bilinear_quadratic
 
@@ -296,13 +296,14 @@ def test_fitted_lyapunov_rate_below_guarantee(ring16_problem, ring16_W, z0_16):
 
 def test_records_recomputable_from_states(ring16_problem, ring16_W, z0_16):
     trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16,
-                max_iters=100, tol=0.0, record_states=True)
+                max_iters=100, tol=0.0, record_every=7)
     states = list(islice(iterate("dogt", ring16_problem, ring16_W, GAMMA, z0_16), 101))
     for rec in trace.records:
         state = stack_states([states[rec.iteration]])
-        terms = step_terms(state, GAMMA, trace.smoothness, trace.rho, 16, trace.z_star)
-        res = residual(state.z[0], trace.z_star)
-        assert metric_record(state, terms, [res]) == [rec]
+        row = record_table(1, 4)
+        metric_record(row, state, [residual(state.z[0], trace.z_star)], ring16_problem, GAMMA,
+                      trace.smoothness, trace.rho, trace.z_star)
+        assert row.tobytes() == rec.tobytes()
 
 
 class _NoSaddle(BilinearQuadratic):
@@ -313,28 +314,26 @@ class _NoSaddle(BilinearQuadratic):
 
 
 def _per_state(trace, states, record_every):
-    """The records and term table of a run, from each state on its own.
+    """The record table of a run, from each state on its own.
 
     Every value comes from a per-state call: step_terms, residual and
     consensus_error on one state's arrays, the row mean and e, E of one
     state's zbar.
     """
-    z_star, records = trace.z_star, []
-    table = term_table(len(states), trace.problem.p + trace.problem.d)
+    z_star, rows = trace.z_star, []
     for s in states:
+        if s.iteration % record_every and s.iteration != trace.iterations:
+            continue
         terms = step_terms(s, trace.gamma, trace.smoothness, trace.rho, trace.n, z_star)
         zbar = s.z.mean(axis=0)
-        table[s.iteration] = (*(terms.get(name, math.nan) for name in TERMS[:5]),
-                              *field_at_average_sq(trace.problem, zbar), zbar)
-        if s.iteration % record_every == 0 or s.iteration == trace.iterations:
-            records.append(MetricRecord(
-                iteration=s.iteration, comm_rounds=s.comm_rounds,
-                residual=None if z_star is None else residual(s.z, z_star),
-                consensus_error=consensus_error(s.z),
-                tracking_error=float(terms["D"]),
-                xi_norm_sq=float(terms["xi_sq"]) if "xi_sq" in terms else None,
-                lyapunov=float(terms["V"]) if "V" in terms else None))
-    return records, table
+        rows.append((s.iteration, s.comm_rounds,
+                     math.nan if z_star is None else residual(s.z, z_star),
+                     consensus_error(s.z), terms["D"], terms.get("xi_sq", math.nan),
+                     terms.get("V", math.nan), terms["B"], terms["C"],
+                     *field_at_average_sq(trace.problem, zbar), zbar))
+    table = record_table(len(rows), trace.problem.p + trace.problem.d)
+    table[:] = rows
+    return table
 
 
 def _random512():
@@ -351,36 +350,33 @@ def _no_saddle_ring16(ring16_problem, ring16_W, z0_16):
 
 
 @pytest.mark.parametrize("setup,kind,T,run_args,batches", [
-    # several batches, every state recorded
+    # several batches, every state recorded; max_iters at the end of a batch
     ("ring16", "dogt", None, dict(max_iters=500, tol=0.0), "several"),
-    ("ring16", "dogt", None, dict(max_iters=500, tol=0.0, record_states=True), "several"),
-    # the tol stop (iteration 838) falls inside a batch
-    ("ring16", "dogt", None, dict(max_iters=5000, tol=1e-10, record_states=True), "cut"),
+    ("ring16", "dogt", None, dict(max_iters=509, tol=0.0), "several"),
+    # the tol stop (iteration 838) falls inside a batch, also off a sparse grid
+    ("ring16", "dogt", None, dict(max_iters=5000, tol=1e-10, record_every=3), "cut"),
     ("ring16", "dogt", None, dict(max_iters=5000, tol=1e-10), "cut"),
-    # record_every 7 and a last iteration off its grid
+    # record_every 7 and a last iteration off its grid, in one call or several
     ("ring16", "dogt", None, dict(max_iters=250, tol=0.0, record_every=7), None),
-    ("ring16", "dogt", None,
-     dict(max_iters=250, tol=0.0, record_every=7, record_states=True), "several"),
+    ("ring16", "dogt", None, dict(max_iters=2500, tol=0.0, record_every=7), "several"),
     # all four methods
-    ("ring16", "dgda", None, dict(max_iters=300, tol=0.0, record_states=True), None),
-    ("ring16", "dogda", None, dict(max_iters=300, tol=0.0, record_states=True), None),
-    ("ring16", "adogt", 3, dict(max_iters=300, tol=0.0, record_states=True), None),
+    ("ring16", "dgda", None, dict(max_iters=300, tol=0.0), None),
+    ("ring16", "dogda", None, dict(max_iters=300, tol=0.0), None),
+    ("ring16", "adogt", 3, dict(max_iters=300, tol=0.0), None),
     ("ring16", "adogt", 4, dict(max_iters=300, tol=0.0, record_every=10), None),
     # the gathered mixing of a random n = 512 graph: one state a batch, and
     # four under a larger budget
     ("random512", "adogt", 3, dict(max_iters=20, tol=0.0), "single"),
-    ("random512_wide", "dogt", None,
-     dict(max_iters=20, tol=0.0, record_every=3, record_states=True), "several"),
+    ("random512_wide", "dogt", None, dict(max_iters=20, tol=0.0), "several"),
     ("random512_wide", "adogt", 3, dict(max_iters=20, tol=0.0), "several"),
     # no saddle point: no residual, xi_sq or V, and no tol stop
-    ("no_saddle", "dogt", None, dict(max_iters=300, tol=1e-10, record_states=True),
-     "several"),
+    ("no_saddle", "dogt", None, dict(max_iters=300, tol=1e-10), "several"),
     ("no_saddle", "dgda", None, dict(max_iters=300, tol=1e-10, record_every=7), None),
 ])
 def test_run_equals_per_state_evaluation(setup, kind, T, run_args, batches, ring16_problem,
                                          ring16_W, z0_16, batch_sizes, monkeypatch):
-    # run() evaluates the states it keeps in batches, on their stack; its
-    # records and term table must be those of per-state calls, bit for bit.
+    # run() evaluates the states it records in batches, on their stack; its
+    # record table must be that of per-state calls, bit for bit.
     if setup == "random512":
         problem, W, z0 = _random512()
     elif setup == "random512_wide":
@@ -401,17 +397,13 @@ def test_run_equals_per_state_evaluation(setup, kind, T, run_args, batches, ring
         assert len(sizes) > 2
     record_every = run_args.get("record_every", 1)
     states = list(islice(iterate(kind, problem, W, GAMMA, z0, T), trace.iterations + 1))
-    records, table = _per_state(trace, states, record_every)
-    assert list(trace.records) == records
-    assert [r.iteration for r in records] == sorted(
+    table = _per_state(trace, states, record_every)
+    assert trace.records.iteration.tolist() == sorted(
         {*range(0, trace.iterations + 1, record_every), trace.iterations})
-    if run_args.get("record_states"):
-        assert trace.terms.dtype == table.dtype
-        for name in trace.terms.dtype.names:
-            assert np.array_equal(trace.terms[name], table[name], equal_nan=True), name
-        assert trace.terms.tobytes() == table.tobytes()
-    else:
-        assert trace.terms is None
+    assert trace.records.dtype.descr == table.dtype.descr
+    for name in table.dtype.names:
+        assert np.array_equal(trace.records[name], table[name], equal_nan=True), name
+    assert trace.records.tobytes() == table.tobytes()     # -0.0 and +0.0 apart
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 1024])
@@ -427,39 +419,44 @@ def test_batched_consensus_is_the_per_state_norm(n):
 
 
 def test_term_table_rows_are_the_terms_of_each_state(ring16_problem, ring16_W, z0_16):
-    # Row k of a record_states run's table is iteration k: its step_terms and zbar.
+    # Row k of a run at record_every 1, as verify runs it, is iteration k:
+    # its step_terms, zbar and the field there.
     trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16,
-                max_iters=100, tol=0.0, record_every=7, record_states=True)
+                max_iters=100, tol=0.0, record_every=1)
     states = islice(iterate("dogt", ring16_problem, ring16_W, GAMMA, z0_16), 101)
-    assert len(trace.terms) == 101
-    for row, state in zip(trace.terms, states):
+    assert trace.records.iteration.tolist() == list(range(101))
+    for row, state in zip(trace.records, states):
         terms = step_terms(state, GAMMA, trace.smoothness, trace.rho, 16, trace.z_star)
-        assert [row[name] for name in terms] == list(terms.values())
+        assert [row[TERM_COLUMNS[name]] for name in terms] == list(terms.values())
         assert (row["zbar"] == state.z.mean(axis=0)).all()
         assert (row["e"], row["E"]) == field_at_average_sq(ring16_problem, row["zbar"])
 
 
 def test_term_table_is_trimmed_at_tol(ring16_problem, ring16_W, z0_16):
-    trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16,
-                max_iters=5000, tol=1e-10, record_every=100, record_states=True)
+    args = ("dogt", ring16_problem, ring16_W, GAMMA, z0_16)
+    trace = run(*args, max_iters=5000, tol=1e-10, record_every=1)
     assert trace.reason == "tol_reached"
-    assert len(trace.terms) == trace.iterations + 1
-    assert trace.terms["V"][-1] == trace.records[-1].lyapunov
+    assert len(trace.records) == trace.iterations + 1
+    sparse = run(*args, max_iters=5000, tol=1e-10, record_every=100)
+    assert sparse.records.iteration.tolist() == [*range(0, 838, 100), 838]
+    assert sparse.records[-1].tobytes() == trace.records[-1].tobytes()
 
 
 def test_term_table_follows_the_steps_run_not_max_iters(ring16_problem, ring16_W, z0_16):
-    # max_iters = 10**13 would be a 655 TiB table allocated up front; this run
+    # max_iters = 10**13 would be a 1 PiB table allocated up front; this run
     # reaches tol at iteration 838 and keeps only the rows it ran.
     huge = run("dogt", ring16_problem, ring16_W, 0.1, z0_16, max_iters=10**13, tol=1e-10,
-               record_states=True)
+               record_every=1)
     plain = run("dogt", ring16_problem, ring16_W, 0.1, z0_16, max_iters=20000, tol=1e-10,
-                record_states=True)
-    assert huge.reason == "tol_reached" and len(huge.terms) == 839
-    assert huge.terms.tobytes() == plain.terms.tobytes()
+                record_every=1)
+    assert huge.reason == "tol_reached" and len(huge.records) == 839
+    assert huge.records.tobytes() == plain.records.tobytes()
 
 
 def test_record_without_saddle_point(ring16_problem, z0_16):
     state = stack_states([init_state(ring16_problem, z0_16)])
-    [rec] = metric_record(state, step_terms(state, GAMMA, 1.0, 0.5, 16, None), [None])
-    assert rec.residual is None and rec.xi_norm_sq is None and rec.lyapunov is None
-    assert rec.consensus_error > 0.0
+    rec = record_table(1, 4)
+    metric_record(rec, state, [None], ring16_problem, GAMMA, 1.0, 0.5, None)
+    assert np.isnan(rec["residual"]) and np.isnan(rec["xi_norm_sq"])
+    assert np.isnan(rec["lyapunov"])
+    assert rec["consensus_error"] > 0.0

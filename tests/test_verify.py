@@ -8,8 +8,9 @@ import reference_impl as ref
 from netsaddle.algorithms import Trace, iterate, run, stack_states
 from netsaddle.graph import (accelerated_matrix, build_topology,
                              metropolis_weights, recommended_T)
-from netsaddle.metrics import (field_at_average_sq, fill_term_rows, max_stepsize,
-                               step_terms, term_table)
+from netsaddle import metrics
+from netsaddle.metrics import (max_stepsize, metric_record, record_table, step_terms,
+                               theoretical_contraction)
 from netsaddle.problem import BilinearQuadratic
 from netsaddle.verify import (LEMMA_IDS, LemmaCheckReport, check_lemma, check_rho_M,
                               margins_csv_rows, run_all_checks, summary_text)
@@ -21,13 +22,13 @@ GAMMA_EXPERIMENT = 0.1
 def compliant_trace(ring16_problem, ring16_W, z0_16):
     gamma = max_stepsize(ring16_problem.smoothness_constant(), ring16_W.rho)
     return run("dogt", ring16_problem, ring16_W, gamma, z0_16,
-               max_iters=500, tol=0.0, record_states=True)
+               max_iters=500, tol=0.0, record_every=1)
 
 
 @pytest.fixture(scope="module")
 def experiment_trace(ring16_problem, ring16_W, z0_16):
     return run("dogt", ring16_problem, ring16_W, GAMMA_EXPERIMENT, z0_16,
-               max_iters=300, tol=0.0, record_states=True)
+               max_iters=300, tol=0.0, record_every=1)
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +65,20 @@ def test_all_checks_pass_on_compliant_run(compliant_trace):
         assert rep.passed, f"{rep.lemma_id}: {rep.status} min={rep.min_margin}"
 
 
+def report_key(rep):
+    """A report as comparable values; its margins as bytes, so -0.0 and +0.0 differ."""
+    return (rep.lemma_id, rep.margins.tobytes(), repr(rep.min_margin), rep.status, rep.notes)
+
+
 def test_shared_terms_give_the_reports_of_each_check_alone(compliant_trace):
-    assert run_all_checks(compliant_trace) == [check_lemma(compliant_trace, lemma_id)
-                                               for lemma_id in LEMMA_IDS]
+    assert [report_key(rep) for rep in run_all_checks(compliant_trace)] == [
+        report_key(check_lemma(compliant_trace, lemma_id)) for lemma_id in LEMMA_IDS]
 
 
 def test_margins_cover_every_step(compliant_trace):
     rep = check_lemma(compliant_trace, "L2_consensus")
-    assert len(rep.margins) == len(compliant_trace.terms) - 1
-    assert [k for k, _ in rep.margins] == list(range(500))
+    assert len(rep.margins) == len(compliant_trace.records) - 1
+    assert rep.margins["iteration"].tolist() == list(range(500))
 
 
 def test_homogeneous_fixed_point_all_margins_zero():
@@ -83,18 +89,18 @@ def test_homogeneous_fixed_point_all_margins_zero():
     W = metropolis_weights(build_topology("ring", 4))
     gamma = max_stepsize(prob.smoothness_constant(), W.rho)
     L = prob.smoothness_constant()
-    table = term_table(21, 4)
+    table = record_table(21, 4)
     stack = stack_states(list(islice(iterate("dogt", prob, W, gamma, np.zeros((4, 4))), 21)))
-    fill_term_rows(table, stack, step_terms(stack, gamma, L, W.rho, 4, np.zeros(4)))
-    table["e"], table["E"] = field_at_average_sq(prob, table["zbar"])
+    metric_record(table, stack, [0.0] * 21, prob, gamma, L, W.rho, np.zeros(4))
     trace = Trace(kind="dogt", gamma=gamma, mu=prob.mu, smoothness=L, rho=W.rho, n=4,
-                  problem=prob, mixing=W, z_star=np.zeros(4), records=(),
-                  terms=table, reason="max_iters", iterations=20, comm_rounds=20)
+                  problem=prob, mixing=W, z_star=np.zeros(4),
+                  records=table.view(np.recarray), reason="max_iters", iterations=20,
+                  comm_rounds=20)
     for lemma_id in ("L1_iterate_gap", "L2_consensus", "L3_tracking",
                      "L4_optimality_gap", "T1_contraction"):
         rep = check_lemma(trace, lemma_id)
         assert rep.passed
-        assert all(m == 0.0 for _, m in rep.margins)
+        assert (rep.margins["margin"] == 0.0).all()
 
 
 def test_experiment_stepsize_violates_tight_preconditions(experiment_trace):
@@ -105,7 +111,7 @@ def test_experiment_stepsize_violates_tight_preconditions(experiment_trace):
     for lemma_id in ("L3_tracking", "L4_optimality_gap", "T1_contraction"):
         rep = by_id[lemma_id]
         assert rep.status == "precondition_violated"
-        assert rep.margins == ()
+        assert len(rep.margins) == 0
         assert "stepsize" in rep.notes[0]
     assert by_id["T2_rho_M"].passed
 
@@ -119,7 +125,7 @@ def test_t1_passes_on_complete_graph_with_stepsize_branch():
     assert W.rho <= 1e-14
     gamma = max_stepsize(prob.smoothness_constant(), W.rho)
     trace = run("dogt", prob, W, gamma, np.zeros((6, 4)), max_iters=200,
-                tol=0.0, record_states=True)
+                tol=0.0, record_every=1)
     rep = check_lemma(trace, "T1_contraction")
     assert rep.passed
     assert 0.75 * gamma * prob.mu < (1.0 - W.rho) / 8.0  # stepsize branch binds
@@ -141,27 +147,28 @@ def test_all_checks_pass_across_graph_families(kind, n, scheme):
     gamma = max_stepsize(prob.smoothness_constant(), W.rho)
     z0 = np.random.default_rng(14).standard_normal((n, 4))
     trace = run("dogt", prob, W, gamma, z0, max_iters=200, tol=0.0,
-                record_states=True)
+                record_every=1)
     for rep in run_all_checks(trace):
         assert rep.passed, f"{kind}/{scheme} {rep.lemma_id}: {rep.status} " \
                            f"min={rep.min_margin}"
 
 
 def test_check_lemma_requires_states(ring16_problem, ring16_W, z0_16):
+    # The checks need a row for every step: a record grid with gaps raises.
     trace = run("dogt", ring16_problem, ring16_W, GAMMA_EXPERIMENT, z0_16,
-                max_iters=10, tol=0.0, record_states=False)
-    with pytest.raises(ValueError):
+                max_iters=10, tol=0.0, record_every=3)
+    with pytest.raises(ValueError, match="record of every step"):
         check_lemma(trace, "L1_iterate_gap")
 
 
 def test_check_lemma_on_a_run_with_no_steps(ring16_problem, ring16_W, z0_16):
     trace = run("dogt", ring16_problem, ring16_W, GAMMA_EXPERIMENT, z0_16,
-                max_iters=10, tol=np.inf, record_states=True)
-    assert trace.iterations == 0 and len(trace.terms) == 1
+                max_iters=10, tol=np.inf, record_every=1)
+    assert trace.iterations == 0 and len(trace.records) == 1
     for lemma_id in LEMMA_IDS[:5]:
         report = check_lemma(trace, lemma_id)
         assert report.status == "precondition_violated", lemma_id
-        assert report.notes == ("no steps recorded",) and report.margins == ()
+        assert report.notes == ("no steps recorded",) and len(report.margins) == 0
 
 
 def test_check_lemma_unknown_id(compliant_trace):
@@ -170,22 +177,26 @@ def test_check_lemma_unknown_id(compliant_trace):
 
 
 def test_trajectory_terms_equal_trace_columns(ring16_problem, ring16_W, z0_16):
-    # The checks read the trace's term table, and the table and the records
-    # share one definition of every term, so they agree bit for bit.
+    # The checks read the columns of the trace's records, the table the CSV
+    # is written from: its V column is V of each state, and T1's margins are
+    # those of that V, bit for bit.
     gamma = max_stepsize(ring16_problem.smoothness_constant(), ring16_W.rho)
     trace = run("dogt", ring16_problem, ring16_W, gamma, z0_16, max_iters=300,
-                tol=0.0, record_every=1, record_states=True)
-    assert len(trace.records) == len(trace.terms) == 301
-    for term, column in (("D", "tracking_error"), ("xi_sq", "xi_norm_sq"),
-                         ("V", "lyapunov")):
-        recorded = np.array([getattr(rec, column) for rec in trace.records])
-        assert (trace.terms[term] == recorded).all(), term
+                tol=0.0, record_every=1)
+    assert len(trace.records) == 301
+    states = islice(iterate("dogt", ring16_problem, ring16_W, gamma, z0_16), 301)
+    V = np.array([step_terms(s, gamma, trace.smoothness, trace.rho, 16, trace.z_star)["V"]
+                  for s in states])
+    assert trace.records.lyapunov.tobytes() == V.tobytes()
+    factor = theoretical_contraction(gamma, trace.mu, trace.rho)
+    rep = check_lemma(trace, "T1_contraction")
+    assert rep.margins["margin"].tobytes() == (factor * V[:-1] - V[1:]).tobytes()
 
 
 def test_checks_are_rerunnable(compliant_trace):
     first = check_lemma(compliant_trace, "L4_optimality_gap")
     second = check_lemma(compliant_trace, "L4_optimality_gap")
-    assert first == second
+    assert report_key(first) == report_key(second)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +207,13 @@ def test_check_rho_M_on_averaging_matrix():
     W = metropolis_weights(build_topology("complete", 4))  # equals J
     rep = check_rho_M(W, 1)
     assert rep.passed
-    assert all(m >= 0.0 for _, m in rep.margins)
+    assert (rep.margins["margin"] >= 0.0).all()
 
 
 def test_check_rho_M_ring16_recommended(ring16_W):
     rep = check_rho_M(ring16_W, 4)
     assert rep.passed
-    margins = dict(rep.margins)
+    margins = dict(rep.margins.tolist())
     assert margins[1] >= 0.0  # half-gap guarantee
     # The printed envelope 2(1-s)^(2T) is violated here (rho_M = 0.3297 vs
     # 0.2596); pinned so the diagnostic stays visible.
@@ -215,7 +226,7 @@ def test_check_rho_M_ring16_T1_vacuous(ring16_W):
     # Momentum tuned for 4 rounds overshoots at T=1: rho_M slightly above 1.
     rho_M = accelerated_matrix(ring16_W, 1).rho
     assert rho_M == pytest.approx(1.0581, abs=5e-4)
-    assert dict(rep.margins)[0] == pytest.approx(1.0 - rho_M, abs=1e-12)
+    assert dict(rep.margins.tolist())[0] == pytest.approx(1.0 - rho_M, abs=1e-12)
     assert rep.passed  # no gated claim exists at off-design T
 
 
@@ -224,7 +235,7 @@ def test_check_rho_M_half_gap_all_rings(n):
     W = metropolis_weights(build_topology("ring", n))
     rep = check_rho_M(W, recommended_T(W.rho))
     assert rep.passed
-    assert dict(rep.margins)[1] >= -1e-10
+    assert dict(rep.margins.tolist())[1] >= -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +250,8 @@ def test_summary_text_mentions_every_check(compliant_trace):
 
 
 def test_margins_csv_rows_schema(compliant_trace):
-    rows = margins_csv_rows(run_all_checks(compliant_trace))
-    assert rows[0] == "lemma_id,iteration,margin"
+    rows = "".join(margins_csv_rows(run_all_checks(compliant_trace))).split("\n")
+    assert rows[0] == "lemma_id,iteration,margin" and rows[-1] == ""
     lemma_id, iteration, margin = rows[1].split(",")
     assert lemma_id in LEMMA_IDS
     int(iteration)
@@ -250,13 +261,26 @@ def test_margins_csv_rows_schema(compliant_trace):
 def test_margins_csv_rows_are_the_margins_formatted_one_by_one():
     margins = [0.0, -0.0, 1 / 3, -2.5e-300, 5e-324, float("inf"), float("-inf"),
                float("nan")]
-    reports = [LemmaCheckReport("L1_iterate_gap", tuple(enumerate(margins)), -math.inf,
-                                "failed"),
-               LemmaCheckReport("T1_lyapunov", ((7, 1e16),), 1e16, "passed")]
-    assert margins_csv_rows(reports) == [
+    reports = [LemmaCheckReport.from_sides("L1_iterate_gap", range(len(margins)),
+                                           [0.0] * len(margins), margins),
+               LemmaCheckReport.from_sides("T1_lyapunov", [7], [0.0], [1e16])]
+    text = "".join(margins_csv_rows(reports))
+    assert text == "\n".join([
         "lemma_id,iteration,margin",
         *(f"L1_iterate_gap,{k},{m:.17g}" for k, m in enumerate(margins)),
-        "T1_lyapunov,7,10000000000000000"]
+        "T1_lyapunov,7,10000000000000000"]) + "\n"
+
+
+def test_margins_csv_is_written_in_chunks_of_rows(monkeypatch):
+    # A report longer than a chunk is written in several strings, which join
+    # to the rows of one.
+    monkeypatch.setattr(metrics, "_CSV_CHUNK_ROWS", 3)
+    margins = np.linspace(-1.0, 1.0, 8)
+    report = LemmaCheckReport.from_sides("L2_consensus", range(8), np.zeros(8), margins)
+    chunks = list(margins_csv_rows([report]))
+    assert len(chunks) == 1 + 3
+    assert "".join(chunks).splitlines()[1:] == [f"L2_consensus,{k},{m:.17g}"
+                                               for k, m in enumerate(margins)]
 
 
 def test_report_from_sides_derives_failure():
