@@ -7,18 +7,17 @@ On the ring-16 comparison config (``configs/ring16_compare.yaml``: ring-16,
 p = d = 2, gamma 0.1, adogt at T = 4) it records the microseconds per
 iteration of each method inside ``algorithms.run``, over ITERS iterations
 at tol 0, in two settings: record_every 10, as ``compare`` runs the
-methods, and record_every 1, as ``verify`` runs dogt (with record_states,
-where the checkout's ``run`` still takes it).  Beside them it records a
-bare numpy dogt loop (the same arithmetic with no library code in it),
-each method's ratio to that loop, and the time of one call of
+methods, and record_every 1, as ``verify`` runs dogt.  Beside them it
+records a bare numpy dogt loop (the same arithmetic with no library code
+in it), each method's ratio to that loop, and the time of one call of
 ``gradient_field``, ``W.mix`` and ``metrics.residual`` at the config's
 starting iterate, and of ``stacked_gradient_field``, the field as a step
 calls it.  Each per-iteration and per-call time, and each ratio, is stored
-as its median over rounds with its interquartile range.  Beside the one-state residual it records the
-residual's cost per state on a stack of STACK states, one ring-16 batch of
-``run()``, which is what the stop rule pays; a checkout whose residual
-takes no stack gets null there.  The bare loop's final residual must equal
-the library dogt's to 1e-9 relative, or no numbers are written.
+as its median over rounds with its interquartile range.  Beside the
+one-state residual it records the residual's cost per state on a stack of
+STACK states, one ring-16 batch of ``run()``, which is what the stop rule
+pays.  The bare loop's final residual must equal the library dogt's to
+1e-9 relative, or no numbers are written.
 
 It also runs each method as ``compare`` runs it (COMPARE: tol 1e-10 and
 10000 iterations, record_every 10) and records the wall time of that
@@ -30,9 +29,12 @@ past a tol stop within its last batch (dogt and adogt).
 BASELINE_CHECKOUT is another checkout of this repository, such as a clone
 at an earlier commit.  The two are timed in fresh processes, one per
 checkout in each of ROUNDS alternating rounds, and the file gets both sets
-of numbers and the baseline-over-this speedups.  A number is the median
-over rounds of each process's median.  BLAS is pinned to one thread, as in
-perfbench.  The file goes to the root of this checkout.
+of numbers.  A number is the median over rounds of each process's median.
+The bare loop's speed has differed by up to 1.5x between the two
+checkouts' processes, so the numbers to compare across checkouts are each
+checkout's ratios to its own bare loop, not ratios of times taken in
+different processes.  BLAS is pinned to one thread, as in perfbench.  The
+file goes to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ PINNED_THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_
 os.environ.update(PINNED_THREADS)   # before numpy is imported
 
 import argparse  # noqa: E402
-import inspect  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -123,14 +124,9 @@ def measure(src: Path) -> dict:
     exp = cli.resolve_experiment(cli.load_config(CONFIG))
     algos = {a.name: a for a in exp.algorithms}
     problem, W, z0 = exp.problem, exp.W, exp.z0
-    # A checkout whose run() keeps verify's terms only with record_states.
-    settings = dict(SETTINGS)
-    if "record_states" in inspect.signature(algorithms.run).parameters:
-        settings["record_every_1_as_verify"] = {"record_every": 1, "record_states": True}
-
     jobs = {(setting, kind): partial(algorithms.run, kind, problem, W, algos[kind].gamma, z0,
                                      max_iters=ITERS, tol=0.0, T=algos[kind].T, **kwargs)
-            for setting, kwargs in settings.items() for kind in METHODS}
+            for setting, kwargs in SETTINGS.items() for kind in METHODS}
     jobs.update({("compare", kind): partial(algorithms.run, kind, problem, W, algos[kind].gamma,
                                             z0, T=algos[kind].T, **COMPARE)
                  for kind in METHODS})
@@ -155,10 +151,6 @@ def measure(src: Path) -> dict:
     bare = us.pop("bare")
     per_iter = {setting: {kind: us[setting, kind] for kind in METHODS} for setting in SETTINGS}
     stack = np.repeat(z0[None], STACK, axis=0)
-    try:
-        stacked = np.shape(metrics.residual(stack, z_star)) == (STACK,)
-    except TypeError:       # a residual of one state only
-        stacked = False
     return {
         "us_per_iteration_in_run": per_iter,
         "compare_runs": compare,
@@ -171,7 +163,7 @@ def measure(src: Path) -> dict:
                         "W.mix": call_us(lambda: W.mix(z0)),
                         "metrics.residual": call_us(lambda: metrics.residual(z0, z_star)),
                         f"metrics.residual_per_state_of_{STACK}": call_us(
-                            lambda: metrics.residual(stack, z_star)) / STACK if stacked else None},
+                            lambda: metrics.residual(stack, z_star)) / STACK},
     }
 
 
@@ -194,10 +186,8 @@ WITH_SPREAD = ("us_per_iteration_in_run", "bare_dogt_us_per_iteration", "ratio_t
                "us_per_call")
 
 
-def spread(samples: list[float | None]) -> dict | None:
+def spread(samples: list[float]) -> dict:
     """The median over rounds of one number and its interquartile range."""
-    if samples[0] is None:
-        return None
     q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": statistics.median(samples), "iqr": q3 - q1}
 
@@ -247,15 +237,6 @@ def main(argv=None) -> int:
         "checkouts": {name: {"commit": commit(checkouts[name]), **summary(rows)}
                       for name, rows in samples.items()},
     }
-    base, this = (result["checkouts"][name]["us_per_iteration_in_run"]
-                  for name in ("baseline", "this"))
-    result["speedup_over_baseline"] = {
-        setting: {kind: base[setting][kind]["median"] / this[setting][kind]["median"]
-                  for kind in METHODS}
-        for setting in SETTINGS}
-    result["compare_speedup_over_baseline"] = {
-        kind: result["checkouts"]["baseline"]["compare_runs"][kind]["ms_per_run"]
-        / result["checkouts"]["this"]["compare_runs"][kind]["ms_per_run"] for kind in METHODS}
     (ROOT / "BENCH_hotloop.json").write_text(json.dumps(result, indent=2) + "\n")
     return 0
 

@@ -20,11 +20,12 @@ iterates (the states the averaged dynamics and the energy-decay guarantees
 are stated for); the tracker r is seeded with the initial gradients and
 therefore keeps the exact column-average identity mean(r) = mean(G).
 
-W m is ``MixingMatrix.mix``: the dense product, or a gather over the
-nonzeros of W on sparse graphs.  M_T m is ``graph.accelerated_mix``: where
-W mixes dense (below a few hundred nodes), the dense M_T that ``run`` builds
-for its rho is applied as one product; where W gathers, no n x n matrix
-enters a step.
+A step reads the mix and the rounds it counts from what it is given: a
+``MixingMatrix`` (W m, the dense product or a gather over the nonzeros of
+W on sparse graphs, one round) or adogt's ``graph.accelerated_matrix``
+exchange (M_T m: one product by M_T, built on its first mix, where W mixes
+dense, below a few hundred nodes; where W gathers, T rounds, and no n x n
+matrix enters a step).
 
 A step is arithmetic only: it neither checks its result nor sets NumPy's
 error state, so a step from a non-finite state is an ordinary step.  The
@@ -44,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics
-from .graph import MixingMatrix, accelerated_matrix, accelerated_mix, acceleration_momentum
+from .graph import AcceleratedExchange, MixingMatrix, accelerated_matrix
 from .problem import BilinearQuadratic, stacked_array, stacked_gradient_field
 
 ALGORITHMS = ("dgda", "dogda", "dogt", "adogt")
@@ -112,7 +113,6 @@ class Trace:
     iterations: int
     comm_rounds: int
     T: int | None = None
-    eta: float | None = None
     fixed_point: int | None = None
 
 
@@ -129,9 +129,9 @@ def init_state(problem: BilinearQuadratic, z0) -> AlgoState:
                      iteration=0, comm_rounds=0)
 
 
-def _step(state: AlgoState, mix, rounds: int, direction, tracking: bool,
-          gamma: float, problem: BilinearQuadratic) -> AlgoState:
-    """The one update of the family, counting ``rounds`` exchanges.
+def _step(state: AlgoState, mixing: MixingMatrix | AcceleratedExchange, direction,
+          tracking: bool, gamma: float, problem: BilinearQuadratic) -> AlgoState:
+    """The one update of the family, with ``mixing``'s mix, counting its rounds.
 
     z+ = mix(z - gamma direction(state)); tracking methods also update
     r+ = mix(r + G(z+) - G(z)), the others carry r over unchanged.  Pure
@@ -140,11 +140,12 @@ def _step(state: AlgoState, mix, rounds: int, direction, tracking: bool,
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    mix = mixing.mix
     z_new = _frozen(mix(state.z - gamma * direction(state)))
     g_new = _frozen(stacked_gradient_field(problem, z_new))
     r_new = _frozen(mix(state.tracker + g_new - state.grad)) if tracking else state.tracker
     return AlgoState(z_new, state.z, g_new, state.grad, r_new,
-                     state.iteration + 1, state.comm_rounds + rounds)
+                     state.iteration + 1, state.comm_rounds + mixing.rounds)
 
 
 def _tracked(s: AlgoState) -> np.ndarray:
@@ -154,14 +155,13 @@ def _tracked(s: AlgoState) -> np.ndarray:
 def dgda_step(state: AlgoState, W: MixingMatrix, gamma: float,
               problem: BilinearQuadratic) -> AlgoState:
     """Plain distributed gradient descent ascent (adapt then combine)."""
-    return _step(state, W.mix, 1, lambda s: s.grad, False, gamma, problem)
+    return _step(state, W, lambda s: s.grad, False, gamma, problem)
 
 
 def dogda_step(state: AlgoState, W: MixingMatrix, gamma: float,
                problem: BilinearQuadratic) -> AlgoState:
     """Distributed optimistic gradient descent ascent, no tracking."""
-    return _step(state, W.mix, 1, lambda s: 2.0 * s.grad - s.grad_prev, False,
-                 gamma, problem)
+    return _step(state, W, lambda s: 2.0 * s.grad - s.grad_prev, False, gamma, problem)
 
 
 def dogt_step(state: AlgoState, W: MixingMatrix, gamma: float,
@@ -172,27 +172,29 @@ def dogt_step(state: AlgoState, W: MixingMatrix, gamma: float,
     absorbs the new-minus-old gradient difference; mixing both through the
     doubly stochastic W preserves mean(r) = mean(G) exactly.
     """
-    return _step(state, W.mix, 1, _tracked, True, gamma, problem)
+    return _step(state, W, _tracked, True, gamma, problem)
 
 
-def adogt_step(state: AlgoState, W: MixingMatrix, eta: float, T: int, gamma: float,
+def adogt_step(state: AlgoState, mixing: AcceleratedExchange, gamma: float,
                problem: BilinearQuadratic) -> AlgoState:
-    """dogt_step with every exchange run through T momentum-gossip rounds.
+    """dogt_step whose every exchange is ``mixing``, accelerated_matrix(W, T).
 
-    Equals dogt_step under accelerated_matrix(W, T, eta) and counts T
-    communication rounds per iteration.  Where W mixes dense, the exchange
-    is one product by that M_T, built once per (W, eta, T) and kept with W,
-    so the two steps agree bit for bit; where W gathers, it is the T rounds
-    of W.mix, which agree with the product up to rounding.
+    It mixes with M_T and counts T communication rounds per iteration.
+    Where W mixes dense, the exchange is one product by M_T; where W
+    gathers, it is the T rounds of W.mix, which agree with the product up
+    to rounding.
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"T must be a positive integer, got {T!r}")
-    return _step(state, accelerated_mix(W, eta, T), T, _tracked, True, gamma, problem)
+    return _step(state, mixing, _tracked, True, gamma, problem)
 
 
-def _states(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
-            T: int | None):
-    """Yield the states of one method from iteration 0 on, without end or checks.
+def _mixing(kind: str, W: MixingMatrix, T: int | None) -> MixingMatrix | AcceleratedExchange:
+    """What a step of ``kind`` mixes with: W, or adogt's exchange of T rounds over W."""
+    return accelerated_matrix(W, T) if kind == "adogt" else W
+
+
+def _states(kind: str, problem: BilinearQuadratic, mixing, gamma: float, z0):
+    """Yield the states of one method, mixing with ``mixing``, from iteration 0
+    on, without end or checks.
 
     A step from a non-finite state is taken like any other; the caller sets
     ``np.errstate`` and tests the states it gets (``_first_nonfinite``).
@@ -202,12 +204,11 @@ def _states(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float
     state = init_state(problem, z0)
     if kind not in TRACKING_ALGORITHMS:
         state = replace(state, tracker=_frozen(np.zeros_like(state.tracker)))
-    eta = acceleration_momentum(W.rho) if kind == "adogt" else None
     # Looked up on every call, so a step function swapped on the module is used.
-    step = {"dgda": lambda s: dgda_step(s, W, gamma, problem),
-            "dogda": lambda s: dogda_step(s, W, gamma, problem),
-            "dogt": lambda s: dogt_step(s, W, gamma, problem),
-            "adogt": lambda s: adogt_step(s, W, eta, T, gamma, problem)}[kind]
+    step = {"dgda": lambda s: dgda_step(s, mixing, gamma, problem),
+            "dogda": lambda s: dogda_step(s, mixing, gamma, problem),
+            "dogt": lambda s: dogt_step(s, mixing, gamma, problem),
+            "adogt": lambda s: adogt_step(s, mixing, gamma, problem)}[kind]
     while True:
         yield state
         state = step(state)
@@ -232,7 +233,7 @@ def iterate(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float
     finite.  The initial state is not checked: a non-finite z0 raises at
     iteration 1.
     """
-    states = _states(kind, problem, W, gamma, z0, T)
+    states = _states(kind, problem, _mixing(kind, W, T), gamma, z0)
     tracking = kind in TRACKING_ALGORITHMS
     yield next(states)
     while True:
@@ -334,22 +335,11 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     if tol < 0.0 or np.isnan(tol):
         raise ValueError(f"tol must be nonnegative, got {tol}")
 
-    eta = None
-    rho_eff = W.rho
-    if kind == "adogt":
-        if T is None:
-            raise ValueError("adogt requires the gossip round count T")
-        eta = acceleration_momentum(W.rho)
-        # Where W mixes dense, this M_T stays with W and is the one every
-        # adogt_step of the run applies.
-        rho_eff = accelerated_matrix(W, T, eta).rho
-    else:
-        T = None
-
+    mixing = _mixing(kind, W, T)
+    rho_eff, rounds = mixing.rho, mixing.rounds
     L = problem.smoothness_constant()
     z_star = problem.saddle_point()
     tracking = kind in TRACKING_ALGORITHMS
-    rounds = T if kind == "adogt" else 1
     n, width = problem.n, problem.p + problem.d
     # z* on every row, so the residual's subtraction is one contiguous loop.
     z_star_rows = None if z_star is None else np.tile(z_star, (n, 1))
@@ -431,7 +421,7 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
         # The last state tested before this batch, and its residual; before
         # the first batch none, with a NaN residual, which equals nothing.
         kept, before, before_residual = [], None, math.nan
-        for state in _states(kind, problem, W, gamma, z0, T):
+        for state in _states(kind, problem, mixing, gamma, z0):
             kept.append(state)
             if len(kept) == batch or state.iteration == max_iters:
                 stop, residuals = evaluate(kept)
@@ -455,4 +445,5 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
                  rho=rho_eff, n=n, problem=problem, mixing=W, z_star=z_star,
                  records=table[:filled].view(np.recarray),
                  reason=reason, iterations=int(final["iteration"]),
-                 comm_rounds=int(final["comm_rounds"]), T=T, eta=eta, fixed_point=fixed_point)
+                 comm_rounds=int(final["comm_rounds"]), T=T if kind == "adogt" else None,
+                 fixed_point=fixed_point)

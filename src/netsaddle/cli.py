@@ -21,7 +21,7 @@ import yaml
 from . import verify as verify_mod
 from .algorithms import ALGORITHMS, DivergenceError, Trace, run
 from .graph import (WEIGHT_BUILDERS, MixingMatrix, Topology, accelerated_matrix,
-                    acceleration_momentum, build_topology, recommended_T)
+                    build_topology, recommended_T)
 from .metrics import csv_chunks, fit_linear_rate, max_stepsize, theoretical_contraction
 from .problem import BilinearQuadratic, make_bilinear_quadratic
 
@@ -331,8 +331,8 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
         if algo.name == "adogt":
             T_source = "auto" if algo.T == "auto" else "config"
             T = recommended_T(W.rho) if algo.T == "auto" else algo.T
-            eta = acceleration_momentum(W.rho)
-            rho_eff = accelerated_matrix(W, T).rho
+            exchange = accelerated_matrix(W, T)
+            eta, rho_eff = exchange.eta, exchange.rho
         gamma_source = "auto" if algo.gamma == "auto" else "config"
         if algo.gamma == "auto":
             if rho_eff >= 1.0:

@@ -3,9 +3,10 @@
 A mixing matrix W encodes one round of neighbor averaging.  Its quality is
 measured by the spectral gap rho = ||W - J||_2^2 (squared spectral norm off
 the consensus direction, J = averaging matrix): smaller rho means faster
-mixing.  The accelerated matrix M_T turns T momentum-boosted gossip rounds
-into a single effective mixing matrix with a much smaller gap;
-``accelerated_mix`` applies it as one product or as the T rounds.
+mixing.  ``accelerated_matrix`` defines adogt's exchange: T momentum-boosted
+gossip rounds, whose effective matrix M_T has a much smaller gap rho_M.  It
+reads rho_M off the eigenvalues of W in O(nT) and mixes as one product by
+M_T or as the T rounds.
 
 One round of mixing, m -> W m, costs O(n^2) as a dense product and
 O(nnz) as a gather over the nonzeros of W; ``MixingMatrix.mix`` is
@@ -17,8 +18,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -174,37 +175,40 @@ class MixingMatrix:
     """Doubly stochastic weight matrix with its cached spectral gap.
 
     ``mix`` is one round of mixing, m -> W m: a CSRMix where ``_gathers``
-    finds the gather cheaper, and the dense W @ m otherwise.  Where W mixes
-    dense, ``accelerated_matrix`` keeps each M_T it builds from W here, keyed
-    by (eta, T), so a run and its steps share one.
+    finds the gather cheaper, and the dense W @ m otherwise.  A step counts
+    ``rounds`` exchanges per mix, as it does for an ``AcceleratedExchange``.
     """
 
     W: np.ndarray
     rho: float
     mix: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
-    _accelerated: dict = field(init=False, repr=False)
+    rounds: ClassVar[int] = 1
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "mix", CSRMix(W) if _gathers(W) else W.__matmul__)
-        object.__setattr__(self, "_accelerated", {})
 
     @property
     def n(self) -> int:
         return self.W.shape[0]
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of W but its top one, ascending, from one dense
+        eigendecomposition on first use.  On a connected graph the top one is
+        the consensus eigenvalue 1, and it is simple."""
+        return np.linalg.eigvalsh(self.W)[:-1]
+
     @classmethod
-    def from_weights(cls, W: np.ndarray, tol: float = 1e-12,
-                     require_contraction: bool = True) -> "MixingMatrix":
+    def from_weights(cls, W: np.ndarray) -> "MixingMatrix":
         """Validate double stochasticity / symmetry and cache the spectral gap.
 
-        ``require_contraction`` rejects rho >= 1, which for a single-round
-        matrix on a connected graph signals a construction bug.  Accelerated
-        matrices may overshoot rho 1 transiently at off-design round counts,
-        so their factory disables the check.
+        A gap rho >= 1 on a single-round matrix of a connected graph signals
+        a construction bug, and is rejected.
         """
+        tol = 1e-12
         W = np.asarray(W, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {W.shape}")
@@ -220,7 +224,7 @@ class MixingMatrix:
         if np.abs(W - W.T).max() > tol:
             raise ValueError("weight matrix must be symmetric")
         rho = spectral_gap(W)
-        if require_contraction and rho >= 1.0:
+        if rho >= 1.0:
             raise ValueError(f"spectral gap rho={rho} >= 1; matrix does not contract "
                              "off the consensus direction (disconnected graph?)")
         return cls(W=W, rho=rho)
@@ -299,9 +303,9 @@ def recommended_T(rho: float) -> int:
 
 
 def momentum_gossip(mix, eta: float, T: int, message: np.ndarray) -> np.ndarray:
-    """T rounds of momentum gossip on a message matrix; equals M_T @ message.
+    """T rounds of momentum gossip on a message; equals M_T @ message.
 
-    ``mix`` is one round, m -> W m.
+    ``mix`` is one round, m -> W m; on W's eigenvalues, p -> lam * p.
     """
     prev = curr = message
     for _ in range(T):
@@ -309,44 +313,49 @@ def momentum_gossip(mix, eta: float, T: int, message: np.ndarray) -> np.ndarray:
     return curr
 
 
-def accelerated_matrix(W: MixingMatrix, T: int, eta: float | None = None) -> MixingMatrix:
-    """Effective weight matrix of T momentum-gossip rounds.
+@dataclass(frozen=True, eq=False)
+class AcceleratedExchange:
+    """adogt's exchange: T rounds of momentum gossip over W at momentum eta.
 
-    Two-term recursion M_{t+1} = (1+eta) W M_t - eta M_{t-1} with
-    M_{-1} = M_0 = I and eta = acceleration_momentum(rho_W) unless given.
-    Row and column sums are preserved because W 1 = 1 and the coefficients
-    sum to 1; entries may go negative, which is fine for mixing purposes.
+    ``rho`` is the gap rho_M of their matrix M_T; a step counts ``rounds`` =
+    T exchanges per mix.  ``mix`` is m -> M_T m: T rounds of ``W.mix`` where
+    W gathers, so no n x n matrix is built; where W mixes dense, one product
+    by M_T, which the first mix builds and keeps.  They differ in rounding only.
+    """
 
-    Where W mixes dense, the result is kept with W and returned again by
-    later calls with the same eta and T; where W gathers (large n) nothing
-    is kept, so no n x n matrix outlives the call.
+    W: MixingMatrix
+    rounds: int
+    eta: float
+    rho: float
+    mix: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mix = (partial(momentum_gossip, self.W.mix, self.eta, self.rounds)
+               if isinstance(self.W.mix, CSRMix) else self._first_mix)
+        object.__setattr__(self, "mix", mix)
+
+    def _first_mix(self, m: np.ndarray) -> np.ndarray:
+        """Build M_T once (dense: gathering the n x n identity would build an
+        nnz x n temporary), make its product the mix, and apply it."""
+        if self.mix == self._first_mix:
+            M = momentum_gossip(self.W.W.__matmul__, self.eta, self.rounds, np.eye(self.W.n))
+            M.setflags(write=False)
+            object.__setattr__(self, "mix", M.__matmul__)
+        return self.mix(m)
+
+
+def accelerated_matrix(W: MixingMatrix, T: int) -> AcceleratedExchange:
+    """adogt's exchange of T momentum-gossip rounds over W: the one place it is defined.
+
+    M_T = p_T(W) for the recursion p_{t+1}(lam) = (1+eta) lam p_t(lam) -
+    eta p_{t-1}(lam), p_0 = p_{-1} = 1, eta = acceleration_momentum(rho_W).
+    rho_M = ||M_T - J||_2^2 is max p_T(lam)^2 over ``W.spectrum``, in O(nT)
+    and with no M_T (Liu & Morse 2011; Scaman et al., ICML 2017).  M_T keeps
+    row and column sums 1, as p_T(1) = 1; momentum can push rho_M past 1 at
+    off-design T.
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
-    if eta is None:
-        eta = acceleration_momentum(W.rho)
-    M = W._accelerated.get((eta, T))
-    if M is None:
-        # Dense on every graph: gathering the n x n identity would build an
-        # nnz x n temporary.  Momentum can push rho_M above 1 transiently at
-        # off-design T; that is expected, so only stochasticity and symmetry
-        # are enforced here.
-        M = MixingMatrix.from_weights(momentum_gossip(W.W.__matmul__, eta, T, np.eye(W.n)),
-                                      tol=1e-10, require_contraction=False)
-        if not isinstance(W.mix, CSRMix):
-            W._accelerated[eta, T] = M
-    return M
-
-
-def accelerated_mix(W: MixingMatrix, eta: float, T: int) -> Callable[[np.ndarray], np.ndarray]:
-    """m -> M_T m: one exchange of T momentum-gossip rounds at momentum eta.
-
-    Where W mixes dense, this is the ``mix`` of ``accelerated_matrix(W, T,
-    eta)``, one product, with M_T built on the first call and kept with W.
-    Where W gathers, it is T rounds of ``W.mix`` (``momentum_gossip``), so
-    no n x n matrix is built or applied.  The two differ only in rounding:
-    one product sums in another order than T products do.
-    """
-    if isinstance(W.mix, CSRMix):
-        return partial(momentum_gossip, W.mix, eta, T)
-    return accelerated_matrix(W, T, eta).mix
+    eta = acceleration_momentum(W.rho)
+    p = momentum_gossip(W.spectrum.__mul__, eta, T, np.ones_like(W.spectrum))
+    return AcceleratedExchange(W, T, eta, float(np.max(p * p, initial=0.0)))

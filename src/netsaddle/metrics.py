@@ -9,9 +9,9 @@ from its columns, and ``verify`` checks them on a run that records every
 step.
 
 Two norm conventions coexist on purpose and are spelled out per field:
-``consensus_error`` is logged UNSQUARED, (1/n) ||z - 1 zbar||, which is the
-plot convention, while the Lyapunov terms use squared norms, which is the
-analysis convention.
+``consensus_error`` is logged UNSQUARED, (1/n) ||z - 1 zbar|| = sqrt(C) / n,
+which is the plot convention, while the Lyapunov terms use squared norms,
+which is the analysis convention.
 """
 
 from __future__ import annotations
@@ -65,14 +65,15 @@ def residual(z: np.ndarray, z_star: np.ndarray):
     return _sq(z - z_star) / z.shape[-2]
 
 
-def consensus_error(z: np.ndarray) -> float:
-    """(1/n) ||z - 1 zbar||, unsquared deviation from the row average."""
-    return float(np.linalg.norm(z - _mean(z))) / z.shape[0]
-
-
 def deviation_sq(m: np.ndarray):
     """||m - 1 mbar||^2: the consensus term C for m = z, the tracking term D for m = r."""
     return _sq(m - _mean(m, keepdims=True))
+
+
+def consensus_error(z: np.ndarray):
+    """(1/n) ||z - 1 zbar|| = sqrt(C) / n, unsquared deviation from the row
+    average; on a stack of iterates (K x n x (p+d)), one value per state."""
+    return np.sqrt(deviation_sq(z)) / z.shape[-2]
 
 
 def optimality_gap_xi(state, gamma: float, z_star: np.ndarray) -> np.ndarray:
@@ -203,17 +204,6 @@ def fit_linear_rate(series, skip_fraction: float = 0.1) -> RateReport:
                       r_squared=r_squared)
 
 
-def consensus_errors(z: np.ndarray) -> np.ndarray:
-    """``consensus_error`` of each state of a stack z (K x n x (p+d)), bit for bit.
-
-    np.linalg.norm squares a state's flattened deviation with one BLAS dot;
-    a matmul of the K flattened deviations with themselves makes the same K
-    dots in one call.
-    """
-    d = (z - _mean(z, keepdims=True)).reshape(len(z), 1, -1)
-    return np.sqrt(np.matmul(d, d.transpose(0, 2, 1)).ravel()) / z.shape[-2]
-
-
 def metric_record(rows: np.ndarray, stack, residuals, problem, gamma: float, L: float,
                   rho: float, z_star: np.ndarray | None) -> None:
     """Fill consecutive rows of a record table from a stack of states and their
@@ -222,7 +212,7 @@ def metric_record(rows: np.ndarray, stack, residuals, problem, gamma: float, L: 
     rows["iteration"] = stack.iteration
     rows["comm_rounds"] = stack.comm_rounds
     rows["residual"] = math.nan if z_star is None else residuals
-    rows["consensus_error"] = consensus_errors(stack.z)
+    rows["consensus_error"] = np.sqrt(terms["C"]) / problem.n
     for term in ("B", "C", "D", "xi_sq", "V"):
         rows[TERM_COLUMNS[term]] = terms.get(term, math.nan)
     rows["zbar"] = _mean(stack.z)

@@ -6,6 +6,8 @@ ascent signs) rather than in the library's sign-flipped stacked form.  The
 pinned constants in the test suite were produced with these functions.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 
@@ -161,6 +163,19 @@ def chebyshev_matrix(W, T, eta):
     for _ in range(T):
         M_prev, M = M, (1.0 + eta) * (W @ M) - eta * M_prev
     return M
+
+
+def accelerated_gap(W, T, eta):
+    """rho_M = ||M_T - J||_2^2 from the dense M_T: the largest eigenvalue
+    magnitude of M_T - J, squared."""
+    M = chebyshev_matrix(W, T, eta)
+    return float(np.abs(np.linalg.eigvalsh(M - np.ones_like(M) / len(M))).max() ** 2)
+
+
+def dense_mixing(M, rounds):
+    """M as the mixing a library step takes: m -> M @ m, counting ``rounds``
+    exchanges per mix."""
+    return SimpleNamespace(mix=M.__matmul__, rounds=rounds)
 
 
 def adogt_run(a, b, mu, W, gamma, x, y, iters, T):

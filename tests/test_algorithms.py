@@ -91,7 +91,7 @@ def test_adogt_homogeneous_fixed_point():
     prob = homogeneous_problem()
     W = metropolis_weights(build_topology("ring", 4))
     state = init_state(prob, np.zeros((4, 4)))
-    after = adogt_step(state, W, acceleration_momentum(W.rho), 3, GAMMA, prob)
+    after = adogt_step(state, accelerated_matrix(W, 3), GAMMA, prob)
     assert (after.z == 0.0).all()
     assert after.comm_rounds == 3
 
@@ -188,59 +188,71 @@ def test_single_node_dgda_is_centralized_gda():
 # adogt equivalences
 
 
-def test_adogt_eta0_T1_equals_dogt(ring16_problem, ring16_W, z0_16):
+# The complete graph's Metropolis W is J, with rho_W = 0 exactly, so its
+# momentum is 0 and M_T = W^T.
+W_COMPLETE_16 = metropolis_weights(build_topology("complete", 16))
+
+
+def test_adogt_eta0_T1_equals_dogt(ring16_problem, z0_16):
+    exchange = accelerated_matrix(W_COMPLETE_16, 1)
+    assert exchange.eta == 0.0
     state = init_state(ring16_problem, z0_16)
-    plain = dogt_step(state, ring16_W, GAMMA, ring16_problem)
-    accel = adogt_step(state, ring16_W, 0.0, 1, GAMMA, ring16_problem)
+    plain = dogt_step(state, W_COMPLETE_16, GAMMA, ring16_problem)
+    accel = adogt_step(state, exchange, GAMMA, ring16_problem)
     assert np.array_equal(plain.z, accel.z)
     assert np.array_equal(plain.tracker, accel.tracker)
 
 
-def test_adogt_eta0_T3_equals_dogt_with_W_cubed(ring16_problem, ring16_W, z0_16):
+def test_adogt_eta0_T3_equals_dogt_with_W_cubed(ring16_problem, z0_16):
     state = init_state(ring16_problem, z0_16)
-    W3 = MixingMatrix.from_weights(np.linalg.matrix_power(ring16_W.W, 3), tol=1e-10)
+    W3 = MixingMatrix.from_weights(np.linalg.matrix_power(W_COMPLETE_16.W, 3))
     cubed = dogt_step(state, W3, GAMMA, ring16_problem)
-    accel = adogt_step(state, ring16_W, 0.0, 3, GAMMA, ring16_problem)
+    accel = adogt_step(state, accelerated_matrix(W_COMPLETE_16, 3), GAMMA, ring16_problem)
     assert np.abs(cubed.z - accel.z).max() <= 1e-12
     assert np.abs(cubed.tracker - accel.tracker).max() <= 1e-12
     assert accel.comm_rounds == 3
 
 
 def test_adogt_equals_dogt_under_accelerated_matrix(ring16_problem, ring16_W, z0_16):
-    eta = acceleration_momentum(ring16_W.rho)
-    MT = accelerated_matrix(ring16_W, 4)
-    state = init_state(ring16_problem, z0_16)
-    for _ in range(5):
-        fused = dogt_step(state, MT, GAMMA, ring16_problem)
-        inloop = adogt_step(state, ring16_W, eta, 4, GAMMA, ring16_problem)
-        assert np.abs(fused.z - inloop.z).max() <= 1e-12
-        assert np.abs(fused.tracker - inloop.tracker).max() <= 1e-12
-        state = inloop
+    # Against the straight-line oracle: dogt in four blocks under the dense M_T.
+    a, b, mu = ref.make_instance()
+    x, y = z0_16[:, :2], z0_16[:, 2:]
+    for T in (1, 3, 4):
+        oracle = ref.adogt_run(a, b, mu, ring16_W.W, GAMMA, x, y, 5, T)
+        exchange = accelerated_matrix(ring16_W, T)
+        state = init_state(ring16_problem, z0_16)
+        for k in range(1, 6):
+            state = adogt_step(state, exchange, GAMMA, ring16_problem)
+            assert np.abs(state.z - np.hstack(oracle[k])).max() <= 1e-12
+            assert state.comm_rounds == T * k
 
 
 @pytest.mark.parametrize("T", [1, 4])
 @pytest.mark.parametrize("eta", [None, 0.0])
 def test_adogt_is_dogt_under_accelerated_matrix_bit_for_bit(T, eta, ring16_problem, ring16_W,
                                                             z0_16):
-    # ring-16's W mixes dense, so an adogt exchange is one product by the
-    # very M_T that accelerated_matrix gives for the same eta and T.
-    assert not isinstance(ring16_W.mix, CSRMix)
-    eta_given = acceleration_momentum(ring16_W.rho) if eta is None else eta
-    MT = accelerated_matrix(ring16_W, T, eta)
+    # Both W mix dense, so an adogt exchange is one product by the very M_T
+    # of the dense recursion: ring-16's at its momentum, and at eta 0 the
+    # complete graph's.
+    W = ring16_W if eta is None else W_COMPLETE_16
+    assert not isinstance(W.mix, CSRMix)
+    exchange = accelerated_matrix(W, T)
+    if eta is not None:
+        assert exchange.eta == eta
+    oracle = ref.dense_mixing(ref.chebyshev_matrix(W.W, T, exchange.eta), T)
     fused = inloop = init_state(ring16_problem, z0_16)
     for _ in range(10):
-        fused = dogt_step(fused, MT, GAMMA, ring16_problem)
-        inloop = adogt_step(inloop, ring16_W, eta_given, T, GAMMA, ring16_problem)
+        fused = dogt_step(fused, oracle, GAMMA, ring16_problem)
+        inloop = adogt_step(inloop, exchange, GAMMA, ring16_problem)
         for name in ("z", "z_prev", "grad", "grad_prev", "tracker"):
             assert np.array_equal(getattr(fused, name), getattr(inloop, name))
     assert inloop.comm_rounds == T * inloop.iteration == 10 * T
-    trace = run("adogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=30, tol=0.0, T=T)
+    trace = run("adogt", ring16_problem, W, GAMMA, z0_16, max_iters=30, tol=0.0, T=T)
     assert trace.comm_rounds == T * trace.iterations
 
 
 def test_gathered_adogt_exchanges_by_2T_rounds(monkeypatch):
-    # Where W gathers, a step's two exchanges are T rounds of W.mix each,
-    # and run() keeps no n x n M_T with W.
+    # Where W gathers, a step's two exchanges are T rounds of W.mix each.
     n, T = 512, 3
     W = metropolis_weights(build_topology("random", n, seed=1000, edge_probability=0.02))
     assert isinstance(W.mix, CSRMix)
@@ -256,18 +268,17 @@ def test_gathered_adogt_exchanges_by_2T_rounds(monkeypatch):
 
     monkeypatch.setattr(CSRMix, "__call__", counted)
     for k in range(1, 4):
-        state = adogt_step(state, W, acceleration_momentum(W.rho), T, GAMMA, prob)
+        state = adogt_step(state, accelerated_matrix(W, T), GAMMA, prob)
         assert len(calls) == 2 * T * k
     assert state.comm_rounds == T * state.iteration
     trace = run("adogt", prob, W, GAMMA, z0, max_iters=5, tol=0.0, T=T)
     assert len(calls) == 2 * T * (3 + 5)
     assert trace.comm_rounds == T * trace.iterations
-    assert W._accelerated == {}
 
 
 @pytest.mark.parametrize("step", [
     dgda_step, dogda_step, dogt_step,
-    lambda s, W, g, p: adogt_step(s, W, acceleration_momentum(W.rho), 3, g, p)])
+    lambda s, W, g, p: adogt_step(s, accelerated_matrix(W, 3), g, p)])
 @pytest.mark.parametrize("gamma", [0.0, -0.1])
 def test_steps_reject_nonpositive_gamma(step, gamma, ring16_problem, ring16_W, z0_16):
     state = init_state(ring16_problem, z0_16)
@@ -276,9 +287,9 @@ def test_steps_reject_nonpositive_gamma(step, gamma, ring16_problem, ring16_W, z
 
 
 def test_adogt_rejects_bad_T(ring16_problem, ring16_W, z0_16):
-    state = init_state(ring16_problem, z0_16)
-    with pytest.raises(ValueError):
-        adogt_step(state, ring16_W, 0.5, 0, GAMMA, ring16_problem)
+    for T in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="T must be a positive integer"):
+            run("adogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=5, tol=0.0, T=T)
 
 
 def test_adogt_runs_at_offdesign_T(ring16_problem, ring16_W, z0_16):

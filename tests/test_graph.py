@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
+from netsaddle.algorithms import run
 from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (CSRMix, DisconnectedGraphError, MixingMatrix, Topology,
-                             accelerated_matrix, accelerated_mix, acceleration_momentum,
+                             accelerated_matrix, acceleration_momentum,
                              build_topology, lazy_max_degree_weights, metropolis_weights,
                              recommended_T, spectral_gap)
 
@@ -274,17 +275,23 @@ def test_recommended_T_domain(rho):
         recommended_T(rho)
 
 
+def dense_M(exchange):
+    """The exchange's M_T, as its mix of the identity."""
+    return exchange.mix(np.eye(exchange.W.n))
+
+
 def test_accelerated_matrix_T1_closed_form(ring16_W):
     eta = acceleration_momentum(ring16_W.rho)
     M1 = accelerated_matrix(ring16_W, 1)
+    assert (M1.eta, M1.rounds) == (eta, 1)
     expected = (1.0 + eta) * ring16_W.W - eta * np.eye(16)
-    assert np.allclose(M1.W, expected, atol=1e-14)
+    assert np.allclose(dense_M(M1), expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("T", [1, 4, 7])
 def test_accelerated_matrix_is_the_dense_recursion_bitwise(ring16_W, T):
     eta = acceleration_momentum(ring16_W.rho)
-    assert np.array_equal(accelerated_matrix(ring16_W, T).W,
+    assert np.array_equal(dense_M(accelerated_matrix(ring16_W, T)),
                           ref.chebyshev_matrix(ring16_W.W, T, eta))
 
 
@@ -293,19 +300,23 @@ def test_accelerated_matrix_zero_momentum_is_power():
     W = metropolis_weights(build_topology("complete", 5))
     assert W.rho <= 1e-14
     M3 = accelerated_matrix(W, 3)
-    assert np.allclose(M3.W, np.linalg.matrix_power(W.W, 3), atol=1e-13)
+    assert M3.eta == 0.0
+    assert np.allclose(dense_M(M3), np.linalg.matrix_power(W.W, 3), atol=1e-13)
 
 
 def test_accelerated_matrix_is_kept_where_W_mixes_dense(ring16_W):
-    # One M_T per (eta, T) on a dense W, shared by later calls; a passed eta
-    # builds its own, here W^T at eta 0.
-    eta = acceleration_momentum(ring16_W.rho)
-    M = accelerated_matrix(ring16_W, 4)
-    assert accelerated_matrix(ring16_W, 4, eta) is M
-    assert accelerated_mix(ring16_W, eta, 4) == M.mix
-    W4 = accelerated_matrix(ring16_W, 4, 0.0)
-    assert W4 is not M
-    assert np.allclose(W4.W, np.linalg.matrix_power(ring16_W.W, 4), atol=1e-14)
+    # Where W mixes dense, the exchange's first mix builds M_T and every later
+    # mix is one product by that same matrix; a second exchange builds its own.
+    exchange = accelerated_matrix(ring16_W, 4)
+    m = np.random.default_rng(3).standard_normal((16, 4))
+    first = exchange.mix(m)
+    M = exchange.mix.__self__
+    assert isinstance(M, np.ndarray) and not M.flags.writeable
+    assert np.array_equal(M, ref.chebyshev_matrix(ring16_W.W, 4, exchange.eta))
+    assert np.array_equal(exchange.mix(m), first)
+    assert exchange.mix.__self__ is M
+    other = accelerated_matrix(ring16_W, 4)
+    assert np.array_equal(other.mix(m), first) and other.mix.__self__ is not M
 
 
 def test_accelerated_matrix_rejects_bad_T(ring16_W):
@@ -317,7 +328,7 @@ def test_accelerated_matrix_rejects_bad_T(ring16_W):
 @given(n=st.sampled_from([4, 8, 16]), T=st.integers(min_value=1, max_value=32))
 def test_accelerated_matrix_double_stochasticity(n, T):
     W = metropolis_weights(build_topology("ring", n))
-    M = accelerated_matrix(W, T).W
+    M = dense_M(accelerated_matrix(W, T))
     assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-10
     assert np.abs(M.sum(axis=0) - 1.0).max() <= 1e-10
 
@@ -340,7 +351,43 @@ def test_accelerated_matrix_eigenvalues_match_scalar_recursion(ring16_W):
     for _ in range(T):
         m_prev, m = m, (1.0 + eta) * lams * m - eta * m_prev
     MT = accelerated_matrix(ring16_W, T)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(MT.W)), np.sort(m), atol=1e-12)
+    assert np.allclose(np.sort(np.linalg.eigvalsh(dense_M(MT))), np.sort(m), atol=1e-12)
+    # rho_M drops the consensus eigenvalue, p_T(1) = 1.
+    assert MT.rho == pytest.approx(np.sort(m * m)[-2], abs=1e-15)
+
+
+ORACLE_GRAPHS = [("ring", 16), ("ring", 128), ("path", 20), ("path", 64), ("star", 9),
+                 ("star", 100), ("random", 48), ("random", 128)]
+
+
+@pytest.mark.parametrize("kind, n", ORACLE_GRAPHS)
+def test_rho_M_matches_the_dense_oracle(kind, n):
+    # rho_M from W's eigenvalues against the eigenvalues of the dense M_T - J,
+    # at every T up to 24, off-design ones (rho_M >= 1) included.
+    topology = build_topology(kind, n, seed=5, edge_probability=0.1 if kind == "random" else None)
+    W = metropolis_weights(topology)
+    gaps = []
+    for T in range(1, 25):
+        exchange = accelerated_matrix(W, T)
+        gaps.append(exchange.rho)
+        assert exchange.rho == pytest.approx(ref.accelerated_gap(W.W, T, exchange.eta),
+                                             rel=0.0, abs=1e-11)
+    if kind in ("ring", "path"):
+        assert max(gaps) >= 1.0         # momentum tuned for more rounds overshoots
+
+
+def test_spectrum_is_computed_once_and_only_for_an_exchange(ring16_problem, z0_16):
+    W = metropolis_weights(build_topology("ring", 16))
+    assert "spectrum" not in vars(W)
+    run("dogt", ring16_problem, W, 0.1, z0_16, max_iters=5, tol=0.0)
+    assert "spectrum" not in vars(W)
+    accelerated_matrix(W, 4)
+    spectrum = W.spectrum
+    accelerated_matrix(W, 5)
+    assert W.spectrum is spectrum
+    assert len(spectrum) == 15
+    assert np.allclose(spectrum, np.sort([ring_metropolis_eigenvalue(16, k)
+                                          for k in range(1, 16)]), atol=1e-14)
 
 
 def test_from_weights_rejects_non_stochastic():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from netsaddle import algorithms
 from netsaddle.algorithms import init_state, iterate, run, stack_states
 from netsaddle.graph import CSRMix, build_topology, metropolis_weights
-from netsaddle.metrics import (TERM_COLUMNS, consensus_error, consensus_errors,
+from netsaddle.metrics import (TERM_COLUMNS, consensus_error,
                                deviation_sq, field_at_average_sq, fit_linear_rate,
                                iteration_complexity, lyapunov_coefficients,
                                max_stepsize, metric_record, optimality_gap_xi,
@@ -408,14 +408,19 @@ def test_run_equals_per_state_evaluation(setup, kind, T, run_args, batches, ring
 
 @pytest.mark.parametrize("n", [1, 2, 16, 1024])
 def test_batched_consensus_is_the_per_state_norm(n):
-    # metric_record's consensus is one matmul of flattened deviations; it
-    # must stay np.linalg.norm's BLAS dot bit for bit, or trace CSVs move.
+    # On a stack, consensus_error gives each state's own value bit for bit,
+    # sqrt(C) / n with C = deviation_sq, as metric_record computes it; the
+    # norm of the deviation agrees to rounding.
     rng = np.random.default_rng(n)
     z = rng.standard_normal((9, n, 4)) * np.logspace(-8, 8, 9)[:, None, None]
     z[0] = 0.0
     z[1] = rng.standard_normal(4)       # exact consensus
-    got = consensus_errors(z)
+    got = consensus_error(z)
     assert got.tobytes() == np.array([consensus_error(zk) for zk in z]).tobytes()
+    assert got.tobytes() == (np.sqrt(deviation_sq(z)) / n).tobytes()
+    norms = [np.linalg.norm(zk - zk.mean(axis=0)) / n for zk in z]
+    assert np.allclose(got, norms, rtol=1e-15, atol=0.0)
+    assert got[0] == 0.0
 
 
 def test_term_table_rows_are_the_terms_of_each_state(ring16_problem, ring16_W, z0_16):
