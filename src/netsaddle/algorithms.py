@@ -279,10 +279,14 @@ def _fixed_point(states, residuals) -> int | None:
     return None if k == len(states) - 1 else states[k].iteration + 1
 
 
-# run() tests and records its states in batches whose stack of five arrays
-# comes to at most this many bytes: few enough that the states held stay
-# small, enough to spread each call's fixed cost over many states.
-_BATCH_BYTES = 1 << 17
+# run() tests and records its states in batches of at most _BATCH_STATES
+# states whose stack of five arrays comes to at most _BATCH_BYTES: few
+# enough that the states held stay small, enough to spread each call's fixed
+# cost over many states.  That is 51 states at ring-16 and 8 at n = 1024;
+# past 51 the per-batch calls are a small share of the steps', and a tol
+# stop would only step further past itself.
+_BATCH_BYTES = 5 << 18      # 1.25 MiB
+_BATCH_STATES = 51
 
 
 def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
@@ -297,17 +301,18 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     point the residual is unavailable and the run always goes the full
     ``max_iters``.
 
-    The states are stepped in batches of about _BATCH_BYTES (51 at ring-16,
-    one at n = 1024), held by reference, since they share their arrays.  A
-    full batch, or one that reaches ``max_iters``, is tested at once: one
-    ``residual`` call on the stacked z for the stop rule, and one finiteness
-    test of the stacked z (and tracker) for divergence.  The first state
-    with residual <= tol ends the run, and the states stepped after it in
-    its batch, at most batch - 1, are dropped.  A non-finite state before
-    that raises.  The states to record wait until a batch of them is full,
-    or the run ends, and are then evaluated on their stack in one
-    ``metric_record`` call, so a sparse record grid costs few calls.  All of
-    it gives the values state-by-state calls would, bit for bit.
+    The states are stepped in batches of at most _BATCH_STATES states and
+    about _BATCH_BYTES (51 at ring-16, 8 at n = 1024), held by reference,
+    since they share their arrays.  A full batch, or one that reaches
+    ``max_iters``, is tested at once: one ``residual`` call on the stacked z
+    for the stop rule, and one finiteness test of the stacked z (and
+    tracker) for divergence.  The first state with residual <= tol ends the
+    run, and the states stepped after it in its batch, at most batch - 1,
+    are dropped.  A non-finite state before that raises.  The states to
+    record wait until a batch of them is full, or the run ends, and are then
+    evaluated on their stack in one ``metric_record`` call, so a sparse
+    record grid costs few calls.  All of it gives the values state-by-state
+    calls would, bit for bit.
 
     A step is a pure function of a state's five arrays (``iteration`` and
     ``comm_rounds`` never enter it), so once a state equals the one before
@@ -343,7 +348,8 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     n, width = problem.n, problem.p + problem.d
     # z* on every row, so the residual's subtraction is one contiguous loop.
     z_star_rows = None if z_star is None else np.tile(z_star, (n, 1))
-    batch = max(1, _BATCH_BYTES // (5 * 8 * n * width))     # five float64 arrays a state
+    # Five float64 arrays a state; one state a batch at least.
+    batch = max(1, min(_BATCH_STATES, _BATCH_BYTES // (5 * 8 * n * width)))
     table = metrics.record_table(batch, width)
     filled = 0          # rows of the table filled so far
     pending, pending_residuals = [], []     # states to record, not yet evaluated

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
 from typing import Callable, ClassVar
 
@@ -124,50 +124,73 @@ def build_topology(kind: str, n: int, seed: int | None = None,
     return Topology(kind=kind, n=n, adjacency=adj)
 
 
+def _nonzeros(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzeros of W, row by row."""
+    # np.nonzero(W) gives the same indices; on a boolean mask it is 7x faster.
+    return np.divmod(np.flatnonzero(W != 0), W.shape[1])
+
+
 class CSRMix:
     """m -> W m as a gather over the nonzeros of W, stored row by row (CSR).
 
     ``indptr``, ``cols`` and ``weights`` are the row pointer, column indices
-    and values of the nonzeros.  A mix takes the neighbours' rows of m,
+    and values of the nonzeros; ``nonzeros`` may pass in their indices, as
+    ``_nonzeros`` gives them.  A mix takes the neighbours' rows of m,
     scales them and sums each row's segment: O(nnz) work where W @ m is
-    O(n^2).  Each row is summed in column order, so the result can differ
-    from W @ m in the last bits.  Every row of W must hold a nonzero, as
-    every row of a stochastic W does.
+    O(n^2).  Every row of W must hold a nonzero, as every row of a
+    stochastic W does.
+
+    The message must be n x (an even width), as every n x (p+d) message
+    with p = d is: each row's products are summed on its complex128 view,
+    two float64 lanes per element, so ``np.add.reduceat`` makes n (p+d)/2
+    calls of its inner loop instead of n (p+d).  Complex addition adds each
+    lane on its own, so every output is a sum of the same products; only
+    their order is NumPy's.  It adds a row's first product to the sum of
+    the rest, which runs one product after another where the rest holds at
+    most 3, and otherwise in four interleaved partial sums (a one-lane sum
+    runs one after another up to 7 and keeps eight partial sums past that).
+    So a row of at most 4 nonzeros, as on rings and paths, gets the
+    one-lane sum bit for bit, and any row can differ from W @ m in the last
+    bits.
     """
 
-    def __init__(self, W: np.ndarray):
-        # np.nonzero(W) gives the same indices; on a boolean mask it is 7x faster.
-        rows, self.cols = np.divmod(np.flatnonzero(W != 0), W.shape[1])
+    def __init__(self, W: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray] | None = None):
+        rows, self.cols = _nonzeros(W) if nonzeros is None else nonzeros
         self.weights = W[rows, self.cols]
         self.indptr = np.searchsorted(rows, np.arange(W.shape[0] + 1))
-        self._expanded = {}   # message shape past axis 0 -> weights repeated to it
+        self._expanded = {}   # message width -> weights repeated to it
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
-        width = m.shape[1:]
+        if m.ndim != 2 or m.shape[1] % 2:
+            raise ValueError(f"a gathered mix takes an n x (even width) message, got {m.shape}")
+        width = m.shape[1]
         w = self._expanded.get(width)
         if w is None:
-            w = np.repeat(self.weights, math.prod(width)).reshape(self.weights.shape + width)
+            w = np.repeat(self.weights, width).reshape(-1, width)
             self._expanded[width] = w
-        gathered = np.take(m, self.cols, axis=0)
+        gathered = np.ascontiguousarray(m, dtype=np.float64).view(np.complex128).take(
+            self.cols, axis=0)
+        lanes = gathered.view(np.float64)
         # In place: one nnz-row temporary fewer per mix, which took the peak
         # RSS of the benchmark's random1024-dogt runs from 87.4 to 86.8 MB.
-        gathered *= w
-        return np.add.reduceat(gathered, self.indptr[:-1], axis=0)
+        lanes *= w
+        return np.add.reduceat(gathered, self.indptr[:-1], axis=0).view(np.float64)
 
 
-def _gathers(W: np.ndarray) -> bool:
-    """The cost rule for one mix: gather (CSRMix) iff 8 nnz + 2**17 < n**2.
+def _gathers(n: int, rows: np.ndarray) -> bool:
+    """The cost rule for one mix of an n x n W whose nonzeros lie in ``rows``
+    (as ``_nonzeros`` gives them): gather (CSRMix) iff 8 nnz + 2**17 < n**2.
 
     Fitted to the time of one mix of an n x 4 message with one BLAS thread
-    (``scripts/bench_mixing.py``, README): W @ m costs about n**2, with a
-    jump once W outgrows the cache, and the gather about nnz plus a cost per
-    row and per call, which makes it lose below a few hundred nodes.  Every
-    graph with n < 367, rings up to n = 374 and every complete graph stay
-    dense.  A W with an empty row, which no stochastic matrix has, keeps the
-    dense product.
+    (``scripts/bench_mixing.py``, README), before the gather summed two
+    lanes at a time: W @ m costs about n**2, with a jump once W outgrows
+    the cache, and the gather about nnz plus a cost per row and per call,
+    which makes it lose below a few hundred nodes.  Every graph with
+    n < 367, rings up to n = 374 and every complete graph stay dense.  A W
+    with an empty row, which no stochastic matrix has, keeps the dense
+    product.
     """
-    row_nnz = np.count_nonzero(W, axis=1)
-    return bool(row_nnz.all()) and 8 * int(row_nnz.sum()) + 2 ** 17 < W.shape[0] ** 2
+    return bool(np.bincount(rows, minlength=n).all()) and 8 * rows.size + 2 ** 17 < n ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,18 +200,24 @@ class MixingMatrix:
     ``mix`` is one round of mixing, m -> W m: a CSRMix where ``_gathers``
     finds the gather cheaper, and the dense W @ m otherwise.  A step counts
     ``rounds`` exchanges per mix, as it does for an ``AcceleratedExchange``.
+    ``nonzeros`` may pass in the indices of W's nonzeros, as ``_nonzeros``
+    gives them, so that a caller who has them does not scan W again.
     """
 
     W: np.ndarray
     rho: float
     mix: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    nonzeros: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
     rounds: ClassVar[int] = 1
 
-    def __post_init__(self):
+    def __post_init__(self, nonzeros):
         W = np.asarray(self.W, dtype=np.float64)
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
-        object.__setattr__(self, "mix", CSRMix(W) if _gathers(W) else W.__matmul__)
+        if nonzeros is None:
+            nonzeros = _nonzeros(W)
+        object.__setattr__(self, "mix", CSRMix(W, nonzeros)
+                           if _gathers(W.shape[0], nonzeros[0]) else W.__matmul__)
 
     @property
     def n(self) -> int:
@@ -221,13 +250,16 @@ class MixingMatrix:
             raise ValueError(
                 f"weight matrix is not doubly stochastic: row error {row_err:.3e}, "
                 f"column error {col_err:.3e} (tol {tol:.1e})")
-        if np.abs(W - W.T).max() > tol:
+        # max |W - W.T| over the nonzeros of W: a pair of zeros adds 0, and
+        # the scan is the one the mix is then chosen and built from.
+        nonzeros = rows, cols = _nonzeros(W)
+        if np.abs(W[rows, cols] - W[cols, rows]).max(initial=0.0) > tol:
             raise ValueError("weight matrix must be symmetric")
         rho = spectral_gap(W)
         if rho >= 1.0:
             raise ValueError(f"spectral gap rho={rho} >= 1; matrix does not contract "
                              "off the consensus direction (disconnected graph?)")
-        return cls(W=W, rho=rho)
+        return cls(W=W, rho=rho, nonzeros=nonzeros)
 
 
 def metropolis_weights(topology: Topology) -> MixingMatrix:
@@ -294,7 +326,7 @@ def recommended_T(rho: float) -> int:
     about as well as a constant-gap network however poorly connected the
     graph is.  The bound is not guaranteed: on Metropolis rings it holds up
     to n = 64, but rho_M at this T is 0.5314 at n = 68 and 0.5498 at
-    n = 1024.  Making ``T: auto`` meet it is item 3 of ROADMAP.md.
+    n = 1024.  Making ``T: auto`` meet it is item 2 of ROADMAP.md.
     """
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")

@@ -30,6 +30,16 @@ def z0_16():
     return np.random.default_rng(INIT_SEED).standard_normal((16, 4))
 
 
+@pytest.fixture(scope="session")
+def random1024():
+    """The benchmark's random1024-dogt setup at workload seed 0: problem,
+    Metropolis weights of the random graph (which gather), start."""
+    problem = make_bilinear_quadratic(1024, 2, 2, MU, seed=PROBLEM_SEED,
+                                      zero_sum_centers=True)
+    W = metropolis_weights(build_topology("random", 1024, seed=1000, edge_probability=0.01))
+    return problem, W, np.random.default_rng(INIT_SEED).standard_normal((1024, 4))
+
+
 @pytest.fixture()
 def batch_sizes(monkeypatch):
     """The number of states in each ``metric_record`` call of run(), filled as

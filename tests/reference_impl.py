@@ -185,6 +185,15 @@ def adogt_run(a, b, mu, W, gamma, x, y, iters, T):
     return dogt_run(a, b, mu, chebyshev_matrix(W, T, eta), gamma, x, y, iters)
 
 
+def one_lane_gather(W, m):
+    """W @ m as a CSR gather summed one float64 lane at a time: each row's
+    products, scaled from the neighbours' rows of m, summed over their
+    segment by ``np.add.reduceat``."""
+    rows, cols = np.nonzero(W)
+    starts = np.searchsorted(rows, np.arange(W.shape[0]))
+    return np.add.reduceat(m[cols] * W[rows, cols][:, None], starts, axis=0)
+
+
 def residual_series(pairs, z_star=None):
     """(1/n) ||z_k - 1 z*||^2 per iterate; z* defaults to the origin."""
     out = []

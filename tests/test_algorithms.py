@@ -442,9 +442,11 @@ def test_divergence_inside_a_batch_of_recorded_states(ring16_problem, ring16_W, 
 # state at a time
 
 
-def ring16_batch(z0):
-    """States a batch of run() holds at this size of state (51 at ring-16)."""
-    return max(1, algorithms._BATCH_BYTES // (5 * z0.nbytes))
+def batch_of(z0):
+    """States a batch of run() holds at this size of state, under the budget
+    set now: 51 at ring-16 and 8 at n = 1024 by default, one under a budget
+    below one state's five arrays."""
+    return max(1, min(algorithms._BATCH_STATES, algorithms._BATCH_BYTES // (5 * z0.nbytes)))
 
 
 def stepwise_final(kind, problem, W, gamma, z0, max_iters, tol, T=None):
@@ -494,7 +496,7 @@ def test_divergence_among_unrecorded_states(ring16_problem, ring16_W, z0_16):
     with pytest.raises(DivergenceError) as err:
         run("dgda", ring16_problem, ring16_W, 10.0, z0_16, max_iters=2000, tol=0.0,
             record_every=10)
-    batch = ring16_batch(z0_16)
+    batch = batch_of(z0_16)
     assert err.value.iteration == by_iterate.value.iteration == 309
     assert 309 % batch != 0 and 309 % 10 != 0
 
@@ -563,9 +565,25 @@ def test_steps_taken_past_a_stop_are_bounded(kind, T, max_iters, tol, ring16_pro
     assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
     steps = len(calls) - final.iteration      # iterate() above stepped this many
     assert trace.iterations <= steps <= max_iters
-    assert steps - trace.iterations < ring16_batch(z0_16)
+    assert steps - trace.iterations < batch_of(z0_16)
     if trace.reason == "max_iters":
         assert steps == max_iters
+
+
+def test_steps_taken_past_a_stop_at_n1024_are_bounded(random1024, monkeypatch):
+    # At n = 1024 a batch holds 8 states: dogt's stop at tol 1e-3
+    # (iteration 50) falls inside the batch 48..55, and the 5 states after
+    # it are stepped and dropped.
+    problem, W, z0 = random1024
+    calls = counted_steps(monkeypatch, "dogt_step")
+    trace = run("dogt", problem, W, GAMMA, z0, max_iters=1000, tol=1e-3, record_every=10)
+    final = stepwise_final("dogt", problem, W, GAMMA, z0, 1000, 1e-3)
+    assert batch_of(z0) == 8
+    assert trace.reason == "tol_reached"
+    assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
+    assert trace.iterations == 50
+    steps = len(calls) - final.iteration      # stepwise_final stepped this many
+    assert steps - trace.iterations == 5 < batch_of(z0)
 
 
 def test_one_state_batches_step_no_further_than_the_stop(monkeypatch):
@@ -620,7 +638,7 @@ def test_fast_forward_equals_stepping_on(kind, T, max_iters, tol, record_every, 
     trace = run(*args, max_iters=max_iters, tol=tol, record_every=every, T=T)
     steps = len(calls)
     assert trace.fixed_point == fixed_point
-    assert fixed_point <= steps < fixed_point + ring16_batch(z0_16)
+    assert fixed_point <= steps < fixed_point + batch_of(z0_16)
     table, final = unforwarded(kind, ring16_problem, ring16_W, z0_16, max_iters, every, T)
     assert trace.reason == "max_iters"
     assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
@@ -695,7 +713,7 @@ def test_fast_forward_inside_the_first_batch(batch_bytes, monkeypatch):
     prob, W, gamma, z0 = resting_at_zero(_FarSaddle)
     calls = counted_steps(monkeypatch, "dgda_step")
     trace = run("dgda", prob, W, gamma, z0, max_iters=300, tol=0.0, record_every=7)
-    batch = max(1, batch_bytes // (5 * z0.nbytes))     # 204 states, or 1
+    batch = batch_of(z0)        # 51 states, or 1
     assert trace.fixed_point == 1
     assert len(calls) == max(batch - 1, 1)      # the first batch's steps, or one
     every_step = run("dgda", prob, W, gamma, z0, max_iters=300, tol=0.0, record_every=1)

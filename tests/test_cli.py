@@ -439,7 +439,7 @@ def test_ring400_adogt_and_verify_build_no_dense_M_T(tmp_path, monkeypatch, caps
                          "adogt.yaml")
     verify = write_config(tmp_path, {**ring, "algorithm": {"gamma": "auto"}}, "verify.yaml")
     assert main(["run", "--config", str(adogt), "--out", str(tmp_path / "run")]) == EXIT_OK
-    # On rings this large T2 fails at the formula's T (ROADMAP item 3); the
+    # On rings this large T2 fails at the formula's T (ROADMAP item 2); the
     # exit code is not what this test is about.
     main(["verify", "--config", str(verify), "--out", str(tmp_path / "verify")])
     assert (n, 4) in shapes and (n, n) not in shapes

@@ -194,10 +194,27 @@ def test_csr_mix_equals_dense_product(kind, n):
     csr = CSRMix(W)
     assert csr.indptr[-1] == csr.cols.size == np.count_nonzero(W)
     rng = np.random.default_rng(n)
-    for width in (1, 4):
+    for width in (2, 4, 6):
         m = rng.standard_normal((n, width))
         assert np.abs(csr(m) - W @ m).max() <= 1e-15
         assert np.abs(csr(m) - W @ m).max() <= 1e-15   # with the cached weights
+    # Two float64 lanes at a time: a message of odd width, or not n x width, is refused.
+    for shape in ((n, 1), (n, 3), (n,), (2, n, 4)):
+        with pytest.raises(ValueError, match="even width"):
+            csr(np.ones(shape))
+
+
+@pytest.mark.parametrize("n", [16, 300, 1024])
+@pytest.mark.parametrize("kind", ["ring", "path"])
+def test_csr_mix_equals_one_lane_sum_where_rows_are_short(kind, n):
+    # A row of at most 4 nonzeros is summed in the same order on two lanes as
+    # on one, so the gather is the one-lane reference bit for bit.
+    W = metropolis_weights(build_topology(kind, n)).W
+    csr = CSRMix(W)
+    m = np.random.default_rng(n).standard_normal((n, 4)) * np.logspace(-8, 8, 4)
+    m[0, 0] = -0.0
+    assert csr(m).tobytes() == ref.one_lane_gather(W, m).tobytes()
+    assert csr(m[:, :2]).tobytes() == ref.one_lane_gather(W, m[:, :2]).tobytes()
 
 
 def test_cost_rule_picks_the_mixing_path():
@@ -404,6 +421,20 @@ def test_from_weights_rejects_asymmetric():
                   [0.5, 0.0, 0.5]])
     with pytest.raises(ValueError, match="symmetric"):
         MixingMatrix.from_weights(W)
+    # The symmetry test runs over the nonzeros of W.  It still sees an
+    # asymmetric zero pattern (W[i, j] != 0 = W[j, i]) and an asymmetry
+    # above its tolerance of 1e-12.  W + delta (P - I), with P the cyclic
+    # shift i -> i + shift, stays doubly stochastic, and W[i, i + shift]
+    # exceeds W[i + shift, i] by delta: on a ring of 6, shift 2 moves a zero
+    # of W, and shift 1 an edge.
+    ring = metropolis_weights(build_topology("ring", 6)).W
+    for shift, delta in ((2, 1e-3), (2, 2e-12), (1, 2e-12)):
+        W = ring + delta * (np.roll(np.eye(6), shift, axis=1) - np.eye(6))
+        assert W[0, shift] != 0 and (W[shift, 0] != 0) == (shift == 1)
+        with pytest.raises(ValueError, match="must be symmetric"):
+            MixingMatrix.from_weights(W)
+    W = ring + 5e-13 * (np.roll(np.eye(6), 1, axis=1) - np.eye(6))
+    assert MixingMatrix.from_weights(W).W[0, 1] - W[1, 0] > 4e-13
     # NaN passes every comparison with a tolerance, so it is rejected up front.
     with pytest.raises(ValueError, match="non-finite"):
         MixingMatrix.from_weights(np.array([[0.5, np.nan], [np.nan, 0.5]]))

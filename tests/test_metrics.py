@@ -364,21 +364,27 @@ def _no_saddle_ring16(ring16_problem, ring16_W, z0_16):
     ("ring16", "dogda", None, dict(max_iters=300, tol=0.0), None),
     ("ring16", "adogt", 3, dict(max_iters=300, tol=0.0), None),
     ("ring16", "adogt", 4, dict(max_iters=300, tol=0.0, record_every=10), None),
-    # the gathered mixing of a random n = 512 graph: one state a batch, and
-    # four under a larger budget
+    # the gathered mixing of a random n = 512 graph: one state a batch under
+    # a budget of one state, and four under a budget of four
     ("random512", "adogt", 3, dict(max_iters=20, tol=0.0), "single"),
     ("random512_wide", "dogt", None, dict(max_iters=20, tol=0.0), "several"),
     ("random512_wide", "adogt", 3, dict(max_iters=20, tol=0.0), "several"),
     # no saddle point: no residual, xi_sq or V, and no tol stop
     ("no_saddle", "dogt", None, dict(max_iters=300, tol=1e-10), "several"),
     ("no_saddle", "dgda", None, dict(max_iters=300, tol=1e-10, record_every=7), None),
+    # the benchmark's random1024: 8 states a batch under the default budget
+    ("random1024", "dogt", None, dict(max_iters=30, tol=0.0), "eight"),
 ])
 def test_run_equals_per_state_evaluation(setup, kind, T, run_args, batches, ring16_problem,
-                                         ring16_W, z0_16, batch_sizes, monkeypatch):
+                                         ring16_W, z0_16, batch_sizes, random1024,
+                                         monkeypatch):
     # run() evaluates the states it records in batches, on their stack; its
     # record table must be that of per-state calls, bit for bit.
     if setup == "random512":
         problem, W, z0 = _random512()
+        monkeypatch.setattr(algorithms, "_BATCH_BYTES", 5 * z0.nbytes)
+    elif setup == "random1024":
+        problem, W, z0 = random1024
     elif setup == "random512_wide":
         problem, W, z0 = _random512()
         monkeypatch.setattr(algorithms, "_BATCH_BYTES", 4 * 5 * z0.nbytes)
@@ -392,6 +398,8 @@ def test_run_equals_per_state_evaluation(setup, kind, T, run_args, batches, ring
         assert len(sizes) > 2 and sizes[0] > 1
     elif batches == "single":
         assert set(sizes) == {1}
+    elif batches == "eight":
+        assert sizes == [8, 8, 8, 7]
     elif batches == "cut":
         assert trace.reason == "tol_reached" and 1 < sizes[-1] < sizes[0] == max(sizes)
         assert len(sizes) > 2
