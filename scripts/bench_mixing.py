@@ -8,8 +8,9 @@ For Metropolis weights on rings and on random graphs (average degree about
 the rings' crossover), it records the time of one mix of an n x 4 message
 (p + d of every shipped config) as the dense product W @ m and as the CSR
 gather, which of the two ``MixingMatrix.mix`` picked, and the time to build
-the weights (dominated by the dense spectral gap: about 8 s and 0.5 GB at
-n = 4096).  It also records the wall time of ``netsaddle run`` on the
+the weights (dominated by W's one dense eigendecomposition: at n = 4096
+about 10 s and a peak RSS of 0.33 GB on a 2-vCPU Xeon VM with one BLAS
+thread).  It also records the wall time of ``netsaddle run`` on the
 benchmark's random1024-dogt config (workload seed 0), once as shipped and
 once with every mix forced dense, plus the core count and the BLAS
 threads.  BLAS is pinned to one thread, as in perfbench.  The file goes to

@@ -330,7 +330,7 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
         rho_eff = W.rho
         if algo.name == "adogt":
             T_source = "auto" if algo.T == "auto" else "config"
-            T = recommended_T(W.rho) if algo.T == "auto" else algo.T
+            T = recommended_T(W) if algo.T == "auto" else algo.T
             exchange = accelerated_matrix(W, T)
             eta, rho_eff = exchange.eta, exchange.rho
         gamma_source = "auto" if algo.gamma == "auto" else "config"

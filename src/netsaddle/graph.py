@@ -1,12 +1,15 @@
 """Network topologies, doubly stochastic mixing matrices, and consensus acceleration.
 
-A mixing matrix W encodes one round of neighbor averaging.  Its quality is
-measured by the spectral gap rho = ||W - J||_2^2 (squared spectral norm off
-the consensus direction, J = averaging matrix): smaller rho means faster
-mixing.  ``accelerated_matrix`` defines adogt's exchange: T momentum-boosted
-gossip rounds, whose effective matrix M_T has a much smaller gap rho_M.  It
-reads rho_M off the eigenvalues of W in O(nT) and mixes as one product by
-M_T or as the T rounds.
+A mixing matrix W encodes one round of neighbor averaging.  Building a
+``MixingMatrix`` makes one dense eigendecomposition of W, and every
+spectral quantity is read off the eigenvalues it keeps, all but the
+consensus 1.  The spectral gap rho = ||W - J||_2^2 (squared spectral norm
+off the consensus direction, J = averaging matrix) is the largest squared
+one: smaller rho means faster mixing.  ``accelerated_matrix`` defines
+adogt's exchange: T momentum-boosted gossip rounds, whose effective matrix
+M_T has a much smaller gap rho_M.  It reads rho_M off the same eigenvalues
+in O(nT) and mixes as one product by M_T or as the T rounds;
+``recommended_T`` finds the round count of ``T: auto`` on them too.
 
 One round of mixing, m -> W m, costs O(n^2) as a dense product and
 O(nnz) as a gather over the nonzeros of W; ``MixingMatrix.mix`` is
@@ -17,8 +20,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, partial
+from functools import partial
+from itertools import islice
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -195,8 +200,12 @@ def _gathers(n: int, rows: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Doubly stochastic weight matrix with its cached spectral gap.
+    """Doubly stochastic weight matrix with its spectrum and spectral gap.
 
+    Building one makes the one dense eigendecomposition of W.  ``spectrum``
+    keeps the eigenvalues of W but its top one, ascending; on a connected
+    graph the top one is the consensus eigenvalue 1, and it is simple.
+    ``rho`` is ``spectral_gap`` of them, so it cannot disagree with W.
     ``mix`` is one round of mixing, m -> W m: a CSRMix where ``_gathers``
     finds the gather cheaper, and the dense W @ m otherwise.  A step counts
     ``rounds`` exchanges per mix, as it does for an ``AcceleratedExchange``.
@@ -205,7 +214,8 @@ class MixingMatrix:
     """
 
     W: np.ndarray
-    rho: float
+    spectrum: np.ndarray = field(init=False, repr=False)
+    rho: float = field(init=False)
     mix: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
     nonzeros: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
     rounds: ClassVar[int] = 1
@@ -214,6 +224,10 @@ class MixingMatrix:
         W = np.asarray(self.W, dtype=np.float64)
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
+        spectrum = np.linalg.eigvalsh(W)[:-1]
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "rho", spectral_gap(spectrum))
         if nonzeros is None:
             nonzeros = _nonzeros(W)
         object.__setattr__(self, "mix", CSRMix(W, nonzeros)
@@ -223,16 +237,10 @@ class MixingMatrix:
     def n(self) -> int:
         return self.W.shape[0]
 
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """The eigenvalues of W but its top one, ascending, from one dense
-        eigendecomposition on first use.  On a connected graph the top one is
-        the consensus eigenvalue 1, and it is simple."""
-        return np.linalg.eigvalsh(self.W)[:-1]
-
     @classmethod
     def from_weights(cls, W: np.ndarray) -> "MixingMatrix":
-        """Validate double stochasticity / symmetry and cache the spectral gap.
+        """Validate double stochasticity and symmetry, then build the matrix,
+        whose one eigendecomposition gives its spectrum and gap.
 
         A gap rho >= 1 on a single-round matrix of a connected graph signals
         a construction bug, and is rejected.
@@ -255,11 +263,11 @@ class MixingMatrix:
         nonzeros = rows, cols = _nonzeros(W)
         if np.abs(W[rows, cols] - W[cols, rows]).max(initial=0.0) > tol:
             raise ValueError("weight matrix must be symmetric")
-        rho = spectral_gap(W)
-        if rho >= 1.0:
-            raise ValueError(f"spectral gap rho={rho} >= 1; matrix does not contract "
+        mixing = cls(W=W, nonzeros=nonzeros)
+        if mixing.rho >= 1.0:
+            raise ValueError(f"spectral gap rho={mixing.rho} >= 1; matrix does not contract "
                              "off the consensus direction (disconnected graph?)")
-        return cls(W=W, rho=rho, nonzeros=nonzeros)
+        return mixing
 
 
 def metropolis_weights(topology: Topology) -> MixingMatrix:
@@ -300,15 +308,15 @@ WEIGHT_BUILDERS = {
 }
 
 
-def spectral_gap(W: np.ndarray) -> float:
-    """Squared spectral norm of W - J, i.e. rho = ||W - J||_2^2 in [0, 1).
+def spectral_gap(spectrum: np.ndarray) -> float:
+    """rho = max lam^2 over ``spectrum``, the eigenvalues of a symmetric W but
+    its consensus eigenvalue 1; that is ||W - J||_2^2, in [0, 1) on a
+    connected graph, and 0 for no eigenvalues (a single node).
 
-    For symmetric W this is the square of the largest-magnitude eigenvalue
-    away from the all-ones direction, read off one dense symmetric
-    eigendecomposition at every n.  Subtracting the scalar 1/n from every
-    entry is W - J without building J.
+    It decomposes nothing: ``MixingMatrix`` passes the eigenvalues of its
+    one eigendecomposition.
     """
-    return float(np.abs(np.linalg.eigvalsh(W - 1.0 / W.shape[0])).max() ** 2)
+    return float(np.max(spectrum * spectrum, initial=0.0))
 
 
 def acceleration_momentum(rho: float) -> float:
@@ -319,30 +327,41 @@ def acceleration_momentum(rho: float) -> float:
     return (1.0 - s) / (1.0 + s)
 
 
-def recommended_T(rho: float) -> int:
-    """Gossip rounds per iteration, ceil(ln 2 / sqrt(1 - sqrt(rho))), at least 1.
+def recommended_T(W: MixingMatrix) -> int:
+    """The gossip rounds of ``T: auto``: the smallest T that is at least
+    ceil(ln 2 / sqrt(1 - sqrt(rho_W))) and gives rho_M <= 1/2.
 
-    This T aims at 1 - rho_M >= 1/2, so that one accelerated exchange mixes
-    about as well as a constant-gap network however poorly connected the
-    graph is.  The bound is not guaranteed: on Metropolis rings it holds up
-    to n = 64, but rho_M at this T is 0.5314 at n = 68 and 0.5498 at
-    n = 1024.  Making ``T: auto`` meet it is item 2 of ROADMAP.md.
+    So one accelerated exchange mixes at least as well as a constant-gap
+    network however poorly connected the graph is, as the guarantee of
+    adogt's exchange assumes.  The formula alone does not ensure it: on
+    Metropolis rings from n = 68 it leaves rho_M at 0.53 to 0.55.  One pass
+    of the momentum recursion over ``W.spectrum`` evaluates rho_M at each T
+    in turn, with the arithmetic of ``accelerated_matrix``, in O(nT) in
+    all.  The pass ends: at eta < 1 every |p_T(lam)| with |lam| < 1 tends
+    to 0.
     """
-    if not (0.0 <= rho < 1.0):
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    T = math.ceil(math.log(2.0) / math.sqrt(1.0 - math.sqrt(rho)))
-    return max(T, 1)
+    eta = acceleration_momentum(W.rho)
+    floor = math.ceil(math.log(2.0) / math.sqrt(1.0 - math.sqrt(W.rho)))
+    rounds = _momentum_rounds(W.spectrum.__mul__, eta, np.ones_like(W.spectrum))
+    for T, p in enumerate(rounds, start=1):
+        if T >= floor and np.max(p * p, initial=0.0) <= 0.5:
+            return T
 
 
-def momentum_gossip(mix, eta: float, T: int, message: np.ndarray) -> np.ndarray:
-    """T rounds of momentum gossip on a message; equals M_T @ message.
+def _momentum_rounds(mix, eta: float, message: np.ndarray) -> Iterator[np.ndarray]:
+    """The message after 1, 2, ... rounds of momentum gossip, without end.
 
     ``mix`` is one round, m -> W m; on W's eigenvalues, p -> lam * p.
     """
     prev = curr = message
-    for _ in range(T):
+    while True:
         prev, curr = curr, (1.0 + eta) * mix(curr) - eta * prev
-    return curr
+        yield curr
+
+
+def momentum_gossip(mix, eta: float, T: int, message: np.ndarray) -> np.ndarray:
+    """T >= 1 rounds of momentum gossip on a message; equals M_T @ message."""
+    return next(islice(_momentum_rounds(mix, eta, message), T - 1, None))
 
 
 @dataclass(frozen=True, eq=False)

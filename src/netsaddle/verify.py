@@ -138,7 +138,7 @@ def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}, expected one of {LEMMA_IDS}")
     if lemma_id == "T2_rho_M":
-        T = trace.T if trace.T is not None else recommended_T(trace.mixing.rho)
+        T = trace.T if trace.T is not None else recommended_T(trace.mixing)
         return check_rho_M(trace.mixing, T)
 
     records = trace.records
@@ -165,10 +165,10 @@ def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
 def check_rho_M(W: MixingMatrix, T: int) -> LemmaCheckReport:
     """Check the accelerated matrix's spectral gap.
 
-    The operative guarantee is gated: at T = recommended_T(rho_W) the gap
-    must satisfy 1 - rho_M >= 1/2 (margin 1).  Margin 0 records the
-    textbook-style envelope 2 (1 - sqrt(1 - sqrt(rho_W)))^(2T) against
-    rho_M, or 1 - rho_M when that envelope is vacuous (>= 1); both are
+    The operative guarantee is gated: at T = recommended_T(W), the T of
+    ``T: auto``, the gap must satisfy 1 - rho_M >= 1/2 (margin 1).  Margin
+    0 records the textbook-style envelope 2 (1 - sqrt(1 - sqrt(rho_W)))^(2T)
+    against rho_M, or 1 - rho_M when that envelope is vacuous (>= 1); both are
     diagnostic only, since the envelope's constant belongs to the unsquared
     deviation and the finite-round transient can exceed it (or even push
     rho_M past 1) without anything being wrong.
@@ -182,7 +182,7 @@ def check_rho_M(W: MixingMatrix, T: int) -> LemmaCheckReport:
     else:
         notes = [f"analytic envelope {bound:.6g} >= 1 is vacuous at T={T}; "
                  "margin 0 records 1 - rho_M instead (diagnostic)"]
-    if T == recommended_T(W.rho):
+    if T == recommended_T(W):
         sides.append((1, rho_M, 0.5, True))
         notes.append("T equals the recommended round count; "
                      "margin 1 gates on 1 - rho_M >= 1/2")

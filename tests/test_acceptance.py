@@ -15,9 +15,8 @@ import pytest
 
 import reference_impl as ref
 from netsaddle.algorithms import adogt_step, dogt_step, init_state, iterate, run
-from netsaddle.graph import (accelerated_matrix, acceleration_momentum,
-                             build_topology, metropolis_weights, recommended_T,
-                             spectral_gap)
+from netsaddle.graph import (MixingMatrix, accelerated_matrix, acceleration_momentum,
+                             build_topology, metropolis_weights, recommended_T)
 from netsaddle.metrics import max_stepsize, step_terms, theoretical_contraction
 from netsaddle.problem import make_bilinear_quadratic
 from netsaddle.verify import check_lemma
@@ -108,11 +107,11 @@ def test_criterion_4_accelerated_consensus_bound():
     with criterion(4, "accelerated gossip halves the gap at the recommended T"):
         for n in (4, 8, 16, 32):
             W = metropolis_weights(build_topology("ring", n))
-            T = recommended_T(W.rho)
+            T = recommended_T(W)
             rho_M = accelerated_matrix(W, T).rho
             assert 1.0 - rho_M >= 0.5 - 1e-10
         W16 = metropolis_weights(build_topology("ring", 16))
-        assert recommended_T(W16.rho) == 4
+        assert recommended_T(W16) == 4
 
 
 def test_criterion_5_tracker_and_averaged_dynamics(ring16_problem, ring16_W, z0_16):
@@ -174,7 +173,7 @@ def test_criterion_7_spectral_correctness(ring16_W):
         lam = (1.0 + 2.0 * math.cos(math.pi / 8.0)) / 3.0
         assert abs(ring16_W.rho - lam ** 2) <= 1e-10
         assert abs(ring16_W.rho - 0.9011) <= 5e-5
-        assert spectral_gap(np.full((16, 16), 1.0 / 16)) <= 1e-14
+        assert MixingMatrix.from_weights(np.full((16, 16), 1.0 / 16)).rho <= 1e-14
 
 
 def test_criterion_8_compare_determinism(tmp_path):

@@ -421,6 +421,19 @@ def test_verify_command_run_with_no_steps(tmp_path, capsys):
     assert "tol_reached after 0 iterations" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [68, 100, 128, 256, 1024])
+def test_verify_meets_T2_at_T_auto_on_long_rings(n, tmp_path):
+    # The formula's T left rho_M between 0.53 and 0.55 on these rings, and
+    # verify exited 6; T: auto now goes on to the first T with rho_M <= 1/2.
+    path = write_config(tmp_path, {"problem": {"n": n}, "graph": {"n": n},
+                                   "algorithm": {"gamma": "auto"},
+                                   "run": {"max_iters": 3, "tol": 0.0, "record_every": 1}})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    checks = (out / "checks.txt").read_text()
+    assert "T2_rho_M: passed" in checks and "margin 1 gates" in checks
+
+
 def test_ring400_adogt_and_verify_build_no_dense_M_T(tmp_path, monkeypatch, capsys):
     # A 400-node ring gathers.  adogt at T: auto and dogt's verify, whose T2
     # reads rho_M, then need W's eigenvalues only: no momentum gossip runs on
@@ -439,9 +452,8 @@ def test_ring400_adogt_and_verify_build_no_dense_M_T(tmp_path, monkeypatch, caps
                          "adogt.yaml")
     verify = write_config(tmp_path, {**ring, "algorithm": {"gamma": "auto"}}, "verify.yaml")
     assert main(["run", "--config", str(adogt), "--out", str(tmp_path / "run")]) == EXIT_OK
-    # On rings this large T2 fails at the formula's T (ROADMAP item 2); the
-    # exit code is not what this test is about.
-    main(["verify", "--config", str(verify), "--out", str(tmp_path / "verify")])
+    # T: auto meets T2's half gap here too (T = 84, where the formula gives 77).
+    assert main(["verify", "--config", str(verify), "--out", str(tmp_path / "verify")]) == EXIT_OK
     assert (n, 4) in shapes and (n, n) not in shapes
 
     exp = resolve_experiment(load_config(adogt))

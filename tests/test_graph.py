@@ -1,16 +1,19 @@
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
+from netsaddle import verify
 from netsaddle.algorithms import run
 from netsaddle.cli import load_config, resolve_experiment
-from netsaddle.graph import (CSRMix, DisconnectedGraphError, MixingMatrix, Topology,
-                             accelerated_matrix, acceleration_momentum,
+from netsaddle.graph import (WEIGHT_BUILDERS, CSRMix, DisconnectedGraphError, MixingMatrix,
+                             Topology, accelerated_matrix, acceleration_momentum,
                              build_topology, lazy_max_degree_weights, metropolis_weights,
                              recommended_T, spectral_gap)
 
@@ -168,15 +171,33 @@ def test_mixing_matrix_invariants(kind, n, scheme):
 def test_spectral_gap_of_matrix_power(n, k):
     # For symmetric doubly stochastic W, rho(W^k) = rho(W)^k exactly (the
     # extreme eigenvalue magnitude is raised to the k-th power).
-    W = metropolis_weights(build_topology("ring", n)).W
-    assert spectral_gap(np.linalg.matrix_power(W, k)) == pytest.approx(
-        spectral_gap(W) ** k, rel=1e-9, abs=1e-13)
+    W = metropolis_weights(build_topology("ring", n))
+    power = MixingMatrix.from_weights(np.linalg.matrix_power(W.W, k))
+    assert power.rho == pytest.approx(W.rho ** k, rel=1e-9, abs=1e-13)
+    assert spectral_gap(W.spectrum ** k) == pytest.approx(W.rho ** k, rel=1e-15, abs=0.0)
 
 
-@given(st.floats(min_value=0.0, max_value=0.999), st.floats(min_value=0.0, max_value=0.999))
-def test_recommended_T_monotone_in_rho(r1, r2):
-    lo, hi = sorted((r1, r2))
+@given(st.integers(min_value=1, max_value=160), st.integers(min_value=1, max_value=160))
+def test_recommended_T_monotone_in_rho(n1, n2):
+    # A longer ring mixes more slowly (rho_W grows with n), and never gets
+    # fewer rounds.
+    lo, hi = sorted((metropolis_weights(build_topology("ring", n)) for n in (n1, n2)),
+                    key=lambda W: W.rho)
     assert recommended_T(lo) <= recommended_T(hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ring", "path", "star", "complete", "random"]),
+       n=st.integers(min_value=1, max_value=64),
+       scheme=st.sampled_from(["metropolis", "lazy_max_degree"]),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_rho_is_the_squared_norm_of_W_minus_J(kind, n, scheme, seed):
+    # rho, read off W's own eigenvalues but its top one, is the old
+    # definition ||W - J||_2^2, computed here by a singular value decomposition.
+    topology = build_topology(kind, n, seed=seed,
+                              edge_probability=0.3 if kind == "random" else None)
+    W = WEIGHT_BUILDERS[scheme](topology)
+    assert abs(W.rho - np.linalg.norm(W.W - 1.0 / n, 2) ** 2) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +246,7 @@ def test_cost_rule_picks_the_mixing_path():
     random1024 = build_topology("random", 1024, seed=1000, edge_probability=0.01)
     assert isinstance(metropolis_weights(random1024).mix, CSRMix)
     # A row without a nonzero would break the segmented sum.
-    assert not isinstance(MixingMatrix(W=np.zeros((1024, 1024)), rho=0.0).mix, CSRMix)
+    assert not isinstance(MixingMatrix(W=np.zeros((1024, 1024))).mix, CSRMix)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +254,34 @@ def test_cost_rule_picks_the_mixing_path():
 
 
 def test_spectral_gap_of_averaging_matrix_is_zero():
-    assert spectral_gap(np.full((16, 16), 1.0 / 16)) <= 1e-14
-    assert spectral_gap(np.full((2, 2), 1.0 / 2)) <= 1e-14
+    assert MixingMatrix.from_weights(np.full((16, 16), 1.0 / 16)).rho <= 1e-14
+    assert MixingMatrix.from_weights(np.full((2, 2), 1.0 / 2)).rho <= 1e-14
+    assert spectral_gap(np.zeros(15)) == 0.0
 
 
 def test_spectral_gap_single_node():
-    assert spectral_gap(np.array([[1.0]])) == 0.0
+    W = MixingMatrix.from_weights(np.array([[1.0]]))
+    assert W.spectrum.size == 0 and W.rho == 0.0
+    assert spectral_gap(np.empty(0)) == 0.0
+
+
+def test_spectral_gap_of_disconnected_matrix_is_rejected():
+    # Two consensus eigenvalues: the one kept in the spectrum gives rho = 1.
+    assert MixingMatrix(W=np.eye(2)).rho == 1.0
+    with pytest.raises(ValueError, match="spectral gap"):
+        MixingMatrix.from_weights(np.eye(2))
+    with pytest.raises(ValueError):
+        recommended_T(MixingMatrix(W=np.eye(2)))
 
 
 @pytest.mark.parametrize("n", [16, 300, 1024])
 def test_spectral_gap_ring_matches_circulant_form(n):
-    rho = metropolis_weights(build_topology("ring", n)).rho
-    assert rho == pytest.approx(ring_metropolis_eigenvalue(n, 1) ** 2, abs=1e-10)
+    W = metropolis_weights(build_topology("ring", n))
+    assert W.rho == pytest.approx(ring_metropolis_eigenvalue(n, 1) ** 2, abs=1e-10)
+    # The spectrum is every eigenvalue but the consensus 1, ascending.
+    closed_form = np.sort([ring_metropolis_eigenvalue(n, k) for k in range(1, n)])
+    assert np.allclose(W.spectrum, closed_form, rtol=0.0, atol=1e-14)
+    assert spectral_gap(closed_form) == pytest.approx(W.rho, rel=0.0, abs=1e-14)
 
 
 def test_spectral_gap_ring16_value(ring16_W):
@@ -281,15 +318,32 @@ def test_momentum_domain(rho):
 
 
 def test_recommended_T_values(ring16_W):
-    assert recommended_T(0.0) == 1
-    assert recommended_T(0.25) == 1  # ln2 / sqrt(1 - 0.5) = 0.980 -> ceil 1
-    assert recommended_T(ring16_W.rho) == 4
+    assert recommended_T(metropolis_weights(build_topology("complete", 5))) == 1  # rho 0
+    quarter = MixingMatrix.from_weights(np.array([[0.75, 0.25], [0.25, 0.75]]))
+    assert quarter.rho == pytest.approx(0.25, abs=1e-15)
+    assert recommended_T(quarter) == 1  # ln2 / sqrt(1 - 0.5) = 0.980 -> ceil 1
+    assert recommended_T(ring16_W) == 4
 
 
 @pytest.mark.parametrize("rho", [-0.01, 1.0])
 def test_recommended_T_domain(rho):
+    # Only W.rho and W.spectrum are read; a gap outside [0, 1) is refused.
     with pytest.raises(ValueError):
-        recommended_T(rho)
+        recommended_T(SimpleNamespace(rho=rho, spectrum=np.zeros(1)))
+
+
+@pytest.mark.parametrize("n, T", [(16, 4), (64, 13), (68, 14), (100, 21), (128, 27),
+                                  (256, 54), (1024, 215)])
+def test_recommended_T_is_the_smallest_with_half_gap(n, T):
+    # The formula's T is only a floor: from n = 68 it leaves rho_M above 1/2
+    # on Metropolis rings, and T: auto goes on to the first T that meets it.
+    W = metropolis_weights(build_topology("ring", n))
+    floor = math.ceil(math.log(2.0) / math.sqrt(1.0 - math.sqrt(W.rho)))
+    assert recommended_T(W) == T >= floor
+    assert accelerated_matrix(W, T).rho <= 0.5
+    assert all(accelerated_matrix(W, t).rho > 0.5 for t in range(floor, T))
+    if n >= 68:
+        assert T > floor
 
 
 def dense_M(exchange):
@@ -353,7 +407,7 @@ def test_accelerated_matrix_double_stochasticity(n, T):
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_half_gap_at_recommended_T(n):
     W = metropolis_weights(build_topology("ring", n))
-    M = accelerated_matrix(W, recommended_T(W.rho))
+    M = accelerated_matrix(W, recommended_T(W))
     assert 1.0 - M.rho >= 0.5 - 1e-10
 
 
@@ -393,18 +447,35 @@ def test_rho_M_matches_the_dense_oracle(kind, n):
         assert max(gaps) >= 1.0         # momentum tuned for more rounds overshoots
 
 
-def test_spectrum_is_computed_once_and_only_for_an_exchange(ring16_problem, z0_16):
-    W = metropolis_weights(build_topology("ring", 16))
-    assert "spectrum" not in vars(W)
-    run("dogt", ring16_problem, W, 0.1, z0_16, max_iters=5, tol=0.0)
-    assert "spectrum" not in vars(W)
-    accelerated_matrix(W, 4)
-    spectrum = W.spectrum
-    accelerated_matrix(W, 5)
-    assert W.spectrum is spectrum
-    assert len(spectrum) == 15
-    assert np.allclose(spectrum, np.sort([ring_metropolis_eigenvalue(16, k)
-                                          for k in range(1, 16)]), atol=1e-14)
+@pytest.mark.parametrize("n", [16, 400])
+def test_one_eigendecomposition_per_W(n, tmp_path, monkeypatch):
+    # Resolving a four-method compare at T: auto, running every method and
+    # checking a dogt trace (T2 included) decompose W once, when it is built:
+    # rho_W, T: auto, eta and rho_M are all read off that spectrum.  Ring-16
+    # mixes dense and ring-400 gathers.
+    decomposed, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        decomposed.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    config = {"problem": {"type": "bilinear_quadratic", "n": n, "p": 2, "d": 2, "mu": 0.1,
+                          "seed": 7, "zero_sum_centers": True},
+              "graph": {"topology": "ring", "n": n},
+              "algorithms": [{"name": "dgda", "gamma": 0.1}, {"name": "dogda", "gamma": 0.1},
+                             {"name": "dogt", "gamma": "auto"},
+                             {"name": "adogt", "gamma": 0.1, "T": "auto"}],
+              "run": {"max_iters": 20, "tol": 0.0, "record_every": 1}}
+    path = tmp_path / "compare.yaml"
+    path.write_text(yaml.safe_dump(config))
+    exp = resolve_experiment(load_config(path))
+    traces = {algo.name: run(algo.name, exp.problem, exp.W, algo.gamma, exp.z0,
+                             max_iters=20, tol=0.0, record_every=1, T=algo.T)
+              for algo in exp.algorithms}
+    reports = verify.run_all_checks(traces["dogt"])
+    assert all(report.passed for report in reports)
+    assert len(decomposed) == 1 and decomposed[0] is exp.W.W
 
 
 def test_from_weights_rejects_non_stochastic():

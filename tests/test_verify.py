@@ -207,11 +207,15 @@ def test_check_rho_M_on_averaging_matrix():
     W = metropolis_weights(build_topology("complete", 4))  # equals J
     rep = check_rho_M(W, 1)
     assert rep.passed
-    # rho_M is 0 up to the rounding of W's eigenvalues (about 1e-16 each,
-    # squared); the gated half-gap margin holds outright.
+    # rho_W and rho_M are 0 up to the rounding of W's eigenvalues (about
+    # 1e-16 each, squared), so the diagnostic envelope of margin 0 is about
+    # rho_W / 2, and its sign is rounding's; the gated half-gap margin holds
+    # outright.
     rho_M = accelerated_matrix(W, 1).rho
-    assert 0.0 <= rho_M <= 1e-30
-    assert dict(rep.margins.tolist()) == {0: -rho_M, 1: 0.5 - rho_M}
+    assert W.rho <= 1e-30 and rho_M <= 1e-30
+    envelope = 2.0 * (1.0 - math.sqrt(1.0 - math.sqrt(W.rho))) ** 2
+    assert envelope <= 1e-30
+    assert dict(rep.margins.tolist()) == {0: envelope - rho_M, 1: 0.5 - rho_M}
 
 
 def test_check_rho_M_ring16_recommended(ring16_W):
@@ -237,7 +241,7 @@ def test_check_rho_M_ring16_T1_vacuous(ring16_W):
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_check_rho_M_half_gap_all_rings(n):
     W = metropolis_weights(build_topology("ring", n))
-    rep = check_rho_M(W, recommended_T(W.rho))
+    rep = check_rho_M(W, recommended_T(W))
     assert rep.passed
     assert dict(rep.margins.tolist())[1] >= -1e-10
 
