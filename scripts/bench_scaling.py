@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Time the set-up of each method on a ladder of graph sizes and write BENCH_scaling.json.
 
-    python scripts/bench_scaling.py BASELINE_CHECKOUT [--max-n 2048]
+    python scripts/bench_scaling.py BASELINE_CHECKOUT
 
 For rings and random graphs (average degree about 10, graph seed 1000)
-with n in SIZES up to max-n, and for each of the four methods (adogt at
-``T: auto``, the others at gamma 0.1 on Metropolis weights), it times the
-set-up that ``netsaddle run`` makes before its steps, in three phases:
+with n in SIZES, and for each of the four methods (adogt at ``T: auto``,
+the others at gamma 0.1 on Metropolis weights), it times the set-up that
+``netsaddle run`` makes before its steps, in three phases:
 
 - topology: ``build_topology``;
 - weights: the weight builder, which makes W, its spectrum and rho_W;
@@ -169,13 +169,10 @@ def main(argv=None) -> int:
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", type=Path, help="another checkout to time against this one")
-    parser.add_argument("--max-n", type=int, default=max(SIZES),
-                        help=f"largest graph size (default {max(SIZES)})")
     args = parser.parse_args(argv)
 
     checkouts = {"baseline": args.baseline.resolve(), "this": ROOT}
-    cases = [(kind, n, method) for n in SIZES if n <= args.max_n for kind in KINDS
-             for method in METHODS]
+    cases = [(kind, n, method) for n in SIZES for kind in KINDS for method in METHODS]
     samples = {name: {case: [] for case in cases} for name in checkouts}
     for round_ in range(ROUNDS):
         for case in cases:
@@ -192,8 +189,7 @@ def main(argv=None) -> int:
         "phases": {"topology_s": "build_topology",
                    "weights_s": "the weight builder: W, its spectrum and rho_W",
                    "exchange_s": "the rest of resolve_experiment and a one-step run()"},
-        "cases": {f"{kind}-{n}/{method}": case_config(kind, n, method)
-                  for kind, n, method in cases},
+        "cases": "kind-n/method, configured by case_config in scripts/bench_scaling.py",
         "repeats_per_process": REPEATS,
         "rounds": ROUNDS,
         "checkouts": {name: {"commit": commit(checkouts[name]),

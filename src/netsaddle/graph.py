@@ -314,8 +314,11 @@ def spectral_gap(spectrum: np.ndarray) -> float:
     connected graph, and 0 for no eigenvalues (a single node).
 
     It decomposes nothing: ``MixingMatrix`` passes the eigenvalues of its
-    one eigendecomposition.
+    one eigendecomposition.  A matrix is rejected, not read as eigenvalues.
     """
+    if np.ndim(spectrum) != 1:
+        raise ValueError(f"spectral_gap takes a 1-D array of eigenvalues, "
+                         f"got shape {np.shape(spectrum)}")
     return float(np.max(spectrum * spectrum, initial=0.0))
 
 

@@ -259,6 +259,11 @@ def test_spectral_gap_of_averaging_matrix_is_zero():
     assert spectral_gap(np.zeros(15)) == 0.0
 
 
+def test_spectral_gap_rejects_a_matrix():
+    with pytest.raises(ValueError, match="1-D"):
+        spectral_gap(np.full((16, 16), 1.0 / 16))
+
+
 def test_spectral_gap_single_node():
     W = MixingMatrix.from_weights(np.array([[1.0]]))
     assert W.spectrum.size == 0 and W.rho == 0.0
@@ -344,6 +349,15 @@ def test_recommended_T_is_the_smallest_with_half_gap(n, T):
     assert all(accelerated_matrix(W, t).rho > 0.5 for t in range(floor, T))
     if n >= 68:
         assert T > floor
+    if T <= 24:
+        # recommended_T and accelerated_matrix share one recursion, so check
+        # rho_M at T against the dense M_T, with eta from ||W - J||_2^2.
+        rho = np.linalg.norm(W.W - 1.0 / n, 2) ** 2
+        eta = (1.0 - math.sqrt(1.0 - rho)) / (1.0 + math.sqrt(1.0 - rho))
+        assert ref.accelerated_gap(W.W, T, eta) == pytest.approx(accelerated_matrix(W, T).rho,
+                                                                 rel=1e-10)
+        assert ref.accelerated_gap(W.W, T, eta) <= 0.5
+        assert T == floor or ref.accelerated_gap(W.W, T - 1, eta) > 0.5
 
 
 def dense_M(exchange):

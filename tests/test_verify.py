@@ -244,6 +244,7 @@ def test_check_rho_M_half_gap_all_rings(n):
     rep = check_rho_M(W, recommended_T(W))
     assert rep.passed
     assert dict(rep.margins.tolist())[1] >= -1e-10
+    assert check_rho_M(W).margins.tolist() == rep.margins.tolist()  # T defaults to auto
 
 
 # ---------------------------------------------------------------------------
