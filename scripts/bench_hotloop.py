@@ -39,15 +39,11 @@ file goes to the root of this checkout.
 
 from __future__ import annotations
 
-import os
-
-PINNED_THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-os.environ.update(PINNED_THREADS)   # before numpy is imported
+from _bench import ROOT, commit, environment, measured_in_fresh_process, spread  # first: pins BLAS
 
 import argparse  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
-import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
@@ -56,7 +52,6 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "ring16_compare.yaml"
 METHODS = ("dgda", "dogda", "dogt", "adogt")
 # name -> keyword arguments of algorithms.run besides max_iters and tol
@@ -167,29 +162,10 @@ def measure(src: Path) -> dict:
     }
 
 
-def commit(checkout: Path) -> str | None:
-    """The checkout's commit, with "-dirty" when its tracked files differ from it."""
-    result = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
-                            capture_output=True, text=True)
-    return result.stdout.strip() if result.returncode == 0 else None
-
-
-def measured_in_fresh_process(checkout: Path) -> dict:
-    out = subprocess.run([sys.executable, __file__, "--measure", str(checkout / "src")],
-                         stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(out.stdout)
-
-
 # The numbers stored with their interquartile range over rounds; the others
 # (the compare runs, timed as whole runs) as medians.
 WITH_SPREAD = ("us_per_iteration_in_run", "bare_dogt_us_per_iteration", "ratio_to_bare_dogt",
                "us_per_call")
-
-
-def spread(samples: list[float]) -> dict:
-    """The median over rounds of one number and its interquartile range."""
-    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": statistics.median(samples), "iqr": q3 - q1}
 
 
 def over_rounds(samples: list, leaf):
@@ -220,15 +196,10 @@ def main(argv=None) -> int:
     samples = {name: [] for name in checkouts}
     for round_ in range(ROUNDS):
         for name, checkout in checkouts.items():
-            samples[name].append(measured_in_fresh_process(checkout))
+            samples[name].append(measured_in_fresh_process(__file__, checkout))
             print(f"round {round_ + 1}/{ROUNDS}: {name} timed", flush=True)
     result = {
-        "environment": {
-            "nproc": len(os.sched_getaffinity(0)),
-            "blas_threads": PINNED_THREADS,
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+        "environment": environment(),
         "config": "configs/ring16_compare.yaml, every method run at tol 0, and in "
                   "compare_runs as compare runs it",
         "compare_run": COMPARE,

@@ -19,10 +19,7 @@ the root of the checkout.
 
 from __future__ import annotations
 
-import os
-
-PINNED_THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-os.environ.update(PINNED_THREADS)   # before numpy is imported
+from _bench import ROOT, environment  # first: pins BLAS
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
@@ -38,7 +35,6 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
-ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -115,11 +111,7 @@ def main(argv=None) -> int:
                         help="largest graph size (default 4096)")
     args = parser.parse_args(argv)
     result = {
-        "environment": {
-            "nproc": len(os.sched_getaffinity(0)),
-            "blas_threads": PINNED_THREADS,
-            "numpy": np.__version__,
-        },
+        "environment": environment(python=False),
         "mix": {"message_width": WIDTH, "rows": mixing_rows(args.max_n)},
         "run_random1024_dogt": end_to_end(),
     }

@@ -31,17 +31,13 @@ goes to the root of this checkout.
 
 from __future__ import annotations
 
-import os
-
-PINNED_THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-os.environ.update(PINNED_THREADS)   # before numpy is imported
+from _bench import ROOT, commit, environment, measured_in_fresh_process, spread  # first: pins BLAS
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
-import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -50,7 +46,6 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
-ROOT = Path(__file__).resolve().parents[1]
 SIZES = (16, 256, 1024, 2048)
 KINDS = ("ring", "random")
 METHODS = ("dgda", "dogda", "dogt", "adogt")
@@ -132,25 +127,6 @@ def measure(src: Path, kind: str, n: int, method: str) -> dict:
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
-def measured_in_fresh_process(checkout: Path, case: tuple) -> dict:
-    out = subprocess.run([sys.executable, __file__, "--measure", str(checkout / "src"),
-                          *map(str, case)], stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(out.stdout)
-
-
-def commit(checkout: Path) -> str | None:
-    """The checkout's commit, with "-dirty" when its tracked files differ from it."""
-    result = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
-                            capture_output=True, text=True)
-    return result.stdout.strip() if result.returncode == 0 else None
-
-
-def spread(samples: list[float]) -> dict:
-    """The median over rounds of one number and its interquartile range."""
-    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": statistics.median(samples), "iqr": q3 - q1}
-
-
 def summary(rows: list[dict]) -> dict:
     """One case of one checkout over rounds: times and peak RSS with their
     spread, the counts as the largest seen."""
@@ -177,15 +153,10 @@ def main(argv=None) -> int:
     for round_ in range(ROUNDS):
         for case in cases:
             for name, checkout in checkouts.items():
-                samples[name][case].append(measured_in_fresh_process(checkout, case))
+                samples[name][case].append(measured_in_fresh_process(__file__, checkout, *case))
         print(f"round {round_ + 1}/{ROUNDS} timed", flush=True)
     result = {
-        "environment": {
-            "nproc": len(os.sched_getaffinity(0)),
-            "blas_threads": PINNED_THREADS,
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+        "environment": environment(),
         "phases": {"topology_s": "build_topology",
                    "weights_s": "the weight builder: W, its spectrum and rho_W",
                    "exchange_s": "the rest of resolve_experiment and a one-step run()"},

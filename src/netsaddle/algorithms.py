@@ -20,12 +20,12 @@ iterates (the states the averaged dynamics and the energy-decay guarantees
 are stated for); the tracker r is seeded with the initial gradients and
 therefore keeps the exact column-average identity mean(r) = mean(G).
 
-A step reads the mix and the rounds it counts from what it is given: a
-``MixingMatrix`` (W m, the dense product or a gather over the nonzeros of
-W on sparse graphs, one round) or adogt's ``graph.accelerated_matrix``
-exchange (M_T m: one product by M_T, built on its first mix, where W mixes
-dense, below a few hundred nodes; where W gathers, T rounds, and no n x n
-matrix enters a step).
+A step reads its mix from what it is given, and ``run`` reads the rounds
+each mix counts from the same object: a ``MixingMatrix`` (W m, the dense
+product or a gather over the nonzeros of W on sparse graphs, one round) or
+adogt's ``graph.accelerated_matrix`` exchange (M_T m: one product by M_T,
+built on its first mix, where W mixes dense, below a few hundred nodes;
+where W gathers, T rounds, and no n x n matrix enters a step).
 
 A step is arithmetic only: it neither checks its result nor sets NumPy's
 error state, so a step from a non-finite state is an ordinary step.  The
@@ -68,7 +68,9 @@ class AlgoState:
     Arrays are n x (p+d): current and previous iterates, current and
     previous stacked gradients, and the tracker r = [p, -q].  Baseline
     steps carry the tracker over unchanged; iterate() starts it at zero so
-    every state has one schema.
+    every state has one schema.  A state does not count its exchanges:
+    they are its iteration times the mix's ``rounds``, which ``run`` writes
+    into the comm_rounds column of its record table.
 
     Successive states share arrays: a step's z_prev and grad_prev are the
     previous state's z and grad, and a baseline step's tracker is the
@@ -85,35 +87,38 @@ class AlgoState:
     grad_prev: np.ndarray
     tracker: np.ndarray
     iteration: int
-    comm_rounds: int
 
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Recorded run: its record table and run constants.
+    """Recorded run: its record table and the constants it was run with.
 
     ``records`` is a ``metrics.record_table``, as a numpy record array: a
-    row per recorded state, computed with the run's own gamma, L and rho.
-    ``fixed_point`` is the first iteration whose state equals the state
-    before it, bit for bit, when ``run`` found one and stopped stepping
-    there; None otherwise.  It is not written to any output file.
+    row per recorded state, computed with the run's own gamma, rho and the
+    problem's L, mu and n, which are read from ``problem``.  ``iterations``
+    and ``comm_rounds`` are those of its last row, the state of the stop or
+    of max_iters.  ``fixed_point`` is the first iteration whose state equals
+    the state before it, bit for bit, when ``run`` found one and stopped
+    stepping there; None otherwise.  It is not written to any output file.
     """
 
-    kind: str
     gamma: float
-    mu: float
-    smoothness: float
     rho: float              # spectral gap of the effective mixing matrix
-    n: int
     problem: BilinearQuadratic
     mixing: MixingMatrix
     z_star: np.ndarray | None
     records: np.recarray
     reason: str             # "tol_reached" or "max_iters"
-    iterations: int
-    comm_rounds: int
     T: int | None = None
     fixed_point: int | None = None
+
+    @property
+    def iterations(self) -> int:
+        return int(self.records["iteration"][-1])
+
+    @property
+    def comm_rounds(self) -> int:
+        return int(self.records["comm_rounds"][-1])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -125,13 +130,12 @@ def init_state(problem: BilinearQuadratic, z0) -> AlgoState:
     """Start state: both iterate slots hold z0; both gradient slots and the tracker G(z0)."""
     z = _frozen(stacked_array(problem, z0).copy())
     g = _frozen(stacked_gradient_field(problem, z))
-    return AlgoState(z=z, z_prev=z, grad=g, grad_prev=g, tracker=g,
-                     iteration=0, comm_rounds=0)
+    return AlgoState(z=z, z_prev=z, grad=g, grad_prev=g, tracker=g, iteration=0)
 
 
 def _step(state: AlgoState, mixing: MixingMatrix | AcceleratedExchange, direction,
           tracking: bool, gamma: float, problem: BilinearQuadratic) -> AlgoState:
-    """The one update of the family, with ``mixing``'s mix, counting its rounds.
+    """The one update of the family, with ``mixing``'s mix.
 
     z+ = mix(z - gamma direction(state)); tracking methods also update
     r+ = mix(r + G(z+) - G(z)), the others carry r over unchanged.  Pure
@@ -144,8 +148,7 @@ def _step(state: AlgoState, mixing: MixingMatrix | AcceleratedExchange, directio
     z_new = _frozen(mix(state.z - gamma * direction(state)))
     g_new = _frozen(stacked_gradient_field(problem, z_new))
     r_new = _frozen(mix(state.tracker + g_new - state.grad)) if tracking else state.tracker
-    return AlgoState(z_new, state.z, g_new, state.grad, r_new,
-                     state.iteration + 1, state.comm_rounds + mixing.rounds)
+    return AlgoState(z_new, state.z, g_new, state.grad, r_new, state.iteration + 1)
 
 
 def _tracked(s: AlgoState) -> np.ndarray:
@@ -253,12 +256,11 @@ def _stacked(arrays) -> np.ndarray:
 
 def stack_states(states) -> AlgoState:
     """Several states as one: each array gains a leading state axis (K x n x (p+d))
-    and iteration and comm_rounds become tuples.  The metrics take such a stack
-    wherever they take a state."""
+    and iteration becomes a tuple.  The metrics take such a stack wherever
+    they take a state."""
     return AlgoState(*(_stacked([getattr(s, name) for s in states])
                        for name in ("z", "z_prev", "grad", "grad_prev", "tracker")),
-                     iteration=tuple(s.iteration for s in states),
-                     comm_rounds=tuple(s.comm_rounds for s in states))
+                     iteration=tuple(s.iteration for s in states))
 
 
 def _same_arrays(a: AlgoState, b: AlgoState) -> bool:
@@ -311,20 +313,21 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     are dropped.  A non-finite state before that raises.  The states to
     record wait until a batch of them is full, or the run ends, and are then
     evaluated on their stack in one ``metric_record`` call, so a sparse
-    record grid costs few calls.  All of it gives the values state-by-state
-    calls would, bit for bit.
+    record grid costs few calls; it computes their residuals again, to the
+    same bits.  All of it gives the values state-by-state calls would, bit
+    for bit.  The comm_rounds column is filled once, as the run returns:
+    each row's iteration times the mix's ``rounds``.
 
-    A step is a pure function of a state's five arrays (``iteration`` and
-    ``comm_rounds`` never enter it), so once a state equals the one before
-    it, bit for bit, every later state holds the same arrays.  After a
-    batch passes both tests, with z* known, ``run`` compares its last state
-    with the one before it: the five arrays as int64, and only when their
-    two residuals are equal, so a batch that moves costs one float
-    comparison.  At a fixed point it stops stepping and finishes the trace
-    from that state: the table is sized to its final length at once, and
-    the state's row, computed once, is copied to the rest of the record
-    grid and the final row, with ``comm_rounds`` growing by the method's
-    rounds per iteration.  ``reason`` stays "max_iters", and
+    A step is a pure function of a state's five arrays (``iteration`` never
+    enters it), so once a state equals the one before it, bit for bit,
+    every later state holds the same arrays.  After a batch passes both
+    tests, with z* known, ``run`` compares its last state with the one
+    before it: the five arrays as int64, and only when their two residuals
+    are equal, so a batch that moves costs one float comparison.  At a
+    fixed point it stops stepping and finishes the trace from that state:
+    the table is sized to its final length at once, and the state's row,
+    computed once, is copied to the rest of the record grid and the final
+    row, each with its own iteration.  ``reason`` stays "max_iters", and
     ``Trace.fixed_point`` holds the first iteration equal to its
     predecessor.  Limit cycles of a longer period are stepped through.
 
@@ -352,7 +355,7 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     batch = max(1, min(_BATCH_STATES, _BATCH_BYTES // (5 * 8 * n * width)))
     table = metrics.record_table(batch, width)
     filled = 0          # rows of the table filled so far
-    pending, pending_residuals = [], []     # states to record, not yet evaluated
+    pending = []        # states to record, not yet evaluated
 
     def flush():
         """Evaluate the pending states into the next rows of the table, in one stack."""
@@ -361,11 +364,10 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
             end = filled + len(pending)
             while end > len(table):
                 table = np.concatenate([table, np.empty_like(table)])
-            metrics.metric_record(table[filled:end], stack_states(pending), pending_residuals,
-                                  problem, gamma, L, rho_eff, z_star)
+            metrics.metric_record(table[filled:end], stack_states(pending), problem, gamma, L,
+                                  rho_eff, z_star)
             filled = end
             pending.clear()
-            pending_residuals.clear()
 
     def evaluate(kept):
         """Test a batch of consecutive states and queue those it records.
@@ -392,13 +394,11 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
         if final and kept[-1].iteration % record_every:
             rows.append(len(kept) - 1)
         pending.extend(kept[i] for i in rows)
-        if residuals is not None:
-            pending_residuals.extend(residuals[rows].tolist())
         if len(pending) >= batch or final:
             flush()
         return stop, residuals
 
-    def fast_forward(state, res: float) -> None:
+    def fast_forward(state) -> None:
         """Record iterations state.iteration + 1 .. max_iters, whose states all
         hold the arrays of ``state``, from its one row."""
         nonlocal table, filled
@@ -413,11 +413,10 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
         sized[:filled] = table[:filled]
         table = sized
         rest = table[filled:]
-        metrics.metric_record(rest[:1], stack_states([state]), [res], problem, gamma, L,
-                              rho_eff, z_star)
+        metrics.metric_record(rest[:1], stack_states([state]), problem, gamma, L, rho_eff,
+                              z_star)
         rest[1:] = rest[0]
         rest["iteration"] = grid
-        rest["comm_rounds"] = state.comm_rounds + (grid - last) * rounds
         filled += len(grid)
 
     reason, fixed_point = "max_iters", None
@@ -441,15 +440,13 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
                         fixed_point = _fixed_point([before, *kept],
                                                    [before_residual, *residuals.tolist()])
                         if fixed_point is not None:
-                            fast_forward(state, float(residuals[-1]))
+                            fast_forward(state)
                             break
                     before, before_residual = state, residuals[-1]
                 kept = []
 
-    final = table[filled - 1]       # the row of the stop or of max_iters
-    return Trace(kind=kind, gamma=gamma, mu=problem.mu, smoothness=L,
-                 rho=rho_eff, n=n, problem=problem, mixing=W, z_star=z_star,
-                 records=table[:filled].view(np.recarray),
-                 reason=reason, iterations=int(final["iteration"]),
-                 comm_rounds=int(final["comm_rounds"]), T=T if kind == "adogt" else None,
+    records = table[:filled].view(np.recarray)
+    records["comm_rounds"] = records["iteration"] * rounds
+    return Trace(gamma=gamma, rho=rho_eff, problem=problem, mixing=W, z_star=z_star,
+                 records=records, reason=reason, T=T if kind == "adogt" else None,
                  fixed_point=fixed_point)

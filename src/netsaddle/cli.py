@@ -32,7 +32,12 @@ EXIT_IO = 4
 EXIT_PRECONDITION = 5
 EXIT_CHECK_FAILED = 6
 
-CSV_HEADER = "iter,comm_rounds,residual,consensus_error,tracking_error,xi_norm_sq,lyapunov"
+# The columns of a trace CSV: its header name of each, and the record column
+# (``metrics.record_table``) it is written from.
+CSV_COLUMNS = {"iter": "iteration", "comm_rounds": "comm_rounds", "residual": "residual",
+               "consensus_error": "consensus_error", "tracking_error": "D",
+               "xi_norm_sq": "xi_sq", "lyapunov": "V"}
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 INIT_KINDS = ("normal", "zeros")
 
@@ -293,8 +298,6 @@ class ResolvedExperiment:
     problem: BilinearQuadratic
     topology: Topology
     W: MixingMatrix
-    L: float
-    kappa: float
     z0: np.ndarray
     init_seed: int | None
     algorithms: tuple[ResolvedAlgorithm, ...]
@@ -353,8 +356,7 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
 
     z0, init_seed = _make_z0(config.init, problem, default_seed=pc.seed + 1)
     return ResolvedExperiment(config=config, problem=problem, topology=topology,
-                              W=W, L=L, kappa=L / pc.mu, z0=z0, init_seed=init_seed,
-                              algorithms=tuple(resolved))
+                              W=W, z0=z0, init_seed=init_seed, algorithms=tuple(resolved))
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +375,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# The float columns of a trace CSV, after iteration and comm_rounds.
-_TRACE_COLUMNS = ("residual", "consensus_error", "tracking_error", "xi_norm_sq", "lyapunov")
-
-
 def _defined(trace: Trace, column: str) -> bool:
     """Whether a record column holds values, by the run's constants: as in
     ``metrics.step_terms``, the Lyapunov weights also need rho in [0, 1)."""
-    if column in ("residual", "xi_norm_sq", "lyapunov") and trace.z_star is None:
+    if column in ("residual", "xi_sq", "V") and trace.z_star is None:
         return False
-    return column != "lyapunov" or 0.0 <= trace.rho < 1.0
+    return column != "V" or 0.0 <= trace.rho < 1.0
 
 
 def _final_residual(trace: Trace):
@@ -398,11 +396,12 @@ def write_trace_csv(path: Path, trace: Trace, record_every: int = 1) -> None:
     keep[-1] = True
     if not keep.all():
         records = records[keep]
-    known = [name for name in _TRACE_COLUMNS if _defined(trace, name)]
-    row = ",".join(["%d", "%d", *("%.17g" if name in known else "" for name in _TRACE_COLUMNS)])
+    known = [column for column in CSV_COLUMNS.values() if _defined(trace, column)]
+    row = ",".join(("%d" if records.dtype[column].kind == "i" else "%.17g")
+                   if column in known else "" for column in CSV_COLUMNS.values())
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(csv_chunks(row + "\n", records, ("iteration", "comm_rounds", *known)))
+        fh.writelines(csv_chunks(row + "\n", records, known))
 
 
 def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
@@ -410,9 +409,10 @@ def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
     pc, gc, rc, ic = (exp.config.problem, exp.config.graph, exp.config.run,
                       exp.config.init)
     final = trace.records[-1]
+    L = exp.problem.smoothness_constant()
     try:
         contraction = theoretical_contraction(algo.gamma, pc.mu, algo.rho_effective)
-        stepsize_bound = max_stepsize(exp.L, algo.rho_effective)
+        stepsize_bound = max_stepsize(L, algo.rho_effective)
     except ValueError:
         # Off-design accelerated matrix (rho >= 1): no guarantees attach.
         contraction = stepsize_bound = None
@@ -432,7 +432,7 @@ def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
         ("algorithm.T", algo.T), ("algorithm.T_source", algo.T_source),
         ("algorithm.eta", algo.eta),
         ("algorithm.rho_effective", algo.rho_effective),
-        ("derived.smoothness_L", exp.L), ("derived.kappa", exp.kappa),
+        ("derived.smoothness_L", L), ("derived.kappa", L / pc.mu),
         ("derived.max_stepsize", stepsize_bound),
         ("derived.theoretical_contraction", contraction),
         ("run.max_iters", rc.max_iters), ("run.tol", rc.tol),

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from typing import Callable, ClassVar
@@ -31,6 +31,7 @@ import numpy as np
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "random")
 
 _RANDOM_GRAPH_RETRIES = 100
+_RANDOM_BLOCK_ROWS = 64     # rows of the n-column uniform draw held at once
 
 
 class DisconnectedGraphError(ValueError):
@@ -89,7 +90,10 @@ def build_topology(kind: str, n: int, seed: int | None = None,
 
     ``random`` draws Erdos-Renyi graphs (requires ``edge_probability`` in
     (0, 1] and a seed) and retries until connected, failing after a bounded
-    number of attempts.
+    number of attempts.  An attempt draws an n x n uniform matrix row-major
+    and keeps the edges above the diagonal, _RANDOM_BLOCK_ROWS rows at a
+    time: successive draws continue one stream, so the graph is the one a
+    single n x n draw gives, without its 8 n^2 bytes.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"node count must be a positive integer, got {n!r}")
@@ -117,10 +121,12 @@ def build_topology(kind: str, n: int, seed: int | None = None,
             raise ValueError("random topology requires a seed")
         rng = np.random.default_rng(seed)
         for _ in range(_RANDOM_GRAPH_RETRIES):
-            upper = rng.random((n, n)) < edge_probability
-            adj = np.triu(upper, k=1)
+            for start in range(0, n, _RANDOM_BLOCK_ROWS):     # overwrites every row of adj
+                block = rng.random((min(_RANDOM_BLOCK_ROWS, n - start), n)) < edge_probability
+                adj[start:start + len(block)] = np.triu(block, k=start + 1)
+            adj |= adj.T
             try:
-                return Topology(kind=kind, n=n, adjacency=adj | adj.T)
+                return Topology(kind=kind, n=n, adjacency=adj)
             except DisconnectedGraphError:
                 pass
         raise DisconnectedGraphError(
@@ -200,53 +206,29 @@ def _gathers(n: int, rows: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Doubly stochastic weight matrix with its spectrum and spectral gap.
+    """Doubly stochastic symmetric weight matrix with its spectrum and spectral gap.
 
-    Building one makes the one dense eigendecomposition of W.  ``spectrum``
-    keeps the eigenvalues of W but its top one, ascending; on a connected
-    graph the top one is the consensus eigenvalue 1, and it is simple.
-    ``rho`` is ``spectral_gap`` of them, so it cannot disagree with W.
-    ``mix`` is one round of mixing, m -> W m: a CSRMix where ``_gathers``
-    finds the gather cheaper, and the dense W @ m otherwise.  A step counts
-    ``rounds`` exchanges per mix, as it does for an ``AcceleratedExchange``.
-    ``nonzeros`` may pass in the indices of W's nonzeros, as ``_nonzeros``
-    gives them, so that a caller who has them does not scan W again.
+    Building one checks that W is square, finite, doubly stochastic and
+    symmetric, to 1e-12, before its one dense eigendecomposition, which
+    reads one triangle of W only; a gap rho >= 1 (a disconnected graph) is
+    rejected too.  ``spectrum`` keeps the eigenvalues of W but its top one,
+    ascending; on a connected graph the top one is the consensus eigenvalue
+    1, and it is simple.  ``rho`` is ``spectral_gap`` of them, so it cannot
+    disagree with W.  ``mix`` is one round of mixing, m -> W m: a CSRMix
+    where ``_gathers`` finds the gather cheaper, and the dense W @ m
+    otherwise.  A step counts ``rounds`` exchanges per mix, as it does for
+    an ``AcceleratedExchange``.
     """
 
     W: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False)
     rho: float = field(init=False)
     mix: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
-    nonzeros: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
     rounds: ClassVar[int] = 1
 
-    def __post_init__(self, nonzeros):
-        W = np.asarray(self.W, dtype=np.float64)
-        W.setflags(write=False)
-        object.__setattr__(self, "W", W)
-        spectrum = np.linalg.eigvalsh(W)[:-1]
-        spectrum.setflags(write=False)
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "rho", spectral_gap(spectrum))
-        if nonzeros is None:
-            nonzeros = _nonzeros(W)
-        object.__setattr__(self, "mix", CSRMix(W, nonzeros)
-                           if _gathers(W.shape[0], nonzeros[0]) else W.__matmul__)
-
-    @property
-    def n(self) -> int:
-        return self.W.shape[0]
-
-    @classmethod
-    def from_weights(cls, W: np.ndarray) -> "MixingMatrix":
-        """Validate double stochasticity and symmetry, then build the matrix,
-        whose one eigendecomposition gives its spectrum and gap.
-
-        A gap rho >= 1 on a single-round matrix of a connected graph signals
-        a construction bug, and is rejected.
-        """
+    def __post_init__(self):
         tol = 1e-12
-        W = np.asarray(W, dtype=np.float64)
+        W = np.asarray(self.W, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {W.shape}")
         # min and max propagate NaN and reach any inf, with no n x n temporary.
@@ -263,11 +245,21 @@ class MixingMatrix:
         nonzeros = rows, cols = _nonzeros(W)
         if np.abs(W[rows, cols] - W[cols, rows]).max(initial=0.0) > tol:
             raise ValueError("weight matrix must be symmetric")
-        mixing = cls(W=W, nonzeros=nonzeros)
-        if mixing.rho >= 1.0:
-            raise ValueError(f"spectral gap rho={mixing.rho} >= 1; matrix does not contract "
+        W.setflags(write=False)
+        object.__setattr__(self, "W", W)
+        spectrum = np.linalg.eigvalsh(W)[:-1]
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "rho", spectral_gap(spectrum))
+        if self.rho >= 1.0:
+            raise ValueError(f"spectral gap rho={self.rho} >= 1; matrix does not contract "
                              "off the consensus direction (disconnected graph?)")
-        return mixing
+        object.__setattr__(self, "mix", CSRMix(W, nonzeros)
+                           if _gathers(W.shape[0], rows) else W.__matmul__)
+
+    @property
+    def n(self) -> int:
+        return self.W.shape[0]
 
 
 def metropolis_weights(topology: Topology) -> MixingMatrix:
@@ -282,7 +274,7 @@ def metropolis_weights(topology: Topology) -> MixingMatrix:
     W = np.zeros((topology.n, topology.n))
     W[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     W[np.diag_indices(topology.n)] = 1.0 - W.sum(axis=1)
-    return MixingMatrix.from_weights(W)
+    return MixingMatrix(W)
 
 
 def lazy_max_degree_weights(topology: Topology) -> MixingMatrix:
@@ -295,11 +287,11 @@ def lazy_max_degree_weights(topology: Topology) -> MixingMatrix:
     deg = topology.degrees
     d_max = int(deg.max()) if n > 1 else 0
     if d_max == 0:
-        return MixingMatrix.from_weights(np.eye(n))
+        return MixingMatrix(np.eye(n))
     W = np.zeros((n, n))
     W[np.nonzero(topology.adjacency)] = 1.0 / (2.0 * d_max)
     W[np.diag_indices(n)] = 1.0 - deg / (2.0 * d_max)
-    return MixingMatrix.from_weights(W)
+    return MixingMatrix(W)
 
 
 WEIGHT_BUILDERS = {

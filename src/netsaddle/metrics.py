@@ -3,10 +3,10 @@
 Each per-step term (B, C, D, Xi, e, E, Lyapunov value V) is defined here once,
 for one state or a stack of states, and gives the same bits on both.  A run
 records its states in one table (``record_table``): a row per recorded
-state, filled from a stack of states at a time by ``metric_record``, the
-field at the averaged iterate (e, E) included.  The trace CSV is written
-from its columns, and ``verify`` checks them on a run that records every
-step.
+state, a column per term under its name in ``step_terms``, filled from a
+stack of states at a time by ``metric_record``, the field at the averaged
+iterate (e, E) included.  The trace CSV is written from its columns, and
+``verify`` checks them on a run that records every step.
 
 Two norm conventions coexist on purpose and are spelled out per field:
 ``consensus_error`` is logged UNSQUARED, (1/n) ||z - 1 zbar|| = sqrt(C) / n,
@@ -23,14 +23,10 @@ import numpy as np
 
 # The float columns of a record table, after iteration and comm_rounds and
 # before zbar: the residual (1/n) ||z - 1 z*||^2, the UNSQUARED consensus error,
-# and the terms D, ||Xi||^2, V, B, C, e and E (see step_terms).  residual,
-# xi_norm_sq and lyapunov are NaN without z*, and lyapunov at rho >= 1.
-RECORD_FLOATS = ("residual", "consensus_error", "tracking_error", "xi_norm_sq", "lyapunov",
-                 "B", "C", "e", "E")
-
-# The column of each term the checks read, by its name in step_terms (or e, E).
-TERM_COLUMNS = {"B": "B", "C": "C", "D": "tracking_error", "xi_sq": "xi_norm_sq",
-                "V": "lyapunov", "e": "e", "E": "E"}
+# and the terms D, xi_sq = ||Xi||^2, V, B, C (see step_terms), e and E, each
+# under its name in step_terms.  residual, xi_sq and V are NaN without z*, and
+# V at rho >= 1.
+RECORD_FLOATS = ("residual", "consensus_error", "D", "xi_sq", "V", "B", "C", "e", "E")
 
 _CSV_CHUNK_ROWS = 1 << 12   # rows formatted per string in csv_chunks
 
@@ -204,17 +200,17 @@ def fit_linear_rate(series, skip_fraction: float = 0.1) -> RateReport:
                       r_squared=r_squared)
 
 
-def metric_record(rows: np.ndarray, stack, residuals, problem, gamma: float, L: float,
+def metric_record(rows: np.ndarray, stack, problem, gamma: float, L: float,
                   rho: float, z_star: np.ndarray | None) -> None:
-    """Fill consecutive rows of a record table from a stack of states and their
-    ``residual`` (not read without z*), NaN where a term is undefined."""
+    """Fill consecutive rows of a record table from a stack of states, NaN
+    where a term is undefined: every column but comm_rounds, which counts
+    the run's exchanges and is the caller's to fill."""
     terms = step_terms(stack, gamma, L, rho, problem.n, z_star)
     rows["iteration"] = stack.iteration
-    rows["comm_rounds"] = stack.comm_rounds
-    rows["residual"] = math.nan if z_star is None else residuals
+    rows["residual"] = math.nan if z_star is None else residual(stack.z, z_star)
     rows["consensus_error"] = np.sqrt(terms["C"]) / problem.n
     for term in ("B", "C", "D", "xi_sq", "V"):
-        rows[TERM_COLUMNS[term]] = terms.get(term, math.nan)
+        rows[term] = terms.get(term, math.nan)
     rows["zbar"] = _mean(stack.z)
     rows["e"], rows["E"] = field_at_average_sq(problem, rows["zbar"])
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -105,7 +104,7 @@ def _stepsize_limit(lemma_id: str, L: float, rho: float) -> float:
     return max_stepsize(L, rho)  # T1_contraction
 
 
-# lemma id: (term bounded at step k+1, the bound from the terms t at step k)
+# lemma id: (the term bounded at step k+1, its bound from the record rows t of steps k)
 _STEP_INEQUALITIES = {
     "L1_iterate_gap": ("B", lambda t, g, L, mu, rho, n: (
         4.0 * g * g * L * L * t.B + (4.0 + 8.0 * g * g * L * L) * t.C
@@ -131,7 +130,8 @@ def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
     """Evaluate one inequality at every step of a trace recorded at every step.
 
     The terms, and the constants the inequality is stated in, are the run's
-    own (``Trace.records``, whose iterations must run 0..K with no gap);
+    own (``Trace.records``, whose iterations must run 0..K with no gap, and
+    ``Trace.problem``);
     T2_rho_M only needs the mixing matrix.  A run that stopped at iteration
     0 has no step to check: its report is precondition-violated.
     """
@@ -145,7 +145,8 @@ def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
         raise ValueError("lemma checks need a record of every step (record_every=1)")
     if len(records) < 2:
         return LemmaCheckReport.precondition_violated(lemma_id, "no steps recorded")
-    gamma, L, rho = trace.gamma, trace.smoothness, trace.rho
+    problem = trace.problem
+    gamma, L, rho = trace.gamma, problem.smoothness_constant(), trace.rho
     limit = _stepsize_limit(lemma_id, L, rho)
     if gamma > limit * (1.0 + 1e-12):
         return LemmaCheckReport.precondition_violated(
@@ -154,11 +155,9 @@ def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
         raise ValueError(f"{lemma_id} requires a known saddle point")
 
     bounded, bound = _STEP_INEQUALITIES[lemma_id]
-    before = SimpleNamespace(**{term: records[column][:-1]
-                                for term, column in metrics.TERM_COLUMNS.items()})
-    rhs = bound(before, gamma, L, trace.mu, rho, trace.n)
+    rhs = bound(records[:-1], gamma, L, problem.mu, rho, problem.n)
     return LemmaCheckReport.from_sides(lemma_id, records["iteration"][:-1],
-                                       records[metrics.TERM_COLUMNS[bounded]][1:], rhs)
+                                       records[bounded][1:], rhs)
 
 
 def check_rho_M(W: MixingMatrix, T: int | None = None) -> LemmaCheckReport:

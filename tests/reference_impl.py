@@ -66,6 +66,25 @@ def ring_metropolis(n):
     return W
 
 
+def random_adjacency(n, p, seed, retries=100):
+    """An Erdos-Renyi graph as one n x n uniform draw per attempt, its part
+    above the diagonal kept and mirrored, redrawn until connected:
+    (adjacency, number of draws)."""
+    rng = np.random.default_rng(seed)
+    for draws in range(1, retries + 1):
+        upper = np.triu(rng.random((n, n)) < p, k=1)
+        adjacency = upper | upper.T
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = adjacency[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if seen.all():
+            return adjacency, draws
+    raise ValueError(f"no connected graph after {retries} draws")
+
+
 def metropolis_dense(adjacency):
     """Metropolis weights over the whole n x n grid with np.where and an
     outer maximum of the degrees, not over the edge list."""

@@ -85,8 +85,8 @@ def test_criterion_2_per_step_contraction(compliant_trace, ring16_problem, ring1
     with criterion(2, "per-step Lyapunov contraction at the guaranteed stepsize"):
         gamma = compliant_trace.gamma
         factor = theoretical_contraction(gamma, ring16_problem.mu, ring16_W.rho)
-        L, rho, n = (compliant_trace.smoothness, compliant_trace.rho,
-                     compliant_trace.n)
+        L, rho, n = (compliant_trace.problem.smoothness_constant(), compliant_trace.rho,
+                     compliant_trace.problem.n)
         z_star = compliant_trace.z_star
         psis = [step_terms(s, gamma, L, rho, n, z_star)["V"] for s in
                 islice(iterate("dogt", ring16_problem, ring16_W, gamma, z0_16), 2001)]
@@ -140,7 +140,7 @@ def test_criterion_6_oracle_equivalences(ring16_problem, ring16_W, z0_16):
         oracle = ref.ogda_centralized(prob1.centers_a[0], prob1.centers_b[0],
                                       prob1.mu, x0, y0, GAMMA, 500)
         from netsaddle.graph import MixingMatrix
-        states = list(islice(iterate("dogt", prob1, MixingMatrix.from_weights(np.eye(1)),
+        states = list(islice(iterate("dogt", prob1, MixingMatrix(np.eye(1)),
                                      GAMMA, np.concatenate([x0, y0])[np.newaxis, :]), 501))
         for k in range(501):
             assert np.abs(states[k].z[0] - oracle[k]).max() <= 1e-12
@@ -173,7 +173,7 @@ def test_criterion_7_spectral_correctness(ring16_W):
         lam = (1.0 + 2.0 * math.cos(math.pi / 8.0)) / 3.0
         assert abs(ring16_W.rho - lam ** 2) <= 1e-10
         assert abs(ring16_W.rho - 0.9011) <= 5e-5
-        assert MixingMatrix.from_weights(np.full((16, 16), 1.0 / 16)).rho <= 1e-14
+        assert MixingMatrix(np.full((16, 16), 1.0 / 16)).rho <= 1e-14
 
 
 def test_criterion_8_compare_determinism(tmp_path):

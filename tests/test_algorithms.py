@@ -34,7 +34,7 @@ def single_node_problem(seed=21):
     return make_bilinear_quadratic(1, 2, 2, 0.1, seed=seed, zero_sum_centers=False)
 
 
-W1 = MixingMatrix.from_weights(np.array([[1.0]]))
+W1 = MixingMatrix(np.array([[1.0]]))
 
 
 def states_to(K, kind, problem, W, z0, T=None):
@@ -52,7 +52,7 @@ def test_init_state_fields(ring16_problem, z0_16):
     assert np.array_equal(state.z_prev, z0_16)
     assert np.array_equal(state.grad, state.grad_prev)
     assert np.array_equal(state.tracker, state.grad)
-    assert state.iteration == 0 and state.comm_rounds == 0
+    assert state.iteration == 0
 
 
 def test_init_state_tracker_rows_at_zero(ring16_problem):
@@ -93,7 +93,6 @@ def test_adogt_homogeneous_fixed_point():
     state = init_state(prob, np.zeros((4, 4)))
     after = adogt_step(state, accelerated_matrix(W, 3), GAMMA, prob)
     assert (after.z == 0.0).all()
-    assert after.comm_rounds == 3
 
 
 def test_dogt_one_step_from_origin(ring16_problem, ring16_W):
@@ -205,12 +204,11 @@ def test_adogt_eta0_T1_equals_dogt(ring16_problem, z0_16):
 
 def test_adogt_eta0_T3_equals_dogt_with_W_cubed(ring16_problem, z0_16):
     state = init_state(ring16_problem, z0_16)
-    W3 = MixingMatrix.from_weights(np.linalg.matrix_power(W_COMPLETE_16.W, 3))
+    W3 = MixingMatrix(np.linalg.matrix_power(W_COMPLETE_16.W, 3))
     cubed = dogt_step(state, W3, GAMMA, ring16_problem)
     accel = adogt_step(state, accelerated_matrix(W_COMPLETE_16, 3), GAMMA, ring16_problem)
     assert np.abs(cubed.z - accel.z).max() <= 1e-12
     assert np.abs(cubed.tracker - accel.tracker).max() <= 1e-12
-    assert accel.comm_rounds == 3
 
 
 def test_adogt_equals_dogt_under_accelerated_matrix(ring16_problem, ring16_W, z0_16):
@@ -224,7 +222,6 @@ def test_adogt_equals_dogt_under_accelerated_matrix(ring16_problem, ring16_W, z0
         for k in range(1, 6):
             state = adogt_step(state, exchange, GAMMA, ring16_problem)
             assert np.abs(state.z - np.hstack(oracle[k])).max() <= 1e-12
-            assert state.comm_rounds == T * k
 
 
 @pytest.mark.parametrize("T", [1, 4])
@@ -246,9 +243,7 @@ def test_adogt_is_dogt_under_accelerated_matrix_bit_for_bit(T, eta, ring16_probl
         inloop = adogt_step(inloop, exchange, GAMMA, ring16_problem)
         for name in ("z", "z_prev", "grad", "grad_prev", "tracker"):
             assert np.array_equal(getattr(fused, name), getattr(inloop, name))
-    assert inloop.comm_rounds == T * inloop.iteration == 10 * T
-    trace = run("adogt", ring16_problem, W, GAMMA, z0_16, max_iters=30, tol=0.0, T=T)
-    assert trace.comm_rounds == T * trace.iterations
+    assert inloop.iteration == 10
 
 
 def test_gathered_adogt_exchanges_by_2T_rounds(monkeypatch):
@@ -270,10 +265,8 @@ def test_gathered_adogt_exchanges_by_2T_rounds(monkeypatch):
     for k in range(1, 4):
         state = adogt_step(state, accelerated_matrix(W, T), GAMMA, prob)
         assert len(calls) == 2 * T * k
-    assert state.comm_rounds == T * state.iteration
-    trace = run("adogt", prob, W, GAMMA, z0, max_iters=5, tol=0.0, T=T)
+    run("adogt", prob, W, GAMMA, z0, max_iters=5, tol=0.0, T=T)
     assert len(calls) == 2 * T * (3 + 5)
-    assert trace.comm_rounds == T * trace.iterations
 
 
 @pytest.mark.parametrize("step", [
@@ -298,9 +291,9 @@ def test_adogt_runs_at_offdesign_T(ring16_problem, ring16_W, z0_16):
     trace = run("adogt", ring16_problem, ring16_W, GAMMA, z0_16,
                 max_iters=20, tol=0.0, T=1)
     assert trace.rho >= 1.0
-    assert np.isnan(trace.records.lyapunov).all()
+    assert np.isnan(trace.records.V).all()
     assert np.isfinite(trace.records.residual).all()
-    assert np.isfinite(trace.records.xi_norm_sq).all()
+    assert np.isfinite(trace.records.xi_sq).all()
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +330,7 @@ def test_baseline_trackers_stay_zero(ring16_problem, ring16_W, z0_16):
         states = states_to(50, kind, ring16_problem, ring16_W, z0_16)
         assert all((s.tracker == 0.0).all() for s in states)
         trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16, max_iters=50, tol=0.0)
-        assert all(rec.tracking_error == 0.0 for rec in trace.records)
+        assert all(rec.D == 0.0 for rec in trace.records)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +375,35 @@ def test_run_comm_round_accounting(ring16_problem, ring16_W, z0_16):
                 tol=0.0, T=4)
     assert dogt.comm_rounds == 30
     assert adogt.comm_rounds == 120
+
+
+def test_comm_rounds_on_every_row(ring16_problem, ring16_W, z0_16):
+    # Every row counts iteration x rounds exchanges: one a step, T for adogt,
+    # whether W mixes dense or gathers, from iteration 0 on, on a tol stop
+    # and on the rows copied past a fixed point.
+    gathered = metropolis_weights(build_topology("random", 512, seed=1000,
+                                                 edge_probability=0.02))
+    assert isinstance(gathered.mix, CSRMix) and not isinstance(ring16_W.mix, CSRMix)
+    z0_512 = np.random.default_rng(8).standard_normal((512, 4))
+    prob_512 = make_bilinear_quadratic(512, 2, 2, 0.1, seed=7, zero_sum_centers=True)
+    cases = [(kind, ring16_problem, ring16_W, z0_16, None, dict(max_iters=40, tol=0.0,
+                                                                record_every=3))
+             for kind in ("dgda", "dogda", "dogt")]
+    cases += [("adogt", ring16_problem, ring16_W, z0_16, 4, dict(max_iters=40, tol=0.0,
+                                                                 record_every=3)),
+              ("adogt", prob_512, gathered, z0_512, 3, dict(max_iters=7, tol=0.0)),
+              ("dogt", ring16_problem, ring16_W, z0_16, None, dict(max_iters=5000, tol=1e-10,
+                                                                   record_every=10)),
+              ("dgda", ring16_problem, ring16_W, z0_16, None, dict(max_iters=8000, tol=1e-10,
+                                                                   record_every=10))]
+    for kind, problem, W, z0, T, args in cases:
+        trace = run(kind, problem, W, GAMMA, z0, T=T, **args)
+        records = trace.records
+        assert records.comm_rounds.tolist() == (records.iteration * (T or 1)).tolist()
+        assert records[0].iteration == records[0].comm_rounds == 0
+        assert trace.comm_rounds == records[-1].comm_rounds
+        assert trace.iterations == records[-1].iteration
+    assert trace.fixed_point == 7439 and trace.comm_rounds == 8000
 
 
 def test_run_is_deterministic(ring16_problem, ring16_W, z0_16):
@@ -529,7 +551,7 @@ def test_stop_wins_over_a_later_divergence_in_its_batch(every_step, ring16_probl
     trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, **args)
     final = stepwise_final("dogt", ring16_problem, ring16_W, GAMMA, z0_16, 5000, 1e-10)
     assert trace.reason == "tol_reached"
-    assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
+    assert trace.iterations == final.iteration
     assert trace.records.tobytes() == clean.records.tobytes()
     # The same state poisoned at the stop itself is a divergence there.
     poisoned(monkeypatch, "dogt_step", 838, "z", np.nan)
@@ -562,7 +584,7 @@ def test_steps_taken_past_a_stop_are_bounded(kind, T, max_iters, tol, ring16_pro
     trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16, max_iters=max_iters,
                 tol=tol, record_every=10, T=T)
     final = stepwise_final(kind, ring16_problem, ring16_W, GAMMA, z0_16, max_iters, tol, T)
-    assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
+    assert trace.iterations == final.iteration
     steps = len(calls) - final.iteration      # iterate() above stepped this many
     assert trace.iterations <= steps <= max_iters
     assert steps - trace.iterations < batch_of(z0_16)
@@ -580,7 +602,7 @@ def test_steps_taken_past_a_stop_at_n1024_are_bounded(random1024, monkeypatch):
     final = stepwise_final("dogt", problem, W, GAMMA, z0, 1000, 1e-3)
     assert batch_of(z0) == 8
     assert trace.reason == "tol_reached"
-    assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
+    assert trace.iterations == final.iteration
     assert trace.iterations == 50
     steps = len(calls) - final.iteration      # stepwise_final stepped this many
     assert steps - trace.iterations == 5 < batch_of(z0)
@@ -605,7 +627,8 @@ def test_one_state_batches_step_no_further_than_the_stop(monkeypatch):
 
 def unforwarded(kind, problem, W, z0, max_iters, record_every, T=None):
     """The record table and final state of a run to max_iters, from iterate()
-    and one metric_record call per recorded state: no batch, no fast-forward."""
+    and one metric_record call per recorded state: no batch, no fast-forward.
+    Each row's comm_rounds is its iteration times T, or 1."""
     z_star = problem.saddle_point()
     L = problem.smoothness_constant()
     rho = accelerated_matrix(W, T).rho if kind == "adogt" else W.rho
@@ -613,9 +636,9 @@ def unforwarded(kind, problem, W, z0, max_iters, record_every, T=None):
     rows = 0
     for state in islice(iterate(kind, problem, W, GAMMA, z0, T), max_iters + 1):
         if state.iteration % record_every == 0 or state.iteration == max_iters:
-            metrics.metric_record(table[rows:rows + 1], stack_states([state]),
-                                  [float(residual(state.z, z_star))], problem, GAMMA, L, rho,
-                                  z_star)
+            metrics.metric_record(table[rows:rows + 1], stack_states([state]), problem, GAMMA, L,
+                                  rho, z_star)
+            table["comm_rounds"][rows] = state.iteration * (T or 1)
             rows += 1
     return table[:rows], state
 
@@ -644,7 +667,7 @@ def test_fast_forward_equals_stepping_on(kind, T, max_iters, tol, record_every, 
     assert fixed_point <= steps < fixed_point + batch_of(z0_16)
     table, final = unforwarded(kind, ring16_problem, ring16_W, z0_16, max_iters, every, T)
     assert trace.reason == "max_iters"
-    assert (trace.iterations, trace.comm_rounds) == (final.iteration, final.comm_rounds)
+    assert trace.iterations == final.iteration
     assert trace.comm_rounds == max_iters * (T or 1)
     assert trace.records.tobytes() == table.tobytes()     # -0.0 and +0.0 apart
     if every_step:
@@ -722,7 +745,7 @@ def test_fast_forward_inside_the_first_batch(batch_bytes, monkeypatch):
     every_step = run("dgda", prob, W, gamma, z0, max_iters=300, tol=0.0, record_every=1)
     for record_every, traced in ((7, trace), (1, every_step)):
         table, final = unforwarded("dgda", prob, W, z0, 300, record_every)
-        assert (traced.iterations, traced.comm_rounds) == (final.iteration, final.comm_rounds)
+        assert traced.iterations == final.iteration
         assert traced.records.tobytes() == table.tobytes()
 
 

@@ -132,7 +132,7 @@ def test_auto_resolution(tmp_path):
     exp = resolve_experiment(load_config(path))
     algo = exp.algorithms[0]
     assert algo.T == 4 and algo.T_source == "auto"
-    assert algo.gamma == max_stepsize(exp.L, algo.rho_effective)
+    assert algo.gamma == max_stepsize(exp.problem.smoothness_constant(), algo.rho_effective)
     assert algo.gamma_source == "auto"
 
 
@@ -181,7 +181,8 @@ def test_run_command_outputs(tmp_path, capsys):
     raw = csv_path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == ("iter,comm_rounds,residual,consensus_error,"
+                                      "tracking_error,xi_norm_sq,lyapunov")
     assert all(not ln.endswith((" ", "\t")) and ln == ln.strip() for ln in lines)
     # 17-significant-digit floats: formatting the parsed value reproduces
     # the cell exactly.

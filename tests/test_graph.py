@@ -13,7 +13,7 @@ from netsaddle import verify
 from netsaddle.algorithms import run
 from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (WEIGHT_BUILDERS, CSRMix, DisconnectedGraphError, MixingMatrix,
-                             Topology, accelerated_matrix, acceleration_momentum,
+                             Topology, _gathers, accelerated_matrix, acceleration_momentum,
                              build_topology, lazy_max_degree_weights, metropolis_weights,
                              recommended_T, spectral_gap)
 
@@ -81,6 +81,21 @@ def test_random_topology_is_connected_and_reproducible():
     t1 = build_topology("random", 12, seed=3, edge_probability=0.3)
     t2 = build_topology("random", 12, seed=3, edge_probability=0.3)
     assert np.array_equal(t1.adjacency, t2.adjacency)
+
+
+@pytest.mark.parametrize("n, p, seed, draws", [
+    (16, 0.15, 7, 9),           # below one block of rows, connected at the 9th draw
+    (37, 0.2, 3, 1),
+    (64, 0.3, 1, 1),            # exactly one block
+    (130, 0.04, 5, 3),          # three blocks, the last short, and three draws
+    (1024, 0.01, 1000, 1),      # random1024-dogt's graph
+])
+def test_random_topology_equals_one_full_draw(n, p, seed, draws):
+    # Drawn block by block, the graph is the one of an n x n draw per attempt.
+    adjacency, used = ref.random_adjacency(n, p, seed)
+    assert used == draws
+    assert np.array_equal(build_topology("random", n, seed=seed, edge_probability=p).adjacency,
+                          adjacency)
 
 
 def test_random_topology_disconnected_after_retries():
@@ -172,7 +187,7 @@ def test_spectral_gap_of_matrix_power(n, k):
     # For symmetric doubly stochastic W, rho(W^k) = rho(W)^k exactly (the
     # extreme eigenvalue magnitude is raised to the k-th power).
     W = metropolis_weights(build_topology("ring", n))
-    power = MixingMatrix.from_weights(np.linalg.matrix_power(W.W, k))
+    power = MixingMatrix(np.linalg.matrix_power(W.W, k))
     assert power.rho == pytest.approx(W.rho ** k, rel=1e-9, abs=1e-13)
     assert spectral_gap(W.spectrum ** k) == pytest.approx(W.rho ** k, rel=1e-15, abs=0.0)
 
@@ -246,7 +261,8 @@ def test_cost_rule_picks_the_mixing_path():
     random1024 = build_topology("random", 1024, seed=1000, edge_probability=0.01)
     assert isinstance(metropolis_weights(random1024).mix, CSRMix)
     # A row without a nonzero would break the segmented sum.
-    assert not isinstance(MixingMatrix(W=np.zeros((1024, 1024))).mix, CSRMix)
+    assert not _gathers(1024, np.arange(1023))      # row 1023 holds no nonzero
+    assert _gathers(1024, np.arange(1024))
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +270,8 @@ def test_cost_rule_picks_the_mixing_path():
 
 
 def test_spectral_gap_of_averaging_matrix_is_zero():
-    assert MixingMatrix.from_weights(np.full((16, 16), 1.0 / 16)).rho <= 1e-14
-    assert MixingMatrix.from_weights(np.full((2, 2), 1.0 / 2)).rho <= 1e-14
+    assert MixingMatrix(np.full((16, 16), 1.0 / 16)).rho <= 1e-14
+    assert MixingMatrix(np.full((2, 2), 1.0 / 2)).rho <= 1e-14
     assert spectral_gap(np.zeros(15)) == 0.0
 
 
@@ -265,18 +281,18 @@ def test_spectral_gap_rejects_a_matrix():
 
 
 def test_spectral_gap_single_node():
-    W = MixingMatrix.from_weights(np.array([[1.0]]))
+    W = MixingMatrix(np.array([[1.0]]))
     assert W.spectrum.size == 0 and W.rho == 0.0
     assert spectral_gap(np.empty(0)) == 0.0
 
 
 def test_spectral_gap_of_disconnected_matrix_is_rejected():
     # Two consensus eigenvalues: the one kept in the spectrum gives rho = 1.
-    assert MixingMatrix(W=np.eye(2)).rho == 1.0
+    assert spectral_gap(np.linalg.eigvalsh(np.eye(2))[:-1]) == 1.0
     with pytest.raises(ValueError, match="spectral gap"):
-        MixingMatrix.from_weights(np.eye(2))
+        MixingMatrix(np.eye(2))
     with pytest.raises(ValueError):
-        recommended_T(MixingMatrix(W=np.eye(2)))
+        recommended_T(SimpleNamespace(rho=1.0, spectrum=np.ones(1)))
 
 
 @pytest.mark.parametrize("n", [16, 300, 1024])
@@ -324,7 +340,7 @@ def test_momentum_domain(rho):
 
 def test_recommended_T_values(ring16_W):
     assert recommended_T(metropolis_weights(build_topology("complete", 5))) == 1  # rho 0
-    quarter = MixingMatrix.from_weights(np.array([[0.75, 0.25], [0.25, 0.75]]))
+    quarter = MixingMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]))
     assert quarter.rho == pytest.approx(0.25, abs=1e-15)
     assert recommended_T(quarter) == 1  # ln2 / sqrt(1 - 0.5) = 0.980 -> ceil 1
     assert recommended_T(ring16_W) == 4
@@ -492,20 +508,20 @@ def test_one_eigendecomposition_per_W(n, tmp_path, monkeypatch):
     assert len(decomposed) == 1 and decomposed[0] is exp.W.W
 
 
-def test_from_weights_rejects_non_stochastic():
+def test_mixing_matrix_rejects_non_stochastic():
     with pytest.raises(ValueError, match="not doubly stochastic"):
-        MixingMatrix.from_weights(np.array([[0.5, 0.4], [0.4, 0.5]]))
+        MixingMatrix(np.array([[0.5, 0.4], [0.4, 0.5]]))
     # inf rows would fail the row-sum test; non-finite entries are named first.
     with pytest.raises(ValueError, match="non-finite"):
-        MixingMatrix.from_weights(np.array([[np.inf, 0.5], [0.5, 0.5]]))
+        MixingMatrix(np.array([[np.inf, 0.5], [0.5, 0.5]]))
 
 
-def test_from_weights_rejects_asymmetric():
+def test_mixing_matrix_rejects_asymmetric():
     W = np.array([[0.5, 0.5, 0.0],
                   [0.0, 0.5, 0.5],
                   [0.5, 0.0, 0.5]])
     with pytest.raises(ValueError, match="symmetric"):
-        MixingMatrix.from_weights(W)
+        MixingMatrix(W)
     # The symmetry test runs over the nonzeros of W.  It still sees an
     # asymmetric zero pattern (W[i, j] != 0 = W[j, i]) and an asymmetry
     # above its tolerance of 1e-12.  W + delta (P - I), with P the cyclic
@@ -517,9 +533,21 @@ def test_from_weights_rejects_asymmetric():
         W = ring + delta * (np.roll(np.eye(6), shift, axis=1) - np.eye(6))
         assert W[0, shift] != 0 and (W[shift, 0] != 0) == (shift == 1)
         with pytest.raises(ValueError, match="must be symmetric"):
-            MixingMatrix.from_weights(W)
+            MixingMatrix(W)
     W = ring + 5e-13 * (np.roll(np.eye(6), 1, axis=1) - np.eye(6))
-    assert MixingMatrix.from_weights(W).W[0, 1] - W[1, 0] > 4e-13
+    assert MixingMatrix(W).W[0, 1] - W[1, 0] > 4e-13
     # NaN passes every comparison with a tolerance, so it is rejected up front.
     with pytest.raises(ValueError, match="non-finite"):
-        MixingMatrix.from_weights(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+        MixingMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+
+
+def test_mixing_matrix_checks_W_before_its_spectrum():
+    # eigvalsh reads one triangle of W: unchecked, this W would get the
+    # eigenvalue 0.476 and rho 0.227, where its eigenvalues are 0.4 and 1.
+    W = np.array([[0.5, 0.5], [0.1, 0.9]])
+    assert np.allclose(np.sort(np.linalg.eigvals(W).real), [0.4, 1.0])
+    assert np.linalg.eigvalsh(W)[0] == pytest.approx(0.476, abs=5e-4)
+    with pytest.raises(ValueError, match="not doubly stochastic"):
+        MixingMatrix(W)
+    with pytest.raises(ValueError, match="square"):
+        MixingMatrix(np.full((2, 3), 0.5))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from netsaddle import algorithms
 from netsaddle.algorithms import init_state, iterate, run, stack_states
 from netsaddle.graph import CSRMix, build_topology, metropolis_weights
-from netsaddle.metrics import (TERM_COLUMNS, consensus_error,
-                               deviation_sq, field_at_average_sq, fit_linear_rate,
+from netsaddle.metrics import (consensus_error, deviation_sq,
+                               field_at_average_sq, fit_linear_rate,
                                iteration_complexity, lyapunov_coefficients,
                                max_stepsize, metric_record, optimality_gap_xi,
                                record_table, residual, step_terms,
@@ -286,7 +286,7 @@ def test_fitted_lyapunov_rate_below_guarantee(ring16_problem, ring16_W, z0_16):
     trace = run("dogt", ring16_problem, ring16_W, gamma, z0_16,
                 max_iters=2000, tol=0.0)
     factor = theoretical_contraction(gamma, 0.1, ring16_W.rho)
-    report = fit_linear_rate([(r.iteration, r.lyapunov) for r in trace.records])
+    report = fit_linear_rate([(r.iteration, r.V) for r in trace.records])
     assert 0.0 < report.fitted_rate <= factor
 
 
@@ -301,8 +301,9 @@ def test_records_recomputable_from_states(ring16_problem, ring16_W, z0_16):
     for rec in trace.records:
         state = stack_states([states[rec.iteration]])
         row = record_table(1, 4)
-        metric_record(row, state, [residual(state.z[0], trace.z_star)], ring16_problem, GAMMA,
-                      trace.smoothness, trace.rho, trace.z_star)
+        metric_record(row, state, ring16_problem, GAMMA, ring16_problem.smoothness_constant(),
+                      trace.rho, trace.z_star)
+        row["comm_rounds"] = rec.iteration
         assert row.tobytes() == rec.tobytes()
 
 
@@ -318,20 +319,21 @@ def _per_state(trace, states, record_every):
 
     Every value comes from a per-state call: step_terms, residual and
     consensus_error on one state's arrays, the row mean and e, E of one
-    state's zbar.
+    state's zbar; comm_rounds is the iteration times T, or 1.
     """
-    z_star, rows = trace.z_star, []
+    z_star, rows, problem = trace.z_star, [], trace.problem
     for s in states:
         if s.iteration % record_every and s.iteration != trace.iterations:
             continue
-        terms = step_terms(s, trace.gamma, trace.smoothness, trace.rho, trace.n, z_star)
+        terms = step_terms(s, trace.gamma, problem.smoothness_constant(), trace.rho, problem.n,
+                           z_star)
         zbar = s.z.mean(axis=0)
-        rows.append((s.iteration, s.comm_rounds,
+        rows.append((s.iteration, s.iteration * (trace.T or 1),
                      math.nan if z_star is None else residual(s.z, z_star),
                      consensus_error(s.z), terms["D"], terms.get("xi_sq", math.nan),
                      terms.get("V", math.nan), terms["B"], terms["C"],
-                     *field_at_average_sq(trace.problem, zbar), zbar))
-    table = record_table(len(rows), trace.problem.p + trace.problem.d)
+                     *field_at_average_sq(problem, zbar), zbar))
+    table = record_table(len(rows), problem.p + problem.d)
     table[:] = rows
     return table
 
@@ -439,8 +441,9 @@ def test_term_table_rows_are_the_terms_of_each_state(ring16_problem, ring16_W, z
     states = islice(iterate("dogt", ring16_problem, ring16_W, GAMMA, z0_16), 101)
     assert trace.records.iteration.tolist() == list(range(101))
     for row, state in zip(trace.records, states):
-        terms = step_terms(state, GAMMA, trace.smoothness, trace.rho, 16, trace.z_star)
-        assert [row[TERM_COLUMNS[name]] for name in terms] == list(terms.values())
+        terms = step_terms(state, GAMMA, ring16_problem.smoothness_constant(), trace.rho, 16,
+                           trace.z_star)
+        assert [row[name] for name in terms] == list(terms.values())
         assert (row["zbar"] == state.z.mean(axis=0)).all()
         assert (row["e"], row["E"]) == field_at_average_sq(ring16_problem, row["zbar"])
 
@@ -469,7 +472,7 @@ def test_term_table_follows_the_steps_run_not_max_iters(ring16_problem, ring16_W
 def test_record_without_saddle_point(ring16_problem, z0_16):
     state = stack_states([init_state(ring16_problem, z0_16)])
     rec = record_table(1, 4)
-    metric_record(rec, state, [None], ring16_problem, GAMMA, 1.0, 0.5, None)
-    assert np.isnan(rec["residual"]) and np.isnan(rec["xi_norm_sq"])
-    assert np.isnan(rec["lyapunov"])
+    metric_record(rec, state, ring16_problem, GAMMA, 1.0, 0.5, None)
+    assert np.isnan(rec["residual"]) and np.isnan(rec["xi_sq"])
+    assert np.isnan(rec["V"])
     assert rec["consensus_error"] > 0.0

@@ -91,11 +91,11 @@ def test_homogeneous_fixed_point_all_margins_zero():
     L = prob.smoothness_constant()
     table = record_table(21, 4)
     stack = stack_states(list(islice(iterate("dogt", prob, W, gamma, np.zeros((4, 4))), 21)))
-    metric_record(table, stack, [0.0] * 21, prob, gamma, L, W.rho, np.zeros(4))
-    trace = Trace(kind="dogt", gamma=gamma, mu=prob.mu, smoothness=L, rho=W.rho, n=4,
-                  problem=prob, mixing=W, z_star=np.zeros(4),
-                  records=table.view(np.recarray), reason="max_iters", iterations=20,
-                  comm_rounds=20)
+    metric_record(table, stack, prob, gamma, L, W.rho, np.zeros(4))
+    table["comm_rounds"] = table["iteration"]
+    trace = Trace(gamma=gamma, rho=W.rho, problem=prob, mixing=W, z_star=np.zeros(4),
+                  records=table.view(np.recarray), reason="max_iters")
+    assert (trace.iterations, trace.comm_rounds) == (20, 20)
     for lemma_id in ("L1_iterate_gap", "L2_consensus", "L3_tracking",
                      "L4_optimality_gap", "T1_contraction"):
         rep = check_lemma(trace, lemma_id)
@@ -185,10 +185,10 @@ def test_trajectory_terms_equal_trace_columns(ring16_problem, ring16_W, z0_16):
                 tol=0.0, record_every=1)
     assert len(trace.records) == 301
     states = islice(iterate("dogt", ring16_problem, ring16_W, gamma, z0_16), 301)
-    V = np.array([step_terms(s, gamma, trace.smoothness, trace.rho, 16, trace.z_star)["V"]
-                  for s in states])
-    assert trace.records.lyapunov.tobytes() == V.tobytes()
-    factor = theoretical_contraction(gamma, trace.mu, trace.rho)
+    L = ring16_problem.smoothness_constant()
+    V = np.array([step_terms(s, gamma, L, trace.rho, 16, trace.z_star)["V"] for s in states])
+    assert trace.records.V.tobytes() == V.tobytes()
+    factor = theoretical_contraction(gamma, ring16_problem.mu, trace.rho)
     rep = check_lemma(trace, "T1_contraction")
     assert rep.margins["margin"].tobytes() == (factor * V[:-1] - V[1:]).tobytes()
 
