@@ -27,14 +27,17 @@ where ``run`` stops stepping at a fixed point (dgda and dogda) or steps
 past a tol stop within its last batch (dogt and adogt).
 
 BASELINE_CHECKOUT is another checkout of this repository, such as a clone
-at an earlier commit.  The two are timed in fresh processes, one per
-checkout in each of ROUNDS alternating rounds, and the file gets both sets
-of numbers.  A number is the median over rounds of each process's median.
-The bare loop's speed has differed by up to 1.5x between the two
-checkouts' processes, so the numbers to compare across checkouts are each
-checkout's ratios to its own bare loop, not ratios of times taken in
-different processes.  BLAS is pinned to one thread, as in perfbench.  The
-file goes to the root of this checkout.
+at an earlier commit.  It must be at the change that made ``run()`` take
+each method's resolved mixing (``ResolvedAlgorithm.mixing``) or later,
+since the measuring code calls ``run()`` that way in both checkouts.  The
+two are timed in fresh processes, one per checkout in each of ROUNDS
+alternating rounds, and the file gets both sets of numbers.  A number is
+the median over rounds of each process's median.  The bare loop's speed
+has differed by up to 1.5x between the two checkouts' processes, so the
+numbers to compare across checkouts are each checkout's ratios to its own
+bare loop, not ratios of times taken in different processes.  BLAS is
+pinned to one thread, as in perfbench.  The file goes to the root of this
+checkout.
 """
 
 from __future__ import annotations
@@ -119,11 +122,11 @@ def measure(src: Path) -> dict:
     exp = cli.resolve_experiment(cli.load_config(CONFIG))
     algos = {a.name: a for a in exp.algorithms}
     problem, W, z0 = exp.problem, exp.W, exp.z0
-    jobs = {(setting, kind): partial(algorithms.run, kind, problem, W, algos[kind].gamma, z0,
-                                     max_iters=ITERS, tol=0.0, T=algos[kind].T, **kwargs)
+    jobs = {(setting, kind): partial(algorithms.run, kind, problem, algos[kind].mixing,
+                                     algos[kind].gamma, z0, max_iters=ITERS, tol=0.0, **kwargs)
             for setting, kwargs in SETTINGS.items() for kind in METHODS}
-    jobs.update({("compare", kind): partial(algorithms.run, kind, problem, W, algos[kind].gamma,
-                                            z0, T=algos[kind].T, **COMPARE)
+    jobs.update({("compare", kind): partial(algorithms.run, kind, problem, algos[kind].mixing,
+                                            algos[kind].gamma, z0, **COMPARE)
                  for kind in METHODS})
     jobs["bare"] = partial(bare_dogt, problem, np.array(W.W), algos["dogt"].gamma, z0, ITERS)
     z_star = problem.saddle_point()

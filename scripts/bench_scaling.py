@@ -11,9 +11,9 @@ the others at gamma 0.1 on Metropolis weights), it times the set-up that
 - topology: ``build_topology``;
 - weights: the weight builder, which makes W, its spectrum and rho_W;
 - exchange: the rest of ``cli.resolve_experiment`` (the problem, ``T:
-  auto`` and adogt's exchange) plus a one-step ``algorithms.run``, which
-  builds the method's mixing and mixes with it; where W mixes dense,
-  adogt's first mix builds M_T.
+  auto`` and adogt's exchange, built once) plus a one-step
+  ``algorithms.run``, which mixes with the resolved mixing; where W mixes
+  dense, adogt's first mix builds M_T.
 
 Beside them it records the number of ``np.linalg.eigvalsh`` calls in one
 set-up, adogt's T and the peak RSS of the process.  Every (graph, method)
@@ -21,12 +21,14 @@ case runs in a fresh process, which makes the set-up REPEATS times and
 keeps the median of each phase; its peak RSS is the process's.
 
 BASELINE_CHECKOUT is another checkout of this repository, such as a clone
-at an earlier commit.  The two are timed in alternating fresh processes,
-one per checkout and case in each of ROUNDS rounds, as in
-``scripts/bench_hotloop.py``, and the file gets both sets of numbers: for
-each, the median over rounds and its interquartile range.  BLAS is pinned
-to one thread, as in perfbench, and the core count is recorded.  The file
-goes to the root of this checkout.
+at an earlier commit.  It must be at the change that made ``run()`` take
+each method's resolved mixing (``ResolvedAlgorithm.mixing``) or later,
+since the measuring code calls ``run()`` that way in both checkouts.  The
+two are timed in alternating fresh processes, one per checkout and case in
+each of ROUNDS rounds, as in ``scripts/bench_hotloop.py``, and the file
+gets both sets of numbers: for each, the median over rounds and its
+interquartile range.  BLAS is pinned to one thread, as in perfbench, and
+the core count is recorded.  The file goes to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -115,15 +117,16 @@ def measure(src: Path, kind: str, n: int, method: str) -> dict:
             start = time.perf_counter()
             exp = cli.resolve_experiment(config)
             algo = exp.algorithms[0]
-            algorithms.run(algo.name, exp.problem, exp.W, algo.gamma, exp.z0, max_iters=1,
-                           tol=0.0, T=algo.T)
+            algorithms.run(algo.name, exp.problem, algo.mixing, algo.gamma, exp.z0,
+                           max_iters=1, tol=0.0)
             total = time.perf_counter() - start
         durations["exchange_s"] = total - durations["topology_s"] - durations["weights_s"]
         for phase in PHASES:
             samples[phase].append(durations[phase])
         calls.append(len(decompositions))
     return {**{phase: statistics.median(v) for phase, v in samples.items()},
-            "eigvalsh_calls": max(calls), "T": algo.T,
+            "eigvalsh_calls": max(calls),
+            "T": algo.mixing.rounds if algo.name == "adogt" else None,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 

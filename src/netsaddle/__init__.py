@@ -8,7 +8,7 @@ Lyapunov diagnostics, and inequality checkers.
 
 from .algorithms import (ALGORITHMS, AlgoState, DivergenceError, Trace,
                          adogt_step, dgda_step, dogda_step, dogt_step,
-                         init_state, iterate, run)
+                         init_state, run)
 from .graph import (DisconnectedGraphError, MixingMatrix, Topology,
                     accelerated_matrix, acceleration_momentum, build_topology,
                     lazy_max_degree_weights, metropolis_weights, recommended_T,

@@ -20,21 +20,20 @@ iterates (the states the averaged dynamics and the energy-decay guarantees
 are stated for); the tracker r is seeded with the initial gradients and
 therefore keeps the exact column-average identity mean(r) = mean(G).
 
-A step reads its mix from what it is given, and ``run`` reads the rounds
-each mix counts from the same object: a ``MixingMatrix`` (W m, the dense
-product or a gather over the nonzeros of W on sparse graphs, one round) or
-adogt's ``graph.accelerated_matrix`` exchange (M_T m: one product by M_T,
-built on its first mix, where W mixes dense, below a few hundred nodes;
-where W gathers, T rounds, and no n x n matrix enters a step).
+A run is given what it mixes with, built once by its caller, and reads the
+rounds each mix counts from the same object: for dgda, dogda and dogt a
+``MixingMatrix`` (W m, the dense product or a gather over the nonzeros of W
+on sparse graphs, one round); for adogt the ``graph.accelerated_matrix``
+exchange (M_T m: one product by M_T, built on its first mix, where W mixes
+dense, below a few hundred nodes; where W gathers, T rounds, and no n x n
+matrix enters a step).  Any other pairing is rejected.
 
 A step is arithmetic only: it neither checks its result nor sets NumPy's
 error state, so a step from a non-finite state is an ordinary step.  The
 tests of a state (the stop rule and the divergence check) are made on
-stacks of states: ``iterate`` yields the states of one method and checks
-each, a one-state stack, as it goes; ``run`` steps a batch of states,
-tests the whole batch at once, fills the rows of the states it records
-into its one record table (``metrics.record_table``), and stops stepping at
-a fixed point of the step.
+stacks of states: ``run`` steps a batch of states, tests the whole batch at
+once, fills the rows of the states it records into its one record table
+(``metrics.record_table``), and stops stepping at a fixed point of the step.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics
-from .graph import AcceleratedExchange, MixingMatrix, accelerated_matrix
+# Unused here; the benchmark's tracer wraps accelerated_matrix by name in this module.
+from .graph import AcceleratedExchange, MixingMatrix, accelerated_matrix  # noqa: F401
 from .problem import BilinearQuadratic, stacked_array, stacked_gradient_field
 
 ALGORITHMS = ("dgda", "dogda", "dogt", "adogt")
@@ -67,8 +67,8 @@ class AlgoState:
 
     Arrays are n x (p+d): current and previous iterates, current and
     previous stacked gradients, and the tracker r = [p, -q].  Baseline
-    steps carry the tracker over unchanged; iterate() starts it at zero so
-    every state has one schema.  A state does not count its exchanges:
+    steps carry the tracker over unchanged and start it at zero, so every
+    state has one schema.  A state does not count its exchanges:
     they are its iteration times the mix's ``rounds``, which ``run`` writes
     into the comm_rounds column of its record table.
 
@@ -91,26 +91,39 @@ class AlgoState:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Recorded run: its record table and the constants it was run with.
+    """Recorded run: its record table and what it was run with.
 
+    ``mixing`` is what every step mixed with: W, or adogt's exchange.
     ``records`` is a ``metrics.record_table``, as a numpy record array: a
-    row per recorded state, computed with the run's own gamma, rho and the
-    problem's L, mu and n, which are read from ``problem``.  ``iterations``
-    and ``comm_rounds`` are those of its last row, the state of the stop or
-    of max_iters.  ``fixed_point`` is the first iteration whose state equals
-    the state before it, bit for bit, when ``run`` found one and stopped
-    stepping there; None otherwise.  It is not written to any output file.
+    row per recorded state, computed with the run's own gamma, the mixing's
+    rho and the problem's z*, L, mu and n, each read from the object that
+    holds it.  ``iterations`` and ``comm_rounds`` are those of its last row,
+    the state of the stop or of max_iters.  ``fixed_point`` is the first
+    iteration whose state equals the state before it, bit for bit, when
+    ``run`` found one and stopped stepping there; None otherwise.  It is not
+    written to any output file.
     """
 
     gamma: float
-    rho: float              # spectral gap of the effective mixing matrix
     problem: BilinearQuadratic
-    mixing: MixingMatrix
-    z_star: np.ndarray | None
+    mixing: MixingMatrix | AcceleratedExchange
     records: np.recarray
     reason: str             # "tol_reached" or "max_iters"
-    T: int | None = None
     fixed_point: int | None = None
+
+    @property
+    def rho(self) -> float:
+        """The spectral gap of the mixing: rho_W, or adogt's rho_M."""
+        return self.mixing.rho
+
+    @property
+    def T(self) -> int | None:
+        """adogt's gossip rounds per exchange; None for a method that mixes with W."""
+        return self.mixing.rounds if isinstance(self.mixing, AcceleratedExchange) else None
+
+    @property
+    def z_star(self) -> np.ndarray:
+        return self.problem.saddle_point()
 
     @property
     def iterations(self) -> int:
@@ -190,20 +203,21 @@ def adogt_step(state: AlgoState, mixing: AcceleratedExchange, gamma: float,
     return _step(state, mixing, _tracked, True, gamma, problem)
 
 
-def _mixing(kind: str, W: MixingMatrix, T: int | None) -> MixingMatrix | AcceleratedExchange:
-    """What a step of ``kind`` mixes with: W, or adogt's exchange of T rounds over W."""
-    return accelerated_matrix(W, T) if kind == "adogt" else W
-
-
 def _states(kind: str, problem: BilinearQuadratic, mixing, gamma: float, z0):
     """Yield the states of one method, mixing with ``mixing``, from iteration 0
     on, without end or checks.
 
-    A step from a non-finite state is taken like any other; the caller sets
+    ``mixing`` must be adogt's ``AcceleratedExchange`` for adogt and a
+    ``MixingMatrix`` for the others; anything else raises ValueError.  A
+    step from a non-finite state is taken like any other; the caller sets
     ``np.errstate`` and tests the states it gets (``_first_nonfinite``).
     """
     if kind not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {kind!r}, expected one of {ALGORITHMS}")
+    wanted = AcceleratedExchange if kind == "adogt" else MixingMatrix
+    if not isinstance(mixing, wanted):
+        raise ValueError(f"{kind} mixes with a {wanted.__name__}, "
+                         f"got a {type(mixing).__name__}")
     state = init_state(problem, z0)
     if kind not in TRACKING_ALGORITHMS:
         state = replace(state, tracker=_frozen(np.zeros_like(state.tracker)))
@@ -226,25 +240,6 @@ def _first_nonfinite(z: np.ndarray, tracker: np.ndarray | None = None) -> int | 
     if np.logical_and.reduce(finite, axis=None):     # the common case, in one call
         return None
     return int(np.logical_and.reduce(finite, axis=(-2, -1)).argmin())
-
-
-def iterate(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
-            T: int | None = None):
-    """Yield the states of one method from iteration 0 on, without end.
-
-    Raises DivergenceError at the first iterate (or tracker) that is not
-    finite.  The initial state is not checked: a non-finite z0 raises at
-    iteration 1.
-    """
-    states = _states(kind, problem, _mixing(kind, W, T), gamma, z0)
-    tracking = kind in TRACKING_ALGORITHMS
-    yield next(states)
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = next(states)
-        if _first_nonfinite(state.z[None], state.tracker[None] if tracking else None) is not None:
-            raise DivergenceError(state.iteration)
-        yield state
 
 
 def _stacked(arrays) -> np.ndarray:
@@ -291,17 +286,16 @@ _BATCH_BYTES = 5 << 18      # 1.25 MiB
 _BATCH_STATES = 51
 
 
-def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0,
-        max_iters: int, tol: float, record_every: int = 1,
-        T: int | None = None) -> Trace:
+def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | AcceleratedExchange,
+        gamma: float, z0, max_iters: int, tol: float, record_every: int = 1) -> Trace:
     """Drive one algorithm until the residual drops to tol or iterations run out.
 
-    The record table gets a row for iteration 0, every ``record_every``
-    iterations, and the final iterate; at ``record_every`` 1, as ``verify``
-    runs, row k is iteration k.  It doubles as rows arrive, so a run that
-    stops early does not pay for ``max_iters``.  Without a known saddle
-    point the residual is unavailable and the run always goes the full
-    ``max_iters``.
+    ``mixing`` is what each step mixes with: W for dgda, dogda and dogt,
+    ``accelerated_matrix(W, T)`` for adogt; another pairing raises
+    ValueError.  The record table gets a row for iteration 0, every
+    ``record_every`` iterations, and the final iterate; at ``record_every``
+    1, as ``verify`` runs, row k is iteration k.  It doubles as rows arrive,
+    so a run that stops early does not pay for ``max_iters``.
 
     The states are stepped in batches of at most _BATCH_STATES states and
     about _BATCH_BYTES (51 at ring-16, 8 at n = 1024), held by reference,
@@ -321,10 +315,10 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     A step is a pure function of a state's five arrays (``iteration`` never
     enters it), so once a state equals the one before it, bit for bit,
     every later state holds the same arrays.  After a batch passes both
-    tests, with z* known, ``run`` compares its last state with the one
-    before it: the five arrays as int64, and only when their two residuals
-    are equal, so a batch that moves costs one float comparison.  At a
-    fixed point it stops stepping and finishes the trace from that state:
+    tests, ``run`` compares its last state with the one before it: the five
+    arrays as int64, and only when their two residuals are equal, so a
+    batch that moves costs one float comparison.  At a fixed point it stops
+    stepping and finishes the trace from that state:
     the table is sized to its final length at once, and the state's row,
     computed once, is copied to the rest of the record grid and the final
     row, each with its own iteration.  ``reason`` stays "max_iters", and
@@ -332,7 +326,8 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     predecessor.  Limit cycles of a longer period are stepped through.
 
     Raises DivergenceError at the first non-finite iterate (or tracker)
-    before the stop, as ``iterate`` does.
+    before the stop; its initial state is not checked, so a non-finite z0
+    raises at iteration 1.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -343,14 +338,13 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
     if tol < 0.0 or np.isnan(tol):
         raise ValueError(f"tol must be nonnegative, got {tol}")
 
-    mixing = _mixing(kind, W, T)
-    rho_eff, rounds = mixing.rho, mixing.rounds
+    rho_eff = mixing.rho
     L = problem.smoothness_constant()
     z_star = problem.saddle_point()
     tracking = kind in TRACKING_ALGORITHMS
     n, width = problem.n, problem.p + problem.d
     # z* on every row, so the residual's subtraction is one contiguous loop.
-    z_star_rows = None if z_star is None else np.tile(z_star, (n, 1))
+    z_star_rows = np.tile(z_star, (n, 1))
     # Five float64 arrays a state; one state a batch at least.
     batch = max(1, min(_BATCH_STATES, _BATCH_BYTES // (5 * 8 * n * width)))
     table = metrics.record_table(batch, width)
@@ -373,15 +367,13 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
         """Test a batch of consecutive states and queue those it records.
 
         Returns whether one of them met the stop rule, after which ``kept``
-        ends with it, and their residuals (None without z*)."""
+        ends with it, and their residuals."""
         z = _stacked([s.z for s in kept])
-        residuals, stop = None, False
-        if z_star is not None:
-            residuals = metrics.residual(z, z_star_rows)
-            hits = (residuals <= tol).nonzero()[0]
-            if len(hits):
-                stop = True
-                del kept[hits[0] + 1:]
+        residuals = metrics.residual(z, z_star_rows)
+        hits = (residuals <= tol).nonzero()[0]
+        stop = len(hits) > 0
+        if stop:
+            del kept[hits[0] + 1:]
         first = 1 if kept[0].iteration == 0 else 0      # z0 itself is not checked
         if len(kept) > first:
             bad = _first_nonfinite(z[first:len(kept)], _stacked(
@@ -435,18 +427,16 @@ def run(kind: str, problem: BilinearQuadratic, W: MixingMatrix, gamma: float, z0
                     break
                 if state.iteration == max_iters:
                     break
-                if residuals is not None:
-                    if residuals[-1] == (residuals[-2] if len(kept) > 1 else before_residual):
-                        fixed_point = _fixed_point([before, *kept],
-                                                   [before_residual, *residuals.tolist()])
-                        if fixed_point is not None:
-                            fast_forward(state)
-                            break
-                    before, before_residual = state, residuals[-1]
+                if residuals[-1] == (residuals[-2] if len(kept) > 1 else before_residual):
+                    fixed_point = _fixed_point([before, *kept],
+                                               [before_residual, *residuals.tolist()])
+                    if fixed_point is not None:
+                        fast_forward(state)
+                        break
+                before, before_residual = state, residuals[-1]
                 kept = []
 
     records = table[:filled].view(np.recarray)
-    records["comm_rounds"] = records["iteration"] * rounds
-    return Trace(gamma=gamma, rho=rho_eff, problem=problem, mixing=W, z_star=z_star,
-                 records=records, reason=reason, T=T if kind == "adogt" else None,
+    records["comm_rounds"] = records["iteration"] * mixing.rounds
+    return Trace(gamma=gamma, problem=problem, mixing=mixing, records=records, reason=reason,
                  fixed_point=fixed_point)

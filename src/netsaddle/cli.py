@@ -20,8 +20,8 @@ import yaml
 
 from . import verify as verify_mod
 from .algorithms import ALGORITHMS, DivergenceError, Trace, run
-from .graph import (WEIGHT_BUILDERS, MixingMatrix, Topology, accelerated_matrix,
-                    build_topology, recommended_T)
+from .graph import (WEIGHT_BUILDERS, AcceleratedExchange, MixingMatrix, Topology,
+                    accelerated_matrix, build_topology, recommended_T)
 from .metrics import csv_chunks, fit_linear_rate, max_stepsize, theoretical_contraction
 from .problem import BilinearQuadratic, make_bilinear_quadratic
 
@@ -286,10 +286,10 @@ class ResolvedAlgorithm:
     name: str
     gamma: float
     gamma_source: str           # "config" or "auto"
-    T: int | None
-    T_source: str | None
-    eta: float | None
-    rho_effective: float
+    T_source: str | None        # adogt's: "config" or "auto"
+    # What every step mixes with, built once: W, or adogt's exchange, which
+    # holds T, eta and rho_M.
+    mixing: MixingMatrix | AcceleratedExchange
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +313,8 @@ def _make_z0(init: InitConfig, problem, default_seed: int):
 
 
 def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
-    """Build problem/graph objects and resolve every "auto" placeholder."""
+    """Build problem/graph objects, resolve every "auto" placeholder, and
+    build each algorithm's mixing once: W, or adogt's exchange over W."""
     pc = config.problem
     problem = make_bilinear_quadratic(pc.n, pc.p, pc.d, pc.mu, pc.seed,
                                       zero_sum_centers=pc.zero_sum_centers)
@@ -329,30 +330,26 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
     resolved = []
     labels = {}
     for algo in config.algorithms:
-        T = T_source = eta = None
-        rho_eff = W.rho
+        T_source, mixing = None, W
         if algo.name == "adogt":
             T_source = "auto" if algo.T == "auto" else "config"
-            T = recommended_T(W) if algo.T == "auto" else algo.T
-            exchange = accelerated_matrix(W, T)
-            eta, rho_eff = exchange.eta, exchange.rho
+            mixing = accelerated_matrix(W, recommended_T(W) if algo.T == "auto" else algo.T)
         gamma_source = "auto" if algo.gamma == "auto" else "config"
         if algo.gamma == "auto":
-            if rho_eff >= 1.0:
+            if mixing.rho >= 1.0:
                 raise ConfigError(
                     f"gamma: auto needs a contracting mixing matrix, but "
-                    f"{algo.name} with T={T} has rho {rho_eff:.4g} >= 1 on this "
-                    f"graph; increase T or set T: auto")
-            gamma = max_stepsize(L, rho_eff)
+                    f"{algo.name} with T={mixing.rounds} has rho {mixing.rho:.4g} >= 1 on "
+                    f"this graph; increase T or set T: auto")
+            gamma = max_stepsize(L, mixing.rho)
         else:
             gamma = algo.gamma
         count = labels.get(algo.name, 0) + 1
         labels[algo.name] = count
         label = algo.name if count == 1 else f"{algo.name}-{count}"
         resolved.append(ResolvedAlgorithm(label=label, name=algo.name, gamma=gamma,
-                                          gamma_source=gamma_source, T=T,
-                                          T_source=T_source, eta=eta,
-                                          rho_effective=rho_eff))
+                                          gamma_source=gamma_source, T_source=T_source,
+                                          mixing=mixing))
 
     z0, init_seed = _make_z0(config.init, problem, default_seed=pc.seed + 1)
     return ResolvedExperiment(config=config, problem=problem, topology=topology,
@@ -376,15 +373,9 @@ def _fmt(value) -> str:
 
 
 def _defined(trace: Trace, column: str) -> bool:
-    """Whether a record column holds values, by the run's constants: as in
-    ``metrics.step_terms``, the Lyapunov weights also need rho in [0, 1)."""
-    if column in ("residual", "xi_sq", "V") and trace.z_star is None:
-        return False
+    """Whether a record column holds values, by the run's rho: as in
+    ``metrics.step_terms``, the Lyapunov weights need rho in [0, 1)."""
     return column != "V" or 0.0 <= trace.rho < 1.0
-
-
-def _final_residual(trace: Trace):
-    return trace.records[-1].residual if _defined(trace, "residual") else None
 
 
 def write_trace_csv(path: Path, trace: Trace, record_every: int = 1) -> None:
@@ -411,8 +402,8 @@ def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
     final = trace.records[-1]
     L = exp.problem.smoothness_constant()
     try:
-        contraction = theoretical_contraction(algo.gamma, pc.mu, algo.rho_effective)
-        stepsize_bound = max_stepsize(L, algo.rho_effective)
+        contraction = theoretical_contraction(algo.gamma, pc.mu, trace.rho)
+        stepsize_bound = max_stepsize(L, trace.rho)
     except ValueError:
         # Off-design accelerated matrix (rho >= 1): no guarantees attach.
         contraction = stepsize_bound = None
@@ -429,9 +420,9 @@ def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
         ("algorithm.name", algo.name),
         ("algorithm.gamma", algo.gamma),
         ("algorithm.gamma_source", algo.gamma_source),
-        ("algorithm.T", algo.T), ("algorithm.T_source", algo.T_source),
-        ("algorithm.eta", algo.eta),
-        ("algorithm.rho_effective", algo.rho_effective),
+        ("algorithm.T", trace.T), ("algorithm.T_source", algo.T_source),
+        ("algorithm.eta", None if trace.T is None else trace.mixing.eta),
+        ("algorithm.rho_effective", trace.rho),
         ("derived.smoothness_L", L), ("derived.kappa", L / pc.mu),
         ("derived.max_stepsize", stepsize_bound),
         ("derived.theoretical_contraction", contraction),
@@ -441,13 +432,10 @@ def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
         ("result.reason", trace.reason),
         ("result.iterations", trace.iterations),
         ("result.comm_rounds", trace.comm_rounds),
-        ("result.final_residual", _final_residual(trace)),
+        ("result.final_residual", final.residual),
         ("result.final_consensus_error", final.consensus_error),
     ]
-    if trace.z_star is None:
-        items.append(("note.lyapunov", "saddle point unknown; residual, xi_norm_sq "
-                                       "and lyapunov columns are empty"))
-    elif algo.rho_effective >= 1.0:
+    if trace.rho >= 1.0:
         items.append(("note.lyapunov", "rho_effective >= 1 (T too small for this "
                                        "graph); lyapunov column is empty"))
     return [f"{key} = {_fmt(value) or 'none'}" for key, value in items]
@@ -465,9 +453,9 @@ def _run_and_write(exp: ResolvedExperiment, algo: ResolvedAlgorithm, out: Path,
     The run records on a grid of ``record_every``, the config's by default;
     the CSV holds the rows on the config's grid and the last one."""
     rc = exp.config.run
-    trace = run(algo.name, exp.problem, exp.W, algo.gamma, exp.z0,
+    trace = run(algo.name, exp.problem, algo.mixing, algo.gamma, exp.z0,
                 max_iters=rc.max_iters, tol=rc.tol,
-                record_every=record_every or rc.record_every, T=algo.T)
+                record_every=record_every or rc.record_every)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / f"{algo.label}.csv", trace, rc.record_every)
     write_manifest(out / f"{algo.label}.manifest.txt", exp, algo, trace)
@@ -480,10 +468,9 @@ def _out_dir(config: ExperimentConfig, override) -> Path:
 
 
 def _summary_line(label: str, trace: Trace) -> str:
-    final = _final_residual(trace)
-    res = "n/a" if final is None else f"{final:.6g}"
     return (f"{label}: {trace.reason} after {trace.iterations} iterations "
-            f"(comm_rounds={trace.comm_rounds}, final_residual={res})")
+            f"(comm_rounds={trace.comm_rounds}, "
+            f"final_residual={trace.records[-1].residual:.6g})")
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +489,9 @@ def run_command(config_path, out_dir=None) -> int:
 
 def _fitted_rate_cell(trace: Trace) -> str:
     records = trace.records
-    series = (zip(records["iteration"].tolist(), records["residual"].tolist())
-              if _defined(trace, "residual") else [])
     try:
-        report = fit_linear_rate(series)
+        report = fit_linear_rate(zip(records["iteration"].tolist(),
+                                     records["residual"].tolist()))
     except ValueError:
         return "n/a"
     return f"{report.fitted_rate:.6g}"
@@ -531,7 +517,7 @@ def compare_command(config_path, out_dir=None) -> int:
         final = trace.records[-1]
         iters = (str(trace.iterations) if trace.reason == "tol_reached"
                  else "not_reached")
-        rows.append((algo.label, _fmt(_final_residual(trace)),
+        rows.append((algo.label, _fmt(final.residual),
                      _fmt(final.consensus_error), iters,
                      str(trace.comm_rounds), _fitted_rate_cell(trace)))
 

@@ -24,8 +24,7 @@ import numpy as np
 # The float columns of a record table, after iteration and comm_rounds and
 # before zbar: the residual (1/n) ||z - 1 z*||^2, the UNSQUARED consensus error,
 # and the terms D, xi_sq = ||Xi||^2, V, B, C (see step_terms), e and E, each
-# under its name in step_terms.  residual, xi_sq and V are NaN without z*, and
-# V at rho >= 1.
+# under its name in step_terms.  V is NaN at rho >= 1.
 RECORD_FLOATS = ("residual", "consensus_error", "D", "xi_sq", "V", "B", "C", "e", "E")
 
 _CSV_CHUNK_ROWS = 1 << 12   # rows formatted per string in csv_chunks
@@ -78,8 +77,6 @@ def optimality_gap_xi(state, gamma: float, z_star: np.ndarray) -> np.ndarray:
     The correction term anticipates the optimistic update; at iteration 0
     the stored gradients coincide and the gap reduces to zbar - z*.
     """
-    if z_star is None:
-        raise ValueError("optimality gap requires a known saddle point")
     zbar = _mean(state.z)
     correction = _mean(state.grad - state.grad_prev)
     return zbar - gamma * correction - np.asarray(z_star, dtype=np.float64)
@@ -106,20 +103,19 @@ def lyapunov_coefficients(gamma: float, L: float, rho: float, n: int) -> tuple[f
 
 
 def step_terms(state, gamma: float, L: float, rho: float, n: int,
-               z_star: np.ndarray | None) -> dict:
+               z_star: np.ndarray) -> dict:
     """The per-step terms of one state, or of each state of a stack.
 
-    B = ||z - z_prev||^2, C and D; with a known z* also xi_sq = ||Xi||^2 and,
-    for rho in [0, 1) where its weights are defined, the Lyapunov value
+    B = ||z - z_prev||^2, C, D, xi_sq = ||Xi||^2 and, for rho in [0, 1)
+    where its weights are defined, the Lyapunov value
     V = ||Xi||^2 + (gamma L / n) B + c1 C + c2 D.
     """
     t = {"B": _sq(state.z - state.z_prev), "C": deviation_sq(state.z),
-         "D": deviation_sq(state.tracker)}
-    if z_star is not None:
-        t["xi_sq"] = _sq(optimality_gap_xi(state, gamma, z_star), axis=-1)
-        if 0.0 <= rho < 1.0:
-            c1, c2 = lyapunov_coefficients(gamma, L, rho, n)
-            t["V"] = t["xi_sq"] + gamma * L / n * t["B"] + c1 * t["C"] + c2 * t["D"]
+         "D": deviation_sq(state.tracker),
+         "xi_sq": _sq(optimality_gap_xi(state, gamma, z_star), axis=-1)}
+    if 0.0 <= rho < 1.0:
+        c1, c2 = lyapunov_coefficients(gamma, L, rho, n)
+        t["V"] = t["xi_sq"] + gamma * L / n * t["B"] + c1 * t["C"] + c2 * t["D"]
     return t
 
 
@@ -174,13 +170,16 @@ def fit_linear_rate(series, skip_fraction: float = 0.1) -> RateReport:
     """Least-squares geometric rate of an (iteration, value) series.
 
     The first ``skip_fraction`` of the iteration span is dropped to avoid
-    transient contamination; remaining values must be strictly positive.
+    transient contamination; remaining values must be finite (an overflowed
+    residual is inf), and only the strictly positive ones are fitted.
     """
     ks, values = np.array([(int(k), float(v)) for k, v in series],
                           dtype=np.float64).reshape(-1, 2).T
     if ks.size == 0:
         raise ValueError("insufficient data: empty series")
     window = ks >= ks[0] + skip_fraction * (ks[-1] - ks[0])
+    if not np.isfinite(values[window]).all():
+        raise ValueError("non-finite values in the fit window")
     keep = window & (values > 0.0)
     if keep.sum() < 10:
         if keep.sum() < window.sum():
@@ -201,13 +200,13 @@ def fit_linear_rate(series, skip_fraction: float = 0.1) -> RateReport:
 
 
 def metric_record(rows: np.ndarray, stack, problem, gamma: float, L: float,
-                  rho: float, z_star: np.ndarray | None) -> None:
+                  rho: float, z_star: np.ndarray) -> None:
     """Fill consecutive rows of a record table from a stack of states, NaN
-    where a term is undefined: every column but comm_rounds, which counts
-    the run's exchanges and is the caller's to fill."""
+    where a term is undefined (V at rho >= 1): every column but comm_rounds,
+    which counts the run's exchanges and is the caller's to fill."""
     terms = step_terms(stack, gamma, L, rho, problem.n, z_star)
     rows["iteration"] = stack.iteration
-    rows["residual"] = math.nan if z_star is None else residual(stack.z, z_star)
+    rows["residual"] = residual(stack.z, z_star)
     rows["consensus_error"] = np.sqrt(terms["C"]) / problem.n
     for term in ("B", "C", "D", "xi_sq", "V"):
         rows[term] = terms.get(term, math.nan)

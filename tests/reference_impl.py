@@ -4,11 +4,44 @@ Deliberately separate from the package: dense numpy translations of the
 update rules written block-by-block (x, y, p, q with explicit descent and
 ascent signs) rather than in the library's sign-flipped stacked form.  The
 pinned constants in the test suite were produced with these functions.
+
+The one exception is ``iterate``, the state-by-state oracle for
+``algorithms.run``: the package's own steps, one state at a time, each
+checked as it comes, with none of run's batches, stop rule or fast-forward.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+
+from netsaddle import algorithms
+from netsaddle.graph import accelerated_matrix
+
+
+def mixing_of(kind, W, T=None):
+    """What a step of ``kind`` mixes with: W, or adogt's exchange of T rounds over W."""
+    return accelerated_matrix(W, T) if kind == "adogt" else W
+
+
+def iterate(kind, problem, mixing, gamma, z0):
+    """Yield the states of one method from iteration 0 on, without end.
+
+    The steps are the module's ``*_step`` attributes, looked up on every
+    call (``algorithms._states``), so a step swapped on the module is used.
+    Raises DivergenceError at the first iterate (or tracker) that is not
+    finite, and ValueError, as run() does, when ``mixing`` is not the kind's.
+    The initial state is not checked: a non-finite z0 raises at iteration 1.
+    """
+    states = algorithms._states(kind, problem, mixing, gamma, z0)
+    tracking = kind in algorithms.TRACKING_ALGORITHMS
+    yield next(states)
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = next(states)
+        if algorithms._first_nonfinite(state.z[None],
+                                       state.tracker[None] if tracking else None) is not None:
+            raise algorithms.DivergenceError(state.iteration)
+        yield state
 
 
 def gradients(a, b, mu, x, y):

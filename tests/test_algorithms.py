@@ -8,13 +8,14 @@ import pytest
 import reference_impl as ref
 from netsaddle import algorithms, metrics
 from netsaddle.algorithms import (DivergenceError, adogt_step, dgda_step, dogda_step,
-                                  dogt_step, init_state, iterate, run, stack_states)
+                                  dogt_step, init_state, run, stack_states)
 from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (CSRMix, MixingMatrix, accelerated_matrix,
                              acceleration_momentum, build_topology,
                              metropolis_weights)
 from netsaddle.metrics import residual
 from netsaddle.problem import BilinearQuadratic, make_bilinear_quadratic
+from reference_impl import iterate, mixing_of
 
 # Pinned by the straight-line oracle in reference_impl.py on the shared
 # benchmark setup (problem seed 7, init seed 8, ring-16, gamma 0.1).
@@ -39,7 +40,7 @@ W1 = MixingMatrix(np.array([[1.0]]))
 
 def states_to(K, kind, problem, W, z0, T=None):
     """The states of iterations 0..K."""
-    return list(islice(iterate(kind, problem, W, GAMMA, z0, T), K + 1))
+    return list(islice(iterate(kind, problem, mixing_of(kind, W, T), GAMMA, z0), K + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +266,7 @@ def test_gathered_adogt_exchanges_by_2T_rounds(monkeypatch):
     for k in range(1, 4):
         state = adogt_step(state, accelerated_matrix(W, T), GAMMA, prob)
         assert len(calls) == 2 * T * k
-    run("adogt", prob, W, GAMMA, z0, max_iters=5, tol=0.0, T=T)
+    run("adogt", prob, accelerated_matrix(W, T), GAMMA, z0, max_iters=5, tol=0.0)
     assert len(calls) == 2 * T * (3 + 5)
 
 
@@ -279,18 +280,19 @@ def test_steps_reject_nonpositive_gamma(step, gamma, ring16_problem, ring16_W, z
         step(state, ring16_W, gamma, ring16_problem)
 
 
-def test_adogt_rejects_bad_T(ring16_problem, ring16_W, z0_16):
+def test_adogt_rejects_bad_T(ring16_W):
+    # adogt's exchange, which its run mixes with, is where T is checked.
     for T in (0, -1, 2.0):
         with pytest.raises(ValueError, match="T must be a positive integer"):
-            run("adogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=5, tol=0.0, T=T)
+            accelerated_matrix(ring16_W, T)
 
 
 def test_adogt_runs_at_offdesign_T(ring16_problem, ring16_W, z0_16):
     # T=1 leaves the accelerated matrix non-contracting (rho >= 1) on this
     # ring; the run still executes, it just cannot book a Lyapunov value.
-    trace = run("adogt", ring16_problem, ring16_W, GAMMA, z0_16,
-                max_iters=20, tol=0.0, T=1)
-    assert trace.rho >= 1.0
+    trace = run("adogt", ring16_problem, accelerated_matrix(ring16_W, 1), GAMMA, z0_16,
+                max_iters=20, tol=0.0)
+    assert trace.rho >= 1.0 and trace.T == 1
     assert np.isnan(trace.records.V).all()
     assert np.isfinite(trace.records.residual).all()
     assert np.isfinite(trace.records.xi_sq).all()
@@ -371,8 +373,8 @@ def test_run_records_every_and_final(ring16_problem, ring16_W, z0_16):
 
 def test_run_comm_round_accounting(ring16_problem, ring16_W, z0_16):
     dogt = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=30, tol=0.0)
-    adogt = run("adogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=30,
-                tol=0.0, T=4)
+    adogt = run("adogt", ring16_problem, accelerated_matrix(ring16_W, 4), GAMMA, z0_16,
+                max_iters=30, tol=0.0)
     assert dogt.comm_rounds == 30
     assert adogt.comm_rounds == 120
 
@@ -397,7 +399,7 @@ def test_comm_rounds_on_every_row(ring16_problem, ring16_W, z0_16):
               ("dgda", ring16_problem, ring16_W, z0_16, None, dict(max_iters=8000, tol=1e-10,
                                                                    record_every=10))]
     for kind, problem, W, z0, T, args in cases:
-        trace = run(kind, problem, W, GAMMA, z0, T=T, **args)
+        trace = run(kind, problem, mixing_of(kind, W, T), GAMMA, z0, **args)
         records = trace.records
         assert records.comm_rounds.tolist() == (records.iteration * (T or 1)).tolist()
         assert records[0].iteration == records[0].comm_rounds == 0
@@ -418,9 +420,18 @@ def test_run_validation_errors(ring16_problem, ring16_W, z0_16):
     with pytest.raises(ValueError):
         run("dogt", ring16_problem, ring16_W, -0.1, z0_16, max_iters=10, tol=0.0)
     with pytest.raises(ValueError):
-        run("adogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=10, tol=0.0)
-    with pytest.raises(ValueError):
         run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=10, tol=-1.0)
+    # adogt mixes with its exchange and the others with W; each given the
+    # other's raises, in run() and in the state-by-state oracle alike.
+    exchange = accelerated_matrix(ring16_W, 4)
+    for kind in ("dgda", "dogda", "dogt", "adogt"):
+        right, wrong = (exchange, ring16_W) if kind == "adogt" else (ring16_W, exchange)
+        with pytest.raises(ValueError, match=f"{kind} mixes with a "):
+            run(kind, ring16_problem, wrong, GAMMA, z0_16, max_iters=10, tol=0.0)
+        with pytest.raises(ValueError, match=f"{kind} mixes with a "):
+            next(iterate(kind, ring16_problem, wrong, GAMMA, z0_16))
+        trace = run(kind, ring16_problem, right, GAMMA, z0_16, max_iters=10, tol=0.0)
+        assert trace.mixing is right
 
 
 def test_divergence_raises_with_iteration(ring16_problem, ring16_W, z0_16):
@@ -471,11 +482,11 @@ def batch_of(z0):
     return max(1, min(algorithms._BATCH_STATES, algorithms._BATCH_BYTES // (5 * z0.nbytes)))
 
 
-def stepwise_final(kind, problem, W, gamma, z0, max_iters, tol, T=None):
+def stepwise_final(kind, problem, mixing, gamma, z0, max_iters, tol):
     """The state a run driven one state at a time ends on: iterate() checks
     each state as it is stepped, and the stop rule is applied to each."""
     z_star = problem.saddle_point()
-    for state in iterate(kind, problem, W, gamma, z0, T):
+    for state in iterate(kind, problem, mixing, gamma, z0):
         if residual(state.z, z_star) <= tol or state.iteration == max_iters:
             return state
 
@@ -581,9 +592,10 @@ def test_a_nonfinite_start_raises_at_iteration_1(ring16_problem, ring16_W, z0_16
 def test_steps_taken_past_a_stop_are_bounded(kind, T, max_iters, tol, ring16_problem,
                                              ring16_W, z0_16, monkeypatch):
     calls = counted_steps(monkeypatch, f"{kind}_step")
-    trace = run(kind, ring16_problem, ring16_W, GAMMA, z0_16, max_iters=max_iters,
-                tol=tol, record_every=10, T=T)
-    final = stepwise_final(kind, ring16_problem, ring16_W, GAMMA, z0_16, max_iters, tol, T)
+    mixing = mixing_of(kind, ring16_W, T)
+    trace = run(kind, ring16_problem, mixing, GAMMA, z0_16, max_iters=max_iters,
+                tol=tol, record_every=10)
+    final = stepwise_final(kind, ring16_problem, mixing, GAMMA, z0_16, max_iters, tol)
     assert trace.iterations == final.iteration
     steps = len(calls) - final.iteration      # iterate() above stepped this many
     assert trace.iterations <= steps <= max_iters
@@ -625,20 +637,19 @@ def test_one_state_batches_step_no_further_than_the_stop(monkeypatch):
 # stepping on, bit for bit
 
 
-def unforwarded(kind, problem, W, z0, max_iters, record_every, T=None):
+def unforwarded(kind, problem, mixing, z0, max_iters, record_every):
     """The record table and final state of a run to max_iters, from iterate()
     and one metric_record call per recorded state: no batch, no fast-forward.
-    Each row's comm_rounds is its iteration times T, or 1."""
+    Each row's comm_rounds is its iteration times the mixing's rounds."""
     z_star = problem.saddle_point()
     L = problem.smoothness_constant()
-    rho = accelerated_matrix(W, T).rho if kind == "adogt" else W.rho
     table = metrics.record_table(max_iters + 1, problem.p + problem.d)
     rows = 0
-    for state in islice(iterate(kind, problem, W, GAMMA, z0, T), max_iters + 1):
+    for state in islice(iterate(kind, problem, mixing, GAMMA, z0), max_iters + 1):
         if state.iteration % record_every == 0 or state.iteration == max_iters:
             metrics.metric_record(table[rows:rows + 1], stack_states([state]), problem, GAMMA, L,
-                                  rho, z_star)
-            table["comm_rounds"][rows] = state.iteration * (T or 1)
+                                  mixing.rho, z_star)
+            table["comm_rounds"][rows] = state.iteration * mixing.rounds
             rows += 1
     return table[:rows], state
 
@@ -659,13 +670,14 @@ def test_fast_forward_equals_stepping_on(kind, T, max_iters, tol, record_every, 
     # rows of its table on the record_every grid, and its last row, are then
     # the table of the run at record_every, as the trace CSV needs.
     calls = counted_steps(monkeypatch, f"{kind}_step")
-    args = (kind, ring16_problem, ring16_W, GAMMA, z0_16)
+    mixing = mixing_of(kind, ring16_W, T)
+    args = (kind, ring16_problem, mixing, GAMMA, z0_16)
     every = 1 if every_step else record_every
-    trace = run(*args, max_iters=max_iters, tol=tol, record_every=every, T=T)
+    trace = run(*args, max_iters=max_iters, tol=tol, record_every=every)
     steps = len(calls)
     assert trace.fixed_point == fixed_point
     assert fixed_point <= steps < fixed_point + batch_of(z0_16)
-    table, final = unforwarded(kind, ring16_problem, ring16_W, z0_16, max_iters, every, T)
+    table, final = unforwarded(kind, ring16_problem, mixing, z0_16, max_iters, every)
     assert trace.reason == "max_iters"
     assert trace.iterations == final.iteration
     assert trace.comm_rounds == max_iters * (T or 1)
@@ -673,7 +685,7 @@ def test_fast_forward_equals_stepping_on(kind, T, max_iters, tol, record_every, 
     if every_step:
         on_grid = trace.records.iteration % record_every == 0
         on_grid[-1] = True
-        sparse = run(*args, max_iters=max_iters, tol=tol, record_every=record_every, T=T)
+        sparse = run(*args, max_iters=max_iters, tol=tol, record_every=record_every)
         assert trace.records[on_grid].tobytes() == sparse.records.tobytes()
 
 
@@ -689,11 +701,6 @@ def test_fast_forward_at_one_state_batches(ring16_problem, ring16_W, z0_16, monk
     assert trace.fixed_point == wide.fixed_point == len(calls) == 7439
     assert trace.records.tobytes() == wide.records.tobytes()
     assert (trace.iterations, trace.comm_rounds) == (wide.iterations, wide.comm_rounds) == (8000,) * 2
-
-
-class _NoSaddle(BilinearQuadratic):
-    def saddle_point(self):
-        return None
 
 
 class _FarSaddle(BilinearQuadratic):
@@ -747,12 +754,6 @@ def test_fast_forward_inside_the_first_batch(batch_bytes, monkeypatch):
         table, final = unforwarded("dgda", prob, W, z0, 300, record_every)
         assert traced.iterations == final.iteration
         assert traced.records.tobytes() == table.tobytes()
-
-
-def test_no_fast_forward_without_a_saddle_point(monkeypatch):
-    calls = counted_steps(monkeypatch, "dgda_step")
-    trace = run("dgda", *resting_at_zero(_NoSaddle), max_iters=300, tol=0.0)
-    assert trace.fixed_point is None and len(calls) == trace.iterations == 300
 
 
 RING16_DOGT = Path(__file__).resolve().parents[1] / "configs" / "ring16_dogt.yaml"

@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,14 +7,13 @@ import pytest
 import yaml
 
 import reference_impl as ref
-from netsaddle import algorithms, cli, graph
+from netsaddle import algorithms, cli, graph, verify
 from netsaddle.cli import (CSV_HEADER, EXIT_CONFIG, EXIT_OK,
                            EXIT_PRECONDITION, ConfigError, compare_command,
                            load_config, main, resolve_experiment, run_command,
                            verify_command)
-from netsaddle.graph import CSRMix
+from netsaddle.graph import AcceleratedExchange, CSRMix, recommended_T
 from netsaddle.metrics import max_stepsize
-from netsaddle.problem import BilinearQuadratic, make_bilinear_quadratic
 
 BASE = {
     "problem": {"type": "bilinear_quadratic", "n": 16, "p": 2, "d": 2,
@@ -131,8 +131,9 @@ def test_auto_resolution(tmp_path):
         "algorithm": {"name": "adogt", "gamma": "auto", "T": "auto"}})
     exp = resolve_experiment(load_config(path))
     algo = exp.algorithms[0]
-    assert algo.T == 4 and algo.T_source == "auto"
-    assert algo.gamma == max_stepsize(exp.problem.smoothness_constant(), algo.rho_effective)
+    assert isinstance(algo.mixing, AcceleratedExchange) and algo.mixing.W is exp.W
+    assert algo.mixing.rounds == 4 and algo.T_source == "auto"
+    assert algo.gamma == max_stepsize(exp.problem.smoothness_constant(), algo.mixing.rho)
     assert algo.gamma_source == "auto"
 
 
@@ -278,6 +279,55 @@ def test_compare_byte_identical_across_invocations(compare_config, tmp_path):
     for name in ("dgda", "dogda", "dogt", "adogt"):
         assert (out1 / f"{name}.csv").read_bytes() == (out2 / f"{name}.csv").read_bytes()
     assert (out1 / "comparison.txt").read_bytes() == (out2 / "comparison.txt").read_bytes()
+
+
+def test_compare_fitted_rate_of_an_overflowed_residual_is_na(tmp_path, capsys):
+    # dgda at gamma 10 keeps z finite for 300 steps, but its residual
+    # overflows to inf from iteration 160: no rate fits that window, so the
+    # cell reads n/a, with no RuntimeWarning (an error under this suite).
+    path = write_config(tmp_path, {"algorithm": {"name": "dgda", "gamma": 10.0},
+                                   "run": {"max_iters": 300, "tol": 1.0e-10}})
+    assert compare_command(path, tmp_path / "cmp") == EXIT_OK
+    rows = (tmp_path / "cmp" / "comparison.txt").read_text().splitlines()
+    assert rows[1].split() == ["dgda", "inf", "inf", "not_reached", "300", "n/a"]
+    assert capsys.readouterr().err == ""
+
+
+def test_compare_builds_each_exchange_once(tmp_path, monkeypatch, capsys):
+    # resolve_experiment builds adogt's exchange, and each run mixes with its
+    # resolved algorithm's object: one accelerated_matrix call per adogt
+    # algorithm, counted wherever the package calls it.  verify's T2 on a
+    # dogt trace still builds the exchange at T: auto's rounds.
+    built = []
+    for module in (cli, algorithms, verify):
+        def counted(W, T, original=module.accelerated_matrix):
+            built.append(T)
+            return original(W, T)
+        monkeypatch.setattr(module, "accelerated_matrix", counted)
+    resolved, traces = [], []
+
+    def resolving(config, resolve=cli.resolve_experiment):
+        resolved.append(resolve(config))
+        return resolved[-1]
+
+    def running(*args, **kwargs):
+        traces.append(algorithms.run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "resolve_experiment", resolving)
+    monkeypatch.setattr(cli, "run", running)
+    config = Path(__file__).resolve().parents[1] / "configs" / "ring16_compare.yaml"
+    assert compare_command(config, tmp_path / "cmp") == EXIT_OK
+    (exp,) = resolved
+    assert built == [4] and [a.name for a in exp.algorithms].count("adogt") == 1
+    assert len(traces) == len(exp.algorithms) == 4
+    for trace, algo in zip(traces, exp.algorithms):
+        assert trace.mixing is algo.mixing
+        assert (trace.mixing is exp.W) == (algo.name != "adogt")
+    dogt = traces[[a.name for a in exp.algorithms].index("dogt")]
+    report = verify.check_lemma(dogt, "T2_rho_M")
+    assert built == [4, recommended_T(exp.W)]
+    assert report.passed and report.margins["iteration"].tolist() == [0, 1]   # 1 is gated
 
 
 def test_compare_homogeneous_from_saddle_terminates_immediately(tmp_path):
@@ -459,7 +509,7 @@ def test_ring400_adogt_and_verify_build_no_dense_M_T(tmp_path, monkeypatch, caps
 
     exp = resolve_experiment(load_config(adogt))
     assert isinstance(exp.W.mix, CSRMix)
-    exchange = graph.accelerated_matrix(exp.W, exp.algorithms[0].T)
+    exchange = exp.algorithms[0].mixing
     m = np.random.default_rng(0).standard_normal((n, 4))
     want = ref.chebyshev_matrix(exp.W.W, exchange.rounds, exchange.eta) @ m
     assert np.linalg.norm(exchange.mix(m) - want) <= 1e-12 * np.linalg.norm(want)
@@ -489,43 +539,15 @@ def test_verify_command_resolves_unset_record_states(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# traces without a known saddle point
+# trace CSVs
 
 
-class _NoSaddle(BilinearQuadratic):
-    """Same dynamics, but pretends the saddle point is unknown."""
-
-    def saddle_point(self):
-        return None
-
-
-def test_trace_csv_without_saddle_point(tmp_path):
-    from netsaddle.algorithms import run as run_algo
-    from netsaddle.cli import write_trace_csv
-    from netsaddle.graph import build_topology, metropolis_weights
-    base = make_bilinear_quadratic(4, 2, 2, 0.1, seed=3)
-    prob = _NoSaddle(centers_a=base.centers_a, centers_b=base.centers_b,
-                     mu=base.mu, seed=base.seed, zero_sum=base.zero_sum)
-    W = metropolis_weights(build_topology("ring", 4))
-    trace = run_algo("dogt", prob, W, 0.1, np.zeros((4, 4)), max_iters=30,
-                     tol=1e-10, record_every=10)
-    # No residual means tol can never fire; the run goes the distance.
-    assert trace.reason == "max_iters" and trace.iterations == 30
-    path = tmp_path / "t.csv"
-    write_trace_csv(path, trace)
-    lines = path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        assert cells[2] == "" and cells[5] == "" and cells[6] == ""  # residual, xi, lyapunov
-        assert cells[3] != "" and cells[4] != ""                     # consensus, tracking
-
-
-@pytest.mark.parametrize("saddle,lyapunov", [(True, True), (True, False), (False, False)])
-def test_trace_csv_rows_are_the_fields_formatted_one_by_one(saddle, lyapunov, tmp_path):
+@pytest.mark.parametrize("lyapunov", [True, False])
+def test_trace_csv_rows_are_the_fields_formatted_one_by_one(lyapunov, tmp_path):
     # Each row is one %-format string; it must write what formatting each
-    # field on its own writes, for every kind of float.  The run's constants,
-    # not the cells, decide which columns stay empty: every cell holds a value.
+    # field on its own writes, for every kind of float.  The run's rho, not
+    # the cells, decides whether the lyapunov column stays empty: every cell
+    # holds a value.
     from netsaddle.cli import _fmt, write_trace_csv
     from netsaddle.metrics import record_table
     values = [0.0, -0.0, 1.0, 1 / 3, 5e-324, 1.7976931348623157e308, 1e16, 1e-5,
@@ -533,15 +555,12 @@ def test_trace_csv_rows_are_the_fields_formatted_one_by_one(saddle, lyapunov, tm
     table = record_table(len(values), 4)
     for k, v in enumerate(values):
         table[k] = (10 * k, 40 * k, v, -v, v * 3, v / 7, v, 0.0, 0.0, 0.0, 0.0, 0.0)
-    trace = SimpleNamespace(records=table.view(np.recarray),
-                            z_star=np.zeros(4) if saddle else None,
-                            rho=0.5 if lyapunov else 1.0)
+    trace = SimpleNamespace(records=table.view(np.recarray), rho=0.5 if lyapunov else 1.0)
     path = tmp_path / "t.csv"
     write_trace_csv(path, trace)
     expected = [CSV_HEADER, *(",".join([str(10 * k), str(40 * k),
                                         *(_fmt(cell) for cell in (
-                                            v if saddle else None, -v, v * 3,
-                                            v / 7 if saddle else None,
+                                            v, -v, v * 3, v / 7,
                                             v if lyapunov else None))])
                               for k, v in enumerate(values))]
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
@@ -565,7 +584,6 @@ def test_trace_csv_is_written_in_chunks_of_rows(tmp_path, monkeypatch):
 
 
 def test_shipped_configs_parse():
-    from pathlib import Path
     root = Path(__file__).resolve().parent.parent / "configs"
     for name in ("ring16_compare.yaml", "ring16_verify.yaml", "ring16_dogt.yaml"):
         config = load_config(root / name)

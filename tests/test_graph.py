@@ -500,8 +500,8 @@ def test_one_eigendecomposition_per_W(n, tmp_path, monkeypatch):
     path = tmp_path / "compare.yaml"
     path.write_text(yaml.safe_dump(config))
     exp = resolve_experiment(load_config(path))
-    traces = {algo.name: run(algo.name, exp.problem, exp.W, algo.gamma, exp.z0,
-                             max_iters=20, tol=0.0, record_every=1, T=algo.T)
+    traces = {algo.name: run(algo.name, exp.problem, algo.mixing, algo.gamma, exp.z0,
+                             max_iters=20, tol=0.0, record_every=1)
               for algo in exp.algorithms}
     reports = verify.run_all_checks(traces["dogt"])
     assert all(report.passed for report in reports)

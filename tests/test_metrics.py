@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from netsaddle import algorithms
-from netsaddle.algorithms import init_state, iterate, run, stack_states
+from netsaddle.algorithms import init_state, run, stack_states
 from netsaddle.graph import CSRMix, build_topology, metropolis_weights
 from netsaddle.metrics import (consensus_error, deviation_sq,
                                field_at_average_sq, fit_linear_rate,
@@ -17,6 +17,7 @@ from netsaddle.metrics import (consensus_error, deviation_sq,
                                record_table, residual, step_terms,
                                theoretical_contraction)
 from netsaddle.problem import BilinearQuadratic, make_bilinear_quadratic
+from reference_impl import iterate, mixing_of
 
 GAMMA = 0.1
 
@@ -93,12 +94,6 @@ def test_xi_after_one_step_matches_dense_replay(ring16_problem, ring16_W, z0_16)
     xi_expected = z1.mean(axis=0) - GAMMA * (g1 - g0).mean(axis=0)
     assert np.allclose(optimality_gap_xi(s1, GAMMA, np.zeros(4)), xi_expected,
                        atol=1e-14)
-
-
-def test_xi_requires_saddle_point(ring16_problem, z0_16):
-    state = init_state(ring16_problem, z0_16)
-    with pytest.raises(ValueError):
-        optimality_gap_xi(state, GAMMA, None)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +275,18 @@ def test_fit_nonpositive_values():
         fit_linear_rate(series)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_fit_rejects_nonfinite_values_in_its_window(bad):
+    # An overflowed residual is inf: the series has no rate over its window,
+    # which is an error, not a NaN rate and a RuntimeWarning.
+    growing = [(k, 10.0 ** k if k < 30 else bad) for k in range(60)]
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_linear_rate(growing)
+    # Before the window, a non-finite value is skipped like the rest.
+    series = [(k, bad if k == 0 else 0.9 ** k) for k in range(60)]
+    assert fit_linear_rate(series).fitted_rate == pytest.approx(0.9, rel=1e-12)
+
+
 def test_fitted_lyapunov_rate_below_guarantee(ring16_problem, ring16_W, z0_16):
     L = ring16_problem.smoothness_constant()
     gamma = max_stepsize(L, ring16_W.rho)
@@ -307,19 +314,12 @@ def test_records_recomputable_from_states(ring16_problem, ring16_W, z0_16):
         assert row.tobytes() == rec.tobytes()
 
 
-class _NoSaddle(BilinearQuadratic):
-    """Same dynamics, but pretends the saddle point is unknown."""
-
-    def saddle_point(self):
-        return None
-
-
 def _per_state(trace, states, record_every):
     """The record table of a run, from each state on its own.
 
     Every value comes from a per-state call: step_terms, residual and
     consensus_error on one state's arrays, the row mean and e, E of one
-    state's zbar; comm_rounds is the iteration times T, or 1.
+    state's zbar; comm_rounds is the iteration times the mixing's rounds.
     """
     z_star, rows, problem = trace.z_star, [], trace.problem
     for s in states:
@@ -328,9 +328,8 @@ def _per_state(trace, states, record_every):
         terms = step_terms(s, trace.gamma, problem.smoothness_constant(), trace.rho, problem.n,
                            z_star)
         zbar = s.z.mean(axis=0)
-        rows.append((s.iteration, s.iteration * (trace.T or 1),
-                     math.nan if z_star is None else residual(s.z, z_star),
-                     consensus_error(s.z), terms["D"], terms.get("xi_sq", math.nan),
+        rows.append((s.iteration, s.iteration * trace.mixing.rounds, residual(s.z, z_star),
+                     consensus_error(s.z), terms["D"], terms["xi_sq"],
                      terms.get("V", math.nan), terms["B"], terms["C"],
                      *field_at_average_sq(problem, zbar), zbar))
     table = record_table(len(rows), problem.p + problem.d)
@@ -345,10 +344,11 @@ def _random512():
     return prob, W, np.random.default_rng(8).standard_normal((512, 4))
 
 
-def _no_saddle_ring16(ring16_problem, ring16_W, z0_16):
-    p = ring16_problem
-    return (_NoSaddle(centers_a=p.centers_a, centers_b=p.centers_b, mu=p.mu, seed=p.seed,
-                      zero_sum=p.zero_sum), ring16_W, z0_16)
+def _offset_saddle_ring16(ring16_W, z0_16):
+    """The ring-16 setup on centres that do not sum to zero: z* is not the origin."""
+    problem = make_bilinear_quadratic(16, 2, 2, 0.1, seed=7, zero_sum_centers=False)
+    assert np.abs(problem.saddle_point()).min() > 0.0
+    return problem, ring16_W, z0_16
 
 
 @pytest.mark.parametrize("setup,kind,T,run_args,batches", [
@@ -371,9 +371,9 @@ def _no_saddle_ring16(ring16_problem, ring16_W, z0_16):
     ("random512", "adogt", 3, dict(max_iters=20, tol=0.0), "single"),
     ("random512_wide", "dogt", None, dict(max_iters=20, tol=0.0), "several"),
     ("random512_wide", "adogt", 3, dict(max_iters=20, tol=0.0), "several"),
-    # no saddle point: no residual, xi_sq or V, and no tol stop
-    ("no_saddle", "dogt", None, dict(max_iters=300, tol=1e-10), "several"),
-    ("no_saddle", "dgda", None, dict(max_iters=300, tol=1e-10, record_every=7), None),
+    # a saddle point away from the origin, in the residual and xi_sq
+    ("offset_saddle", "dogt", None, dict(max_iters=300, tol=1e-10), "several"),
+    ("offset_saddle", "dgda", None, dict(max_iters=300, tol=1e-10, record_every=7), None),
     # the benchmark's random1024: 8 states a batch under the default budget
     ("random1024", "dogt", None, dict(max_iters=30, tol=0.0), "eight"),
 ])
@@ -390,11 +390,11 @@ def test_run_equals_per_state_evaluation(setup, kind, T, run_args, batches, ring
     elif setup == "random512_wide":
         problem, W, z0 = _random512()
         monkeypatch.setattr(algorithms, "_BATCH_BYTES", 4 * 5 * z0.nbytes)
-    elif setup == "no_saddle":
-        problem, W, z0 = _no_saddle_ring16(ring16_problem, ring16_W, z0_16)
+    elif setup == "offset_saddle":
+        problem, W, z0 = _offset_saddle_ring16(ring16_W, z0_16)
     else:
         problem, W, z0 = ring16_problem, ring16_W, z0_16
-    trace = run(kind, problem, W, GAMMA, z0, T=T, **run_args)
+    trace = run(kind, problem, mixing_of(kind, W, T), GAMMA, z0, **run_args)
     sizes = batch_sizes
     if batches == "several":
         assert len(sizes) > 2 and sizes[0] > 1
@@ -406,7 +406,8 @@ def test_run_equals_per_state_evaluation(setup, kind, T, run_args, batches, ring
         assert trace.reason == "tol_reached" and 1 < sizes[-1] < sizes[0] == max(sizes)
         assert len(sizes) > 2
     record_every = run_args.get("record_every", 1)
-    states = list(islice(iterate(kind, problem, W, GAMMA, z0, T), trace.iterations + 1))
+    states = list(islice(iterate(kind, problem, trace.mixing, GAMMA, z0),
+                         trace.iterations + 1))
     table = _per_state(trace, states, record_every)
     assert trace.records.iteration.tolist() == sorted(
         {*range(0, trace.iterations + 1, record_every), trace.iterations})
@@ -467,12 +468,3 @@ def test_term_table_follows_the_steps_run_not_max_iters(ring16_problem, ring16_W
                 record_every=1)
     assert huge.reason == "tol_reached" and len(huge.records) == 839
     assert huge.records.tobytes() == plain.records.tobytes()
-
-
-def test_record_without_saddle_point(ring16_problem, z0_16):
-    state = stack_states([init_state(ring16_problem, z0_16)])
-    rec = record_table(1, 4)
-    metric_record(rec, state, ring16_problem, GAMMA, 1.0, 0.5, None)
-    assert np.isnan(rec["residual"]) and np.isnan(rec["xi_sq"])
-    assert np.isnan(rec["V"])
-    assert rec["consensus_error"] > 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference_impl as ref
-from netsaddle.algorithms import Trace, iterate, run, stack_states
+from netsaddle.algorithms import Trace, run, stack_states
 from netsaddle.graph import (accelerated_matrix, build_topology,
                              metropolis_weights, recommended_T)
 from netsaddle import metrics
@@ -14,6 +14,7 @@ from netsaddle.metrics import (max_stepsize, metric_record, record_table, step_t
 from netsaddle.problem import BilinearQuadratic
 from netsaddle.verify import (LEMMA_IDS, LemmaCheckReport, check_lemma, check_rho_M,
                               margins_csv_rows, run_all_checks, summary_text)
+from reference_impl import iterate
 
 GAMMA_EXPERIMENT = 0.1
 
@@ -93,8 +94,8 @@ def test_homogeneous_fixed_point_all_margins_zero():
     stack = stack_states(list(islice(iterate("dogt", prob, W, gamma, np.zeros((4, 4))), 21)))
     metric_record(table, stack, prob, gamma, L, W.rho, np.zeros(4))
     table["comm_rounds"] = table["iteration"]
-    trace = Trace(gamma=gamma, rho=W.rho, problem=prob, mixing=W, z_star=np.zeros(4),
-                  records=table.view(np.recarray), reason="max_iters")
+    trace = Trace(gamma=gamma, problem=prob, mixing=W, records=table.view(np.recarray),
+                  reason="max_iters")
     assert (trace.iterations, trace.comm_rounds) == (20, 20)
     for lemma_id in ("L1_iterate_gap", "L2_consensus", "L3_tracking",
                      "L4_optimality_gap", "T1_contraction"):
@@ -218,9 +219,13 @@ def test_check_rho_M_on_averaging_matrix():
     assert dict(rep.margins.tolist()) == {0: envelope - rho_M, 1: 0.5 - rho_M}
 
 
-def test_check_rho_M_ring16_recommended(ring16_W):
+def test_check_rho_M_ring16_recommended(ring16_problem, ring16_W, z0_16):
     rep = check_rho_M(ring16_W, 4)
     assert rep.passed
+    # An adogt trace's T2 is its exchange's W at its rounds.
+    trace = run("adogt", ring16_problem, accelerated_matrix(ring16_W, 4), GAMMA_EXPERIMENT,
+                z0_16, max_iters=1, tol=0.0)
+    assert check_lemma(trace, "T2_rho_M").margins.tobytes() == rep.margins.tobytes()
     margins = dict(rep.margins.tolist())
     assert margins[1] >= 0.0  # half-gap guarantee
     # The printed envelope 2(1-s)^(2T) is violated here (rho_M = 0.3297 vs
