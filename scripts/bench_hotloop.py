@@ -16,7 +16,12 @@ calls it.  Each per-iteration and per-call time, and each ratio, is stored
 as its median over rounds with its interquartile range.  Beside the
 one-state residual it records the residual's cost per state on a stack of
 STACK states, one ring-16 batch of ``run()``, which is what the stop rule
-pays.  The bare loop's final residual must equal the library dogt's to
+pays.  The record layer gets two per-call times: one ``metric_record`` on
+the stack of STACK consecutive dogt states at the config's gamma, as
+``run()`` fills a batch of rows at record_every 1, and ``verify``'s e and E
+(``verify.field_at_average``) of the as-verify dogt trace, ITERS + 1 rows;
+a checkout whose ``verify`` has no ``field_at_average`` computes e and E
+inside ``metric_record`` and records no second time.  The bare loop's final residual must equal the library dogt's to
 1e-9 relative, or no numbers are written.
 
 It also runs each method as ``compare`` runs it (COMPARE: tol 1e-10 and
@@ -45,12 +50,14 @@ from __future__ import annotations
 from _bench import ROOT, commit, environment, measured_in_fresh_process, spread  # first: pins BLAS
 
 import argparse  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
 from functools import partial  # noqa: E402
+from itertools import islice  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -114,10 +121,33 @@ def steps_taken(algorithms, kind: str, job) -> int:
     return len(calls)
 
 
+def record_layer_calls(algorithms, metrics, verify, problem, mixing, gamma, z0) -> dict:
+    """Per-call times of the record layer: one ``metric_record`` on STACK
+    consecutive dogt states, and ``verify``'s e and E of a trace of every
+    step of ITERS, where its ``verify`` computes them.  ``metric_record``
+    is called with the residuals where it takes them, and with the problem
+    where it computes them itself (and e and E too)."""
+    stack = algorithms.stack_states(list(islice(
+        algorithms._states("dogt", problem, mixing, gamma, z0), STACK)))
+    rows = metrics.record_table(STACK, problem.p + problem.d)
+    L, z_star = problem.smoothness_constant(), problem.saddle_point()
+    inputs = (metrics.residual(stack.z, z_star)
+              if "residuals" in inspect.signature(metrics.metric_record).parameters
+              else problem)
+    calls = {f"metrics.metric_record_of_{STACK}": call_us(lambda: metrics.metric_record(
+        rows, stack, inputs, gamma, L, mixing.rho, z_star))}
+    field_at_average = getattr(verify, "field_at_average", None)
+    if field_at_average is not None:
+        trace = algorithms.run("dogt", problem, mixing, gamma, z0, max_iters=ITERS, tol=0.0)
+        calls[f"verify.field_at_average_of_{ITERS + 1}_rows"] = call_us(
+            lambda: field_at_average(trace))
+    return calls
+
+
 def measure(src: Path) -> dict:
     """The numbers of the netsaddle in ``src``, timed in this process."""
     sys.path.insert(0, str(src))
-    from netsaddle import algorithms, cli, metrics
+    from netsaddle import algorithms, cli, metrics, verify
 
     exp = cli.resolve_experiment(cli.load_config(CONFIG))
     algos = {a.name: a for a in exp.algorithms}
@@ -161,7 +191,9 @@ def measure(src: Path) -> dict:
                         "W.mix": call_us(lambda: W.mix(z0)),
                         "metrics.residual": call_us(lambda: metrics.residual(z0, z_star)),
                         f"metrics.residual_per_state_of_{STACK}": call_us(
-                            lambda: metrics.residual(stack, z_star)) / STACK},
+                            lambda: metrics.residual(stack, z_star)) / STACK,
+                        **record_layer_calls(algorithms, metrics, verify, problem,
+                                             algos["dogt"].mixing, algos["dogt"].gamma, z0)},
     }
 
 

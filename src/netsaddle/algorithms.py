@@ -249,12 +249,40 @@ def _stacked(arrays) -> np.ndarray:
     return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
 
 
+_ARRAYS = ("z", "z_prev", "grad", "grad_prev", "tracker")
+
+
 def stack_states(states) -> AlgoState:
     """Several states as one: each array gains a leading state axis (K x n x (p+d))
     and iteration becomes a tuple.  The metrics take such a stack wherever
     they take a state."""
-    return AlgoState(*(_stacked([getattr(s, name) for s in states])
-                       for name in ("z", "z_prev", "grad", "grad_prev", "tracker")),
+    return AlgoState(*(_stacked([getattr(s, name) for s in states]) for name in _ARRAYS),
+                     iteration=tuple(s.iteration for s in states))
+
+
+def _record_stack(pending) -> AlgoState:
+    """The pending rows of one batch or more, (states, residuals, stacks)
+    each, as one stack of states.
+
+    A batch recorded whole brings ``stacks``, the stacks its stop rule made:
+    zs, its z after its first state's z_prev (a step's z_prev is the z
+    before it, so state i's z_prev is row i of zs and its z row i + 1), and
+    its trackers, None where the stop rule did not stack them (the methods
+    without tracking).  Its record stack is made of them and of one stack
+    of its gradients, shifted by a state as z is.  Rows of batches recorded
+    in part (a sparser record grid) are stacked from the states' own arrays,
+    once for all the pending batches, so no batch's stacks are held past it.
+    """
+    states = [s for recorded, _, _ in pending for s in recorded]
+    stacks = pending[0][2]
+    if len(pending) > 1 or stacks is None:
+        return stack_states(states)
+    zs, trackers = stacks
+    k = len(states)
+    grads = _stacked([states[0].grad_prev, *(s.grad for s in states)])
+    if trackers is None:
+        trackers = _stacked([s.tracker for s in states])
+    return AlgoState(zs[1:k + 1], zs[:k], grads[1:], grads[:-1], trackers,
                      iteration=tuple(s.iteration for s in states))
 
 
@@ -262,7 +290,7 @@ def _same_arrays(a: AlgoState, b: AlgoState) -> bool:
     """Whether two states hold the same five arrays bit for bit, compared as
     int64 so that -0.0 and +0.0 differ."""
     return all(np.array_equal(getattr(a, name).view(np.int64), getattr(b, name).view(np.int64))
-               for name in ("z", "z_prev", "grad", "grad_prev", "tracker"))
+               for name in _ARRAYS)
 
 
 def _fixed_point(states, residuals) -> int | None:
@@ -304,13 +332,16 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
     for the stop rule, and one finiteness test of the stacked z (and
     tracker) for divergence.  The first state with residual <= tol ends the
     run, and the states stepped after it in its batch, at most batch - 1,
-    are dropped.  A non-finite state before that raises.  The states to
-    record wait until a batch of them is full, or the run ends, and are then
-    evaluated on their stack in one ``metric_record`` call, so a sparse
-    record grid costs few calls; it computes their residuals again, to the
-    same bits.  All of it gives the values state-by-state calls would, bit
-    for bit.  The comm_rounds column is filled once, as the run returns:
-    each row's iteration times the mix's ``rounds``.
+    are dropped.  A non-finite state before that raises.  The rows to
+    record, each with the residual the stop rule took, wait until a batch
+    of them is full, or the run ends, and are then evaluated on their stack
+    in one ``metric_record`` call, so a sparse record grid costs few calls.
+    Where every state of a batch is recorded (record_every 1, as ``verify``
+    runs), their stack is the stop rule's, with z_prev and grad_prev the z
+    and grad stacks shifted by one state (``_record_stack``).  All of it
+    gives the values state-by-state calls would, bit for bit.  The
+    comm_rounds column is filled once, as the run returns: each row's
+    iteration times the mix's ``rounds``.
 
     A step is a pure function of a state's five arrays (``iteration`` never
     enters it), so once a state equals the one before it, bit for bit,
@@ -349,35 +380,41 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
     batch = max(1, min(_BATCH_STATES, _BATCH_BYTES // (5 * 8 * n * width)))
     table = metrics.record_table(batch, width)
     filled = 0          # rows of the table filled so far
-    pending = []        # states to record, not yet evaluated
+    # (states, residuals, stacks) of each batch's rows to record, not yet
+    # evaluated; stacks are the stop rule's, of a batch recorded whole.
+    pending = []
 
     def flush():
-        """Evaluate the pending states into the next rows of the table, in one stack."""
+        """Evaluate the pending rows into the next rows of the table, in one call."""
         nonlocal table, filled
         if pending:
-            end = filled + len(pending)
+            residuals = np.concatenate([r for _, r, _ in pending])
+            end = filled + len(residuals)
             while end > len(table):
                 table = np.concatenate([table, np.empty_like(table)])
-            metrics.metric_record(table[filled:end], stack_states(pending), problem, gamma, L,
+            metrics.metric_record(table[filled:end], _record_stack(pending), residuals, gamma, L,
                                   rho_eff, z_star)
             filled = end
             pending.clear()
 
     def evaluate(kept):
-        """Test a batch of consecutive states and queue those it records.
+        """Test a batch of consecutive states and queue the rows it records.
 
         Returns whether one of them met the stop rule, after which ``kept``
         ends with it, and their residuals."""
-        z = _stacked([s.z for s in kept])
-        residuals = metrics.residual(z, z_star_rows)
+        # The batch's z after its first state's z_prev: a step's z_prev is the
+        # z before it, so state i's z_prev is row i and its z row i + 1.
+        zs = _stacked([kept[0].z_prev, *(s.z for s in kept)])
+        residuals = metrics.residual(zs[1:], z_star_rows)
         hits = (residuals <= tol).nonzero()[0]
         stop = len(hits) > 0
         if stop:
             del kept[hits[0] + 1:]
+        trackers = _stacked([s.tracker for s in kept]) if tracking else None
         first = 1 if kept[0].iteration == 0 else 0      # z0 itself is not checked
         if len(kept) > first:
-            bad = _first_nonfinite(z[first:len(kept)], _stacked(
-                [s.tracker for s in kept[first:]]) if tracking else None)
+            bad = _first_nonfinite(zs[1 + first:len(kept) + 1],
+                                   None if trackers is None else trackers[first:])
             if bad is not None:
                 raise DivergenceError(kept[first + bad].iteration)
         # The record grid, and the final state: the stop or max_iters.
@@ -385,12 +422,14 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
         rows = list(range(-kept[0].iteration % record_every, len(kept), record_every))
         if final and kept[-1].iteration % record_every:
             rows.append(len(kept) - 1)
-        pending.extend(kept[i] for i in rows)
-        if len(pending) >= batch or final:
+        if rows:
+            pending.append(([kept[i] for i in rows], residuals[rows],
+                            (zs, trackers) if len(rows) == len(kept) else None))
+        if sum(len(r) for _, r, _ in pending) >= batch or final:
             flush()
         return stop, residuals
 
-    def fast_forward(state) -> None:
+    def fast_forward(state, residual) -> None:
         """Record iterations state.iteration + 1 .. max_iters, whose states all
         hold the arrays of ``state``, from its one row."""
         nonlocal table, filled
@@ -405,7 +444,7 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
         sized[:filled] = table[:filled]
         table = sized
         rest = table[filled:]
-        metrics.metric_record(rest[:1], stack_states([state]), problem, gamma, L, rho_eff,
+        metrics.metric_record(rest[:1], stack_states([state]), residual, gamma, L, rho_eff,
                               z_star)
         rest[1:] = rest[0]
         rest["iteration"] = grid
@@ -431,7 +470,7 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
                     fixed_point = _fixed_point([before, *kept],
                                                [before_residual, *residuals.tolist()])
                     if fixed_point is not None:
-                        fast_forward(state)
+                        fast_forward(state, residuals[-1])
                         break
                 before, before_residual = state, residuals[-1]
                 kept = []

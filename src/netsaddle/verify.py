@@ -3,8 +3,10 @@
 Each check evaluates one guaranteed inequality over a whole trajectory, as
 array arithmetic on the run's own record table of every step (a term at
 steps 1..K against a bound from the terms at steps 0..K-1), and reports the
-margins rhs - lhs.  Every term, e and E included, is read from that table,
-which the trace CSV is written from.  Under their stepsize preconditions
+margins rhs - lhs.  Every term is read from that table, which the trace CSV
+is written from, except e and E, the field at the averaged iterate: they
+are computed here, once per trace, from its zbar column with
+``metrics.field_at_average_sq``.  Under their stepsize preconditions
 the inequalities are theorems, so a failing check flags an implementation
 bug, not a tuning problem.  Checks whose stepsize precondition does not
 hold are reported as precondition-violated, never as failed.
@@ -33,6 +35,10 @@ LEMMA_IDS = ("L1_iterate_gap", "L2_consensus", "L3_tracking",
              "L4_optimality_gap", "T1_contraction", "T2_rho_M")
 
 MARGIN_RTOL = 1e-9
+# e and E are computed on blocks of zbar rows whose field, n x (p+d) floats a
+# row, takes at most this many bytes, so their memory stays flat in the run's
+# length: 128 rows at ring-16, 2 at n = 1024.
+_FIELD_BLOCK_BYTES = 1 << 16
 # One margin of a check: the step it bounds (or T2's index) and rhs - lhs.
 MARGIN_DTYPE = np.dtype([("iteration", np.int64), ("margin", np.float64)])
 
@@ -104,34 +110,50 @@ def _stepsize_limit(lemma_id: str, L: float, rho: float) -> float:
     return max_stepsize(L, rho)  # T1_contraction
 
 
-# lemma id: (the term bounded at step k+1, its bound from the record rows t of steps k)
+def field_at_average(trace) -> tuple[np.ndarray, np.ndarray]:
+    """(e, E) at the zbar of every recorded row but the last (the steps a
+    bound is taken at), by ``metrics.field_at_average_sq`` on blocks of
+    rows of at most _FIELD_BLOCK_BYTES of field each."""
+    problem, zbar = trace.problem, trace.records["zbar"][:-1]
+    block = max(1, _FIELD_BLOCK_BYTES // (8 * zbar.shape[-1] * problem.n))
+    e, E = np.empty(len(zbar)), np.empty(len(zbar))
+    for start in range(0, len(zbar), block):
+        e[start:start + block], E[start:start + block] = metrics.field_at_average_sq(
+            problem, zbar[start:start + block])
+    return e, E
+
+
+# lemma id: (the term bounded at step k+1, its bound from the record rows t of
+# steps k and the field there, (e, E))
 _STEP_INEQUALITIES = {
-    "L1_iterate_gap": ("B", lambda t, g, L, mu, rho, n: (
+    "L1_iterate_gap": ("B", lambda t, e, E, g, L, mu, rho, n: (
         4.0 * g * g * L * L * t.B + (4.0 + 8.0 * g * g * L * L) * t.C
-        + 8.0 * g * g * t.D + 8.0 * n * g * g * t.e)),
-    "L2_consensus": ("C", lambda t, g, L, mu, rho, n: (
+        + 8.0 * g * g * t.D + 8.0 * n * g * g * e)),
+    "L2_consensus": ("C", lambda t, e, E, g, L, mu, rho, n: (
         0.5 * (1.0 + rho) * t.C
         + 2.0 * g * g * (1.0 + rho) * rho / (1.0 - rho) * t.D
         + 2.0 * g * g * (1.0 + rho) * rho * L * L / (1.0 - rho) * t.B)),
-    "L3_tracking": ("D", lambda t, g, L, mu, rho, n: (
+    "L3_tracking": ("D", lambda t, e, E, g, L, mu, rho, n: (
         0.25 * (3.0 + rho) * t.D + 8.0 * g * g * L ** 4 * rho / (1.0 - rho) * t.B
         + 9.0 * L * L * rho / (1.0 - rho) * t.C
-        + 16.0 * n * g * g * L * L * rho / (1.0 - rho) * t.e)),
-    "L4_optimality_gap": ("xi_sq", lambda t, g, L, mu, rho, n: (
+        + 16.0 * n * g * g * L * L * rho / (1.0 - rho) * e)),
+    "L4_optimality_gap": ("xi_sq", lambda t, e, E, g, L, mu, rho, n: (
         (1.0 - 0.75 * g * mu) * t.xi_sq + 1.25 * g * g * L * L / n * t.B
         + 4.0 * g * L / n * t.C + 9.0 * g ** 3 * L * rho / (n * (1.0 - rho)) * t.D
-        - g * g / (4.0 * n) * t.E)),
-    "T1_contraction": ("V", lambda t, g, L, mu, rho, n: (
+        - g * g / (4.0 * n) * E)),
+    "T1_contraction": ("V", lambda t, e, E, g, L, mu, rho, n: (
         theoretical_contraction(g, mu, rho) * t.V)),
 }
 
 
-def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
+def check_lemma(trace, lemma_id: str, field=None) -> LemmaCheckReport:
     """Evaluate one inequality at every step of a trace recorded at every step.
 
     The terms, and the constants the inequality is stated in, are the run's
     own (``Trace.records``, whose iterations must run 0..K with no gap, and
-    ``Trace.problem``); T2_rho_M only needs the trace's mixing.  A run that
+    ``Trace.problem``); T2_rho_M only needs the trace's mixing.  ``field`` is
+    the trace's ``field_at_average``, computed here when it is not given
+    (``run_all_checks`` computes it once for all checks).  A run that
     stopped at iteration 0 has no step to check: its report is
     precondition-violated.
     """
@@ -154,7 +176,8 @@ def check_lemma(trace, lemma_id: str) -> LemmaCheckReport:
             lemma_id, f"stepsize {gamma:.6g} exceeds this inequality's limit {limit:.6g}")
 
     bounded, bound = _STEP_INEQUALITIES[lemma_id]
-    rhs = bound(records[:-1], gamma, L, problem.mu, rho, problem.n)
+    e, E = field_at_average(trace) if field is None else field
+    rhs = bound(records[:-1], e, E, gamma, L, problem.mu, rho, problem.n)
     return LemmaCheckReport.from_sides(lemma_id, records["iteration"][:-1],
                                        records[bounded][1:], rhs)
 
@@ -195,7 +218,8 @@ def check_rho_M(W: MixingMatrix, T: int | None = None) -> LemmaCheckReport:
 
 def run_all_checks(trace) -> list[LemmaCheckReport]:
     """All six checks against one trace recorded at every step, in LEMMA_IDS order."""
-    return [check_lemma(trace, lemma_id) for lemma_id in LEMMA_IDS]
+    field = field_at_average(trace)
+    return [check_lemma(trace, lemma_id, field) for lemma_id in LEMMA_IDS]
 
 
 def summary_text(reports) -> str:

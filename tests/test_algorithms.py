@@ -647,8 +647,9 @@ def unforwarded(kind, problem, mixing, z0, max_iters, record_every):
     rows = 0
     for state in islice(iterate(kind, problem, mixing, GAMMA, z0), max_iters + 1):
         if state.iteration % record_every == 0 or state.iteration == max_iters:
-            metrics.metric_record(table[rows:rows + 1], stack_states([state]), problem, GAMMA, L,
-                                  mixing.rho, z_star)
+            metrics.metric_record(table[rows:rows + 1], stack_states([state]),
+                                  [metrics.residual(state.z, z_star)], GAMMA, L, mixing.rho,
+                                  z_star)
             table["comm_rounds"][rows] = state.iteration * mixing.rounds
             rows += 1
     return table[:rows], state

@@ -554,7 +554,7 @@ def test_trace_csv_rows_are_the_fields_formatted_one_by_one(lyapunov, tmp_path):
               float("inf"), float("-inf"), float("nan"), 2.5e-11]
     table = record_table(len(values), 4)
     for k, v in enumerate(values):
-        table[k] = (10 * k, 40 * k, v, -v, v * 3, v / 7, v, 0.0, 0.0, 0.0, 0.0, 0.0)
+        table[k] = (10 * k, 40 * k, v, -v, v * 3, v / 7, v, 0.0, 0.0, 0.0)
     trace = SimpleNamespace(records=table.view(np.recarray), rho=0.5 if lyapunov else 1.0)
     path = tmp_path / "t.csv"
     write_trace_csv(path, trace)

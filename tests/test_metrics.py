@@ -14,7 +14,7 @@ from netsaddle.metrics import (consensus_error, deviation_sq,
                                field_at_average_sq, fit_linear_rate,
                                iteration_complexity, lyapunov_coefficients,
                                max_stepsize, metric_record, optimality_gap_xi,
-                               record_table, residual, step_terms,
+                               record_table, residual, row_mean, step_terms,
                                theoretical_contraction)
 from netsaddle.problem import BilinearQuadratic, make_bilinear_quadratic
 from reference_impl import iterate, mixing_of
@@ -158,7 +158,7 @@ def test_terms_on_a_stack_equal_terms_per_state(ring16_problem, ring16_W, z0_16)
         for name in ("z", "z_prev", "grad", "grad_prev", "tracker")})
     z_star = np.zeros(4)
     stacked = step_terms(stack, gamma, L, ring16_W.rho, 16, z_star)
-    assert sorted(stacked) == ["B", "C", "D", "V", "xi_sq"]
+    assert sorted(stacked) == ["B", "C", "D", "V", "xi_sq", "zbar"]
     stacked["xi"] = optimality_gap_xi(stack, gamma, z_star)
     stacked["eE"] = np.stack(field_at_average_sq(ring16_problem, stack.z.mean(axis=-2)),
                              axis=-1)
@@ -308,8 +308,8 @@ def test_records_recomputable_from_states(ring16_problem, ring16_W, z0_16):
     for rec in trace.records:
         state = stack_states([states[rec.iteration]])
         row = record_table(1, 4)
-        metric_record(row, state, ring16_problem, GAMMA, ring16_problem.smoothness_constant(),
-                      trace.rho, trace.z_star)
+        metric_record(row, state, residual(state.z, trace.z_star), GAMMA,
+                      ring16_problem.smoothness_constant(), trace.rho, trace.z_star)
         row["comm_rounds"] = rec.iteration
         assert row.tobytes() == rec.tobytes()
 
@@ -318,8 +318,8 @@ def _per_state(trace, states, record_every):
     """The record table of a run, from each state on its own.
 
     Every value comes from a per-state call: step_terms, residual and
-    consensus_error on one state's arrays, the row mean and e, E of one
-    state's zbar; comm_rounds is the iteration times the mixing's rounds.
+    consensus_error on one state's arrays, and np.mean for its zbar;
+    comm_rounds is the iteration times the mixing's rounds.
     """
     z_star, rows, problem = trace.z_star, [], trace.problem
     for s in states:
@@ -327,11 +327,9 @@ def _per_state(trace, states, record_every):
             continue
         terms = step_terms(s, trace.gamma, problem.smoothness_constant(), trace.rho, problem.n,
                            z_star)
-        zbar = s.z.mean(axis=0)
         rows.append((s.iteration, s.iteration * trace.mixing.rounds, residual(s.z, z_star),
                      consensus_error(s.z), terms["D"], terms["xi_sq"],
-                     terms.get("V", math.nan), terms["B"], terms["C"],
-                     *field_at_average_sq(problem, zbar), zbar))
+                     terms.get("V", math.nan), terms["B"], terms["C"], s.z.mean(axis=0)))
     table = record_table(len(rows), problem.p + problem.d)
     table[:] = rows
     return table
@@ -415,6 +413,38 @@ def test_run_equals_per_state_evaluation(setup, kind, T, run_args, batches, ring
     for name in table.dtype.names:
         assert np.array_equal(trace.records[name], table[name], equal_nan=True), name
     assert trace.records.tobytes() == table.tobytes()     # -0.0 and +0.0 apart
+    # ... and that of one metric_record call per state, with the state's residual.
+    one_by_one = record_table(len(table), problem.p + problem.d)
+    for row, iteration in zip(one_by_one, table["iteration"]):
+        s = states[iteration]
+        metric_record(row[None], stack_states([s]), [residual(s.z, trace.z_star)], GAMMA,
+                      problem.smoothness_constant(), trace.rho, trace.z_star)
+    one_by_one["comm_rounds"] = table["comm_rounds"]
+    assert trace.records.tobytes() == one_by_one.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 1024])
+@pytest.mark.parametrize("K", [1, 8, 51])
+def test_row_mean_is_np_add_reduce_bit_for_bit(K, n):
+    # row_mean sums by einsum; it must give np.add.reduce(axis=-2)'s bits,
+    # and np.mean's, on a stack and on each state, signed zeros, infinities
+    # and NaNs included.
+    rng = np.random.default_rng(K * n)
+    z = rng.standard_normal((K, n, 4)) * np.logspace(-8, 8, K)[:, None, None]
+    z[0, :, 0] = -0.0                   # a column of negative zeros
+    z[-1, :, 1] = 0.0
+    z[-1, 0, 1] = -0.0                  # a mixed column of zeros
+    z[0, 0, 2] = np.inf
+    z[-1, -1, 2] = -np.inf              # +inf and -inf in one column at K = 1
+    z[K // 2, 0, 3] = np.nan
+    z[K // 2, -1, 0] = np.inf
+    with np.errstate(invalid="ignore"):     # inf - inf
+        want = np.add.reduce(z, axis=-2) / n
+        assert row_mean(z).tobytes() == want.tobytes()
+        assert row_mean(z).tobytes() == np.mean(z, axis=-2).tobytes()
+        for k in range(K):
+            assert row_mean(z[k]).tobytes() == want[k].tobytes()
+    assert np.isnan(want).any() and np.isinf(want).any() and (want == 0.0).any()
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 1024])
@@ -436,7 +466,7 @@ def test_batched_consensus_is_the_per_state_norm(n):
 
 def test_term_table_rows_are_the_terms_of_each_state(ring16_problem, ring16_W, z0_16):
     # Row k of a run at record_every 1, as verify runs it, is iteration k:
-    # its step_terms, zbar and the field there.
+    # its step_terms, zbar among them.
     trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16,
                 max_iters=100, tol=0.0, record_every=1)
     states = islice(iterate("dogt", ring16_problem, ring16_W, GAMMA, z0_16), 101)
@@ -444,9 +474,8 @@ def test_term_table_rows_are_the_terms_of_each_state(ring16_problem, ring16_W, z
     for row, state in zip(trace.records, states):
         terms = step_terms(state, GAMMA, ring16_problem.smoothness_constant(), trace.rho, 16,
                            trace.z_star)
-        assert [row[name] for name in terms] == list(terms.values())
+        assert all((row[name] == value).all() for name, value in terms.items())
         assert (row["zbar"] == state.z.mean(axis=0)).all()
-        assert (row["e"], row["E"]) == field_at_average_sq(ring16_problem, row["zbar"])
 
 
 def test_term_table_is_trimmed_at_tol(ring16_problem, ring16_W, z0_16):

@@ -28,6 +28,28 @@ def test_single_node_zero_sum_centers_are_exactly_zero():
     assert (prob.centers_b == 0.0).all()
 
 
+@pytest.mark.parametrize("n", [16384, 65536])
+def test_zero_sum_instances_build_at_large_n(n):
+    # Mean-subtracted centres sum to rounding that grows with n: past 1e-12
+    # from n = 16384 on, in 9 of these seeds there and all 20 at 65536.
+    for seed in range(20):
+        prob = make_bilinear_quadratic(n, 2, 2, 0.1, seed=seed, zero_sum_centers=True)
+        assert (prob.saddle_point() == 0.0).all()
+
+
+def test_zero_sum_flag_rejects_centres_that_do_not_sum_to_zero():
+    prob = make_bilinear_quadratic(16384, 2, 2, 0.1, seed=0, zero_sum_centers=False)
+    with pytest.raises(ValueError, match="column sum"):
+        BilinearQuadratic(centers_a=prob.centers_a, centers_b=prob.centers_b, mu=0.1,
+                          zero_sum=True)
+    # One centre moved by a hair more than the scaled bound is rejected too.
+    zero_sum = make_bilinear_quadratic(16, 2, 2, 0.1, seed=0, zero_sum_centers=True)
+    a = zero_sum.centers_a.copy()
+    a[0, 0] += 1e-12
+    with pytest.raises(ValueError, match="centers_a"):
+        BilinearQuadratic(centers_a=a, centers_b=zero_sum.centers_b, mu=0.1, zero_sum=True)
+
+
 def test_factory_validation():
     with pytest.raises(ValueError):
         make_bilinear_quadratic(0, 2, 2, 0.1, seed=0)

@@ -8,8 +8,8 @@ import reference_impl as ref
 from netsaddle.algorithms import Trace, run, stack_states
 from netsaddle.graph import (accelerated_matrix, build_topology,
                              metropolis_weights, recommended_T)
-from netsaddle import metrics
-from netsaddle.metrics import (max_stepsize, metric_record, record_table, step_terms,
+from netsaddle import metrics, verify
+from netsaddle.metrics import (max_stepsize, metric_record, record_table, residual, step_terms,
                                theoretical_contraction)
 from netsaddle.problem import BilinearQuadratic
 from netsaddle.verify import (LEMMA_IDS, LemmaCheckReport, check_lemma, check_rho_M,
@@ -92,7 +92,7 @@ def test_homogeneous_fixed_point_all_margins_zero():
     L = prob.smoothness_constant()
     table = record_table(21, 4)
     stack = stack_states(list(islice(iterate("dogt", prob, W, gamma, np.zeros((4, 4))), 21)))
-    metric_record(table, stack, prob, gamma, L, W.rho, np.zeros(4))
+    metric_record(table, stack, residual(stack.z, np.zeros(4)), gamma, L, W.rho, np.zeros(4))
     table["comm_rounds"] = table["iteration"]
     trace = Trace(gamma=gamma, problem=prob, mixing=W, records=table.view(np.recarray),
                   reason="max_iters")
@@ -192,6 +192,49 @@ def test_trajectory_terms_equal_trace_columns(ring16_problem, ring16_W, z0_16):
     factor = theoretical_contraction(gamma, ring16_problem.mu, trace.rho)
     rep = check_lemma(trace, "T1_contraction")
     assert rep.margins["margin"].tobytes() == (factor * V[:-1] - V[1:]).tobytes()
+
+
+def test_e_and_E_are_the_field_at_each_state_average(ring16_problem, ring16_W, z0_16,
+                                                      random1024):
+    # verify computes e and E from the zbar column, in blocks of rows; each
+    # is field_at_average_sq at one state's own row average, bit for bit, on
+    # ring-16 over several blocks and on the gathered random n = 1024 graph.
+    for problem, W, z0, steps in ((ring16_problem, ring16_W, z0_16, 300), (*random1024, 30)):
+        trace = run("dogt", problem, W, GAMMA_EXPERIMENT, z0, max_iters=steps, tol=0.0,
+                    record_every=1)
+        assert verify._FIELD_BLOCK_BYTES // (8 * 4 * problem.n) < len(trace.records) - 1
+        e, E = verify.field_at_average(trace)
+        assert len(e) == len(E) == len(trace.records) - 1
+        states = iterate("dogt", problem, trace.mixing, trace.gamma, z0)
+        for k, state in zip(range(len(e)), states):
+            one = metrics.field_at_average_sq(problem, state.z.mean(axis=0))
+            assert (e[k].tobytes(), E[k].tobytes()) == (one[0].tobytes(), one[1].tobytes())
+
+
+def test_e_and_E_memory_stays_flat(ring16_problem, ring16_W, z0_16, random1024):
+    # e and E never hold the field of every row at once: K x n x (p+d)
+    # floats, 1 MB for the 2000 steps of the ring-16 verify config and 10 MB
+    # for 20000; nor more than a few blocks of rows, whatever K.
+    import tracemalloc
+    for problem, W, z0, steps in ((ring16_problem, ring16_W, z0_16, 2000), (*random1024, 30)):
+        trace = run("dogt", problem, W, GAMMA_EXPERIMENT, z0, max_iters=steps, tol=0.0,
+                    record_every=1)
+        whole = (len(trace.records) - 1) * problem.n * 4 * 8
+        tracemalloc.start()
+        try:
+            verify.field_at_average(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < min(whole / 2, 8 * verify._FIELD_BLOCK_BYTES), (peak, whole)
+
+
+def test_run_all_checks_computes_e_and_E_once(compliant_trace, monkeypatch):
+    calls = []
+    field = verify.field_at_average
+    monkeypatch.setattr(verify, "field_at_average", lambda trace: calls.append(1) or field(trace))
+    run_all_checks(compliant_trace)
+    assert len(calls) == 1
 
 
 def test_checks_are_rerunnable(compliant_trace):
