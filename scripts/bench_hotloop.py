@@ -7,22 +7,26 @@ On the ring-16 comparison config (``configs/ring16_compare.yaml``: ring-16,
 p = d = 2, gamma 0.1, adogt at T = 4) it records the microseconds per
 iteration of each method inside ``algorithms.run``, over ITERS iterations
 at tol 0, in two settings: record_every 10, as ``compare`` runs the
-methods, and record_every 1, as ``verify`` runs dogt.  Beside them it
-records a bare numpy dogt loop (the same arithmetic with no library code
-in it), each method's ratio to that loop, and the time of one call of
+methods, and record_every 1, as ``verify`` runs dogt.  Beside each method it
+times that method's bare loop: the same arithmetic in plain numpy, with the
+library's own whole-row field formula, every result written into a
+preallocated array, and no library code in the loop (adogt's loop mixes by
+the dense M_T).  Each method's ratio to its own bare loop, the median
+over repeats of its run's time over that of the bare loop timed next to
+it, is the number to compare across checkouts.  Every
+bare loop's final residual must equal its library run's to 1e-9 relative,
+or no numbers are written.  It also records the time of one call of
 ``gradient_field``, ``W.mix`` and ``metrics.residual`` at the config's
 starting iterate, and of ``stacked_gradient_field``, the field as a step
-calls it.  Each per-iteration and per-call time, and each ratio, is stored
-as its median over rounds with its interquartile range.  Beside the
-one-state residual it records the residual's cost per state on a stack of
-STACK states, one ring-16 batch of ``run()``, which is what the stop rule
-pays.  The record layer gets two per-call times: one ``metric_record`` on
-the stack of STACK consecutive dogt states at the config's gamma, as
-``run()`` fills a batch of rows at record_every 1, and ``verify``'s e and E
-(``verify.field_at_average``) of the as-verify dogt trace, ITERS + 1 rows;
-a checkout whose ``verify`` has no ``field_at_average`` computes e and E
-inside ``metric_record`` and records no second time.  The bare loop's final residual must equal the library dogt's to
-1e-9 relative, or no numbers are written.
+calls it; the residual's cost per state on a stack of STACK states, one
+ring-16 batch of ``run()``, which is what the stop rule pays; one
+``metric_record`` on a stack of STACK consecutive dogt states at the
+config's gamma, as ``run()`` fills a batch of rows at record_every 1 (the
+states are stepped here in plain numpy, so both checkouts record the same
+stack); and ``verify``'s e and E (``verify.field_at_average``) of the
+as-verify dogt trace, ITERS + 1 rows, where ``verify`` has it.  Each
+per-iteration and per-call time, and each ratio, is stored as its median
+over rounds with its interquartile range.
 
 It also runs each method as ``compare`` runs it (COMPARE: tol 1e-10 and
 10000 iterations, record_every 10) and records the wall time of that
@@ -37,12 +41,11 @@ each method's resolved mixing (``ResolvedAlgorithm.mixing``) or later,
 since the measuring code calls ``run()`` that way in both checkouts.  The
 two are timed in fresh processes, one per checkout in each of ROUNDS
 alternating rounds, and the file gets both sets of numbers.  A number is
-the median over rounds of each process's median.  The bare loop's speed
-has differed by up to 1.5x between the two checkouts' processes, so the
-numbers to compare across checkouts are each checkout's ratios to its own
-bare loop, not ratios of times taken in different processes.  BLAS is
-pinned to one thread, as in perfbench.  The file goes to the root of this
-checkout.
+the median over rounds of each process's median.  The core's speed differs
+by up to 1.5x between processes, so times taken in different processes
+are not compared; ratios to a bare loop timed in the same process are.
+BLAS is pinned to one thread, as in perfbench.  The file goes to the root
+of this checkout.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ import sys  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
 from functools import partial  # noqa: E402
-from itertools import islice  # noqa: E402
 from pathlib import Path  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -85,22 +88,70 @@ def call_us(fn) -> float:
     return statistics.median(timer.repeat(REPEATS, number)) / number * 1e6
 
 
-def bare_dogt(problem, W: np.ndarray, gamma: float, z0: np.ndarray, iters: int):
-    """dogt in plain numpy: the floor a library step can approach."""
-    p, a, b, mu = problem.p, problem.centers_a, problem.centers_b, problem.mu
+def bare_loop(kind: str, problem, M: np.ndarray, gamma: float, z0: np.ndarray, iters: int):
+    """``kind``'s arithmetic in plain numpy, mixing by the dense M (W, or
+    adogt's M_T): the floor a library step of ``kind`` can approach.
 
-    def field(z):
-        x, y = z[:, :p], z[:, p:]
-        return np.concatenate([y + mu * (x - a), -(x - mu * (y - b))], axis=1)
+    The field is the library's formula on whole rows,
+    ([y x] - (z - [a b]) [-mu, +mu]) [+1, -1], and every result goes into a
+    preallocated array; the loop calls no library code.  Returns the final z.
+    """
+    n, p, mu = problem.n, problem.p, problem.mu
+    centers = np.hstack([problem.centers_a, problem.centers_b])
+    slopes = np.tile(np.concatenate([-mu * np.ones(p), mu * np.ones(p)]), (n, 1))
+    signs = np.tile(np.concatenate([np.ones(p), -np.ones(p)]), (n, 1))
+    swap = np.arange(n)[:, None] * (2 * p) + np.concatenate([np.arange(p, 2 * p), np.arange(p)])
 
-    z = z0.copy()
-    g = g_prev = field(z)
-    r = g.copy()
+    def field(z, out):
+        np.subtract(z, centers, out)
+        np.multiply(out, slopes, out)
+        np.subtract(z.take(swap), out, out)
+        np.multiply(out, signs, out)
+
+    tracking, optimistic = kind in ("dogt", "adogt"), kind == "dogda"
+    z, d, g, g_prev, r = z0.copy(), *(np.zeros_like(z0) for _ in range(4))
+    field(z, g)
+    g_prev[...] = g
+    if tracking:
+        r[...] = g
     for _ in range(iters):
-        z = W @ (z - gamma * (r + g - g_prev))
-        g_prev, g = g, field(z)
-        r = W @ (r + g - g_prev)
+        if tracking:
+            np.add(r, g, d)
+            np.subtract(d, g_prev, d)
+            np.multiply(gamma, d, d)
+        elif optimistic:
+            np.multiply(2.0, g, d)
+            np.subtract(d, g_prev, d)
+            np.multiply(gamma, d, d)
+        else:
+            np.multiply(gamma, g, d)
+        np.subtract(z, d, d)
+        np.matmul(M, d, z)
+        g, g_prev = g_prev, g
+        field(z, g)
+        if tracking:
+            np.add(r, g, d)
+            np.subtract(d, g_prev, d)
+            np.matmul(M, d, r)
     return z
+
+
+def dogt_stack(problem, W: np.ndarray, gamma: float, z0: np.ndarray, count: int):
+    """``count`` consecutive dogt states from z0, stepped one at a time in
+    plain numpy, as one stack of the arrays ``metric_record`` reads."""
+    z, g = [z0], [problem.gradient_field(z0)]
+    z_prev, g_prev, r = [z0], [g[0]], [g[0]]
+    for _ in range(count - 1):
+        z_new = W @ (z[-1] - gamma * (r[-1] + g[-1] - g_prev[-1]))
+        g_new = problem.gradient_field(z_new)
+        r.append(W @ (r[-1] + g_new - g[-1]))
+        z_prev.append(z[-1])
+        g_prev.append(g[-1])
+        z.append(z_new)
+        g.append(g_new)
+    return SimpleNamespace(z=np.stack(z), z_prev=np.stack(z_prev), grad=np.stack(g),
+                           grad_prev=np.stack(g_prev), tracker=np.stack(r),
+                           iteration=tuple(range(count)))
 
 
 def steps_taken(algorithms, kind: str, job) -> int:
@@ -127,8 +178,7 @@ def record_layer_calls(algorithms, metrics, verify, problem, mixing, gamma, z0) 
     step of ITERS, where its ``verify`` computes them.  ``metric_record``
     is called with the residuals where it takes them, and with the problem
     where it computes them itself (and e and E too)."""
-    stack = algorithms.stack_states(list(islice(
-        algorithms._states("dogt", problem, mixing, gamma, z0), STACK)))
+    stack = dogt_stack(problem, np.array(mixing.W), gamma, z0, STACK)
     rows = metrics.record_table(STACK, problem.p + problem.d)
     L, z_star = problem.smoothness_constant(), problem.saddle_point()
     inputs = (metrics.residual(stack.z, z_star)
@@ -147,24 +197,32 @@ def record_layer_calls(algorithms, metrics, verify, problem, mixing, gamma, z0) 
 def measure(src: Path) -> dict:
     """The numbers of the netsaddle in ``src``, timed in this process."""
     sys.path.insert(0, str(src))
-    from netsaddle import algorithms, cli, metrics, verify
+    from netsaddle import algorithms, cli, graph, metrics, verify
 
     exp = cli.resolve_experiment(cli.load_config(CONFIG))
     algos = {a.name: a for a in exp.algorithms}
     problem, W, z0 = exp.problem, exp.W, exp.z0
-    jobs = {(setting, kind): partial(algorithms.run, kind, problem, algos[kind].mixing,
-                                     algos[kind].gamma, z0, max_iters=ITERS, tol=0.0, **kwargs)
-            for setting, kwargs in SETTINGS.items() for kind in METHODS}
+    z_star = problem.saddle_point()
+    adogt = algos["adogt"].mixing
+    dense = {kind: np.array(W.W) for kind in METHODS}
+    dense["adogt"] = graph.momentum_gossip(W.W.__matmul__, adogt.eta, adogt.rounds,
+                                           np.eye(problem.n))
+    jobs = {}
+    for kind in METHODS:
+        a = algos[kind]
+        for setting, kwargs in SETTINGS.items():
+            jobs[setting, kind] = partial(algorithms.run, kind, problem, a.mixing, a.gamma, z0,
+                                          max_iters=ITERS, tol=0.0, **kwargs)
+        jobs["bare", kind] = partial(bare_loop, kind, problem, dense[kind], a.gamma, z0, ITERS)
+        bare = metrics.residual(jobs["bare", kind](), z_star)
+        library = jobs["record_every_10", kind]().records[-1].residual
+        if abs(bare - library) > 1e-9 * library:
+            raise SystemExit(f"bare {kind} loop residual {bare!r} != library {library!r}")
     jobs.update({("compare", kind): partial(algorithms.run, kind, problem, algos[kind].mixing,
                                             algos[kind].gamma, z0, **COMPARE)
                  for kind in METHODS})
-    jobs["bare"] = partial(bare_dogt, problem, np.array(W.W), algos["dogt"].gamma, z0, ITERS)
-    z_star = problem.saddle_point()
-    bare = metrics.residual(jobs["bare"](), z_star)
-    library = jobs["record_every_10", "dogt"]().records[-1].residual
-    if abs(bare - library) > 1e-9 * library:
-        raise SystemExit(f"bare dogt loop residual {bare!r} != library {library!r}")
-    # Repeats outermost, so a drift in core speed reaches every job alike.
+    # Repeats outermost, so a drift in core speed reaches every job alike;
+    # each method's runs and its bare loop are timed one after another.
     times = {key: [] for key in jobs}
     for _ in range(REPEATS):
         for key, job in jobs.items():
@@ -175,16 +233,20 @@ def measure(src: Path) -> dict:
                       "iterations": jobs["compare", kind]().iterations,
                       "steps_taken": steps_taken(algorithms, kind, jobs["compare", kind])}
                for kind in METHODS}
+    # A ratio is the median over repeats of the run's time over that of the
+    # bare loop timed next to it, which saw about the same speed of the core.
+    ratios = {setting: {kind: statistics.median(
+        run / bare for run, bare in zip(times[setting, kind], times["bare", kind]))
+        for kind in METHODS} for setting in SETTINGS}
     us = {key: statistics.median(t) / ITERS * 1e6 for key, t in times.items()}
-    bare = us.pop("bare")
+    bare = {kind: us.pop(("bare", kind)) for kind in METHODS}
     per_iter = {setting: {kind: us[setting, kind] for kind in METHODS} for setting in SETTINGS}
     stack = np.repeat(z0[None], STACK, axis=0)
     return {
         "us_per_iteration_in_run": per_iter,
         "compare_runs": compare,
-        "bare_dogt_us_per_iteration": bare,
-        "ratio_to_bare_dogt": {setting: {kind: us / bare for kind, us in row.items()}
-                               for setting, row in per_iter.items()},
+        "bare_us_per_iteration": bare,
+        "ratio_to_bare": ratios,
         "us_per_call": {"gradient_field": call_us(lambda: problem.gradient_field(z0)),
                         "stacked_gradient_field": call_us(
                             lambda: algorithms.stacked_gradient_field(problem, z0)),
@@ -199,7 +261,7 @@ def measure(src: Path) -> dict:
 
 # The numbers stored with their interquartile range over rounds; the others
 # (the compare runs, timed as whole runs) as medians.
-WITH_SPREAD = ("us_per_iteration_in_run", "bare_dogt_us_per_iteration", "ratio_to_bare_dogt",
+WITH_SPREAD = ("us_per_iteration_in_run", "bare_us_per_iteration", "ratio_to_bare",
                "us_per_call")
 
 

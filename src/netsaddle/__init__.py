@@ -6,9 +6,8 @@ theory numerically: mixing matrices and spectral gaps, accelerated gossip,
 Lyapunov diagnostics, and inequality checkers.
 """
 
-from .algorithms import (ALGORITHMS, AlgoState, DivergenceError, Trace,
-                         adogt_step, dgda_step, dogda_step, dogt_step,
-                         init_state, run)
+from .algorithms import (ALGORITHMS, DivergenceError, Trace, adogt_step, dgda_step,
+                         dogda_step, dogt_step, run)
 from .graph import (DisconnectedGraphError, MixingMatrix, Topology,
                     accelerated_matrix, acceleration_momentum, build_topology,
                     lazy_max_degree_weights, metropolis_weights, recommended_T,

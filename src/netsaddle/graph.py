@@ -22,7 +22,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, ClassVar
 
@@ -163,6 +163,10 @@ class CSRMix:
     So a row of at most 4 nonzeros, as on rings and paths, gets the
     one-lane sum bit for bit, and any row can differ from W @ m in the last
     bits.
+
+    With ``out``, an n x width float64 array that does not overlap ``m``,
+    the row sums are written into it (on its complex128 view) and ``out``
+    is returned, bit for bit what the call without it returns.
     """
 
     def __init__(self, W: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray] | None = None):
@@ -171,7 +175,7 @@ class CSRMix:
         self.indptr = np.searchsorted(rows, np.arange(W.shape[0] + 1))
         self._expanded = {}   # message width -> weights repeated to it
 
-    def __call__(self, m: np.ndarray) -> np.ndarray:
+    def __call__(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if m.ndim != 2 or m.shape[1] % 2:
             raise ValueError(f"a gathered mix takes an n x (even width) message, got {m.shape}")
         width = m.shape[1]
@@ -185,7 +189,10 @@ class CSRMix:
         # In place: one nnz-row temporary fewer per mix, which took the peak
         # RSS of the benchmark's random1024-dogt runs from 87.4 to 86.8 MB.
         lanes *= w
-        return np.add.reduceat(gathered, self.indptr[:-1], axis=0).view(np.float64)
+        if out is None:
+            return np.add.reduceat(gathered, self.indptr[:-1], axis=0).view(np.float64)
+        np.add.reduceat(gathered, self.indptr[:-1], axis=0, out=out.view(np.complex128))
+        return out
 
 
 def _gathers(n: int, rows: np.ndarray) -> bool:
@@ -366,7 +373,8 @@ class AcceleratedExchange:
     ``rho`` is the gap rho_M of their matrix M_T; a step counts ``rounds`` =
     T exchanges per mix.  ``mix`` is m -> M_T m: T rounds of ``W.mix`` where
     W gathers, so no n x n matrix is built; where W mixes dense, one product
-    by M_T, which the first mix builds and keeps.  They differ in rounding only.
+    by M_T (``matrix``), which the first mix builds and keeps.  They differ
+    in rounding only.
     """
 
     W: MixingMatrix
@@ -380,13 +388,17 @@ class AcceleratedExchange:
                if isinstance(self.W.mix, CSRMix) else self._first_mix)
         object.__setattr__(self, "mix", mix)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """M_T, built on first use from T dense products by W (gathering the
+        n x n identity would build an nnz x n temporary) and kept, read-only."""
+        M = momentum_gossip(self.W.W.__matmul__, self.eta, self.rounds, np.eye(self.W.n))
+        M.setflags(write=False)
+        return M
+
     def _first_mix(self, m: np.ndarray) -> np.ndarray:
-        """Build M_T once (dense: gathering the n x n identity would build an
-        nnz x n temporary), make its product the mix, and apply it."""
-        if self.mix == self._first_mix:
-            M = momentum_gossip(self.W.W.__matmul__, self.eta, self.rounds, np.eye(self.W.n))
-            M.setflags(write=False)
-            object.__setattr__(self, "mix", M.__matmul__)
+        """Make the product by ``matrix`` the mix, and apply it."""
+        object.__setattr__(self, "mix", self.matrix.__matmul__)
         return self.mix(m)
 
 

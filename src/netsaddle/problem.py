@@ -116,14 +116,15 @@ class BilinearQuadratic:
         """
         return self._field(stacked_array(self, z, batched=True))
 
-    def _field(self, z: np.ndarray) -> np.ndarray:
-        """gradient_field of a float64 array of the problem's shape, unchecked."""
-        out = z - self._centers
+    def _field(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """gradient_field of a float64 array of the problem's shape, unchecked;
+        into ``out``, an array of z's shape that does not overlap it, when given."""
+        out = np.subtract(z, self._centers, out)
         out *= self._slopes
         # [y x]: one flat gather over each state's n (p+d) entries.
         swapped = (z.take(self._swap) if z.ndim == 2
                    else z.reshape(z.shape[:-2] + (-1,)).take(self._swap, axis=-1))
-        np.subtract(swapped, out, out=out)
+        np.subtract(swapped, out, out)
         out *= self._signs
         return out
 
@@ -170,7 +171,9 @@ def make_bilinear_quadratic(n: int, p: int, d: int, mu: float, seed: int,
                              zero_sum=zero_sum_centers)
 
 
-def stacked_gradient_field(problem: BilinearQuadratic, z: np.ndarray) -> np.ndarray:
+def stacked_gradient_field(problem: BilinearQuadratic, z: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """``problem.gradient_field`` without its shape check, for the float64
-    n x (p+d) arrays a step makes itself."""
-    return problem._field(z)
+    n x (p+d) arrays a step makes itself; written into ``out`` and returned
+    when it is given, bit for bit the same."""
+    return problem._field(z, out)

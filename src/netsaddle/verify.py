@@ -144,6 +144,9 @@ _STEP_INEQUALITIES = {
     "T1_contraction": ("V", lambda t, e, E, g, L, mu, rho, n: (
         theoretical_contraction(g, mu, rho) * t.V)),
 }
+# The inequalities whose bound reads the field at the average: e in L1 and
+# L3, E in L4.
+_READS_FIELD = ("L1_iterate_gap", "L3_tracking", "L4_optimality_gap")
 
 
 def check_lemma(trace, lemma_id: str, field=None) -> LemmaCheckReport:
@@ -152,8 +155,9 @@ def check_lemma(trace, lemma_id: str, field=None) -> LemmaCheckReport:
     The terms, and the constants the inequality is stated in, are the run's
     own (``Trace.records``, whose iterations must run 0..K with no gap, and
     ``Trace.problem``); T2_rho_M only needs the trace's mixing.  ``field`` is
-    the trace's ``field_at_average``, computed here when it is not given
-    (``run_all_checks`` computes it once for all checks).  A run that
+    the trace's ``field_at_average``; when it is not given, it is computed
+    here for the inequalities that read it (L1, L3 and L4) and not for the
+    others (``run_all_checks`` computes it once for all checks).  A run that
     stopped at iteration 0 has no step to check: its report is
     precondition-violated.
     """
@@ -176,7 +180,9 @@ def check_lemma(trace, lemma_id: str, field=None) -> LemmaCheckReport:
             lemma_id, f"stepsize {gamma:.6g} exceeds this inequality's limit {limit:.6g}")
 
     bounded, bound = _STEP_INEQUALITIES[lemma_id]
-    e, E = field_at_average(trace) if field is None else field
+    if field is None:
+        field = field_at_average(trace) if lemma_id in _READS_FIELD else (None, None)
+    e, E = field
     rhs = bound(records[:-1], e, E, gamma, L, problem.mu, rho, problem.n)
     return LemmaCheckReport.from_sides(lemma_id, records["iteration"][:-1],
                                        records[bounded][1:], rhs)

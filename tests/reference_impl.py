@@ -5,17 +5,22 @@ update rules written block-by-block (x, y, p, q with explicit descent and
 ascent signs) rather than in the library's sign-flipped stacked form.  The
 pinned constants in the test suite were produced with these functions.
 
-The one exception is ``iterate``, the state-by-state oracle for
-``algorithms.run``: the package's own steps, one state at a time, each
-checked as it comes, with none of run's batches, stop rule or fast-forward.
+The one exception is the state-by-state oracle for ``algorithms.run``:
+``AlgoState``, ``init_state``, the four ``*_step`` functions and
+``iterate``, which step one state at a time in the library's stacked form,
+a new array for every result, each state checked as it comes, with none of
+run's slots, batches, stop rule or fast-forward.  run()'s record tables must
+equal what these states give, byte for byte.
 """
 
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from netsaddle import algorithms
-from netsaddle.graph import accelerated_matrix
+from netsaddle.graph import AcceleratedExchange, MixingMatrix, accelerated_matrix
+from netsaddle.problem import stacked_array, stacked_gradient_field
 
 
 def mixing_of(kind, W, T=None):
@@ -23,23 +28,103 @@ def mixing_of(kind, W, T=None):
     return accelerated_matrix(W, T) if kind == "adogt" else W
 
 
+STATE_ARRAYS = ("z", "z_prev", "grad", "grad_prev", "tracker")
+
+
+@dataclass(eq=False, slots=True)
+class AlgoState:
+    """Snapshot of one algorithm at one iteration, compared by identity.
+
+    Arrays are n x (p+d): current and previous iterates, current and
+    previous stacked gradients, and the tracker r = [p, -q] (zero for the
+    methods without tracking).  Successive states share arrays: a step's
+    z_prev and grad_prev are the previous state's z and grad, and a baseline
+    step's tracker is the previous one.  Every array is float64 and
+    read-only, frozen where it is made.  A stack of states (``stack_states``)
+    has the same fields, each with a leading state axis, and a tuple of
+    iterations; the metrics take either.
+    """
+
+    z: np.ndarray
+    z_prev: np.ndarray
+    grad: np.ndarray
+    grad_prev: np.ndarray
+    tracker: np.ndarray
+    iteration: object
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+def init_state(problem, z0):
+    """Start state: both iterate slots hold z0; both gradient slots and the tracker G(z0)."""
+    z = _frozen(stacked_array(problem, z0).copy())
+    g = _frozen(stacked_gradient_field(problem, z))
+    return AlgoState(z=z, z_prev=z, grad=g, grad_prev=g, tracker=g, iteration=0)
+
+
+def _step(state, mixing, direction, tracking, gamma, problem):
+    """z+ = mix(z - gamma direction); tracking methods also r+ = mix(r + G(z+) - G(z))."""
+    if gamma <= 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    mix = mixing.mix
+    z_new = _frozen(mix(state.z - gamma * direction))
+    g_new = _frozen(stacked_gradient_field(problem, z_new))
+    r_new = _frozen(mix(state.tracker + g_new - state.grad)) if tracking else state.tracker
+    return AlgoState(z_new, state.z, g_new, state.grad, r_new, state.iteration + 1)
+
+
+def dgda_step(state, W, gamma, problem):
+    return _step(state, W, state.grad, False, gamma, problem)
+
+
+def dogda_step(state, W, gamma, problem):
+    return _step(state, W, 2.0 * state.grad - state.grad_prev, False, gamma, problem)
+
+
+def dogt_step(state, W, gamma, problem):
+    return _step(state, W, state.tracker + state.grad - state.grad_prev, True, gamma, problem)
+
+
+def adogt_step(state, exchange, gamma, problem):
+    return _step(state, exchange, state.tracker + state.grad - state.grad_prev, True, gamma,
+                 problem)
+
+
+def stack_states(states):
+    """Several states as one: each array gains a leading state axis and
+    iteration becomes a tuple."""
+    return AlgoState(*(np.stack([getattr(s, name) for s in states]) for name in STATE_ARRAYS),
+                     iteration=tuple(s.iteration for s in states))
+
+
 def iterate(kind, problem, mixing, gamma, z0):
     """Yield the states of one method from iteration 0 on, without end.
 
-    The steps are the module's ``*_step`` attributes, looked up on every
-    call (``algorithms._states``), so a step swapped on the module is used.
-    Raises DivergenceError at the first iterate (or tracker) that is not
-    finite, and ValueError, as run() does, when ``mixing`` is not the kind's.
+    The steps are this module's ``*_step`` functions, looked up on every
+    call, so a step swapped on this module is used.  Raises DivergenceError
+    at the first iterate (or tracker) that is not finite, and ValueError, as
+    run() does, for an unknown kind or when ``mixing`` is not the kind's.
     The initial state is not checked: a non-finite z0 raises at iteration 1.
     """
-    states = algorithms._states(kind, problem, mixing, gamma, z0)
+    if kind not in algorithms.ALGORITHMS:
+        raise ValueError(f"unknown algorithm {kind!r}")
+    wanted = AcceleratedExchange if kind == "adogt" else MixingMatrix
+    if not isinstance(mixing, wanted):
+        raise ValueError(f"{kind} mixes with a {wanted.__name__}, "
+                         f"got a {type(mixing).__name__}")
     tracking = kind in algorithms.TRACKING_ALGORITHMS
-    yield next(states)
+    state = init_state(problem, z0)
+    if not tracking:
+        state = replace(state, tracker=_frozen(np.zeros_like(state.tracker)))
+    yield state
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            state = next(states)
-        if algorithms._first_nonfinite(state.z[None],
-                                       state.tracker[None] if tracking else None) is not None:
+            state = globals()[f"{kind}_step"](state, mixing, gamma, problem)
+        if not (np.isfinite(state.z).all()
+                and (not tracking or np.isfinite(state.tracker).all())):
             raise algorithms.DivergenceError(state.iteration)
         yield state
 

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 import reference_impl as ref
-from netsaddle.algorithms import adogt_step, dogt_step, init_state, run
+from netsaddle.algorithms import run
 from netsaddle.graph import (MixingMatrix, accelerated_matrix, acceleration_momentum,
                              build_topology, metropolis_weights, recommended_T)
 from netsaddle.metrics import max_stepsize, step_terms, theoretical_contraction
 from netsaddle.problem import make_bilinear_quadratic
 from netsaddle.verify import check_lemma
-from reference_impl import iterate, mixing_of
+from reference_impl import adogt_step, dogt_step, init_state, iterate, mixing_of
 
 GAMMA = 0.1
 MAX_ITERS = 10_000

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -7,15 +6,15 @@ import pytest
 
 import reference_impl as ref
 from netsaddle import algorithms, metrics
-from netsaddle.algorithms import (DivergenceError, adogt_step, dgda_step, dogda_step,
-                                  dogt_step, init_state, run, stack_states)
+from netsaddle.algorithms import DivergenceError, run
 from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (CSRMix, MixingMatrix, accelerated_matrix,
                              acceleration_momentum, build_topology,
                              metropolis_weights)
 from netsaddle.metrics import residual
 from netsaddle.problem import BilinearQuadratic, make_bilinear_quadratic
-from reference_impl import iterate, mixing_of
+from reference_impl import (AlgoState, adogt_step, dgda_step, dogda_step, dogt_step,
+                            init_state, iterate, mixing_of, stack_states)
 
 # Pinned by the straight-line oracle in reference_impl.py on the shared
 # benchmark setup (problem seed 7, init seed 8, ring-16, gamma 0.1).
@@ -258,9 +257,9 @@ def test_gathered_adogt_exchanges_by_2T_rounds(monkeypatch):
     calls = []
     gather = CSRMix.__call__
 
-    def counted(self, m):
+    def counted(self, m, out=None):
         calls.append(None)
-        return gather(self, m)
+        return gather(self, m, out)
 
     monkeypatch.setattr(CSRMix, "__call__", counted)
     for k in range(1, 4):
@@ -275,9 +274,15 @@ def test_gathered_adogt_exchanges_by_2T_rounds(monkeypatch):
     lambda s, W, g, p: adogt_step(s, accelerated_matrix(W, 3), g, p)])
 @pytest.mark.parametrize("gamma", [0.0, -0.1])
 def test_steps_reject_nonpositive_gamma(step, gamma, ring16_problem, ring16_W, z0_16):
+    # The oracle's step, and run() of the same method, which checks gamma
+    # before its first step.
     state = init_state(ring16_problem, z0_16)
     with pytest.raises(ValueError, match="gamma must be positive"):
         step(state, ring16_W, gamma, ring16_problem)
+    kind = "adogt" if step.__name__ == "<lambda>" else step.__name__.removesuffix("_step")
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        run(kind, ring16_problem, mixing_of(kind, ring16_W, 3), gamma, z0_16, max_iters=5,
+            tol=0.0)
 
 
 def test_adogt_rejects_bad_T(ring16_W):
@@ -438,7 +443,8 @@ def test_divergence_raises_with_iteration(ring16_problem, ring16_W, z0_16):
     # A step is arithmetic only and returns a non-finite state like any
     # other; stepped by hand, the first non-finite state is where run() and
     # iterate() raise.
-    state = replace(init_state(ring16_problem, z0_16), tracker=np.zeros((16, 4)))
+    state = init_state(ring16_problem, z0_16)
+    state = AlgoState(state.z, state.z_prev, state.grad, state.grad_prev, np.zeros((16, 4)), 0)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2000):
             state = dgda_step(state, ring16_W, 10.0, ring16_problem)
@@ -491,25 +497,54 @@ def stepwise_final(kind, problem, mixing, gamma, z0, max_iters, tol):
             return state
 
 
-def poisoned(monkeypatch, name, at, field, value):
-    """Swap the step function ``name`` on the module for one whose state at
-    iteration ``at`` has ``field`` filled with ``value``; the states after
-    it are stepped from there as usual."""
+def on_kernel_step(monkeypatch, name, after):
+    """Swap the step function ``name`` on the module for one that calls
+    ``after(iteration, i, zs, gs, rs)`` once the original has filled slot i
+    with that iteration's state.  Iterations are counted from each run's
+    first step, which fills iteration 1; a run is told by its slot lists."""
     original = getattr(algorithms, name)
+    current = {"zs": None, "iteration": 0}
 
-    def step(state, *args):
-        new = original(state, *args)
-        if new.iteration == at:
-            bad = np.full_like(getattr(new, field), value)
-            bad.setflags(write=False)
-            new = replace(new, **{field: bad})
-        return new
+    def step(i, zs, gs, rs, *args):
+        original(i, zs, gs, rs, *args)
+        if zs is not current["zs"]:
+            current.update(zs=zs, iteration=0)
+        current["iteration"] += 1
+        after(current["iteration"], i, zs, gs, rs)
 
     monkeypatch.setattr(algorithms, name, step)
 
 
+def on_oracle_step(monkeypatch, name, change):
+    """Swap the oracle's step function ``name`` for one whose state after
+    ``state`` is ``change(state, the original's)``."""
+    original = getattr(ref, name)
+    monkeypatch.setattr(ref, name, lambda state, *args: change(state, original(state, *args)))
+
+
+def poisoned(monkeypatch, name, at, field, value):
+    """Swap the step function ``name``, of run() and of the oracle, for one
+    whose state at iteration ``at`` has ``field`` ("z" or "tracker") filled
+    with ``value``: run()'s in the slot the step just filled.  The states
+    after it are stepped from there as usual."""
+    def fill(iteration, i, zs, gs, rs):
+        if iteration == at:
+            (zs if field == "z" else rs)[i].fill(value)
+
+    def replaced(_, state):
+        if state.iteration != at:
+            return state
+        bad = np.full_like(getattr(state, field), value)
+        bad.setflags(write=False)
+        arrays = {a: getattr(state, a) for a in ref.STATE_ARRAYS}
+        return AlgoState(**{**arrays, field: bad}, iteration=state.iteration)
+
+    on_kernel_step(monkeypatch, name, fill)
+    on_oracle_step(monkeypatch, name, replaced)
+
+
 def counted_steps(monkeypatch, name):
-    """Count the calls of the step function ``name`` in the list returned."""
+    """Count the calls of run()'s step function ``name`` in the list returned."""
     calls, original = [], getattr(algorithms, name)
 
     def step(*args):
@@ -597,7 +632,7 @@ def test_steps_taken_past_a_stop_are_bounded(kind, T, max_iters, tol, ring16_pro
                 tol=tol, record_every=10)
     final = stepwise_final(kind, ring16_problem, mixing, GAMMA, z0_16, max_iters, tol)
     assert trace.iterations == final.iteration
-    steps = len(calls) - final.iteration      # iterate() above stepped this many
+    steps = len(calls)
     assert trace.iterations <= steps <= max_iters
     assert steps - trace.iterations < batch_of(z0_16)
     if trace.reason == "max_iters":
@@ -616,7 +651,7 @@ def test_steps_taken_past_a_stop_at_n1024_are_bounded(random1024, monkeypatch):
     assert trace.reason == "tol_reached"
     assert trace.iterations == final.iteration
     assert trace.iterations == 50
-    steps = len(calls) - final.iteration      # stepwise_final stepped this many
+    steps = len(calls)
     assert steps - trace.iterations == 5 < batch_of(z0)
 
 
@@ -637,22 +672,32 @@ def test_one_state_batches_step_no_further_than_the_stop(monkeypatch):
 # stepping on, bit for bit
 
 
-def unforwarded(kind, problem, mixing, z0, max_iters, record_every):
-    """The record table and final state of a run to max_iters, from iterate()
-    and one metric_record call per recorded state: no batch, no fast-forward.
-    Each row's comm_rounds is its iteration times the mixing's rounds."""
+def stepwise_run(kind, problem, mixing, z0, max_iters, tol, record_every):
+    """The record table, reason and final state of run(), from iterate() and
+    one residual and one metric_record call per state: no slot, no batch and
+    no fast-forward.  Each row's comm_rounds is its iteration times the
+    mixing's rounds."""
     z_star = problem.saddle_point()
     L = problem.smoothness_constant()
-    table = metrics.record_table(max_iters + 1, problem.p + problem.d)
-    rows = 0
-    for state in islice(iterate(kind, problem, mixing, GAMMA, z0), max_iters + 1):
-        if state.iteration % record_every == 0 or state.iteration == max_iters:
-            metrics.metric_record(table[rows:rows + 1], stack_states([state]),
-                                  [metrics.residual(state.z, z_star)], GAMMA, L, mixing.rho,
+    rows = []
+    for state in iterate(kind, problem, mixing, GAMMA, z0):
+        res = residual(state.z, z_star)
+        final = res <= tol or state.iteration == max_iters
+        if state.iteration % record_every == 0 or final:
+            row = metrics.record_table(1, problem.p + problem.d)
+            metrics.metric_record(row, stack_states([state]), [res], GAMMA, L, mixing.rho,
                                   z_star)
-            table["comm_rounds"][rows] = state.iteration * mixing.rounds
-            rows += 1
-    return table[:rows], state
+            row["comm_rounds"] = state.iteration * mixing.rounds
+            rows.append(row)
+        if final:
+            return np.concatenate(rows), "tol_reached" if res <= tol else "max_iters", state
+
+
+def unforwarded(kind, problem, mixing, z0, max_iters, record_every):
+    """The record table and final state of a run to max_iters, stepped one
+    state at a time (``stepwise_run`` with no tol stop)."""
+    table, _, state = stepwise_run(kind, problem, mixing, z0, max_iters, -np.inf, record_every)
+    return table, state
 
 
 @pytest.mark.parametrize("kind,T,max_iters,tol,record_every,every_step,fixed_point", [
@@ -723,16 +768,10 @@ def test_a_state_differing_in_the_sign_of_a_zero_is_not_a_fixed_point(monkeypatc
     # the same residual but differ in that bit, and run() steps on.
     calm = run("dgda", *resting_at_zero(_FarSaddle), max_iters=300, tol=0.0)
     assert calm.fixed_point == 1
-    original = algorithms.dgda_step
+    def flip(iteration, i, zs, gs, rs):
+        zs[i][0, 0] = -0.0 if iteration % 2 else 0.0
 
-    def flipping(state, *args):
-        new = original(state, *args)
-        z = new.z.copy()
-        z[0, 0] = -0.0 if new.iteration % 2 else 0.0
-        z.setflags(write=False)
-        return replace(new, z=z)
-
-    monkeypatch.setattr(algorithms, "dgda_step", flipping)
+    on_kernel_step(monkeypatch, "dgda_step", flip)
     calls = counted_steps(monkeypatch, "dgda_step")
     trace = run("dgda", *resting_at_zero(_FarSaddle), max_iters=300, tol=0.0)
     assert trace.fixed_point is None and len(calls) == 300
@@ -755,6 +794,100 @@ def test_fast_forward_inside_the_first_batch(batch_bytes, monkeypatch):
         table, final = unforwarded("dgda", prob, W, z0, 300, record_every)
         assert traced.iterations == final.iteration
         assert traced.records.tobytes() == table.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# run()'s slots at the edges of its batches: the record table, reason, last
+# iteration and fixed point of the state-by-state oracle, byte for byte
+
+
+ONE_STATE = 1       # a _BATCH_BYTES below one state's arrays: batches of one state
+
+
+def frozen_from(monkeypatch, kind, at):
+    """Swap ``kind``'s step, of run() and of the oracle, for one that from
+    iteration ``at`` on repeats the state before it (its z, grad and
+    tracker), so state at + 1 is the first to equal the one before it."""
+    def repeat(iteration, i, zs, gs, rs):
+        if iteration >= at:
+            for slots in (zs, gs, rs):
+                slots[i][...] = slots[i - 1]
+
+    def repeated(before, state):
+        if state.iteration < at:
+            return state
+        return ref.AlgoState(before.z, before.z, before.grad, before.grad, before.tracker,
+                             state.iteration)
+
+    on_kernel_step(monkeypatch, f"{kind}_step", repeat)
+    on_oracle_step(monkeypatch, f"{kind}_step", repeated)
+
+
+def assert_stepwise(trace, kind, problem, z0, max_iters, tol, record_every):
+    table, reason, final = stepwise_run(kind, problem, trace.mixing, z0, max_iters, tol,
+                                        record_every)
+    assert (trace.reason, trace.iterations) == (reason, final.iteration)
+    assert trace.records.tobytes() == table.tobytes()     # -0.0 and +0.0 apart
+
+
+@pytest.mark.parametrize("batch_bytes", [algorithms._BATCH_BYTES, ONE_STATE],
+                         ids=["K51", "K1"])
+@pytest.mark.parametrize("record_every", [1, 3, 10])
+@pytest.mark.parametrize("kind", algorithms.ALGORITHMS)
+def test_run_is_the_oracle_at_max_iters_around_a_batch(kind, record_every, batch_bytes,
+                                                       ring16_problem, ring16_W, z0_16,
+                                                       monkeypatch):
+    # max_iters one state before the end of the first batch, at it, one
+    # after it, and inside the third batch.
+    monkeypatch.setattr(algorithms, "_BATCH_BYTES", batch_bytes)
+    K = batch_of(z0_16)
+    assert K == (1 if batch_bytes == ONE_STATE else 51)
+    mixing = mixing_of(kind, ring16_W, 4)
+    for max_iters in sorted({K - 1, K, K + 1, 2 * K + 5} - {0}):
+        trace = run(kind, ring16_problem, mixing, GAMMA, z0_16, max_iters=max_iters, tol=0.0,
+                    record_every=record_every)
+        assert_stepwise(trace, kind, ring16_problem, z0_16, max_iters, 0.0, record_every)
+        assert trace.fixed_point is None
+
+
+@pytest.mark.parametrize("batch_bytes", [algorithms._BATCH_BYTES, ONE_STATE],
+                         ids=["K51", "K1"])
+@pytest.mark.parametrize("stop_at", [20, 130])      # in the first batch of 51, in the third
+@pytest.mark.parametrize("kind", algorithms.ALGORITHMS)
+def test_run_stops_at_tol_as_the_oracle_does(kind, stop_at, batch_bytes, ring16_problem,
+                                             ring16_W, z0_16, monkeypatch):
+    monkeypatch.setattr(algorithms, "_BATCH_BYTES", batch_bytes)
+    mixing = mixing_of(kind, ring16_W, 4)
+    states = list(islice(iterate(kind, ring16_problem, mixing, GAMMA, z0_16), stop_at + 1))
+    tol = residual(states[stop_at].z, ring16_problem.saddle_point())
+    for record_every in (1, 10):
+        trace = run(kind, ring16_problem, mixing, GAMMA, z0_16, max_iters=1000, tol=tol,
+                    record_every=record_every)
+        assert trace.reason == "tol_reached"
+        assert (trace.iterations < 51) == (stop_at < 51)
+        assert_stepwise(trace, kind, ring16_problem, z0_16, 1000, tol, record_every)
+
+
+@pytest.mark.parametrize("batch_bytes", [algorithms._BATCH_BYTES, ONE_STATE],
+                         ids=["K51", "K1"])
+@pytest.mark.parametrize("kind", algorithms.ALGORITHMS)
+def test_a_fixed_point_that_starts_just_after_a_roll(kind, batch_bytes, ring16_problem,
+                                                      ring16_W, z0_16, monkeypatch):
+    # The first state equal to the one before it is the first of a batch,
+    # in slot 2: telling it from its predecessor reads the slots 0 and 1 the
+    # roll filled.  With 51-state batches, state 50 repeats 49, so state 51,
+    # the second batch's first, is the fixed point; with one-state batches,
+    # state 6.
+    monkeypatch.setattr(algorithms, "_BATCH_BYTES", batch_bytes)
+    K = batch_of(z0_16)
+    first_equal = K if K > 1 else 6
+    frozen_from(monkeypatch, kind, first_equal - 1)
+    calls = counted_steps(monkeypatch, f"{kind}_step")
+    trace = run(kind, ring16_problem, mixing_of(kind, ring16_W, 4), GAMMA, z0_16,
+                max_iters=3 * K + 40, tol=0.0, record_every=7)
+    assert trace.fixed_point == first_equal
+    assert len(calls) == (2 * K - 1 if K > 1 else first_equal)   # stepped no further
+    assert_stepwise(trace, kind, ring16_problem, z0_16, 3 * K + 40, 0.0, 7)
 
 
 RING16_DOGT = Path(__file__).resolve().parents[1] / "configs" / "ring16_dogt.yaml"

@@ -10,6 +10,7 @@ running it.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -19,7 +20,8 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 from netsaddle import cli  # noqa: E402
 from netsaddle.algorithms import run  # noqa: E402
-from netsaddle.graph import build_topology, metropolis_weights  # noqa: E402
+from netsaddle.graph import CSRMix, build_topology, metropolis_weights  # noqa: E402
+from netsaddle.problem import make_bilinear_quadratic  # noqa: E402
 from netsaddle.verify import LEMMA_IDS  # noqa: E402
 
 
@@ -34,7 +36,34 @@ def test_traced_adogt_run_records_steps_and_accelerated_matrix(ring16_problem, r
     names = [span[0] for span in tracer.spans]
     assert names.count("algorithms.step") == trace.iterations == 5
     assert names.count("graph.accelerated_matrix") == 1
-    assert names.count("problem.gradient_field") == 6    # init_state + one per step
+    assert names.count("problem.gradient_field") == 6    # the start's + one per step
+
+
+@pytest.mark.parametrize("graph", ["ring16", "gathered"])
+@pytest.mark.parametrize("kind", ["dgda", "dogda", "dogt", "adogt"])
+def test_traced_run_records_a_step_and_a_field_per_iteration(kind, graph, ring16_problem,
+                                                             ring16_W, z0_16):
+    # perfbench reads its step-time percentiles off the algorithms.step spans
+    # (and fails on none) and counts problem.gradient_field calls: every
+    # method must call its *_step and stacked_gradient_field through the
+    # module, once per iteration, plus the start's field, whether W mixes
+    # dense (ring-16) or gathers (a random n = 512 graph), over several batches.
+    if graph == "ring16":
+        problem, W, z0, max_iters = ring16_problem, ring16_W, z0_16, 120
+    else:
+        problem = make_bilinear_quadratic(512, 2, 2, 0.1, seed=7)
+        W = metropolis_weights(build_topology("random", 512, seed=1000, edge_probability=0.02))
+        z0, max_iters = np.random.default_rng(8).standard_normal((512, 4)), 40
+        assert isinstance(W.mix, CSRMix)
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        mixing = cli.accelerated_matrix(W, 3) if kind == "adogt" else W
+        trace = run(kind, problem, mixing, 0.05, z0, max_iters=max_iters, tol=0.0,
+                    record_every=7)
+    names = [span[0] for span in tracer.spans]
+    assert trace.iterations == max_iters
+    assert names.count("algorithms.step") == max_iters
+    assert names.count("problem.gradient_field") == max_iters + 1
 
 
 def test_traced_weights_record_one_spectral_gap():

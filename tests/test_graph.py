@@ -253,6 +253,23 @@ def test_csr_mix_equals_one_lane_sum_where_rows_are_short(kind, n):
     assert csr(m[:, :2]).tobytes() == ref.one_lane_gather(W, m[:, :2]).tobytes()
 
 
+@pytest.mark.parametrize("n", [16, 300, 1024])
+@pytest.mark.parametrize("kind", ["ring", "random"])
+def test_csr_mix_into_out_is_the_mix_bit_for_bit(kind, n):
+    # With out, the row sums are written into it and it is returned: the
+    # bytes of the call without it, signed zeros included.
+    W = metropolis_weights(build_topology(kind, n, seed=1000,
+                                          edge_probability=_EDGE_PROBABILITY[n])).W
+    csr = CSRMix(W)
+    rng = np.random.default_rng(n)
+    for width in (2, 4):
+        m = rng.standard_normal((n, width)) * np.logspace(-8, 8, width)
+        m[0] = -0.0
+        out = np.full((n, width), np.nan)
+        assert csr(m, out) is out
+        assert out.tobytes() == csr(m).tobytes()
+
+
 def test_cost_rule_picks_the_mixing_path():
     for path in sorted(CONFIGS.glob("ring16_*.yaml")):
         W = resolve_experiment(load_config(path)).W

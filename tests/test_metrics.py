@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from netsaddle import algorithms
-from netsaddle.algorithms import init_state, run, stack_states
+from netsaddle.algorithms import run
 from netsaddle.graph import CSRMix, build_topology, metropolis_weights
 from netsaddle.metrics import (consensus_error, deviation_sq,
                                field_at_average_sq, fit_linear_rate,
@@ -17,7 +17,7 @@ from netsaddle.metrics import (consensus_error, deviation_sq,
                                record_table, residual, row_mean, step_terms,
                                theoretical_contraction)
 from netsaddle.problem import BilinearQuadratic, make_bilinear_quadratic
-from reference_impl import iterate, mixing_of
+from reference_impl import init_state, iterate, mixing_of, stack_states
 
 GAMMA = 0.1
 

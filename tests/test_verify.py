@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference_impl as ref
-from netsaddle.algorithms import Trace, run, stack_states
+from netsaddle.algorithms import Trace, run
 from netsaddle.graph import (accelerated_matrix, build_topology,
                              metropolis_weights, recommended_T)
 from netsaddle import metrics, verify
@@ -14,7 +14,7 @@ from netsaddle.metrics import (max_stepsize, metric_record, record_table, residu
 from netsaddle.problem import BilinearQuadratic
 from netsaddle.verify import (LEMMA_IDS, LemmaCheckReport, check_lemma, check_rho_M,
                               margins_csv_rows, run_all_checks, summary_text)
-from reference_impl import iterate
+from reference_impl import iterate, stack_states
 
 GAMMA_EXPERIMENT = 0.1
 
@@ -235,6 +235,23 @@ def test_run_all_checks_computes_e_and_E_once(compliant_trace, monkeypatch):
     monkeypatch.setattr(verify, "field_at_average", lambda trace: calls.append(1) or field(trace))
     run_all_checks(compliant_trace)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lemma_id,computes", [
+    ("L1_iterate_gap", 1), ("L2_consensus", 0), ("L3_tracking", 1),
+    ("L4_optimality_gap", 1), ("T1_contraction", 0), ("T2_rho_M", 0)])
+def test_a_check_alone_computes_e_and_E_only_where_it_reads_them(lemma_id, computes,
+                                                                  compliant_trace,
+                                                                  monkeypatch):
+    # L1 and L3 read e and L4 reads E; the others read neither, and give the
+    # report they give with the field passed in.
+    calls = []
+    field = verify.field_at_average
+    monkeypatch.setattr(verify, "field_at_average", lambda trace: calls.append(1) or field(trace))
+    alone = check_lemma(compliant_trace, lemma_id)
+    assert len(calls) == computes
+    given = check_lemma(compliant_trace, lemma_id, field(compliant_trace))
+    assert report_key(alone) == report_key(given)
 
 
 def test_checks_are_rerunnable(compliant_trace):
