@@ -10,8 +10,7 @@ from .algorithms import (ALGORITHMS, DivergenceError, Trace, adogt_step, dgda_st
                          dogda_step, dogt_step, run)
 from .graph import (DisconnectedGraphError, MixingMatrix, Topology,
                     accelerated_matrix, acceleration_momentum, build_topology,
-                    lazy_max_degree_weights, metropolis_weights, recommended_T,
-                    spectral_gap)
+                    lazy_max_degree_weights, metropolis_weights, spectral_gap)
 from .metrics import (RateReport, consensus_error, fit_linear_rate,
                       iteration_complexity, lyapunov_coefficients, max_stepsize,
                       metric_record, optimality_gap_xi, residual,

@@ -9,10 +9,10 @@ differ only in the direction d and the mix:
   dgda    G(z)                        W m                          no
   dogda   2 G(z) - G(z_prev)          W m                          no
   dogt    r + G(z) - G(z_prev)        W m                          yes
-  adogt   r + G(z) - G(z_prev)        M_T m, T exchanges:          yes
-                                      one product by M_T where W
-                                      mixes dense, T rounds of
-                                      momentum gossip where W gathers
+  adogt   r + G(z) - G(z_prev)        M_T m, T exchanges           yes
+
+adogt is dogt over adogt's exchange: ``adogt_step`` is ``dogt_step``, and
+the two differ only in what ``run`` is given to mix with.
 
 G is the sign-flipped stacked gradient field, so primal descent and dual
 ascent are the same subtraction.  Gradients are evaluated at the mixed
@@ -23,11 +23,9 @@ methods without tracking keep r at zero.
 
 A run is given what it mixes with, built once by its caller, and reads the
 rounds each mix counts from the same object: for dgda, dogda and dogt a
-``MixingMatrix`` (W m, the dense product or a gather over the nonzeros of W
-on sparse graphs, one round); for adogt the ``graph.accelerated_matrix``
-exchange (M_T m: one product by M_T, built on its first use, where W mixes
-dense, below a few hundred nodes; where W gathers, T rounds, and no n x n
-matrix enters a step).  Any other pairing is rejected.
+``MixingMatrix`` (W m, one round); for adogt the ``graph.accelerated_matrix``
+exchange (M_T m, T rounds).  Any other pairing is rejected.  Each step
+mixes with the object's own ``mix(m, out)`` (see ``graph``).
 
 ``run`` keeps its states in three stacks allocated once per run, Z, G and R
 (iterates, gradients, trackers), of K + 2 slots each, the state axis
@@ -43,28 +41,28 @@ z0 and G(z0) as its z_prev and grad_prev.
 A step, ``<kind>_step(i, zs, gs, rs, d, mix, gamma, problem)``, fills slot i
 from slots i - 1 and i - 2.  zs, gs and rs are lists of the stacks' slots,
 made once per run (indexing a list is cheaper than indexing an ndarray), d
-is a work n x (p+d) array, and ``mix(m, out)`` writes the mix of m into
-``out``.  Every product goes straight into its slot (``out=``).  A step is
-arithmetic only: it neither checks its result nor sets NumPy's error state,
-so a step from a non-finite state is an ordinary step.  The tests of a state
-(the stop rule and the divergence check) are made on a whole batch's slots
-at once, the rows ``run`` records are filled from those slots into its one
-record table (``metrics.record_table``), and ``run`` stops stepping at a
-fixed point of the step.
+is a work n x (p+d) array, and ``mix(m, out)``, the run's ``mixing.mix``,
+writes the mix of m into ``out``.  Every product goes straight into its
+slot (``out=``).  A step is arithmetic only: it neither checks its result
+nor sets NumPy's error state, so a step from a non-finite state is an
+ordinary step.  The tests of a state (the stop rule and the divergence
+check) are made on a whole batch's slots at once, the rows ``run`` records
+are filled from those slots into its one record table
+(``metrics.record_table``), and ``run`` stops stepping at a fixed point of
+the step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import metrics
 # Unused here; the benchmark's tracer wraps accelerated_matrix by name in this module.
-from .graph import AcceleratedExchange, CSRMix, MixingMatrix, accelerated_matrix  # noqa: F401
+from .graph import AcceleratedExchange, MixingMatrix, accelerated_matrix  # noqa: F401
 from .problem import BilinearQuadratic, stacked_array, stacked_gradient_field
 
 ALGORITHMS = ("dgda", "dogda", "dogt", "adogt")
@@ -129,19 +127,6 @@ class Trace:
         return int(self.records["comm_rounds"][-1])
 
 
-def _mix_into(mixing: MixingMatrix | AcceleratedExchange):
-    """``mixing.mix`` as m, out -> out = mix(m), for a run: the gather itself
-    where W gathers, a product into ``out`` by W, or by adogt's M_T, where W
-    mixes dense, and adogt's T gathered rounds copied into ``out``."""
-    if isinstance(mixing.mix, CSRMix):
-        return mixing.mix
-    if isinstance(mixing, MixingMatrix):
-        return partial(np.matmul, mixing.W)
-    if isinstance(mixing.W.mix, CSRMix):
-        return lambda m, out: np.copyto(out, mixing.mix(m))
-    return partial(np.matmul, mixing.matrix)
-
-
 def _step(i, zs, gs, rs, d, mix, problem, tracking: bool) -> None:
     """Fill slot i, given gamma times the direction in d, which it overwrites:
     z_i = mix(z_{i-1} - d), g_i = G(z_i) and, for a tracking method,
@@ -171,11 +156,11 @@ def dogda_step(i, zs, gs, rs, d, mix, gamma: float, problem: BilinearQuadratic) 
 
 
 def dogt_step(i, zs, gs, rs, d, mix, gamma: float, problem: BilinearQuadratic) -> None:
-    """One optimistic gradient-tracking update.
+    """One optimistic gradient-tracking update, dogt's over W and adogt's over M_T.
 
     The tracker replaces the raw local gradient in the z update, then
-    absorbs the new-minus-old gradient difference; mixing both through the
-    doubly stochastic W preserves mean(r) = mean(G) exactly.
+    absorbs the new-minus-old gradient difference; mixing both through a
+    doubly stochastic W or M_T preserves mean(r) = mean(G) exactly.
     """
     np.add(rs[i - 1], gs[i - 1], d)
     np.subtract(d, gs[i - 2], d)
@@ -183,18 +168,9 @@ def dogt_step(i, zs, gs, rs, d, mix, gamma: float, problem: BilinearQuadratic) -
     _step(i, zs, gs, rs, d, mix, problem, True)
 
 
-def adogt_step(i, zs, gs, rs, d, mix, gamma: float, problem: BilinearQuadratic) -> None:
-    """dogt_step whose every exchange is adogt's, accelerated_matrix(W, T).
-
-    It mixes with M_T and counts T communication rounds per iteration.
-    Where W mixes dense, the exchange is one product by M_T; where W
-    gathers, it is the T rounds of W.mix, which agree with the product up
-    to rounding.
-    """
-    np.add(rs[i - 1], gs[i - 1], d)
-    np.subtract(d, gs[i - 2], d)
-    np.multiply(gamma, d, d)
-    _step(i, zs, gs, rs, d, mix, problem, True)
+# adogt is dogt whose every exchange is accelerated_matrix(W, T); the name
+# stays, since run() looks it up and the benchmark's tracer wraps it.
+adogt_step = dogt_step
 
 
 def _first_nonfinite(z: np.ndarray, tracker: np.ndarray | None = None) -> int | None:
@@ -321,7 +297,7 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
     tracking = kind in TRACKING_ALGORITHMS
     step = {"dgda": dgda_step, "dogda": dogda_step, "dogt": dogt_step,
             "adogt": adogt_step}[kind]
-    mix = _mix_into(mixing)
+    mix = mixing.mix
     n, width = problem.n, problem.p + problem.d
     # z* on every row, so the residual's subtraction is one contiguous loop.
     z_star_rows = np.tile(z_star, (n, 1))

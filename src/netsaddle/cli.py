@@ -21,7 +21,7 @@ import yaml
 from . import verify as verify_mod
 from .algorithms import ALGORITHMS, DivergenceError, Trace, run
 from .graph import (WEIGHT_BUILDERS, AcceleratedExchange, MixingMatrix, Topology,
-                    accelerated_matrix, build_topology, recommended_T)
+                    accelerated_matrix, build_topology)
 from .metrics import csv_chunks, fit_linear_rate, max_stepsize, theoretical_contraction
 from .problem import BilinearQuadratic, make_bilinear_quadratic
 
@@ -164,10 +164,14 @@ def _parse_problem(raw) -> ProblemConfig:
     if raw["type"] != "bilinear_quadratic":
         raise ConfigError(f"unknown problem type {raw['type']!r}")
     mu = _as_float(raw["mu"], "problem.mu", positive=True)
+    p = _as_int(raw["p"], "problem.p", minimum=1)
+    d = _as_int(raw["d"], "problem.d", minimum=1)
+    if p != d:
+        raise ConfigError(f"the coupling x.y needs problem.p ({p}) to equal problem.d ({d})")
     return ProblemConfig(type=raw["type"],
                          n=_as_int(raw["n"], "problem.n", minimum=1),
-                         p=_as_int(raw["p"], "problem.p", minimum=1),
-                         d=_as_int(raw["d"], "problem.d", minimum=1),
+                         p=p,
+                         d=d,
                          mu=mu,
                          seed=_as_int(raw["seed"], "problem.seed", minimum=0),
                          zero_sum_centers=_as_bool(raw.get("zero_sum_centers", True),
@@ -316,8 +320,15 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
     """Build problem/graph objects, resolve every "auto" placeholder, and
     build each algorithm's mixing once: W, or adogt's exchange over W."""
     pc = config.problem
-    problem = make_bilinear_quadratic(pc.n, pc.p, pc.d, pc.mu, pc.seed,
-                                      zero_sum_centers=pc.zero_sum_centers)
+    try:
+        problem = make_bilinear_quadratic(pc.n, pc.p, pc.d, pc.mu, pc.seed,
+                                          zero_sum_centers=pc.zero_sum_centers)
+        L = problem.smoothness_constant()
+    except OverflowError as exc:
+        raise ConfigError(f"problem.mu {pc.mu!r} is too large: the smoothness constant "
+                          "sqrt(1 + mu^2) overflows") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     gc = config.graph
     try:
         topology = build_topology(gc.topology, gc.n, seed=gc.seed,
@@ -325,7 +336,6 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     W = WEIGHT_BUILDERS[gc.weight_scheme](topology)
-    L = problem.smoothness_constant()
 
     resolved = []
     labels = {}
@@ -333,7 +343,7 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
         T_source, mixing = None, W
         if algo.name == "adogt":
             T_source = "auto" if algo.T == "auto" else "config"
-            mixing = accelerated_matrix(W, recommended_T(W) if algo.T == "auto" else algo.T)
+            mixing = accelerated_matrix(W, None if algo.T == "auto" else algo.T)
         gamma_source = "auto" if algo.gamma == "auto" else "config"
         if algo.gamma == "auto":
             if mixing.rho >= 1.0:

@@ -8,12 +8,15 @@ off the consensus direction, J = averaging matrix) is the largest squared
 one: smaller rho means faster mixing.  ``accelerated_matrix`` defines
 adogt's exchange: T momentum-boosted gossip rounds, whose effective matrix
 M_T has a much smaller gap rho_M.  It reads rho_M off the same eigenvalues
-in O(nT) and mixes as one product by M_T or as the T rounds;
-``recommended_T`` finds the round count of ``T: auto`` on them too.
+in O(nT), and for ``T: auto`` finds the round count in the same pass.
 
-One round of mixing, m -> W m, costs O(n^2) as a dense product and
-O(nnz) as a gather over the nonzeros of W; ``MixingMatrix.mix`` is
-whichever of the two a measured cost rule picks for that W.
+Both exchanges, a ``MixingMatrix`` and an ``AcceleratedExchange``, mix
+through one contract, ``mix(m, out=None)``: m -> W m (or M_T m), written
+into ``out`` and returned when it is given, with the same bits either way.
+Each picks its path once, when it is built.  One round of mixing costs
+O(n^2) as a dense product and O(nnz) as a gather over the nonzeros of W; a
+measured cost rule picks one of the two for each W, and adogt's exchange
+follows W's choice.
 """
 
 from __future__ import annotations
@@ -221,16 +224,16 @@ class MixingMatrix:
     rejected too.  ``spectrum`` keeps the eigenvalues of W but its top one,
     ascending; on a connected graph the top one is the consensus eigenvalue
     1, and it is simple.  ``rho`` is ``spectral_gap`` of them, so it cannot
-    disagree with W.  ``mix`` is one round of mixing, m -> W m: a CSRMix
-    where ``_gathers`` finds the gather cheaper, and the dense W @ m
-    otherwise.  A step counts ``rounds`` exchanges per mix, as it does for
-    an ``AcceleratedExchange``.
+    disagree with W.  ``mix(m, out=None)`` is one round of mixing, m -> W m:
+    a CSRMix where ``_gathers`` finds the gather cheaper, and the dense
+    product ``np.matmul(W, m, out)`` otherwise.  A step counts ``rounds``
+    exchanges per mix, as it does for an ``AcceleratedExchange``.
     """
 
     W: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False)
     rho: float = field(init=False)
-    mix: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    mix: Callable[..., np.ndarray] = field(init=False, repr=False)
     rounds: ClassVar[int] = 1
 
     def __post_init__(self):
@@ -262,7 +265,7 @@ class MixingMatrix:
             raise ValueError(f"spectral gap rho={self.rho} >= 1; matrix does not contract "
                              "off the consensus direction (disconnected graph?)")
         object.__setattr__(self, "mix", CSRMix(W, nonzeros)
-                           if _gathers(W.shape[0], rows) else W.__matmul__)
+                           if _gathers(W.shape[0], rows) else partial(np.matmul, W))
 
     @property
     def n(self) -> int:
@@ -329,27 +332,6 @@ def acceleration_momentum(rho: float) -> float:
     return (1.0 - s) / (1.0 + s)
 
 
-def recommended_T(W: MixingMatrix) -> int:
-    """The gossip rounds of ``T: auto``: the smallest T that is at least
-    ceil(ln 2 / sqrt(1 - sqrt(rho_W))) and gives rho_M <= 1/2.
-
-    So one accelerated exchange mixes at least as well as a constant-gap
-    network however poorly connected the graph is, as the guarantee of
-    adogt's exchange assumes.  The formula alone does not ensure it: on
-    Metropolis rings from n = 68 it leaves rho_M at 0.53 to 0.55.  One pass
-    of the momentum recursion over ``W.spectrum`` evaluates rho_M at each T
-    in turn, with the arithmetic of ``accelerated_matrix``, in O(nT) in
-    all.  The pass ends: at eta < 1 every |p_T(lam)| with |lam| < 1 tends
-    to 0.
-    """
-    eta = acceleration_momentum(W.rho)
-    floor = math.ceil(math.log(2.0) / math.sqrt(1.0 - math.sqrt(W.rho)))
-    rounds = _momentum_rounds(W.spectrum.__mul__, eta, np.ones_like(W.spectrum))
-    for T, p in enumerate(rounds, start=1):
-        if T >= floor and np.max(p * p, initial=0.0) <= 0.5:
-            return T
-
-
 def _momentum_rounds(mix, eta: float, message: np.ndarray) -> Iterator[np.ndarray]:
     """The message after 1, 2, ... rounds of momentum gossip, without end.
 
@@ -371,22 +353,21 @@ class AcceleratedExchange:
     """adogt's exchange: T rounds of momentum gossip over W at momentum eta.
 
     ``rho`` is the gap rho_M of their matrix M_T; a step counts ``rounds`` =
-    T exchanges per mix.  ``mix`` is m -> M_T m: T rounds of ``W.mix`` where
-    W gathers, so no n x n matrix is built; where W mixes dense, one product
-    by M_T (``matrix``), which the first mix builds and keeps.  They differ
-    in rounding only.
+    T exchanges per mix.  ``mix(m, out=None)`` is m -> M_T m: where W
+    gathers, T rounds of ``W.mix``, copied into ``out``, so no n x n matrix
+    is built; where W mixes dense, one product by M_T (``matrix``), which
+    the first mix builds and keeps.  They differ in rounding only.
     """
 
     W: MixingMatrix
     rounds: int
     eta: float
     rho: float
-    mix: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    mix: Callable[..., np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        mix = (partial(momentum_gossip, self.W.mix, self.eta, self.rounds)
-               if isinstance(self.W.mix, CSRMix) else self._first_mix)
-        object.__setattr__(self, "mix", mix)
+        object.__setattr__(self, "mix", self._gossip if isinstance(self.W.mix, CSRMix)
+                           else self._product)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -396,13 +377,18 @@ class AcceleratedExchange:
         M.setflags(write=False)
         return M
 
-    def _first_mix(self, m: np.ndarray) -> np.ndarray:
-        """Make the product by ``matrix`` the mix, and apply it."""
-        object.__setattr__(self, "mix", self.matrix.__matmul__)
-        return self.mix(m)
+    def _product(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(self.matrix, m, out)
+
+    def _gossip(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        mixed = momentum_gossip(self.W.mix, self.eta, self.rounds, m)
+        if out is None:
+            return mixed
+        np.copyto(out, mixed)
+        return out
 
 
-def accelerated_matrix(W: MixingMatrix, T: int) -> AcceleratedExchange:
+def accelerated_matrix(W: MixingMatrix, T: int | None = None) -> AcceleratedExchange:
     """adogt's exchange of T momentum-gossip rounds over W: the one place it is defined.
 
     M_T = p_T(W) for the recursion p_{t+1}(lam) = (1+eta) lam p_t(lam) -
@@ -411,9 +397,22 @@ def accelerated_matrix(W: MixingMatrix, T: int) -> AcceleratedExchange:
     and with no M_T (Liu & Morse 2011; Scaman et al., ICML 2017).  M_T keeps
     row and column sums 1, as p_T(1) = 1; momentum can push rho_M past 1 at
     off-design T.
+
+    T None is ``T: auto``: the smallest T that is at least
+    ceil(ln 2 / sqrt(1 - sqrt(rho_W))) and gives rho_M <= 1/2, so one
+    exchange mixes at least as well as a constant-gap network however
+    poorly connected the graph is, as the guarantee of adogt's exchange
+    assumes.  The formula alone does not ensure it: on Metropolis rings from
+    n = 68 it leaves rho_M at 0.53 to 0.55.  The one pass of the recursion
+    evaluates rho_M at each T in turn, and ends: at eta < 1 every
+    |p_T(lam)| with |lam| < 1 tends to 0.
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
+    if T is not None and (not isinstance(T, (int, np.integer)) or T < 1):
         raise ValueError(f"T must be a positive integer, got {T!r}")
     eta = acceleration_momentum(W.rho)
-    p = momentum_gossip(W.spectrum.__mul__, eta, T, np.ones_like(W.spectrum))
-    return AcceleratedExchange(W, T, eta, float(np.max(p * p, initial=0.0)))
+    first = T or math.ceil(math.log(2.0) / math.sqrt(1.0 - math.sqrt(W.rho)))
+    rounds = _momentum_rounds(W.spectrum.__mul__, eta, np.ones_like(W.spectrum))
+    for t, p in enumerate(islice(rounds, first - 1, None), start=first):
+        rho_M = float(np.max(p * p, initial=0.0))
+        if T or rho_M <= 0.5:
+            return AcceleratedExchange(W, t, eta, rho_M)

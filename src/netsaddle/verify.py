@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .graph import MixingMatrix, accelerated_matrix, recommended_T
+from .graph import MixingMatrix, accelerated_matrix
 from .metrics import max_stepsize, theoretical_contraction
 
 LEMMA_IDS = ("L1_iterate_gap", "L2_consensus", "L3_tracking",
@@ -189,24 +189,24 @@ def check_lemma(trace, lemma_id: str, field=None) -> LemmaCheckReport:
 
 
 def check_rho_M(W: MixingMatrix, T: int | None = None) -> LemmaCheckReport:
-    """Check the accelerated matrix's spectral gap at T rounds (default:
-    recommended_T(W), the T of ``T: auto``).
+    """Check the accelerated matrix's spectral gap at T rounds (default: the
+    T of ``T: auto``, ``accelerated_matrix(W).rounds``).
 
-    The operative guarantee is gated: at T = recommended_T(W) the gap must
-    satisfy 1 - rho_M >= 1/2 (margin 1).  That margin holds by construction,
-    since recommended_T stops at the first T whose rho_M, in the arithmetic
-    of ``accelerated_matrix``, is at most 1/2; it fails only if the two part
-    ways.  The tests check rho_M at that T against a dense M_T.  Margin 0
-    records the textbook-style envelope 2 (1 - sqrt(1 - sqrt(rho_W)))^(2T)
-    against rho_M, or 1 - rho_M when that envelope is vacuous (>= 1); both are
+    The operative guarantee is gated: at T: auto's T the gap must satisfy
+    1 - rho_M >= 1/2 (margin 1).  That margin holds by construction, since
+    ``T: auto`` stops at the first T whose rho_M is at most 1/2; it fails
+    only if the search and the gap part ways.  The tests check rho_M at that
+    T against a dense M_T.  ``T: auto``'s exchange is found in one pass over
+    W's spectrum, and another T takes a second.  Margin 0 records the
+    textbook-style envelope 2 (1 - sqrt(1 - sqrt(rho_W)))^(2T) against
+    rho_M, or 1 - rho_M when that envelope is vacuous (>= 1); both are
     diagnostic only, since the envelope's constant belongs to the unsquared
     deviation and the finite-round transient can exceed it (or even push
     rho_M past 1) without anything being wrong.
     """
-    auto_T = recommended_T(W)
-    if T is None:
-        T = auto_T
-    rho_M = accelerated_matrix(W, T).rho
+    auto = accelerated_matrix(W)
+    exchange = auto if T in (None, auto.rounds) else accelerated_matrix(W, T)
+    T, rho_M = exchange.rounds, exchange.rho
     bound = 2.0 * (1.0 - math.sqrt(1.0 - math.sqrt(W.rho))) ** (2 * T)
     sides = [(0, rho_M, min(bound, 1.0), False)]  # (iteration, lhs, rhs, gated)
     if bound < 1.0:
@@ -215,7 +215,7 @@ def check_rho_M(W: MixingMatrix, T: int | None = None) -> LemmaCheckReport:
     else:
         notes = [f"analytic envelope {bound:.6g} >= 1 is vacuous at T={T}; "
                  "margin 0 records 1 - rho_M instead (diagnostic)"]
-    if T == auto_T:
+    if exchange is auto:
         sides.append((1, rho_M, 0.5, True))
         notes.append("T equals the recommended round count; "
                      "margin 1 gates on 1 - rho_M >= 1/2")

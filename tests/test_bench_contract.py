@@ -39,6 +39,30 @@ def test_traced_adogt_run_records_steps_and_accelerated_matrix(ring16_problem, r
     assert names.count("problem.gradient_field") == 6    # the start's + one per step
 
 
+def test_traced_auto_T_records_one_accelerated_matrix_per_adogt(tmp_path):
+    # T: auto finds its rounds and rho_M in the accelerated_matrix call that
+    # builds the exchange: a compare records one span per adogt algorithm, at
+    # T: auto as at a fixed T, and verify's T2 on a dogt trace records one.
+    common = {"problem": {"type": "bilinear_quadratic", "n": 16, "p": 2, "d": 2, "mu": 0.1,
+                          "seed": 7},
+              "graph": {"topology": "ring", "n": 16},
+              "run": {"max_iters": 20, "tol": 0.0}}
+    compare = {**common, "algorithms": [{"name": "dogt", "gamma": 0.1},
+                                        {"name": "adogt", "gamma": 0.1, "T": "auto"},
+                                        {"name": "adogt", "gamma": "auto", "T": "auto"},
+                                        {"name": "adogt", "gamma": 0.1, "T": 7}]}
+    verify = {**common, "algorithm": {"name": "dogt", "gamma": "auto"}}
+    for command, config, spans in (("compare", compare, 3), ("verify", verify, 1)):
+        path = tmp_path / f"{command}.yaml"
+        path.write_text(yaml.safe_dump(config, sort_keys=False))
+        tracer = tracing.Tracer()
+        with tracing.traced(tracer):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == cli.EXIT_OK
+        names = [span[0] for span in tracer.spans]
+        assert names.count("graph.accelerated_matrix") == spans, command
+
+
 @pytest.mark.parametrize("graph", ["ring16", "gathered"])
 @pytest.mark.parametrize("kind", ["dgda", "dogda", "dogt", "adogt"])
 def test_traced_run_records_a_step_and_a_field_per_iteration(kind, graph, ring16_problem,

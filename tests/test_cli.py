@@ -12,7 +12,7 @@ from netsaddle.cli import (CSV_HEADER, EXIT_CONFIG, EXIT_OK,
                            EXIT_PRECONDITION, ConfigError, compare_command,
                            load_config, main, resolve_experiment, run_command,
                            verify_command)
-from netsaddle.graph import AcceleratedExchange, CSRMix, recommended_T
+from netsaddle.graph import AcceleratedExchange, CSRMix
 from netsaddle.metrics import max_stepsize
 
 BASE = {
@@ -108,10 +108,20 @@ def test_config_error_writes_no_files(tmp_path):
                       {"algorithm": {"gamma": inf}},
                       {"algorithm": None, "algorithms": [{"name": "dogt", "gamma": inf}]},
                       {"init": {"scale": nan}},
-                      {"init": {"scale": inf}}):
+                      {"init": {"scale": inf}},
+                      {"problem": {"p": 2, "d": 3}},
+                      # mu ** 2 overflows in L = sqrt(1 + mu^2), from mu about 1.34e154.
+                      {"problem": {"mu": 1e300}},
+                      {"problem": {"mu": 1e300}, "algorithm": {"gamma": "auto"}}):
         path = write_config(tmp_path, overrides)
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG, overrides
         assert not out.exists()
+
+
+def test_problem_p_must_equal_d(tmp_path):
+    path = write_config(tmp_path, {"problem": {"p": 2, "d": 3}})
+    with pytest.raises(ConfigError, match=r"problem\.p \(2\).*problem\.d \(3\)"):
+        load_config(path)
 
 
 def test_null_out_dir_rejected(tmp_path, monkeypatch):
@@ -297,10 +307,10 @@ def test_compare_builds_each_exchange_once(tmp_path, monkeypatch, capsys):
     # resolve_experiment builds adogt's exchange, and each run mixes with its
     # resolved algorithm's object: one accelerated_matrix call per adogt
     # algorithm, counted wherever the package calls it.  verify's T2 on a
-    # dogt trace still builds the exchange at T: auto's rounds.
+    # dogt trace still builds the exchange of T: auto, in one call.
     built = []
     for module in (cli, algorithms, verify):
-        def counted(W, T, original=module.accelerated_matrix):
+        def counted(W, T=None, original=module.accelerated_matrix):
             built.append(T)
             return original(W, T)
         monkeypatch.setattr(module, "accelerated_matrix", counted)
@@ -326,8 +336,34 @@ def test_compare_builds_each_exchange_once(tmp_path, monkeypatch, capsys):
         assert (trace.mixing is exp.W) == (algo.name != "adogt")
     dogt = traces[[a.name for a in exp.algorithms].index("dogt")]
     report = verify.check_lemma(dogt, "T2_rho_M")
-    assert built == [4, recommended_T(exp.W)]
+    assert built == [4, None]
     assert report.passed and report.margins["iteration"].tolist() == [0, 1]   # 1 is gated
+
+
+@pytest.mark.parametrize("T", ["auto", 7])
+def test_one_pass_over_the_spectrum_per_exchange(T, tmp_path, monkeypatch):
+    # T: auto's search and its rho_M come from one pass of the momentum
+    # recursion over W's spectrum, in resolve_experiment and in verify's T2
+    # alike; T2 at a T other than T: auto's takes a second pass for it.  A
+    # pass on W's 15 eigenvalues builds no M_T, which would show as a pass
+    # on the 16 x 16 identity.
+    passes = []
+
+    def counted(mix, eta, message, original=graph._momentum_rounds):
+        passes.append(message.shape)
+        return original(mix, eta, message)
+
+    monkeypatch.setattr(graph, "_momentum_rounds", counted)
+    path = write_config(tmp_path, {"algorithm": {"name": "adogt", "gamma": "auto", "T": T}})
+    exp = resolve_experiment(load_config(path))
+    exchange = exp.algorithms[0].mixing
+    assert passes == [(15,)] and "matrix" not in vars(exchange)
+    assert exchange.rounds == (4 if T == "auto" else 7)
+    for kind, mixing, want in (("dogt", exp.W, 1), ("adogt", exchange, 1 if T == "auto" else 2)):
+        trace = algorithms.run(kind, exp.problem, mixing, 0.05, exp.z0, max_iters=3, tol=0.0)
+        passes.clear()
+        assert verify.check_lemma(trace, "T2_rho_M").passed
+        assert passes == [(15,)] * want
 
 
 def test_compare_homogeneous_from_saddle_terminates_immediately(tmp_path):

@@ -15,7 +15,7 @@ from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (WEIGHT_BUILDERS, CSRMix, DisconnectedGraphError, MixingMatrix,
                              Topology, _gathers, accelerated_matrix, acceleration_momentum,
                              build_topology, lazy_max_degree_weights, metropolis_weights,
-                             recommended_T, spectral_gap)
+                             spectral_gap)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -198,7 +198,7 @@ def test_recommended_T_monotone_in_rho(n1, n2):
     # fewer rounds.
     lo, hi = sorted((metropolis_weights(build_topology("ring", n)) for n in (n1, n2)),
                     key=lambda W: W.rho)
-    assert recommended_T(lo) <= recommended_T(hi)
+    assert accelerated_matrix(lo).rounds <= accelerated_matrix(hi).rounds
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,7 +309,7 @@ def test_spectral_gap_of_disconnected_matrix_is_rejected():
     with pytest.raises(ValueError, match="spectral gap"):
         MixingMatrix(np.eye(2))
     with pytest.raises(ValueError):
-        recommended_T(SimpleNamespace(rho=1.0, spectrum=np.ones(1)))
+        accelerated_matrix(SimpleNamespace(rho=1.0, spectrum=np.ones(1)))
 
 
 @pytest.mark.parametrize("n", [16, 300, 1024])
@@ -356,18 +356,18 @@ def test_momentum_domain(rho):
 
 
 def test_recommended_T_values(ring16_W):
-    assert recommended_T(metropolis_weights(build_topology("complete", 5))) == 1  # rho 0
+    assert accelerated_matrix(metropolis_weights(build_topology("complete", 5))).rounds == 1
     quarter = MixingMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]))
     assert quarter.rho == pytest.approx(0.25, abs=1e-15)
-    assert recommended_T(quarter) == 1  # ln2 / sqrt(1 - 0.5) = 0.980 -> ceil 1
-    assert recommended_T(ring16_W) == 4
+    assert accelerated_matrix(quarter).rounds == 1  # ln2 / sqrt(1 - 0.5) = 0.980 -> ceil 1
+    assert accelerated_matrix(ring16_W).rounds == 4
 
 
 @pytest.mark.parametrize("rho", [-0.01, 1.0])
 def test_recommended_T_domain(rho):
     # Only W.rho and W.spectrum are read; a gap outside [0, 1) is refused.
     with pytest.raises(ValueError):
-        recommended_T(SimpleNamespace(rho=rho, spectrum=np.zeros(1)))
+        accelerated_matrix(SimpleNamespace(rho=rho, spectrum=np.zeros(1)))
 
 
 @pytest.mark.parametrize("n, T", [(16, 4), (64, 13), (68, 14), (100, 21), (128, 27),
@@ -377,13 +377,14 @@ def test_recommended_T_is_the_smallest_with_half_gap(n, T):
     # on Metropolis rings, and T: auto goes on to the first T that meets it.
     W = metropolis_weights(build_topology("ring", n))
     floor = math.ceil(math.log(2.0) / math.sqrt(1.0 - math.sqrt(W.rho)))
-    assert recommended_T(W) == T >= floor
-    assert accelerated_matrix(W, T).rho <= 0.5
+    auto = accelerated_matrix(W)
+    assert auto.rounds == T >= floor
+    assert auto.rho == accelerated_matrix(W, T).rho <= 0.5
     assert all(accelerated_matrix(W, t).rho > 0.5 for t in range(floor, T))
     if n >= 68:
         assert T > floor
     if T <= 24:
-        # recommended_T and accelerated_matrix share one recursion, so check
+        # T: auto's search and rho_M share one recursion, so check
         # rho_M at T against the dense M_T, with eta from ||W - J||_2^2.
         rho = np.linalg.norm(W.W - 1.0 / n, 2) ** 2
         eta = (1.0 - math.sqrt(1.0 - rho)) / (1.0 + math.sqrt(1.0 - rho))
@@ -426,15 +427,49 @@ def test_accelerated_matrix_is_kept_where_W_mixes_dense(ring16_W):
     # Where W mixes dense, the exchange's first mix builds M_T and every later
     # mix is one product by that same matrix; a second exchange builds its own.
     exchange = accelerated_matrix(ring16_W, 4)
+    assert "matrix" not in vars(exchange)
     m = np.random.default_rng(3).standard_normal((16, 4))
     first = exchange.mix(m)
-    M = exchange.mix.__self__
+    M = vars(exchange)["matrix"]
     assert isinstance(M, np.ndarray) and not M.flags.writeable
     assert np.array_equal(M, ref.chebyshev_matrix(ring16_W.W, 4, exchange.eta))
+    assert np.array_equal(first, M @ m)
     assert np.array_equal(exchange.mix(m), first)
-    assert exchange.mix.__self__ is M
+    assert vars(exchange)["matrix"] is M
     other = accelerated_matrix(ring16_W, 4)
-    assert np.array_equal(other.mix(m), first) and other.mix.__self__ is not M
+    assert np.array_equal(other.mix(m), first) and vars(other)["matrix"] is not M
+
+
+EXCHANGES = ["dense W", "gathered W", "dense adogt", "gathered adogt"]
+
+
+def _exchange(name):
+    """One exchange of each kind: ring-16 mixes dense, a random-512 graph gathers."""
+    if name.startswith("dense"):
+        W = metropolis_weights(build_topology("ring", 16))
+    else:
+        W = metropolis_weights(build_topology("random", 512, seed=3, edge_probability=0.02))
+    assert isinstance(W.mix, CSRMix) == name.startswith("gathered")
+    return accelerated_matrix(W, 3) if name.endswith("adogt") else W
+
+
+@pytest.mark.parametrize("name", EXCHANGES)
+def test_every_exchange_mixes_through_one_contract(name):
+    # mix(m, out) writes the mix of m into out and returns it, bit for bit
+    # what mix(m) returns, signed zeros included, on W and on adogt's M_T,
+    # dense or gathered.  Building adogt's exchange builds no M_T.
+    exchange = _exchange(name)
+    assert "matrix" not in vars(exchange)
+    n = 16 if name.startswith("dense") else 512
+    rng = np.random.default_rng(n)
+    for width in (2, 4):
+        m = rng.standard_normal((n, width)) * np.logspace(-8, 8, width)
+        m[0] = -0.0
+        out = np.full((n, width), np.nan)
+        assert exchange.mix(m, out) is out
+        assert out.tobytes() == exchange.mix(m).tobytes()
+    # M_T exists only where adogt's exchange mixes dense, built by its first mix.
+    assert ("matrix" in vars(exchange)) == (name == "dense adogt")
 
 
 def test_accelerated_matrix_rejects_bad_T(ring16_W):
@@ -454,7 +489,7 @@ def test_accelerated_matrix_double_stochasticity(n, T):
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_half_gap_at_recommended_T(n):
     W = metropolis_weights(build_topology("ring", n))
-    M = accelerated_matrix(W, recommended_T(W))
+    M = accelerated_matrix(W)
     assert 1.0 - M.rho >= 0.5 - 1e-10
 
 

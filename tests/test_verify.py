@@ -6,8 +6,7 @@ import pytest
 
 import reference_impl as ref
 from netsaddle.algorithms import Trace, run
-from netsaddle.graph import (accelerated_matrix, build_topology,
-                             metropolis_weights, recommended_T)
+from netsaddle.graph import accelerated_matrix, build_topology, metropolis_weights
 from netsaddle import metrics, verify
 from netsaddle.metrics import (max_stepsize, metric_record, record_table, residual, step_terms,
                                theoretical_contraction)
@@ -306,7 +305,7 @@ def test_check_rho_M_ring16_T1_vacuous(ring16_W):
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_check_rho_M_half_gap_all_rings(n):
     W = metropolis_weights(build_topology("ring", n))
-    rep = check_rho_M(W, recommended_T(W))
+    rep = check_rho_M(W, accelerated_matrix(W).rounds)
     assert rep.passed
     assert dict(rep.margins.tolist())[1] >= -1e-10
     assert check_rho_M(W).margins.tolist() == rep.margins.tolist()  # T defaults to auto
