@@ -17,8 +17,15 @@ the others at gamma 0.1 on Metropolis weights), it times the set-up that
 
 Beside them it records the number of ``np.linalg.eigvalsh`` calls in one
 set-up, adogt's T and the peak RSS of the process.  Every (graph, method)
-case runs in a fresh process, which makes the set-up REPEATS times and
+case runs in a fresh process, which makes the set-up REPEATS times (once
+from n = 4096 on, where a dense eigendecomposition takes about 11 s) and
 keeps the median of each phase; its peak RSS is the process's.
+
+The GATES are timed in this checkout alone, whose structured graphs need
+no n x n array (a dense W of ring-65536 would take 34 GB): a 100-step
+``netsaddle run`` of dogt on ring-65536, its set-up (``resolve_experiment``)
+timed, and the ``resolve_experiment`` of adogt at ``T: auto`` on
+ring-65536, each in a fresh process per round, with the process's peak RSS.
 
 BASELINE_CHECKOUT is another checkout of this repository, such as a clone
 at an earlier commit.  It must be at the change that made ``run()`` take
@@ -37,6 +44,7 @@ from _bench import ROOT, commit, environment, measured_in_fresh_process, spread 
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -48,15 +56,18 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
-SIZES = (16, 256, 1024, 2048)
+SIZES = (16, 256, 1024, 2048, 4096)
 KINDS = ("ring", "random")
 METHODS = ("dgda", "dogda", "dogt", "adogt")
 PHASES = ("topology_s", "weights_s", "exchange_s")
 REPEATS = 3
 ROUNDS = 5
+GATES = {"ring-65536/dogt-run-100": ("ring", 65536, "dogt", 100),
+         "ring-65536/adogt-resolve": ("ring", 65536, "adogt", None)}
+GATE_ROUNDS = 3
 
 
-def case_config(kind: str, n: int, method: str) -> dict:
+def case_config(kind: str, n: int, method: str, max_iters: int = 1) -> dict:
     algorithm = {"name": method, "gamma": 0.1}
     if method == "adogt":
         algorithm["T"] = "auto"
@@ -66,7 +77,7 @@ def case_config(kind: str, n: int, method: str) -> dict:
     return {"problem": {"type": "bilinear_quadratic", "n": n, "p": 2, "d": 2, "mu": 0.1,
                         "seed": 7},
             "graph": graph, "algorithm": algorithm,
-            "run": {"max_iters": 1, "tol": 0.0}}
+            "run": {"max_iters": max_iters, "tol": 0.0}}
 
 
 @contextlib.contextmanager
@@ -110,7 +121,7 @@ def measure(src: Path, kind: str, n: int, method: str) -> dict:
         config = cli.load_config(path)
     samples = {phase: [] for phase in PHASES}
     calls = []
-    for _ in range(REPEATS):
+    for _ in range(REPEATS if n < 4096 else 1):
         decompositions.clear()
         durations = {}
         with timed(cli, durations):
@@ -130,6 +141,41 @@ def measure(src: Path, kind: str, n: int, method: str) -> dict:
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
+def measure_gate(src: Path, gate: str) -> dict:
+    """One gate with the netsaddle in ``src``: the run's set-up and wall time,
+    or the set-up alone, and the peak RSS of the process."""
+    sys.path.insert(0, str(src))
+    from netsaddle import cli
+
+    kind, n, method, steps = GATES[gate]
+    resolve = cli.resolve_experiment
+    durations = {}
+
+    def timed_resolve(config):
+        start = time.perf_counter()
+        try:
+            return resolve(config)
+        finally:
+            durations["setup_s"] = time.perf_counter() - start
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.yaml"
+        path.write_text(yaml.safe_dump(case_config(kind, n, method, steps or 1)))
+        if steps is None:
+            exp = timed_resolve(cli.load_config(path))
+            durations["T"] = exp.algorithms[0].mixing.rounds
+        else:
+            cli.resolve_experiment = timed_resolve
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+            durations["wall_s"] = time.perf_counter() - start
+            if code != 0:
+                raise SystemExit(f"netsaddle run exited {code}")
+    return {**durations,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
 def summary(rows: list[dict]) -> dict:
     """One case of one checkout over rounds: times and peak RSS with their
     spread, the counts as the largest seen."""
@@ -143,8 +189,11 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv[:1] == ["--measure"]:   # one timed process, started below
-        src, kind, n, method = argv[1:]
-        print(json.dumps(measure(Path(src), kind, int(n), method)))
+        if len(argv) == 3:
+            print(json.dumps(measure_gate(Path(argv[1]), argv[2])))
+        else:
+            src, kind, n, method = argv[1:]
+            print(json.dumps(measure(Path(src), kind, int(n), method)))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", type=Path, help="another checkout to time against this one")
@@ -158,18 +207,26 @@ def main(argv=None) -> int:
             for name, checkout in checkouts.items():
                 samples[name][case].append(measured_in_fresh_process(__file__, checkout, *case))
         print(f"round {round_ + 1}/{ROUNDS} timed", flush=True)
+    gates = {gate: [measured_in_fresh_process(__file__, ROOT, gate) for _ in range(GATE_ROUNDS)]
+             for gate in GATES}
     result = {
         "environment": environment(),
         "phases": {"topology_s": "build_topology",
                    "weights_s": "the weight builder: W, its spectrum and rho_W",
                    "exchange_s": "the rest of resolve_experiment and a one-step run()"},
         "cases": "kind-n/method, configured by case_config in scripts/bench_scaling.py",
-        "repeats_per_process": REPEATS,
+        "repeats_per_process": {"n < 4096": REPEATS, "n >= 4096": 1},
         "rounds": ROUNDS,
         "checkouts": {name: {"commit": commit(checkouts[name]),
                              "cases": {f"{kind}-{n}/{method}": summary(rows)
                                        for (kind, n, method), rows in per_case.items()}}
                       for name, per_case in samples.items()},
+        "gates": {"rounds": GATE_ROUNDS,
+                  "bounds": {"ring-65536/dogt-run-100": "setup_s < 2, peak_rss_mb < 300",
+                             "ring-65536/adogt-resolve": "setup_s < 10"},
+                  "this": {gate: {key: spread([r[key] for r in rows]) if key != "T"
+                                  else rows[0][key] for key in rows[0]}
+                           for gate, rows in gates.items()}},
     }
     (ROOT / "BENCH_scaling.json").write_text(json.dumps(result, indent=2) + "\n")
     return 0

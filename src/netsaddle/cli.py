@@ -20,8 +20,8 @@ import yaml
 
 from . import verify as verify_mod
 from .algorithms import ALGORITHMS, DivergenceError, Trace, run
-from .graph import (WEIGHT_BUILDERS, AcceleratedExchange, MixingMatrix, Topology,
-                    accelerated_matrix, build_topology)
+from .graph import (MAX_DECOMPOSED_N, WEIGHT_BUILDERS, AcceleratedExchange, MixingMatrix,
+                    Topology, accelerated_matrix, build_topology)
 from .metrics import csv_chunks, fit_linear_rate, max_stepsize, theoretical_contraction
 from .problem import BilinearQuadratic, make_bilinear_quadratic
 
@@ -186,8 +186,14 @@ def _parse_graph(raw) -> GraphConfig:
     if scheme not in WEIGHT_BUILDERS:
         raise ConfigError(f"unknown weight_scheme {scheme!r}, "
                           f"expected one of {sorted(WEIGHT_BUILDERS)}")
+    n = _as_int(raw["n"], "graph.n", minimum=1)
+    if raw["topology"] == "random" and n > MAX_DECOMPOSED_N:
+        raise ConfigError(
+            f"graph.n is {n}, above {MAX_DECOMPOSED_N}, the largest random graph: its "
+            f"spectrum takes a dense eigendecomposition, of n x n arrays (8 n^2 bytes each) "
+            f"in time growing as n^3, about 11 s at n = {MAX_DECOMPOSED_N}")
     return GraphConfig(topology=raw["topology"],
-                       n=_as_int(raw["n"], "graph.n", minimum=1),
+                       n=n,
                        weight_scheme=scheme,
                        edge_probability=_optional(raw, "edge_probability", _as_float,
                                                   "graph.edge_probability"),
@@ -343,7 +349,10 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
         T_source, mixing = None, W
         if algo.name == "adogt":
             T_source = "auto" if algo.T == "auto" else "config"
-            mixing = accelerated_matrix(W, None if algo.T == "auto" else algo.T)
+            try:
+                mixing = accelerated_matrix(W, None if algo.T == "auto" else algo.T)
+            except ValueError as exc:
+                raise ConfigError(f"{algo.name}: {exc}") from exc
         gamma_source = "auto" if algo.gamma == "auto" else "config"
         if algo.gamma == "auto":
             if mixing.rho >= 1.0:

@@ -1,14 +1,49 @@
 """Network topologies, doubly stochastic mixing matrices, and consensus acceleration.
 
-A mixing matrix W encodes one round of neighbor averaging.  Building a
-``MixingMatrix`` makes one dense eigendecomposition of W, and every
-spectral quantity is read off the eigenvalues it keeps, all but the
-consensus 1.  The spectral gap rho = ||W - J||_2^2 (squared spectral norm
-off the consensus direction, J = averaging matrix) is the largest squared
-one: smaller rho means faster mixing.  ``accelerated_matrix`` defines
-adogt's exchange: T momentum-boosted gossip rounds, whose effective matrix
-M_T has a much smaller gap rho_M.  It reads rho_M off the same eigenvalues
-in O(nT), and for ``T: auto`` finds the round count in the same pass.
+A graph is its edge list: ``Topology`` keeps the pairs (i, j), i < j; a
+random graph's are checked to join every node, and the structured kinds are
+connected by construction.  A mixing matrix W encodes one
+round of neighbour averaging.  The weight builders make W from the edges as
+its nonzeros row by row (``Nonzeros``, the CSR arrays), diagonal included, and
+``MixingMatrix`` checks it on those arrays.  Every spectral quantity is
+read off W's eigenvalues but the consensus 1 (``MixingMatrix.spectrum``).
+The spectral gap rho = ||W - J||_2^2 (squared spectral norm off the
+consensus direction, J = averaging matrix) is the largest squared one:
+smaller rho means faster mixing.
+
+On rings, paths, stars and complete graphs both weight schemes give
+W = I - L/s, with L = D - A the graph Laplacian and s an integer, so W's
+eigenvalues are 1 - lam/s over the Laplacian eigenvalues lam, known in
+closed form (k = 0 .. n-1):
+
+  kind       Laplacian eigenvalues lam_k         s: metropolis   lazy_max_degree
+  ring       2 - 2 cos(2 pi k / n)               3               4
+  path       2 - 2 cos(pi k / n)                 3               4
+  star       0, 1 (n - 2 times), n               n               2 (n - 1)
+  complete   0, n (n - 1 times)                  n               2 (n - 1)
+
+Graphs of one or two nodes are complete, and so is the ring of three.
+Metropolis weights are 1/(1 + max(d_i, d_j)), and on these kinds every
+edge touches a node of the largest degree d_max, so s = 1 + d_max; lazy
+max-degree weights are 1/(2 d_max) on every graph.  The builders pass that
+spectrum, and ``np.linalg.eigvalsh`` runs on random graphs only.  The
+closed form agrees with ``eigvalsh`` to about 1e-14 (``tests/test_graph.py``)
+and gives rho = 0 exactly on complete graphs and the Metropolis ring of
+three, where ``eigvalsh`` gives about 1e-32.
+
+A dense n x n W exists only where it is used: while a random graph's
+``eigvalsh`` runs (an array holding W's lower triangle, then dropped), and
+where W mixes as a dense product, which keeps it.  ``MixingMatrix.W``
+builds it on request where W gathers.  So the weights of a ring of 65536
+nodes keep about 6 MB (196608 nonzeros at 24 bytes each, and the spectrum)
+and peak at about 17 MB while they are built, where a dense W would take
+34 GB; random graphs, which need ``eigvalsh``, stop at ``MAX_DECOMPOSED_N``
+nodes.
+
+``accelerated_matrix`` defines adogt's exchange: T momentum-boosted gossip
+rounds, whose effective matrix M_T has a much smaller gap rho_M.  It reads
+rho_M off W's eigenvalues in O(nT), and for ``T: auto`` finds the round
+count in the same pass.
 
 Both exchanges, a ``MixingMatrix`` and an ``AcceleratedExchange``, mix
 through one contract, ``mix(m, out=None)``: m -> W m (or M_T m), written
@@ -22,12 +57,11 @@ follows W's choice.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import islice
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -35,56 +69,110 @@ TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "random")
 
 _RANDOM_GRAPH_RETRIES = 100
 _RANDOM_BLOCK_ROWS = 64     # rows of the n-column uniform draw held at once
+_SUM_BLOCK_ROWS = 64        # dense rows a long row sum is taken over at once
+
+# The largest W ``eigvalsh`` decomposes: a random graph's set-up at n = 4096
+# takes about 11 s, in a dense eigendecomposition whose time grows as n^3
+# and whose n x n arrays take 8 n^2 bytes each (README, "Graphs").
+MAX_DECOMPOSED_N = 4096
+
+# The largest T ``accelerated_matrix`` takes, as a multiple of the formula's
+# T: far past any round count T: auto picks, and a bound on a pass's time.
+MAX_T_FACTOR = 100
 
 
 class DisconnectedGraphError(ValueError):
     """Random topology stayed disconnected after the bounded retry budget."""
 
 
-def _is_connected(adjacency: np.ndarray) -> bool:
-    n = adjacency.shape[0]
-    if n == 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in np.flatnonzero(adjacency[i]):
-            if not seen[j]:
-                seen[j] = True
-                queue.append(j)
-    return bool(seen.all())
+def _is_connected(n: int, edges: np.ndarray) -> bool:
+    """Whether the edges join all n nodes.
+
+    Each node points to a node of its component no larger than itself, at
+    first itself.  A round follows every pointer to its end (a root), by
+    pointer jumping, and hangs the larger root of each edge that joins two
+    trees under the smaller; when no edge joins two trees, the roots are the
+    components, and the graph is connected iff every node reaches node 0.
+    """
+    i, j = edges.T
+    parent = np.arange(n)
+    while True:
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+        a, b = parent[i], parent[j]
+        joins = a != b
+        if not joins.any():
+            return not parent.any()
+        np.minimum.at(parent, np.maximum(a, b)[joins], np.minimum(a, b)[joins])
+
+
+def _kind_edges(kind: str, n: int) -> np.ndarray:
+    """The edges of the n-node graph of a structured kind, sorted."""
+    nodes = np.arange(n)
+    if kind == "complete" or (kind == "ring" and n == 3):
+        return np.column_stack(np.triu_indices(n, k=1))
+    if kind == "ring" and n > 3:      # (0, 1), (0, n-1), (1, 2), ..., (n-2, n-1)
+        return np.column_stack([np.concatenate([[0], nodes[:-1]]),
+                                np.concatenate([[1, n - 1], nodes[2:]])])
+    if kind in ("ring", "path"):
+        return np.column_stack([nodes[:-1], nodes[1:]])
+    if kind == "star":
+        return np.column_stack([np.zeros(n - 1, dtype=nodes.dtype), nodes[1:]])
+    raise ValueError(f"unknown topology kind {kind!r}, expected one of {TOPOLOGY_KINDS}")
 
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """Undirected connected communication graph.
+    """Undirected connected communication graph, as its edge list.
 
-    ``adjacency`` is symmetric boolean with a zero diagonal; self-loops are
-    implied (every node always hears itself through the mixing diagonal).
+    ``edges`` is an m x 2 integer array holding each edge once, as (i, j)
+    with i < j, sorted; self-loops are implied (every node always hears
+    itself through the mixing diagonal).  A structured kind (ring, path,
+    star, complete) has its own edges, given or not, and is connected by
+    construction; a random graph's edges are given, and checked to join
+    every node.
     """
 
     kind: str
     n: int
-    adjacency: np.ndarray
+    edges: np.ndarray | None = None
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
-        if adj.shape != (self.n, self.n):
-            raise ValueError(f"adjacency must be {self.n}x{self.n}, got {adj.shape}")
-        if adj.diagonal().any():
-            raise ValueError("adjacency diagonal must be zero (self-loops are implied)")
-        if not np.array_equal(adj, adj.T):
-            raise ValueError("adjacency must be symmetric")
-        if not _is_connected(adj):
-            raise DisconnectedGraphError(f"{self.kind} graph on {self.n} nodes is not connected")
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
+        if self.kind != "random":
+            edges = _kind_edges(self.kind, self.n)
+            if self.edges is not None and not np.array_equal(self.edges, edges):
+                raise ValueError(f"edges given are not those of the {self.kind} graph "
+                                 f"on {self.n} nodes")
+        elif self.edges is None:
+            raise ValueError("a random graph needs its edges")
+        else:
+            edges = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+            i, j = edges.T
+            if not ((0 <= i) & (i < j) & (j < self.n)).all():
+                raise ValueError(f"edges must be pairs i < j of nodes 0..{self.n - 1} "
+                                 "(self-loops are implied)")
+            key = i * self.n + j
+            if (key[1:] <= key[:-1]).any():
+                order = np.argsort(key)
+                key, edges = key[order], edges[order]
+                if (key[1:] == key[:-1]).any():
+                    raise ValueError("edges must hold each edge once")
+            if not _is_connected(self.n, edges):
+                raise DisconnectedGraphError(f"random graph on {self.n} nodes is not connected")
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The n x n boolean adjacency matrix, built on request, not kept."""
+        adjacency = np.zeros((self.n, self.n), dtype=bool)
+        i, j = self.edges.T
+        adjacency[i, j] = adjacency[j, i] = True
+        return adjacency
 
 
 def build_topology(kind: str, n: int, seed: int | None = None,
@@ -102,57 +190,120 @@ def build_topology(kind: str, n: int, seed: int | None = None,
         raise ValueError(f"node count must be a positive integer, got {n!r}")
     if kind not in TOPOLOGY_KINDS:
         raise ValueError(f"unknown topology kind {kind!r}, expected one of {TOPOLOGY_KINDS}")
+    if kind != "random":
+        return Topology(kind=kind, n=n)
+    if edge_probability is None or not (0.0 < edge_probability <= 1.0):
+        raise ValueError("random topology requires edge_probability in (0, 1]")
+    if seed is None:
+        raise ValueError("random topology requires a seed")
+    rng = np.random.default_rng(seed)
+    for _ in range(_RANDOM_GRAPH_RETRIES):
+        blocks = []
+        for start in range(0, n, _RANDOM_BLOCK_ROWS):
+            block = rng.random((min(_RANDOM_BLOCK_ROWS, n - start), n)) < edge_probability
+            i, j = np.divmod(np.flatnonzero(block), n)
+            i += start
+            above = j > i
+            blocks.append(np.column_stack([i[above], j[above]]))
+        try:
+            return Topology(kind=kind, n=n, edges=np.concatenate(blocks))
+        except DisconnectedGraphError:
+            pass
+    raise DisconnectedGraphError(
+        f"no connected graph with edge_probability={edge_probability} "
+        f"after {_RANDOM_GRAPH_RETRIES} draws")
 
-    adj = np.zeros((n, n), dtype=bool)
+
+def _laplacian_eigenvalues(kind: str, n: int) -> np.ndarray | None:
+    """The eigenvalues of the Laplacian L = D - A of the n-node graph of a
+    structured kind, in closed form (module docstring); None for a random
+    graph, whose spectrum has none."""
+    k = np.arange(n)
+    if kind == "complete" or n <= 2 or (kind == "ring" and n == 3):
+        return np.where(k == 0, 0.0, float(n))
     if kind == "ring":
-        for i in range(n):
-            j = (i + 1) % n
-            if i != j:
-                adj[i, j] = adj[j, i] = True
-    elif kind == "path":
-        for i in range(n - 1):
-            adj[i, i + 1] = adj[i + 1, i] = True
-    elif kind == "star":
-        for i in range(1, n):
-            adj[0, i] = adj[i, 0] = True
-    elif kind == "complete":
-        adj[:] = ~np.eye(n, dtype=bool)
-    else:  # random
-        if edge_probability is None or not (0.0 < edge_probability <= 1.0):
-            raise ValueError("random topology requires edge_probability in (0, 1]")
-        if seed is None:
-            raise ValueError("random topology requires a seed")
-        rng = np.random.default_rng(seed)
-        for _ in range(_RANDOM_GRAPH_RETRIES):
-            for start in range(0, n, _RANDOM_BLOCK_ROWS):     # overwrites every row of adj
-                block = rng.random((min(_RANDOM_BLOCK_ROWS, n - start), n)) < edge_probability
-                adj[start:start + len(block)] = np.triu(block, k=start + 1)
-            adj |= adj.T
-            try:
-                return Topology(kind=kind, n=n, adjacency=adj)
-            except DisconnectedGraphError:
-                pass
-        raise DisconnectedGraphError(
-            f"no connected graph with edge_probability={edge_probability} "
-            f"after {_RANDOM_GRAPH_RETRIES} draws")
-    return Topology(kind=kind, n=n, adjacency=adj)
+        return 2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)
+    if kind == "path":
+        return 2.0 - 2.0 * np.cos(np.pi * k / n)
+    if kind == "star":
+        return np.select([k == 0, k == n - 1], [0.0, float(n)], 1.0)
+    return None
 
 
-def _nonzeros(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the nonzeros of W, row by row."""
-    # np.nonzero(W) gives the same indices; on a boolean mask it is 7x faster.
-    return np.divmod(np.flatnonzero(W != 0), W.shape[1])
+class Nonzeros(NamedTuple):
+    """An n x n matrix by its nonzeros, row by row: the row and column index
+    and the value of each, sorted by row and then by column.  With the row
+    pointer (``indptr``) they are the matrix's CSR arrays."""
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, W: np.ndarray) -> Nonzeros:
+        """The nonzeros of a dense W."""
+        # np.nonzero(W) gives the same indices; on a boolean mask it is 7x faster.
+        flat = np.flatnonzero(W != 0)
+        return cls(W.shape[0], *np.divmod(flat, W.shape[1]), W.ravel()[flat])
+
+    def indptr(self) -> np.ndarray:
+        """Where each row's nonzeros start, and where the last row's end."""
+        return np.searchsorted(self.rows, np.arange(self.n + 1))
+
+    def dense(self) -> np.ndarray:
+        W = np.zeros((self.n, self.n))
+        W[self.rows, self.cols] = self.weights
+        return W
+
+
+def _on_edges(topology: Topology, w: np.ndarray) -> tuple[Nonzeros, np.ndarray]:
+    """The nonzeros of the symmetric matrix with ``w[e]`` at both places of
+    edge e and zeros on its diagonal, which they include, and the diagonal's
+    positions among them."""
+    n = topology.n
+    i, j = topology.edges.T
+    nodes = np.arange(n)
+    key = np.concatenate([i * n + j, j * n + i, nodes * (n + 1)])
+    order = np.argsort(key)
+    rows, cols = np.divmod(key[order], n)
+    weights = np.concatenate([w, w, np.zeros(n)])[order]
+    return Nonzeros(n, rows, cols, weights), np.flatnonzero(rows == cols)
+
+
+def _row_sums(nonzeros: Nonzeros, long: np.ndarray) -> np.ndarray:
+    """Each row's sum, bit for bit numpy's sum of the dense row, ``W.sum(axis=1)``.
+
+    A row of at most two nonzeros has one rounding in any order, and is
+    summed in order by ``np.bincount``.  The rows marked ``long`` are
+    written into dense rows, _SUM_BLOCK_ROWS at a time, and summed by
+    numpy: its pairwise summation fixes the order by the columns.
+    """
+    n, rows, cols, weights = nonzeros
+    sums = np.bincount(rows, weights=weights, minlength=n)
+    long_rows = np.flatnonzero(long)
+    if not long_rows.size:
+        return sums
+    entries = np.flatnonzero(long[rows])                  # of the long rows, row by row
+    which = np.searchsorted(long_rows, rows[entries])     # their row among the long rows
+    block = np.empty((min(_SUM_BLOCK_ROWS, long_rows.size), n))
+    for start in range(0, long_rows.size, _SUM_BLOCK_ROWS):
+        a, b = np.searchsorted(which, [start, start + _SUM_BLOCK_ROWS])
+        chunk = long_rows[start:start + _SUM_BLOCK_ROWS]
+        block[:chunk.size] = 0.0
+        block[which[a:b] - start, cols[entries[a:b]]] = weights[entries[a:b]]
+        sums[chunk] = block[:chunk.size].sum(axis=1)
+    return sums
 
 
 class CSRMix:
     """m -> W m as a gather over the nonzeros of W, stored row by row (CSR).
 
-    ``indptr``, ``cols`` and ``weights`` are the row pointer, column indices
-    and values of the nonzeros; ``nonzeros`` may pass in their indices, as
-    ``_nonzeros`` gives them.  A mix takes the neighbours' rows of m,
-    scales them and sums each row's segment: O(nnz) work where W @ m is
-    O(n^2).  Every row of W must hold a nonzero, as every row of a
-    stochastic W does.
+    W is a dense n x n array or its ``Nonzeros``; ``indptr``, ``cols`` and
+    ``weights`` are the row pointer, column indices and values of its
+    nonzeros.  A mix takes the neighbours' rows of m, scales them and sums
+    each row's segment: O(nnz) work where W @ m is O(n^2).  Every row of W
+    must hold a nonzero, as every row of a stochastic W does.
 
     The message must be n x (an even width), as every n x (p+d) message
     with p = d is: each row's products are summed on its complex128 view,
@@ -172,10 +323,9 @@ class CSRMix:
     is returned, bit for bit what the call without it returns.
     """
 
-    def __init__(self, W: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray] | None = None):
-        rows, self.cols = _nonzeros(W) if nonzeros is None else nonzeros
-        self.weights = W[rows, self.cols]
-        self.indptr = np.searchsorted(rows, np.arange(W.shape[0] + 1))
+    def __init__(self, W: np.ndarray | Nonzeros):
+        nonzeros = W if isinstance(W, Nonzeros) else Nonzeros.of(W)
+        self.indptr, self.cols, self.weights = nonzeros.indptr(), nonzeros.cols, nonzeros.weights
         self._expanded = {}   # message width -> weights repeated to it
 
     def __call__(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -200,7 +350,7 @@ class CSRMix:
 
 def _gathers(n: int, rows: np.ndarray) -> bool:
     """The cost rule for one mix of an n x n W whose nonzeros lie in ``rows``
-    (as ``_nonzeros`` gives them): gather (CSRMix) iff 8 nnz + 2**17 < n**2.
+    (as ``Nonzeros.rows`` holds them): gather (CSRMix) iff 8 nnz + 2**17 < n**2.
 
     Fitted to the time of one mix of an n x 4 message with one BLAS thread
     (``scripts/bench_mixing.py``, README), before the gather summed two
@@ -214,77 +364,122 @@ def _gathers(n: int, rows: np.ndarray) -> bool:
     return bool(np.bincount(rows, minlength=n).all()) and 8 * rows.size + 2 ** 17 < n ** 2
 
 
-@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Doubly stochastic symmetric weight matrix with its spectrum and spectral gap.
 
-    Building one checks that W is square, finite, doubly stochastic and
-    symmetric, to 1e-12, before its one dense eigendecomposition, which
-    reads one triangle of W only; a gap rho >= 1 (a disconnected graph) is
-    rejected too.  ``spectrum`` keeps the eigenvalues of W but its top one,
-    ascending; on a connected graph the top one is the consensus eigenvalue
-    1, and it is simple.  ``rho`` is ``spectral_gap`` of them, so it cannot
-    disagree with W.  ``mix(m, out=None)`` is one round of mixing, m -> W m:
-    a CSRMix where ``_gathers`` finds the gather cheaper, and the dense
-    product ``np.matmul(W, m, out)`` otherwise.  A step counts ``rounds``
-    exchanges per mix, as it does for an ``AcceleratedExchange``.
+    ``MixingMatrix(W, spectrum=None)`` takes W as a dense n x n array or as
+    its ``Nonzeros``, and keeps those (``nonzeros``).  It checks on them
+    that W is finite, doubly stochastic and symmetric, to 1e-12, before
+    anything reads its spectrum.  ``spectrum`` holds the eigenvalues of W
+    but its top one, ascending: the ones given, which the weight builders
+    give in closed form, or else those of one ``np.linalg.eigvalsh`` of W,
+    which reads its lower triangle only and takes n <= MAX_DECOMPOSED_N.
+    On a connected graph the top eigenvalue is the consensus eigenvalue 1,
+    and it is simple; a gap rho >= 1 (a disconnected graph) is rejected.
+    ``rho`` is ``spectral_gap`` of the spectrum, so it cannot disagree with
+    it.
+
+    ``mix(m, out=None)`` is one round of mixing, m -> W m: a CSRMix where
+    ``_gathers`` finds the gather cheaper, and otherwise the dense product
+    ``np.matmul(W, m, out)``, whose W it keeps.  ``W`` is that dense W, or,
+    where W gathers, a new read-only one on each request.  A step counts
+    ``rounds`` exchanges per mix, as it does for an ``AcceleratedExchange``.
     """
 
-    W: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False)
-    rho: float = field(init=False)
-    mix: Callable[..., np.ndarray] = field(init=False, repr=False)
     rounds: ClassVar[int] = 1
 
-    def __post_init__(self):
+    def __init__(self, W: np.ndarray | Nonzeros, spectrum: np.ndarray | None = None):
         tol = 1e-12
-        W = np.asarray(self.W, dtype=np.float64)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError(f"weight matrix must be square, got shape {W.shape}")
-        # min and max propagate NaN and reach any inf, with no n x n temporary.
-        if not (np.isfinite(W.min()) and np.isfinite(W.max())):
+        if isinstance(W, Nonzeros):
+            nonzeros, dense = W, None
+        else:
+            dense = np.asarray(W, dtype=np.float64)
+            if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+                raise ValueError(f"weight matrix must be square, got shape {dense.shape}")
+            nonzeros = Nonzeros.of(dense)
+        n, rows, cols, weights = nonzeros
+        if not np.isfinite(weights).all():
             raise ValueError("weight matrix has non-finite entries")
-        row_err = np.abs(W.sum(axis=1) - 1.0).max()
-        col_err = np.abs(W.sum(axis=0) - 1.0).max()
+        row_err = np.abs(np.bincount(rows, weights=weights, minlength=n) - 1.0).max()
+        col_err = np.abs(np.bincount(cols, weights=weights, minlength=n) - 1.0).max()
         if row_err > tol or col_err > tol:
             raise ValueError(
                 f"weight matrix is not doubly stochastic: row error {row_err:.3e}, "
                 f"column error {col_err:.3e} (tol {tol:.1e})")
-        # max |W - W.T| over the nonzeros of W: a pair of zeros adds 0, and
-        # the scan is the one the mix is then chosen and built from.
-        nonzeros = rows, cols = _nonzeros(W)
-        if np.abs(W[rows, cols] - W[cols, rows]).max(initial=0.0) > tol:
+        # max |W - W.T| over the nonzeros of W: each is looked up at its
+        # transposed place, where a zero of W is not found.
+        key, transposed_key = rows * n + cols, cols * n + rows
+        at = np.minimum(np.searchsorted(key, transposed_key), key.size - 1)
+        transposed = np.where(key[at] == transposed_key, weights[at], 0.0)
+        if np.abs(weights - transposed).max(initial=0.0) > tol:
             raise ValueError("weight matrix must be symmetric")
-        W.setflags(write=False)
-        object.__setattr__(self, "W", W)
-        spectrum = np.linalg.eigvalsh(W)[:-1]
+        for array in nonzeros[1:]:
+            array.setflags(write=False)
+        if spectrum is None:
+            spectrum = _decomposed(nonzeros)
         spectrum.setflags(write=False)
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "rho", spectral_gap(spectrum))
+        self.nonzeros = nonzeros
+        self.spectrum = spectrum
+        self.rho = spectral_gap(spectrum)
         if self.rho >= 1.0:
             raise ValueError(f"spectral gap rho={self.rho} >= 1; matrix does not contract "
                              "off the consensus direction (disconnected graph?)")
-        object.__setattr__(self, "mix", CSRMix(W, nonzeros)
-                           if _gathers(W.shape[0], rows) else partial(np.matmul, W))
+        if _gathers(n, rows):
+            self._dense, self.mix = None, CSRMix(nonzeros)
+        else:
+            self._dense = nonzeros.dense() if dense is None else dense
+            self._dense.setflags(write=False)
+            self.mix = partial(np.matmul, self._dense)
 
     @property
     def n(self) -> int:
-        return self.W.shape[0]
+        return self.nonzeros.n
+
+    @property
+    def W(self) -> np.ndarray:
+        if self._dense is not None:
+            return self._dense
+        W = self.nonzeros.dense()
+        W.setflags(write=False)
+        return W
+
+
+def _decomposed(nonzeros: Nonzeros) -> np.ndarray:
+    """W's eigenvalues but the top one, ascending, from ``eigvalsh``.
+
+    It reads the lower triangle of W, which a Fortran-ordered array holds
+    column by column, as LAPACK takes it: numpy then copies it without
+    striding, and the values it decomposes are the ones of W.
+    """
+    n, rows, cols, weights = nonzeros
+    if n > MAX_DECOMPOSED_N:
+        raise ValueError(f"a weight matrix without a closed-form spectrum takes n <= "
+                         f"{MAX_DECOMPOSED_N} (dense eigendecomposition), got n = {n}")
+    lower = rows >= cols
+    upper = np.zeros((n, n))             # upper.T is Fortran-ordered, W's lower triangle
+    upper[cols[lower], rows[lower]] = weights[lower]
+    return np.linalg.eigvalsh(upper.T)[:-1]
+
+
+def _with_spectrum(topology: Topology, nonzeros: Nonzeros, scale: int) -> MixingMatrix:
+    """The MixingMatrix of W = I - L/scale on the topology, with its spectrum
+    in closed form where the kind's Laplacian has one."""
+    lam = _laplacian_eigenvalues(topology.kind, topology.n)
+    return MixingMatrix(nonzeros, None if lam is None else np.sort(1.0 - lam / scale)[:-1])
 
 
 def metropolis_weights(topology: Topology) -> MixingMatrix:
     """Metropolis-Hastings weights: w_ij = 1/(1 + max(deg_i, deg_j)) on edges.
 
     Symmetric and doubly stochastic on any undirected graph; the diagonal
-    absorbs the remaining mass.  Only the edges are computed; the one n x n
-    array is W itself.
+    absorbs the remaining mass, 1 minus the row's sum as numpy sums a dense
+    row.  Only the edges are computed, and W is made as its nonzeros.
     """
     deg = topology.degrees
-    i, j = np.nonzero(topology.adjacency)
-    W = np.zeros((topology.n, topology.n))
-    W[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-    W[np.diag_indices(topology.n)] = 1.0 - W.sum(axis=1)
-    return MixingMatrix(W)
+    i, j = topology.edges.T
+    nonzeros, diagonal = _on_edges(topology, 1.0 / (1.0 + np.maximum(deg[i], deg[j])))
+    nonzeros.weights[diagonal] = 1.0 - _row_sums(nonzeros, deg > 2)
+    return _with_spectrum(topology, nonzeros, 1 + int(deg.max()))
 
 
 def lazy_max_degree_weights(topology: Topology) -> MixingMatrix:
@@ -293,15 +488,13 @@ def lazy_max_degree_weights(topology: Topology) -> MixingMatrix:
     All eigenvalues are nonnegative (diagonal >= 1/2), which some analyses
     prefer; mixing is generally slower than Metropolis.
     """
-    n = topology.n
     deg = topology.degrees
-    d_max = int(deg.max()) if n > 1 else 0
-    if d_max == 0:
-        return MixingMatrix(np.eye(n))
-    W = np.zeros((n, n))
-    W[np.nonzero(topology.adjacency)] = 1.0 / (2.0 * d_max)
-    W[np.diag_indices(n)] = 1.0 - deg / (2.0 * d_max)
-    return MixingMatrix(W)
+    d_max = int(deg.max())
+    if d_max == 0:      # a single node
+        return MixingMatrix(np.ones((1, 1)), np.empty(0))
+    nonzeros, diagonal = _on_edges(topology, np.full(len(topology.edges), 1.0 / (2.0 * d_max)))
+    nonzeros.weights[diagonal] = 1.0 - deg / (2.0 * d_max)
+    return _with_spectrum(topology, nonzeros, 2 * d_max)
 
 
 WEIGHT_BUILDERS = {
@@ -406,11 +599,21 @@ def accelerated_matrix(W: MixingMatrix, T: int | None = None) -> AcceleratedExch
     n = 68 it leaves rho_M at 0.53 to 0.55.  The one pass of the recursion
     evaluates rho_M at each T in turn, and ends: at eta < 1 every
     |p_T(lam)| with |lam| < 1 tends to 0.
+
+    A given T may be at most MAX_T_FACTOR times the formula's T, and is
+    refused before the pass, whose time grows with T.  ``T: auto`` stays far
+    below that bound: on every ring, path, star and complete graph with
+    n < 130, and on a ladder up to n = 4096, under both weight schemes, it
+    stops within 1.17 times the formula's T.
     """
     if T is not None and (not isinstance(T, (int, np.integer)) or T < 1):
         raise ValueError(f"T must be a positive integer, got {T!r}")
     eta = acceleration_momentum(W.rho)
-    first = T or math.ceil(math.log(2.0) / math.sqrt(1.0 - math.sqrt(W.rho)))
+    formula = math.ceil(math.log(2.0) / math.sqrt(1.0 - math.sqrt(W.rho)))
+    if T is not None and T > MAX_T_FACTOR * formula:
+        raise ValueError(f"T = {T} exceeds {MAX_T_FACTOR} times the formula's T, "
+                         f"ceil(ln 2 / sqrt(1 - sqrt(rho_W))) = {formula} on this W")
+    first = T or formula
     rounds = _momentum_rounds(W.spectrum.__mul__, eta, np.ones_like(W.spectrum))
     for t, p in enumerate(islice(rounds, first - 1, None), start=first):
         rho_M = float(np.max(p * p, initial=0.0))

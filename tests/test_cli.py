@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -116,6 +120,69 @@ def test_config_error_writes_no_files(tmp_path):
         path = write_config(tmp_path, overrides)
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG, overrides
         assert not out.exists()
+
+
+def test_a_huge_T_is_refused_before_the_pass(tmp_path, capsys):
+    # The pass over the spectrum runs T rounds: at T = 1e9 on ring-16 it would
+    # take about 100 minutes.  A T past MAX_T_FACTOR times the formula's T
+    # (4 on ring-16) is a config error, and no file is written.
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"algorithm": {"name": "adogt", "gamma": 0.1,
+                                                 "T": 1_000_000_000}})
+    start = time.perf_counter()
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert "formula's T" in capsys.readouterr().err
+    assert not out.exists()
+    limit = graph.MAX_T_FACTOR * 4
+    for T, code in ((limit + 1, EXIT_CONFIG), (limit, EXIT_OK)):
+        path = write_config(tmp_path, {"algorithm": {"name": "adogt", "gamma": 0.1, "T": T},
+                                       "run": {"max_iters": 2}})
+        assert main(["run", "--config", str(path), "--out", str(out)]) == code, T
+
+
+def test_random_graph_size_is_bounded(tmp_path, capsys):
+    # A random graph's spectrum takes a dense eigendecomposition, so n above
+    # MAX_DECOMPOSED_N is refused when the config loads, before any graph is
+    # built; a ring has its spectrum in closed form and no such bound.
+    n = graph.MAX_DECOMPOSED_N + 1
+    random = {"topology": "random", "n": n, "seed": 1, "edge_probability": 0.01}
+    path = write_config(tmp_path, {"problem": {"n": n}, "graph": random})
+    with pytest.raises(ConfigError, match=f"above {graph.MAX_DECOMPOSED_N}.*eigendecomposition"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    n = 65536
+    path = write_config(tmp_path, {"problem": {"n": n}, "graph": {"topology": "ring", "n": n}})
+    assert isinstance(resolve_experiment(load_config(path)).W.mix, CSRMix)
+    with pytest.raises(ValueError, match="closed-form"):
+        graph.MixingMatrix(graph.Nonzeros(n, np.arange(n), np.arange(n), np.ones(n)))
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Two processes run one ring-256 compare, at one and at two BLAS threads:
+    # a ring's spectrum is in closed form, so no eigendecomposition, whose
+    # bits follow the thread count, reaches the outputs.
+    path = write_config(tmp_path, {
+        "problem": {"n": 256}, "graph": {"topology": "ring", "n": 256},
+        "algorithm": None,
+        "algorithms": [{"name": "dogt", "gamma": 0.1},
+                       {"name": "adogt", "gamma": 0.1, "T": "auto"}],
+        "run": {"max_iters": 400, "tol": 0.0, "record_every": 10}})
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": threads,
+               "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "netsaddle", "compare", "--config", str(path),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) and "adogt.csv" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_problem_p_must_equal_d(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,10 +13,10 @@ import reference_impl as ref
 from netsaddle import verify
 from netsaddle.algorithms import run
 from netsaddle.cli import load_config, resolve_experiment
-from netsaddle.graph import (WEIGHT_BUILDERS, CSRMix, DisconnectedGraphError, MixingMatrix,
-                             Topology, _gathers, accelerated_matrix, acceleration_momentum,
-                             build_topology, lazy_max_degree_weights, metropolis_weights,
-                             spectral_gap)
+from netsaddle.graph import (MAX_T_FACTOR, WEIGHT_BUILDERS, CSRMix, DisconnectedGraphError,
+                             MixingMatrix, Topology, _gathers, accelerated_matrix,
+                             acceleration_momentum, build_topology, lazy_max_degree_weights,
+                             metropolis_weights, spectral_gap)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -105,11 +106,8 @@ def test_random_topology_disconnected_after_retries():
 
 
 def test_disconnected_adjacency_rejected():
-    adj = np.zeros((4, 4), dtype=bool)
-    adj[0, 1] = adj[1, 0] = True
-    adj[2, 3] = adj[3, 2] = True
     with pytest.raises(DisconnectedGraphError):
-        Topology(kind="random", n=4, adjacency=adj)
+        Topology(kind="random", n=4, edges=[(0, 1), (2, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +157,89 @@ def test_support_matches_adjacency():
     ("ring", 1, None, None), ("ring", 2, None, None), ("ring", 3, None, None),
     ("ring", 16, None, None), ("ring", 320, None, None), ("path", 9, None, None),
     ("star", 9, None, None), ("complete", 9, None, None)]
-    + [("random", 1024, 0.01, seed) for seed in range(1000, 1004)])
+    + [("random", 1024, 0.01, seed) for seed in range(1000, 1004)]
+    + [("path", 300, None, None), ("star", 300, None, None), ("complete", 130, None, None),
+       ("random", 37, 0.2, 3), ("random", 200, 0.3, 3), ("random", 300, 0.02, 3)])
 def test_edge_list_weights_equal_dense_construction(kind, n, p, seed):
+    # The edges are those of the oracle's one n x n draw (or of the kind), and
+    # the weights built from them are the dense constructions bit for bit,
+    # also where rows hold more than two neighbours, summed over several
+    # blocks of dense rows (star and complete centres, random graphs).
     topo = build_topology(kind, n, seed=seed, edge_probability=p)
-    assert np.array_equal(metropolis_weights(topo).W, ref.metropolis_dense(topo.adjacency))
+    adjacency = ref.random_adjacency(n, p, seed)[0] if kind == "random" else topo.adjacency
+    assert np.array_equal(topo.edges, np.argwhere(np.triu(adjacency)))
+    assert np.array_equal(topo.degrees, adjacency.sum(axis=1))
+    assert metropolis_weights(topo).W.tobytes() == ref.metropolis_dense(adjacency).tobytes()
     if n > 1:
-        assert np.array_equal(lazy_max_degree_weights(topo).W,
-                              ref.lazy_max_degree_dense(topo.adjacency))
+        assert (lazy_max_degree_weights(topo).W.tobytes()
+                == ref.lazy_max_degree_dense(adjacency).tobytes())
+
+
+CLOSED_FORM_SIZES = [1, 2, 3, 4, 16, 17, 300, 1024]
+
+
+@pytest.mark.parametrize("n", CLOSED_FORM_SIZES)
+@pytest.mark.parametrize("kind", ["ring", "path", "star", "complete"])
+def test_closed_form_spectrum_matches_eigvalsh(kind, n, monkeypatch):
+    # Both schemes give W = I - L/s on the structured kinds, so their spectra
+    # come from the Laplacian's in closed form, with no eigvalsh, and agree
+    # with eigvalsh of W to 1e-14.  On star-1024 eigvalsh itself is 1.03e-14
+    # off: there Metropolis W = I - L/1024 holds exactly in floating point, so
+    # the closed form is exact, and the bound is 2e-14.
+    tol = 2e-14 if (kind, n) == ("star", 1024) else 1e-14
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append(args))
+    topology = build_topology(kind, n)
+    built = {scheme: WEIGHT_BUILDERS[scheme](topology) for scheme in WEIGHT_BUILDERS}
+    monkeypatch.undo()
+    assert calls == []
+    for scheme, W in built.items():
+        assert W.spectrum.shape == (n - 1,) and (np.diff(W.spectrum) >= 0).all()
+        decomposed = np.linalg.eigvalsh(W.W)[:-1]
+        assert np.abs(W.spectrum - decomposed).max(initial=0.0) <= tol, scheme
+        assert abs(W.rho - spectral_gap(decomposed)) <= 2 * tol, scheme   # rho = lam^2
+
+
+def test_closed_form_gap_is_zero_where_W_averages_in_one_round():
+    # Metropolis W on a complete graph, and on the ring of three (a
+    # triangle), is the averaging matrix: rho = 0 exactly, where eigvalsh
+    # gives about 1e-32.
+    for kind, n in (("complete", 2), ("complete", 49), ("complete", 300), ("ring", 3)):
+        W = metropolis_weights(build_topology(kind, n))
+        assert W.rho == 0.0 and spectral_gap(np.linalg.eigvalsh(W.W)[:-1]) <= 1e-30
+
+
+def test_a_structured_kind_has_its_own_edges():
+    assert np.array_equal(Topology("ring", 5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]).edges,
+                          build_topology("ring", 5).edges)
+    with pytest.raises(ValueError, match="not those of the ring graph"):
+        Topology("ring", 5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    with pytest.raises(ValueError, match="unknown topology kind"):
+        Topology("torus", 5)
+    with pytest.raises(ValueError, match="needs its edges"):
+        Topology("random", 5)
+    for edges in ([(0, 0), (0, 1)], [(1, 0)], [(0, 5)], [(0, 1), (0, 1)]):
+        with pytest.raises(ValueError, match="pairs i < j|each edge once"):
+            Topology("random", 5, edges)
+
+
+def test_ring_65536_weights_take_memory_linear_in_n():
+    # The weights of a 65536-node ring are built from its edges: no n x n
+    # array (34 GB) is made, the peak of the build stays within 512 bytes a
+    # node, and the MixingMatrix, which gathers, holds arrays of O(n) only.
+    n = 65536
+    topology = build_topology("ring", n)
+    tracemalloc.start()
+    try:
+        W = metropolis_weights(topology)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * n
+    assert isinstance(W.mix, CSRMix)
+    held = [*W.nonzeros[1:], W.spectrum, *vars(W.mix).values(), *topology.__dict__.values()]
+    assert all(a.size <= 3 * n for a in held if isinstance(a, np.ndarray))
+    assert W.rho == pytest.approx(ring_metropolis_eigenvalue(n, 1) ** 2, rel=1e-15)
 
 
 @given(kind=st.sampled_from(["ring", "path", "star", "complete"]),
@@ -472,6 +546,21 @@ def test_every_exchange_mixes_through_one_contract(name):
     assert ("matrix" in vars(exchange)) == (name == "dense adogt")
 
 
+def test_T_is_at_most_a_multiple_of_the_formula(ring16_W):
+    # A given T past MAX_T_FACTOR times the formula's T (4 on ring-16) is
+    # refused before the pass; T: auto stops far below that bound.
+    limit = MAX_T_FACTOR * 4
+    assert accelerated_matrix(ring16_W, limit).rounds == limit
+    with pytest.raises(ValueError, match="formula's T"):
+        accelerated_matrix(ring16_W, limit + 1)
+    for kind in ("ring", "path", "star", "complete"):
+        for n in (2, 3, 27, 64, 300, 1024):
+            for builder in WEIGHT_BUILDERS.values():
+                W = builder(build_topology(kind, n))
+                formula = math.ceil(math.log(2.0) / math.sqrt(1.0 - math.sqrt(W.rho)))
+                assert accelerated_matrix(W).rounds <= 1.17 * formula
+
+
 def test_accelerated_matrix_rejects_bad_T(ring16_W):
     with pytest.raises(ValueError):
         accelerated_matrix(ring16_W, 0)
@@ -532,9 +621,10 @@ def test_rho_M_matches_the_dense_oracle(kind, n):
 @pytest.mark.parametrize("n", [16, 400])
 def test_one_eigendecomposition_per_W(n, tmp_path, monkeypatch):
     # Resolving a four-method compare at T: auto, running every method and
-    # checking a dogt trace (T2 included) decompose W once, when it is built:
-    # rho_W, T: auto, eta and rho_M are all read off that spectrum.  Ring-16
-    # mixes dense and ring-400 gathers.
+    # checking a dogt trace (T2 included) decompose a random W once, when it
+    # is built, and a ring's W never: rho_W, T: auto, eta and rho_M are all
+    # read off the one spectrum, a ring's in closed form.  Ring-16 and
+    # random-16 mix dense, and ring-400 and random-400 gather.
     decomposed, eigvalsh = [], np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):
@@ -542,22 +632,34 @@ def test_one_eigendecomposition_per_W(n, tmp_path, monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    config = {"problem": {"type": "bilinear_quadratic", "n": n, "p": 2, "d": 2, "mu": 0.1,
-                          "seed": 7, "zero_sum_centers": True},
-              "graph": {"topology": "ring", "n": n},
-              "algorithms": [{"name": "dgda", "gamma": 0.1}, {"name": "dogda", "gamma": 0.1},
-                             {"name": "dogt", "gamma": "auto"},
-                             {"name": "adogt", "gamma": 0.1, "T": "auto"}],
-              "run": {"max_iters": 20, "tol": 0.0, "record_every": 1}}
-    path = tmp_path / "compare.yaml"
-    path.write_text(yaml.safe_dump(config))
-    exp = resolve_experiment(load_config(path))
-    traces = {algo.name: run(algo.name, exp.problem, algo.mixing, algo.gamma, exp.z0,
-                             max_iters=20, tol=0.0, record_every=1)
-              for algo in exp.algorithms}
-    reports = verify.run_all_checks(traces["dogt"])
-    assert all(report.passed for report in reports)
-    assert len(decomposed) == 1 and decomposed[0] is exp.W.W
+    for graph in ({"topology": "ring", "n": n},
+                  {"topology": "random", "n": n, "seed": 3,
+                   "edge_probability": 0.5 if n == 16 else 0.015}):
+        config = {"problem": {"type": "bilinear_quadratic", "n": n, "p": 2, "d": 2, "mu": 0.1,
+                              "seed": 7, "zero_sum_centers": True},
+                  "graph": graph,
+                  "algorithms": [{"name": "dgda", "gamma": 0.1}, {"name": "dogda", "gamma": 0.1},
+                                 {"name": "dogt", "gamma": "auto"},
+                                 {"name": "adogt", "gamma": 0.1, "T": "auto"}],
+                  "run": {"max_iters": 20, "tol": 0.0, "record_every": 1}}
+        path = tmp_path / "compare.yaml"
+        path.write_text(yaml.safe_dump(config))
+        decomposed.clear()
+        exp = resolve_experiment(load_config(path))
+        assert isinstance(exp.W.mix, CSRMix) == (n == 400)
+        traces = {algo.name: run(algo.name, exp.problem, algo.mixing, algo.gamma, exp.z0,
+                                 max_iters=20, tol=0.0, record_every=1)
+                  for algo in exp.algorithms}
+        reports = verify.run_all_checks(traces["dogt"])
+        assert all(report.passed for report in reports)
+        if graph["topology"] == "ring":
+            assert decomposed == []
+        else:
+            # One eigvalsh, of a Fortran-ordered array whose lower triangle,
+            # the part eigvalsh reads, is W's.
+            [a] = decomposed
+            assert a.flags.f_contiguous
+            assert np.array_equal(np.tril(a), np.tril(exp.W.W))
 
 
 def test_mixing_matrix_rejects_non_stochastic():
