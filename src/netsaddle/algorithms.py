@@ -70,12 +70,18 @@ TRACKING_ALGORITHMS = ("dogt", "adogt")
 
 
 class DivergenceError(RuntimeError):
-    """An iterate became NaN/Inf; carries the iteration where it happened."""
+    """An iterate became NaN/Inf; carries the iteration where it happened.
+
+    Its only argument is the iteration, and its message is built from it, so
+    it survives ``pickle`` and ``copy`` (which rebuild it from its args)."""
 
     def __init__(self, iteration: int):
-        super().__init__(f"non-finite iterate at iteration {iteration} "
-                         "(stepsize too large for this problem/graph?)")
+        super().__init__(iteration)
         self.iteration = iteration
+
+    def __str__(self) -> str:
+        return (f"non-finite iterate at iteration {self.iteration} "
+                "(stepsize too large for this problem/graph?)")
 
 
 @dataclass(frozen=True, eq=False)

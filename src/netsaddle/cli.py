@@ -11,7 +11,12 @@ and LF line endings, so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
+import signal
 import sys
+import threading
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -467,7 +472,7 @@ def write_manifest(path: Path, exp: ResolvedExperiment, algo: ResolvedAlgorithm,
 
 def _run_and_write(exp: ResolvedExperiment, algo: ResolvedAlgorithm, out: Path,
                    record_every: int | None = None) -> Trace:
-    """Run one algorithm, write its trace CSV and manifest, print its summary line.
+    """Run one algorithm and write its trace CSV and manifest.
 
     The run records on a grid of ``record_every``, the config's by default;
     the CSV holds the rows on the config's grid and the last one."""
@@ -478,7 +483,6 @@ def _run_and_write(exp: ResolvedExperiment, algo: ResolvedAlgorithm, out: Path,
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / f"{algo.label}.csv", trace, rc.record_every)
     write_manifest(out / f"{algo.label}.manifest.txt", exp, algo, trace)
-    print(_summary_line(algo.label, trace))
     return trace
 
 
@@ -502,7 +506,8 @@ def run_command(config_path, out_dir=None) -> int:
     if len(config.algorithms) != 1:
         raise ConfigError("'run' needs exactly one algorithm; use 'compare' for several")
     exp = resolve_experiment(config)
-    _run_and_write(exp, exp.algorithms[0], _out_dir(config, out_dir))
+    trace = _run_and_write(exp, exp.algorithms[0], _out_dir(config, out_dir))
+    print(_summary_line(exp.algorithms[0].label, trace))
     return EXIT_OK
 
 
@@ -516,8 +521,164 @@ def _fitted_rate_cell(trace: Trace) -> str:
     return f"{report.fitted_rate:.6g}"
 
 
+def _compare_result(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
+                    out: Path) -> tuple[str, tuple[str, ...]]:
+    """Run one algorithm of a compare and write its files; its summary line
+    and its row of comparison.txt."""
+    try:
+        trace = _run_and_write(exp, algo, out)
+    except DivergenceError as exc:
+        return (f"{algo.label}: diverged at iteration {exc.iteration}",
+                (algo.label, "diverged", "diverged", f"diverged@{exc.iteration}", "n/a", "n/a"))
+    final = trace.records[-1]
+    iters = str(trace.iterations) if trace.reason == "tol_reached" else "not_reached"
+    return _summary_line(algo.label, trace), (
+        algo.label, _fmt(final.residual), _fmt(final.consensus_error), iters,
+        str(trace.comm_rounds), _fitted_rate_cell(trace))
+
+
+class LaneError(RuntimeError):
+    """An algorithm of a compare that no lane reported; or, as the cause of
+    an exception that a child lane sent, its traceback in that lane."""
+
+
+def _lane_count(algorithms: int) -> int:
+    """How many lanes run a compare's algorithms: one per CPU this process
+    may run on, up to the algorithm count.  One where there is no ``fork``,
+    or where another thread runs, which a forked lane would not have."""
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not forkable or threading.active_count() > 1:
+        return 1
+    return min(algorithms, len(os.sched_getaffinity(0)))
+
+
+class _WorkQueue:
+    """The index of the next algorithm to run, one 4-byte token in a pipe
+    that every lane shares.  A lane takes an index by reading the token and
+    puts the next index back; the token reads ``count`` once there are none
+    left, or once a lane has stopped them all."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self.read_fd, self.write_fd = os.pipe()
+        self._put(0)
+
+    def _put(self, index: int) -> None:
+        os.write(self.write_fd, index.to_bytes(4, "little"))
+
+    def take(self) -> int | None:
+        index = int.from_bytes(os.read(self.read_fd, 4), "little")
+        self._put(min(index + 1, self.count))
+        return index if index < self.count else None
+
+    def stop(self) -> None:
+        os.read(self.read_fd, 4)
+        self._put(self.count)
+
+    def close(self) -> None:
+        os.close(self.read_fd)
+        os.close(self.write_fd)
+
+
+def _lane(exp: ResolvedExperiment, out: Path, queue: _WorkQueue, index: int | None):
+    """Yield (index, outcome) for ``index`` and each algorithm this lane takes
+    after it: its ``_compare_result``, or the exception it raised, after
+    which no lane takes another."""
+    while index is not None:
+        try:
+            outcome = _compare_result(exp, exp.algorithms[index], out)
+        except Exception as exc:
+            queue.stop()
+            yield index, exc
+            return
+        yield index, outcome
+        index = queue.take()
+
+
+def _child_lane(exp: ResolvedExperiment, out: Path, queue: _WorkQueue, write_fd: int):
+    """A forked lane: send each outcome up its pipe, pickled, an exception
+    with its traceback, then leave by ``os._exit``, so that no code of the
+    parent's stack runs here."""
+    status = 1
+    try:
+        with open(write_fd, "wb") as sink:
+            for index, outcome in _lane(exp, out, queue, queue.take()):
+                tb = None
+                if isinstance(outcome, Exception):
+                    tb = "".join(traceback.format_exception(outcome))
+                    try:
+                        pickle.loads(pickle.dumps(outcome))
+                    except Exception:
+                        outcome = LaneError(f"unpicklable {type(outcome).__name__}: {outcome}")
+                pickle.dump((index, outcome, tb), sink)
+                sink.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _received(source, pid: int):
+    """The (index, outcome) pairs a child lane sent, up to its pipe's end."""
+    while True:
+        try:
+            index, outcome, tb = pickle.load(source)
+        except (EOFError, pickle.UnpicklingError):
+            return
+        if tb is not None:
+            outcome.__cause__ = LaneError(f"in compare lane {pid}:\n{tb}")
+        yield index, outcome
+
+
+def _run_in_lanes(exp: ResolvedExperiment, out: Path) -> list:
+    """Each algorithm's outcome, in config order: its ``_compare_result`` or
+    the exception it raised.
+
+    The algorithms run in ``_lane_count`` lanes, each taking the next index
+    off one ``_WorkQueue``.  This process is lane 0: it takes the first
+    index, then forks the other lanes, which inherit the experiment, and
+    runs its share; then it reads what each child sent and reaps it.  When
+    it is unwinding from an error, it kills the children still running.
+    An algorithm that no lane reported is a ``LaneError``."""
+    count = len(exp.algorithms)
+    queue = _WorkQueue(count)
+    first = queue.take()
+    outcomes, children, statuses = {}, {}, {}
+    try:
+        for _ in range(_lane_count(count) - 1):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:         # out of processes: the lanes so far run it all
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                os.close(read_fd)
+                _child_lane(exp, out, queue, write_fd)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb")
+        outcomes.update(_lane(exp, out, queue, first))
+        for pid, source in children.items():
+            outcomes.update(_received(source, pid))
+            statuses[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except BaseException:
+        for pid in children.keys() - statuses.keys():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        queue.close()
+        for pid, source in children.items():
+            source.close()
+            if pid not in statuses:
+                os.waitpid(pid, 0)
+    return [outcomes[index] if index in outcomes else LaneError(
+                f"no lane reported {exp.algorithms[index].label}; the child lanes exited "
+                f"with status {sorted(statuses.values())}") for index in range(count)]
+
+
 def compare_command(config_path, out_dir=None) -> int:
-    """Run every algorithm in the config on the shared problem and graph."""
+    """Run every algorithm in the config on the shared problem and graph, in
+    lanes (``_run_in_lanes``); print and write the results in config order."""
     config = load_config(config_path)
     exp = resolve_experiment(config)
     out = _out_dir(config, out_dir)
@@ -525,20 +686,12 @@ def compare_command(config_path, out_dir=None) -> int:
 
     rows = [("algorithm", "final_residual", "final_consensus_error",
              "iters_to_tol", "comm_rounds", "fitted_rate")]
-    for algo in exp.algorithms:
-        try:
-            trace = _run_and_write(exp, algo, out)
-        except DivergenceError as exc:
-            rows.append((algo.label, "diverged", "diverged",
-                         f"diverged@{exc.iteration}", "n/a", "n/a"))
-            print(f"{algo.label}: diverged at iteration {exc.iteration}")
-            continue
-        final = trace.records[-1]
-        iters = (str(trace.iterations) if trace.reason == "tol_reached"
-                 else "not_reached")
-        rows.append((algo.label, _fmt(final.residual),
-                     _fmt(final.consensus_error), iters,
-                     str(trace.comm_rounds), _fitted_rate_cell(trace)))
+    for outcome in _run_in_lanes(exp, out):
+        if isinstance(outcome, Exception):
+            raise outcome
+        line, row = outcome
+        print(line)
+        rows.append(row)
 
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     table = "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -561,6 +714,7 @@ def verify_command(config_path, out_dir=None) -> int:
 
     out = _out_dir(config, out_dir)
     trace = _run_and_write(exp, exp.algorithms[0], out, record_every=1)
+    print(_summary_line(exp.algorithms[0].label, trace))
 
     reports = verify_mod.run_all_checks(trace)
     summary = verify_mod.summary_text(reports)

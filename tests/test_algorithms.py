@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import islice
 from pathlib import Path
 
@@ -458,6 +460,16 @@ def test_divergence_raises_with_iteration(ring16_problem, ring16_W, z0_16):
         for _ in islice(iterate("dgda", ring16_problem, ring16_W, 10.0, z0_16), 2001):
             pass
     assert err.value.iteration == 309
+
+
+def test_divergence_error_survives_pickle_and_copy():
+    # A compare lane sends an exception to its parent pickled: the copy must
+    # keep the iteration and say the message once.
+    error = DivergenceError(42)
+    message = "non-finite iterate at iteration 42 (stepsize too large for this problem/graph?)"
+    for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        assert type(clone) is DivergenceError
+        assert clone.iteration == 42 and str(clone) == str(error) == message
 
 
 def test_divergence_inside_a_batch_of_recorded_states(ring16_problem, ring16_W, z0_16,

@@ -370,11 +370,25 @@ def test_compare_fitted_rate_of_an_overflowed_residual_is_na(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.fixture()
+def one_cpu():
+    """This process pinned to one CPU for the test, so that compare runs its
+    algorithms in one lane, this process; the CPU mask is restored after."""
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+@pytest.mark.usefixtures("one_cpu")
 def test_compare_builds_each_exchange_once(tmp_path, monkeypatch, capsys):
     # resolve_experiment builds adogt's exchange, and each run mixes with its
     # resolved algorithm's object: one accelerated_matrix call per adogt
     # algorithm, counted wherever the package calls it.  verify's T2 on a
-    # dogt trace still builds the exchange of T: auto, in one call.
+    # dogt trace still builds the exchange of T: auto, in one call.  The run
+    # calls are counted in this process, so compare runs in one lane.
     built = []
     for module in (cli, algorithms, verify):
         def counted(W, T=None, original=module.accelerated_matrix):
@@ -405,6 +419,129 @@ def test_compare_builds_each_exchange_once(tmp_path, monkeypatch, capsys):
     report = verify.check_lemma(dogt, "T2_rho_M")
     assert built == [4, None]
     assert report.passed and report.margins["iteration"].tolist() == [0, 1]   # 1 is gated
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+RING16_COMPARE = Path(__file__).resolve().parents[1] / "configs" / "ring16_compare.yaml"
+MULTI_CPU = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                               reason="compare runs one lane on one CPU")
+
+
+def diverging_compare_config(tmp_path):
+    """dgda diverges at gamma 10 (iteration 309), and two names appear twice."""
+    return write_config(tmp_path, {
+        "algorithm": None,
+        "algorithms": [{"name": "dgda", "gamma": 10.0}, {"name": "dogt", "gamma": 0.1},
+                       {"name": "dgda", "gamma": 0.1},
+                       {"name": "adogt", "gamma": 0.1, "T": 4},
+                       {"name": "dogt", "gamma": 0.05}],
+        "run": {"max_iters": 1500}}, name="diverging.yaml")
+
+
+@MULTI_CPU
+@pytest.mark.parametrize("diverging", [False, True])
+def test_outputs_do_not_depend_on_the_lane_count(diverging, tmp_path):
+    # One compare pinned to one CPU, so in one lane, and one on every CPU of
+    # this process's mask: the same files, stdout and exit code.
+    config = diverging_compare_config(tmp_path) if diverging else RING16_COMPARE
+    cpu = min(os.sched_getaffinity(0))
+    results = {}
+    for lanes, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+        proc = subprocess.run([sys.executable, "-m", "netsaddle", "compare", "--config",
+                               str(config), "--out", str(tmp_path / lanes)],
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=pin,
+                              capture_output=True, timeout=120)
+        results[lanes] = proc.returncode, proc.stdout
+    assert results["one"] == results["all"] and results["one"][0] == EXIT_OK
+    assert (b"dgda: diverged at iteration 309\n" in results["one"][1]) == diverging
+    names = sorted(path.name for path in (tmp_path / "one").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "all").iterdir())
+    assert "comparison.txt" in names and ("dgda-2.csv" in names) == diverging
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+# Runs compare with cli.run replaced as CASE says, counting the lanes forked,
+# then reports on stderr whether this process has any child left.
+LANE_SCRIPT = """
+import os, sys, time
+from netsaddle import algorithms, cli
+
+case, config, out = sys.argv[1:]
+parent, forks, fork = os.getpid(), [], os.fork
+
+def run(kind, *args, **kwargs):
+    if case == "raises" and kind == "dogt":
+        raise RuntimeError("lane failure in dogt")
+    if case == "exits":
+        if os.getpid() != parent:
+            os._exit(0)             # a child lane leaves without sending a result
+        time.sleep(0.5)             # the parent's runs wait: a child takes one
+    return algorithms.run(kind, *args, **kwargs)
+
+def counted_fork():
+    forks.append(os.getpid())
+    return fork()
+
+cli.run, os.fork = run, counted_fork
+try:
+    code = cli.main(["compare", "--config", config, "--out", out])
+finally:
+    print("forked", forks.count(parent), file=sys.stderr)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_work_queue_hands_out_each_index_once():
+    # More takers than CPUs share one queue: each index goes to exactly one
+    # of them, as a lost update of the token would break.
+    count = 500
+    queue, takers = cli._WorkQueue(count), []
+    try:
+        for _ in range(2 * len(os.sched_getaffinity(0)) + 2):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(write_fd, "w") as sink:
+                        while (index := queue.take()) is not None:
+                            sink.write(f"{index}\n")
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            takers.append((pid, open(read_fd)))
+        taken = [int(line) for _, source in takers for line in source]
+    finally:
+        for pid, source in takers:
+            source.close()
+            assert os.waitpid(pid, 0)[1] == 0
+        queue.close()
+    assert sorted(taken) == list(range(count))
+
+
+@MULTI_CPU
+@pytest.mark.parametrize("case, exit_code", [("success", 0), ("diverges", 0), ("raises", 1),
+                                             ("exits", 1)])
+def test_no_lane_outlives_compare(case, exit_code, tmp_path):
+    # A divergence is a row of the report; an exception in a lane, or a lane
+    # that ends without a result, fails compare as any uncaught error does.
+    # In each case compare ends, having forked one lane fewer than it runs,
+    # and leaves no child behind.
+    config = diverging_compare_config(tmp_path) if case == "diverges" else RING16_COMPARE
+    lanes = min(len(os.sched_getaffinity(0)), len(load_config(config).algorithms))
+    proc = subprocess.run([sys.executable, "-c", LANE_SCRIPT, case, str(config),
+                           str(tmp_path / "out")], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == exit_code, proc.stderr
+    assert f"forked {lanes - 1}\nno child left\n" in proc.stderr
+    if case == "raises":
+        assert "RuntimeError: lane failure in dogt" in proc.stderr
+    if case == "exits":
+        assert "LaneError: no lane reported" in proc.stderr
 
 
 @pytest.mark.parametrize("T", ["auto", 7])
