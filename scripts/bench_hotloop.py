@@ -33,7 +33,11 @@ It also runs each method as ``compare`` runs it (COMPARE: tol 1e-10 and
 ``run`` call, its trace's iterations and the number of steps it actually
 took, counted by wrapping the step function on the module.  Those differ
 where ``run`` stops stepping at a fixed point (dgda and dogda) or steps
-past a tol stop within its last batch (dogt and adogt).
+past a tol stop within its last batch (dogt and adogt).  Wrapped the same
+way, with a clock read around each step, each run of the two settings also
+gives what is left above the steps: its time minus that of its steps, per
+step (``us_per_step_outside_steps``), which includes the wrapper's own call
+and clock reads.
 
 BASELINE_CHECKOUT is another checkout of this repository, such as a clone
 at an earlier commit.  It must be at the change that made ``run()`` take
@@ -93,9 +97,11 @@ def bare_loop(kind: str, problem, M: np.ndarray, gamma: float, z0: np.ndarray, i
     adogt's M_T): the floor a library step of ``kind`` can approach.
 
     The field is the library's formula on whole rows,
-    ([y x] - (z - [a b]) [-mu, +mu]) [+1, -1], and every result goes into a
-    preallocated array; the loop calls no library code.  Returns the final z.
+    ([y x] - (z - [a b]) [-mu, +mu]) [+1, -1], every result goes into a
+    preallocated array, gamma is a 0-d array and dogda's 2 g is g + g, as in
+    the library's steps; the loop calls no library code.  Returns the final z.
     """
+    gamma = np.array(gamma, dtype=np.float64)
     n, p, mu = problem.n, problem.p, problem.mu
     centers = np.hstack([problem.centers_a, problem.centers_b])
     slopes = np.tile(np.concatenate([-mu * np.ones(p), mu * np.ones(p)]), (n, 1))
@@ -120,7 +126,7 @@ def bare_loop(kind: str, problem, M: np.ndarray, gamma: float, z0: np.ndarray, i
             np.subtract(d, g_prev, d)
             np.multiply(gamma, d, d)
         elif optimistic:
-            np.multiply(2.0, g, d)
+            np.add(g, g, d)
             np.subtract(d, g_prev, d)
             np.multiply(gamma, d, d)
         else:
@@ -154,22 +160,34 @@ def dogt_stack(problem, W: np.ndarray, gamma: float, z0: np.ndarray, count: int)
                            iteration=tuple(range(count)))
 
 
-def steps_taken(algorithms, kind: str, job) -> int:
-    """The step calls one call of ``job`` makes, counted by wrapping ``kind``'s
-    step function on the module, where ``run`` looks it up."""
-    name, calls = f"{kind}_step", []
+def timed_steps(algorithms, kind: str, job) -> tuple[int, float, float]:
+    """The step calls one call of ``job`` makes, the seconds they took and
+    the seconds of the whole call, with ``kind``'s step function wrapped on
+    the module, where ``run`` looks it up."""
+    name, calls, clock = f"{kind}_step", [], time.perf_counter
     original = getattr(algorithms, name)
 
-    def counted(*args):
-        calls.append(None)
-        return original(*args)
+    def timed(*args):
+        start = clock()
+        original(*args)
+        calls.append(clock() - start)
 
-    setattr(algorithms, name, counted)
+    setattr(algorithms, name, timed)
     try:
+        start = clock()
         job()
+        total = clock() - start
     finally:
         setattr(algorithms, name, original)
-    return len(calls)
+    return len(calls), sum(calls), total
+
+
+def outside_steps_us(algorithms, kind: str, job) -> float:
+    """Microseconds per step that one call of ``job`` spends outside its
+    steps: the run's own work (tests, records, rolls), with the cost of the
+    timing wrapper's call and clock reads."""
+    steps, in_steps, total = timed_steps(algorithms, kind, job)
+    return (total - in_steps) / steps * 1e6
 
 
 def record_layer_calls(algorithms, metrics, verify, problem, mixing, gamma, z0) -> dict:
@@ -205,7 +223,7 @@ def measure(src: Path) -> dict:
     z_star = problem.saddle_point()
     adogt = algos["adogt"].mixing
     dense = {kind: np.array(W.W) for kind in METHODS}
-    dense["adogt"] = graph.momentum_gossip(W.W.__matmul__, adogt.eta, adogt.rounds,
+    dense["adogt"] = graph.momentum_gossip(partial(np.matmul, W.W), adogt.eta, adogt.rounds,
                                            np.eye(problem.n))
     jobs = {}
     for kind in METHODS:
@@ -231,8 +249,11 @@ def measure(src: Path) -> dict:
             times[key].append(time.perf_counter() - start)
     compare = {kind: {"ms_per_run": statistics.median(times.pop(("compare", kind))) * 1e3,
                       "iterations": jobs["compare", kind]().iterations,
-                      "steps_taken": steps_taken(algorithms, kind, jobs["compare", kind])}
+                      "steps_taken": timed_steps(algorithms, kind, jobs["compare", kind])[0]}
                for kind in METHODS}
+    outside = {setting: {kind: statistics.median(
+        outside_steps_us(algorithms, kind, jobs[setting, kind]) for _ in range(REPEATS))
+        for kind in METHODS} for setting in SETTINGS}
     # A ratio is the median over repeats of the run's time over that of the
     # bare loop timed next to it, which saw about the same speed of the core.
     ratios = {setting: {kind: statistics.median(
@@ -244,6 +265,7 @@ def measure(src: Path) -> dict:
     stack = np.repeat(z0[None], STACK, axis=0)
     return {
         "us_per_iteration_in_run": per_iter,
+        "us_per_step_outside_steps": outside,
         "compare_runs": compare,
         "bare_us_per_iteration": bare,
         "ratio_to_bare": ratios,
@@ -261,8 +283,8 @@ def measure(src: Path) -> dict:
 
 # The numbers stored with their interquartile range over rounds; the others
 # (the compare runs, timed as whole runs) as medians.
-WITH_SPREAD = ("us_per_iteration_in_run", "bare_us_per_iteration", "ratio_to_bare",
-               "us_per_call")
+WITH_SPREAD = ("us_per_iteration_in_run", "us_per_step_outside_steps", "bare_us_per_iteration",
+               "ratio_to_bare", "us_per_call")
 
 
 def over_rounds(samples: list, leaf):

@@ -29,27 +29,39 @@ mixes with the object's own ``mix(m, out)`` (see ``graph``).
 
 ``run`` keeps its states in three stacks allocated once per run, Z, G and R
 (iterates, gradients, trackers), of K + 2 slots each, the state axis
-leading: (K + 2) x n x (p+d).  A slot holds the z, grad and tracker of one
-state, and that state's z_prev and grad_prev are the z and grad of the slot
-before it, so no array is held twice.  A batch of K states occupies slots
-2..K+1.  Slots 0 and 1 hold the two states before it: slot 1 gives the
-batch's first z_prev and grad_prev, and slot 0 those of slot 1, which the
-fixed-point test reads.  After a batch a roll copies slots K and K + 1 to 0
-and 1.  The first batch starts with iteration 0 in slot 2, and slot 1 holds
-z0 and G(z0) as its z_prev and grad_prev.
+leading: (K + 2) x n x (p+d), held as one 3 x (K + 2) x n x (p+d) array so
+that a copy of z, grad and tracker out of some slots is one call.  A slot
+holds the z, grad and tracker of one state, and that state's z_prev and
+grad_prev are the z and grad of the slot before it, so no array is held
+twice.  A batch of K states occupies slots 2..K+1.  Slots 0 and 1 hold the
+two states before it: slot 1 gives the batch's first z_prev and grad_prev,
+and slot 0 those of slot 1, which the fixed-point test reads.  After a
+batch a roll copies slots K and K + 1 to 0 and 1.  The first batch starts
+with iteration 0 in slot 2, and slot 1 holds z0 and G(z0) as its z_prev
+and grad_prev.
 
 A step, ``<kind>_step(i, zs, gs, rs, d, mix, gamma, problem)``, fills slot i
-from slots i - 1 and i - 2.  zs, gs and rs are lists of the stacks' slots,
-made once per run (indexing a list is cheaper than indexing an ndarray), d
-is a work n x (p+d) array, and ``mix(m, out)``, the run's ``mixing.mix``,
-writes the mix of m into ``out``.  Every product goes straight into its
-slot (``out=``).  A step is arithmetic only: it neither checks its result
-nor sets NumPy's error state, so a step from a non-finite state is an
-ordinary step.  The tests of a state (the stop rule and the divergence
-check) are made on a whole batch's slots at once, the rows ``run`` records
-are filled from those slots into its one record table
-(``metrics.record_table``), and ``run`` stops stepping at a fixed point of
-the step.
+from slots i - 1 and i - 2 in one function body.  zs, gs and rs are lists of
+the stacks' slots, made once per run (indexing a list is cheaper than
+indexing an ndarray), d is a work n x (p+d) array, ``mix(m, out)``, the
+run's ``mixing.mix``, writes the mix of m into ``out``, and gamma is the
+stepsize as a 0-d float64 array: NumPy multiplies by an array operand
+faster than by a Python float (about 0.38 against 0.55 us at n = 16), to
+the same bits.  A float gamma gives the same slots.  Every product goes
+straight into its slot (``out=``), the field through
+``stacked_gradient_field``, looked up on this module at each call (the
+benchmark's tracer wraps it there, as it wraps the steps).
+A step is arithmetic only: it neither checks its result nor sets NumPy's
+error state, so a step from a non-finite state is an ordinary step.
+
+The tests of a state (the stop rule and the divergence check) are made on
+a whole batch's slots at once.  The stop rule's residuals come first: a
+residual is a sum of squares of z - z*, so a finite one proves its z
+finite, and the z stack is tested for NaN and infinity only when some
+residual is not (an overflow, or a divergence).  The tracker stack of dogt
+and adogt is always tested.  The rows ``run`` records are filled from the
+slots into its one record table (``metrics.record_table``), and ``run``
+stops stepping at a fixed point of the step.
 """
 
 from __future__ import annotations
@@ -133,45 +145,50 @@ class Trace:
         return int(self.records["comm_rounds"][-1])
 
 
-def _step(i, zs, gs, rs, d, mix, problem, tracking: bool) -> None:
-    """Fill slot i, given gamma times the direction in d, which it overwrites:
-    z_i = mix(z_{i-1} - d), g_i = G(z_i) and, for a tracking method,
-    r_i = mix(r_{i-1} + g_i - g_{i-1})."""
-    z = zs[i]
-    np.subtract(zs[i - 1], d, d)
-    mix(d, z)
-    g = stacked_gradient_field(problem, z, gs[i])
-    if tracking:
-        np.add(rs[i - 1], g, d)
-        np.subtract(d, gs[i - 1], d)
-        mix(d, rs[i])
-
-
-def dgda_step(i, zs, gs, rs, d, mix, gamma: float, problem: BilinearQuadratic) -> None:
-    """Plain distributed gradient descent ascent (adapt then combine)."""
+def dgda_step(i, zs, gs, rs, d, mix, gamma: np.ndarray, problem: BilinearQuadratic) -> None:
+    """Plain distributed gradient descent ascent (adapt then combine):
+    z_i = mix(z_{i-1} - gamma g_{i-1}), g_i = G(z_i)."""
     np.multiply(gamma, gs[i - 1], d)
-    _step(i, zs, gs, rs, d, mix, problem, False)
+    np.subtract(zs[i - 1], d, d)
+    z = zs[i]
+    mix(d, z)
+    stacked_gradient_field(problem, z, gs[i])
 
 
-def dogda_step(i, zs, gs, rs, d, mix, gamma: float, problem: BilinearQuadratic) -> None:
-    """Distributed optimistic gradient descent ascent, no tracking."""
-    np.multiply(2.0, gs[i - 1], d)
+def dogda_step(i, zs, gs, rs, d, mix, gamma: np.ndarray, problem: BilinearQuadratic) -> None:
+    """Distributed optimistic gradient descent ascent, no tracking:
+    z_i = mix(z_{i-1} - gamma (2 g_{i-1} - g_{i-2})), g_i = G(z_i).  2 g is
+    formed as g + g, the same bits as 2.0 * g for every input."""
+    g = gs[i - 1]
+    np.add(g, g, d)
     np.subtract(d, gs[i - 2], d)
     np.multiply(gamma, d, d)
-    _step(i, zs, gs, rs, d, mix, problem, False)
+    np.subtract(zs[i - 1], d, d)
+    z = zs[i]
+    mix(d, z)
+    stacked_gradient_field(problem, z, gs[i])
 
 
-def dogt_step(i, zs, gs, rs, d, mix, gamma: float, problem: BilinearQuadratic) -> None:
-    """One optimistic gradient-tracking update, dogt's over W and adogt's over M_T.
+def dogt_step(i, zs, gs, rs, d, mix, gamma: np.ndarray, problem: BilinearQuadratic) -> None:
+    """One optimistic gradient-tracking update, dogt's over W and adogt's over M_T:
+    z_i = mix(z_{i-1} - gamma (r_{i-1} + g_{i-1} - g_{i-2})), g_i = G(z_i),
+    r_i = mix(r_{i-1} + g_i - g_{i-1}).
 
     The tracker replaces the raw local gradient in the z update, then
     absorbs the new-minus-old gradient difference; mixing both through a
     doubly stochastic W or M_T preserves mean(r) = mean(G) exactly.
     """
-    np.add(rs[i - 1], gs[i - 1], d)
+    r = rs[i - 1]
+    g = gs[i - 1]
+    np.add(r, g, d)
     np.subtract(d, gs[i - 2], d)
     np.multiply(gamma, d, d)
-    _step(i, zs, gs, rs, d, mix, problem, True)
+    np.subtract(zs[i - 1], d, d)
+    z = zs[i]
+    mix(d, z)
+    np.add(r, stacked_gradient_field(problem, z, gs[i]), d)
+    np.subtract(d, g, d)
+    mix(d, rs[i])
 
 
 # adogt is dogt whose every exchange is accelerated_matrix(W, T); the name
@@ -179,26 +196,22 @@ def dogt_step(i, zs, gs, rs, d, mix, gamma: float, problem: BilinearQuadratic) -
 adogt_step = dogt_step
 
 
-def _first_nonfinite(z: np.ndarray, tracker: np.ndarray | None = None) -> int | None:
-    """Index of the first state of a stack (K x n x (p+d)) whose z, or tracker
-    when one is given, holds a NaN or an infinity; None if every state is finite."""
-    finite = np.isfinite(z)
-    if tracker is not None:
-        finite &= np.isfinite(tracker)
+def _first_nonfinite(*stacks: np.ndarray) -> int | None:
+    """Index of the first state at which one of the given stacks (each
+    K x n x (p+d)) holds a NaN or an infinity; None if every state is finite."""
+    finite = np.isfinite(stacks[0])
+    for stack in stacks[1:]:
+        finite &= np.isfinite(stack)
     if np.logical_and.reduce(finite, axis=None):     # the common case, in one call
         return None
     return int(np.logical_and.reduce(finite, axis=(-2, -1)).argmin())
 
 
-# The arrays of a stack of states, as metrics.metric_record reads them.
-_STACK = ("z", "z_prev", "grad", "grad_prev", "tracker", "iteration")
-
-
 def _slots(Z, G, R, rows, iterations) -> SimpleNamespace:
-    """The states in the slots ``rows`` (a slice or an index array) as one stack:
-    z, grad and tracker from those slots, z_prev and grad_prev from the slot
-    before each.  A slice gives views, an index array copies."""
-    prev = slice(rows.start - 1, rows.stop - 1) if isinstance(rows, slice) else rows - 1
+    """The states in the slots ``rows`` (a slice) as one stack of views: z,
+    grad and tracker from those slots, z_prev and grad_prev from the slot
+    before each."""
+    prev = slice(rows.start - 1, rows.stop - 1)
     return SimpleNamespace(z=Z[rows], z_prev=Z[prev], grad=G[rows], grad_prev=G[prev],
                            tracker=R[rows], iteration=iterations)
 
@@ -248,21 +261,23 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
     module docstring) in batches of K = at most _BATCH_STATES states and
     about _BATCH_BYTES (51 at ring-16, 8 at n = 1024), the first batch
     from iteration 0.  The module's ``<kind>_step`` is looked up as the run
-    starts and called once per step.  A full batch, or one that reaches
-    ``max_iters``, is tested at once: one ``residual`` call on its z slots
-    for the stop rule, and one finiteness test of the slots it stepped, z
-    and (for dogt and adogt) tracker, for divergence.  The first state with
-    residual <= tol ends the run, and the states stepped after it in its
-    batch, at most K - 1, are dropped.  A non-finite state before that
-    raises.  The rows to record, each with the residual the stop rule took,
-    wait until a batch of them is full, or the run ends, and are then
-    evaluated on their stack in one ``metric_record`` call, so a sparse
-    record grid costs few calls.  A batch recorded whole (record_every 1,
-    as ``verify`` runs) is recorded from views of its slots, with z_prev
-    and grad_prev the slots shifted by one; the rows of a batch recorded in
-    part are copied out of the slots before the next batch overwrites them.
-    All of it gives the values state-by-state calls would, bit for bit.
-    The comm_rounds column is filled once, as the run returns: each row's
+    starts and called once per step, with gamma as a 0-d array.  A full
+    batch, or one that reaches ``max_iters``, is tested at once: one
+    ``residual`` call on its z slots for the stop rule, and a finiteness
+    test of the slots it stepped for divergence: of the z slots only when a
+    residual is not finite, and for dogt and adogt of the tracker slots.
+    The first state with residual <= tol ends the run, and the states
+    stepped after it in its batch, at most K - 1, are dropped.  A
+    non-finite state before that raises.  At ``record_every`` 1, as
+    ``verify`` runs, a batch's rows are evaluated from views of its slots,
+    with z_prev and grad_prev the slots shifted by one, in one
+    ``metric_record`` call.  At a sparser grid the rows of a batch on it,
+    and the final state's, are copied out of the slots, in two copies, into
+    a stack of K rows held for the next call, which is made when the next
+    batch's rows would not fit or the run ends, so a sparse record grid
+    costs few calls.  Each row has the residual the stop rule took.  All of
+    it gives the values state-by-state calls would, bit for bit.  The
+    comm_rounds column is filled once, as the run returns: each row's
     iteration times the mix's ``rounds``.
 
     A step is a pure function of a state's five arrays (z, z_prev, grad,
@@ -304,14 +319,20 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
     step = {"dgda": dgda_step, "dogda": dogda_step, "dogt": dogt_step,
             "adogt": adogt_step}[kind]
     mix = mixing.mix
+    # A step multiplies by gamma as a 0-d array: the same bits as by the
+    # float, through NumPy's cheaper path for an array operand.
+    step_gamma = np.array(gamma, dtype=np.float64)
     n, width = problem.n, problem.p + problem.d
     # z* on every row, so the residual's subtraction is one contiguous loop.
     z_star_rows = np.tile(z_star, (n, 1))
     # Five float64 arrays a state; one state a batch at least.
     batch = max(1, min(_BATCH_STATES, _BATCH_BYTES // (5 * 8 * n * width)))
-    Z = np.empty((batch + 2, n, width))
-    G = np.empty_like(Z)
-    R = np.empty_like(Z) if tracking else np.zeros_like(Z)
+    # The three stacks as one array, so that a roll, or a copy of z, grad
+    # and tracker out of some slots, is one call.
+    ZGR = np.empty((3, batch + 2, n, width))
+    Z, G, R = ZGR
+    if not tracking:
+        R.fill(0.0)
     zs, gs, rs = list(Z), list(G), list(R)
     d = np.empty((n, width))
     Z[1] = Z[2] = stacked_array(problem, z0)
@@ -321,22 +342,33 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
         R[2] = G[2]
     table = metrics.record_table(batch, width)
     filled = 0          # rows of the table filled so far
-    pending = []        # (residuals, stack) of each batch's rows to record, not yet evaluated
+    if record_every > 1:
+        # The rows of batches recorded in part wait here, copied out of the
+        # slots, until the next batch's would not fit or the run ends: z,
+        # grad and tracker, then z_prev and grad_prev, of each.
+        held = np.empty((5, batch, n, width))
+        held_residuals = np.empty(batch)
+        held_iterations = np.empty(batch, dtype=np.int64)
+    count = 0           # rows held
 
-    def flush():
-        """Evaluate the pending rows into the next rows of the table, in one call."""
+    def record(stack, residuals) -> None:
+        """Evaluate a stack's rows into the next rows of the table, in one call."""
         nonlocal table, filled
-        if pending:
-            residuals = np.concatenate([r for r, _ in pending])
-            stack = pending[0][1] if len(pending) == 1 else SimpleNamespace(**{
-                name: np.concatenate([getattr(s, name) for _, s in pending])
-                for name in _STACK})
-            end = filled + len(residuals)
-            while end > len(table):
-                table = np.concatenate([table, np.empty_like(table)])
-            metrics.metric_record(table[filled:end], stack, residuals, gamma, L, rho_eff, z_star)
-            filled = end
-            pending.clear()
+        end = filled + len(residuals)
+        while end > len(table):
+            table = np.concatenate([table, np.empty_like(table)])
+        metrics.metric_record(table[filled:end], stack, residuals, gamma, L, rho_eff, z_star)
+        filled = end
+
+    def flush() -> None:
+        """Evaluate the held rows."""
+        nonlocal count
+        if count:
+            z, grad, tracker, z_prev, grad_prev = held[:, :count]
+            record(SimpleNamespace(z=z, z_prev=z_prev, grad=grad, grad_prev=grad_prev,
+                                   tracker=tracker, iteration=held_iterations[:count]),
+                   held_residuals[:count])
+            count = 0
 
     def fast_forward(slot, last, residual) -> None:
         """Record iterations last + 1 .. max_iters, whose states all hold the
@@ -367,32 +399,47 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
         while True:
             k = min(batch, max_iters + 1 - start)       # the batch's states, slots 2..k+1
             for i in range(first, k + 2):
-                step(i, zs, gs, rs, d, mix, gamma, problem)
+                step(i, zs, gs, rs, d, mix, step_gamma, problem)
             residuals = metrics.residual(Z[2:k + 2], z_star_rows)
             hits = (residuals <= tol).nonzero()[0]
             stop = len(hits) > 0
             if stop:
                 k = int(hits[0]) + 1
             if k + 2 > first:           # z0 itself is not checked
-                bad = _first_nonfinite(Z[first:k + 2], R[first:k + 2] if tracking else None)
+                # A finite residual is a sum of finite squares, so finite
+                # residuals prove the z stack finite: z is tested only
+                # otherwise, the tracker always.
+                tested = ([] if math.isfinite(np.add.reduce(residuals[first - 2:k]))
+                          else [Z[first:k + 2]])
+                if tracking:
+                    tested.append(R[first:k + 2])
+                bad = _first_nonfinite(*tested) if tested else None
                 if bad is not None:
                     raise DivergenceError(start + first - 2 + bad)
             last = start + k - 1
             # The record grid, and the final state: the stop or max_iters.
             final = stop or last == max_iters
-            rows = list(range(-start % record_every, k, record_every))
-            if final and last % record_every:
-                rows.append(k - 1)
-            # A batch recorded whole is flushed in this batch (its k rows fill
-            # a batch, or it is the last), so views of its slots suffice.
-            if len(rows) == k:
-                pending.append((residuals[:k], _slots(Z, G, R, slice(2, k + 2),
-                                                      np.arange(start, last + 1))))
-            elif rows:
-                at = np.array(rows)
-                pending.append((residuals[at], _slots(Z, G, R, at + 2, start + at)))
-            if sum(len(r) for r, _ in pending) >= batch or final:
-                flush()
+            if record_every == 1:
+                # Every state is recorded, from views of its slots, before
+                # the next batch overwrites them.
+                record(_slots(Z, G, R, slice(2, k + 2), np.arange(start, last + 1)),
+                       residuals[:k])
+            else:
+                # The batch's states on the grid, and an off-grid final one.
+                on_grid = slice(-start % record_every, k, record_every)
+                for rows in ((on_grid, slice(k - 1, k)) if final and last % record_every
+                             else (on_grid,)):
+                    chosen = residuals[rows]
+                    if count + len(chosen) > batch:
+                        flush()
+                    end = count + len(chosen)
+                    held[:3, count:end] = ZGR[:, 2:k + 2][:, rows]
+                    held[3:, count:end] = ZGR[:2, 1:k + 1][:, rows]
+                    held_residuals[count:end] = chosen
+                    held_iterations[count:end] = np.arange(start, last + 1)[rows]
+                    count = end
+                if final:
+                    flush()
             if stop:
                 reason = "tol_reached"
             if final:
@@ -403,7 +450,7 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
                     fixed_point = start + s - 1
                     fast_forward(k + 1, last, residuals[-1])
                     break
-            Z[:2], G[:2], R[:2] = Z[k:], G[k:], R[k:]
+            ZGR[:, :2] = ZGR[:, k:]
             before = residuals[-1]
             start, first = last + 1, 2
 

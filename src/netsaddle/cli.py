@@ -405,18 +405,35 @@ def _defined(trace: Trace, column: str) -> bool:
 def write_trace_csv(path: Path, trace: Trace, record_every: int = 1) -> None:
     """The trace's rows on the ``record_every`` grid and its last row, each
     formatted by one %-format string, a chunk of rows at a time; the columns
-    that are not ``_defined`` stay empty."""
+    that are not ``_defined`` stay empty.
+
+    The rows at the end whose float cells equal the last row's, bit for bit
+    (after a fixed point, most of a run's rows), share one format string in
+    which those cells are formatted once."""
     records = trace.records
     keep = records["iteration"] % record_every == 0
     keep[-1] = True
     if not keep.all():
         records = records[keep]
     known = [column for column in CSV_COLUMNS.values() if _defined(trace, column)]
-    row = ",".join(("%d" if records.dtype[column].kind == "i" else "%.17g")
-                   if column in known else "" for column in CSV_COLUMNS.values())
+    ints = [column for column in known if records.dtype[column].kind == "i"]
+    floats = [column for column in known if column not in ints]
+    differs = np.zeros(len(records), dtype=bool)
+    for column in floats:
+        bits = records[column].view(np.int64)
+        differs |= bits != bits[-1]
+    tail = int(differs.nonzero()[0][-1]) + 1 if differs.any() else 0
+
+    def row(last: bool) -> str:
+        """The row format; with ``last``, its float cells hold the last row's values."""
+        return ",".join("%d" if column in ints
+                        else ("%.17g" % records[column][-1] if last else "%.17g")
+                        if column in floats else "" for column in CSV_COLUMNS.values()) + "\n"
+
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(csv_chunks(row + "\n", records, known))
+        fh.writelines(csv_chunks(row(False), records[:tail], known))
+        fh.writelines(csv_chunks(row(True), records[tail:], ints))
 
 
 def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
@@ -514,8 +531,7 @@ def run_command(config_path, out_dir=None) -> int:
 def _fitted_rate_cell(trace: Trace) -> str:
     records = trace.records
     try:
-        report = fit_linear_rate(zip(records["iteration"].tolist(),
-                                     records["residual"].tolist()))
+        report = fit_linear_rate(np.stack([records["iteration"], records["residual"]], axis=1))
     except ValueError:
         return "n/a"
     return f"{report.fitted_rate:.6g}"

@@ -60,7 +60,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -528,16 +528,30 @@ def acceleration_momentum(rho: float) -> float:
 def _momentum_rounds(mix, eta: float, message: np.ndarray) -> Iterator[np.ndarray]:
     """The message after 1, 2, ... rounds of momentum gossip, without end.
 
-    ``mix`` is one round, m -> W m; on W's eigenvalues, p -> lam * p.
+    ``mix(m, out)`` is one round, m -> W m written into ``out``; on W's
+    eigenvalues, ``partial(np.multiply, lam)``.  A round is
+    (1 + eta) mix(curr) - eta prev, in that order of operations, written
+    into three buffers in turn, so no round allocates: eta prev goes into
+    prev's buffer, which the round frees, or into the spare one while prev
+    is the message, which is never written.  A yielded array holds its
+    round until the generator has been advanced twice more.
     """
+    buffers = [np.empty_like(message) for _ in range(3)]
     prev = curr = message
-    while True:
-        prev, curr = curr, (1.0 + eta) * mix(curr) - eta * prev
+    for t in count():
+        new = buffers[t % 3]
+        scaled = buffers[(t + 1) % 3] if prev is message else prev
+        mix(curr, new)
+        new *= 1.0 + eta
+        np.multiply(eta, prev, scaled)
+        new -= scaled
+        prev, curr = curr, new
         yield curr
 
 
 def momentum_gossip(mix, eta: float, T: int, message: np.ndarray) -> np.ndarray:
-    """T >= 1 rounds of momentum gossip on a message; equals M_T @ message."""
+    """T >= 1 rounds of momentum gossip on a message, each a ``mix(m, out)``;
+    equals M_T @ message.  The message is not written."""
     return next(islice(_momentum_rounds(mix, eta, message), T - 1, None))
 
 
@@ -566,7 +580,8 @@ class AcceleratedExchange:
     def matrix(self) -> np.ndarray:
         """M_T, built on first use from T dense products by W (gathering the
         n x n identity would build an nnz x n temporary) and kept, read-only."""
-        M = momentum_gossip(self.W.W.__matmul__, self.eta, self.rounds, np.eye(self.W.n))
+        M = momentum_gossip(partial(np.matmul, self.W.W), self.eta, self.rounds,
+                            np.eye(self.W.n))
         M.setflags(write=False)
         return M
 
@@ -614,7 +629,8 @@ def accelerated_matrix(W: MixingMatrix, T: int | None = None) -> AcceleratedExch
         raise ValueError(f"T = {T} exceeds {MAX_T_FACTOR} times the formula's T, "
                          f"ceil(ln 2 / sqrt(1 - sqrt(rho_W))) = {formula} on this W")
     first = T or formula
-    rounds = _momentum_rounds(W.spectrum.__mul__, eta, np.ones_like(W.spectrum))
+    rounds = _momentum_rounds(partial(np.multiply, W.spectrum), eta,
+                              np.ones_like(W.spectrum))
     for t, p in enumerate(islice(rounds, first - 1, None), start=first):
         rho_M = float(np.max(p * p, initial=0.0))
         if T or rho_M <= 0.5:

@@ -187,12 +187,15 @@ def iteration_complexity(kappa: float, rho: float) -> float:
 def fit_linear_rate(series, skip_fraction: float = 0.1) -> RateReport:
     """Least-squares geometric rate of an (iteration, value) series.
 
-    The first ``skip_fraction`` of the iteration span is dropped to avoid
-    transient contamination; remaining values must be finite (an overflowed
-    residual is inf), and only the strictly positive ones are fitted.
+    ``series`` is an iterable of (iteration, value) pairs, or an N x 2 array
+    of them, taken as float64 without a pair-by-pair pass.  The first
+    ``skip_fraction`` of the iteration span is dropped to avoid transient
+    contamination; remaining values must be finite (an overflowed residual
+    is inf), and only the strictly positive ones are fitted.
     """
-    ks, values = np.array([(int(k), float(v)) for k, v in series],
-                          dtype=np.float64).reshape(-1, 2).T
+    if not isinstance(series, np.ndarray):
+        series = [(int(k), float(v)) for k, v in series]
+    ks, values = np.array(series, dtype=np.float64).reshape(-1, 2).T
     if ks.size == 0:
         raise ValueError("insufficient data: empty series")
     window = ks >= ks[0] + skip_fraction * (ks[-1] - ks[0])

@@ -114,19 +114,7 @@ class BilinearQuadratic:
         -(mu (x - a)), y - (-t) is y + t in IEEE arithmetic, and a product
         with -1 is exact negation.
         """
-        return self._field(stacked_array(self, z, batched=True))
-
-    def _field(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """gradient_field of a float64 array of the problem's shape, unchecked;
-        into ``out``, an array of z's shape that does not overlap it, when given."""
-        out = np.subtract(z, self._centers, out)
-        out *= self._slopes
-        # [y x]: one flat gather over each state's n (p+d) entries.
-        swapped = (z.take(self._swap) if z.ndim == 2
-                   else z.reshape(z.shape[:-2] + (-1,)).take(self._swap, axis=-1))
-        np.subtract(swapped, out, out)
-        out *= self._signs
-        return out
+        return stacked_gradient_field(self, stacked_array(self, z, batched=True))
 
     def saddle_point(self) -> np.ndarray:
         """The global saddle point as a (p+d,) vector."""
@@ -173,7 +161,16 @@ def make_bilinear_quadratic(n: int, p: int, d: int, mu: float, seed: int,
 
 def stacked_gradient_field(problem: BilinearQuadratic, z: np.ndarray,
                            out: np.ndarray | None = None) -> np.ndarray:
-    """``problem.gradient_field`` without its shape check, for the float64
-    n x (p+d) arrays a step makes itself; written into ``out`` and returned
-    when it is given, bit for bit the same."""
-    return problem._field(z, out)
+    """The field's arithmetic, defined here once: ``problem.gradient_field``
+    without its shape check, of a float64 n x (p+d) array or a stack of them
+    (..., n, p+d), as a step makes them; written into ``out``, an array of
+    z's shape that does not overlap it, and returned when it is given, bit
+    for bit the same."""
+    out = np.subtract(z, problem._centers, out)
+    out *= problem._slopes
+    # [y x]: one flat gather over each state's n (p+d) entries.
+    swapped = (z.take(problem._swap) if z.ndim == 2
+               else z.reshape(z.shape[:-2] + (-1,)).take(problem._swap, axis=-1))
+    np.subtract(swapped, out, out)
+    out *= problem._signs
+    return out

@@ -105,6 +105,43 @@ def test_dogt_one_step_from_origin(ring16_problem, ring16_W):
     assert np.allclose(after.z, ring16_W.W @ (-GAMMA * g0), atol=1e-15)
 
 
+# The library's steps multiply by gamma as a 0-d array, and dogda forms 2 g
+# as g + g; each gives the bits of the plain formula.
+
+
+@pytest.mark.parametrize("kind", algorithms.ALGORITHMS)
+def test_a_step_fills_the_same_slot_with_gamma_as_a_float_and_as_an_array(
+        kind, ring16_problem, ring16_W):
+    # Slots 0 and 1 hold two states, with signed zeros among them; slot 2,
+    # NaN to begin with, is the one a step fills.
+    rng = np.random.default_rng(3)
+    start = rng.standard_normal((3, 3, 16, 4))          # Z, G, R of slots 0..2
+    start[:, :2, 0, :2] = [0.0, -0.0]
+    start[:, 2] = np.nan
+    step = getattr(algorithms, f"{kind}_step")
+    mix = mixing_of(kind, ring16_W, 4).mix
+    filled = []
+    for gamma in (GAMMA, np.array(GAMMA)):
+        Z, G, R = stacks = start.copy()
+        step(2, list(Z), list(G), list(R), np.empty((16, 4)), mix, gamma, ring16_problem)
+        assert np.isfinite(stacks[:2 if kind in ("dgda", "dogda") else 3, 2]).all()
+        filled.append(stacks.tobytes())
+    assert filled[0] == filled[1]
+
+
+def test_twice_a_gradient_as_a_sum_is_the_product_bit_for_bit():
+    half_max = 2.0 ** 1023          # 2 x overflows from here on
+    tiny = np.finfo(np.float64).tiny
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                       5e-324, -5e-324, np.nextafter(tiny, 0.0), -tiny, 1.0, -1 / 3,
+                       np.nextafter(half_max, 0.0), -np.nextafter(half_max, 0.0),
+                       half_max, -half_max, np.nextafter(half_max, np.inf),
+                       np.finfo(np.float64).max])
+    with np.errstate(over="ignore"):
+        product, total = 2.0 * values, values + values
+    assert total.view(np.int64).tolist() == product.view(np.int64).tolist()
+
+
 def test_dogt_trajectory_matches_block_form_oracle(ring16_problem, ring16_W, z0_16):
     a, b, mu = ref.make_instance()
     traj = ref.dogt_run(a, b, mu, ring16_W.W, GAMMA,
@@ -627,6 +664,45 @@ def test_a_nonfinite_start_raises_at_iteration_1(ring16_problem, ring16_W, z0_16
     with pytest.raises(DivergenceError) as err:
         run("dogt", ring16_problem, ring16_W, GAMMA, z0, max_iters=100, tol=1e-10)
     assert err.value.iteration == by_iterate.value.iteration == 1
+
+
+# A batch's residuals come first: finite ones prove its z stack finite, so
+# z itself is tested only where a residual is not finite.
+
+
+@pytest.mark.parametrize("record_every", [1, 10])
+def test_an_overflowing_residual_of_a_finite_state_is_no_divergence(
+        record_every, ring16_problem, ring16_W, z0_16, monkeypatch):
+    # z of state 60 is filled with 1e160: finite, but its squares, and so
+    # the residuals from 60 on, overflow to inf.  Testing z then finds it
+    # finite, and the rows are those of stepping one state at a time.
+    poisoned(monkeypatch, "dogt_step", 60, "z", 1e160)
+    trace = run("dogt", ring16_problem, ring16_W, GAMMA, z0_16, max_iters=120, tol=0.0,
+                record_every=record_every)
+    residuals = trace.records.residual
+    assert np.isinf(residuals[trace.records.iteration >= 60]).all()
+    assert np.isfinite(residuals[trace.records.iteration < 60]).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_stepwise(trace, "dogt", ring16_problem, z0_16, 120, 0.0, record_every)
+
+
+@pytest.mark.parametrize("record_every", [1, 10])
+@pytest.mark.parametrize("kind", ["dogt", "adogt"])
+def test_a_nonfinite_tracker_behind_finite_residuals_raises_at_its_iteration(
+        kind, record_every, ring16_problem, ring16_W, z0_16, monkeypatch):
+    # The tracker of the last state of the second batch is NaN.  Its z, and
+    # every residual of that batch, are finite, so only the tracker's own
+    # test sees it.
+    at = 2 * batch_of(z0_16) - 1
+    poisoned(monkeypatch, f"{kind}_step", at, "tracker", np.nan)
+    mixing = mixing_of(kind, ring16_W, 4)
+    with pytest.raises(DivergenceError) as by_iterate:
+        for state in iterate(kind, ring16_problem, mixing, GAMMA, z0_16):
+            assert np.isfinite(state.z).all()
+    with pytest.raises(DivergenceError) as err:
+        run(kind, ring16_problem, mixing, GAMMA, z0_16, max_iters=300, tol=0.0,
+            record_every=record_every)
+    assert err.value.iteration == by_iterate.value.iteration == at
 
 
 @pytest.mark.parametrize("kind,T,max_iters,tol", [

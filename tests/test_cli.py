@@ -819,6 +819,59 @@ def test_trace_csv_is_written_in_chunks_of_rows(tmp_path, monkeypatch):
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
+def trace_csv_row_by_row(trace, record_every):
+    """The trace CSV with every row formatted on its own, cell by cell: the
+    oracle of write_trace_csv, whose rows at the end may share one format."""
+    records = trace.records
+    lines = [CSV_HEADER]
+    for k, record in enumerate(records):
+        if record["iteration"] % record_every == 0 or k == len(records) - 1:
+            lines.append(",".join(cli._fmt(record[column]) if cli._defined(trace, column)
+                                  else "" for column in cli.CSV_COLUMNS.values()))
+    return ("\n".join(lines) + "\n").encode()
+
+
+COMPARE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ring16_compare.yaml"
+
+
+@pytest.mark.parametrize("kind,overrides,record_every,fixed_point", [
+    # The compare config's dgda: a fixed point at 7439, between two grid
+    # rows at record_every 10 and 7; max_iters 10000 is off the grid of 7.
+    ("dgda", {}, 10, 7439),
+    ("dgda", {}, 7, 7439),
+    ("dogt", {}, 10, None),                             # a tol stop at 838, off the grid
+    ("adogt", {"T": 1, "max_iters": 300}, 7, None),      # rho_M >= 1: lyapunov stays empty
+])
+def test_a_trace_csv_is_its_rows_formatted_one_by_one(kind, overrides, record_every,
+                                                      fixed_point, tmp_path, monkeypatch):
+    exp = resolve_experiment(load_config(COMPARE_CONFIG))
+    algo = next(a for a in exp.algorithms if a.name == kind)
+    mixing = graph.accelerated_matrix(exp.W, overrides["T"]) if "T" in overrides else algo.mixing
+    trace = algorithms.run(kind, exp.problem, mixing, algo.gamma, exp.z0,
+                           max_iters=overrides.get("max_iters", 10000), tol=1e-10,
+                           record_every=record_every)
+    assert trace.fixed_point == fixed_point
+    assert (trace.rho >= 1.0) == (kind == "adogt")
+    lengths, chunks = [], cli.csv_chunks
+
+    def counted(row, table, names):
+        lengths.append(len(table))
+        return chunks(row, table, names)
+
+    monkeypatch.setattr(cli, "csv_chunks", counted)
+    path = tmp_path / "trace.csv"
+    cli.write_trace_csv(path, trace, record_every)
+    assert path.read_bytes() == trace_csv_row_by_row(trace, record_every)
+    # The rows from the fixed point on share one format: on dgda's grid of
+    # 10, 257 of 1001 rows.
+    iterations = trace.records.iteration
+    written = (iterations % record_every == 0) | (iterations == iterations[-1])
+    tail = (written & (iterations >= fixed_point)).sum() if fixed_point else 1
+    assert lengths[-1] >= tail and sum(lengths) == written.sum()
+    if (kind, record_every) == ("dgda", 10):
+        assert lengths == [744, 257]
+
+
 # ---------------------------------------------------------------------------
 # shipped configs and entry point
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from netsaddle import verify
+from netsaddle import graph, verify
 from netsaddle.algorithms import run
 from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (MAX_T_FACTOR, WEIGHT_BUILDERS, CSRMix, DisconnectedGraphError,
@@ -486,6 +487,37 @@ def test_accelerated_matrix_is_the_dense_recursion_bitwise(ring16_W, T):
     eta = acceleration_momentum(ring16_W.rho)
     assert np.array_equal(dense_M(accelerated_matrix(ring16_W, T)),
                           ref.chebyshev_matrix(ring16_W.W, T, eta))
+
+
+def allocating_gossip(mix, eta, T, message):
+    """T rounds of momentum gossip, each round's array a new one."""
+    prev = curr = message
+    for _ in range(T):
+        prev, curr = curr, (1.0 + eta) * mix(curr) - eta * prev
+    return curr
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 7])
+def test_gossip_in_three_buffers_is_the_allocating_recursion_bitwise(T):
+    # ring-400 gathers: the gathered rounds, those of the dense W and the
+    # pass over W's eigenvalues all give the bits of a recursion that
+    # allocates every round, and none writes its message.
+    W = metropolis_weights(build_topology("ring", 400))
+    assert isinstance(W.mix, CSRMix)
+    eta = acceleration_momentum(W.rho)
+    message = np.random.default_rng(5).standard_normal((400, 4))
+    message[0, :2] = [0.0, -0.0]
+    for mix, plain, m in ((W.mix, W.mix, message),
+                          (partial(np.matmul, W.W), W.W.__matmul__, message),
+                          (partial(np.multiply, W.spectrum), W.spectrum.__mul__,
+                           np.ones_like(W.spectrum))):
+        m = m.copy()
+        m.setflags(write=False)
+        assert (graph.momentum_gossip(mix, eta, T, m).tobytes()
+                == allocating_gossip(plain, eta, T, m).tobytes())
+    exchange = accelerated_matrix(W, T)
+    assert exchange.mix(message).tobytes() == allocating_gossip(W.mix, eta, T,
+                                                                message).tobytes()
 
 
 def test_accelerated_matrix_zero_momentum_is_power():
