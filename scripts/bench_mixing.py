@@ -122,7 +122,7 @@ def end_to_end() -> dict:
         shipped = run_wall_s(config_path, Path(tmp) / "out")
         # The same command with the cost rule answering "dense" for every W.
         gathers = graph._gathers
-        graph._gathers = lambda n, rows: False
+        graph._gathers = lambda n, nnz: False
         try:
             dense = run_wall_s(config_path, Path(tmp) / "out")
         finally:

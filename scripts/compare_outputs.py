@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Check that two checkouts give byte-identical command outputs.
+
+    python scripts/compare_outputs.py OTHER_CHECKOUT
+
+It runs the committed configs (``configs/ring16_compare.yaml`` with
+``compare``, ``ring16_dogt.yaml`` with ``run``, ``ring16_verify.yaml`` with
+``verify``) and the benchmark's workloads (``perfbench/workloads.py``, each
+with its own command) at workload seeds 0 to REFERENCE_SEEDS - 1, through
+``netsaddle.cli.main``, in this checkout and in OTHER_CHECKOUT, another
+checkout of this repository such as a clone at an earlier commit.  Both run
+the configs of this checkout, written once to the same files.  Each command
+runs in a fresh process on the checkout's ``src/``, with BLAS pinned to one
+thread as in perfbench.
+
+For every case it prints whether the exit codes, the stdout text and the
+bytes of every output file agree, one line each, and it exits 1 on any
+difference, 0 when all agree.  perfbench is only imported, as in
+``tests/test_workload_outputs.py``.
+"""
+
+from __future__ import annotations
+
+from _bench import ROOT, measured_in_fresh_process  # first: pins BLAS
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import yaml  # noqa: E402
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+COMMITTED = {"ring16_compare.yaml": "compare", "ring16_dogt.yaml": "run",
+             "ring16_verify.yaml": "verify"}
+
+
+def run_command(src: Path, command: str, config: str, out: str) -> dict:
+    """The exit code and stdout of ``netsaddle COMMAND --config CONFIG --out OUT``
+    on the package under ``src``, run in this process."""
+    sys.path.insert(0, str(src))
+    from netsaddle import cli
+
+    if Path(cli.__file__).resolve().parent != src.resolve() / "netsaddle":
+        raise SystemExit(f"imported netsaddle from {cli.__file__}, not {src}")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([command, "--config", config, "--out", out])
+    return {"exit_code": code, "stdout": stdout.getvalue()}
+
+
+def cases(configs: Path):
+    """(label, command, config file) of every case, each config written under ``configs``."""
+    for name, command in COMMITTED.items():
+        yield name.removesuffix(".yaml"), command, ROOT / "configs" / name
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        for w in range(workloads.REFERENCE_SEEDS):
+            path = configs / f"{name}-{w}.yaml"
+            path.write_text(yaml.safe_dump(workload.make_config(w), sort_keys=False))
+            yield f"{name}-{w}", workload.command, path
+
+
+def compared_outputs(ours: dict, theirs: dict, out: Path, other_out: Path) -> list:
+    """(output, whether both checkouts gave its bytes) for the exit code,
+    stdout and every file either checkout wrote."""
+    compared = [("exit code", ours["exit_code"] == theirs["exit_code"]),
+                ("stdout", ours["stdout"] == theirs["stdout"])]
+    files = sorted({path.relative_to(root) for root in (out, other_out) if root.is_dir()
+                    for path in root.rglob("*") if path.is_file()})
+    for rel in files:
+        mine, other = out / rel, other_out / rel
+        compared.append((str(rel), mine.is_file() and other.is_file()
+                         and mine.read_bytes() == other.read_bytes()))
+    return compared
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["--measure"]:   # one command in a fresh process, started below
+        print(json.dumps(run_command(Path(argv[1]), *argv[2:])))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", type=Path, help="another checkout to compare this one with")
+    args = parser.parse_args(argv)
+    if not (args.other / "src" / "netsaddle" / "cli.py").is_file():
+        parser.error(f"no netsaddle sources under {args.other / 'src'}")
+
+    agreed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "configs").mkdir()
+        for label, command, config in cases(tmp / "configs"):
+            out, other_out = tmp / "this" / label, tmp / "other" / label
+            ours = measured_in_fresh_process(__file__, ROOT, command, config, out)
+            theirs = measured_in_fresh_process(__file__, args.other, command, config, other_out)
+            for item, same in compared_outputs(ours, theirs, out, other_out):
+                print(f"{'same' if same else 'DIFFERS':8} {label:20} {item}", flush=True)
+                agreed.append(same)
+    differing = agreed.count(False)
+    print(f"{differing} of {len(agreed)} outputs differ" if differing
+          else f"all {len(agreed)} outputs are byte-identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

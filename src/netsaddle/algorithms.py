@@ -303,7 +303,7 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
     if not isinstance(mixing, wanted):
         raise ValueError(f"{kind} mixes with a {wanted.__name__}, "
                          f"got a {type(mixing).__name__}")
-    if gamma <= 0.0:
+    if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")

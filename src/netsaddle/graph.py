@@ -166,14 +166,6 @@ class Topology:
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
-    @property
-    def adjacency(self) -> np.ndarray:
-        """The n x n boolean adjacency matrix, built on request, not kept."""
-        adjacency = np.zeros((self.n, self.n), dtype=bool)
-        i, j = self.edges.T
-        adjacency[i, j] = adjacency[j, i] = True
-        return adjacency
-
 
 def build_topology(kind: str, n: int, seed: int | None = None,
                    edge_probability: float | None = None) -> Topology:
@@ -348,20 +340,18 @@ class CSRMix:
         return out
 
 
-def _gathers(n: int, rows: np.ndarray) -> bool:
-    """The cost rule for one mix of an n x n W whose nonzeros lie in ``rows``
-    (as ``Nonzeros.rows`` holds them): gather (CSRMix) iff 8 nnz + 2**17 < n**2.
+def _gathers(n: int, nnz: int) -> bool:
+    """The cost rule for one mix of an n x n W with nnz nonzeros: gather
+    (CSRMix) iff 8 nnz + 2**17 < n**2.
 
     Fitted to the time of one mix of an n x 4 message with one BLAS thread
     (``scripts/bench_mixing.py``, README), before the gather summed two
     lanes at a time: W @ m costs about n**2, with a jump once W outgrows
     the cache, and the gather about nnz plus a cost per row and per call,
     which makes it lose below a few hundred nodes.  Every graph with
-    n < 367, rings up to n = 374 and every complete graph stay dense.  A W
-    with an empty row, which no stochastic matrix has, keeps the dense
-    product.
+    n < 367, rings up to n = 374 and every complete graph stay dense.
     """
-    return bool(np.bincount(rows, minlength=n).all()) and 8 * rows.size + 2 ** 17 < n ** 2
+    return 8 * nnz + 2 ** 17 < n ** 2
 
 
 class MixingMatrix:
@@ -424,7 +414,7 @@ class MixingMatrix:
         if self.rho >= 1.0:
             raise ValueError(f"spectral gap rho={self.rho} >= 1; matrix does not contract "
                              "off the consensus direction (disconnected graph?)")
-        if _gathers(n, rows):
+        if _gathers(n, rows.size):
             self._dense, self.mix = None, CSRMix(nonzeros)
         else:
             self._dense = nonzeros.dense() if dense is None else dense

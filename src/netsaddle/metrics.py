@@ -12,8 +12,8 @@ run that records every step; e and E are not columns, since only
 ``field_at_average_sq``.
 
 Two norm conventions coexist on purpose and are spelled out per field:
-``consensus_error`` is logged UNSQUARED, (1/n) ||z - 1 zbar|| = sqrt(C) / n,
-which is the plot convention, while the Lyapunov terms use squared norms,
+the ``consensus_error`` column is logged UNSQUARED, (1/n) ||z - 1 zbar|| =
+sqrt(C) / n (``metric_record`` fills it), which is the plot convention, while the Lyapunov terms use squared norms,
 which is the analysis convention.
 """
 
@@ -78,12 +78,6 @@ def deviation_sq(m: np.ndarray, mbar: np.ndarray | None = None):
     return _sq(m - mbar[..., None, :])
 
 
-def consensus_error(z: np.ndarray):
-    """(1/n) ||z - 1 zbar|| = sqrt(C) / n, unsquared deviation from the row
-    average; on a stack of iterates (K x n x (p+d)), one value per state."""
-    return np.sqrt(deviation_sq(z)) / z.shape[-2]
-
-
 def optimality_gap_xi(state, gamma: float, z_star: np.ndarray,
                       zbar: np.ndarray | None = None) -> np.ndarray:
     """Averaged optimality gap zbar - gamma * mean(grad - grad_prev) - z*.
@@ -109,7 +103,7 @@ def field_at_average_sq(problem, zbar: np.ndarray):
 
 def lyapunov_coefficients(gamma: float, L: float, rho: float, n: int) -> tuple[float, float]:
     """Weights (c1, c2) of the consensus and tracking terms."""
-    if gamma <= 0.0 or L <= 0.0:
+    if not (0.0 < gamma < math.inf and 0.0 < L < math.inf):
         raise ValueError("gamma and L must be positive")
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
@@ -148,7 +142,7 @@ def record_table(rows: int, width: int) -> np.ndarray:
 
 def theoretical_contraction(gamma: float, mu: float, rho: float) -> float:
     """Guaranteed per-step Lyapunov factor 1 - min(3 gamma mu / 4, (1-rho)/8)."""
-    if gamma <= 0.0 or mu <= 0.0:
+    if not (0.0 < gamma < math.inf and 0.0 < mu < math.inf):
         raise ValueError("gamma and mu must be positive")
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
@@ -165,7 +159,7 @@ def max_stepsize(L: float, rho: float) -> float:
     min(1/(64 L), (1-rho)^2 / (144 L sqrt(rho))); the graph term is vacuous
     at rho = 0.
     """
-    if L <= 0.0:
+    if not 0.0 < L < math.inf:
         raise ValueError(f"L must be positive, got {L}")
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
@@ -173,15 +167,6 @@ def max_stepsize(L: float, rho: float) -> float:
     if rho > 0.0:
         bound = min(bound, (1.0 - rho) ** 2 / (144.0 * L * math.sqrt(rho)))
     return bound
-
-
-def iteration_complexity(kappa: float, rho: float) -> float:
-    """Iterations per factor-e accuracy gain: kappa (1 + sqrt(rho)/(1-rho)^2) + 1/(1-rho)."""
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be at least 1, got {kappa}")
-    if not (0.0 <= rho < 1.0):
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    return kappa * (1.0 + math.sqrt(rho) / (1.0 - rho) ** 2) + 1.0 / (1.0 - rho)
 
 
 def fit_linear_rate(series, skip_fraction: float = 0.1) -> RateReport:

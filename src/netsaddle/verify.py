@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -91,23 +92,9 @@ class LemmaCheckReport:
                    status="precondition_violated", notes=(note,))
 
 
-def _stepsize_limit(lemma_id: str, L: float, rho: float) -> float:
-    """Largest stepsize under which the inequality is guaranteed."""
-    g4 = 1.0 / (4.0 * L)
-    if lemma_id == "L1_iterate_gap":
-        return math.inf
-    if lemma_id == "L2_consensus":
-        return g4
-    if lemma_id == "L3_tracking":
-        if rho == 0.0:
-            return g4
-        return min(g4, (1.0 - rho) / (8.0 * L * math.sqrt(rho)))
-    if lemma_id == "L4_optimality_gap":
-        g8 = 1.0 / (8.0 * L)
-        if rho == 0.0:
-            return g8
-        return min(g8, (1.0 - rho) / (8.0 * L * rho))
-    return max_stepsize(L, rho)  # T1_contraction
+# The terms a bound may read that are not record columns, in the order
+# field_at_average returns them.
+_FIELD_TERMS = ("e", "E")
 
 
 def field_at_average(trace) -> tuple[np.ndarray, np.ndarray]:
@@ -123,30 +110,39 @@ def field_at_average(trace) -> tuple[np.ndarray, np.ndarray]:
     return e, E
 
 
-# lemma id: (the term bounded at step k+1, its bound from the record rows t of
-# steps k and the field there, (e, E))
+# lemma id: (the term bounded at step k+1,
+#             the largest stepsize the bound holds at, from (L, rho),
+#             the bound from the terms at step k: (coefficient, term) pairs
+#             from (gamma, L, mu, rho, n), summed in order).
+# A term is a record column, or e or E, the field at the average.
 _STEP_INEQUALITIES = {
-    "L1_iterate_gap": ("B", lambda t, e, E, g, L, mu, rho, n: (
-        4.0 * g * g * L * L * t.B + (4.0 + 8.0 * g * g * L * L) * t.C
-        + 8.0 * g * g * t.D + 8.0 * n * g * g * e)),
-    "L2_consensus": ("C", lambda t, e, E, g, L, mu, rho, n: (
-        0.5 * (1.0 + rho) * t.C
-        + 2.0 * g * g * (1.0 + rho) * rho / (1.0 - rho) * t.D
-        + 2.0 * g * g * (1.0 + rho) * rho * L * L / (1.0 - rho) * t.B)),
-    "L3_tracking": ("D", lambda t, e, E, g, L, mu, rho, n: (
-        0.25 * (3.0 + rho) * t.D + 8.0 * g * g * L ** 4 * rho / (1.0 - rho) * t.B
-        + 9.0 * L * L * rho / (1.0 - rho) * t.C
-        + 16.0 * n * g * g * L * L * rho / (1.0 - rho) * e)),
-    "L4_optimality_gap": ("xi_sq", lambda t, e, E, g, L, mu, rho, n: (
-        (1.0 - 0.75 * g * mu) * t.xi_sq + 1.25 * g * g * L * L / n * t.B
-        + 4.0 * g * L / n * t.C + 9.0 * g ** 3 * L * rho / (n * (1.0 - rho)) * t.D
-        - g * g / (4.0 * n) * E)),
-    "T1_contraction": ("V", lambda t, e, E, g, L, mu, rho, n: (
-        theoretical_contraction(g, mu, rho) * t.V)),
+    "L1_iterate_gap": (
+        "B", lambda L, rho: math.inf,
+        lambda g, L, mu, rho, n: ((4.0 * g * g * L * L, "B"), (4.0 + 8.0 * g * g * L * L, "C"),
+                                  (8.0 * g * g, "D"), (8.0 * n * g * g, "e"))),
+    "L2_consensus": (
+        "C", lambda L, rho: 1.0 / (4.0 * L),
+        lambda g, L, mu, rho, n: ((0.5 * (1.0 + rho), "C"),
+                                  (2.0 * g * g * (1.0 + rho) * rho / (1.0 - rho), "D"),
+                                  (2.0 * g * g * (1.0 + rho) * rho * L * L / (1.0 - rho), "B"))),
+    "L3_tracking": (
+        "D", lambda L, rho: 1.0 / (4.0 * L) if rho == 0.0 else min(
+            1.0 / (4.0 * L), (1.0 - rho) / (8.0 * L * math.sqrt(rho))),
+        lambda g, L, mu, rho, n: ((0.25 * (3.0 + rho), "D"),
+                                  (8.0 * g * g * L ** 4 * rho / (1.0 - rho), "B"),
+                                  (9.0 * L * L * rho / (1.0 - rho), "C"),
+                                  (16.0 * n * g * g * L * L * rho / (1.0 - rho), "e"))),
+    "L4_optimality_gap": (
+        "xi_sq", lambda L, rho: 1.0 / (8.0 * L) if rho == 0.0 else min(
+            1.0 / (8.0 * L), (1.0 - rho) / (8.0 * L * rho)),
+        lambda g, L, mu, rho, n: ((1.0 - 0.75 * g * mu, "xi_sq"), (1.25 * g * g * L * L / n, "B"),
+                                  (4.0 * g * L / n, "C"),
+                                  (9.0 * g ** 3 * L * rho / (n * (1.0 - rho)), "D"),
+                                  (-(g * g / (4.0 * n)), "E"))),
+    "T1_contraction": (
+        "V", max_stepsize,
+        lambda g, L, mu, rho, n: ((theoretical_contraction(g, mu, rho), "V"),)),
 }
-# The inequalities whose bound reads the field at the average: e in L1 and
-# L3, E in L4.
-_READS_FIELD = ("L1_iterate_gap", "L3_tracking", "L4_optimality_gap")
 
 
 def check_lemma(trace, lemma_id: str, field=None) -> LemmaCheckReport:
@@ -156,10 +152,10 @@ def check_lemma(trace, lemma_id: str, field=None) -> LemmaCheckReport:
     own (``Trace.records``, whose iterations must run 0..K with no gap, and
     ``Trace.problem``); T2_rho_M only needs the trace's mixing.  ``field`` is
     the trace's ``field_at_average``; when it is not given, it is computed
-    here for the inequalities that read it (L1, L3 and L4) and not for the
-    others (``run_all_checks`` computes it once for all checks).  A run that
-    stopped at iteration 0 has no step to check: its report is
-    precondition-violated.
+    here for the inequalities whose bound reads e or E (L1, L3 and L4) and
+    not for the others (``run_all_checks`` computes it once for all
+    checks).  A run that stopped at iteration 0 has no step to check: its
+    report is precondition-violated.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}, expected one of {LEMMA_IDS}")
@@ -174,16 +170,18 @@ def check_lemma(trace, lemma_id: str, field=None) -> LemmaCheckReport:
         return LemmaCheckReport.precondition_violated(lemma_id, "no steps recorded")
     problem = trace.problem
     gamma, L, rho = trace.gamma, problem.smoothness_constant(), trace.rho
-    limit = _stepsize_limit(lemma_id, L, rho)
+    bounded, stepsize_limit, bound = _STEP_INEQUALITIES[lemma_id]
+    limit = stepsize_limit(L, rho)
     if gamma > limit * (1.0 + 1e-12):
         return LemmaCheckReport.precondition_violated(
             lemma_id, f"stepsize {gamma:.6g} exceeds this inequality's limit {limit:.6g}")
 
-    bounded, bound = _STEP_INEQUALITIES[lemma_id]
-    if field is None:
-        field = field_at_average(trace) if lemma_id in _READS_FIELD else (None, None)
-    e, E = field
-    rhs = bound(records[:-1], e, E, gamma, L, problem.mu, rho, problem.n)
+    pairs = bound(gamma, L, problem.mu, rho, problem.n)
+    if field is None and any(term in _FIELD_TERMS for _, term in pairs):
+        field = field_at_average(trace)
+    rhs = reduce(np.add, [coefficient * (field[_FIELD_TERMS.index(term)] if term in _FIELD_TERMS
+                                         else records[term][:-1])
+                          for coefficient, term in pairs])
     return LemmaCheckReport.from_sides(lemma_id, records["iteration"][:-1],
                                        records[bounded][1:], rhs)
 

@@ -10,9 +10,12 @@ The one exception is the state-by-state oracle for ``algorithms.run``:
 ``iterate``, which step one state at a time in the library's stacked form,
 a new array for every result, each state checked as it comes, with none of
 run's slots, batches, stop rule or fast-forward.  run()'s record tables must
-equal what these states give, byte for byte.
+equal what these states give, byte for byte.  So must verify's margins equal
+those of the step inequalities written out one expression each
+(``lemma_stepsize_limit``, ``lemma_sides``).
 """
 
+import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -20,6 +23,7 @@ import numpy as np
 
 from netsaddle import algorithms
 from netsaddle.graph import AcceleratedExchange, MixingMatrix, accelerated_matrix
+from netsaddle.metrics import max_stepsize, theoretical_contraction
 from netsaddle.problem import stacked_array, stacked_gradient_field
 
 
@@ -182,6 +186,14 @@ def ring_metropolis(n):
         W[i, (i + 1) % n] = 1.0 / 3.0
         W[i, (i - 1) % n] = 1.0 / 3.0
     return W
+
+
+def adjacency_of(topology):
+    """A topology's n x n boolean adjacency matrix, from its edge list."""
+    adjacency = np.zeros((topology.n, topology.n), dtype=bool)
+    i, j = topology.edges.T
+    adjacency[i, j] = adjacency[j, i] = True
+    return adjacency
 
 
 def random_adjacency(n, p, seed, retries=100):
@@ -350,3 +362,44 @@ def consensus_series(pairs):
         dev = z - z.mean(axis=0)
         out.append(float(np.linalg.norm(dev)) / z.shape[0])
     return out
+
+
+def lemma_stepsize_limit(lemma_id, L, rho):
+    """The largest stepsize each step inequality is guaranteed at, one branch
+    per lemma."""
+    if lemma_id == "L1_iterate_gap":
+        return math.inf
+    if lemma_id == "L2_consensus":
+        return 1.0 / (4.0 * L)
+    if lemma_id == "L3_tracking":
+        if rho == 0.0:
+            return 1.0 / (4.0 * L)
+        return min(1.0 / (4.0 * L), (1.0 - rho) / (8.0 * L * math.sqrt(rho)))
+    if lemma_id == "L4_optimality_gap":
+        if rho == 0.0:
+            return 1.0 / (8.0 * L)
+        return min(1.0 / (8.0 * L), (1.0 - rho) / (8.0 * L * rho))
+    return max_stepsize(L, rho)
+
+
+def lemma_sides(lemma_id, t, e, E, g, L, mu, rho, n):
+    """(the term bounded, its bound) of one step inequality written out as one
+    expression, from the record rows t of the steps the bound is taken at
+    and the field there, (e, E)."""
+    if lemma_id == "L1_iterate_gap":
+        return "B", (4.0 * g * g * L * L * t.B + (4.0 + 8.0 * g * g * L * L) * t.C
+                     + 8.0 * g * g * t.D + 8.0 * n * g * g * e)
+    if lemma_id == "L2_consensus":
+        return "C", (0.5 * (1.0 + rho) * t.C
+                     + 2.0 * g * g * (1.0 + rho) * rho / (1.0 - rho) * t.D
+                     + 2.0 * g * g * (1.0 + rho) * rho * L * L / (1.0 - rho) * t.B)
+    if lemma_id == "L3_tracking":
+        return "D", (0.25 * (3.0 + rho) * t.D + 8.0 * g * g * L ** 4 * rho / (1.0 - rho) * t.B
+                     + 9.0 * L * L * rho / (1.0 - rho) * t.C
+                     + 16.0 * n * g * g * L * L * rho / (1.0 - rho) * e)
+    if lemma_id == "L4_optimality_gap":
+        return "xi_sq", ((1.0 - 0.75 * g * mu) * t.xi_sq + 1.25 * g * g * L * L / n * t.B
+                         + 4.0 * g * L / n * t.C
+                         + 9.0 * g ** 3 * L * rho / (n * (1.0 - rho)) * t.D
+                         - g * g / (4.0 * n) * E)
+    return "V", theoretical_contraction(g, mu, rho) * t.V

@@ -15,7 +15,7 @@ from netsaddle import graph, verify
 from netsaddle.algorithms import run
 from netsaddle.cli import load_config, resolve_experiment
 from netsaddle.graph import (MAX_T_FACTOR, WEIGHT_BUILDERS, CSRMix, DisconnectedGraphError,
-                             MixingMatrix, Topology, _gathers, accelerated_matrix,
+                             MixingMatrix, Nonzeros, Topology, accelerated_matrix,
                              acceleration_momentum, build_topology, lazy_max_degree_weights,
                              metropolis_weights, spectral_gap)
 
@@ -32,10 +32,9 @@ def ring_metropolis_eigenvalue(n, k):
 
 
 def test_complete_graph_adjacency():
-    topo = build_topology("complete", 3)
-    assert topo.adjacency.sum() == 6  # every ordered pair
-    for i in range(3):
-        assert not topo.adjacency[i, i]
+    adjacency = ref.adjacency_of(build_topology("complete", 3))
+    assert adjacency.sum() == 6  # every ordered pair
+    assert not adjacency.diagonal().any()
 
 
 def test_ring16_every_node_has_two_neighbors():
@@ -45,7 +44,8 @@ def test_ring16_every_node_has_two_neighbors():
 
 def test_ring2_degenerates_to_single_edge():
     topo = build_topology("ring", 2)
-    assert topo.adjacency[0, 1] and topo.adjacency[1, 0]
+    adjacency = ref.adjacency_of(topo)
+    assert adjacency[0, 1] and adjacency[1, 0]
     assert (topo.degrees == 1).all()
 
 
@@ -53,7 +53,7 @@ def test_single_node_topologies():
     for kind in ("ring", "path", "star", "complete"):
         topo = build_topology(kind, 1)
         assert topo.n == 1
-        assert not topo.adjacency.any()
+        assert not ref.adjacency_of(topo).any()
 
 
 def test_star_shape():
@@ -82,7 +82,7 @@ def test_random_topology_needs_seed_and_probability():
 def test_random_topology_is_connected_and_reproducible():
     t1 = build_topology("random", 12, seed=3, edge_probability=0.3)
     t2 = build_topology("random", 12, seed=3, edge_probability=0.3)
-    assert np.array_equal(t1.adjacency, t2.adjacency)
+    assert np.array_equal(ref.adjacency_of(t1), ref.adjacency_of(t2))
 
 
 @pytest.mark.parametrize("n, p, seed, draws", [
@@ -96,8 +96,8 @@ def test_random_topology_equals_one_full_draw(n, p, seed, draws):
     # Drawn block by block, the graph is the one of an n x n draw per attempt.
     adjacency, used = ref.random_adjacency(n, p, seed)
     assert used == draws
-    assert np.array_equal(build_topology("random", n, seed=seed, edge_probability=p).adjacency,
-                          adjacency)
+    assert np.array_equal(ref.adjacency_of(build_topology("random", n, seed=seed,
+                                                          edge_probability=p)), adjacency)
 
 
 def test_random_topology_disconnected_after_retries():
@@ -116,11 +116,11 @@ def test_disconnected_adjacency_rejected():
 
 
 def test_metropolis_ring16_all_thirds():
-    W = metropolis_weights(build_topology("ring", 16)).W
     topo = build_topology("ring", 16)
+    W, adjacency = metropolis_weights(topo).W, ref.adjacency_of(topo)
     for i in range(16):
         assert W[i, i] == pytest.approx(1.0 / 3.0, abs=1e-14)
-        for j in np.flatnonzero(topo.adjacency[i]):
+        for j in np.flatnonzero(adjacency[i]):
             assert W[i, j] == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert np.count_nonzero(W) == 16 * 3
 
@@ -151,7 +151,7 @@ def test_support_matches_adjacency():
     for scheme in (metropolis_weights, lazy_max_degree_weights):
         W = scheme(topo).W
         off = ~np.eye(10, dtype=bool)
-        assert ((W != 0.0) & off == topo.adjacency).all()
+        assert ((W != 0.0) & off == ref.adjacency_of(topo)).all()
 
 
 @pytest.mark.parametrize("kind,n,p,seed", [
@@ -167,7 +167,8 @@ def test_edge_list_weights_equal_dense_construction(kind, n, p, seed):
     # also where rows hold more than two neighbours, summed over several
     # blocks of dense rows (star and complete centres, random graphs).
     topo = build_topology(kind, n, seed=seed, edge_probability=p)
-    adjacency = ref.random_adjacency(n, p, seed)[0] if kind == "random" else topo.adjacency
+    adjacency = (ref.random_adjacency(n, p, seed)[0] if kind == "random"
+                 else ref.adjacency_of(topo))
     assert np.array_equal(topo.edges, np.argwhere(np.triu(adjacency)))
     assert np.array_equal(topo.degrees, adjacency.sum(axis=1))
     assert metropolis_weights(topo).W.tobytes() == ref.metropolis_dense(adjacency).tobytes()
@@ -352,9 +353,11 @@ def test_cost_rule_picks_the_mixing_path():
     assert not isinstance(metropolis_weights(build_topology("complete", 64)).mix, CSRMix)
     random1024 = build_topology("random", 1024, seed=1000, edge_probability=0.01)
     assert isinstance(metropolis_weights(random1024).mix, CSRMix)
-    # A row without a nonzero would break the segmented sum.
-    assert not _gathers(1024, np.arange(1023))      # row 1023 holds no nonzero
-    assert _gathers(1024, np.arange(1024))
+    # A row without a nonzero, which would break the segmented sum, never
+    # reaches the rule: W is not stochastic.
+    empty_row = Nonzeros(3, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), np.full(4, 0.5))
+    with pytest.raises(ValueError, match="not doubly stochastic"):
+        MixingMatrix(empty_row)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from netsaddle import algorithms
 from netsaddle.algorithms import run
 from netsaddle.graph import CSRMix, build_topology, metropolis_weights
-from netsaddle.metrics import (consensus_error, deviation_sq,
-                               field_at_average_sq, fit_linear_rate,
-                               iteration_complexity, lyapunov_coefficients,
-                               max_stepsize, metric_record, optimality_gap_xi,
-                               record_table, residual, row_mean, step_terms,
+from netsaddle.metrics import (deviation_sq, field_at_average_sq, fit_linear_rate,
+                               lyapunov_coefficients, max_stepsize, metric_record,
+                               optimality_gap_xi, record_table, residual, row_mean, step_terms,
                                theoretical_contraction)
 from netsaddle.problem import BilinearQuadratic, make_bilinear_quadratic
 from reference_impl import init_state, iterate, mixing_of, stack_states
@@ -49,6 +47,19 @@ def test_residual_of_a_stack_is_the_per_state_residual(n):
         each = np.array([residual(zk, z_star) for zk in z])
     assert got.shape == (9,) and got.tobytes() == each.tobytes()
     assert got[0] == 0.0 and got[1] == got[3] == np.inf and np.isnan(got[2])
+
+
+def consensus_error(z):
+    """The consensus_error column that ``metric_record`` fills for the iterates
+    z, one n x w state or a stack of them (every other array zero): one
+    value per state."""
+    stack = np.reshape(z, (-1, *np.shape(z)[-2:]))
+    zero = np.zeros_like(stack)
+    rows = record_table(len(stack), stack.shape[-1])
+    metric_record(rows, SimpleNamespace(z=stack, z_prev=zero, grad=zero, grad_prev=zero,
+                                        tracker=zero, iteration=np.arange(len(stack))),
+                  np.zeros(len(stack)), GAMMA, 1.0, 0.5, np.zeros(stack.shape[-1]))
+    return rows["consensus_error"].reshape(np.shape(z)[:-2])
 
 
 def test_consensus_error_zero_for_common_row():
@@ -199,6 +210,30 @@ def test_theoretical_contraction_ring16(ring16_problem, ring16_W):
     assert factor == 1.0 - 0.75 * gamma * 0.1  # stepsize branch binds
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call,message", [
+    (lambda x, problem, W, z0: run("dogt", problem, W, x, z0, max_iters=5, tol=0.0),
+     "gamma must be positive"),
+    (lambda x, problem, W, z0: max_stepsize(x, 0.5), "L must be positive"),
+    (lambda x, problem, W, z0: lyapunov_coefficients(x, 1.0, 0.5, 16),
+     "gamma and L must be positive"),
+    (lambda x, problem, W, z0: lyapunov_coefficients(0.1, x, 0.5, 16),
+     "gamma and L must be positive"),
+    (lambda x, problem, W, z0: theoretical_contraction(x, 0.1, 0.5),
+     "gamma and mu must be positive"),
+    (lambda x, problem, W, z0: theoretical_contraction(0.1, x, 0.5),
+     "gamma and mu must be positive")],
+    ids=["run-gamma", "max_stepsize-L", "lyapunov-gamma", "lyapunov-L", "contraction-gamma",
+         "contraction-mu"])
+def test_nonfinite_constants_are_rejected_as_nonpositive_ones_are(call, message, value,
+                                                                  ring16_problem, ring16_W,
+                                                                  z0_16):
+    # NaN and infinity fail the positivity check with its own message, not a
+    # divergence, a NaN or a zero later on.
+    with pytest.raises(ValueError, match=message):
+        call(value, ring16_problem, ring16_W, z0_16)
+
+
 def test_theoretical_contraction_domain():
     with pytest.raises(ValueError):
         theoretical_contraction(0.0, 0.1, 0.5)
@@ -216,26 +251,6 @@ def test_max_stepsize_examples(ring16_problem, ring16_W):
     lam = (1.0 + 2.0 * math.cos(math.pi / 8.0)) / 3.0
     rho = lam ** 2
     assert got == pytest.approx((1 - rho) ** 2 / (144 * L * math.sqrt(rho)), rel=1e-10)
-
-
-def test_iteration_complexity_examples():
-    assert iteration_complexity(1.0, 0.0) == 2.0  # kappa + 1
-    assert iteration_complexity(1.0, 0.75) == pytest.approx(
-        1.0 * (1.0 + math.sqrt(0.75) / 0.0625) + 4.0, abs=1e-12)
-    assert iteration_complexity(1.0, 0.75) == pytest.approx(18.856, abs=5e-4)
-
-
-def test_iteration_complexity_ring16_graph_term_dominates(ring16_problem, ring16_W):
-    kappa = ring16_problem.smoothness_constant() / 0.1
-    rho = ring16_W.rho
-    total = iteration_complexity(kappa, rho)
-    graph_term = kappa * math.sqrt(rho) / (1.0 - rho) ** 2
-    assert graph_term / total > 0.9
-
-
-def test_iteration_complexity_domain():
-    with pytest.raises(ValueError):
-        iteration_complexity(0.5, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +332,9 @@ def test_records_recomputable_from_states(ring16_problem, ring16_W, z0_16):
 def _per_state(trace, states, record_every):
     """The record table of a run, from each state on its own.
 
-    Every value comes from a per-state call: step_terms, residual and
-    consensus_error on one state's arrays, and np.mean for its zbar;
-    comm_rounds is the iteration times the mixing's rounds.
+    Every value comes from a per-state call: step_terms and residual on one
+    state's arrays, sqrt(C) / n for its consensus error, and np.mean for its
+    zbar; comm_rounds is the iteration times the mixing's rounds.
     """
     z_star, rows, problem = trace.z_star, [], trace.problem
     for s in states:
@@ -328,7 +343,7 @@ def _per_state(trace, states, record_every):
         terms = step_terms(s, trace.gamma, problem.smoothness_constant(), trace.rho, problem.n,
                            z_star)
         rows.append((s.iteration, s.iteration * trace.mixing.rounds, residual(s.z, z_star),
-                     consensus_error(s.z), terms["D"], terms["xi_sq"],
+                     np.sqrt(terms["C"]) / problem.n, terms["D"], terms["xi_sq"],
                      terms.get("V", math.nan), terms["B"], terms["C"], s.z.mean(axis=0)))
     table = record_table(len(rows), problem.p + problem.d)
     table[:] = rows
@@ -449,9 +464,9 @@ def test_row_mean_is_np_add_reduce_bit_for_bit(K, n):
 
 @pytest.mark.parametrize("n", [1, 2, 16, 1024])
 def test_batched_consensus_is_the_per_state_norm(n):
-    # On a stack, consensus_error gives each state's own value bit for bit,
-    # sqrt(C) / n with C = deviation_sq, as metric_record computes it; the
-    # norm of the deviation agrees to rounding.
+    # On a stack, metric_record's consensus_error column gives each state's
+    # own value bit for bit, sqrt(C) / n with C = deviation_sq; the norm of
+    # the deviation agrees to rounding.
     rng = np.random.default_rng(n)
     z = rng.standard_normal((9, n, 4)) * np.logspace(-8, 8, 9)[:, None, None]
     z[0] = 0.0

@@ -75,6 +75,68 @@ def test_shared_terms_give_the_reports_of_each_check_alone(compliant_trace):
         report_key(check_lemma(compliant_trace, lemma_id)) for lemma_id in LEMMA_IDS]
 
 
+STEP_LEMMAS = LEMMA_IDS[:5]    # the inequalities of _STEP_INEQUALITIES
+
+
+@pytest.fixture(scope="module")
+def complete7_trace():
+    # rho = 0: the limits' rho = 0 branches.  L2 and L3 fail here on rounding
+    # residues of about 1e-31 against bounds that are exactly 0.
+    problem = BilinearQuadratic(
+        centers_a=np.random.default_rng(3).standard_normal((7, 2)),
+        centers_b=np.random.default_rng(4).standard_normal((7, 2)), mu=0.1)
+    W = metropolis_weights(build_topology("complete", 7))
+    assert W.rho == 0.0
+    gamma = max_stepsize(problem.smoothness_constant(), W.rho)
+    return run("dogt", problem, W, gamma, np.random.default_rng(5).standard_normal((7, 4)),
+               max_iters=200, tol=0.0, record_every=1)
+
+
+@pytest.mark.parametrize("lemma_id", STEP_LEMMAS)
+def test_each_check_is_its_inequality_written_out_bit_for_bit(lemma_id, compliant_trace,
+                                                               complete7_trace):
+    # The table's limit and the margins it gives are those of the inequality
+    # written as one expression (reference_impl), to the bit.
+    for rho in (0.0, 1e-32, 0.25, 0.9):
+        assert (verify._STEP_INEQUALITIES[lemma_id][1](1.3, rho)
+                == ref.lemma_stepsize_limit(lemma_id, 1.3, rho))
+    for trace in (compliant_trace, complete7_trace):
+        problem, records = trace.problem, trace.records
+        bounded, rhs = ref.lemma_sides(lemma_id, records[:-1], *verify.field_at_average(trace),
+                                       trace.gamma, problem.smoothness_constant(), problem.mu,
+                                       trace.rho, problem.n)
+        margins = check_lemma(trace, lemma_id).margins["margin"]
+        assert margins.tobytes() == (rhs - records[bounded][1:]).tobytes()
+
+
+@pytest.mark.parametrize("lemma_id", STEP_LEMMAS)
+def test_halving_any_coefficient_moves_the_margins(lemma_id, compliant_trace, monkeypatch):
+    # Every (coefficient, term) pair of the table is live: halving its
+    # coefficient changes the lemma's margins on the compliant ring-16 trace,
+    # while the same substitution with the coefficient kept gives them bit
+    # for bit.
+    bounded, limit, bound = verify._STEP_INEQUALITIES[lemma_id]
+    field = verify.field_at_average(compliant_trace)
+    want = check_lemma(compliant_trace, lemma_id, field).margins.tobytes()
+
+    def margins(index, factor):
+        def scaled(*constants):
+            pairs = list(bound(*constants))
+            coefficient, term = pairs[index]
+            pairs[index] = (coefficient * factor, term)
+            return pairs
+        monkeypatch.setitem(verify._STEP_INEQUALITIES, lemma_id, (bounded, limit, scaled))
+        return check_lemma(compliant_trace, lemma_id, field).margins.tobytes()
+
+    problem = compliant_trace.problem
+    terms = [term for _, term in bound(compliant_trace.gamma, problem.smoothness_constant(),
+                                       problem.mu, compliant_trace.rho, problem.n)]
+    assert len(set(terms)) == len(terms)     # each term has one coefficient
+    for index, term in enumerate(terms):
+        assert margins(index, 1.0) == want, term
+        assert margins(index, 0.5) != want, term
+
+
 def test_margins_cover_every_step(compliant_trace):
     rep = check_lemma(compliant_trace, "L2_consensus")
     assert len(rep.margins) == len(compliant_trace.records) - 1
