@@ -44,10 +44,11 @@ at an earlier commit.  It must be at the change that made ``run()`` take
 each method's resolved mixing (``ResolvedAlgorithm.mixing``) or later,
 since the measuring code calls ``run()`` that way in both checkouts.  The
 two are timed in fresh processes, one per checkout in each of ROUNDS
-alternating rounds, and the file gets both sets of numbers.  A number is
-the median over rounds of each process's median.  The core's speed differs
-by up to 1.5x between processes, so times taken in different processes
-are not compared; ratios to a bare loop timed in the same process are.
+rounds, the order reversed every other round, and the file gets both sets
+of numbers.  A number is the median over rounds of each process's median.
+The core's speed differs by up to 1.5x between processes, so times taken
+in different processes are not compared; ratios to a bare loop timed in
+the same process are.
 BLAS is pinned to one thread, as in perfbench.  The file goes to the root
 of this checkout.
 """
@@ -313,8 +314,9 @@ def main(argv=None) -> int:
 
     checkouts = {"baseline": args.baseline.resolve(), "this": ROOT}
     samples = {name: [] for name in checkouts}
+    order = list(checkouts.items())
     for round_ in range(ROUNDS):
-        for name, checkout in checkouts.items():
+        for name, checkout in order if round_ % 2 == 0 else order[::-1]:
             samples[name].append(measured_in_fresh_process(__file__, checkout))
             print(f"round {round_ + 1}/{ROUNDS}: {name} timed", flush=True)
     result = {

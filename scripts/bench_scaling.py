@@ -32,10 +32,11 @@ at an earlier commit.  It must be at the change that made ``run()`` take
 each method's resolved mixing (``ResolvedAlgorithm.mixing``) or later,
 since the measuring code calls ``run()`` that way in both checkouts.  The
 two are timed in alternating fresh processes, one per checkout and case in
-each of ROUNDS rounds, as in ``scripts/bench_hotloop.py``, and the file
-gets both sets of numbers: for each, the median over rounds and its
-interquartile range.  BLAS is pinned to one thread, as in perfbench, and
-the core count is recorded.  The file goes to the root of this checkout.
+each of ROUNDS rounds, the order reversed every other round, as in
+``scripts/bench_hotloop.py``, and the file gets both sets of numbers: for
+each, the median over rounds and its interquartile range.  BLAS is pinned
+to one thread, as in perfbench, and the core count is recorded.  The file
+goes to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -202,9 +203,10 @@ def main(argv=None) -> int:
     checkouts = {"baseline": args.baseline.resolve(), "this": ROOT}
     cases = [(kind, n, method) for n in SIZES for kind in KINDS for method in METHODS]
     samples = {name: {case: [] for case in cases} for name in checkouts}
+    order = list(checkouts.items())
     for round_ in range(ROUNDS):
         for case in cases:
-            for name, checkout in checkouts.items():
+            for name, checkout in order if round_ % 2 == 0 else order[::-1]:
                 samples[name][case].append(measured_in_fresh_process(__file__, checkout, *case))
         print(f"round {round_ + 1}/{ROUNDS} timed", flush=True)
     gates = {gate: [measured_in_fresh_process(__file__, ROOT, gate) for _ in range(GATE_ROUNDS)]

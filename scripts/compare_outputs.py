@@ -5,13 +5,13 @@
 
 It runs the committed configs (``configs/ring16_compare.yaml`` with
 ``compare``, ``ring16_dogt.yaml`` with ``run``, ``ring16_verify.yaml`` with
-``verify``) and the benchmark's workloads (``perfbench/workloads.py``, each
-with its own command) at workload seeds 0 to REFERENCE_SEEDS - 1, through
-``netsaddle.cli.main``, in this checkout and in OTHER_CHECKOUT, another
-checkout of this repository such as a clone at an earlier commit.  Both run
-the configs of this checkout, written once to the same files.  Each command
-runs in a fresh process on the checkout's ``src/``, with BLAS pinned to one
-thread as in perfbench.
+``verify``), the configs GENERATED from them and the benchmark's workloads
+(``perfbench/workloads.py``, each with its own command) at workload seeds 0
+to REFERENCE_SEEDS - 1, through ``netsaddle.cli.main``, in this checkout and
+in OTHER_CHECKOUT, another checkout of this repository such as a clone at an
+earlier commit.  Both run the configs of this checkout, written once to the
+same files.  Each command runs in a fresh process on the checkout's
+``src/``, with BLAS pinned to one thread as in perfbench.
 
 For every case it prints whether the exit codes, the stdout text and the
 bytes of every output file agree, one line each, and it exits 1 on any
@@ -40,6 +40,27 @@ import workloads  # noqa: E402
 COMMITTED = {"ring16_compare.yaml": "compare", "ring16_dogt.yaml": "run",
              "ring16_verify.yaml": "verify"}
 
+# label -> (committed config, command, blocks updated in it): graphs whose
+# kinds have their own edges and closed-form spectra, a complete graph's
+# verify (which exits 6), the ring of three (a complete graph), one node,
+# and adogt's T: auto on a long ring.
+GENERATED = {
+    "path12-lazy": ("ring16_compare.yaml", "compare", {
+        "problem": {"n": 12},
+        "graph": {"topology": "path", "n": 12, "weight_scheme": "lazy_max_degree"}}),
+    "star9": ("ring16_compare.yaml", "compare", {
+        "problem": {"n": 9}, "graph": {"topology": "star", "n": 9}}),
+    "complete7-verify": ("ring16_verify.yaml", "verify", {
+        "problem": {"n": 7}, "graph": {"topology": "complete", "n": 7},
+        "run": {"max_iters": 500}}),
+    "ring3": ("ring16_compare.yaml", "compare", {"problem": {"n": 3}, "graph": {"n": 3}}),
+    "ring1": ("ring16_compare.yaml", "compare", {"problem": {"n": 1}, "graph": {"n": 1}}),
+    "ring400-adogt-auto": ("ring16_dogt.yaml", "run", {
+        "problem": {"n": 400}, "graph": {"n": 400},
+        "algorithm": {"name": "adogt", "gamma": 0.1, "T": "auto"},
+        "run": {"max_iters": 5}}),
+}
+
 
 def run_command(src: Path, command: str, config: str, out: str) -> dict:
     """The exit code and stdout of ``netsaddle COMMAND --config CONFIG --out OUT``
@@ -59,6 +80,13 @@ def cases(configs: Path):
     """(label, command, config file) of every case, each config written under ``configs``."""
     for name, command in COMMITTED.items():
         yield name.removesuffix(".yaml"), command, ROOT / "configs" / name
+    for label, (name, command, blocks) in GENERATED.items():
+        config = yaml.safe_load((ROOT / "configs" / name).read_text())
+        for block, values in blocks.items():
+            config[block].update(values)
+        path = configs / f"{label}.yaml"
+        path.write_text(yaml.safe_dump(config, sort_keys=False))
+        yield label, command, path
     for name, workload in sorted(workloads.WORKLOADS.items()):
         for w in range(workloads.REFERENCE_SEEDS):
             path = configs / f"{name}-{w}.yaml"

@@ -133,10 +133,6 @@ class Trace:
         return self.mixing.rounds if isinstance(self.mixing, AcceleratedExchange) else None
 
     @property
-    def z_star(self) -> np.ndarray:
-        return self.problem.saddle_point()
-
-    @property
     def iterations(self) -> int:
         return int(self.records["iteration"][-1])
 
@@ -286,10 +282,10 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
     both tests and before the roll, ``run`` compares its last state with
     the one before it, only when their two residuals are equal, so a batch
     that moves costs one float comparison.  At a fixed point it stops
-    stepping and finishes the trace from that state: the table is sized to
-    its final length at once, and the state's row, computed once, is copied
-    to the rest of the record grid and the final row, each with its own
-    iteration.  ``reason`` stays "max_iters", and ``Trace.fixed_point``
+    stepping and finishes the trace from that state: its row is evaluated
+    once, as the next grid row, like any other, and repeated, in one
+    ``np.repeat``, for the rest of the grid and the final row, each with its
+    own iteration.  ``reason`` stays "max_iters", and ``Trace.fixed_point``
     holds the first iteration equal to its predecessor.  Limit cycles of a
     longer period are stepped through.
 
@@ -370,25 +366,24 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
                    held_residuals[:count])
             count = 0
 
-    def fast_forward(slot, last, residual) -> None:
+    def fast_forward(slot, last, residuals) -> None:
         """Record iterations last + 1 .. max_iters, whose states all hold the
-        arrays of the state in ``slot``, at iteration ``last``, from its one row."""
+        arrays of the state in ``slot``, at iteration ``last``, as copies of
+        its one row, which ``residuals`` (its residual alone) goes into."""
         nonlocal table, filled
         flush()
         grid = np.arange(last + record_every - last % record_every, max_iters + 1,
                          record_every)
         if not len(grid) or grid[-1] != max_iters:
             grid = np.append(grid, max_iters)
-        # The final length in one allocation: no doubling, no second copy.
-        sized = metrics.record_table(filled + len(grid), width)
-        sized[:filled] = table[:filled]
-        table = sized
-        rest = table[filled:]
-        metrics.metric_record(rest[:1], _slots(Z, G, R, slice(slot, slot + 1), (last,)),
-                              residual, gamma, L, rho_eff, z_star)
-        rest[1:] = rest[0]
-        rest["iteration"] = grid
-        filled += len(grid)
+        record(_slots(Z, G, R, slice(slot, slot + 1), grid[:1]), residuals)
+        # Every row once and the new one len(grid) times: the final table in
+        # one allocation.
+        repeats = np.ones(filled, dtype=np.intp)
+        repeats[-1] = len(grid)
+        table = np.repeat(table[:filled], repeats)
+        table["iteration"][filled:] = grid[1:]
+        filled = len(table)
 
     reason, fixed_point = "max_iters", None
     start, first = 0, 3     # the iteration in slot 2, and the first slot stepped
@@ -448,7 +443,7 @@ def run(kind: str, problem: BilinearQuadratic, mixing: MixingMatrix | Accelerate
                 s = _equal_since(Z, G, R, [math.nan, before, *residuals.tolist()], k + 1)
                 if s < k + 1:
                     fixed_point = start + s - 1
-                    fast_forward(k + 1, last, residuals[-1])
+                    fast_forward(k + 1, last, residuals[-1:])
                     break
             ZGR[:, :2] = ZGR[:, k:]
             before = residuals[-1]

@@ -441,6 +441,7 @@ def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
     pc, gc, rc, ic = (exp.config.problem, exp.config.graph, exp.config.run,
                       exp.config.init)
     final = trace.records[-1]
+    random_graph = gc.topology == "random"
     L = exp.problem.smoothness_constant()
     try:
         contraction = theoretical_contraction(algo.gamma, pc.mu, trace.rho)
@@ -454,10 +455,11 @@ def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
         ("problem.zero_sum_centers", pc.zero_sum_centers),
         ("graph.topology", gc.topology), ("graph.n", gc.n),
         ("graph.weight_scheme", gc.weight_scheme),
-        ("graph.edge_probability", gc.edge_probability),
-        ("graph.seed", gc.seed), ("graph.rho_w", exp.W.rho),
+        # A value the run did not use prints as none.
+        ("graph.edge_probability", gc.edge_probability if random_graph else None),
+        ("graph.seed", gc.seed if random_graph else None), ("graph.rho_w", exp.W.rho),
         ("init.kind", ic.kind), ("init.seed", exp.init_seed),
-        ("init.scale", ic.scale),
+        ("init.scale", None if ic.kind == "zeros" else ic.scale),
         ("algorithm.name", algo.name),
         ("algorithm.gamma", algo.gamma),
         ("algorithm.gamma_source", algo.gamma_source),

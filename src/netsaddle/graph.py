@@ -22,14 +22,16 @@ closed form (k = 0 .. n-1):
   star       0, 1 (n - 2 times), n               n               2 (n - 1)
   complete   0, n (n - 1 times)                  n               2 (n - 1)
 
-Graphs of one or two nodes are complete, and so is the ring of three.
-Metropolis weights are 1/(1 + max(d_i, d_j)), and on these kinds every
-edge touches a node of the largest degree d_max, so s = 1 + d_max; lazy
-max-degree weights are 1/(2 d_max) on every graph.  The builders pass that
-spectrum, and ``np.linalg.eigvalsh`` runs on random graphs only.  The
-closed form agrees with ``eigvalsh`` to about 1e-14 (``tests/test_graph.py``)
-and gives rho = 0 exactly on complete graphs and the Metropolis ring of
-three, where ``eigvalsh`` gives about 1e-32.
+Each kind is one entry of ``_STRUCTURED``, its edges and its eigenvalues,
+and ``_as_built`` holds the one exception: graphs of one or two nodes are
+complete, and so is the ring of three.  Metropolis weights are
+1/(1 + max(d_i, d_j)), and on these kinds every edge touches a node of the
+largest degree d_max, so s = 1 + d_max; lazy max-degree weights are
+1/(2 d_max) on every graph (d_max taken as 1 on a single node).  The
+builders pass that spectrum, and ``np.linalg.eigvalsh`` runs on random
+graphs only.  The closed form agrees with ``eigvalsh`` to about 1e-14
+(``tests/test_graph.py``) and gives rho = 0 exactly on complete graphs and
+the Metropolis ring of three, where ``eigvalsh`` gives about 1e-32.
 
 A dense n x n W exists only where it is used: while a random graph's
 ``eigvalsh`` runs (an array holding W's lower triangle, then dropped), and
@@ -106,19 +108,31 @@ def _is_connected(n: int, edges: np.ndarray) -> bool:
         np.minimum.at(parent, np.maximum(a, b)[joins], np.minimum(a, b)[joins])
 
 
-def _kind_edges(kind: str, n: int) -> np.ndarray:
-    """The edges of the n-node graph of a structured kind, sorted."""
-    nodes = np.arange(n)
-    if kind == "complete" or (kind == "ring" and n == 3):
-        return np.column_stack(np.triu_indices(n, k=1))
-    if kind == "ring" and n > 3:      # (0, 1), (0, n-1), (1, 2), ..., (n-2, n-1)
-        return np.column_stack([np.concatenate([[0], nodes[:-1]]),
-                                np.concatenate([[1, n - 1], nodes[2:]])])
-    if kind in ("ring", "path"):
-        return np.column_stack([nodes[:-1], nodes[1:]])
-    if kind == "star":
-        return np.column_stack([np.zeros(n - 1, dtype=nodes.dtype), nodes[1:]])
-    raise ValueError(f"unknown topology kind {kind!r}, expected one of {TOPOLOGY_KINDS}")
+class _Kind(NamedTuple):
+    """A structured kind's n-node graph, by functions of its nodes k = 0 .. n-1:
+    its edges, sorted, and its Laplacian eigenvalues in closed form (above)."""
+    edges: Callable[[np.ndarray], np.ndarray]
+    laplacian: Callable[[np.ndarray], np.ndarray]
+
+
+_STRUCTURED = {
+    # (0, 1), (0, n-1), (1, 2), ..., (n-2, n-1)
+    "ring": _Kind(lambda k: np.column_stack([np.concatenate([[0], k[:-1]]),
+                                             np.concatenate([[1, k.size - 1], k[2:]])]),
+                  lambda k: 2.0 - 2.0 * np.cos(2.0 * np.pi * k / k.size)),
+    "path": _Kind(lambda k: np.column_stack([k[:-1], k[1:]]),
+                  lambda k: 2.0 - 2.0 * np.cos(np.pi * k / k.size)),
+    "star": _Kind(lambda k: np.column_stack([np.zeros_like(k[1:]), k[1:]]),
+                  lambda k: np.select([k == 0, k == k.size - 1], [0.0, float(k.size)], 1.0)),
+    "complete": _Kind(lambda k: np.column_stack(np.triu_indices(k.size, k=1)),
+                      lambda k: np.where(k == 0, 0.0, float(k.size))),
+}
+
+
+def _as_built(kind: str, n: int) -> str:
+    """The kind the n-node graph of a kind is: one or two nodes, or a ring
+    of three, is complete (a connected random graph of one or two nodes too)."""
+    return "complete" if n <= 2 or (kind == "ring" and n == 3) else kind
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +152,14 @@ class Topology:
     edges: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind != "random":
-            edges = _kind_edges(self.kind, self.n)
+        if self.kind in _STRUCTURED:
+            edges = _STRUCTURED[_as_built(self.kind, self.n)].edges(np.arange(self.n))
             if self.edges is not None and not np.array_equal(self.edges, edges):
                 raise ValueError(f"edges given are not those of the {self.kind} graph "
                                  f"on {self.n} nodes")
+        elif self.kind != "random":
+            raise ValueError(f"unknown topology kind {self.kind!r}, "
+                             f"expected one of {TOPOLOGY_KINDS}")
         elif self.edges is None:
             raise ValueError("a random graph needs its edges")
         else:
@@ -180,8 +197,6 @@ def build_topology(kind: str, n: int, seed: int | None = None,
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"node count must be a positive integer, got {n!r}")
-    if kind not in TOPOLOGY_KINDS:
-        raise ValueError(f"unknown topology kind {kind!r}, expected one of {TOPOLOGY_KINDS}")
     if kind != "random":
         return Topology(kind=kind, n=n)
     if edge_probability is None or not (0.0 < edge_probability <= 1.0):
@@ -204,22 +219,6 @@ def build_topology(kind: str, n: int, seed: int | None = None,
     raise DisconnectedGraphError(
         f"no connected graph with edge_probability={edge_probability} "
         f"after {_RANDOM_GRAPH_RETRIES} draws")
-
-
-def _laplacian_eigenvalues(kind: str, n: int) -> np.ndarray | None:
-    """The eigenvalues of the Laplacian L = D - A of the n-node graph of a
-    structured kind, in closed form (module docstring); None for a random
-    graph, whose spectrum has none."""
-    k = np.arange(n)
-    if kind == "complete" or n <= 2 or (kind == "ring" and n == 3):
-        return np.where(k == 0, 0.0, float(n))
-    if kind == "ring":
-        return 2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)
-    if kind == "path":
-        return 2.0 - 2.0 * np.cos(np.pi * k / n)
-    if kind == "star":
-        return np.select([k == 0, k == n - 1], [0.0, float(n)], 1.0)
-    return None
 
 
 class Nonzeros(NamedTuple):
@@ -454,8 +453,9 @@ def _decomposed(nonzeros: Nonzeros) -> np.ndarray:
 def _with_spectrum(topology: Topology, nonzeros: Nonzeros, scale: int) -> MixingMatrix:
     """The MixingMatrix of W = I - L/scale on the topology, with its spectrum
     in closed form where the kind's Laplacian has one."""
-    lam = _laplacian_eigenvalues(topology.kind, topology.n)
-    return MixingMatrix(nonzeros, None if lam is None else np.sort(1.0 - lam / scale)[:-1])
+    structured = _STRUCTURED.get(_as_built(topology.kind, topology.n))
+    return MixingMatrix(nonzeros, None if structured is None else
+                        np.sort(1.0 - structured.laplacian(np.arange(topology.n)) / scale)[:-1])
 
 
 def metropolis_weights(topology: Topology) -> MixingMatrix:
@@ -479,9 +479,7 @@ def lazy_max_degree_weights(topology: Topology) -> MixingMatrix:
     prefer; mixing is generally slower than Metropolis.
     """
     deg = topology.degrees
-    d_max = int(deg.max())
-    if d_max == 0:      # a single node
-        return MixingMatrix(np.ones((1, 1)), np.empty(0))
+    d_max = max(1, int(deg.max()))      # a single node's W is [1]
     nonzeros, diagonal = _on_edges(topology, np.full(len(topology.edges), 1.0 / (2.0 * d_max)))
     nonzeros.weights[diagonal] = 1.0 - deg / (2.0 * d_max)
     return _with_spectrum(topology, nonzeros, 2 * d_max)

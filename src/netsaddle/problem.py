@@ -67,7 +67,7 @@ class BilinearQuadratic:
             raise ValueError(
                 f"bilinear coupling x.y needs matching primal/dual dimensions, "
                 f"got p={a.shape[1]}, d={b.shape[1]}")
-        if self.mu < 0.0:
+        if not 0.0 <= self.mu < math.inf:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
         if self.zero_sum:
             # Centres made zero-sum by subtracting their mean still sum to
@@ -147,7 +147,7 @@ def make_bilinear_quadratic(n: int, p: int, d: int, mu: float, seed: int,
     for name, v in (("n", n), ("p", p), ("d", d)):
         if not isinstance(v, (int, np.integer)) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
-    if mu <= 0.0:
+    if not 0.0 < mu < math.inf:
         raise ValueError(f"mu must be positive, got {mu}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, p))

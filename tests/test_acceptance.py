@@ -88,7 +88,7 @@ def test_criterion_2_per_step_contraction(compliant_trace, ring16_problem, ring1
         factor = theoretical_contraction(gamma, ring16_problem.mu, ring16_W.rho)
         L, rho, n = (compliant_trace.problem.smoothness_constant(), compliant_trace.rho,
                      compliant_trace.problem.n)
-        z_star = compliant_trace.z_star
+        z_star = compliant_trace.problem.saddle_point()
         psis = [step_terms(s, gamma, L, rho, n, z_star)["V"] for s in
                 islice(iterate("dogt", ring16_problem, ring16_W, gamma, z0_16), 2001)]
         assert len(psis) == 2001

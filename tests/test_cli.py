@@ -287,6 +287,25 @@ def test_run_command_auto_gamma_echoed(tmp_path):
     assert gamma_line.split(" = ")[1] == stepsize_line.split(" = ")[1]
 
 
+@pytest.mark.parametrize("overrides,unused,used", [
+    ({"graph": {"edge_probability": 0.5, "seed": 3}},
+     ["graph.edge_probability", "graph.seed"], {"init.scale": "1"}),
+    ({"init": {"kind": "zeros", "seed": None, "scale": 9}},
+     ["init.scale", "init.seed"], {}),
+    ({"graph": {"topology": "random", "edge_probability": 0.5, "seed": 3},
+      "init": {"scale": 9}},
+     [], {"graph.edge_probability": "0.5", "graph.seed": "3", "init.scale": "9"}),
+])
+def test_manifest_prints_none_for_values_the_run_did_not_use(tmp_path, overrides, unused,
+                                                              used):
+    out = tmp_path / "out"
+    assert run_command(write_config(tmp_path, overrides), out) == EXIT_OK
+    manifest = dict(ln.split(" = ", 1)
+                    for ln in (out / "dogt.manifest.txt").read_text().splitlines())
+    assert {key: manifest[key] for key in unused} == dict.fromkeys(unused, "none")
+    assert {key: manifest[key] for key in used} == used
+
+
 def test_run_command_rejects_multi_algorithm_config(tmp_path):
     path = write_config(tmp_path, {
         "algorithm": None,

@@ -54,6 +54,9 @@ def test_single_node_topologies():
         topo = build_topology(kind, 1)
         assert topo.n == 1
         assert not ref.adjacency_of(topo).any()
+        for builder in WEIGHT_BUILDERS.values():
+            W = builder(topo)
+            assert W.W.tolist() == [[1.0]] and W.spectrum.size == 0 and W.rho == 0.0
 
 
 def test_star_shape():
@@ -68,8 +71,10 @@ def test_invalid_node_count():
 
 
 def test_unknown_kind():
-    with pytest.raises(ValueError):
-        build_topology("torus", 4)
+    # Also at n = 1 and 2, where every structured kind is the complete graph.
+    for n in (1, 2, 4):
+        with pytest.raises(ValueError, match="unknown topology kind 'torus'"):
+            build_topology("torus", n)
 
 
 def test_random_topology_needs_seed_and_probability():

@@ -323,8 +323,9 @@ def test_records_recomputable_from_states(ring16_problem, ring16_W, z0_16):
     for rec in trace.records:
         state = stack_states([states[rec.iteration]])
         row = record_table(1, 4)
-        metric_record(row, state, residual(state.z, trace.z_star), GAMMA,
-                      ring16_problem.smoothness_constant(), trace.rho, trace.z_star)
+        z_star = ring16_problem.saddle_point()
+        metric_record(row, state, residual(state.z, z_star), GAMMA,
+                      ring16_problem.smoothness_constant(), trace.rho, z_star)
         row["comm_rounds"] = rec.iteration
         assert row.tobytes() == rec.tobytes()
 
@@ -336,7 +337,8 @@ def _per_state(trace, states, record_every):
     state's arrays, sqrt(C) / n for its consensus error, and np.mean for its
     zbar; comm_rounds is the iteration times the mixing's rounds.
     """
-    z_star, rows, problem = trace.z_star, [], trace.problem
+    problem, rows = trace.problem, []
+    z_star = problem.saddle_point()
     for s in states:
         if s.iteration % record_every and s.iteration != trace.iterations:
             continue
@@ -430,10 +432,11 @@ def test_run_equals_per_state_evaluation(setup, kind, T, run_args, batches, ring
     assert trace.records.tobytes() == table.tobytes()     # -0.0 and +0.0 apart
     # ... and that of one metric_record call per state, with the state's residual.
     one_by_one = record_table(len(table), problem.p + problem.d)
+    z_star = problem.saddle_point()
     for row, iteration in zip(one_by_one, table["iteration"]):
         s = states[iteration]
-        metric_record(row[None], stack_states([s]), [residual(s.z, trace.z_star)], GAMMA,
-                      problem.smoothness_constant(), trace.rho, trace.z_star)
+        metric_record(row[None], stack_states([s]), [residual(s.z, z_star)], GAMMA,
+                      problem.smoothness_constant(), trace.rho, z_star)
     one_by_one["comm_rounds"] = table["comm_rounds"]
     assert trace.records.tobytes() == one_by_one.tobytes()
 
@@ -488,7 +491,7 @@ def test_term_table_rows_are_the_terms_of_each_state(ring16_problem, ring16_W, z
     assert trace.records.iteration.tolist() == list(range(101))
     for row, state in zip(trace.records, states):
         terms = step_terms(state, GAMMA, ring16_problem.smoothness_constant(), trace.rho, 16,
-                           trace.z_star)
+                           ring16_problem.saddle_point())
         assert all((row[name] == value).all() for name, value in terms.items())
         assert (row["zbar"] == state.z.mean(axis=0)).all()
 

@@ -59,6 +59,16 @@ def test_factory_validation():
         make_bilinear_quadratic(4, 2, 3, 0.1, seed=0)  # bilinear needs p == d
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_nonfinite_mu_is_rejected_by_factory_and_class(mu):
+    """A NaN or infinite mu would give L = sqrt(1 + mu^2) = nan or inf."""
+    with pytest.raises(ValueError, match="mu must be positive"):
+        make_bilinear_quadratic(16, 2, 2, mu, seed=7)
+    centers = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
+        BilinearQuadratic(centers_a=centers, centers_b=centers, mu=mu, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # gradients
 

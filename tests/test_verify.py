@@ -248,7 +248,8 @@ def test_trajectory_terms_equal_trace_columns(ring16_problem, ring16_W, z0_16):
     assert len(trace.records) == 301
     states = islice(iterate("dogt", ring16_problem, ring16_W, gamma, z0_16), 301)
     L = ring16_problem.smoothness_constant()
-    V = np.array([step_terms(s, gamma, L, trace.rho, 16, trace.z_star)["V"] for s in states])
+    z_star = ring16_problem.saddle_point()
+    V = np.array([step_terms(s, gamma, L, trace.rho, 16, z_star)["V"] for s in states])
     assert trace.records.V.tobytes() == V.tobytes()
     factor = theoretical_contraction(gamma, ring16_problem.mu, trace.rho)
     rep = check_lemma(trace, "T1_contraction")
