@@ -9,17 +9,22 @@ the others at gamma 0.1 on Metropolis weights), it times the set-up that
 ``netsaddle run`` makes before its steps, in three phases:
 
 - topology: ``build_topology``;
-- weights: the weight builder, which makes W, its spectrum and rho_W;
+- weights: the weight builder, which makes W and rho_W: from the spectrum
+  in closed form on a ring, and by Lanczos over W's mix on a random graph;
 - exchange: the rest of ``cli.resolve_experiment`` (the problem, ``T:
   auto`` and adogt's exchange, built once) plus a one-step
   ``algorithms.run``, which mixes with the resolved mixing; where W mixes
-  dense, adogt's first mix builds M_T.
+  dense, adogt's first mix builds M_T.  adogt's exchange reads W's
+  spectrum, which on a random graph is one dense eigendecomposition, made
+  here.
 
 Beside them it records the number of ``np.linalg.eigvalsh`` calls in one
-set-up, adogt's T and the peak RSS of the process.  Every (graph, method)
-case runs in a fresh process, which makes the set-up REPEATS times (once
-from n = 4096 on, where a dense eigendecomposition takes about 11 s) and
-keeps the median of each phase; its peak RSS is the process's.
+set-up (each an n x n eigendecomposition: 1 for adogt on a random graph,
+and 0 for the other cases), adogt's T and the peak RSS of the process.
+Every (graph, method) case runs in a fresh process, which makes the set-up
+REPEATS times (once from n = 4096 on, where a random graph's dense
+eigendecomposition, in adogt's set-up, takes about 11 s) and keeps the
+median of each phase; its peak RSS is the process's.
 
 The GATES are timed in this checkout alone, whose structured graphs need
 no n x n array (a dense W of ring-65536 would take 34 GB): a 100-step
@@ -214,7 +219,8 @@ def main(argv=None) -> int:
     result = {
         "environment": environment(),
         "phases": {"topology_s": "build_topology",
-                   "weights_s": "the weight builder: W, its spectrum and rho_W",
+                   "weights_s": "the weight builder: W and rho_W (and a random W's "
+                                "spectrum, at a baseline before Lanczos)",
                    "exchange_s": "the rest of resolve_experiment and a one-step run()"},
         "cases": "kind-n/method, configured by case_config in scripts/bench_scaling.py",
         "repeats_per_process": {"n < 4096": REPEATS, "n >= 4096": 1},

@@ -15,7 +15,12 @@ same files.  Each command runs in a fresh process on the checkout's
 
 For every case it prints whether the exit codes, the stdout text and the
 bytes of every output file agree, one line each, and it exits 1 on any
-difference, 0 when all agree.  perfbench is only imported, as in
+difference, 0 when all agree.  Under an output that differs it prints by
+how much: for a CSV with the same header and rows, the largest relative
+difference |a - b| / max(|a|, |b|) in each column that differs, the row
+it is in and the two values there; for the stdout and every other file
+(manifests, reports), the lines that differ, this checkout's after "+" and
+the other's after "-".  perfbench is only imported, as in
 ``tests/test_workload_outputs.py``.
 """
 
@@ -25,10 +30,13 @@ from _bench import ROOT, measured_in_fresh_process  # first: pins BLAS
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from itertools import zip_longest  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import yaml  # noqa: E402
@@ -94,17 +102,71 @@ def cases(configs: Path):
             yield f"{name}-{w}", workload.command, path
 
 
+def relative_difference(a: str, b: str) -> float:
+    """|a - b| / max(|a|, |b|) of two CSV fields, 0 where their text agrees,
+    and inf where either is not a finite number."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def csv_differences(mine: str, other: str) -> list[str] | None:
+    """Per column that differs, its largest relative difference, the row it
+    is in and the two values there; None where the two CSVs differ in header
+    or row count."""
+    mine_rows, other_rows = (list(csv.reader(io.StringIO(text))) for text in (mine, other))
+    if (not mine_rows or not other_rows or mine_rows[0] != other_rows[0]
+            or len(mine_rows) != len(other_rows)
+            or any(len(a) != len(b) for a, b in zip(mine_rows, other_rows))):
+        return None
+    lines = []
+    for c, name in enumerate(mine_rows[0]):
+        worst, row = max(((relative_difference(a[c], b[c]), r) for r, (a, b)
+                          in enumerate(zip(mine_rows[1:], other_rows[1:]), start=1)),
+                         default=(0.0, 0))
+        if worst:
+            lines.append(f"{name}: largest relative difference {worst:.3g}, in row {row} "
+                         f"({mine_rows[row][c]} against {other_rows[row][c]})")
+    return lines
+
+
+def line_differences(mine: str, other: str) -> list[str]:
+    """The lines of two texts that differ, place by place: "+" this
+    checkout's, "-" the other's."""
+    return [line for a, b in zip_longest(mine.splitlines(), other.splitlines(), fillvalue="")
+            if a != b for line in (f"+ {a}", f"- {b}")]
+
+
+def differences(name: str, mine: str, other: str) -> list[str]:
+    """How two differing texts of one output differ: per column for a CSV
+    whose header and rows agree, else line by line."""
+    lines = csv_differences(mine, other) if name.endswith(".csv") else None
+    return line_differences(mine, other) if lines is None else lines
+
+
 def compared_outputs(ours: dict, theirs: dict, out: Path, other_out: Path) -> list:
-    """(output, whether both checkouts gave its bytes) for the exit code,
-    stdout and every file either checkout wrote."""
-    compared = [("exit code", ours["exit_code"] == theirs["exit_code"]),
-                ("stdout", ours["stdout"] == theirs["stdout"])]
+    """(output, whether both checkouts gave its bytes, how they differ) for
+    the exit code, stdout and every file either checkout wrote."""
+    compared = [("exit code", ours["exit_code"] == theirs["exit_code"],
+                 [f"+ {ours['exit_code']}", f"- {theirs['exit_code']}"]),
+                ("stdout", ours["stdout"] == theirs["stdout"],
+                 line_differences(ours["stdout"], theirs["stdout"]))]
     files = sorted({path.relative_to(root) for root in (out, other_out) if root.is_dir()
                     for path in root.rglob("*") if path.is_file()})
     for rel in files:
         mine, other = out / rel, other_out / rel
-        compared.append((str(rel), mine.is_file() and other.is_file()
-                         and mine.read_bytes() == other.read_bytes()))
+        if not (mine.is_file() and other.is_file()):
+            compared.append((str(rel), False, ["written by one checkout only"]))
+            continue
+        same = mine.read_bytes() == other.read_bytes()
+        compared.append((str(rel), same, None if same else
+                         differences(rel.name, mine.read_text(), other.read_text())))
     return compared
 
 
@@ -128,8 +190,11 @@ def main(argv=None) -> int:
             out, other_out = tmp / "this" / label, tmp / "other" / label
             ours = measured_in_fresh_process(__file__, ROOT, command, config, out)
             theirs = measured_in_fresh_process(__file__, args.other, command, config, other_out)
-            for item, same in compared_outputs(ours, theirs, out, other_out):
+            for item, same, how in compared_outputs(ours, theirs, out, other_out):
                 print(f"{'same' if same else 'DIFFERS':8} {label:20} {item}", flush=True)
+                if not same:
+                    for line in how:
+                        print(f"{'':30}{line}", flush=True)
                 agreed.append(same)
     differing = agreed.count(False)
     print(f"{differing} of {len(agreed)} outputs differ" if differing

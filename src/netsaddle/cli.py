@@ -195,8 +195,9 @@ def _parse_graph(raw) -> GraphConfig:
     if raw["topology"] == "random" and n > MAX_DECOMPOSED_N:
         raise ConfigError(
             f"graph.n is {n}, above {MAX_DECOMPOSED_N}, the largest random graph: its "
-            f"spectrum takes a dense eigendecomposition, of n x n arrays (8 n^2 bytes each) "
-            f"in time growing as n^3, about 11 s at n = {MAX_DECOMPOSED_N}")
+            f"spectrum, which adogt and verify read, takes a dense eigendecomposition, of "
+            f"n x n arrays (8 n^2 bytes each) in time growing as n^3, about 11 s at "
+            f"n = {MAX_DECOMPOSED_N}")
     return GraphConfig(topology=raw["topology"],
                        n=n,
                        weight_scheme=scheme,

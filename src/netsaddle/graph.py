@@ -5,11 +5,10 @@ random graph's are checked to join every node, and the structured kinds are
 connected by construction.  A mixing matrix W encodes one
 round of neighbour averaging.  The weight builders make W from the edges as
 its nonzeros row by row (``Nonzeros``, the CSR arrays), diagonal included, and
-``MixingMatrix`` checks it on those arrays.  Every spectral quantity is
-read off W's eigenvalues but the consensus 1 (``MixingMatrix.spectrum``).
-The spectral gap rho = ||W - J||_2^2 (squared spectral norm off the
-consensus direction, J = averaging matrix) is the largest squared one:
-smaller rho means faster mixing.
+``MixingMatrix`` checks it on those arrays.  The spectral gap
+rho = ||W - J||_2^2 (squared spectral norm off the consensus direction,
+J = averaging matrix) is the largest square of W's eigenvalues but the
+consensus 1 (``MixingMatrix.spectrum``): smaller rho means faster mixing.
 
 On rings, paths, stars and complete graphs both weight schemes give
 W = I - L/s, with L = D - A the graph Laplacian and s an integer, so W's
@@ -28,10 +27,21 @@ complete, and so is the ring of three.  Metropolis weights are
 1/(1 + max(d_i, d_j)), and on these kinds every edge touches a node of the
 largest degree d_max, so s = 1 + d_max; lazy max-degree weights are
 1/(2 d_max) on every graph (d_max taken as 1 on a single node).  The
-builders pass that spectrum, and ``np.linalg.eigvalsh`` runs on random
-graphs only.  The closed form agrees with ``eigvalsh`` to about 1e-14
+builders pass that spectrum.  It agrees with ``eigvalsh`` to about 1e-14
 (``tests/test_graph.py``) and gives rho = 0 exactly on complete graphs and
 the Metropolis ring of three, where ``eigvalsh`` gives about 1e-32.
+
+A W without a closed-form spectrum, a random graph's, gets rho from a plain
+Lanczos recurrence over its own mix, off the consensus vector
+(``_lanczos_gap``): O(nnz) per step, about 100 to 230 steps on random graphs
+of 1024 to 4096 nodes near the connectivity threshold, stopped at a residual
+of 1e-10 on both extreme Ritz pairs, and agreeing with ``eigvalsh`` to about
+1e-14 relative.  Its spectrum, which only adogt's exchange
+(``accelerated_matrix``) and verify's T2 read, comes from one
+``np.linalg.eigvalsh`` on first read; so does rho where Lanczos cannot place
+it below 1.  So dgda, dogda and dogt decompose nothing, and their outputs
+have the same bits at any BLAS thread count, as the eigendecomposition's do
+not.
 
 A dense n x n W exists only where it is used: while a random graph's
 ``eigvalsh`` runs (an array holding W's lower triangle, then dropped), and
@@ -39,8 +49,8 @@ where W mixes as a dense product, which keeps it.  ``MixingMatrix.W``
 builds it on request where W gathers.  So the weights of a ring of 65536
 nodes keep about 6 MB (196608 nonzeros at 24 bytes each, and the spectrum)
 and peak at about 17 MB while they are built, where a dense W would take
-34 GB; random graphs, which need ``eigvalsh``, stop at ``MAX_DECOMPOSED_N``
-nodes.
+34 GB; random graphs, whose spectrum takes ``eigvalsh``, stop at
+``MAX_DECOMPOSED_N`` nodes.
 
 ``accelerated_matrix`` defines adogt's exchange: T momentum-boosted gossip
 rounds, whose effective matrix M_T has a much smaller gap rho_M.  It reads
@@ -73,10 +83,19 @@ _RANDOM_GRAPH_RETRIES = 100
 _RANDOM_BLOCK_ROWS = 64     # rows of the n-column uniform draw held at once
 _SUM_BLOCK_ROWS = 64        # dense rows a long row sum is taken over at once
 
-# The largest W ``eigvalsh`` decomposes: a random graph's set-up at n = 4096
-# takes about 11 s, in a dense eigendecomposition whose time grows as n^3
-# and whose n x n arrays take 8 n^2 bytes each (README, "Graphs").
+# The largest W without a closed-form spectrum, checked when it is built:
+# its spectrum, which adogt and verify read, takes a dense eigendecomposition,
+# about 11 s at n = 4096, whose time grows as n^3 and whose n x n arrays take
+# 8 n^2 bytes each (README, "Graphs").  dgda, dogda and dogt read rho_W alone,
+# which Lanczos gives in about 0.1 s at n = 4096.
 MAX_DECOMPOSED_N = 4096
+
+# ``_lanczos_gap``: the residual |beta_k s_k| both extreme Ritz pairs stop at
+# (and the beta_k that is breakdown), the steps between two tests of it, and
+# the steps after which rho is left to the eigendecomposition.
+_LANCZOS_TOL = 1e-10
+_LANCZOS_TEST_EVERY = 10
+_LANCZOS_MAX_STEPS = 500
 
 # The largest T ``accelerated_matrix`` takes, as a multiple of the formula's
 # T: far past any round count T: auto picks, and a bound on a pass's time.
@@ -361,12 +380,13 @@ class MixingMatrix:
     that W is finite, doubly stochastic and symmetric, to 1e-12, before
     anything reads its spectrum.  ``spectrum`` holds the eigenvalues of W
     but its top one, ascending: the ones given, which the weight builders
-    give in closed form, or else those of one ``np.linalg.eigvalsh`` of W,
-    which reads its lower triangle only and takes n <= MAX_DECOMPOSED_N.
-    On a connected graph the top eigenvalue is the consensus eigenvalue 1,
-    and it is simple; a gap rho >= 1 (a disconnected graph) is rejected.
-    ``rho`` is ``spectral_gap`` of the spectrum, so it cannot disagree with
-    it.
+    give in closed form, or else those of one ``np.linalg.eigvalsh`` of W
+    (``_decomposed``), made on first read.  Without a given spectrum W takes
+    n <= MAX_DECOMPOSED_N.  On a connected graph the top eigenvalue is the
+    consensus eigenvalue 1, and it is simple; a gap rho >= 1 (a disconnected
+    graph) is rejected.  ``rho`` is ``spectral_gap`` of the given spectrum;
+    without one, Lanczos over ``mix`` gives it (``_lanczos_gap``), and where
+    that cannot place it below 1, ``spectral_gap`` of the decomposed one.
 
     ``mix(m, out=None)`` is one round of mixing, m -> W m: a CSRMix where
     ``_gathers`` finds the gather cheaper, and otherwise the dense product
@@ -402,23 +422,36 @@ class MixingMatrix:
         transposed = np.where(key[at] == transposed_key, weights[at], 0.0)
         if np.abs(weights - transposed).max(initial=0.0) > tol:
             raise ValueError("weight matrix must be symmetric")
+        if spectrum is None and n > MAX_DECOMPOSED_N:
+            raise ValueError(f"a weight matrix without a closed-form spectrum takes n <= "
+                             f"{MAX_DECOMPOSED_N} (its spectrum, which adogt and verify read, "
+                             f"takes a dense eigendecomposition), got n = {n}")
         for array in nonzeros[1:]:
             array.setflags(write=False)
-        if spectrum is None:
-            spectrum = _decomposed(nonzeros)
-        spectrum.setflags(write=False)
         self.nonzeros = nonzeros
-        self.spectrum = spectrum
-        self.rho = spectral_gap(spectrum)
-        if self.rho >= 1.0:
-            raise ValueError(f"spectral gap rho={self.rho} >= 1; matrix does not contract "
-                             "off the consensus direction (disconnected graph?)")
         if _gathers(n, rows.size):
             self._dense, self.mix = None, CSRMix(nonzeros)
         else:
             self._dense = nonzeros.dense() if dense is None else dense
             self._dense.setflags(write=False)
             self.mix = partial(np.matmul, self._dense)
+        if spectrum is not None:
+            spectrum.setflags(write=False)
+            self.spectrum = spectrum
+            self.rho = spectral_gap(spectrum)
+        else:
+            self.rho = _lanczos_gap(self.mix, n)
+            if self.rho is None:
+                self.rho = spectral_gap(self.spectrum)
+        if self.rho >= 1.0:
+            raise ValueError(f"spectral gap rho={self.rho} >= 1; matrix does not contract "
+                             "off the consensus direction (disconnected graph?)")
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        spectrum = _decomposed(self.nonzeros)
+        spectrum.setflags(write=False)
+        return spectrum
 
     @property
     def n(self) -> int:
@@ -436,18 +469,70 @@ class MixingMatrix:
 def _decomposed(nonzeros: Nonzeros) -> np.ndarray:
     """W's eigenvalues but the top one, ascending, from ``eigvalsh``.
 
-    It reads the lower triangle of W, which a Fortran-ordered array holds
-    column by column, as LAPACK takes it: numpy then copies it without
-    striding, and the values it decomposes are the ones of W.
+    The one dense eigendecomposition of a W without a closed-form spectrum,
+    O(n^3): ``MixingMatrix.spectrum`` makes it on first read, which adogt's
+    exchange and verify's T2 make, and ``MixingMatrix`` where Lanczos leaves
+    rho to it.  About 11 s at n = MAX_DECOMPOSED_N, and its last bits follow
+    the BLAS thread count.  It reads the lower triangle of W, which a
+    Fortran-ordered array holds column by column, as LAPACK takes it: numpy
+    then copies it without striding, and the values it decomposes are the
+    ones of W.
     """
     n, rows, cols, weights = nonzeros
-    if n > MAX_DECOMPOSED_N:
-        raise ValueError(f"a weight matrix without a closed-form spectrum takes n <= "
-                         f"{MAX_DECOMPOSED_N} (dense eigendecomposition), got n = {n}")
     lower = rows >= cols
     upper = np.zeros((n, n))             # upper.T is Fortran-ordered, W's lower triangle
     upper[cols[lower], rows[lower]] = weights[lower]
     return np.linalg.eigvalsh(upper.T)[:-1]
+
+
+def _lanczos_gap(mix, n: int, max_steps: int = _LANCZOS_MAX_STEPS) -> float | None:
+    """rho_W from the extreme Ritz values of a plain Lanczos recurrence over
+    ``mix``, W's own, off the consensus vector; None where it cannot place
+    rho below 1.
+
+    The recurrence runs on an n x 2 message, on which the mix is W twice
+    over, with W's eigenvalues.  It starts from a fixed draw
+    (``default_rng(0)``), projected off 1, and projects each product W q off
+    1 again, by its column means.  Every sum is ``np.add.reduce``'s, in
+    numpy's order, so rho has the same bits at any BLAS thread count.  Every
+    _LANCZOS_TEST_EVERY steps it takes the eigenpairs (theta, s) of the
+    tridiagonal T_k, and stops once the residual |beta_k s_k| of the
+    smallest and the largest is at most _LANCZOS_TOL, or at breakdown,
+    beta_k <= _LANCZOS_TOL, where the Krylov space is invariant and every
+    pair's residual is that small.  Each extreme Ritz value then lies within
+    _LANCZOS_TOL of an eigenvalue of W (Paige 1980), and within
+    _LANCZOS_TOL^2 / gap where it is apart from the rest; rho is
+    max(theta_min^2, theta_max^2).  On a complete graph whose W is J bit
+    for bit, W q has equal entries; where the projection takes them to 0
+    exactly (n = 2, 8, 64 and 1024 are tested), Lanczos breaks down at
+    k = 1 with rho = 0.  None after ``max_steps`` steps with no
+    stop, or where rho + 2 _LANCZOS_TOL >= 1, which the residual bound
+    cannot tell from a disconnected graph's rho = 1.
+    """
+    q = np.random.default_rng(0).standard_normal((n, 2))
+    q -= np.add.reduce(q) / n
+    norm = math.sqrt(np.add.reduce(q * q, axis=None))
+    if norm == 0.0:                 # n = 1: no eigenvalue but the consensus one
+        return 0.0
+    q /= norm
+    prev, beta = np.zeros_like(q), 0.0
+    alphas, betas = [], []
+    for k in range(1, max_steps + 1):
+        w = mix(q)
+        w -= np.add.reduce(w) / n
+        w -= beta * prev
+        alpha = float(np.add.reduce(w * q, axis=None))
+        w -= alpha * q
+        beta = math.sqrt(np.add.reduce(w * w, axis=None))
+        alphas.append(alpha)
+        if beta <= _LANCZOS_TOL or k % _LANCZOS_TEST_EVERY == 0:
+            theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            if beta <= _LANCZOS_TOL or (beta * np.abs(s[-1, [0, -1]]) <= _LANCZOS_TOL).all():
+                rho = float(max(theta[0] ** 2, theta[-1] ** 2))
+                return rho if rho + 2.0 * _LANCZOS_TOL < 1.0 else None
+        betas.append(beta)
+        prev, q = q, w / beta
+    return None
 
 
 def _with_spectrum(topology: Topology, nonzeros: Nonzeros, scale: int) -> MixingMatrix:
@@ -496,8 +581,8 @@ def spectral_gap(spectrum: np.ndarray) -> float:
     its consensus eigenvalue 1; that is ||W - J||_2^2, in [0, 1) on a
     connected graph, and 0 for no eigenvalues (a single node).
 
-    It decomposes nothing: ``MixingMatrix`` passes the eigenvalues of its
-    one eigendecomposition.  A matrix is rejected, not read as eigenvalues.
+    It decomposes nothing: it takes eigenvalues, a closed form's or those of
+    ``MixingMatrix.spectrum``.  A matrix is rejected, not read as eigenvalues.
     """
     if np.ndim(spectrum) != 1:
         raise ValueError(f"spectral_gap takes a 1-D array of eigenvalues, "
@@ -590,7 +675,8 @@ def accelerated_matrix(W: MixingMatrix, T: int | None = None) -> AcceleratedExch
     M_T = p_T(W) for the recursion p_{t+1}(lam) = (1+eta) lam p_t(lam) -
     eta p_{t-1}(lam), p_0 = p_{-1} = 1, eta = acceleration_momentum(rho_W).
     rho_M = ||M_T - J||_2^2 is max p_T(lam)^2 over ``W.spectrum``, in O(nT)
-    and with no M_T (Liu & Morse 2011; Scaman et al., ICML 2017).  M_T keeps
+    and with no M_T (Liu & Morse 2011; Scaman et al., ICML 2017); a random
+    W's spectrum is its one eigendecomposition, made on this first read.  M_T keeps
     row and column sums 1, as p_T(1) = 1; momentum can push rho_M past 1 at
     off-design T.
 

@@ -160,16 +160,10 @@ def test_random_graph_size_is_bounded(tmp_path, capsys):
         graph.MixingMatrix(graph.Nonzeros(n, np.arange(n), np.arange(n), np.ones(n)))
 
 
-def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # Two processes run one ring-256 compare, at one and at two BLAS threads:
-    # a ring's spectrum is in closed form, so no eigendecomposition, whose
-    # bits follow the thread count, reaches the outputs.
-    path = write_config(tmp_path, {
-        "problem": {"n": 256}, "graph": {"topology": "ring", "n": 256},
-        "algorithm": None,
-        "algorithms": [{"name": "dogt", "gamma": 0.1},
-                       {"name": "adogt", "gamma": 0.1, "T": "auto"}],
-        "run": {"max_iters": 400, "tol": 0.0, "record_every": 10}})
+def assert_compare_same_at_one_and_two_blas_threads(tmp_path, path, written):
+    """Run one compare in two processes, at one and at two BLAS threads, and
+    check that they write the same files, ``written`` among them, with the
+    same bytes."""
     src = Path(__file__).resolve().parents[1] / "src"
     outs = []
     for threads in ("1", "2"):
@@ -180,9 +174,37 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                         "--out", str(out)], env=env, check=True, capture_output=True)
         outs.append(out)
     names = sorted(p.name for p in outs[0].iterdir())
-    assert names == sorted(p.name for p in outs[1].iterdir()) and "adogt.csv" in names
+    assert names == sorted(p.name for p in outs[1].iterdir()) and set(written) <= set(names)
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # A ring's spectrum is in closed form, so no eigendecomposition, whose
+    # bits follow the thread count, reaches the outputs.
+    path = write_config(tmp_path, {
+        "problem": {"n": 256}, "graph": {"topology": "ring", "n": 256},
+        "algorithm": None,
+        "algorithms": [{"name": "dogt", "gamma": 0.1},
+                       {"name": "adogt", "gamma": 0.1, "T": "auto"}],
+        "run": {"max_iters": 400, "tol": 0.0, "record_every": 10}})
+    assert_compare_same_at_one_and_two_blas_threads(tmp_path, path, ["adogt.csv"])
+
+
+def test_random_graph_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # A random graph's rho_W comes from Lanczos over W's own gather, with
+    # numpy's sums, and dgda, dogda and dogt read nothing else of its
+    # spectrum, so no eigendecomposition reaches their outputs, gamma: auto
+    # and the Lyapunov column included.  Random-512 read rho_W ...925 at one
+    # thread and ...954 at two when eigvalsh gave it.
+    path = write_config(tmp_path, {
+        "problem": {"n": 512},
+        "graph": {"topology": "random", "n": 512, "edge_probability": 0.02, "seed": 3},
+        "algorithm": None,
+        "algorithms": [{"name": name, "gamma": "auto"} for name in ("dgda", "dogda", "dogt")],
+        "run": {"max_iters": 200, "tol": 0.0, "record_every": 10}})
+    assert_compare_same_at_one_and_two_blas_threads(
+        tmp_path, path, ["dgda.csv", "dogda.csv", "dogt.csv", "dogt.manifest.txt"])
 
 
 def test_problem_p_must_equal_d(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from functools import partial
+from itertools import count
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -395,6 +396,66 @@ def test_spectral_gap_of_disconnected_matrix_is_rejected():
         accelerated_matrix(SimpleNamespace(rho=1.0, spectrum=np.ones(1)))
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 300, 1024])
+@pytest.mark.parametrize("density", ["threshold", 0.5, 1.0])
+def test_lanczos_gap_matches_eigvalsh_on_random_graphs(n, density):
+    # rho_W from Lanczos over W's own mix (a random graph's W has no closed
+    # form) against spectral_gap of the eigenvalues eigvalsh gives, the rho
+    # it had before Lanczos: near the connectivity threshold and dense, under
+    # both schemes, for three graph seeds.  Given only W's nonzeros, W takes
+    # the Lanczos path at n <= 2 too, where the builders pass the complete
+    # graph's closed form.  A Metropolis W of the complete graph is J to
+    # rounding, and rho its rounding residue (about 1e-30 by eigvalsh); it is
+    # 0 exactly where W's entries are all one number, as at n = 8, 64 and
+    # 1024, and Lanczos breaks down at its first step.
+    p = 1.05 * math.log(n) / n if density == "threshold" else density
+    for scheme, builder in WEIGHT_BUILDERS.items():
+        for seed in range(3):
+            built = builder(build_topology("random", n, seed=seed, edge_probability=min(p, 1.0)))
+            W = MixingMatrix(built.nonzeros)
+            assert "spectrum" not in vars(W)      # not decomposed
+            decomposed = spectral_gap(W.spectrum)
+            if density == 1.0 and scheme == "metropolis":
+                assert W.rho <= 1e-28 and decomposed <= 1e-28
+                if (W.W == W.W[0, 0]).all():
+                    assert W.rho == 0.0
+            else:
+                assert W.rho == pytest.approx(decomposed, rel=1e-13, abs=0.0), (scheme, seed)
+
+
+def test_lanczos_stops_on_its_residual_and_defers_near_1():
+    # Random-512 (p 0.02, graph seed 3) stops on the residual test, well
+    # within the step cap, and decomposes nothing; eigvalsh gave rho ...925
+    # there at one BLAS thread and ...954 at two.  W = I and the swap
+    # [[0, 1], [1, 0]] have an eigenvalue of magnitude 1 off the consensus
+    # vector: Lanczos breaks down at its first step with rho at 1 to
+    # rounding, which the residual bound cannot tell from 1, so it leaves rho
+    # to eigvalsh, and W is refused as before.
+    W = metropolis_weights(build_topology("random", 512, seed=3, edge_probability=0.02))
+    assert W.rho == pytest.approx(0.6353600004108925, rel=1e-14, abs=0.0)
+    assert "spectrum" not in vars(W)
+    steps = next(cap for cap in count(graph._LANCZOS_TEST_EVERY, graph._LANCZOS_TEST_EVERY)
+                 if graph._lanczos_gap(W.mix, W.n, cap) is not None)
+    assert 20 <= steps <= graph._LANCZOS_MAX_STEPS // 2
+    assert graph._lanczos_gap(W.mix, W.n, steps) == W.rho
+    for M in (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])):
+        assert graph._lanczos_gap(partial(np.matmul, M), 2) is None
+        with pytest.raises(ValueError, match="spectral gap"):
+            MixingMatrix(M)
+
+
+@pytest.mark.parametrize("scheme", sorted(WEIGHT_BUILDERS))
+def test_lanczos_out_of_steps_leaves_rho_to_eigvalsh_bit_for_bit(scheme, monkeypatch):
+    # With one step allowed, Lanczos stops on neither rule, and rho is
+    # spectral_gap of the eigenvalues of W's one eigvalsh, made while W is
+    # built and kept as its spectrum: the rho every random W had before.
+    monkeypatch.setattr(graph, "_lanczos_gap", partial(graph._lanczos_gap, max_steps=1))
+    for n, p in ((30, 0.2), (400, 0.015)):
+        W = WEIGHT_BUILDERS[scheme](build_topology("random", n, seed=5, edge_probability=p))
+        assert "spectrum" in vars(W)
+        assert W.rho == spectral_gap(graph._decomposed(W.nonzeros))
+
+
 @pytest.mark.parametrize("n", [16, 300, 1024])
 def test_spectral_gap_ring_matches_circulant_form(n):
     W = metropolis_weights(build_topology("ring", n))
@@ -660,18 +721,21 @@ def test_rho_M_matches_the_dense_oracle(kind, n):
 
 @pytest.mark.parametrize("n", [16, 400])
 def test_one_eigendecomposition_per_W(n, tmp_path, monkeypatch):
-    # Resolving a four-method compare at T: auto, running every method and
-    # checking a dogt trace (T2 included) decompose a random W once, when it
-    # is built, and a ring's W never: rho_W, T: auto, eta and rho_M are all
-    # read off the one spectrum, a ring's in closed form.  Ring-16 and
-    # random-16 mix dense, and ring-400 and random-400 gather.
-    decomposed, eigvalsh = [], np.linalg.eigvalsh
+    # dgda, dogda and dogt read rho_W alone: resolving and running a compare
+    # of the three, dogt at gamma: auto, decomposes no W, a random one's rho
+    # coming from Lanczos.  adogt's exchange (T: auto, eta and rho_M) and
+    # verify's T2 each read W's spectrum: one eigvalsh of a random W, made on
+    # first read and kept, and none of a ring's, which is in closed form.
+    # Ring-16 and random-16 mix dense, and ring-400 and random-400 gather.
+    decomposed = []    # the n x n arrays given to eigvalsh or eigh
 
-    def counted(a, *args, **kwargs):
-        decomposed.append(a)
-        return eigvalsh(a, *args, **kwargs)
+    def counted(original, a, *args, **kwargs):
+        if np.shape(a) == (n, n):
+            decomposed.append(a)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, partial(counted, getattr(np.linalg, name)))
     for graph in ({"topology": "ring", "n": n},
                   {"topology": "random", "n": n, "seed": 3,
                    "edge_probability": 0.5 if n == 16 else 0.015}):
@@ -679,8 +743,7 @@ def test_one_eigendecomposition_per_W(n, tmp_path, monkeypatch):
                               "seed": 7, "zero_sum_centers": True},
                   "graph": graph,
                   "algorithms": [{"name": "dgda", "gamma": 0.1}, {"name": "dogda", "gamma": 0.1},
-                                 {"name": "dogt", "gamma": "auto"},
-                                 {"name": "adogt", "gamma": 0.1, "T": "auto"}],
+                                 {"name": "dogt", "gamma": "auto"}],
                   "run": {"max_iters": 20, "tol": 0.0, "record_every": 1}}
         path = tmp_path / "compare.yaml"
         path.write_text(yaml.safe_dump(config))
@@ -690,16 +753,25 @@ def test_one_eigendecomposition_per_W(n, tmp_path, monkeypatch):
         traces = {algo.name: run(algo.name, exp.problem, algo.mixing, algo.gamma, exp.z0,
                                  max_iters=20, tol=0.0, record_every=1)
                   for algo in exp.algorithms}
+        assert decomposed == []
+        random = graph["topology"] == "random"
         reports = verify.run_all_checks(traces["dogt"])
         assert all(report.passed for report in reports)
-        if graph["topology"] == "ring":
-            assert decomposed == []
-        else:
+        assert len(decomposed) == random
+        run("adogt", exp.problem, accelerated_matrix(exp.W), 0.1, exp.z0, max_iters=20, tol=0.0)
+        assert len(decomposed) == random        # the spectrum T2 read is kept
+        if random:
             # One eigvalsh, of a Fortran-ordered array whose lower triangle,
             # the part eigvalsh reads, is W's.
             [a] = decomposed
             assert a.flags.f_contiguous
             assert np.array_equal(np.tril(a), np.tril(exp.W.W))
+        # adogt alone: resolving it decomposes a new random W once.
+        config["algorithms"] = [{"name": "adogt", "gamma": 0.1, "T": "auto"}]
+        path.write_text(yaml.safe_dump(config))
+        decomposed.clear()
+        resolve_experiment(load_config(path))
+        assert len(decomposed) == random
 
 
 def test_mixing_matrix_rejects_non_stochastic():
