@@ -19,9 +19,9 @@ difference, 0 when all agree.  Under an output that differs it prints by
 how much: for a CSV with the same header and rows, the largest relative
 difference |a - b| / max(|a|, |b|) in each column that differs, the row
 it is in and the two values there; for the stdout and every other file
-(manifests, reports), the lines that differ, this checkout's after "+" and
-the other's after "-".  perfbench is only imported, as in
-``tests/test_workload_outputs.py``.
+(manifests, reports), the lines that ``difflib`` does not match, the
+other's after "-" and this checkout's after "+".  perfbench is only
+imported, as in ``tests/test_workload_outputs.py``.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from _bench import ROOT, measured_in_fresh_process  # first: pins BLAS
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import csv  # noqa: E402
+import difflib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
-from itertools import zip_longest  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import yaml  # noqa: E402
@@ -137,10 +137,13 @@ def csv_differences(mine: str, other: str) -> list[str] | None:
 
 
 def line_differences(mine: str, other: str) -> list[str]:
-    """The lines of two texts that differ, place by place: "+" this
-    checkout's, "-" the other's."""
-    return [line for a, b in zip_longest(mine.splitlines(), other.splitlines(), fillvalue="")
-            if a != b for line in (f"+ {a}", f"- {b}")]
+    """The lines of two texts that ``difflib`` does not match between them:
+    "-" the other checkout's, "+" this one's, so that a line one text lacks
+    is one line here, not a shift of every line after it."""
+    theirs, ours = other.splitlines(), mine.splitlines()
+    matcher = difflib.SequenceMatcher(None, theirs, ours, autojunk=False)
+    return [line for tag, i1, i2, j1, j2 in matcher.get_opcodes() if tag != "equal"
+            for line in [f"- {a}" for a in theirs[i1:i2]] + [f"+ {b}" for b in ours[j1:j2]]]
 
 
 def differences(name: str, mine: str, other: str) -> list[str]:

@@ -49,8 +49,9 @@ where W mixes as a dense product, which keeps it.  ``MixingMatrix.W``
 builds it on request where W gathers.  So the weights of a ring of 65536
 nodes keep about 6 MB (196608 nonzeros at 24 bytes each, and the spectrum)
 and peak at about 17 MB while they are built, where a dense W would take
-34 GB; random graphs, whose spectrum takes ``eigvalsh``, stop at
-``MAX_DECOMPOSED_N`` nodes.
+34 GB.  A random graph's spectrum, which takes ``eigvalsh``, is refused
+above ``MAX_DECOMPOSED_N`` nodes; its W builds at any n, and dgda, dogda
+and dogt run on it.
 
 ``accelerated_matrix`` defines adogt's exchange: T momentum-boosted gossip
 rounds, whose effective matrix M_T has a much smaller gap rho_M.  It reads
@@ -83,11 +84,12 @@ _RANDOM_GRAPH_RETRIES = 100
 _RANDOM_BLOCK_ROWS = 64     # rows of the n-column uniform draw held at once
 _SUM_BLOCK_ROWS = 64        # dense rows a long row sum is taken over at once
 
-# The largest W without a closed-form spectrum, checked when it is built:
-# its spectrum, which adogt and verify read, takes a dense eigendecomposition,
-# about 11 s at n = 4096, whose time grows as n^3 and whose n x n arrays take
-# 8 n^2 bytes each (README, "Graphs").  dgda, dogda and dogt read rho_W alone,
-# which Lanczos gives in about 0.1 s at n = 4096.
+# The largest W without a closed-form spectrum whose spectrum is read,
+# checked by ``_decomposed``: it takes a dense eigendecomposition, about 11 s
+# at n = 4096, whose time grows as n^3 and whose n x n arrays take 8 n^2
+# bytes each (README, "Graphs").  adogt's exchange and verify's T2 read it;
+# dgda, dogda and dogt read rho_W alone, which Lanczos gives in about 0.1 s
+# at n = 4096, so a larger W builds and runs them.
 MAX_DECOMPOSED_N = 4096
 
 # ``_lanczos_gap``: the residual |beta_k s_k| both extreme Ritz pairs stop at
@@ -381,8 +383,8 @@ class MixingMatrix:
     anything reads its spectrum.  ``spectrum`` holds the eigenvalues of W
     but its top one, ascending: the ones given, which the weight builders
     give in closed form, or else those of one ``np.linalg.eigvalsh`` of W
-    (``_decomposed``), made on first read.  Without a given spectrum W takes
-    n <= MAX_DECOMPOSED_N.  On a connected graph the top eigenvalue is the
+    (``_decomposed``), made on first read, which refuses n > MAX_DECOMPOSED_N;
+    W itself takes any n.  On a connected graph the top eigenvalue is the
     consensus eigenvalue 1, and it is simple; a gap rho >= 1 (a disconnected
     graph) is rejected.  ``rho`` is ``spectral_gap`` of the given spectrum;
     without one, Lanczos over ``mix`` gives it (``_lanczos_gap``), and where
@@ -422,10 +424,6 @@ class MixingMatrix:
         transposed = np.where(key[at] == transposed_key, weights[at], 0.0)
         if np.abs(weights - transposed).max(initial=0.0) > tol:
             raise ValueError("weight matrix must be symmetric")
-        if spectrum is None and n > MAX_DECOMPOSED_N:
-            raise ValueError(f"a weight matrix without a closed-form spectrum takes n <= "
-                             f"{MAX_DECOMPOSED_N} (its spectrum, which adogt and verify read, "
-                             f"takes a dense eigendecomposition), got n = {n}")
         for array in nonzeros[1:]:
             array.setflags(write=False)
         self.nonzeros = nonzeros
@@ -472,13 +470,17 @@ def _decomposed(nonzeros: Nonzeros) -> np.ndarray:
     The one dense eigendecomposition of a W without a closed-form spectrum,
     O(n^3): ``MixingMatrix.spectrum`` makes it on first read, which adogt's
     exchange and verify's T2 make, and ``MixingMatrix`` where Lanczos leaves
-    rho to it.  About 11 s at n = MAX_DECOMPOSED_N, and its last bits follow
-    the BLAS thread count.  It reads the lower triangle of W, which a
-    Fortran-ordered array holds column by column, as LAPACK takes it: numpy
-    then copies it without striding, and the values it decomposes are the
-    ones of W.
+    rho to it.  It refuses n > MAX_DECOMPOSED_N, the one place that bound
+    is checked in this module: about 11 s at n = MAX_DECOMPOSED_N, and its
+    last bits follow the BLAS thread count.  It reads the lower triangle of
+    W, which a Fortran-ordered array holds column by column, as LAPACK
+    takes it: numpy then copies it without striding, and the values it
+    decomposes are the ones of W.
     """
     n, rows, cols, weights = nonzeros
+    if n > MAX_DECOMPOSED_N:
+        raise ValueError(f"the spectrum of a weight matrix without a closed-form one takes "
+                         f"n <= {MAX_DECOMPOSED_N} (a dense eigendecomposition), got n = {n}")
     lower = rows >= cols
     upper = np.zeros((n, n))             # upper.T is Fortran-ordered, W's lower triangle
     upper[cols[lower], rows[lower]] = weights[lower]

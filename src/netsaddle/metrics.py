@@ -33,6 +33,10 @@ RECORD_FLOATS = ("residual", "consensus_error", "D", "xi_sq", "V", "B", "C")
 
 _CSV_CHUNK_ROWS = 1 << 12   # rows formatted per string in csv_chunks
 
+# The share of a series' iteration span that ``fit_linear_rate`` drops from
+# its start, to keep the transient out of the fit.
+_FIT_SKIP_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -169,21 +173,19 @@ def max_stepsize(L: float, rho: float) -> float:
     return bound
 
 
-def fit_linear_rate(series, skip_fraction: float = 0.1) -> RateReport:
+def fit_linear_rate(series) -> RateReport:
     """Least-squares geometric rate of an (iteration, value) series.
 
-    ``series`` is an iterable of (iteration, value) pairs, or an N x 2 array
-    of them, taken as float64 without a pair-by-pair pass.  The first
-    ``skip_fraction`` of the iteration span is dropped to avoid transient
+    ``series`` is a sequence of (iteration, value) pairs or an N x 2 array
+    of them, taken as float64 in one conversion.  The first
+    _FIT_SKIP_FRACTION of the iteration span is dropped to avoid transient
     contamination; remaining values must be finite (an overflowed residual
     is inf), and only the strictly positive ones are fitted.
     """
-    if not isinstance(series, np.ndarray):
-        series = [(int(k), float(v)) for k, v in series]
-    ks, values = np.array(series, dtype=np.float64).reshape(-1, 2).T
+    ks, values = np.asarray(series, dtype=np.float64).reshape(-1, 2).T
     if ks.size == 0:
         raise ValueError("insufficient data: empty series")
-    window = ks >= ks[0] + skip_fraction * (ks[-1] - ks[0])
+    window = ks >= ks[0] + _FIT_SKIP_FRACTION * (ks[-1] - ks[0])
     if not np.isfinite(values[window]).all():
         raise ValueError("non-finite values in the fit window")
     keep = window & (values > 0.0)

@@ -101,13 +101,14 @@ def test_traced_weights_record_one_spectral_gap():
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_configs_load_and_resolve(name, tmp_path):
+    # ring16-verify's config sets the retired run.record_states key, which
+    # must still load.
     workload = workloads.WORKLOADS[name]
     for seed in range(workloads.REFERENCE_SEEDS):
         path = tmp_path / f"{seed}.yaml"
         config = workload.make_config(seed)
         path.write_text(yaml.safe_dump(config, sort_keys=False))
-        exp = cli.resolve_experiment(cli.load_config(path))
-        assert exp.config.run.record_states == config["run"].get("record_states")
+        cli.resolve_experiment(cli.load_config(path))
 
 
 class _RegisteringTracer(tracing.Tracer):

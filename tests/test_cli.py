@@ -53,7 +53,6 @@ def test_load_config_happy_path(tmp_path):
     config = load_config(write_config(tmp_path))
     assert config.problem.n == 16
     assert config.algorithms[0].name == "dogt"
-    assert config.run.record_states is None
     config = load_config(write_config(tmp_path, {"run": {"tol": float("inf")}}))
     assert config.run.tol == float("inf")
 
@@ -693,11 +692,10 @@ def test_compare_duplicate_names_get_suffixes(tmp_path):
 # verify command
 
 
-def verify_overrides(gamma="auto", record_states=True, max_iters=400):
+def verify_overrides(gamma="auto", max_iters=400):
     return {
         "algorithm": {"name": "dogt", "gamma": gamma},
-        "run": {"max_iters": max_iters, "tol": 0.0, "record_every": 1,
-                "record_states": record_states, "out_dir": "unused"},
+        "run": {"max_iters": max_iters, "tol": 0.0, "record_every": 1, "out_dir": "unused"},
     }
 
 
@@ -799,24 +797,28 @@ def test_ring400_adogt_and_verify_build_no_dense_M_T(tmp_path, monkeypatch, caps
 def test_verify_command_requires_dogt(tmp_path):
     path = write_config(tmp_path, {
         "algorithm": {"name": "dgda", "gamma": "auto"},
-        "run": {"max_iters": 100, "tol": 0.0, "record_every": 1,
-                "record_states": True, "out_dir": "unused"}})
+        "run": {"max_iters": 100, "tol": 0.0, "record_every": 1, "out_dir": "unused"}})
     assert main(["verify", "--config", str(path),
                  "--out", str(tmp_path / "v")]) == EXIT_CONFIG
 
 
-def test_verify_command_rejects_record_states_false(tmp_path):
-    path = write_config(tmp_path, verify_overrides(record_states=False))
-    assert main(["verify", "--config", str(path),
-                 "--out", str(tmp_path / "v")]) == EXIT_CONFIG
-
-
-def test_verify_command_resolves_unset_record_states(tmp_path, capsys):
-    overrides = verify_overrides()
-    overrides["run"]["record_states"] = None
-    path = write_config(tmp_path, overrides)
-    assert verify_command(path, tmp_path / "v") == EXIT_OK
-    assert "record_states: resolved to true" in capsys.readouterr().out
+def test_verify_does_not_depend_on_record_states(tmp_path, capsys):
+    # run.record_states is a retired setting that still loads: verify
+    # records every step whether it is true, false or absent, and gives the
+    # same files and stdout.  A value that is not a boolean still exits 2.
+    outputs = []
+    for value in (True, False, None):           # None drops the key
+        overrides = verify_overrides(max_iters=100)
+        overrides["run"]["record_states"] = value
+        path = write_config(tmp_path, overrides, f"{value}.yaml")
+        out = tmp_path / str(value)
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        files = {file.name: file.read_bytes() for file in sorted(out.iterdir())}
+        outputs.append((files, capsys.readouterr().out))
+    assert outputs[0][0] and outputs[0] == outputs[1] == outputs[2]
+    path = write_config(tmp_path, {"run": {"record_states": "yes"}}, "bad.yaml")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+    assert "run.record_states must be a boolean" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +936,8 @@ def test_shipped_configs_parse():
 def test_only_verify_builds_the_term_table(command, every_step, overrides, tmp_path,
                                            monkeypatch):
     # Only verify's checks need a row for every step, so only verify runs at
-    # record_every 1; run and compare record on the config's grid, whatever
-    # record_states says, and the manifest still echoes the key.
+    # record_every 1; run and compare record on the config's grid.  The
+    # retired record_states key still loads, and no manifest echoes it.
     overrides = {**overrides, "run": {**overrides.get("run", {}), "record_every": 5,
                                       "record_states": True}}
     seen = []
@@ -950,7 +952,8 @@ def test_only_verify_builds_the_term_table(command, every_step, overrides, tmp_p
     manifests = sorted((tmp_path / "out").glob("*.manifest.txt"))
     assert manifests
     for path in manifests:
-        assert "run.record_states = true" in path.read_text().splitlines()
+        assert not [line for line in path.read_text().splitlines()
+                    if line.startswith("run.record_states")]
     for path in (tmp_path / "out").glob("*.csv"):
         if path.name != "check_margins.csv":
             assert {int(line.split(",")[0]) % 5 for line in

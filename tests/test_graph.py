@@ -19,6 +19,7 @@ from netsaddle.graph import (MAX_T_FACTOR, WEIGHT_BUILDERS, CSRMix, Disconnected
                              MixingMatrix, Nonzeros, Topology, accelerated_matrix,
                              acceleration_momentum, build_topology, lazy_max_degree_weights,
                              metropolis_weights, spectral_gap)
+from netsaddle.problem import make_bilinear_quadratic
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -454,6 +455,26 @@ def test_lanczos_out_of_steps_leaves_rho_to_eigvalsh_bit_for_bit(scheme, monkeyp
         W = WEIGHT_BUILDERS[scheme](build_topology("random", n, seed=5, edge_probability=p))
         assert "spectrum" in vars(W)
         assert W.rho == spectral_gap(graph._decomposed(W.nonzeros))
+
+
+def test_random_W_above_the_bound_builds_and_runs_until_its_spectrum_is_read():
+    # MAX_DECOMPOSED_N bounds the eigendecomposition, not W: a random W of
+    # one node more builds with rho from Lanczos, and dogt runs on it.  Only a
+    # read of its spectrum, as adogt's exchange and verify's T2 make, is
+    # refused, with a message naming the bound.
+    n = graph.MAX_DECOMPOSED_N + 1
+    W = metropolis_weights(build_topology("random", n, seed=1, edge_probability=0.01))
+    assert 0.0 < W.rho < 1.0 and isinstance(W.mix, CSRMix)
+    problem = make_bilinear_quadratic(n, 2, 2, 0.1, seed=7)
+    z0 = np.random.default_rng(8).standard_normal((n, 4))
+    trace = run("dogt", problem, W, 0.01, z0, max_iters=3, tol=0.0)
+    assert trace.iterations == 3 and np.isfinite(trace.records["residual"]).all()
+    bound = f"n <= {graph.MAX_DECOMPOSED_N}"
+    with pytest.raises(ValueError, match=bound):
+        W.spectrum
+    with pytest.raises(ValueError, match=bound):
+        accelerated_matrix(W)
+    assert "spectrum" not in vars(W)
 
 
 @pytest.mark.parametrize("n", [16, 300, 1024])

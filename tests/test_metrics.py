@@ -273,6 +273,17 @@ def test_fit_recovers_any_geometric_rate(rate, scale):
     assert report.fitted_rate == pytest.approx(rate, rel=1e-9)
 
 
+def test_fit_takes_pairs_and_an_array_alike():
+    # compare hands the fit an N x 2 array of int iterations and float
+    # residuals stacked; a list of pairs gives the same report, bit for bit.
+    ks = np.arange(0, 500, 5)
+    values = 0.97 ** ks * np.exp(np.random.default_rng(0).normal(0.0, 0.1, ks.size))
+    pairs = [(int(k), float(v)) for k, v in zip(ks, values)]
+    report = fit_linear_rate(np.stack([ks, values], axis=1))
+    assert fit_linear_rate(pairs) == report
+    assert report.fitted_rate == pytest.approx(0.97, rel=1e-2)
+
+
 def test_fit_constant_series():
     report = fit_linear_rate([(k, 2.5) for k in range(50)])
     assert report.fitted_rate == pytest.approx(1.0, abs=1e-14)
