@@ -48,10 +48,11 @@ import workloads  # noqa: E402
 COMMITTED = {"ring16_compare.yaml": "compare", "ring16_dogt.yaml": "run",
              "ring16_verify.yaml": "verify"}
 
-# label -> (committed config, command, blocks updated in it): graphs whose
-# kinds have their own edges and closed-form spectra, a complete graph's
-# verify (which exits 6), the ring of three (a complete graph), one node,
-# and adogt's T: auto on a long ring.
+# label -> (committed config, command, blocks updated in it, or removed where
+# given as None): graphs whose kinds have their own edges and closed-form
+# spectra, a complete graph's verify (which exits 6), the ring of three (a
+# complete graph), one node, adogt's T: auto on a long ring, and the
+# defaults of the init and run blocks.
 GENERATED = {
     "path12-lazy": ("ring16_compare.yaml", "compare", {
         "problem": {"n": 12},
@@ -67,6 +68,7 @@ GENERATED = {
         "problem": {"n": 400}, "graph": {"n": 400},
         "algorithm": {"name": "adogt", "gamma": 0.1, "T": "auto"},
         "run": {"max_iters": 5}}),
+    "ring16-dogt-defaults": ("ring16_dogt.yaml", "run", {"init": None, "run": None}),
 }
 
 
@@ -91,7 +93,10 @@ def cases(configs: Path):
     for label, (name, command, blocks) in GENERATED.items():
         config = yaml.safe_load((ROOT / "configs" / name).read_text())
         for block, values in blocks.items():
-            config[block].update(values)
+            if values is None:
+                del config[block]
+            else:
+                config[block].update(values)
         path = configs / f"{label}.yaml"
         path.write_text(yaml.safe_dump(config, sort_keys=False))
         yield label, command, path

@@ -2,10 +2,19 @@
 
 Configs are YAML with the blocks problem / graph / algorithm (or a list
 under ``algorithms`` for compare) / run, plus an optional ``init`` block for
-the starting iterate.  Every resolved value, including "auto" stepsizes and
-round counts, is echoed into a per-run manifest so outputs are exactly
-replayable.  Trace CSVs use a fixed schema with 17-significant-digit floats
-and LF line endings, so identical configs produce byte-identical files.
+the starting iterate.  Each key of a block is one field of the block's
+frozen dataclass (``ProblemConfig``, ``GraphConfig``, ``AlgorithmConfig``,
+``InitConfig``, ``RunConfig``), made by ``_key``: the field names the key's
+parser and the parser's limits, and holds the key's default, or
+``REQUIRED``.  ``_parse_block`` reads every block by these fields alone, and
+``load_config`` adds the rules across keys and blocks.  A value of the wrong
+type or out of its limits is a ``ConfigError`` (exit 2).
+
+Every resolved value, including "auto" stepsizes and round counts, is
+echoed into a per-run manifest, each block's keys in field order, so outputs
+are exactly replayable.  Trace CSVs use a fixed schema with
+17-significant-digit floats and LF line endings, so identical configs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import signal
 import sys
 import threading
 import traceback
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +34,8 @@ import yaml
 
 from . import verify as verify_mod
 from .algorithms import ALGORITHMS, DivergenceError, Trace, run
-from .graph import (MAX_DECOMPOSED_N, WEIGHT_BUILDERS, AcceleratedExchange, MixingMatrix,
-                    accelerated_matrix, build_topology)
+from .graph import (MAX_DECOMPOSED_N, TOPOLOGY_KINDS, WEIGHT_BUILDERS, AcceleratedExchange,
+                    MixingMatrix, accelerated_matrix, build_topology)
 from .metrics import csv_chunks, fit_linear_rate, max_stepsize, theoretical_contraction
 from .problem import BilinearQuadratic, make_bilinear_quadratic
 
@@ -44,8 +53,6 @@ CSV_COLUMNS = {"iter": "iteration", "comm_rounds": "comm_rounds", "residual": "r
                "xi_norm_sq": "xi_sq", "lyapunov": "V"}
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
-INIT_KINDS = ("normal", "zeros")
-
 # libyaml's parser where PyYAML was built with it: it builds the same
 # mappings as the pure-Python SafeLoader, about 7x faster on these configs.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -59,79 +66,6 @@ class ConfigError(ValueError):
 # config model
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
-    type: str
-    n: int
-    p: int
-    d: int
-    mu: float
-    seed: int
-    zero_sum_centers: bool
-
-
-@dataclass(frozen=True)
-class GraphConfig:
-    topology: str
-    n: int
-    weight_scheme: str
-    edge_probability: float | None
-    seed: int | None
-
-
-@dataclass(frozen=True)
-class AlgorithmConfig:
-    name: str
-    gamma: float | str          # positive float or "auto"
-    T: int | str | None         # positive int or "auto"; adogt only
-
-
-@dataclass(frozen=True)
-class InitConfig:
-    kind: str
-    seed: int | None            # defaults to problem.seed + 1 at resolution
-    scale: float
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    max_iters: int
-    tol: float
-    record_every: int
-    out_dir: str
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    problem: ProblemConfig
-    graph: GraphConfig
-    algorithms: tuple[AlgorithmConfig, ...]
-    run: RunConfig
-    init: InitConfig
-
-
-def _require_mapping(raw, name):
-    """The block as a dict; an absent (None) block is empty."""
-    raw = {} if raw is None else raw
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name} block must be a mapping, got {type(raw).__name__}")
-    return raw
-
-
-def _known_keys(raw: dict, allowed, block: str, required=()):
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {block} block")
-    for key in required:
-        if key not in raw:
-            raise ConfigError(f"{block} block is missing {key!r}")
-
-
-def _optional(raw: dict, key: str, parse, name: str, **kwargs):
-    value = raw.get(key)
-    return None if value is None else parse(value, name, **kwargs)
-
-
 def _as_int(value, key, minimum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -140,7 +74,7 @@ def _as_int(value, key, minimum=None):
     return value
 
 
-def _as_float(value, key, positive=False, allow_inf=False):
+def _as_float(value, key, positive=False, nonnegative=False, allow_inf=False):
     number = np.nan
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
@@ -152,6 +86,8 @@ def _as_float(value, key, positive=False, allow_inf=False):
                           f"got {value!r}")
     if positive and number <= 0.0:
         raise ConfigError(f"{key} must be positive, got {number}")
+    if nonnegative and number < 0.0:
+        raise ConfigError(f"{key} must be nonnegative, got {number}")
     return number
 
 
@@ -161,96 +97,100 @@ def _as_bool(value, key):
     return value
 
 
-def _parse_problem(raw) -> ProblemConfig:
-    raw = _require_mapping(raw, "problem")
-    _known_keys(raw, ("type", "n", "p", "d", "mu", "seed", "zero_sum_centers"), "problem",
-                required=("type", "n", "p", "d", "mu", "seed"))
-    if raw["type"] != "bilinear_quadratic":
-        raise ConfigError(f"unknown problem type {raw['type']!r}")
-    mu = _as_float(raw["mu"], "problem.mu", positive=True)
-    p = _as_int(raw["p"], "problem.p", minimum=1)
-    d = _as_int(raw["d"], "problem.d", minimum=1)
-    if p != d:
-        raise ConfigError(f"the coupling x.y needs problem.p ({p}) to equal problem.d ({d})")
-    return ProblemConfig(type=raw["type"],
-                         n=_as_int(raw["n"], "problem.n", minimum=1),
-                         p=p,
-                         d=d,
-                         mu=mu,
-                         seed=_as_int(raw["seed"], "problem.seed", minimum=0),
-                         zero_sum_centers=_as_bool(raw.get("zero_sum_centers", True),
-                                                   "problem.zero_sum_centers"))
+def _as_str(value, key, choices=None):
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{key} must be one of {list(choices)}, got {value!r}")
+    return value
 
 
-def _parse_graph(raw) -> GraphConfig:
-    raw = _require_mapping(raw, "graph")
-    _known_keys(raw, ("topology", "n", "weight_scheme", "edge_probability", "seed"), "graph",
-                required=("topology", "n"))
-    scheme = raw.get("weight_scheme", "metropolis")
-    if scheme not in WEIGHT_BUILDERS:
-        raise ConfigError(f"unknown weight_scheme {scheme!r}, "
-                          f"expected one of {sorted(WEIGHT_BUILDERS)}")
-    n = _as_int(raw["n"], "graph.n", minimum=1)
-    if raw["topology"] == "random" and n > MAX_DECOMPOSED_N:
-        raise ConfigError(
-            f"graph.n is {n}, above {MAX_DECOMPOSED_N}, the largest random graph: its "
-            f"spectrum, which adogt and verify read, takes a dense eigendecomposition, of "
-            f"n x n arrays (8 n^2 bytes each) in time growing as n^3, about 11 s at "
-            f"n = {MAX_DECOMPOSED_N}")
-    return GraphConfig(topology=raw["topology"],
-                       n=n,
-                       weight_scheme=scheme,
-                       edge_probability=_optional(raw, "edge_probability", _as_float,
-                                                  "graph.edge_probability"),
-                       seed=_optional(raw, "seed", _as_int, "graph.seed", minimum=0))
+REQUIRED = MISSING          # the default of a key that every config gives
 
 
-def _parse_algorithm(raw, block="algorithm") -> AlgorithmConfig:
-    raw = _require_mapping(raw, block)
-    _known_keys(raw, ("name", "gamma", "T"), block)
-    name = raw.get("name")
-    if name not in ALGORITHMS:
-        raise ConfigError(f"{block}.name must be one of {ALGORITHMS}, got {name!r}")
-    gamma = raw.get("gamma")
-    if gamma != "auto":
-        gamma = _as_float(gamma, f"{block}.gamma", positive=True)
-    T = raw.get("T")
-    if name == "adogt":
-        if T is None:
-            raise ConfigError("adogt requires T (a positive integer or 'auto')")
-        if T != "auto":
-            T = _as_int(T, f"{block}.T", minimum=1)
-    elif T is not None:
-        raise ConfigError(f"{block}.T only applies to adogt")
-    return AlgorithmConfig(name=name, gamma=gamma, T=T)
+def _key(parse, default, auto=False, echo=True, **limits):
+    """A config key as a dataclass field: ``parse(value, name, **limits)``
+    checks a given value, and ``default`` stands for an absent one.  With
+    ``auto``, the string "auto" is kept as given, for resolution to replace;
+    without ``echo``, no manifest line echoes the key."""
+    return field(default=default,
+                 metadata={"parse": parse, "limits": limits, "auto": auto, "echo": echo})
 
 
-def _parse_init(raw) -> InitConfig:
-    raw = _require_mapping(raw, "init")
-    _known_keys(raw, ("kind", "seed", "scale"), "init")
-    kind = raw.get("kind", "normal")
-    if kind not in INIT_KINDS:
-        raise ConfigError(f"init.kind must be one of {INIT_KINDS}, got {kind!r}")
-    return InitConfig(kind=kind, seed=_optional(raw, "seed", _as_int, "init.seed", minimum=0),
-                      scale=_as_float(raw.get("scale", 1.0), "init.scale", positive=True))
+@dataclass(frozen=True)
+class ProblemConfig:
+    type: str = _key(_as_str, REQUIRED, choices=("bilinear_quadratic",))
+    n: int = _key(_as_int, REQUIRED, minimum=1)
+    p: int = _key(_as_int, REQUIRED, minimum=1)
+    d: int = _key(_as_int, REQUIRED, minimum=1)
+    mu: float = _key(_as_float, REQUIRED, positive=True)
+    seed: int = _key(_as_int, REQUIRED, minimum=0)
+    zero_sum_centers: bool = _key(_as_bool, True)
 
 
-def _parse_run(raw) -> RunConfig:
-    raw = _require_mapping(raw, "run")
-    _known_keys(raw, ("max_iters", "tol", "record_every", "record_states", "out_dir"), "run")
-    tol = _as_float(raw.get("tol", 1e-10), "run.tol", allow_inf=True)
-    if tol < 0.0:
-        raise ConfigError(f"run.tol must be nonnegative, got {tol}")
-    out_dir = raw.get("out_dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"run.out_dir must be a string, got {out_dir!r}")
-    # Read by nothing: perfbench's ring16-verify workload and its committed config set it.
-    _optional(raw, "record_states", _as_bool, "run.record_states")
-    return RunConfig(max_iters=_as_int(raw.get("max_iters", 10_000), "run.max_iters", minimum=1),
-                     tol=tol,
-                     record_every=_as_int(raw.get("record_every", 1),
-                                          "run.record_every", minimum=1),
-                     out_dir=out_dir)
+@dataclass(frozen=True)
+class GraphConfig:
+    topology: str = _key(_as_str, REQUIRED, choices=TOPOLOGY_KINDS)
+    n: int = _key(_as_int, REQUIRED, minimum=1)
+    weight_scheme: str = _key(_as_str, "metropolis", choices=WEIGHT_BUILDERS)
+    edge_probability: float | None = _key(_as_float, None)     # random topology only
+    seed: int | None = _key(_as_int, None, minimum=0)           # random topology only
+
+
+@dataclass(frozen=True)
+class AlgorithmConfig:
+    name: str = _key(_as_str, REQUIRED, choices=ALGORITHMS)
+    gamma: float | str = _key(_as_float, REQUIRED, auto=True, positive=True)
+    T: int | str | None = _key(_as_int, None, auto=True, minimum=1)    # adogt only
+
+
+@dataclass(frozen=True)
+class InitConfig:
+    kind: str = _key(_as_str, "normal", choices=("normal", "zeros"))
+    seed: int | None = _key(_as_int, None, minimum=0)   # None: problem.seed + 1 at resolution
+    scale: float = _key(_as_float, 1.0, positive=True)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    max_iters: int = _key(_as_int, 10_000, minimum=1)
+    tol: float = _key(_as_float, 1e-10, nonnegative=True, allow_inf=True)
+    record_every: int = _key(_as_int, 1, minimum=1)
+    out_dir: str = _key(_as_str, "out", echo=False)     # where, not what: --out overrides it
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    problem: ProblemConfig
+    graph: GraphConfig
+    algorithms: tuple[AlgorithmConfig, ...]
+    run: RunConfig
+    init: InitConfig
+
+
+def _parse_block(cls, raw, block: str):
+    """The config block ``raw`` as a ``cls``, read by its fields: an absent
+    (null) block is empty, a key that is no field is refused, an absent key
+    takes its default unless it is REQUIRED, and null is a value only where
+    the default is None."""
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{block} block must be a mapping, got {type(raw).__name__}")
+    keys = cls.__dataclass_fields__
+    unknown = raw.keys() - keys
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)} in {block} block")
+    values = {}
+    for name, key in keys.items():
+        if name not in raw:
+            if key.default is REQUIRED:
+                raise ConfigError(f"{block} block is missing {name!r}")
+            continue
+        value, meta = raw[name], key.metadata
+        kept = value is None and key.default is None or meta["auto"] and value == "auto"
+        values[name] = value if kept else meta["parse"](value, f"{block}.{name}",
+                                                        **meta["limits"])
+    return cls(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -264,31 +204,54 @@ def load_config(path) -> ExperimentConfig:
         raw = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    raw = _require_mapping(raw, "config")
-    _known_keys(raw, ("problem", "graph", "algorithm", "algorithms", "run", "init"), "config",
-                required=("problem", "graph"))
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a mapping, got {type(raw).__name__}")
+    unknown = set(raw) - {"problem", "graph", "algorithm", "algorithms", "run", "init"}
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)} in config")
+
+    problem = _parse_block(ProblemConfig, raw.get("problem"), "problem")
+    if problem.p != problem.d:
+        raise ConfigError(f"the coupling x.y needs problem.p ({problem.p}) to equal "
+                          f"problem.d ({problem.d})")
+    graph = _parse_block(GraphConfig, raw.get("graph"), "graph")
+    if graph.topology == "random" and graph.n > MAX_DECOMPOSED_N:
+        raise ConfigError(
+            f"graph.n is {graph.n}, above {MAX_DECOMPOSED_N}, the largest random graph: its "
+            f"spectrum, which adogt and verify read, takes a dense eigendecomposition, of "
+            f"n x n arrays (8 n^2 bytes each) in time growing as n^3, about 11 s at "
+            f"n = {MAX_DECOMPOSED_N}")
+    if problem.n != graph.n:
+        raise ConfigError(f"problem.n ({problem.n}) must equal graph.n ({graph.n})")
+
     if "algorithm" in raw and "algorithms" in raw:
         raise ConfigError("config must use either 'algorithm' or 'algorithms', not both")
     if "algorithm" in raw:
-        algorithms = (_parse_algorithm(raw["algorithm"]),)
+        blocks = {"algorithm": raw["algorithm"]}
     elif "algorithms" in raw:
-        entries = raw["algorithms"]
-        if not isinstance(entries, list) or not entries:
+        if not isinstance(raw["algorithms"], list) or not raw["algorithms"]:
             raise ConfigError("'algorithms' must be a non-empty list")
-        algorithms = tuple(_parse_algorithm(entry, f"algorithms[{i}]")
-                           for i, entry in enumerate(entries))
+        blocks = {f"algorithms[{i}]": entry for i, entry in enumerate(raw["algorithms"])}
     else:
         raise ConfigError("config needs an 'algorithm' or 'algorithms' block")
+    algorithms = tuple(_parse_block(AlgorithmConfig, entry, block)
+                       for block, entry in blocks.items())
+    for block, algo in zip(blocks, algorithms):
+        if algo.name == "adogt" and algo.T is None:
+            raise ConfigError("adogt requires T (a positive integer or 'auto')")
+        if algo.name != "adogt" and algo.T is not None:
+            raise ConfigError(f"{block}.T only applies to adogt")
 
-    config = ExperimentConfig(problem=_parse_problem(raw["problem"]),
-                              graph=_parse_graph(raw["graph"]),
-                              algorithms=algorithms,
-                              run=_parse_run(raw.get("run")),
-                              init=_parse_init(raw.get("init")))
-    if config.problem.n != config.graph.n:
-        raise ConfigError(f"problem.n ({config.problem.n}) must equal "
-                          f"graph.n ({config.graph.n})")
-    return config
+    run_block = raw.get("run")
+    if isinstance(run_block, dict) and "record_states" in run_block:
+        # Read by nothing: perfbench's ring16-verify workload and its committed config set it.
+        run_block = dict(run_block)
+        if (record_states := run_block.pop("record_states")) is not None:
+            _as_bool(record_states, "run.record_states")
+    return ExperimentConfig(problem=problem, graph=graph, algorithms=algorithms,
+                            run=_parse_block(RunConfig, run_block, "run"),
+                            init=_parse_block(InitConfig, raw.get("init"), "init"))
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +398,16 @@ def write_trace_csv(path: Path, trace: Trace, record_every: int = 1) -> None:
         fh.writelines(csv_chunks(row(True), records[tail:], ints))
 
 
+def _echoed(block: str, config, **used) -> list[tuple[str, object]]:
+    """The manifest items of a config block, in field order: each echoed
+    key's value, or the value the run used in its place."""
+    return [(f"{block}.{key.name}", used.get(key.name, getattr(config, key.name)))
+            for key in fields(config) if key.metadata["echo"]]
+
+
 def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
                     trace: Trace) -> list[str]:
-    pc, gc, rc, ic = (exp.config.problem, exp.config.graph, exp.config.run,
-                      exp.config.init)
+    pc, gc, ic = exp.config.problem, exp.config.graph, exp.config.init
     final = trace.records[-1]
     random_graph = gc.topology == "random"
     L = exp.problem.smoothness_constant()
@@ -449,16 +418,11 @@ def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
         # Off-design accelerated matrix (rho >= 1): no guarantees attach.
         contraction = stepsize_bound = None
     items = [
-        ("problem.type", pc.type), ("problem.n", pc.n), ("problem.p", pc.p),
-        ("problem.d", pc.d), ("problem.mu", pc.mu), ("problem.seed", pc.seed),
-        ("problem.zero_sum_centers", pc.zero_sum_centers),
-        ("graph.topology", gc.topology), ("graph.n", gc.n),
-        ("graph.weight_scheme", gc.weight_scheme),
+        *_echoed("problem", pc),
         # A value the run did not use prints as none.
-        ("graph.edge_probability", gc.edge_probability if random_graph else None),
-        ("graph.seed", gc.seed if random_graph else None), ("graph.rho_w", exp.W.rho),
-        ("init.kind", ic.kind), ("init.seed", exp.init_seed),
-        ("init.scale", None if ic.kind == "zeros" else ic.scale),
+        *_echoed("graph", gc, edge_probability=gc.edge_probability if random_graph else None,
+                 seed=gc.seed if random_graph else None), ("graph.rho_w", exp.W.rho),
+        *_echoed("init", ic, seed=exp.init_seed, scale=None if ic.kind == "zeros" else ic.scale),
         ("algorithm.name", algo.name),
         ("algorithm.gamma", algo.gamma),
         ("algorithm.gamma_source", algo.gamma_source),
@@ -468,8 +432,7 @@ def _manifest_lines(exp: ResolvedExperiment, algo: ResolvedAlgorithm,
         ("derived.smoothness_L", L), ("derived.kappa", L / pc.mu),
         ("derived.max_stepsize", stepsize_bound),
         ("derived.theoretical_contraction", contraction),
-        ("run.max_iters", rc.max_iters), ("run.tol", rc.tol),
-        ("run.record_every", rc.record_every),
+        *_echoed("run", exp.config.run),
         ("result.reason", trace.reason),
         ("result.iterations", trace.iterations),
         ("result.comm_rounds", trace.comm_rounds),

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -67,6 +68,49 @@ def test_unknown_key_rejected(tmp_path):
     path = write_config(tmp_path, {"problem": {"sigma": 2.0}})
     with pytest.raises(ConfigError):
         load_config(path)
+    # Unknown keys of more than one type are listed, not compared.
+    path.write_text(path.read_text().replace("  sigma: 2.0", "  sigma: 2.0\n  1: 2.0"))
+    with pytest.raises(ConfigError, match=r"\[1, 'sigma'\]"):
+        load_config(path)
+
+
+def test_a_config_of_only_the_required_keys_loads_the_defaults(tmp_path):
+    required = {"problem": ["type", "n", "p", "d", "mu", "seed"], "graph": ["topology", "n"],
+                "algorithm": ["name", "gamma"]}
+    cfg = {block: {key: BASE[block][key] for key in keys} for block, keys in required.items()}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    config = load_config(path)
+    assert config.problem.zero_sum_centers is True
+    assert config.graph == cli.GraphConfig(topology="ring", n=16, weight_scheme="metropolis",
+                                           edge_probability=None, seed=None)
+    assert config.algorithms == (cli.AlgorithmConfig(name="dogt", gamma=0.1, T=None),)
+    assert config.init == cli.InitConfig(kind="normal", seed=None, scale=1.0)
+    assert config.run == cli.RunConfig(max_iters=10_000, tol=1e-10, record_every=1,
+                                       out_dir="out")
+    for block, keys in required.items():
+        for key in keys:
+            path.write_text(yaml.safe_dump({**cfg, block: {k: v for k, v in cfg[block].items()
+                                                           if k != key}}))
+            with pytest.raises(ConfigError, match=key):
+                load_config(path)
+
+
+@pytest.mark.parametrize("key", ["topology", "weight_scheme"])
+@pytest.mark.parametrize("value", [["ring"], {"ring": 1}, None, "torus"],
+                         ids=["list", "mapping", "null", "unknown"])
+def test_a_graph_kind_that_is_not_a_known_name_exits_2(key, value, tmp_path, capsys):
+    # Refused when the config loads, by the key's name, and no file is written.
+    cfg = yaml.safe_load(yaml.safe_dump(BASE))
+    cfg["graph"][key] = value
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    with pytest.raises(ConfigError, match=f"graph.{key}"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"graph.{key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_algorithm_rejected(tmp_path):
@@ -325,6 +369,20 @@ def test_manifest_prints_none_for_values_the_run_did_not_use(tmp_path, overrides
                     for ln in (out / "dogt.manifest.txt").read_text().splitlines())
     assert {key: manifest[key] for key in unused} == dict.fromkeys(unused, "none")
     assert {key: manifest[key] for key in used} == used
+
+
+def test_the_manifest_echoes_every_config_key(tmp_path):
+    # Every key a config can set, but where the outputs go, so that the
+    # manifest replays the run.
+    out = tmp_path / "out"
+    assert run_command(write_config(tmp_path), out) == EXIT_OK
+    echoed = {line.split(" = ")[0]
+              for line in (out / "dogt.manifest.txt").read_text().splitlines()}
+    blocks = {"problem": cli.ProblemConfig, "graph": cli.GraphConfig,
+              "algorithm": cli.AlgorithmConfig, "init": cli.InitConfig, "run": cli.RunConfig}
+    keys = {f"{block}.{key.name}" for block, cls in blocks.items()
+            for key in dataclasses.fields(cls)}
+    assert keys - echoed == {"run.out_dir"}
 
 
 def test_run_command_rejects_multi_algorithm_config(tmp_path):
