@@ -14,17 +14,19 @@ the others at gamma 0.1 on Metropolis weights), it times the set-up that
 - exchange: the rest of ``cli.resolve_experiment`` (the problem, ``T:
   auto`` and adogt's exchange, built once) plus a one-step
   ``algorithms.run``, which mixes with the resolved mixing; where W mixes
-  dense, adogt's first mix builds M_T.  adogt's exchange reads W's
-  spectrum, which on a random graph is one dense eigendecomposition, made
-  here.
+  dense, adogt's first mix builds M_T.  adogt's exchange takes rho_M from
+  W's closed-form spectrum on a ring, and on a random graph by Lanczos
+  over the exchange, one recurrence per T that ``T: auto`` tries.
 
 Beside them it records the number of ``np.linalg.eigvalsh`` calls in one
-set-up (each an n x n eigendecomposition: 1 for adogt on a random graph,
-and 0 for the other cases), adogt's T and the peak RSS of the process.
-Every (graph, method) case runs in a fresh process, which makes the set-up
-REPEATS times (once from n = 4096 on, where a random graph's dense
-eigendecomposition, in adogt's set-up, takes about 11 s) and keeps the
-median of each phase; its peak RSS is the process's.
+set-up (each an n x n eigendecomposition, which a checkout before the
+Lanczos route for rho_M made for adogt on a random graph), the most
+Lanczos steps one recurrence took (the largest tridiagonal given to
+``np.linalg.eigh``, which only ``graph._lanczos_gap`` calls), adogt's T
+and the peak RSS of the process.  Every (graph, method) case runs in a
+fresh process, which makes the set-up REPEATS times (once from n = 4096
+on, where such a checkout's eigendecomposition takes about 6 s) and keeps
+the median of each phase; its peak RSS is the process's.
 
 The GATES are timed in this checkout alone, whose structured graphs need
 no n x n array (a dense W of ring-65536 would take 34 GB): a 100-step
@@ -113,14 +115,18 @@ def measure(src: Path, kind: str, n: int, method: str) -> dict:
     sys.path.insert(0, str(src))
     from netsaddle import algorithms, cli
 
-    decompositions = []
-    eigvalsh = np.linalg.eigvalsh
+    decompositions, tridiagonals = [], []
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
 
     def counted(*args, **kwargs):
         decompositions.append(None)
         return eigvalsh(*args, **kwargs)
 
-    np.linalg.eigvalsh = counted
+    def sized(a, *args, **kwargs):
+        tridiagonals.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    np.linalg.eigvalsh, np.linalg.eigh = counted, sized
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.yaml"
         path.write_text(yaml.safe_dump(case_config(kind, n, method)))
@@ -129,6 +135,7 @@ def measure(src: Path, kind: str, n: int, method: str) -> dict:
     calls = []
     for _ in range(REPEATS if n < 4096 else 1):
         decompositions.clear()
+        tridiagonals.clear()
         durations = {}
         with timed(cli, durations):
             start = time.perf_counter()
@@ -143,6 +150,7 @@ def measure(src: Path, kind: str, n: int, method: str) -> dict:
         calls.append(len(decompositions))
     return {**{phase: statistics.median(v) for phase, v in samples.items()},
             "eigvalsh_calls": max(calls),
+            "lanczos_steps": max(tridiagonals, default=0),
             "T": algo.mixing.rounds if algo.name == "adogt" else None,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
@@ -186,7 +194,8 @@ def summary(rows: list[dict]) -> dict:
     """One case of one checkout over rounds: times and peak RSS with their
     spread, the counts as the largest seen."""
     out = {key: spread([r[key] for r in rows]) for key in (*PHASES, "peak_rss_mb")}
-    out["eigvalsh_calls"] = max(r["eigvalsh_calls"] for r in rows)
+    for key in ("eigvalsh_calls", "lanczos_steps"):
+        out[key] = max(r[key] for r in rows)
     out["T"] = rows[0]["T"]
     return out
 

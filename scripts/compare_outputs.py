@@ -48,11 +48,12 @@ import workloads  # noqa: E402
 COMMITTED = {"ring16_compare.yaml": "compare", "ring16_dogt.yaml": "run",
              "ring16_verify.yaml": "verify"}
 
-# label -> (committed config, command, blocks updated in it, or removed where
-# given as None): graphs whose kinds have their own edges and closed-form
-# spectra, a complete graph's verify (which exits 6), the ring of three (a
-# complete graph), one node, adogt's T: auto on a long ring, and the
-# defaults of the init and run blocks.
+# label -> (committed config, command, blocks updated in it, replaced where
+# given as a list, or removed where given as None): graphs whose kinds have
+# their own edges and closed-form spectra, a complete graph's verify (which
+# exits 6), the ring of three (a complete graph), one node, adogt's T: auto
+# on a long ring, the defaults of the init and run blocks, and random
+# graphs, whose gaps come from Lanczos, under all four methods and verify.
 GENERATED = {
     "path12-lazy": ("ring16_compare.yaml", "compare", {
         "problem": {"n": 12},
@@ -69,6 +70,16 @@ GENERATED = {
         "algorithm": {"name": "adogt", "gamma": 0.1, "T": "auto"},
         "run": {"max_iters": 5}}),
     "ring16-dogt-defaults": ("ring16_dogt.yaml", "run", {"init": None, "run": None}),
+    "random256-compare": ("ring16_compare.yaml", "compare", {
+        "problem": {"n": 256},
+        "graph": {"topology": "random", "n": 256, "seed": 3, "edge_probability": 0.05},
+        "algorithms": [{"name": "dgda", "gamma": 0.1}, {"name": "dogda", "gamma": 0.1},
+                       {"name": "dogt", "gamma": 0.1},
+                       {"name": "adogt", "gamma": 0.1, "T": "auto"}],
+        "run": {"max_iters": 2000}}),
+    "random64-verify": ("ring16_verify.yaml", "verify", {
+        "problem": {"n": 64},
+        "graph": {"topology": "random", "n": 64, "seed": 3, "edge_probability": 0.15}}),
 }
 
 
@@ -95,6 +106,8 @@ def cases(configs: Path):
         for block, values in blocks.items():
             if values is None:
                 del config[block]
+            elif isinstance(values, list):
+                config[block] = values
             else:
                 config[block].update(values)
         path = configs / f"{label}.yaml"

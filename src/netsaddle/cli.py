@@ -34,7 +34,7 @@ import yaml
 
 from . import verify as verify_mod
 from .algorithms import ALGORITHMS, DivergenceError, Trace, run
-from .graph import (MAX_DECOMPOSED_N, TOPOLOGY_KINDS, WEIGHT_BUILDERS, AcceleratedExchange,
+from .graph import (MAX_RANDOM_DRAW_N, TOPOLOGY_KINDS, WEIGHT_BUILDERS, AcceleratedExchange,
                     MixingMatrix, accelerated_matrix, build_topology)
 from .metrics import csv_chunks, fit_linear_rate, max_stepsize, theoretical_contraction
 from .problem import BilinearQuadratic, make_bilinear_quadratic
@@ -216,12 +216,11 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"the coupling x.y needs problem.p ({problem.p}) to equal "
                           f"problem.d ({problem.d})")
     graph = _parse_block(GraphConfig, raw.get("graph"), "graph")
-    if graph.topology == "random" and graph.n > MAX_DECOMPOSED_N:
+    if graph.topology == "random" and graph.n > MAX_RANDOM_DRAW_N:
         raise ConfigError(
-            f"graph.n is {graph.n}, above {MAX_DECOMPOSED_N}, the largest random graph: its "
-            f"spectrum, which adogt and verify read, takes a dense eigendecomposition, of "
-            f"n x n arrays (8 n^2 bytes each) in time growing as n^3, about 11 s at "
-            f"n = {MAX_DECOMPOSED_N}")
+            f"graph.n is {graph.n}, above {MAX_RANDOM_DRAW_N}, the largest random graph: each "
+            f"draw of its edges takes n^2 uniforms, and a graph that does not connect is "
+            f"drawn again, in time growing as n^2 per draw")
     if problem.n != graph.n:
         raise ConfigError(f"problem.n ({problem.n}) must equal graph.n ({graph.n})")
 

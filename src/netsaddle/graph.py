@@ -8,7 +8,7 @@ its nonzeros row by row (``Nonzeros``, the CSR arrays), diagonal included, and
 ``MixingMatrix`` checks it on those arrays.  The spectral gap
 rho = ||W - J||_2^2 (squared spectral norm off the consensus direction,
 J = averaging matrix) is the largest square of W's eigenvalues but the
-consensus 1 (``MixingMatrix.spectrum``): smaller rho means faster mixing.
+consensus 1: smaller rho means faster mixing.
 
 On rings, paths, stars and complete graphs both weight schemes give
 W = I - L/s, with L = D - A the graph Laplacian and s an integer, so W's
@@ -31,32 +31,29 @@ builders pass that spectrum.  It agrees with ``eigvalsh`` to about 1e-14
 (``tests/test_graph.py``) and gives rho = 0 exactly on complete graphs and
 the Metropolis ring of three, where ``eigvalsh`` gives about 1e-32.
 
-A W without a closed-form spectrum, a random graph's, gets rho from a plain
-Lanczos recurrence over its own mix, off the consensus vector
-(``_lanczos_gap``): O(nnz) per step, about 100 to 230 steps on random graphs
-of 1024 to 4096 nodes near the connectivity threshold, stopped at a residual
-of 1e-10 on both extreme Ritz pairs, and agreeing with ``eigvalsh`` to about
-1e-14 relative.  Its spectrum, which only adogt's exchange
-(``accelerated_matrix``) and verify's T2 read, comes from one
-``np.linalg.eigvalsh`` on first read; so does rho where Lanczos cannot place
-it below 1.  So dgda, dogda and dogt decompose nothing, and their outputs
-have the same bits at any BLAS thread count, as the eigendecomposition's do
-not.
+A W without a closed-form spectrum, a random graph's, has none here:
+each of its gaps comes from one plain Lanczos recurrence off the consensus
+vector (``_lanczos_gap``), O(nnz) per step.  Over W's own mix it gives
+rho_W: about 100 to 230 steps on random graphs of 1024 to 4096 nodes near
+the connectivity threshold, stopped at a residual of 1e-10 on both extreme
+Ritz pairs, and agreeing with ``eigvalsh`` to about 1e-14 relative.  Over
+adogt's exchange it gives rho_M (``accelerated_matrix``).  The only
+eigendecomposition is that of the recurrence's k x k tridiagonal, so every
+output has the same bits at any BLAS thread count.
 
-A dense n x n W exists only where it is used: while a random graph's
-``eigvalsh`` runs (an array holding W's lower triangle, then dropped), and
-where W mixes as a dense product, which keeps it.  ``MixingMatrix.W``
-builds it on request where W gathers.  So the weights of a ring of 65536
-nodes keep about 6 MB (196608 nonzeros at 24 bytes each, and the spectrum)
-and peak at about 17 MB while they are built, where a dense W would take
-34 GB.  A random graph's spectrum, which takes ``eigvalsh``, is refused
-above ``MAX_DECOMPOSED_N`` nodes; its W builds at any n, and dgda, dogda
-and dogt run on it.
+A dense n x n W exists only where W mixes as a dense product, which keeps
+it.  ``MixingMatrix.W`` builds it on request where W gathers.  So the
+weights of a ring of 65536 nodes keep about 6 MB (196608 nonzeros at 24
+bytes each, and the spectrum) and peak at about 17 MB while they are built,
+where a dense W would take 34 GB.  A random W builds at any n, and all four
+methods run on it; the CLI bounds a random graph by its edge draw
+(``MAX_RANDOM_DRAW_N``).
 
 ``accelerated_matrix`` defines adogt's exchange: T momentum-boosted gossip
 rounds, whose effective matrix M_T has a much smaller gap rho_M.  It reads
-rho_M off W's eigenvalues in O(nT), and for ``T: auto`` finds the round
-count in the same pass.
+rho_M off W's closed-form eigenvalues in O(nT), and for ``T: auto`` finds
+the round count in the same pass; on a random W it runs one Lanczos
+recurrence over the exchange per T.
 
 Both exchanges, a ``MixingMatrix`` and an ``AcceleratedExchange``, mix
 through one contract, ``mix(m, out=None)``: m -> W m (or M_T m), written
@@ -81,26 +78,24 @@ import numpy as np
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "random")
 
 _RANDOM_GRAPH_RETRIES = 100
+# The largest random graph the CLI takes, checked by ``cli.load_config``
+# alone: an attempt of ``build_topology`` draws n^2 uniforms, and the
+# _RANDOM_GRAPH_RETRIES attempts of a draw that never connects took 6.4 s
+# at n = 4096 and 23 s at n = 8192 (one BLAS thread, 2-core Xeon VM).
+MAX_RANDOM_DRAW_N = 4096
 _RANDOM_BLOCK_ROWS = 64     # rows of the n-column uniform draw held at once
 _SUM_BLOCK_ROWS = 64        # dense rows a long row sum is taken over at once
 
-# The largest W without a closed-form spectrum whose spectrum is read,
-# checked by ``_decomposed``: it takes a dense eigendecomposition, about 11 s
-# at n = 4096, whose time grows as n^3 and whose n x n arrays take 8 n^2
-# bytes each (README, "Graphs").  adogt's exchange and verify's T2 read it;
-# dgda, dogda and dogt read rho_W alone, which Lanczos gives in about 0.1 s
-# at n = 4096, so a larger W builds and runs them.
-MAX_DECOMPOSED_N = 4096
-
-# ``_lanczos_gap``: the residual |beta_k s_k| both extreme Ritz pairs stop at
-# (and the beta_k that is breakdown), the steps between two tests of it, and
-# the steps after which rho is left to the eigendecomposition.
+# ``_lanczos_gap``: the residual |beta_k s_k| the Ritz pairs it tests stop
+# at (and the beta_k that is breakdown), the steps between two tests of it,
+# and the steps after which it places no gap.
 _LANCZOS_TOL = 1e-10
 _LANCZOS_TEST_EVERY = 10
 _LANCZOS_MAX_STEPS = 500
 
 # The largest T ``accelerated_matrix`` takes, as a multiple of the formula's
-# T: far past any round count T: auto picks, and a bound on a pass's time.
+# T: far past any round count T: auto picks, and a bound on the time of an
+# evaluation of rho_M.
 MAX_T_FACTOR = 100
 
 
@@ -375,20 +370,19 @@ def _gathers(n: int, nnz: int) -> bool:
 
 
 class MixingMatrix:
-    """Doubly stochastic symmetric weight matrix with its spectrum and spectral gap.
+    """Doubly stochastic symmetric weight matrix with its spectral gap.
 
     ``MixingMatrix(W, spectrum=None)`` takes W as a dense n x n array or as
     its ``Nonzeros``, and keeps those (``nonzeros``).  It checks on them
     that W is finite, doubly stochastic and symmetric, to 1e-12, before
-    anything reads its spectrum.  ``spectrum`` holds the eigenvalues of W
-    but its top one, ascending: the ones given, which the weight builders
-    give in closed form, or else those of one ``np.linalg.eigvalsh`` of W
-    (``_decomposed``), made on first read, which refuses n > MAX_DECOMPOSED_N;
-    W itself takes any n.  On a connected graph the top eigenvalue is the
-    consensus eigenvalue 1, and it is simple; a gap rho >= 1 (a disconnected
-    graph) is rejected.  ``rho`` is ``spectral_gap`` of the given spectrum;
-    without one, Lanczos over ``mix`` gives it (``_lanczos_gap``), and where
-    that cannot place it below 1, ``spectral_gap`` of the decomposed one.
+    anything reads its gap.  ``spectrum`` holds the eigenvalues of W but its
+    top one, ascending, where they are given, as the weight builders give
+    them in closed form, and is None otherwise: nothing decomposes W.  On a
+    connected graph the top eigenvalue is the consensus eigenvalue 1, and
+    it is simple.  ``rho`` is ``spectral_gap`` of the given spectrum, and
+    without one, Lanczos over ``mix`` (``_lanczos_gap``).  A gap rho >= 1
+    (a disconnected graph), or one Lanczos cannot place below 1, is
+    refused.
 
     ``mix(m, out=None)`` is one round of mixing, m -> W m: a CSRMix where
     ``_gathers`` finds the gather cheaper, and otherwise the dense product
@@ -433,23 +427,16 @@ class MixingMatrix:
             self._dense = nonzeros.dense() if dense is None else dense
             self._dense.setflags(write=False)
             self.mix = partial(np.matmul, self._dense)
+        self.spectrum = spectrum
         if spectrum is not None:
             spectrum.setflags(write=False)
-            self.spectrum = spectrum
-            self.rho = spectral_gap(spectrum)
-        else:
-            self.rho = _lanczos_gap(self.mix, n)
-            if self.rho is None:
-                self.rho = spectral_gap(self.spectrum)
+        self.rho = _lanczos_gap(self.mix, n) if spectrum is None else spectral_gap(spectrum)
+        if self.rho is None:
+            raise ValueError(f"Lanczos places no spectral gap of W below 1 within "
+                             f"{_LANCZOS_MAX_STEPS} steps (disconnected graph?)")
         if self.rho >= 1.0:
             raise ValueError(f"spectral gap rho={self.rho} >= 1; matrix does not contract "
                              "off the consensus direction (disconnected graph?)")
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        spectrum = _decomposed(self.nonzeros)
-        spectrum.setflags(write=False)
-        return spectrum
 
     @property
     def n(self) -> int:
@@ -464,52 +451,34 @@ class MixingMatrix:
         return W
 
 
-def _decomposed(nonzeros: Nonzeros) -> np.ndarray:
-    """W's eigenvalues but the top one, ascending, from ``eigvalsh``.
+def _lanczos_gap(mix, n: int, max_steps: int = _LANCZOS_MAX_STEPS, *,
+                 both_extremes: bool = True, below_1: bool = True) -> float | None:
+    """The gap of a symmetric matrix that fixes the consensus vector, from
+    the extreme Ritz values of a plain Lanczos recurrence over its product
+    ``mix(m)``, off that vector: rho_W over W's own mix, and rho_M over
+    adogt's exchange; None where it places no gap.
 
-    The one dense eigendecomposition of a W without a closed-form spectrum,
-    O(n^3): ``MixingMatrix.spectrum`` makes it on first read, which adogt's
-    exchange and verify's T2 make, and ``MixingMatrix`` where Lanczos leaves
-    rho to it.  It refuses n > MAX_DECOMPOSED_N, the one place that bound
-    is checked in this module: about 11 s at n = MAX_DECOMPOSED_N, and its
-    last bits follow the BLAS thread count.  It reads the lower triangle of
-    W, which a Fortran-ordered array holds column by column, as LAPACK
-    takes it: numpy then copies it without striding, and the values it
-    decomposes are the ones of W.
-    """
-    n, rows, cols, weights = nonzeros
-    if n > MAX_DECOMPOSED_N:
-        raise ValueError(f"the spectrum of a weight matrix without a closed-form one takes "
-                         f"n <= {MAX_DECOMPOSED_N} (a dense eigendecomposition), got n = {n}")
-    lower = rows >= cols
-    upper = np.zeros((n, n))             # upper.T is Fortran-ordered, W's lower triangle
-    upper[cols[lower], rows[lower]] = weights[lower]
-    return np.linalg.eigvalsh(upper.T)[:-1]
-
-
-def _lanczos_gap(mix, n: int, max_steps: int = _LANCZOS_MAX_STEPS) -> float | None:
-    """rho_W from the extreme Ritz values of a plain Lanczos recurrence over
-    ``mix``, W's own, off the consensus vector; None where it cannot place
-    rho below 1.
-
-    The recurrence runs on an n x 2 message, on which the mix is W twice
-    over, with W's eigenvalues.  It starts from a fixed draw
-    (``default_rng(0)``), projected off 1, and projects each product W q off
-    1 again, by its column means.  Every sum is ``np.add.reduce``'s, in
-    numpy's order, so rho has the same bits at any BLAS thread count.  Every
-    _LANCZOS_TEST_EVERY steps it takes the eigenpairs (theta, s) of the
-    tridiagonal T_k, and stops once the residual |beta_k s_k| of the
-    smallest and the largest is at most _LANCZOS_TOL, or at breakdown,
-    beta_k <= _LANCZOS_TOL, where the Krylov space is invariant and every
-    pair's residual is that small.  Each extreme Ritz value then lies within
-    _LANCZOS_TOL of an eigenvalue of W (Paige 1980), and within
-    _LANCZOS_TOL^2 / gap where it is apart from the rest; rho is
-    max(theta_min^2, theta_max^2).  On a complete graph whose W is J bit
-    for bit, W q has equal entries; where the projection takes them to 0
-    exactly (n = 2, 8, 64 and 1024 are tested), Lanczos breaks down at
-    k = 1 with rho = 0.  None after ``max_steps`` steps with no
-    stop, or where rho + 2 _LANCZOS_TOL >= 1, which the residual bound
-    cannot tell from a disconnected graph's rho = 1.
+    The recurrence runs on an n x 2 message, on which the mix is the matrix
+    twice over, with its eigenvalues.  It starts from a fixed draw
+    (``default_rng(0)``), projected off 1, and projects each product off 1
+    again, by its column means.  Every sum is ``np.add.reduce``'s, in
+    numpy's order, so the gap has the same bits at any BLAS thread count.
+    Every _LANCZOS_TEST_EVERY steps it takes the eigenpairs (theta, s) of
+    the tridiagonal T_k, and stops once the residual |beta_k s_k| is at most
+    _LANCZOS_TOL for the smallest and the largest theta
+    (``both_extremes``, W's rule) or for the theta of largest magnitude
+    (adogt's exchange), or at breakdown, beta_k <= _LANCZOS_TOL, where the
+    Krylov space is invariant and every pair's residual is that small.
+    Each such Ritz value then lies within _LANCZOS_TOL of an eigenvalue
+    (Paige 1980), and within _LANCZOS_TOL^2 / gap where it is apart from
+    the rest; the gap is max(theta_min^2, theta_max^2).  On a complete
+    graph whose W is J bit for bit, W q has equal entries; where the
+    projection takes them to 0 exactly (n = 2, 8, 64 and 1024 are tested),
+    Lanczos breaks down at k = 1 with rho = 0.  None after ``max_steps``
+    steps with no stop, and, with ``below_1`` (W's rule), where
+    rho + 2 _LANCZOS_TOL >= 1, which the residual bound cannot tell from a
+    disconnected graph's rho = 1; adogt's rho_M may be 1 or more at an
+    off-design T, and is returned.
     """
     q = np.random.default_rng(0).standard_normal((n, 2))
     q -= np.add.reduce(q) / n
@@ -529,9 +498,10 @@ def _lanczos_gap(mix, n: int, max_steps: int = _LANCZOS_MAX_STEPS) -> float | No
         alphas.append(alpha)
         if beta <= _LANCZOS_TOL or k % _LANCZOS_TEST_EVERY == 0:
             theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-            if beta <= _LANCZOS_TOL or (beta * np.abs(s[-1, [0, -1]]) <= _LANCZOS_TOL).all():
+            pairs = [0, -1] if both_extremes else [np.argmax(np.abs(theta))]
+            if beta <= _LANCZOS_TOL or (beta * np.abs(s[-1, pairs]) <= _LANCZOS_TOL).all():
                 rho = float(max(theta[0] ** 2, theta[-1] ** 2))
-                return rho if rho + 2.0 * _LANCZOS_TOL < 1.0 else None
+                return rho if not below_1 or rho + 2.0 * _LANCZOS_TOL < 1.0 else None
         betas.append(beta)
         prev, q = q, w / beta
     return None
@@ -583,7 +553,7 @@ def spectral_gap(spectrum: np.ndarray) -> float:
     its consensus eigenvalue 1; that is ||W - J||_2^2, in [0, 1) on a
     connected graph, and 0 for no eigenvalues (a single node).
 
-    It decomposes nothing: it takes eigenvalues, a closed form's or those of
+    It decomposes nothing: it takes eigenvalues, such as the closed form of
     ``MixingMatrix.spectrum``.  A matrix is rejected, not read as eigenvalues.
     """
     if np.ndim(spectrum) != 1:
@@ -676,26 +646,31 @@ def accelerated_matrix(W: MixingMatrix, T: int | None = None) -> AcceleratedExch
 
     M_T = p_T(W) for the recursion p_{t+1}(lam) = (1+eta) lam p_t(lam) -
     eta p_{t-1}(lam), p_0 = p_{-1} = 1, eta = acceleration_momentum(rho_W).
-    rho_M = ||M_T - J||_2^2 is max p_T(lam)^2 over ``W.spectrum``, in O(nT)
-    and with no M_T (Liu & Morse 2011; Scaman et al., ICML 2017); a random
-    W's spectrum is its one eigendecomposition, made on this first read.  M_T keeps
-    row and column sums 1, as p_T(1) = 1; momentum can push rho_M past 1 at
-    off-design T.
+    M_T keeps row and column sums 1, as p_T(1) = 1; momentum can push rho_M
+    past 1 at off-design T, and that rho_M is returned.  rho_M = ||M_T - J||_2^2
+    is max p_T(lam)^2 over W's eigenvalues (Liu & Morse 2011; Scaman et al.,
+    ICML 2017).  Where W's spectrum is given in closed form, it is read off
+    that in O(nT), with no M_T.  A random W has none, and rho_M comes from
+    ``_lanczos_gap`` over the exchange's own T rounds of ``W.mix``
+    (``momentum_gossip``), stopped on the Ritz pair of largest magnitude:
+    O(nnz T) per step.  One that makes no stop within its step cap is
+    refused with a ``ValueError``.
 
     T None is ``T: auto``: the smallest T that is at least
     ceil(ln 2 / sqrt(1 - sqrt(rho_W))) and gives rho_M <= 1/2, so one
     exchange mixes at least as well as a constant-gap network however
     poorly connected the graph is, as the guarantee of adogt's exchange
     assumes.  The formula alone does not ensure it: on Metropolis rings from
-    n = 68 it leaves rho_M at 0.53 to 0.55.  The one pass of the recursion
-    evaluates rho_M at each T in turn, and ends: at eta < 1 every
-    |p_T(lam)| with |lam| < 1 tends to 0.
+    n = 68 it leaves rho_M at 0.53 to 0.55.  rho_M is evaluated at each T in
+    turn, from the formula's T up, in one pass of the recursion over a
+    closed-form spectrum and by one Lanczos recurrence per T otherwise, and
+    the search ends: at eta < 1 every |p_T(lam)| with |lam| < 1 tends to 0.
 
     A given T may be at most MAX_T_FACTOR times the formula's T, and is
-    refused before the pass, whose time grows with T.  ``T: auto`` stays far
-    below that bound: on every ring, path, star and complete graph with
-    n < 130, and on a ladder up to n = 4096, under both weight schemes, it
-    stops within 1.17 times the formula's T.
+    refused before any evaluation, whose time grows with T.  ``T: auto``
+    stays far below that bound: on every ring, path, star and complete
+    graph with n < 130, and on a ladder up to n = 4096, under both weight
+    schemes, it stops within 1.17 times the formula's T.
     """
     if T is not None and (not isinstance(T, (int, np.integer)) or T < 1):
         raise ValueError(f"T must be a positive integer, got {T!r}")
@@ -705,9 +680,16 @@ def accelerated_matrix(W: MixingMatrix, T: int | None = None) -> AcceleratedExch
         raise ValueError(f"T = {T} exceeds {MAX_T_FACTOR} times the formula's T, "
                          f"ceil(ln 2 / sqrt(1 - sqrt(rho_W))) = {formula} on this W")
     first = T or formula
-    rounds = _momentum_rounds(partial(np.multiply, W.spectrum), eta,
-                              np.ones_like(W.spectrum))
-    for t, p in enumerate(islice(rounds, first - 1, None), start=first):
-        rho_M = float(np.max(p * p, initial=0.0))
+    if W.spectrum is not None:
+        rounds = _momentum_rounds(partial(np.multiply, W.spectrum), eta,
+                                  np.ones_like(W.spectrum))
+        gaps = (float(np.max(p * p, initial=0.0)) for p in islice(rounds, first - 1, None))
+    else:
+        gaps = (_lanczos_gap(partial(momentum_gossip, W.mix, eta, t), W.n,
+                             both_extremes=False, below_1=False) for t in count(first))
+    for t, rho_M in enumerate(gaps, start=first):
+        if rho_M is None:
+            raise ValueError(f"Lanczos over adogt's exchange at T = {t} places no rho_M "
+                             f"within {_LANCZOS_MAX_STEPS} steps")
         if T or rho_M <= 0.5:
             return AcceleratedExchange(W, t, eta, rho_M)

@@ -194,9 +194,11 @@ def check_rho_M(W: MixingMatrix, T: int | None = None) -> LemmaCheckReport:
     1 - rho_M >= 1/2 (margin 1).  That margin holds by construction, since
     ``T: auto`` stops at the first T whose rho_M is at most 1/2; it fails
     only if the search and the gap part ways.  The tests check rho_M at that
-    T against a dense M_T.  ``T: auto``'s exchange is found in one pass over
-    W's spectrum, and another T takes a second.  Margin 0 records the
-    textbook-style envelope 2 (1 - sqrt(1 - sqrt(rho_W)))^(2T) against
+    T against a dense M_T.  rho_M is ``accelerated_matrix``'s: from W's
+    closed-form spectrum, or on a random W by Lanczos over the exchange
+    itself; another T than T: auto's takes one more evaluation of it.
+    Margin 0 records the textbook-style envelope
+    2 (1 - sqrt(1 - sqrt(rho_W)))^(2T) against
     rho_M, or 1 - rho_M when that envelope is vacuous (>= 1); both are
     diagnostic only, since the envelope's constant belongs to the unsquared
     deviation and the finite-round transient can exceed it (or even push

@@ -300,11 +300,12 @@ def test_gathered_adogt_exchanges_by_2T_rounds(monkeypatch):
         calls.append(None)
         return gather(self, m, out)
 
+    exchange = accelerated_matrix(W, T)     # its rho_M takes Lanczos over W.mix
     monkeypatch.setattr(CSRMix, "__call__", counted)
     for k in range(1, 4):
-        state = adogt_step(state, accelerated_matrix(W, T), GAMMA, prob)
+        state = adogt_step(state, exchange, GAMMA, prob)
         assert len(calls) == 2 * T * k
-    run("adogt", prob, accelerated_matrix(W, T), GAMMA, z0, max_iters=5, tol=0.0)
+    run("adogt", prob, exchange, GAMMA, z0, max_iters=5, tol=0.0)
     assert len(calls) == 2 * T * (3 + 5)
 
 

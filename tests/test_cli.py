@@ -185,13 +185,13 @@ def test_a_huge_T_is_refused_before_the_pass(tmp_path, capsys):
 
 
 def test_random_graph_size_is_bounded(tmp_path, capsys):
-    # A random graph's spectrum takes a dense eigendecomposition, so n above
-    # MAX_DECOMPOSED_N is refused when the config loads, before any graph is
-    # built; a ring has its spectrum in closed form and no such bound.
-    n = graph.MAX_DECOMPOSED_N + 1
+    # A random graph's edges take n^2 uniforms a draw, redrawn until they
+    # connect, so n above MAX_RANDOM_DRAW_N is refused when the config loads,
+    # before any graph is drawn; a ring has its own edges and no such bound.
+    n = graph.MAX_RANDOM_DRAW_N + 1
     random = {"topology": "random", "n": n, "seed": 1, "edge_probability": 0.01}
     path = write_config(tmp_path, {"problem": {"n": n}, "graph": random})
-    with pytest.raises(ConfigError, match=f"above {graph.MAX_DECOMPOSED_N}.*eigendecomposition"):
+    with pytest.raises(ConfigError, match=f"above {graph.MAX_RANDOM_DRAW_N}.*draw of its edges"):
         load_config(path)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
@@ -199,7 +199,7 @@ def test_random_graph_size_is_bounded(tmp_path, capsys):
     n = 65536
     path = write_config(tmp_path, {"problem": {"n": n}, "graph": {"topology": "ring", "n": n}})
     assert isinstance(resolve_experiment(load_config(path)).W.mix, CSRMix)
-    with pytest.raises(ValueError, match="closed-form"):
+    with pytest.raises(ValueError, match="spectral gap"):
         graph.MixingMatrix(graph.Nonzeros(n, np.arange(n), np.arange(n), np.ones(n)))
 
 
@@ -235,19 +235,21 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_random_graph_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # A random graph's rho_W comes from Lanczos over W's own gather, with
-    # numpy's sums, and dgda, dogda and dogt read nothing else of its
-    # spectrum, so no eigendecomposition reaches their outputs, gamma: auto
-    # and the Lyapunov column included.  Random-512 read rho_W ...925 at one
-    # thread and ...954 at two when eigvalsh gave it.
+    # A random graph's rho_W comes from Lanczos over W's own gather, and
+    # adogt's rho_M from Lanczos over its exchange, both with numpy's sums,
+    # so no eigendecomposition reaches the outputs of any method, gamma:
+    # auto, T: auto and the Lyapunov column included.  Random-512 read rho_W
+    # ...925 at one thread and ...954 at two when eigvalsh gave it.
     path = write_config(tmp_path, {
         "problem": {"n": 512},
         "graph": {"topology": "random", "n": 512, "edge_probability": 0.02, "seed": 3},
         "algorithm": None,
-        "algorithms": [{"name": name, "gamma": "auto"} for name in ("dgda", "dogda", "dogt")],
+        "algorithms": [*({"name": name, "gamma": "auto"} for name in ("dgda", "dogda", "dogt")),
+                       {"name": "adogt", "gamma": "auto", "T": "auto"}],
         "run": {"max_iters": 200, "tol": 0.0, "record_every": 10}})
     assert_compare_same_at_one_and_two_blas_threads(
-        tmp_path, path, ["dgda.csv", "dogda.csv", "dogt.csv", "dogt.manifest.txt"])
+        tmp_path, path, ["dgda.csv", "dogda.csv", "dogt.csv", "dogt.manifest.txt",
+                         "adogt.csv", "adogt.manifest.txt"])
 
 
 def test_problem_p_must_equal_d(tmp_path):

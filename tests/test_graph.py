@@ -211,11 +211,14 @@ def test_closed_form_spectrum_matches_eigvalsh(kind, n, monkeypatch):
 
 def test_closed_form_gap_is_zero_where_W_averages_in_one_round():
     # Metropolis W on a complete graph, and on the ring of three (a
-    # triangle), is the averaging matrix: rho = 0 exactly, where eigvalsh
-    # gives about 1e-32.
+    # triangle), is the averaging matrix: rho = 0 exactly.  eigvalsh gives a
+    # rounding residue instead, eigenvalues of order n eps whose square is
+    # bounded by (n eps)^2; its last bits follow the BLAS thread count
+    # (complete-300 gave 2.41e-30 at one thread, under 1e-30 at two).
     for kind, n in (("complete", 2), ("complete", 49), ("complete", 300), ("ring", 3)):
         W = metropolis_weights(build_topology(kind, n))
-        assert W.rho == 0.0 and spectral_gap(np.linalg.eigvalsh(W.W)[:-1]) <= 1e-30
+        residue = spectral_gap(np.linalg.eigvalsh(W.W)[:-1])
+        assert W.rho == 0.0 and residue <= (n * np.finfo(float).eps) ** 2
 
 
 def test_a_structured_kind_has_its_own_edges():
@@ -384,7 +387,7 @@ def test_spectral_gap_rejects_a_matrix():
 
 def test_spectral_gap_single_node():
     W = MixingMatrix(np.array([[1.0]]))
-    assert W.spectrum.size == 0 and W.rho == 0.0
+    assert W.spectrum is None and W.rho == 0.0
     assert spectral_gap(np.empty(0)) == 0.0
 
 
@@ -401,8 +404,8 @@ def test_spectral_gap_of_disconnected_matrix_is_rejected():
 @pytest.mark.parametrize("density", ["threshold", 0.5, 1.0])
 def test_lanczos_gap_matches_eigvalsh_on_random_graphs(n, density):
     # rho_W from Lanczos over W's own mix (a random graph's W has no closed
-    # form) against spectral_gap of the eigenvalues eigvalsh gives, the rho
-    # it had before Lanczos: near the connectivity threshold and dense, under
+    # form) against spectral_gap of the eigenvalues of the test's own
+    # eigvalsh of W: near the connectivity threshold and dense, under
     # both schemes, for three graph seeds.  Given only W's nonzeros, W takes
     # the Lanczos path at n <= 2 too, where the builders pass the complete
     # graph's closed form.  A Metropolis W of the complete graph is J to
@@ -414,8 +417,8 @@ def test_lanczos_gap_matches_eigvalsh_on_random_graphs(n, density):
         for seed in range(3):
             built = builder(build_topology("random", n, seed=seed, edge_probability=min(p, 1.0)))
             W = MixingMatrix(built.nonzeros)
-            assert "spectrum" not in vars(W)      # not decomposed
-            decomposed = spectral_gap(W.spectrum)
+            assert W.spectrum is None
+            decomposed = spectral_gap(np.linalg.eigvalsh(W.W)[:-1])
             if density == 1.0 and scheme == "metropolis":
                 assert W.rho <= 1e-28 and decomposed <= 1e-28
                 if (W.W == W.W[0, 0]).all():
@@ -430,11 +433,11 @@ def test_lanczos_stops_on_its_residual_and_defers_near_1():
     # there at one BLAS thread and ...954 at two.  W = I and the swap
     # [[0, 1], [1, 0]] have an eigenvalue of magnitude 1 off the consensus
     # vector: Lanczos breaks down at its first step with rho at 1 to
-    # rounding, which the residual bound cannot tell from 1, so it leaves rho
-    # to eigvalsh, and W is refused as before.
+    # rounding, which the residual bound cannot tell from 1, so it places
+    # no gap, and W is refused.
     W = metropolis_weights(build_topology("random", 512, seed=3, edge_probability=0.02))
     assert W.rho == pytest.approx(0.6353600004108925, rel=1e-14, abs=0.0)
-    assert "spectrum" not in vars(W)
+    assert W.spectrum is None
     steps = next(cap for cap in count(graph._LANCZOS_TEST_EVERY, graph._LANCZOS_TEST_EVERY)
                  if graph._lanczos_gap(W.mix, W.n, cap) is not None)
     assert 20 <= steps <= graph._LANCZOS_MAX_STEPS // 2
@@ -446,35 +449,29 @@ def test_lanczos_stops_on_its_residual_and_defers_near_1():
 
 
 @pytest.mark.parametrize("scheme", sorted(WEIGHT_BUILDERS))
-def test_lanczos_out_of_steps_leaves_rho_to_eigvalsh_bit_for_bit(scheme, monkeypatch):
-    # With one step allowed, Lanczos stops on neither rule, and rho is
-    # spectral_gap of the eigenvalues of W's one eigvalsh, made while W is
-    # built and kept as its spectrum: the rho every random W had before.
+def test_lanczos_out_of_steps_is_refused(scheme, monkeypatch):
+    # With one step allowed, Lanczos stops on neither rule and places no
+    # gap; no eigendecomposition stands in for it, and W is refused.
     monkeypatch.setattr(graph, "_lanczos_gap", partial(graph._lanczos_gap, max_steps=1))
     for n, p in ((30, 0.2), (400, 0.015)):
-        W = WEIGHT_BUILDERS[scheme](build_topology("random", n, seed=5, edge_probability=p))
-        assert "spectrum" in vars(W)
-        assert W.rho == spectral_gap(graph._decomposed(W.nonzeros))
+        topology = build_topology("random", n, seed=5, edge_probability=p)
+        with pytest.raises(ValueError, match="spectral gap"):
+            WEIGHT_BUILDERS[scheme](topology)
 
 
-def test_random_W_above_the_bound_builds_and_runs_until_its_spectrum_is_read():
-    # MAX_DECOMPOSED_N bounds the eigendecomposition, not W: a random W of
-    # one node more builds with rho from Lanczos, and dogt runs on it.  Only a
-    # read of its spectrum, as adogt's exchange and verify's T2 make, is
-    # refused, with a message naming the bound.
-    n = graph.MAX_DECOMPOSED_N + 1
+def test_random_W_above_the_draw_bound_runs_adogt():
+    # MAX_RANDOM_DRAW_N bounds the CLI's edge draw, not the library: a
+    # random W of one node more builds with rho_W from Lanczos, and adogt's
+    # exchange (T: auto, rho_M by Lanczos over it) builds and runs on it.
+    n = graph.MAX_RANDOM_DRAW_N + 1
     W = metropolis_weights(build_topology("random", n, seed=1, edge_probability=0.01))
-    assert 0.0 < W.rho < 1.0 and isinstance(W.mix, CSRMix)
+    assert 0.0 < W.rho < 1.0 and isinstance(W.mix, CSRMix) and W.spectrum is None
+    exchange = accelerated_matrix(W)
+    assert 0.0 < exchange.rho <= 0.5
     problem = make_bilinear_quadratic(n, 2, 2, 0.1, seed=7)
     z0 = np.random.default_rng(8).standard_normal((n, 4))
-    trace = run("dogt", problem, W, 0.01, z0, max_iters=3, tol=0.0)
+    trace = run("adogt", problem, exchange, 0.01, z0, max_iters=3, tol=0.0)
     assert trace.iterations == 3 and np.isfinite(trace.records["residual"]).all()
-    bound = f"n <= {graph.MAX_DECOMPOSED_N}"
-    with pytest.raises(ValueError, match=bound):
-        W.spectrum
-    with pytest.raises(ValueError, match=bound):
-        accelerated_matrix(W)
-    assert "spectrum" not in vars(W)
 
 
 @pytest.mark.parametrize("n", [16, 300, 1024])
@@ -740,14 +737,53 @@ def test_rho_M_matches_the_dense_oracle(kind, n):
         assert max(gaps) >= 1.0         # momentum tuned for more rounds overshoots
 
 
+def max_p_T_sq(lams, eta, T):
+    """max p_T(lam)^2 over the eigenvalues lams, by the scalar recursion."""
+    prev = curr = np.ones_like(lams)
+    for _ in range(T):
+        prev, curr = curr, (1.0 + eta) * lams * curr - eta * prev
+    return float(np.max(curr * curr, initial=0.0))
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+def test_lanczos_rho_M_matches_eigvalsh_on_random_graphs(n):
+    # A random W has no spectrum, and rho_M comes from Lanczos over adogt's
+    # own exchange.  Against max p_T(lam)^2 over the test's own eigvalsh of
+    # W, near the connectivity threshold and up to p = 0.5, under both
+    # schemes: every T up to one past T: auto's agrees to 1e-12 relative,
+    # T: auto picks the T that spectrum picks, and a T whose rho_M is 1 or
+    # more (random-16 at the threshold, graph seed 1, T = 1: 1.073) is
+    # returned, not refused.
+    threshold = math.log(n) / n
+    overshoots = []
+    for p in (threshold, 3.0 * threshold, 0.5):
+        for scheme, builder in WEIGHT_BUILDERS.items():
+            for seed in range(2 if n < 1024 else 1):
+                W = builder(build_topology("random", n, seed=seed, edge_probability=min(p, 0.5)))
+                assert W.spectrum is None
+                lams = np.linalg.eigvalsh(W.W)[:-1]
+                auto = accelerated_matrix(W)
+                T = math.ceil(math.log(2.0) / math.sqrt(1.0 - math.sqrt(W.rho)))
+                while max_p_T_sq(lams, auto.eta, T) > 0.5:
+                    T += 1
+                assert auto.rounds == T, (p, scheme, seed)
+                for t in range(1, T + 2):
+                    rho_M = accelerated_matrix(W, t).rho
+                    assert rho_M == pytest.approx(max_p_T_sq(lams, auto.eta, t),
+                                                  rel=1e-12, abs=0.0), (p, scheme, seed, t)
+                    if rho_M >= 1.0:
+                        overshoots.append((p, scheme, seed, t))
+    assert bool(overshoots) == (n == 16)
+
+
 @pytest.mark.parametrize("n", [16, 400])
-def test_one_eigendecomposition_per_W(n, tmp_path, monkeypatch):
-    # dgda, dogda and dogt read rho_W alone: resolving and running a compare
-    # of the three, dogt at gamma: auto, decomposes no W, a random one's rho
-    # coming from Lanczos.  adogt's exchange (T: auto, eta and rho_M) and
-    # verify's T2 each read W's spectrum: one eigvalsh of a random W, made on
-    # first read and kept, and none of a ring's, which is in closed form.
-    # Ring-16 and random-16 mix dense, and ring-400 and random-400 gather.
+def test_no_eigendecomposition_of_W(n, tmp_path, monkeypatch):
+    # Every gap comes from a closed-form spectrum (a ring's) or from Lanczos
+    # (a random graph's rho_W and rho_M), which decomposes only its own
+    # tridiagonal: resolving and running a compare of all four methods,
+    # dogt at gamma: auto and adogt at T: auto, and verify's checks of dogt
+    # and adogt, give no n x n array to eigvalsh or eigh.  Ring-16 and
+    # random-16 mix dense, and ring-400 and random-400 gather.
     decomposed = []    # the n x n arrays given to eigvalsh or eigh
 
     def counted(original, a, *args, **kwargs):
@@ -764,35 +800,20 @@ def test_one_eigendecomposition_per_W(n, tmp_path, monkeypatch):
                               "seed": 7, "zero_sum_centers": True},
                   "graph": graph,
                   "algorithms": [{"name": "dgda", "gamma": 0.1}, {"name": "dogda", "gamma": 0.1},
-                                 {"name": "dogt", "gamma": "auto"}],
+                                 {"name": "dogt", "gamma": "auto"},
+                                 {"name": "adogt", "gamma": 0.1, "T": "auto"}],
                   "run": {"max_iters": 20, "tol": 0.0, "record_every": 1}}
         path = tmp_path / "compare.yaml"
         path.write_text(yaml.safe_dump(config))
-        decomposed.clear()
         exp = resolve_experiment(load_config(path))
         assert isinstance(exp.W.mix, CSRMix) == (n == 400)
+        assert (exp.W.spectrum is None) == (graph["topology"] == "random")
         traces = {algo.name: run(algo.name, exp.problem, algo.mixing, algo.gamma, exp.z0,
                                  max_iters=20, tol=0.0, record_every=1)
                   for algo in exp.algorithms}
-        assert decomposed == []
-        random = graph["topology"] == "random"
-        reports = verify.run_all_checks(traces["dogt"])
-        assert all(report.passed for report in reports)
-        assert len(decomposed) == random
-        run("adogt", exp.problem, accelerated_matrix(exp.W), 0.1, exp.z0, max_iters=20, tol=0.0)
-        assert len(decomposed) == random        # the spectrum T2 read is kept
-        if random:
-            # One eigvalsh, of a Fortran-ordered array whose lower triangle,
-            # the part eigvalsh reads, is W's.
-            [a] = decomposed
-            assert a.flags.f_contiguous
-            assert np.array_equal(np.tril(a), np.tril(exp.W.W))
-        # adogt alone: resolving it decomposes a new random W once.
-        config["algorithms"] = [{"name": "adogt", "gamma": 0.1, "T": "auto"}]
-        path.write_text(yaml.safe_dump(config))
-        decomposed.clear()
-        resolve_experiment(load_config(path))
-        assert len(decomposed) == random
+        assert all(report.passed for report in verify.run_all_checks(traces["dogt"]))
+        assert verify.run_all_checks(traces["adogt"])[-1].passed      # T2, at T: auto's T
+        assert decomposed == [], graph
 
 
 def test_mixing_matrix_rejects_non_stochastic():
