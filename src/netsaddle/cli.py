@@ -522,8 +522,9 @@ class LaneError(RuntimeError):
 
 def _lane_count(algorithms: int) -> int:
     """How many lanes run a compare's algorithms: one per CPU this process
-    may run on, up to the algorithm count.  One where there is no ``fork``,
-    or where another thread runs, which a forked lane would not have."""
+    may run on, up to the algorithm count, each pinned to a CPU of its own
+    (``_run_in_lanes``).  One where there is no ``fork``, or where another
+    thread runs, which a forked lane would not have."""
     forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     if not forkable or threading.active_count() > 1:
         return 1
@@ -573,12 +574,23 @@ def _lane(exp: ResolvedExperiment, out: Path, queue: _WorkQueue, index: int | No
         index = queue.take()
 
 
-def _child_lane(exp: ResolvedExperiment, out: Path, queue: _WorkQueue, write_fd: int):
-    """A forked lane: send each outcome up its pipe, pickled, an exception
-    with its traceback, then leave by ``os._exit``, so that no code of the
-    parent's stack runs here."""
+def _pin(cpus: list[int]) -> None:
+    """Run this process on ``cpus`` alone, where the system lets it: a lane
+    that cannot be pinned runs where the scheduler puts it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _child_lane(exp: ResolvedExperiment, out: Path, queue: _WorkQueue, write_fd: int,
+                cpu: int):
+    """A forked lane: pin itself to ``cpu``, send each outcome up its pipe,
+    pickled, an exception with its traceback, then leave by ``os._exit``, so
+    that no code of the parent's stack runs here."""
     status = 1
     try:
+        _pin([cpu])
         with open(write_fd, "wb") as sink:
             for index, outcome in _lane(exp, out, queue, queue.take()):
                 tb = None
@@ -616,13 +628,25 @@ def _run_in_lanes(exp: ResolvedExperiment, out: Path) -> list:
     index, then forks the other lanes, which inherit the experiment, and
     runs its share; then it reads what each child sent and reaps it.  When
     it is unwinding from an error, it kills the children still running.
-    An algorithm that no lane reported is a ``LaneError``."""
+    An algorithm that no lane reported is a ``LaneError``.
+
+    With more than one lane, lane k runs on the k-th CPU of this process's
+    mask, in sorted order, alone: lane 0 pins itself before it forks, and
+    each child right after its fork.  Left to itself, the scheduler often
+    keeps a forked lane on its parent's CPU for the whole command, so that
+    two lanes share one CPU while another idles.  A lane that cannot be
+    pinned runs unpinned; this process gets its own mask back on every
+    way out."""
     count = len(exp.algorithms)
     queue = _WorkQueue(count)
     first = queue.take()
+    lanes = _lane_count(count)
+    cpus = sorted(os.sched_getaffinity(0)) if lanes > 1 else []
     outcomes, children, statuses = {}, {}, {}
     try:
-        for _ in range(_lane_count(count) - 1):
+        if cpus:
+            _pin(cpus[:1])
+        for lane in range(1, lanes):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -632,7 +656,7 @@ def _run_in_lanes(exp: ResolvedExperiment, out: Path) -> list:
                 break
             if pid == 0:
                 os.close(read_fd)
-                _child_lane(exp, out, queue, write_fd)
+                _child_lane(exp, out, queue, write_fd, cpus[lane])
             os.close(write_fd)
             children[pid] = open(read_fd, "rb")
         outcomes.update(_lane(exp, out, queue, first))
@@ -644,6 +668,8 @@ def _run_in_lanes(exp: ResolvedExperiment, out: Path) -> list:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        if cpus:
+            _pin(cpus)
         queue.close()
         for pid, source in children.items():
             source.close()

@@ -562,7 +562,10 @@ def test_outputs_do_not_depend_on_the_lane_count(diverging, tmp_path):
 
 
 # Runs compare with cli.run replaced as CASE says, counting the lanes forked,
-# then reports on stderr whether this process has any child left.
+# then reports on stderr whether this process has any child left.  On stderr
+# it also gives this process's CPU mask before and after compare, and the
+# lane and mask each algorithm ran in.  In case "unpinnable" no process may
+# change its mask.
 LANE_SCRIPT = """
 import os, sys, time
 from netsaddle import algorithms, cli
@@ -571,6 +574,8 @@ case, config, out = sys.argv[1:]
 parent, forks, fork = os.getpid(), [], os.fork
 
 def run(kind, *args, **kwargs):
+    lane = 0 if os.getpid() == parent else os.getpid()
+    sys.stderr.write(f"ran {kind} {lane} {sorted(os.sched_getaffinity(0))}\\n")   # one write
     if case == "raises" and kind == "dogt":
         raise RuntimeError("lane failure in dogt")
     if case == "exits":
@@ -583,10 +588,17 @@ def counted_fork():
     forks.append(os.getpid())
     return fork()
 
+def unpinnable(pid, mask):
+    raise PermissionError(1, "Operation not permitted")
+
 cli.run, os.fork = run, counted_fork
+if case == "unpinnable":
+    os.sched_setaffinity = unpinnable
+print("mask before", sorted(os.sched_getaffinity(0)), file=sys.stderr)
 try:
     code = cli.main(["compare", "--config", config, "--out", out])
 finally:
+    print("mask after", sorted(os.sched_getaffinity(0)), file=sys.stderr)
     print("forked", forks.count(parent), file=sys.stderr)
     try:
         os.waitpid(-1, os.WNOHANG)
@@ -623,6 +635,12 @@ def test_work_queue_hands_out_each_index_once():
     assert sorted(taken) == list(range(count))
 
 
+def run_lane_script(case, config, out):
+    return subprocess.run([sys.executable, "-c", LANE_SCRIPT, case, str(config), str(out)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+
+
 @MULTI_CPU
 @pytest.mark.parametrize("case, exit_code", [("success", 0), ("diverges", 0), ("raises", 1),
                                              ("exits", 1)])
@@ -630,18 +648,65 @@ def test_no_lane_outlives_compare(case, exit_code, tmp_path):
     # A divergence is a row of the report; an exception in a lane, or a lane
     # that ends without a result, fails compare as any uncaught error does.
     # In each case compare ends, having forked one lane fewer than it runs,
-    # and leaves no child behind.
+    # and leaves no child behind, and this process has its CPU mask back:
+    # whatever runs in it after compare runs on every CPU it had.
     config = diverging_compare_config(tmp_path) if case == "diverges" else RING16_COMPARE
     lanes = min(len(os.sched_getaffinity(0)), len(load_config(config).algorithms))
-    proc = subprocess.run([sys.executable, "-c", LANE_SCRIPT, case, str(config),
-                           str(tmp_path / "out")], env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, timeout=120)
+    proc = run_lane_script(case, config, tmp_path / "out")
     assert proc.returncode == exit_code, proc.stderr
     assert f"forked {lanes - 1}\nno child left\n" in proc.stderr
+    mask = f"{sorted(os.sched_getaffinity(0))}\n"
+    assert f"mask before {mask}" in proc.stderr and f"mask after {mask}" in proc.stderr
     if case == "raises":
         assert "RuntimeError: lane failure in dogt" in proc.stderr
     if case == "exits":
         assert "LaneError: no lane reported" in proc.stderr
+
+
+def lanes_ran(stderr):
+    """Each lane's masks, from the lines LANE_SCRIPT prints per algorithm."""
+    masks = {}
+    for line in stderr.splitlines():
+        if line.startswith("ran "):
+            _, kind, lane, mask = line.split(" ", 3)
+            masks.setdefault(int(lane), []).append((kind, mask))
+    return masks
+
+
+@MULTI_CPU
+def test_each_lane_runs_on_a_cpu_of_its_own(tmp_path):
+    # Lane 0 on the first CPU of the mask, every other lane on the next ones,
+    # each on one CPU alone, so that no two lanes share a CPU while another
+    # CPU idles.
+    proc = run_lane_script("success", RING16_COMPARE, tmp_path / "out")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    masks = lanes_ran(proc.stderr)
+    cpus = sorted(os.sched_getaffinity(0))
+    assert len(masks) == min(len(cpus), 4) and masks[0][0] == ("dgda", f"[{cpus[0]}]")
+    assert sorted(kind for runs in masks.values() for kind, _ in runs) == [
+        "adogt", "dgda", "dogda", "dogt"]
+    pinned = [{mask for _, mask in runs} for runs in masks.values()]
+    assert all(len(lane) == 1 for lane in pinned)
+    assert sorted(mask for lane in pinned for mask in lane) == sorted(
+        f"[{cpu}]" for cpu in cpus[:len(masks)])
+
+
+@MULTI_CPU
+def test_compare_runs_where_lanes_cannot_be_pinned(tmp_path):
+    # Pinning is best-effort: where sched_setaffinity fails, every lane runs
+    # on the whole mask, to the same exit code, stdout and files.
+    pinned = run_lane_script("success", RING16_COMPARE, tmp_path / "success")
+    unpinned = run_lane_script("unpinnable", RING16_COMPARE, tmp_path / "unpinnable")
+    assert unpinned.returncode == pinned.returncode == EXIT_OK, unpinned.stderr
+    assert unpinned.stdout == pinned.stdout
+    masks = lanes_ran(unpinned.stderr)
+    assert len(masks) > 1 and {mask for runs in masks.values() for _, mask in runs} == {
+        f"{sorted(os.sched_getaffinity(0))}"}
+    names = sorted(path.name for path in (tmp_path / "success").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "unpinnable").iterdir())
+    for name in names:
+        assert ((tmp_path / "success" / name).read_bytes()
+                == (tmp_path / "unpinnable" / name).read_bytes())
 
 
 @pytest.mark.parametrize("T", ["auto", 7])
