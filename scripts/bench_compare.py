@@ -40,7 +40,8 @@ perfbench).  The file goes to the root of this checkout.
 
 from __future__ import annotations
 
-from _bench import ROOT, commit, environment, measured_in_fresh_process, spread  # first: pins BLAS
+from _bench import (ROOT, commit, environment, first, in_rounds,  # first: pins BLAS
+                    measured_in_fresh_process, over_rounds, spread, swapped)
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
@@ -88,13 +89,11 @@ def measurer(src: Path, setting: str, tmp: Path):
             fh.write(f"{os.getpid()} {kind} {seconds!r} {busy!r} {current_cpu()}\n")
         return trace
 
-    cli.run = logged_run
-
     def measure() -> dict:
         walls, cpus, busy = [], {}, {}
         for _ in range(REPEATS):
             log.unlink(missing_ok=True)
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), swapped(cli, run=logged_run):
                 start = time.perf_counter()
                 code = cli.main(["compare", "--config", str(CONFIG), "--out", f"{tmp}/out"])
                 walls.append(time.perf_counter() - start)
@@ -104,13 +103,14 @@ def measurer(src: Path, setting: str, tmp: Path):
             for line in log.read_text().splitlines():
                 pid, kind, wall, cpu_s, cpu = line.split()
                 lane = lanes.setdefault(pid, str(len(lanes)))
-                methods[kind] = {"lane": int(lane), "run_s": float(wall)}
+                # the lane it ran in: over rounds, the count of runs in each lane
+                methods[kind] = {"run_s": float(wall), "runs_per_lane": int(lane)}
                 seconds[lane, "wall"] += float(wall)
                 seconds[lane, "cpu"] += float(cpu_s)
                 cpus.setdefault(lane, Counter())[cpu] += 1
             for lane in lanes.values():
                 busy.setdefault(lane, []).append(seconds[lane, "cpu"] / seconds[lane, "wall"])
-        return {"wall_s": statistics.median(walls), "lanes": cli._lane_count(len(names)),
+        return {"lanes": cli._lane_count(len(names)), "wall_s": statistics.median(walls),
                 "methods": {name: methods[name] for name in names},
                 "lane_cpus": cpus,
                 "lane_busy": {lane: statistics.median(fractions)
@@ -139,24 +139,20 @@ class KeptProcess:
             raise SystemExit(f"the in_process measurement exited with {self.proc.returncode}")
 
 
-def summary(rows: list[dict]) -> dict:
-    """One checkout's measurements of one setting over the rounds."""
-    lanes = sorted({lane for row in rows for lane in row["lane_busy"]}, key=int)
-    cpus = {lane: Counter() for lane in lanes}
+def cpu_counts(rows: list[dict]) -> dict:
+    """Per lane, how many of the rounds' runs ended on each CPU."""
+    cpus = {}
     for row in rows:
-        for lane, counts in row["lane_cpus"].items():
-            cpus[lane].update(counts)
-    return {"lanes": rows[-1]["lanes"],
-            "wall_s": spread([row["wall_s"] for row in rows]),
-            "methods": {kind: {"run_s": spread([row["methods"][kind]["run_s"] for row in rows]),
-                               "runs_per_lane": dict(sorted(Counter(
-                                   row["methods"][kind]["lane"] for row in rows).items()))}
-                        for kind in rows[0]["methods"]},
-            "lane_cpus": {lane: dict(sorted(cpus[lane].items(), key=lambda item: int(item[0])))
-                          for lane in lanes},
-            "lane_busy": {lane: spread([row["lane_busy"][lane] for row in rows
-                                        if lane in row["lane_busy"]])
-                          for lane in lanes}}
+        for lane, counts in row.items():
+            cpus.setdefault(lane, Counter()).update(counts)
+    return {lane: dict(sorted(cpus[lane].items(), key=lambda item: int(item[0])))
+            for lane in sorted(cpus, key=int)}
+
+
+def busy_spreads(rows: list[dict]) -> dict:
+    """Per lane, the spread of its busy fraction over the rounds it ran in."""
+    lanes = sorted({lane for row in rows for lane in row}, key=int)
+    return {lane: spread([row[lane] for row in rows if lane in row]) for lane in lanes}
 
 
 def main(argv=None) -> int:
@@ -183,16 +179,14 @@ def main(argv=None) -> int:
                                                               "change": ROOT}
     kept = {name: KeptProcess(checkout) for name, checkout in checkouts.items()}
     cases = [(name, setting) for name in checkouts for setting in SETTINGS]
-    samples = {case: [] for case in cases}
     try:
-        for round_ in range(args.rounds):
-            for name, setting in cases if round_ % 2 == 0 else cases[::-1]:
-                samples[name, setting].append(
-                    kept[name]() if setting == "in_process"
-                    else measured_in_fresh_process(__file__, checkouts[name], setting))
-            print(f"round {round_ + 1}/{args.rounds}: " + ", ".join(
+        samples = in_rounds(
+            args.rounds, cases,
+            lambda case: kept[case[0]]() if case[1] == "in_process"
+            else measured_in_fresh_process(__file__, checkouts[case[0]], case[1]),
+            note=lambda samples: ": " + ", ".join(
                 f"{name} {setting} {samples[name, setting][-1]['wall_s'] * 1e3:.1f} ms"
-                for name, setting in cases), flush=True)
+                for name, setting in cases))
     finally:
         for process in kept.values():
             process.close()
@@ -200,7 +194,10 @@ def main(argv=None) -> int:
     def measured(name: str) -> dict:
         one_lane = samples[name, "one_lane"]
         return {"commit": commit(checkouts[name]),
-                "settings": {setting: summary(samples[name, setting]) for setting in SETTINGS},
+                "settings": {setting: over_rounds(
+                    samples[name, setting], lanes=first,
+                    runs_per_lane=lambda lanes: dict(sorted(Counter(lanes).items())),
+                    lane_cpus=cpu_counts, lane_busy=busy_spreads) for setting in SETTINGS},
                 "one_lane_over": {setting: spread([one["wall_s"] / other["wall_s"] for one, other
                                                    in zip(one_lane, samples[name, setting])])
                                   for setting in SETTINGS[1:]}}

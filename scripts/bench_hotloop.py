@@ -24,7 +24,7 @@ ring-16 batch of ``run()``, which is what the stop rule pays; one
 config's gamma, as ``run()`` fills a batch of rows at record_every 1 (the
 states are stepped here in plain numpy, so both checkouts record the same
 stack); and ``verify``'s e and E (``verify.field_at_average``) of the
-as-verify dogt trace, ITERS + 1 rows, where ``verify`` has it.  Each
+as-verify dogt trace, ITERS + 1 rows.  Each
 per-iteration and per-call time, and each ratio, is stored as its median
 over rounds with its interquartile range.
 
@@ -40,12 +40,13 @@ step (``us_per_step_outside_steps``), which includes the wrapper's own call
 and clock reads.
 
 BASELINE_CHECKOUT is another checkout of this repository, such as a clone
-at an earlier commit.  It must be at the change that made ``run()`` take
-each method's resolved mixing (``ResolvedAlgorithm.mixing``) or later,
-since the measuring code calls ``run()`` that way in both checkouts.  The
-two are timed in fresh processes, one per checkout in each of ROUNDS
-rounds, the order reversed every other round, and the file gets both sets
-of numbers.  A number is the median over rounds of each process's median.
+at an earlier commit.  It must be at dcd79a7 (the record layer that takes
+the residuals and has ``verify.field_at_average``) or later, since the
+measuring code calls ``run()``, ``metric_record`` and ``field_at_average``
+that way in both checkouts.  The two are timed in fresh processes, one per
+checkout in each of ROUNDS rounds, as ``_bench.in_rounds`` alternates
+them, and the file gets both sets of numbers.  A number is the median over
+rounds of each process's median.
 The core's speed differs by up to 1.5x between processes, so times taken
 in different processes are not compared; ratios to a bare loop timed in
 the same process are.
@@ -55,10 +56,10 @@ of this checkout.
 
 from __future__ import annotations
 
-from _bench import ROOT, commit, environment, measured_in_fresh_process, spread  # first: pins BLAS
+from _bench import (ROOT, commit, environment, in_rounds,  # first: pins BLAS
+                    measured_in_fresh_process, over_rounds, swapped)
 
 import argparse  # noqa: E402
-import inspect  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -161,56 +162,62 @@ def dogt_stack(problem, W: np.ndarray, gamma: float, z0: np.ndarray, count: int)
                            iteration=tuple(range(count)))
 
 
-def timed_steps(algorithms, kind: str, job) -> tuple[int, float, float]:
-    """The step calls one call of ``job`` makes, the seconds they took and
-    the seconds of the whole call, with ``kind``'s step function wrapped on
-    the module, where ``run`` looks it up."""
+def timed_steps(algorithms, kind: str, job) -> tuple[int, float]:
+    """The step calls one call of ``job`` makes, and the microseconds per
+    step it spends outside them: the run's own work (tests, records, rolls),
+    with the cost of the timing wrapper's call and clock reads.  ``kind``'s
+    step function is wrapped on the module, where ``run`` looks it up."""
     name, calls, clock = f"{kind}_step", [], time.perf_counter
-    original = getattr(algorithms, name)
+    step = getattr(algorithms, name)
 
     def timed(*args):
         start = clock()
-        original(*args)
+        state = step(*args)
         calls.append(clock() - start)
+        return state
 
-    setattr(algorithms, name, timed)
-    try:
+    with swapped(algorithms, **{name: timed}):
         start = clock()
         job()
         total = clock() - start
-    finally:
-        setattr(algorithms, name, original)
-    return len(calls), sum(calls), total
-
-
-def outside_steps_us(algorithms, kind: str, job) -> float:
-    """Microseconds per step that one call of ``job`` spends outside its
-    steps: the run's own work (tests, records, rolls), with the cost of the
-    timing wrapper's call and clock reads."""
-    steps, in_steps, total = timed_steps(algorithms, kind, job)
-    return (total - in_steps) / steps * 1e6
+    return len(calls), (total - sum(calls)) / len(calls) * 1e6
 
 
 def record_layer_calls(algorithms, metrics, verify, problem, mixing, gamma, z0) -> dict:
     """Per-call times of the record layer: one ``metric_record`` on STACK
     consecutive dogt states, and ``verify``'s e and E of a trace of every
-    step of ITERS, where its ``verify`` computes them.  ``metric_record``
-    is called with the residuals where it takes them, and with the problem
-    where it computes them itself (and e and E too)."""
+    step of ITERS."""
     stack = dogt_stack(problem, np.array(mixing.W), gamma, z0, STACK)
     rows = metrics.record_table(STACK, problem.p + problem.d)
     L, z_star = problem.smoothness_constant(), problem.saddle_point()
-    inputs = (metrics.residual(stack.z, z_star)
-              if "residuals" in inspect.signature(metrics.metric_record).parameters
-              else problem)
-    calls = {f"metrics.metric_record_of_{STACK}": call_us(lambda: metrics.metric_record(
-        rows, stack, inputs, gamma, L, mixing.rho, z_star))}
-    field_at_average = getattr(verify, "field_at_average", None)
-    if field_at_average is not None:
-        trace = algorithms.run("dogt", problem, mixing, gamma, z0, max_iters=ITERS, tol=0.0)
-        calls[f"verify.field_at_average_of_{ITERS + 1}_rows"] = call_us(
-            lambda: field_at_average(trace))
-    return calls
+    residuals = metrics.residual(stack.z, z_star)
+    trace = algorithms.run("dogt", problem, mixing, gamma, z0, max_iters=ITERS, tol=0.0)
+    return {f"metrics.metric_record_of_{STACK}": call_us(lambda: metrics.metric_record(
+                rows, stack, residuals, gamma, L, mixing.rho, z_star)),
+            f"verify.field_at_average_of_{ITERS + 1}_rows": call_us(
+                lambda: verify.field_at_average(trace))}
+
+
+def bare_jobs(algorithms, graph, metrics, exp, iters: int) -> dict:
+    """Each method's bare loop over ``iters`` iterations as a job, mixing by
+    the dense W (adogt's by M_T).  Each loop's final residual must equal that
+    of its ``run`` at tol 0 to 1e-9 relative, or no numbers are taken."""
+    algos = {a.name: a for a in exp.algorithms}
+    problem, z0, z_star = exp.problem, exp.z0, exp.problem.saddle_point()
+    adogt = algos["adogt"].mixing
+    dense = {kind: np.array(exp.W.W) for kind in METHODS}
+    dense["adogt"] = graph.momentum_gossip(partial(np.matmul, exp.W.W), adogt.eta,
+                                           adogt.rounds, np.eye(problem.n))
+    jobs = {}
+    for kind in METHODS:
+        a = algos[kind]
+        jobs[kind] = partial(bare_loop, kind, problem, dense[kind], a.gamma, z0, iters)
+        bare = metrics.residual(jobs[kind](), z_star)
+        library = algorithms.run(kind, problem, a.mixing, a.gamma, z0, max_iters=iters,
+                                 tol=0.0, record_every=10).records[-1].residual
+        if abs(bare - library) > 1e-9 * library:
+            raise SystemExit(f"bare {kind} loop residual {bare!r} != library {library!r}")
+    return jobs
 
 
 def measure(src: Path) -> dict:
@@ -222,21 +229,13 @@ def measure(src: Path) -> dict:
     algos = {a.name: a for a in exp.algorithms}
     problem, W, z0 = exp.problem, exp.W, exp.z0
     z_star = problem.saddle_point()
-    adogt = algos["adogt"].mixing
-    dense = {kind: np.array(W.W) for kind in METHODS}
-    dense["adogt"] = graph.momentum_gossip(partial(np.matmul, W.W), adogt.eta, adogt.rounds,
-                                           np.eye(problem.n))
     jobs = {}
-    for kind in METHODS:
+    for kind, job in bare_jobs(algorithms, graph, metrics, exp, ITERS).items():
         a = algos[kind]
         for setting, kwargs in SETTINGS.items():
             jobs[setting, kind] = partial(algorithms.run, kind, problem, a.mixing, a.gamma, z0,
                                           max_iters=ITERS, tol=0.0, **kwargs)
-        jobs["bare", kind] = partial(bare_loop, kind, problem, dense[kind], a.gamma, z0, ITERS)
-        bare = metrics.residual(jobs["bare", kind](), z_star)
-        library = jobs["record_every_10", kind]().records[-1].residual
-        if abs(bare - library) > 1e-9 * library:
-            raise SystemExit(f"bare {kind} loop residual {bare!r} != library {library!r}")
+        jobs["bare", kind] = job
     jobs.update({("compare", kind): partial(algorithms.run, kind, problem, algos[kind].mixing,
                                             algos[kind].gamma, z0, **COMPARE)
                  for kind in METHODS})
@@ -253,7 +252,7 @@ def measure(src: Path) -> dict:
                       "steps_taken": timed_steps(algorithms, kind, jobs["compare", kind])[0]}
                for kind in METHODS}
     outside = {setting: {kind: statistics.median(
-        outside_steps_us(algorithms, kind, jobs[setting, kind]) for _ in range(REPEATS))
+        timed_steps(algorithms, kind, jobs[setting, kind])[1] for _ in range(REPEATS))
         for kind in METHODS} for setting in SETTINGS}
     # A ratio is the median over repeats of the run's time over that of the
     # bare loop timed next to it, which saw about the same speed of the core.
@@ -282,26 +281,6 @@ def measure(src: Path) -> dict:
     }
 
 
-# The numbers stored with their interquartile range over rounds; the others
-# (the compare runs, timed as whole runs) as medians.
-WITH_SPREAD = ("us_per_iteration_in_run", "us_per_step_outside_steps", "bare_us_per_iteration",
-               "ratio_to_bare", "us_per_call")
-
-
-def over_rounds(samples: list, leaf):
-    """``leaf`` of the values over rounds of every number in a nest of dicts."""
-    if isinstance(samples[0], dict):
-        return {key: over_rounds([s[key] for s in samples], leaf) for key in samples[0]}
-    return leaf(samples)
-
-
-def summary(rows: list[dict]) -> dict:
-    """One checkout's numbers over rounds: WITH_SPREAD ones as spreads, the rest as medians."""
-    return {key: over_rounds([r[key] for r in rows],
-                             spread if key in WITH_SPREAD else statistics.median)
-            for key in rows[0]}
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -313,12 +292,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     checkouts = {"baseline": args.baseline.resolve(), "this": ROOT}
-    samples = {name: [] for name in checkouts}
-    order = list(checkouts.items())
-    for round_ in range(ROUNDS):
-        for name, checkout in order if round_ % 2 == 0 else order[::-1]:
-            samples[name].append(measured_in_fresh_process(__file__, checkout))
-            print(f"round {round_ + 1}/{ROUNDS}: {name} timed", flush=True)
+    samples = in_rounds(ROUNDS, list(checkouts), lambda name: measured_in_fresh_process(
+        __file__, checkouts[name]))
     result = {
         "environment": environment(),
         "config": "configs/ring16_compare.yaml, every method run at tol 0, and in "
@@ -326,7 +301,10 @@ def main(argv=None) -> int:
         "compare_run": COMPARE,
         "iterations_per_run": ITERS,
         "rounds": ROUNDS,
-        "checkouts": {name: {"commit": commit(checkouts[name]), **summary(rows)}
+        # Each number with its spread over rounds, but the compare runs, timed
+        # as whole runs, as medians.
+        "checkouts": {name: {"commit": commit(checkouts[name]), **over_rounds(
+                          rows, compare_runs=partial(over_rounds, leaf=statistics.median))}
                       for name, rows in samples.items()},
     }
     (ROOT / "BENCH_hotloop.json").write_text(json.dumps(result, indent=2) + "\n")

@@ -13,20 +13,23 @@ of this repository such as a clone at an earlier commit.
 
 Both checkouts' ``graph`` modules are loaded into this one process, and
 their mixes are timed interleaved: in each of ROUNDS rounds, one timed
-batch of each path of each checkout in turn, so that both see the same
-machine state; the file gets the median over rounds and its interquartile
-range.  The weights are built once per checkout and graph (at n = 4096 a
-dense eigendecomposition takes about 10 s and a peak RSS of 0.33 GB on a
-2-vCPU Xeon VM with one BLAS thread).  It also records the wall time of
-``netsaddle run`` in this checkout on the benchmark's random1024-dogt config
-(workload seed 0), once as shipped and once with every mix forced dense,
-plus the core count and the BLAS threads.  BLAS is pinned to one thread, as
-in perfbench.  The file goes to the root of this checkout.
+batch of each path of each checkout in turn, the order reversed every
+other round (``_bench.in_rounds``), so that both see the same machine
+state; the file gets the median over rounds and its interquartile
+range.  The weights are built once per checkout and graph; in this
+checkout their rho_W comes from the closed-form spectrum on a ring and
+from Lanczos over W's mix on a random graph, so no W is decomposed.  It
+also records the wall time of ``netsaddle run`` in this checkout on the
+benchmark's random1024-dogt config (workload seed 0), once as shipped and
+once with every mix forced dense, plus the core count, the BLAS threads
+and the versions.  BLAS is pinned to one thread, as in perfbench.  The
+file goes to the root of this checkout.
 """
 
 from __future__ import annotations
 
-from _bench import ROOT, commit, environment, spread  # first: pins BLAS
+from _bench import (ROOT, commit, environment, in_rounds, spread,  # first: pins BLAS
+                    swapped, write_config)
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
@@ -41,7 +44,6 @@ import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
-import yaml  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -87,10 +89,8 @@ def mixing_rows(modules: dict, max_n: int) -> list[dict]:
             timers = {(name, path): timeit.Timer(lambda f=b[path]: f(m))
                       for name, b in built.items() for path in ("dense", "csr")}
             numbers = {key: timer.autorange()[0] for key, timer in timers.items()}
-            samples = {key: [] for key in timers}
-            for _ in range(ROUNDS):
-                for key, timer in timers.items():
-                    samples[key].append(timer.timeit(numbers[key]) / numbers[key] * 1e6)
+            samples = in_rounds(ROUNDS, list(timers), lambda key: timers[key].timeit(
+                numbers[key]) / numbers[key] * 1e6, note=None)
             rows.append({
                 "graph": kind, "n": n, "edge_probability": p,
                 "nnz": built["this"]["nnz"],
@@ -117,16 +117,11 @@ def run_wall_s(config_path: Path, out_dir: Path) -> list[float]:
 
 def end_to_end() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        config_path = Path(tmp) / "random1024_dogt.yaml"
-        config_path.write_text(yaml.safe_dump(random1024_dogt(0), sort_keys=False))
+        config_path = write_config(Path(tmp) / "random1024_dogt.yaml", random1024_dogt(0))
         shipped = run_wall_s(config_path, Path(tmp) / "out")
         # The same command with the cost rule answering "dense" for every W.
-        gathers = graph._gathers
-        graph._gathers = lambda n, nnz: False
-        try:
+        with swapped(graph, _gathers=lambda n, nnz: False):
             dense = run_wall_s(config_path, Path(tmp) / "out")
-        finally:
-            graph._gathers = gathers
     return {"config": "perfbench/workloads.py random1024_dogt(0): run, 500 iterations",
             "wall_s": statistics.median(shipped), "wall_s_samples": shipped,
             "wall_s_dense_mix": statistics.median(dense), "wall_s_dense_mix_samples": dense}
@@ -142,7 +137,7 @@ def main(argv=None) -> int:
     modules = {name: graph_module(checkout, f"graph_{name}")
                for name, checkout in checkouts.items()}
     result = {
-        "environment": environment(python=False),
+        "environment": environment(),
         "commits": {name: commit(checkout) for name, checkout in checkouts.items()},
         "mix": {"message_width": WIDTH, "rounds": ROUNDS,
                 "rows": mixing_rows(modules, args.max_n)},

@@ -26,7 +26,10 @@ Lanczos steps one recurrence took (the largest tridiagonal given to
 and the peak RSS of the process.  Every (graph, method) case runs in a
 fresh process, which makes the set-up REPEATS times (once from n = 4096
 on, where such a checkout's eigendecomposition takes about 6 s) and keeps
-the median of each phase; its peak RSS is the process's.
+the median of each phase; its peak RSS is the process's.  The topology and
+weights phases and every set-up (``resolve_experiment``) are timed by the
+spans of perfbench's tracer (``perfbench/tracing.py``), which wraps those
+calls from outside the package.
 
 The GATES are timed in this checkout alone, whose structured graphs need
 no n x n array (a dense W of ring-65536 would take 34 GB): a 100-step
@@ -35,20 +38,21 @@ timed, and the ``resolve_experiment`` of adogt at ``T: auto`` on
 ring-65536, each in a fresh process per round, with the process's peak RSS.
 
 BASELINE_CHECKOUT is another checkout of this repository, such as a clone
-at an earlier commit.  It must be at the change that made ``run()`` take
-each method's resolved mixing (``ResolvedAlgorithm.mixing``) or later,
-since the measuring code calls ``run()`` that way in both checkouts.  The
-two are timed in alternating fresh processes, one per checkout and case in
-each of ROUNDS rounds, the order reversed every other round, as in
-``scripts/bench_hotloop.py``, and the file gets both sets of numbers: for
-each, the median over rounds and its interquartile range.  BLAS is pinned
+at an earlier commit.  It must be at dcd79a7 or later, the baseline
+``scripts/bench_hotloop.py`` needs too; the measuring code calls ``run()``
+with each method's resolved mixing (``ResolvedAlgorithm.mixing``) in both
+checkouts.  The two are timed in alternating fresh processes, one per
+checkout and case in each of ROUNDS rounds, as ``_bench.in_rounds``
+alternates them, and the file gets both sets of numbers: for each, the
+median over rounds and its interquartile range.  BLAS is pinned
 to one thread, as in perfbench, and the core count is recorded.  The file
 goes to the root of this checkout.
 """
 
 from __future__ import annotations
 
-from _bench import ROOT, commit, environment, measured_in_fresh_process, spread  # first: pins BLAS
+from _bench import (ROOT, commit, environment, first, in_rounds,  # first: pins BLAS
+                    measured_in_fresh_process, over_rounds, swapped, write_config)
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
@@ -62,7 +66,10 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
-import yaml  # noqa: E402
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from tracing import Tracer, traced  # noqa: E402
 
 SIZES = (16, 256, 1024, 2048, 4096)
 KINDS = ("ring", "random")
@@ -88,26 +95,13 @@ def case_config(kind: str, n: int, method: str, max_iters: int = 1) -> dict:
             "run": {"max_iters": max_iters, "tol": 0.0}}
 
 
-@contextlib.contextmanager
-def timed(cli, durations: dict):
-    """Time ``cli.build_topology`` and the weight builders while the block runs."""
-    def wrap(name, fn):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                durations[name] = time.perf_counter() - start
-        return wrapper
+def span_s(tracer: Tracer, name: str) -> float:
+    """The seconds of every span of ``name`` the tracer holds."""
+    return sum(end - start for span, _, start, end in tracer.spans if span == name) / 1e9
 
-    build_topology, builders = cli.build_topology, dict(cli.WEIGHT_BUILDERS)
-    cli.build_topology = wrap("topology_s", build_topology)
-    cli.WEIGHT_BUILDERS.update({k: wrap("weights_s", f) for k, f in builders.items()})
-    try:
-        yield
-    finally:
-        cli.build_topology = build_topology
-        cli.WEIGHT_BUILDERS.update(builders)
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def measure(src: Path, kind: str, n: int, method: str) -> dict:
@@ -126,33 +120,32 @@ def measure(src: Path, kind: str, n: int, method: str) -> dict:
         tridiagonals.append(len(a))
         return eigh(a, *args, **kwargs)
 
-    np.linalg.eigvalsh, np.linalg.eigh = counted, sized
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.yaml"
-        path.write_text(yaml.safe_dump(case_config(kind, n, method)))
-        config = cli.load_config(path)
+        config = cli.load_config(write_config(Path(tmp) / "config.yaml",
+                                              case_config(kind, n, method)))
     samples = {phase: [] for phase in PHASES}
     calls = []
-    for _ in range(REPEATS if n < 4096 else 1):
-        decompositions.clear()
-        tridiagonals.clear()
-        durations = {}
-        with timed(cli, durations):
-            start = time.perf_counter()
-            exp = cli.resolve_experiment(config)
-            algo = exp.algorithms[0]
-            algorithms.run(algo.name, exp.problem, algo.mixing, algo.gamma, exp.z0,
-                           max_iters=1, tol=0.0)
-            total = time.perf_counter() - start
-        durations["exchange_s"] = total - durations["topology_s"] - durations["weights_s"]
-        for phase in PHASES:
-            samples[phase].append(durations[phase])
-        calls.append(len(decompositions))
+    with swapped(np.linalg, eigvalsh=counted, eigh=sized):
+        for _ in range(REPEATS if n < 4096 else 1):
+            decompositions.clear()
+            tridiagonals.clear()
+            with traced(Tracer()) as tracer:
+                start = time.perf_counter()
+                exp = cli.resolve_experiment(config)
+                algo = exp.algorithms[0]
+                algorithms.run(algo.name, exp.problem, algo.mixing, algo.gamma, exp.z0,
+                               max_iters=1, tol=0.0)
+                total = time.perf_counter() - start
+            topology = span_s(tracer, "graph.build_topology")
+            weights = span_s(tracer, "graph.weights")
+            for phase, seconds in zip(PHASES, (topology, weights, total - topology - weights)):
+                samples[phase].append(seconds)
+            calls.append(len(decompositions))
     return {**{phase: statistics.median(v) for phase, v in samples.items()},
+            "peak_rss_mb": peak_rss_mb(),
             "eigvalsh_calls": max(calls),
             "lanczos_steps": max(tridiagonals, default=0),
-            "T": algo.mixing.rounds if algo.name == "adogt" else None,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+            "T": algo.mixing.rounds if algo.name == "adogt" else None}
 
 
 def measure_gate(src: Path, gate: str) -> dict:
@@ -162,42 +155,23 @@ def measure_gate(src: Path, gate: str) -> dict:
     from netsaddle import cli
 
     kind, n, method, steps = GATES[gate]
-    resolve = cli.resolve_experiment
-    durations = {}
-
-    def timed_resolve(config):
-        start = time.perf_counter()
-        try:
-            return resolve(config)
-        finally:
-            durations["setup_s"] = time.perf_counter() - start
-
+    numbers = {}
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.yaml"
-        path.write_text(yaml.safe_dump(case_config(kind, n, method, steps or 1)))
-        if steps is None:
-            exp = timed_resolve(cli.load_config(path))
-            durations["T"] = exp.algorithms[0].mixing.rounds
-        else:
-            cli.resolve_experiment = timed_resolve
-            start = time.perf_counter()
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
-            durations["wall_s"] = time.perf_counter() - start
-            if code != 0:
-                raise SystemExit(f"netsaddle run exited {code}")
-    return {**durations,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
-
-
-def summary(rows: list[dict]) -> dict:
-    """One case of one checkout over rounds: times and peak RSS with their
-    spread, the counts as the largest seen."""
-    out = {key: spread([r[key] for r in rows]) for key in (*PHASES, "peak_rss_mb")}
-    for key in ("eigvalsh_calls", "lanczos_steps"):
-        out[key] = max(r[key] for r in rows)
-    out["T"] = rows[0]["T"]
-    return out
+        path = write_config(Path(tmp) / "config.yaml", case_config(kind, n, method, steps or 1))
+        with traced(Tracer()) as tracer:
+            if steps is None:
+                numbers["T"] = cli.resolve_experiment(cli.load_config(path)).algorithms[0] \
+                    .mixing.rounds
+            else:
+                start = time.perf_counter()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["run", "--config", str(path),
+                                     "--out", str(Path(tmp) / "out")])
+                numbers["wall_s"] = time.perf_counter() - start
+                if code != 0:
+                    raise SystemExit(f"netsaddle run exited {code}")
+    return {"setup_s": span_s(tracer, "cli.resolve_experiment"), **numbers,
+            "peak_rss_mb": peak_rss_mb()}
 
 
 def main(argv=None) -> int:
@@ -216,34 +190,29 @@ def main(argv=None) -> int:
 
     checkouts = {"baseline": args.baseline.resolve(), "this": ROOT}
     cases = [(kind, n, method) for n in SIZES for kind in KINDS for method in METHODS]
-    samples = {name: {case: [] for case in cases} for name in checkouts}
-    order = list(checkouts.items())
-    for round_ in range(ROUNDS):
-        for case in cases:
-            for name, checkout in order if round_ % 2 == 0 else order[::-1]:
-                samples[name][case].append(measured_in_fresh_process(__file__, checkout, *case))
-        print(f"round {round_ + 1}/{ROUNDS} timed", flush=True)
-    gates = {gate: [measured_in_fresh_process(__file__, ROOT, gate) for _ in range(GATE_ROUNDS)]
-             for gate in GATES}
+    samples = in_rounds(ROUNDS, [(case, name) for case in cases for name in checkouts],
+                        lambda key: measured_in_fresh_process(__file__, checkouts[key[1]],
+                                                              *key[0]))
+    gates = in_rounds(GATE_ROUNDS, list(GATES),
+                      lambda gate: measured_in_fresh_process(__file__, ROOT, gate))
     result = {
         "environment": environment(),
         "phases": {"topology_s": "build_topology",
-                   "weights_s": "the weight builder: W and rho_W (and a random W's "
-                                "spectrum, at a baseline before Lanczos)",
+                   "weights_s": "the weight builder: W and rho_W",
                    "exchange_s": "the rest of resolve_experiment and a one-step run()"},
         "cases": "kind-n/method, configured by case_config in scripts/bench_scaling.py",
         "repeats_per_process": {"n < 4096": REPEATS, "n >= 4096": 1},
         "rounds": ROUNDS,
-        "checkouts": {name: {"commit": commit(checkouts[name]),
-                             "cases": {f"{kind}-{n}/{method}": summary(rows)
-                                       for (kind, n, method), rows in per_case.items()}}
-                      for name, per_case in samples.items()},
+        "checkouts": {name: {"commit": commit(checkout),
+                             "cases": {f"{kind}-{n}/{method}": over_rounds(
+                                 samples[(kind, n, method), name],
+                                 eigvalsh_calls=max, lanczos_steps=max, T=first)
+                                 for kind, n, method in cases}}
+                      for name, checkout in checkouts.items()},
         "gates": {"rounds": GATE_ROUNDS,
                   "bounds": {"ring-65536/dogt-run-100": "setup_s < 2, peak_rss_mb < 300",
                              "ring-65536/adogt-resolve": "setup_s < 10"},
-                  "this": {gate: {key: spread([r[key] for r in rows]) if key != "T"
-                                  else rows[0][key] for key in rows[0]}
-                           for gate, rows in gates.items()}},
+                  "this": {gate: over_rounds(rows, T=first) for gate, rows in gates.items()}},
     }
     (ROOT / "BENCH_scaling.json").write_text(json.dumps(result, indent=2) + "\n")
     return 0

@@ -26,7 +26,7 @@ imported, as in ``tests/test_workload_outputs.py``.
 
 from __future__ import annotations
 
-from _bench import ROOT, measured_in_fresh_process  # first: pins BLAS
+from _bench import ROOT, measured_in_fresh_process, write_config  # first: pins BLAS
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
@@ -110,14 +110,11 @@ def cases(configs: Path):
                 config[block] = values
             else:
                 config[block].update(values)
-        path = configs / f"{label}.yaml"
-        path.write_text(yaml.safe_dump(config, sort_keys=False))
-        yield label, command, path
+        yield label, command, write_config(configs / f"{label}.yaml", config)
     for name, workload in sorted(workloads.WORKLOADS.items()):
         for w in range(workloads.REFERENCE_SEEDS):
-            path = configs / f"{name}-{w}.yaml"
-            path.write_text(yaml.safe_dump(workload.make_config(w), sort_keys=False))
-            yield f"{name}-{w}", workload.command, path
+            yield (f"{name}-{w}", workload.command,
+                   write_config(configs / f"{name}-{w}.yaml", workload.make_config(w)))
 
 
 def relative_difference(a: str, b: str) -> float:

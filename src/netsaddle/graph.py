@@ -451,8 +451,8 @@ class MixingMatrix:
         return W
 
 
-def _lanczos_gap(mix, n: int, max_steps: int = _LANCZOS_MAX_STEPS, *,
-                 both_extremes: bool = True, below_1: bool = True) -> float | None:
+def _lanczos_gap(mix, n: int, *, both_extremes: bool = True,
+                 below_1: bool = True) -> float | None:
     """The gap of a symmetric matrix that fixes the consensus vector, from
     the extreme Ritz values of a plain Lanczos recurrence over its product
     ``mix(m)``, off that vector: rho_W over W's own mix, and rho_M over
@@ -474,11 +474,11 @@ def _lanczos_gap(mix, n: int, max_steps: int = _LANCZOS_MAX_STEPS, *,
     the rest; the gap is max(theta_min^2, theta_max^2).  On a complete
     graph whose W is J bit for bit, W q has equal entries; where the
     projection takes them to 0 exactly (n = 2, 8, 64 and 1024 are tested),
-    Lanczos breaks down at k = 1 with rho = 0.  None after ``max_steps``
-    steps with no stop, and, with ``below_1`` (W's rule), where
-    rho + 2 _LANCZOS_TOL >= 1, which the residual bound cannot tell from a
-    disconnected graph's rho = 1; adogt's rho_M may be 1 or more at an
-    off-design T, and is returned.
+    Lanczos breaks down at k = 1 with rho = 0.  None after
+    _LANCZOS_MAX_STEPS steps with no stop, and, with ``below_1`` (W's
+    rule), where rho + 2 _LANCZOS_TOL >= 1, which the residual bound cannot
+    tell from a disconnected graph's rho = 1; adogt's rho_M may be 1 or
+    more at an off-design T, and is returned.
     """
     q = np.random.default_rng(0).standard_normal((n, 2))
     q -= np.add.reduce(q) / n
@@ -488,7 +488,7 @@ def _lanczos_gap(mix, n: int, max_steps: int = _LANCZOS_MAX_STEPS, *,
     q /= norm
     prev, beta = np.zeros_like(q), 0.0
     alphas, betas = [], []
-    for k in range(1, max_steps + 1):
+    for k in range(1, _LANCZOS_MAX_STEPS + 1):
         w = mix(q)
         w -= np.add.reduce(w) / n
         w -= beta * prev

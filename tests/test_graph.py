@@ -438,10 +438,16 @@ def test_lanczos_stops_on_its_residual_and_defers_near_1():
     W = metropolis_weights(build_topology("random", 512, seed=3, edge_probability=0.02))
     assert W.rho == pytest.approx(0.6353600004108925, rel=1e-14, abs=0.0)
     assert W.spectrum is None
+
+    def gap_within(cap):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "_LANCZOS_MAX_STEPS", cap)
+            return graph._lanczos_gap(W.mix, W.n)
+
     steps = next(cap for cap in count(graph._LANCZOS_TEST_EVERY, graph._LANCZOS_TEST_EVERY)
-                 if graph._lanczos_gap(W.mix, W.n, cap) is not None)
+                 if gap_within(cap) is not None)
     assert 20 <= steps <= graph._LANCZOS_MAX_STEPS // 2
-    assert graph._lanczos_gap(W.mix, W.n, steps) == W.rho
+    assert gap_within(steps) == W.rho
     for M in (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])):
         assert graph._lanczos_gap(partial(np.matmul, M), 2) is None
         with pytest.raises(ValueError, match="spectral gap"):
@@ -452,7 +458,7 @@ def test_lanczos_stops_on_its_residual_and_defers_near_1():
 def test_lanczos_out_of_steps_is_refused(scheme, monkeypatch):
     # With one step allowed, Lanczos stops on neither rule and places no
     # gap; no eigendecomposition stands in for it, and W is refused.
-    monkeypatch.setattr(graph, "_lanczos_gap", partial(graph._lanczos_gap, max_steps=1))
+    monkeypatch.setattr(graph, "_LANCZOS_MAX_STEPS", 1)
     for n, p in ((30, 0.2), (400, 0.015)):
         topology = build_topology("random", n, seed=5, edge_probability=p)
         with pytest.raises(ValueError, match="spectral gap"):
