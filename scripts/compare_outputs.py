@@ -54,6 +54,9 @@ COMMITTED = {"ring16_compare.yaml": "compare", "ring16_dogt.yaml": "run",
 # exits 6), the ring of three (a complete graph), one node, adogt's T: auto
 # on a long ring, the defaults of the init and run blocks, and random
 # graphs, whose gaps come from Lanczos, under all four methods and verify.
+# complete300-compare has Metropolis rows of 299 neighbours, whose diagonal
+# rounds by the order of the row's sum; random256-lazy-compare has lazy
+# weights, whose diagonal, 1 - deg / (2 d_max), takes no sum.
 GENERATED = {
     "path12-lazy": ("ring16_compare.yaml", "compare", {
         "problem": {"n": 12},
@@ -76,6 +79,14 @@ GENERATED = {
         "algorithms": [{"name": "dgda", "gamma": 0.1}, {"name": "dogda", "gamma": 0.1},
                        {"name": "dogt", "gamma": 0.1},
                        {"name": "adogt", "gamma": 0.1, "T": "auto"}],
+        "run": {"max_iters": 2000}}),
+    "complete300-compare": ("ring16_compare.yaml", "compare", {
+        "problem": {"n": 300}, "graph": {"topology": "complete", "n": 300},
+        "run": {"max_iters": 300}}),
+    "random256-lazy-compare": ("ring16_compare.yaml", "compare", {
+        "problem": {"n": 256},
+        "graph": {"topology": "random", "n": 256, "seed": 3, "edge_probability": 0.05,
+                  "weight_scheme": "lazy_max_degree"},
         "run": {"max_iters": 2000}}),
     "random64-verify": ("ring16_verify.yaml", "verify", {
         "problem": {"n": 64},

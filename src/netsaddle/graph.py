@@ -2,13 +2,13 @@
 
 A graph is its edge list: ``Topology`` keeps the pairs (i, j), i < j; a
 random graph's are checked to join every node, and the structured kinds are
-connected by construction.  A mixing matrix W encodes one
-round of neighbour averaging.  The weight builders make W from the edges as
-its nonzeros row by row (``Nonzeros``, the CSR arrays), diagonal included, and
-``MixingMatrix`` checks it on those arrays.  The spectral gap
-rho = ||W - J||_2^2 (squared spectral norm off the consensus direction,
-J = averaging matrix) is the largest square of W's eigenvalues but the
-consensus 1: smaller rho means faster mixing.
+connected by construction.  A mixing matrix W encodes one round of
+neighbour averaging.  The weight builders make W from the edges as its
+nonzeros row by row (``Nonzeros``, the CSR arrays), each diagonal entry from
+its row's own nonzeros, and ``MixingMatrix`` checks it on those arrays.  The
+spectral gap rho = ||W - J||_2^2 (squared spectral norm off the consensus
+direction, J = averaging matrix) is the largest square of W's eigenvalues
+but the consensus 1: smaller rho means faster mixing.
 
 On rings, paths, stars and complete graphs both weight schemes give
 W = I - L/s, with L = D - A the graph Laplacian and s an integer, so W's
@@ -84,7 +84,6 @@ _RANDOM_GRAPH_RETRIES = 100
 # at n = 4096 and 23 s at n = 8192 (one BLAS thread, 2-core Xeon VM).
 MAX_RANDOM_DRAW_N = 4096
 _RANDOM_BLOCK_ROWS = 64     # rows of the n-column uniform draw held at once
-_SUM_BLOCK_ROWS = 64        # dense rows a long row sum is taken over at once
 
 # ``_lanczos_gap``: the residual |beta_k s_k| the Ritz pairs it tests stop
 # at (and the beta_k that is breakdown), the steps between two tests of it,
@@ -97,6 +96,8 @@ _LANCZOS_MAX_STEPS = 500
 # T: far past any round count T: auto picks, and a bound on the time of an
 # evaluation of rho_M.
 MAX_T_FACTOR = 100
+# The rho_M that ``T: auto`` stops at or below, and ``verify.check_rho_M`` gates on.
+RHO_M_TARGET = 0.5
 
 
 class DisconnectedGraphError(ValueError):
@@ -278,31 +279,6 @@ def _on_edges(topology: Topology, w: np.ndarray) -> tuple[Nonzeros, np.ndarray]:
     return Nonzeros(n, rows, cols, weights), np.flatnonzero(rows == cols)
 
 
-def _row_sums(nonzeros: Nonzeros, long: np.ndarray) -> np.ndarray:
-    """Each row's sum, bit for bit numpy's sum of the dense row, ``W.sum(axis=1)``.
-
-    A row of at most two nonzeros has one rounding in any order, and is
-    summed in order by ``np.bincount``.  The rows marked ``long`` are
-    written into dense rows, _SUM_BLOCK_ROWS at a time, and summed by
-    numpy: its pairwise summation fixes the order by the columns.
-    """
-    n, rows, cols, weights = nonzeros
-    sums = np.bincount(rows, weights=weights, minlength=n)
-    long_rows = np.flatnonzero(long)
-    if not long_rows.size:
-        return sums
-    entries = np.flatnonzero(long[rows])                  # of the long rows, row by row
-    which = np.searchsorted(long_rows, rows[entries])     # their row among the long rows
-    block = np.empty((min(_SUM_BLOCK_ROWS, long_rows.size), n))
-    for start in range(0, long_rows.size, _SUM_BLOCK_ROWS):
-        a, b = np.searchsorted(which, [start, start + _SUM_BLOCK_ROWS])
-        chunk = long_rows[start:start + _SUM_BLOCK_ROWS]
-        block[:chunk.size] = 0.0
-        block[which[a:b] - start, cols[entries[a:b]]] = weights[entries[a:b]]
-        sums[chunk] = block[:chunk.size].sum(axis=1)
-    return sums
-
-
 class CSRMix:
     """m -> W m as a gather over the nonzeros of W, stored row by row (CSR).
 
@@ -451,8 +427,7 @@ class MixingMatrix:
         return W
 
 
-def _lanczos_gap(mix, n: int, *, both_extremes: bool = True,
-                 below_1: bool = True) -> float | None:
+def _lanczos_gap(mix, n: int, *, rule: str = "W") -> float | None:
     """The gap of a symmetric matrix that fixes the consensus vector, from
     the extreme Ritz values of a plain Lanczos recurrence over its product
     ``mix(m)``, off that vector: rho_W over W's own mix, and rho_M over
@@ -465,21 +440,22 @@ def _lanczos_gap(mix, n: int, *, both_extremes: bool = True,
     numpy's order, so the gap has the same bits at any BLAS thread count.
     Every _LANCZOS_TEST_EVERY steps it takes the eigenpairs (theta, s) of
     the tridiagonal T_k, and stops once the residual |beta_k s_k| is at most
-    _LANCZOS_TOL for the smallest and the largest theta
-    (``both_extremes``, W's rule) or for the theta of largest magnitude
-    (adogt's exchange), or at breakdown, beta_k <= _LANCZOS_TOL, where the
-    Krylov space is invariant and every pair's residual is that small.
+    _LANCZOS_TOL for the smallest and the largest theta (``rule`` "W") or
+    for the theta of largest magnitude (``rule`` "exchange", adogt's), or
+    at breakdown, beta_k <= _LANCZOS_TOL, where the Krylov space is
+    invariant and every pair's residual is that small.
     Each such Ritz value then lies within _LANCZOS_TOL of an eigenvalue
     (Paige 1980), and within _LANCZOS_TOL^2 / gap where it is apart from
     the rest; the gap is max(theta_min^2, theta_max^2).  On a complete
     graph whose W is J bit for bit, W q has equal entries; where the
     projection takes them to 0 exactly (n = 2, 8, 64 and 1024 are tested),
     Lanczos breaks down at k = 1 with rho = 0.  None after
-    _LANCZOS_MAX_STEPS steps with no stop, and, with ``below_1`` (W's
-    rule), where rho + 2 _LANCZOS_TOL >= 1, which the residual bound cannot
-    tell from a disconnected graph's rho = 1; adogt's rho_M may be 1 or
-    more at an off-design T, and is returned.
+    _LANCZOS_MAX_STEPS steps with no stop, and, under W's rule, where
+    rho + 2 _LANCZOS_TOL >= 1, which the residual bound cannot tell from a
+    disconnected graph's rho = 1; adogt's rho_M may be 1 or more at an
+    off-design T, and is returned.
     """
+    of_W = {"W": True, "exchange": False}[rule]
     q = np.random.default_rng(0).standard_normal((n, 2))
     q -= np.add.reduce(q) / n
     norm = math.sqrt(np.add.reduce(q * q, axis=None))
@@ -498,10 +474,10 @@ def _lanczos_gap(mix, n: int, *, both_extremes: bool = True,
         alphas.append(alpha)
         if beta <= _LANCZOS_TOL or k % _LANCZOS_TEST_EVERY == 0:
             theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-            pairs = [0, -1] if both_extremes else [np.argmax(np.abs(theta))]
+            pairs = [0, -1] if of_W else [np.argmax(np.abs(theta))]
             if beta <= _LANCZOS_TOL or (beta * np.abs(s[-1, pairs]) <= _LANCZOS_TOL).all():
                 rho = float(max(theta[0] ** 2, theta[-1] ** 2))
-                return rho if not below_1 or rho + 2.0 * _LANCZOS_TOL < 1.0 else None
+                return rho if not of_W or rho + 2.0 * _LANCZOS_TOL < 1.0 else None
         betas.append(beta)
         prev, q = q, w / beta
     return None
@@ -519,13 +495,15 @@ def metropolis_weights(topology: Topology) -> MixingMatrix:
     """Metropolis-Hastings weights: w_ij = 1/(1 + max(deg_i, deg_j)) on edges.
 
     Symmetric and doubly stochastic on any undirected graph; the diagonal
-    absorbs the remaining mass, 1 minus the row's sum as numpy sums a dense
-    row.  Only the edges are computed, and W is made as its nonzeros.
+    absorbs the remaining mass, 1 minus the pairwise sum (``np.add.reduceat``)
+    of the row's own nonzeros, zero diagonal included: O(nnz), and within
+    O(eps log k) of the exact sum over k neighbours (Higham 1993).  Only the
+    edges are computed, and W is made as its nonzeros.
     """
     deg = topology.degrees
     i, j = topology.edges.T
     nonzeros, diagonal = _on_edges(topology, 1.0 / (1.0 + np.maximum(deg[i], deg[j])))
-    nonzeros.weights[diagonal] = 1.0 - _row_sums(nonzeros, deg > 2)
+    nonzeros.weights[diagonal] = 1.0 - np.add.reduceat(nonzeros.weights, nonzeros.indptr()[:-1])
     return _with_spectrum(topology, nonzeros, 1 + int(deg.max()))
 
 
@@ -668,9 +646,11 @@ def accelerated_matrix(W: MixingMatrix, T: int | None = None) -> AcceleratedExch
 
     A given T may be at most MAX_T_FACTOR times the formula's T, and is
     refused before any evaluation, whose time grows with T.  ``T: auto``
-    stays far below that bound: on every ring, path, star and complete
-    graph with n < 130, and on a ladder up to n = 4096, under both weight
-    schemes, it stops within 1.17 times the formula's T.
+    stops within 1.17 times the formula's T on every ring, path, star and
+    complete graph with n < 130, and on a ladder up to n = 4096, under both
+    weight schemes.  Not where W's most negative eigenvalue sets rho_W, as
+    p_0 = p_{-1} = 1 lifts p_T there: on Metropolis K_{m,m} it picks 9 where
+    the formula gives 3 (m = 32), 24 where it gives 6 (m = 128, rho_M 17.2).
     """
     if T is not None and (not isinstance(T, (int, np.integer)) or T < 1):
         raise ValueError(f"T must be a positive integer, got {T!r}")
@@ -685,11 +665,11 @@ def accelerated_matrix(W: MixingMatrix, T: int | None = None) -> AcceleratedExch
                                   np.ones_like(W.spectrum))
         gaps = (float(np.max(p * p, initial=0.0)) for p in islice(rounds, first - 1, None))
     else:
-        gaps = (_lanczos_gap(partial(momentum_gossip, W.mix, eta, t), W.n,
-                             both_extremes=False, below_1=False) for t in count(first))
+        gaps = (_lanczos_gap(partial(momentum_gossip, W.mix, eta, t), W.n, rule="exchange")
+                for t in count(first))
     for t, rho_M in enumerate(gaps, start=first):
         if rho_M is None:
             raise ValueError(f"Lanczos over adogt's exchange at T = {t} places no rho_M "
                              f"within {_LANCZOS_MAX_STEPS} steps")
-        if T or rho_M <= 0.5:
+        if T or rho_M <= RHO_M_TARGET:
             return AcceleratedExchange(W, t, eta, rho_M)

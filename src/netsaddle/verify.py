@@ -29,7 +29,7 @@ from functools import reduce
 import numpy as np
 
 from . import metrics
-from .graph import MixingMatrix, accelerated_matrix
+from .graph import RHO_M_TARGET, MixingMatrix, accelerated_matrix
 from .metrics import max_stepsize, theoretical_contraction
 
 LEMMA_IDS = ("L1_iterate_gap", "L2_consensus", "L3_tracking",
@@ -216,7 +216,7 @@ def check_rho_M(W: MixingMatrix, T: int | None = None) -> LemmaCheckReport:
         notes = [f"analytic envelope {bound:.6g} >= 1 is vacuous at T={T}; "
                  "margin 0 records 1 - rho_M instead (diagnostic)"]
     if exchange is auto:
-        sides.append((1, rho_M, 0.5, True))
+        sides.append((1, rho_M, RHO_M_TARGET, True))
         notes.append("T equals the recommended round count; "
                      "margin 1 gates on 1 - rho_M >= 1/2")
     return LemmaCheckReport.from_sides("T2_rho_M", *zip(*sides), notes=notes)

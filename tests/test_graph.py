@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 from itertools import count
 from pathlib import Path
@@ -170,18 +171,46 @@ def test_support_matches_adjacency():
        ("random", 37, 0.2, 3), ("random", 200, 0.3, 3), ("random", 300, 0.02, 3)])
 def test_edge_list_weights_equal_dense_construction(kind, n, p, seed):
     # The edges are those of the oracle's one n x n draw (or of the kind), and
-    # the weights built from them are the dense constructions bit for bit,
-    # also where rows hold more than two neighbours, summed over several
-    # blocks of dense rows (star and complete centres, random graphs).
+    # the weights built from them are the dense constructions bit for bit:
+    # every off-diagonal entry, every lazy W, and every Metropolis row of at
+    # most two neighbours, whose sum has one rounding in any order.  The
+    # other Metropolis diagonals (star and complete centres, random graphs)
+    # are 1 minus the pairwise sum of the row's nonzeros with its zero
+    # diagonal in place, bit for bit, and within 1e-15 of the dense rows'.
     topo = build_topology(kind, n, seed=seed, edge_probability=p)
     adjacency = (ref.random_adjacency(n, p, seed)[0] if kind == "random"
                  else ref.adjacency_of(topo))
     assert np.array_equal(topo.edges, np.argwhere(np.triu(adjacency)))
     assert np.array_equal(topo.degrees, adjacency.sum(axis=1))
-    assert metropolis_weights(topo).W.tobytes() == ref.metropolis_dense(adjacency).tobytes()
+    W, oracle = metropolis_weights(topo).W, ref.metropolis_dense(adjacency)
+    off = ~np.eye(n, dtype=bool)
+    assert W[off].tobytes() == oracle[off].tobytes()
+    short = topo.degrees <= 2
+    assert W[short].tobytes() == oracle[short].tobytes()
+    rows, cols = np.nonzero(adjacency | ~off)
+    row_sums = np.add.reduceat(np.where(rows == cols, 0.0, oracle[rows, cols]),
+                               np.searchsorted(rows, np.arange(n)))
+    assert np.diag(W).tobytes() == (1.0 - row_sums).tobytes()
+    assert np.abs(np.diag(W) - np.diag(oracle)).max() <= 1e-15
     if n > 1:
         assert (lazy_max_degree_weights(topo).W.tobytes()
                 == ref.lazy_max_degree_dense(adjacency).tobytes())
+
+
+@pytest.mark.parametrize("kind,n", [("star", 300), ("star", 3000), ("star", 10000),
+                                    ("random", 1024)])
+def test_metropolis_diagonal_is_the_exact_row_sum_to_1e_15(kind, n):
+    # The centre row of a star, and the five rows of largest degree of
+    # random-1024 (p 0.01, graph seed 1000), against 1 minus the exact
+    # rational sum of the row's floating-point weights.  The pairwise sum
+    # stays within 1e-15; one weight after another, as np.bincount adds
+    # them, drifts by 3.9e-15, 4.4e-14 and 9.4e-14 on the stars.
+    topo = build_topology(kind, n, seed=1000, edge_probability=0.01 if kind == "random" else None)
+    _, rows, cols, weights = metropolis_weights(topo).nonzeros
+    for i in np.argsort(topo.degrees, kind="stable")[-1 if kind == "star" else -5:]:
+        exact = 1 - sum(Fraction(float(w)) for w in weights[(rows == i) & (cols != i)])
+        diagonal = weights[(rows == i) & (cols == i)][0]
+        assert abs(float(Fraction(float(diagonal)) - exact)) <= 1e-15, (i, topo.degrees[i])
 
 
 CLOSED_FORM_SIZES = [1, 2, 3, 4, 16, 17, 300, 1024]
@@ -780,6 +809,36 @@ def test_lanczos_rho_M_matches_eigvalsh_on_random_graphs(n):
                     if rho_M >= 1.0:
                         overshoots.append((p, scheme, seed, t))
     assert bool(overshoots) == (n == 16)
+
+
+@pytest.mark.parametrize("m", [4, 8, 32, 128])
+def test_lanczos_rho_M_where_W_is_most_negative(m):
+    # Metropolis W of the complete bipartite graph K_{m,m} is (I + A)/(m + 1),
+    # with eigenvalues 1, (1 - m)/(1 + m) and 1/(1 + m): the most negative
+    # one sets rho_W, and p_0 = p_{-1} = 1 lifts p_T there far past 1 (17.2
+    # at the formula's T = 6 for m = 128).  Given W's nonzeros alone, every
+    # gap comes from Lanczos, and agrees with max p_T(lam)^2 over the test's
+    # own eigvalsh to 1e-12 relative at every T up to one past T: auto's
+    # (2.6e-13 at m = 128, growing with T).  T: auto picks the smallest T
+    # from the formula's up with that maximum at most 1/2: 9 where the
+    # formula gives 3 (m = 32), and 24 where it gives 6 (m = 128).
+    adjacency = np.zeros((2 * m, 2 * m), dtype=bool)
+    adjacency[:m, m:] = adjacency[m:, :m] = True
+    W = MixingMatrix(Nonzeros.of(ref.metropolis_dense(adjacency)))
+    assert W.spectrum is None
+    lams = np.linalg.eigvalsh(W.W)[:-1]
+    rho_W = spectral_gap(lams)
+    assert W.rho == pytest.approx(rho_W, rel=1e-12, abs=0.0)
+    auto = accelerated_matrix(W)
+    T = formula = math.ceil(math.log(2.0) / math.sqrt(1.0 - math.sqrt(rho_W)))
+    while max_p_T_sq(lams, auto.eta, T) > graph.RHO_M_TARGET:
+        T += 1
+    assert auto.rounds == T
+    for t in range(1, T + 2):
+        assert accelerated_matrix(W, t).rho == pytest.approx(max_p_T_sq(lams, auto.eta, t),
+                                                             rel=1e-12, abs=0.0), t
+    if m >= 32:
+        assert T >= 3 * formula
 
 
 @pytest.mark.parametrize("n", [16, 400])
